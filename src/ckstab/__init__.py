@@ -13,9 +13,9 @@ from .geometry import (Cone, DegenerateInput, DimensionMismatch, EmptyRegion,
                        lattice_points, minkowski_sum, support_value, volume)
 from .toric import (TOTAL, DecompositionMismatch, MonomialIdealSeq,
                     NonIntegralScaling, NotReflexive, RankMismatch,
-                    ToricFanoModel, ToricValuation, build_model,
-                    integrality_step, log_discrepancy, monomial_lct,
-                    s_invariant, section_basis, t_invariant, theta_twist)
+                    ToricFanoModel, build_model, integrality_step,
+                    log_discrepancy, monomial_lct, s_invariant,
+                    section_basis, t_invariant, theta_twist)
 from .filtration import (EmptyDecomposition, Filtration, FiltrationFamily,
                          GradedBasis, GridMismatch, MissingCharacter,
                          NotIntegerValued, UnboundedWeights,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -196,6 +197,8 @@ def _cmd_reduced_delta(model, args) -> tuple[dict, int]:
 def _cmd_ding(model, args) -> tuple[dict, int]:
     eta = parse_vec(args.eta.split(","))
     slope = parse_rational(args.slope) if args.slope else Fraction(1)
+    if slope <= 0:
+        raise ValueError("slope parameter must be positive")
     fam = valuation_family(model, eta, m_max=args.mmax)
     res = coupled_ding(fam, delta=slope)
     return {
@@ -306,8 +309,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse takes a value that starts with "-" for a flag unless it looks like a
+# plain negative number, so main() rewrites "--xi -1,2" as "--xi=-1,2".  Tokens
+# argparse already reads as values stay apart, and so does the next flag.
+_VALUE_FLAGS = ("--xi", "--eta", "--subtorus", "--level", "--slope", "--scale")
+_KEEP_APART = re.compile(r"-\d+|-\d*\.\d+|--.*")
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if (argv[i - 1] in _VALUE_FLAGS and argv[i].startswith("-")
+                and not _KEEP_APART.fullmatch(argv[i])):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -21,8 +21,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .geometry import (ExactPolytope, Vec, _det, as_vec, centroid,
-                       is_primitive, lattice_points, mat_rank, nullspace,
-                       primitive_vector, solve_linear, vdot, vneg, vsub)
+                       extreme_rays, is_primitive, lattice_points, mat_rank,
+                       nullspace, primitive_vector, solve_linear, vdot, vneg,
+                       vsub)
 from .optimize import (PLTermSpec, RatioProgram, Unbounded,
                        minimize_convex_pl, minimize_pl_ratio)
 from .toric import (TOTAL, TORIC_SEARCH_ASSUMPTION, MonomialIdealSeq,
@@ -472,22 +473,11 @@ def inner_twist_sup(model: ToricFanoModel, sub: SubtorusSpec,
             if cone.contains(z):
                 consider(InnerSup(_ratio_at(model, z), True, z, None))
         # recession directions of the cell
+        homo = [a for a, _ in rows]
         dirs: list[Vec] = []
-        if s == 1:
-            for cand in ((Fraction(1),), (Fraction(-1),)):
-                if all(vdot(a, cand) >= 0 for a, _ in rows):
-                    dirs.append(cand)
-        else:
-            homo = [a for a, _ in rows]
-            for lin in nullspace(homo, s):
-                dirs.extend([lin, vneg(lin)])
-            for subset in itertools.combinations(range(len(homo)), s - 1):
-                ns = nullspace([homo[i] for i in subset], s)
-                if len(ns) != 1:
-                    continue
-                for cand in (ns[0], vneg(ns[0])):
-                    if all(vdot(a, cand) >= 0 for a in homo):
-                        dirs.append(cand)
+        for lin in nullspace(homo, s):
+            dirs.extend([lin, vneg(lin)])
+        dirs.extend(extreme_rays(homo, s))
         for d in dirs:
             zd = tuple(sum(dj * w[c] for dj, w in zip(d, W)) for c in range(model.rank))
             if any(x != 0 for x in zd) and cone.contains(zd):

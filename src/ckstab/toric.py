@@ -288,15 +288,6 @@ def total_s_function(model: ToricFanoModel) -> PLFunc:
 
 
 @dataclass(frozen=True)
-class ToricValuation:
-    zeta: Vec
-
-    @property
-    def is_trivial(self) -> bool:
-        return all(x == 0 for x in self.zeta)
-
-
-@dataclass(frozen=True)
 class MonomialIdealSeq:
     """Equivariant monomial ideal data on a model.
 

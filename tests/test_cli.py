@@ -45,6 +45,23 @@ def test_jnorm(capsys):
     assert report_of(out)["jnorm"]["value"] == "3"
 
 
+def test_negative_values_after_flags(capsys):
+    # argparse would read "-1,2" as a flag; value flags take it as a value
+    code, out, _ = run(capsys, "jnorm", "p2", "--xi", "-1,2")
+    assert code == 0
+    assert out == run(capsys, "jnorm", "p2", "--xi=-1,2")[1]
+    # a plain negative number keeps its separate token in the record
+    code, out, _ = run(capsys, "lct", "p2", "--eta", "-1,0", "--level", "-1")
+    assert code == 0
+    assert json.loads(out)["command"][3:] == ["--eta=-1,0", "--level", "-1"]
+    code, _, err = run(capsys, "ding", "p1_halves", "--eta", "1",
+                       "--slope", "-1/2")
+    assert code == 1 and err.startswith("error: slope parameter must be positive")
+    # a flag after a value flag is still reported as a missing value
+    code, _, err = run(capsys, "jnorm", "p2", "--xi", "--format", "json")
+    assert code == 1 and "expected one argument" in err
+
+
 def test_reduced_jnorm(capsys):
     code, out, _ = run(capsys, "reduced-jnorm", "p1_halves", "--xi", "1",
                        "--subtorus", "trivial")

@@ -12,11 +12,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from ckstab.geometry import (DegenerateInput, DimensionMismatch, EmptyRegion,
-                             ExactPolytope, HalfSpace, UnboundedRegion,
-                             centroid, dual_description, lattice_points,
-                             minkowski_sum, min_support_function,
-                             support_value, volume)
+from ckstab.geometry import (Cone, DegenerateInput, DimensionMismatch,
+                             EmptyRegion, ExactPolytope, HalfSpace,
+                             UnboundedRegion, centroid, cone_from_facets,
+                             dual_description, lattice_points, minkowski_sum,
+                             min_support_function, support_value, volume)
 
 
 from oracles import hull_oracle, rand_point, shoelace_area, shoelace_centroid
@@ -42,11 +42,19 @@ def test_empty_region():
     with pytest.raises(EmptyRegion):
         dual_description(halfspaces=[HalfSpace.make((1,), 0),
                                      HalfSpace.make((-1,), 1)], rank=1)
+    # x >= 1, -x >= 0, y >= 0: a recession direction, but no point
+    with pytest.raises(EmptyRegion, match="contradictory constraints"):
+        dual_description(halfspaces=[HalfSpace.make((1, 0), 1),
+                                     HalfSpace.make((-1, 0), 0),
+                                     HalfSpace.make((0, 1), 0)], rank=2)
 
 
 def test_unbounded_region():
     with pytest.raises(UnboundedRegion):
         dual_description(halfspaces=[HalfSpace.make((1,), 0)], rank=1)
+    with pytest.raises(UnboundedRegion, match="feasible region is unbounded"):
+        dual_description(halfspaces=[HalfSpace.make((1, 0), 0),
+                                     HalfSpace.make((0, 1), 0)], rank=2)
 
 
 def test_roundtrip_exact():
@@ -235,3 +243,15 @@ def test_rank3_roundtrip():
             continue
         back = dual_description(halfspaces=list(p.halfspaces), rank=3)
         assert back.vertices == p.vertices
+
+
+def test_rank3_cone_roundtrip():
+    rng = random.Random(31)
+    for _ in range(30):
+        # generators with a positive last coordinate span a pointed cone
+        gens = [(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(1, 3))
+                for _ in range(rng.randint(3, 7))]
+        cone = Cone.from_generators(gens)
+        back = cone_from_facets(cone.facets, 3)
+        assert back.generators == cone.generators
+        assert back.facets == cone.facets

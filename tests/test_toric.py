@@ -213,13 +213,6 @@ def test_support_min_linear_on_cones(bl1p2):
             + sum(b * x for b, x in zip(bl1p2.barycenter(TOTAL), eta)))
 
 
-def test_toric_valuation_type():
-    from fractions import Fraction as F
-    from ckstab.toric import ToricValuation
-    assert ToricValuation((F(0), F(0))).is_trivial
-    assert not ToricValuation((F(1), F(0))).is_trivial
-
-
 def test_dual_description_needs_exactly_one_side():
     from ckstab.geometry import GeometryError, dual_description
     with pytest.raises(GeometryError):
