@@ -7,6 +7,7 @@ Minkowski decomposition of its anticanonical polytope, and property-tests
 the filtration-algebra identities tying those invariants together.
 """
 
+from .errors import CkstabError, InputError, InternalInvariantError
 from .geometry import (Cone, DegenerateInput, DimensionMismatch, EmptyRegion,
                        ExactPolytope, GeometryError, HalfSpace, PLFunc,
                        UnboundedRegion, centroid, dual_description,
@@ -25,9 +26,9 @@ from .filtration import (EmptyDecomposition, Filtration, FiltrationFamily,
                          trivial_family, trivial_filtration, twist,
                          twist_family, valuation_family,
                          valuation_filtration)
-from .optimize import (DenominatorVanishes, LinearProgram, RatioProgram,
-                       Unbounded, dinkelbach_ratio_min, lp_solve,
-                       minimize_convex_pl, minimize_pl_ratio)
+from .optimize import (LinearProgram, RatioProgram, Unbounded,
+                       dinkelbach_ratio_min, lp_solve, minimize_convex_pl,
+                       minimize_pl_ratio)
 from .stability import (CoupledBarycenter, DegenerateSubtorus, RankTooHigh,
                         StabilityError, StabilityReport, SubtorusSpec,
                         SuiteFailure, build_stability_report, coupled_delta,

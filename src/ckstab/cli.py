@@ -2,7 +2,8 @@
 
 One verb per invocation; every report is canonical JSON (or an aligned
 text table) with all numbers rendered as exact rationals.  Exit codes:
-0 success, 1 input error, 2 verification-suite failure.
+0 success, 1 input error, 2 an internal cross-check failed (a bug),
+including an identity-suite failure.
 """
 
 from __future__ import annotations
@@ -19,16 +20,17 @@ from importlib import resources
 from typing import Optional
 
 from . import __version__
-from .filtration import UnsupportedDescriptor
-from .serialize import (IoError, ParseError, ValidationError, canonical_json,
-                        format_rational, format_vec, load_model,
-                        parse_rational, parse_vec)
-from .stability import (SubtorusSpec, SuiteFailure, build_stability_report,
-                        coupled_delta, coupled_ding, coupled_futaki,
-                        find_destabilizer, j_twist, monomial_lct,
-                        reduced_coupled_delta, reduced_coupled_j)
-from .toric import TOTAL, MonomialIdealSeq, ToricError
+from .errors import CkstabError, InputError
 from .filtration import valuation_family
+from .geometry import Vec
+from .serialize import (IoError, ParseError, canonical_json, format_rational,
+                        format_vec, load_model, parse_rational, parse_vec,
+                        read_json)
+from .stability import (SubtorusSpec, build_stability_report, coupled_delta,
+                        coupled_ding, coupled_futaki, find_destabilizer,
+                        j_twist, monomial_lct, reduced_coupled_delta,
+                        reduced_coupled_j)
+from .toric import TOTAL, MonomialIdealSeq
 
 
 @dataclass
@@ -52,8 +54,11 @@ class RunRecord:
 
 
 def _sha256(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+    try:
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
 
 
 def resolve_model_path(path: str) -> str:
@@ -82,7 +87,10 @@ def _parse_subtorus(text: Optional[str], rank: int) -> SubtorusSpec:
         return SubtorusSpec.trivial()
     basis = []
     for part in text.split(";"):
-        vec = tuple(int(c) for c in part.split(","))
+        try:
+            vec = tuple(int(c) for c in part.split(","))
+        except ValueError as exc:
+            raise ParseError(f"subtorus vector {part!r} is not integral") from exc
         if len(vec) != rank:
             raise ParseError(f"subtorus vector {part!r} has the wrong rank")
         basis.append(vec)
@@ -134,32 +142,40 @@ def _opt_rat(x) -> Optional[str]:
     return None if x is None else _rat(x)
 
 
+def _vec_arg(text: str, flag: str, rank: int) -> Vec:
+    vec = parse_vec(text.split(","))
+    if len(vec) != rank:
+        raise ParseError(f"{flag} has {len(vec)} entries but the model has "
+                         f"rank {rank}")
+    return vec
+
+
 # ---------------------------------------------------------------------------
-# verb handlers: each returns (report dict, exit code)
+# verb handlers: each returns the report dict
 
 
-def _cmd_futaki(model, args) -> tuple[dict, int]:
+def _cmd_futaki(model, args) -> dict:
     fut = coupled_futaki(model)
     return {
         "per_summand": [format_vec(v) for v in fut.per_summand],
         "total": format_vec(fut.total),
         "vanishes": fut.vanishes,
-    }, 0
+    }
 
 
-def _cmd_jnorm(model, args) -> tuple[dict, int]:
-    xi = parse_vec(args.xi.split(","))
+def _cmd_jnorm(model, args) -> dict:
+    xi = _vec_arg(args.xi, "--xi", model.rank)
     index = TOTAL if args.summand is None else args.summand
     value = j_twist(model, index, xi)
     return {
         "jnorm": {"value": _rat(value), "provenance": "closed-form"},
         "xi": format_vec(xi),
         "summand": "total" if index == TOTAL else index,
-    }, 0
+    }
 
 
-def _cmd_reduced_jnorm(model, args) -> tuple[dict, int]:
-    xi0 = parse_vec(args.xi.split(","))
+def _cmd_reduced_jnorm(model, args) -> dict:
+    xi0 = _vec_arg(args.xi, "--xi", model.rank)
     sub = _parse_subtorus(args.subtorus, model.rank)
     res = reduced_coupled_j(model, xi0, sub=sub)
     return {
@@ -167,19 +183,19 @@ def _cmd_reduced_jnorm(model, args) -> tuple[dict, int]:
         "argmin": format_vec(res.argmin),
         "xi0": format_vec(xi0),
         "subtorus": [list(v) for v in sub.basis],
-    }, 0
+    }
 
 
-def _cmd_delta(model, args) -> tuple[dict, int]:
+def _cmd_delta(model, args) -> dict:
     res = coupled_delta(model)
     return {
         "delta": {"value": _rat(res.value), "provenance": res.provenance},
         "witness": list(res.witness),
         "assumptions": list(res.assumptions),
-    }, 0
+    }
 
 
-def _cmd_reduced_delta(model, args) -> tuple[dict, int]:
+def _cmd_reduced_delta(model, args) -> dict:
     sub = _parse_subtorus(args.subtorus, model.rank)
     res = reduced_coupled_delta(model, sub)
     report = {
@@ -191,14 +207,12 @@ def _cmd_reduced_delta(model, args) -> tuple[dict, int]:
     }
     if res.note:
         report["note"] = res.note
-    return report, 0
+    return report
 
 
-def _cmd_ding(model, args) -> tuple[dict, int]:
-    eta = parse_vec(args.eta.split(","))
+def _cmd_ding(model, args) -> dict:
+    eta = _vec_arg(args.eta, "--eta", model.rank)
     slope = parse_rational(args.slope) if args.slope else Fraction(1)
-    if slope <= 0:
-        raise ValueError("slope parameter must be positive")
     fam = valuation_family(model, eta, m_max=args.mmax)
     res = coupled_ding(fam, delta=slope)
     return {
@@ -207,11 +221,11 @@ def _cmd_ding(model, args) -> tuple[dict, int]:
         "summand_slopes": [_rat(s) for s in res.s_values],
         "eta": format_vec(eta),
         "slope": _rat(slope),
-    }, 0
+    }
 
 
-def _cmd_lct(model, args) -> tuple[dict, int]:
-    eta = parse_vec(args.eta.split(","))
+def _cmd_lct(model, args) -> dict:
+    eta = _vec_arg(args.eta, "--eta", model.rank)
     level = parse_rational(args.level)
     scale = parse_rational(args.scale) if args.scale else Fraction(1)
     seq = MonomialIdealSeq.valuation_levels(eta, level)
@@ -223,28 +237,28 @@ def _cmd_lct(model, args) -> tuple[dict, int]:
         "level": _rat(level),
         "scale": _rat(scale),
         "assumptions": list(res.assumptions),
-    }, 0
+    }
 
 
-def _cmd_destabilize(model, args) -> tuple[dict, int]:
+def _cmd_destabilize(model, args) -> dict:
     res = find_destabilizer(model, m_max=args.mmax)
     if res is None:
-        return {"destabilizer": None}, 0
+        return {"destabilizer": None}
     return {
         "destabilizer": {
             "eta": list(res.eta),
             "ding": {"value": _rat(res.ding.value),
                      "provenance": res.ding.provenance},
         },
-    }, 0
+    }
 
 
-def _cmd_verify(model, args) -> tuple[dict, int]:
+def _cmd_verify(model, args) -> dict:
     rep = build_stability_report(model, samples=args.samples, seed=args.seed)
     print(f"suite elapsed: {rep.elapsed_seconds:.3f}s", file=sys.stderr)
     data = rep.to_dict()
     del data["model"]   # re-attached by the record wrapper
-    return data, 0
+    return data
 
 
 VERBS = {
@@ -328,58 +342,40 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
 
-    if args.verb == "show":
-        import json
-        try:
-            with open(args.report, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except json.JSONDecodeError as exc:
-            print(f"error: {args.report}: {exc.msg} (at byte {exc.pos})",
-                  file=sys.stderr)
-            return 1
-        sys.stdout.write(render_table(data.get("report", data)))
-        return 0
-
     started = time.monotonic()
     try:
+        if args.verb == "show":
+            data = read_json(args.report)
+            if not isinstance(data, dict):
+                raise ParseError(f"{args.report}: a report must be a JSON object")
+            sys.stdout.write(render_table(data.get("report", data)))
+            return 0
         path = resolve_model_path(args.model)
         digest_before = _sha256(path)
         model = load_model(path)
-        report, code = VERBS[args.verb](model, args)
+        report = VERBS[args.verb](model, args)
         if _sha256(path) != digest_before:
             raise IoError(f"input file {path} changed during the run")
-    except SuiteFailure as exc:
-        print(f"suite failure: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, ValidationError, IoError, ToricError,
-            UnsupportedDescriptor, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    if args.verb == "verify" and report["suite"]["failed"] > 0:
-        code = 2
-
-    record = RunRecord(
-        command=["ckstab", args.verb] + argv[1:],
-        input_sha256=digest_before,
-        report={"model": model.name, **report},
-        version=__version__,
-        assumptions=report.get("assumptions", []),
-    )
-    try:
+        record = RunRecord(
+            command=["ckstab", args.verb] + argv[1:],
+            input_sha256=digest_before,
+            report={"model": model.name, **report},
+            version=__version__,
+            assumptions=report.get("assumptions", []),
+        )
         text = emit_report(record, args.out)
-    except IoError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except CkstabError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 2
     if args.format == "table":
         sys.stdout.write(render_table(record.to_dict()["report"]))
     else:
         sys.stdout.write(text)
     print(f"elapsed: {time.monotonic() - started:.3f}s", file=sys.stderr)
-    return code
+    return 0
 
 
 if __name__ == "__main__":

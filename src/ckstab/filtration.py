@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from .errors import InputError
 from .geometry import Vec, as_vec, vdot
 from .toric import (TOTAL, RankMismatch, SummandIndex, ToricFanoModel,
                     integrality_step, log_discrepancy, s_invariant,
@@ -30,7 +31,7 @@ Char = tuple[int, ...]
 WeightTable = dict[int, dict[Char, Fraction]]
 
 
-class FiltrationError(Exception):
+class FiltrationError(InputError):
     pass
 
 
@@ -84,26 +85,22 @@ class GradedBasis:
                            {d: self.chars[d] for d in degs})
 
 
-_BASIS_CACHE: dict = {}
-
-
 def graded_basis(model: ToricFanoModel, i: SummandIndex, m_max: int = 12,
                  step: Optional[int] = None) -> GradedBasis:
     """Basis on all degrees that are multiples of the summand's integrality
-    step, up to m_max.  Results are cached per model instance; lattice-point
-    enumeration dominates otherwise."""
+    step, up to m_max.  Results are memoized on the model instance;
+    lattice-point enumeration dominates otherwise."""
     if step is None:
         step = integrality_step(model, i)
-    key = (id(model), i, m_max, step)
-    hit = _BASIS_CACHE.get(key)
-    if hit is not None and hit[0] is model:
-        return hit[1]
+    key = (i, m_max, step)
+    hit = model.bases.get(key)
+    if hit is not None:
+        return hit
     degrees = tuple(range(step, m_max + 1, step))
     if not degrees:
         raise GridMismatch(f"degree cap {m_max} below the integrality step {step}")
     chars = {m: tuple(section_basis(model, i, m)) for m in degrees}
-    basis = GradedBasis(model, i, degrees, chars)
-    _BASIS_CACHE[key] = (model, basis)
+    basis = model.bases[key] = GradedBasis(model, i, degrees, chars)
     return basis
 
 

@@ -24,12 +24,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from .errors import InputError, InternalInvariantError
+
 Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
 
 
-class GeometryError(Exception):
-    """Base class for errors raised by the polytope kernel."""
+class GeometryError(InputError):
+    """Invalid input to the polytope kernel."""
 
 
 class UnboundedRegion(GeometryError):
@@ -46,10 +48,6 @@ class DimensionMismatch(GeometryError):
 
 class DegenerateInput(GeometryError):
     pass
-
-
-class ConeLookupFailure(GeometryError):
-    """A complete fan failed to cover a query point (construction bug)."""
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +281,7 @@ class ExactPolytope:
             input_set = set(pts)
             for v in poly.vertices:
                 if v not in input_set:
-                    raise GeometryError("hull cross-validation failed")
+                    raise InternalInvariantError("hull cross-validation failed")
             return poly
 
         # lower-dimensional: work in affine-hull coordinates and lift back
@@ -293,7 +291,7 @@ class ExactPolytope:
             t = solve_linear([[span[j][i] for j in range(dim)] for i in range(rank)],
                              vsub(p, base))
             if t is None:
-                raise GeometryError("point outside its own affine hull")
+                raise InternalInvariantError("point outside its own affine hull")
             local_pts.append(t)
         local = ExactPolytope.from_vertices(local_pts)
         halfspaces = []
@@ -303,7 +301,7 @@ class ExactPolytope:
             n = solve_linear([list(s) for s in span],
                              [Fraction(a) for a in h.normal])
             if n is None:
-                raise GeometryError("facet lift failed")
+                raise InternalInvariantError("facet lift failed")
             halfspaces.append(HalfSpace.make(n, h.offset + vdot(base, n)))
         for q in nullspace([list(s) for s in span], rank):
             qn = primitive_vector(q)
@@ -392,7 +390,7 @@ def _independent_rows(rows: Sequence[Vec], want: int) -> list[Vec]:
             if len(chosen) == want:
                 break
     if len(chosen) != want:
-        raise GeometryError("could not extract independent rows")
+        raise InternalInvariantError("could not extract independent rows")
     return chosen
 
 
@@ -418,7 +416,7 @@ def _facets_from_points(pts: list[Vec], rank: int) -> list[HalfSpace]:
         if all(v <= c for v in vals):
             facets.add(HalfSpace.make(vneg(n), -c))
     if not facets:
-        raise GeometryError("facet enumeration found nothing")
+        raise InternalInvariantError("facet enumeration found nothing")
     return sorted(facets, key=HalfSpace.sort_key)
 
 
@@ -665,7 +663,7 @@ class Cone:
         # the facet normals are the extreme rays of the dual cone
         facets = {primitive_vector(n) for n in extreme_rays(prims, rank)}
         if not facets:
-            raise GeometryError("cone facet enumeration failed")
+            raise InternalInvariantError("cone facet enumeration failed")
         # drop generators that are not extreme (conic combinations of others)
         extreme = []
         for g in prims:
@@ -746,7 +744,7 @@ class PLFunc:
         for cone, form in self.pieces:
             if cone.contains(x):
                 return cone, form
-        raise ConeLookupFailure(f"no cone contains {tuple(x)}; fan incomplete")
+        raise InternalInvariantError(f"no cone contains {tuple(x)}; fan incomplete")
 
     def __call__(self, x: Sequence) -> Fraction:
         if is_zero_vec(x):

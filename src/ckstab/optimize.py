@@ -14,22 +14,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .errors import InputError, InternalInvariantError
 from .geometry import (Cone, DimensionMismatch, PLFunc, Vec,
                        refine_pl, vdot)
 
 
-class OptimizeError(Exception):
+class OptimizeError(InputError):
     pass
 
 
 class Unbounded(OptimizeError):
     pass
-
-
-class DenominatorVanishes(OptimizeError):
-    def __init__(self, ray):
-        super().__init__(f"denominator vanishes along ray {ray}")
-        self.ray = ray
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +216,7 @@ def minimize_convex_pl(terms: Sequence[PLTermSpec], rank: int,
     if res.status == "unbounded":
         raise Unbounded("piecewise-linear objective unbounded below on the subspace")
     if res.status != "optimal":
-        raise OptimizeError(f"unexpected LP status {res.status}")
+        raise InternalInvariantError(f"unexpected LP status {res.status}")
     t = res.point[:s]
     xi = tuple(sum(t[i] * basis[i][c] for i in range(s)) for c in range(rank))
     return res.value + const_part, xi
@@ -274,7 +269,7 @@ def minimize_pl_ratio(rp: RatioProgram, allow_zero_denominator: bool = False) ->
         den = rp.denominator(ray)
         if den <= 0:
             if den < 0 or not allow_zero_denominator:
-                raise DenominatorVanishes(ray)
+                raise InternalInvariantError(f"denominator vanishes along ray {ray}")
             continue
         val = rp.numerator(ray) / den
         if best is None or val < best or (val == best and ray < witness):
@@ -294,7 +289,7 @@ def dinkelbach_ratio_min(rp: RatioProgram, allow_zero_denominator: bool = False,
     for ray in _candidate_rays(rp):
         den = rp.denominator(ray)
         if den < 0 or (den == 0 and not allow_zero_denominator):
-            raise DenominatorVanishes(ray)
+            raise InternalInvariantError(f"denominator vanishes along ray {ray}")
         if den > 0:
             rays.append((ray, rp.numerator(ray), den))
     if not rays:
@@ -309,4 +304,4 @@ def dinkelbach_ratio_min(rp: RatioProgram, allow_zero_denominator: bool = False,
             return RatioResult(t, witness)
         _, witness, n, d = m
         t = n / d
-    raise OptimizeError("Dinkelbach iteration failed to converge")
+    raise InternalInvariantError("Dinkelbach iteration failed to converge")

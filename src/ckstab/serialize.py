@@ -12,23 +12,20 @@ import json
 from fractions import Fraction
 from typing import Any, Optional, Sequence
 
+from .errors import InputError
 from .geometry import ExactPolytope, HalfSpace, Vec
 from .toric import ToricFanoModel, build_model
 
 
-class ParseError(Exception):
-    def __init__(self, message: str, position: Optional[int] = None):
-        if position is not None:
-            message = f"{message} (at byte {position})"
-        super().__init__(message)
-        self.position = position
-
-
-class ValidationError(Exception):
+class ParseError(InputError):
     pass
 
 
-class IoError(Exception):
+class ValidationError(InputError):
+    pass
+
+
+class IoError(InputError):
     pass
 
 
@@ -54,8 +51,10 @@ def parse_rational(text) -> Fraction:
         raise ParseError(f"expected a rational, got {text!r}")
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ParseError(f"bad rational {text!r}: {exc}") from exc
+    except ZeroDivisionError as exc:
+        raise ParseError(f"bad rational {text!r}: zero denominator") from exc
 
 
 def format_vec(v: Sequence) -> list[str]:
@@ -80,19 +79,27 @@ def polytope_from_json(data) -> ExactPolytope:
     if not isinstance(data, dict):
         raise ParseError(f"polytope fragment must be an object, got {data!r}")
     if "vertices" in data:
-        verts = [parse_vec(v) for v in data["vertices"]]
+        verts = [parse_vec(v) for v in _list(data["vertices"], "vertices")]
         return ExactPolytope.from_vertices(verts)
     if "halfspaces" in data:
         hs = []
         rank = None
-        for item in data["halfspaces"]:
-            normal = item.get("normal")
-            if normal is None or not all(isinstance(c, int) for c in normal):
-                raise ParseError(f"half-space normal must be integral: {item!r}")
+        for item in _list(data["halfspaces"], "halfspaces"):
+            normal = item.get("normal") if isinstance(item, dict) else None
+            if not isinstance(normal, list) or not all(
+                    isinstance(c, int) for c in normal) or "offset" not in item:
+                raise ParseError("a half-space needs an integral 'normal' list "
+                                 f"and an 'offset': {item!r}")
             hs.append(HalfSpace.make(tuple(normal), parse_rational(item["offset"])))
             rank = len(normal)
         return ExactPolytope.from_halfspaces(hs, rank)
     raise ParseError("polytope fragment needs 'vertices' or 'halfspaces'")
+
+
+def _list(value, key: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{key!r} must be a list, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -115,33 +122,42 @@ def model_from_json(data, name: str = "") -> ToricFanoModel:
         if key not in data:
             raise ParseError(f"model object lacks {key!r}")
     rank = data["rank"]
-    if not isinstance(rank, int):
-        raise ParseError("rank must be an integer")
+    # the documented scope; the subset enumerations grow like C(n, rank)
+    if type(rank) is not int or not 1 <= rank <= 4:
+        raise ParseError(f"rank must be an integer from 1 to 4, got {rank!r}")
     rays = data["rays"]
     if not isinstance(rays, list) or not all(
             isinstance(r, list) and all(isinstance(c, int) for c in r)
             and len(r) == rank for r in rays):
         raise ParseError("rays must be integer vectors of the stated rank")
-    summands = [polytope_from_json(p) for p in data["decomposition"]]
-    try:
-        return build_model(rays, summands, name=data.get("name", name))
-    except Exception as exc:
-        raise ValidationError(str(exc)) from exc
+    model_name = data.get("name", name)
+    if not isinstance(model_name, str):
+        raise ParseError(f"model name must be a string, got {model_name!r}")
+    summands = [polytope_from_json(p)
+                for p in _list(data["decomposition"], "decomposition")]
+    return build_model(rays, summands, name=model_name)
 
 
-def load_model(path: str) -> ToricFanoModel:
+def read_json(path: str):
+    """The parsed contents of a JSON file; an unreadable file or malformed
+    JSON is an input error."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     try:
-        data = json.loads(raw.decode("utf-8"))
+        return json.loads(raw.decode("utf-8"))
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc.msg}", position=exc.pos) from exc
+        raise ParseError(f"{path}: {exc.msg} (at byte {exc.pos})") from exc
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not valid UTF-8", position=exc.start) from exc
-    return model_from_json(data, name=path)
+        raise ParseError(f"{path}: not valid UTF-8 (at byte {exc.start})") from exc
+    except (ValueError, RecursionError) as exc:   # huge integers, deep nesting
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def load_model(path: str) -> ToricFanoModel:
+    return model_from_json(read_json(path), name=path)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .errors import InputError, InternalInvariantError
 from .geometry import (ExactPolytope, Vec, _det, as_vec, centroid,
                        extreme_rays, is_primitive, lattice_points, mat_rank,
                        nullspace, primitive_vector, solve_linear, vdot, vneg,
@@ -41,7 +42,7 @@ from .filtration import (Filtration, FiltrationFamily,
                          valuation_filtration)
 
 
-class StabilityError(Exception):
+class StabilityError(InputError):
     pass
 
 
@@ -53,11 +54,7 @@ class RankTooHigh(StabilityError):
     pass
 
 
-class OptimizationInfeasible(StabilityError):
-    pass
-
-
-class SuiteFailure(StabilityError):
+class SuiteFailure(InternalInvariantError):
     def __init__(self, identity: str, inputs, lhs, rhs):
         super().__init__(
             f"identity {identity!r} failed on {inputs!r}: {lhs!r} != {rhs!r}")
@@ -190,7 +187,7 @@ def reduced_coupled_j(model: ToricFanoModel, xi0: Sequence,
     try:
         value, xi = minimize_convex_pl(terms, model.rank, subspace=subspace)
     except Unbounded as exc:
-        raise OptimizationInfeasible(
+        raise InternalInvariantError(
             "reduced J norm unbounded below; polytope kernel bug") from exc
     return ReducedJResult(value, xi)
 
@@ -312,7 +309,7 @@ def coupled_ding(fam: FiltrationFamily, delta=Fraction(1)) -> DingResult:
         # the barycenter twist rule is a slope-one identity
         b = model.barycenter(TOTAL)
         if probe_value != value - vdot(b, probe):
-            raise StabilityError("twist identity cross-validation failed")
+            raise InternalInvariantError("twist identity cross-validation failed")
     return DingResult(value, mu_used, tuple(s_vals), delta, probe, probe_value,
                       provenance=prov)
 
@@ -326,7 +323,7 @@ def ding_of_twist(model: ToricFanoModel, fam: FiltrationFamily,
     value = base.value - vdot(model.barycenter(TOTAL), xi)
     direct = coupled_ding(twist_family(fam, xi)).value
     if direct != value:
-        raise StabilityError("twist formula disagrees with the direct value")
+        raise InternalInvariantError("twist formula disagrees with the direct value")
     return value
 
 
@@ -358,7 +355,7 @@ def coupled_delta(model: ToricFanoModel) -> DeltaResult:
     direction."""
     res = minimize_pl_ratio(_delta_ratio_program(model))
     if res.value is None:
-        raise OptimizationInfeasible("threshold program had no constraining ray")
+        raise InternalInvariantError("threshold program had no constraining ray")
     return DeltaResult(res.value, res.witness)
 
 
@@ -379,12 +376,13 @@ def semistable_verdict(model: ToricFanoModel) -> VerdictReport:
     fut = coupled_futaki(model)
     if fut.vanishes:
         if d.value != 1:
-            raise StabilityError("dichotomy violated: vanishing Futaki but "
-                                 f"threshold {d.value}")
+            raise InternalInvariantError(
+                f"dichotomy violated: vanishing Futaki but threshold {d.value}")
     else:
         if not (d.value < 1 and vdot(fut.total, d.witness) > 0):
-            raise StabilityError("dichotomy violated: nonvanishing Futaki but "
-                                 f"threshold {d.value} at {d.witness}")
+            raise InternalInvariantError(
+                "dichotomy violated: nonvanishing Futaki but "
+                f"threshold {d.value} at {d.witness}")
     return VerdictReport(model.name, d.value >= 1, d, fut, d.assumptions)
 
 
@@ -404,7 +402,7 @@ def find_destabilizer(model: ToricFanoModel, m_max: int = 6) -> Optional[Destabi
     fam = valuation_family(model, d.witness, m_max=m_max)
     ding = coupled_ding(fam)
     if ding.value >= 0:
-        raise StabilityError("witness family failed to destabilize")
+        raise InternalInvariantError("witness family failed to destabilize")
     return DestabilizerResult(d.witness, fam, ding)
 
 
@@ -472,18 +470,14 @@ def inner_twist_sup(model: ToricFanoModel, sub: SubtorusSpec,
                 z = tuple(x + tj * y for x, y in zip(z, w))
             if cone.contains(z):
                 consider(InnerSup(_ratio_at(model, z), True, z, None))
-        # recession directions of the cell
-        homo = [a for a, _ in rows]
-        dirs: list[Vec] = []
-        for lin in nullspace(homo, s):
-            dirs.extend([lin, vneg(lin)])
-        dirs.extend(extreme_rays(homo, s))
-        for d in dirs:
+        # recession directions of the cell; it has no lineality, because the
+        # facet normals span and the subtorus basis is independent
+        for d in extreme_rays([a for a, _ in rows], s):
             zd = tuple(sum(dj * w[c] for dj, w in zip(d, W)) for c in range(model.rank))
             if any(x != 0 for x in zd) and cone.contains(zd):
                 consider(InnerSup(_ratio_at(model, zd), False, None, zd))
     if best is None:
-        raise StabilityError("twist slice met no fan cone; fan incomplete")
+        raise InternalInvariantError("twist slice met no fan cone; fan incomplete")
     return best
 
 
@@ -653,7 +647,7 @@ def twisted_ratio_profile(model: ToricFanoModel, eta: Sequence, xi: Sequence,
                 entry = max([Fraction(0)] + entry_bounds)
                 break
     if cone is None:
-        raise StabilityError("no fan cone absorbs the twisted ray")
+        raise InternalInvariantError("no fan cone absorbs the twisted ray")
     idx = model.fan.index(cone)
     a_form = vneg(model.total_forms[idx])
     b = model.barycenter(TOTAL)
@@ -673,7 +667,7 @@ def twisted_ratio_profile(model: ToricFanoModel, eta: Sequence, xi: Sequence,
         kappa = 2 * cross / (s2 * s2)
     for e, r in ratios:
         if e >= entry_int and abs(r - limit) * e > kappa:
-            raise StabilityError("rate certificate violated; internal bug")
+            raise InternalInvariantError("rate certificate violated; internal bug")
     return TwistRayLimit(ratios, limit, kappa, entry_int)
 
 

@@ -21,22 +21,23 @@ cocharacter valuations is recorded as an assumption in every certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .geometry import (Cone, DimensionMismatch, ExactPolytope, HalfSpace,
-                       PLFunc, Vec, as_vec, centroid, check_complete_fan_rank2,
-                       is_primitive, lattice_points, mat_rank, minkowski_sum,
-                       min_support_function, restrict_min_support,
-                       support_value, vdot, vneg, vsub)
+from .errors import InputError, InternalInvariantError
+from .geometry import (Cone, DimensionMismatch, ExactPolytope, GeometryError,
+                       HalfSpace, PLFunc, Vec, as_vec, centroid,
+                       check_complete_fan_rank2, is_primitive, lattice_points,
+                       mat_rank, minkowski_sum, min_support_function,
+                       restrict_min_support, support_value, vdot, vneg, vsub)
 from .optimize import RatioProgram, dinkelbach_ratio_min, minimize_pl_ratio
 
 TOTAL = "total"
 SummandIndex = Union[int, str]
 
 
-class ToricError(Exception):
+class ToricError(InputError):
     pass
 
 
@@ -64,6 +65,11 @@ class ZeroIdeal(ToricError):
     pass
 
 
+def _show(v: Sequence) -> str:
+    """A point with rational coordinates as "(p/q, ...)", for messages."""
+    return "(" + ", ".join(map(str, v)) + ")"
+
+
 TORIC_SEARCH_ASSUMPTION = (
     "search space restricted to torus-invariant cocharacter valuations; "
     "exactness on toric models relies on equivariant reduction"
@@ -85,6 +91,9 @@ class ToricFanoModel:
     fan: tuple[Cone, ...]
     support_forms: tuple[tuple[Vec, ...], ...]   # [cone][summand] argmin vertex
     total_forms: tuple[Vec, ...]                 # [cone] argmin vertex of P^L
+    # graded bases by (summand, degree cap, step); see filtration.graded_basis
+    bases: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @property
     def num_summands(self) -> int:
@@ -137,13 +146,13 @@ def build_model(rays: Sequence[Sequence[int]],
     halfspaces = [HalfSpace(r, Fraction(-1)) for r in ray_tuple]
     try:
         antican = ExactPolytope.from_halfspaces(halfspaces, rank)
-    except Exception as exc:
+    except GeometryError as exc:
         raise NotReflexive(f"ray half-spaces do not bound a polytope: {exc}") from exc
     if antican.dim != rank:
         raise NotReflexive("anticanonical polytope is not full-dimensional")
     for v in antican.vertices:
         if any(x.denominator != 1 for x in v):
-            raise NotReflexive(f"anticanonical polytope has non-lattice vertex {v}")
+            raise NotReflexive(f"anticanonical polytope has non-lattice vertex {_show(v)}")
     facet_normals = {h.normal for h in antican.halfspaces}
     if facet_normals != set(ray_tuple):
         raise NotReflexive("rays do not match the facets of the anticanonical polytope")
@@ -159,8 +168,9 @@ def build_model(rays: Sequence[Sequence[int]],
     total = minkowski_sum(list(summands))
     if total != antican:
         raise DecompositionMismatch(
-            f"Minkowski sum of the decomposition is {total.vertices}, "
-            f"expected {antican.vertices}")
+            "Minkowski sum of the decomposition is "
+            f"{' '.join(map(_show, total.vertices))}, "
+            f"expected {' '.join(map(_show, antican.vertices))}")
 
     fan_pieces = min_support_function(antican).pieces
     if rank == 2 and not check_complete_fan_rank2([c for c, _ in fan_pieces]):
@@ -175,7 +185,7 @@ def build_model(rays: Sequence[Sequence[int]],
             _, vtx = support_value(p, probe, "min")
             for g in cone.generators:
                 if vdot(vtx, g) != support_value(p, g, "min")[0]:
-                    raise ToricError("summand support not linear on a fan cone")
+                    raise InternalInvariantError("summand support not linear on a fan cone")
             row.append(vtx)
         support_forms.append(tuple(row))
 
@@ -217,7 +227,7 @@ def log_discrepancy(model: ToricFanoModel, eta: Sequence) -> Fraction:
     for cone, form in zip(model.fan, model.total_forms):
         if cone.contains(eta):
             return -vdot(form, eta)
-    raise ToricError("fan lookup failed; fan incomplete")
+    raise InternalInvariantError("fan lookup failed; fan incomplete")
 
 
 def s_invariant(model: ToricFanoModel, i: SummandIndex, eta: Sequence) -> Fraction:
@@ -335,9 +345,9 @@ def _region_of_ideal(model: ToricFanoModel, ideal: MonomialIdealSeq,
         cut = HalfSpace.make(ideal.eta, ideal.level + lam)
         try:
             return ExactPolytope.from_halfspaces(list(p.halfspaces) + [cut], p.rank)
-        except Exception as exc:
+        except GeometryError as exc:
             raise ZeroIdeal(
-                f"no sections reach slope {ideal.level} along {tuple(ideal.eta)}"
+                f"no sections reach slope {ideal.level} along {_show(ideal.eta)}"
             ) from exc
     assert ideal.degrees is not None
     if degree is None:
@@ -349,7 +359,7 @@ def _region_of_ideal(model: ToricFanoModel, ideal: MonomialIdealSeq,
     pts = [tuple(Fraction(c, degree) for c in ch) for ch in gens]
     for pt in pts:
         if not p.contains(pt):
-            raise ToricError(f"generator {pt} outside the summand polytope")
+            raise ToricError(f"generator {_show(pt)} outside the summand polytope")
     return ExactPolytope.from_vertices(pts)
 
 

@@ -1,0 +1,253 @@
+"""The error tree: every ckstab exception is an input error (exit 1) or a
+failed internal check (exit 2), and no input reaches the user as a Python
+traceback."""
+
+from __future__ import annotations
+
+import contextlib
+import importlib
+import inspect
+import io
+import json
+import pathlib
+import pkgutil
+import re
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import ckstab
+from ckstab.cli import main
+from ckstab.errors import CkstabError, InputError, InternalInvariantError
+
+
+def run(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_input_error(*argv):
+    code, _, err = run(*argv)
+    assert code == 1, err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith("error:"), err
+
+
+# --- reproductions -------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ("jnorm", "p2", "--xi", "1"),
+    ("ding", "p1_halves", "--eta", "1", "--mmax", "0"),
+    ("reduced-delta", "p2", "--subtorus", "2,0"),
+    ("reduced-delta", "p2", "--subtorus", "a,b"),
+    ("lct", "p2", "--eta", "0,0", "--level", "1"),
+    ("jnorm", "p2", "--xi", "1/0,1"),
+])
+def test_bad_arguments_exit_1(argv):
+    assert_input_error(*argv)
+
+
+def test_vector_rank_message_names_both_numbers():
+    _, _, err = run("jnorm", "p2", "--xi", "1")
+    assert "1 entries" in err and "rank 2" in err
+
+
+def test_rationals_render_as_p_over_q():
+    _, _, err = run("lct", "p2", "--eta", "1,0", "--level", "5")
+    assert "along (1, 0)" in err and "Fraction" not in err
+    _, _, err = run("jnorm", "p2", "--xi", "1/0,1")
+    assert "Fraction" not in err
+
+
+def test_directory_as_model_exits_1(tmp_path):
+    assert_input_error("delta", str(tmp_path))
+
+
+@pytest.mark.parametrize("content", [b"[1]", b"\xff\xfe", b"{", b'"x"'])
+def test_show_bad_report_exits_1(tmp_path, content):
+    path = tmp_path / "report.json"
+    path.write_bytes(content)
+    assert_input_error("show", str(path))
+
+
+P1 = {"name": "m", "rank": 1, "rays": [[1], [-1]]}
+
+
+@pytest.mark.parametrize("model", [
+    {**P1, "decomposition": 5},
+    {**P1, "decomposition": [{"halfspaces": [{"normal": [1]}]}]},
+    {**P1, "decomposition": [{"halfspaces": [5]}]},
+    {**P1, "decomposition": [{"vertices": 5}]},
+    {**P1, "decomposition": [{"halfspaces": {"normal": [1]}}]},
+    {**P1, "name": 0.5, "decomposition": [{"vertices": [["-1"], ["1"]]}]},
+])
+def test_malformed_model_exits_1(tmp_path, model):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    assert_input_error("delta", str(path))
+
+
+@pytest.mark.parametrize("rank", [0, 5])
+def test_rank_outside_scope_exits_1(tmp_path, rank):
+    unit = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    half = [["1/2" if i == j else "0" for j in range(rank)] for i in range(rank)]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "name": "m", "rank": rank, "rays": unit + [[-1] * rank],
+        "decomposition": [{"vertices": half + [["-1/2"] * rank]}] * 2}))
+    assert_input_error("delta", str(path))
+    assert "from 1 to 4" in run("delta", str(path))[2]
+
+
+# --- a failed internal check ------------------------------------------------------
+
+def test_failed_identity_exits_2(monkeypatch):
+    monkeypatch.setattr("ckstab.stability.centroid",
+                        lambda p: (F(1, 7),) * p.rank)
+    code, out, err = run("verify", "p2_halves", "--samples", "2")
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith(
+        "internal error: identity 'barycenter-cache-consistency'")
+
+
+# --- the shape of the tree ---------------------------------------------------------
+
+def _modules():
+    return [importlib.import_module(f"ckstab.{info.name}")
+            for info in pkgutil.iter_modules(ckstab.__path__)]
+
+
+def test_one_error_tree():
+    classes = {obj for mod in _modules() for _, obj in inspect.getmembers(mod)
+               if inspect.isclass(obj) and issubclass(obj, BaseException)
+               and obj.__module__.startswith("ckstab.")}
+    assert {CkstabError, InputError, InternalInvariantError} <= classes
+    for cls in classes - {CkstabError, InputError, InternalInvariantError}:
+        assert issubclass(cls, InputError) != issubclass(
+            cls, InternalInvariantError), cls
+    direct = {cls for cls in classes if Exception in cls.__bases__}
+    assert direct == {CkstabError}
+
+
+def test_no_blanket_catches():
+    pattern = re.compile(r"except\s*(:|\(?\s*(Base)?Exception\b)")
+    for path in pathlib.Path(ckstab.__file__).parent.glob("*.py"):
+        assert not pattern.search(path.read_text(encoding="utf-8")), path
+
+
+# --- property tests: exit 0, 1 or 2, never a traceback ---------------------------
+
+FUZZ = settings(derandomize=True, database=None, deadline=None,
+                max_examples=150,
+                suppress_health_check=[HealthCheck.too_slow])
+
+_junk = st.text(alphabet="01-/,;ax.", max_size=6)
+_small_int = st.integers(-2, 4).map(str)
+_rational = st.builds(lambda p, q: f"{p}/{q}", st.integers(-4, 4),
+                      st.integers(0, 3))
+_vector = st.lists(st.one_of(st.integers(-3, 3).map(str), _rational),
+                   min_size=1, max_size=3).map(",".join)
+_FLAG_VALUES = {
+    "--xi": st.one_of(_vector, _junk),
+    "--eta": st.one_of(_vector, _junk),
+    "--subtorus": st.one_of(st.sampled_from(["full", "trivial", "1,0", "0,1"]),
+                            _vector, _junk),
+    "--level": st.one_of(_rational, _small_int, _junk),
+    "--slope": st.one_of(_rational, _junk),
+    "--scale": st.one_of(_rational, _junk),
+    "--summand": st.one_of(_small_int, _junk),
+    "--mmax": st.one_of(_small_int, _junk),
+    "--seed": _small_int,
+    "--format": st.sampled_from(["json", "table", "xml"]),
+}
+# each verb with its required flags, then its optional ones
+_VERBS = {
+    "futaki": ((), ()),
+    "jnorm": (("--xi",), ("--summand",)),
+    "reduced-jnorm": (("--xi",), ("--subtorus",)),
+    "delta": ((), ()),
+    "reduced-delta": ((), ("--subtorus",)),
+    "ding": (("--eta",), ("--slope", "--mmax")),
+    "lct": (("--eta", "--level"), ("--scale",)),
+    "destabilize": ((), ("--mmax",)),
+    "verify": ((), ("--seed",)),
+    "show": ((), ()),
+}
+_MODELS = ["p1_halves", "p1_skew", "p2", "p1xp1", "p2_halves",
+           "no_such_model", ""]
+
+
+@st.composite
+def _argv(draw):
+    verb = draw(st.sampled_from(sorted(_VERBS)))
+    required, optional = _VERBS[verb]
+    argv = [verb, draw(st.sampled_from(_MODELS))]
+    flags = [f for f in required if draw(st.integers(0, 9))]   # rarely dropped
+    flags += draw(st.lists(st.sampled_from(optional + ("--format",)), max_size=2))
+    flags += draw(st.lists(st.sampled_from(sorted(_FLAG_VALUES)), max_size=1))
+    for flag in flags:
+        argv += [flag, draw(_FLAG_VALUES[flag])]
+    if verb == "verify":   # the default of 100 samples takes seconds
+        argv += ["--samples", draw(st.sampled_from(["0", "1", "-1"]))]
+    return argv
+
+
+@FUZZ
+@given(_argv())
+def test_cli_arguments_never_crash(argv):
+    code, _, err = run(*argv)
+    assert code in (0, 1, 2), (argv, err)
+
+
+_json_leaf = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                       st.text(alphabet="-1/2a", max_size=4))
+_json = st.recursive(_json_leaf, lambda kids: st.one_of(
+    st.lists(kids, max_size=3),
+    st.dictionaries(st.sampled_from(["vertices", "halfspaces", "normal",
+                                     "offset", "x"]), kids, max_size=3)),
+    max_leaves=12)
+_coord = st.one_of(st.integers(-2, 2), _rational, _rational, _json_leaf)
+# (rank, rays) of P^1, P^2 and P^1 x P^1
+_SKELETONS = [(1, [[1], [-1]]), (2, [[1, 0], [0, 1], [-1, -1]]),
+              (2, [[1, 0], [-1, 0], [0, 1], [0, -1]])]
+
+
+@st.composite
+def _model_object(draw):
+    """A well-formed skeleton with fuzzed summands; sometimes one top-level
+    entry is replaced by arbitrary JSON."""
+    rank, rays = draw(st.sampled_from(_SKELETONS))
+    point = st.one_of(st.lists(_coord, min_size=rank, max_size=rank),
+                      st.lists(_coord, max_size=3))
+    halfspace = st.fixed_dictionaries({
+        "normal": st.lists(st.integers(-2, 2), min_size=rank, max_size=rank),
+        "offset": _coord})
+    fragment = st.one_of(
+        st.fixed_dictionaries({"vertices": st.lists(point, max_size=4)}),
+        st.fixed_dictionaries({"halfspaces": st.lists(
+            st.one_of(halfspace, _json), max_size=5)}),
+        _json)
+    model = {"name": "fuzz", "rank": rank, "rays": rays,
+             "decomposition": draw(st.lists(fragment, min_size=1, max_size=3))}
+    key = draw(st.sampled_from([None, None, None, "name", "rank", "rays",
+                                "decomposition"]))
+    if key is not None:
+        model[key] = draw(_json)
+    return model
+
+
+_model = st.one_of(_model_object(), _json)
+
+
+@FUZZ
+@given(model=_model)
+def test_malformed_model_json_never_crashes(tmp_path_factory, model):
+    path = tmp_path_factory.getbasetemp() / "fuzz_model.json"
+    path.write_text(json.dumps(model))
+    code, _, err = run("delta", str(path))
+    assert code in (0, 1, 2), (model, err)
