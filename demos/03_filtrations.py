@@ -10,9 +10,9 @@ combinatorics.
 from fractions import Fraction as F
 
 from ckstab import (ExactPolytope, TOTAL, base_change, build_model,
-                    graded_basis, is_shifted_trivial, numerics,
-                    round_weights, shift, sum_filtration, twist,
-                    trivial_family, valuation_family, valuation_filtration)
+                    graded_basis, numerics, round_weights, shift,
+                    sum_filtration, twist, trivial_family, valuation_family,
+                    valuation_filtration)
 
 seg = ExactPolytope.from_vertices([(0,), (1,)])
 neg = ExactPolytope.from_vertices([(-1,), (0,)])
@@ -53,7 +53,9 @@ print("sum of the two interval filtrations = total valuation filtration")
 fam0 = trivial_family(model, m_max=4)
 shifted = type(fam0)(model, tuple(
     shift(member, c) for member, c in zip(fam0.members, (F(3, 2), F(-1)))))
-flag, c = is_shifted_trivial(sum_filtration(shifted))
+summed = sum_filtration(shifted)
+# one weight-to-degree ratio c throughout: the weights are c * m
+(c,) = {w / m for m, row in summed.weights.items() for w in row.values()}
 print("sum of shifted trivials detected with total shift:", c)
 
 # Certified asymptotics ride along with descriptor-backed filtrations.

@@ -21,26 +21,56 @@ from .filtration import (EmptyDecomposition, Filtration, FiltrationFamily,
                          GradedBasis, GridMismatch, MissingCharacter,
                          NotIntegerValued, UnboundedWeights,
                          UnsupportedDescriptor, approximate, base_change,
-                         construct, graded_basis, is_shifted_trivial,
-                         numerics, round_weights, shift, sum_filtration,
-                         trivial_family, trivial_filtration, twist,
-                         twist_family, valuation_family,
-                         valuation_filtration)
+                         construct, graded_basis, numerics, round_weights,
+                         shift, sum_filtration, trivial_family,
+                         trivial_filtration, twist, twist_family,
+                         valuation_family, valuation_filtration)
 from .optimize import (LinearProgram, RatioProgram, Unbounded,
                        dinkelbach_ratio_min, lp_solve, minimize_convex_pl,
                        minimize_pl_ratio)
 from .stability import (CoupledBarycenter, DegenerateSubtorus, RankTooHigh,
                         StabilityError, StabilityReport, SubtorusSpec,
                         SuiteFailure, build_stability_report, coupled_delta,
-                        coupled_ding, coupled_futaki, ding_of_twist,
-                        find_destabilizer, identity_suite, inner_twist_sup,
-                        j_twist, mu_slope, reduced_coupled_delta,
-                        reduced_coupled_j, semistable_verdict,
-                        twisted_ratio_profile)
+                        coupled_ding, coupled_futaki, find_destabilizer,
+                        identity_suite, inner_twist_sup, j_twist, mu_slope,
+                        reduced_coupled_delta, reduced_coupled_j,
+                        semistable_verdict, twisted_ratio_profile)
 from .serialize import (ParseError, ValidationError, canonical_json,
                         format_rational, load_model, model_from_json,
                         model_to_json, parse_rational)
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "CkstabError", "InputError", "InternalInvariantError",
+    # geometry
+    "Cone", "DegenerateInput", "DimensionMismatch", "EmptyRegion",
+    "ExactPolytope", "GeometryError", "HalfSpace", "PLFunc",
+    "UnboundedRegion", "centroid", "dual_description", "lattice_points",
+    "minkowski_sum", "support_value", "volume",
+    # toric
+    "TOTAL", "DecompositionMismatch", "MonomialIdealSeq",
+    "NonIntegralScaling", "NotReflexive", "RankMismatch", "ToricFanoModel",
+    "build_model", "integrality_step", "log_discrepancy", "monomial_lct",
+    "s_invariant", "section_basis", "t_invariant", "theta_twist",
+    # filtration
+    "EmptyDecomposition", "Filtration", "FiltrationFamily", "GradedBasis",
+    "GridMismatch", "MissingCharacter", "NotIntegerValued",
+    "UnboundedWeights", "UnsupportedDescriptor", "approximate",
+    "base_change", "construct", "graded_basis", "numerics", "round_weights",
+    "shift", "sum_filtration", "trivial_family", "trivial_filtration",
+    "twist", "twist_family", "valuation_family", "valuation_filtration",
+    # optimize
+    "LinearProgram", "RatioProgram", "Unbounded", "dinkelbach_ratio_min",
+    "lp_solve", "minimize_convex_pl", "minimize_pl_ratio",
+    # stability
+    "CoupledBarycenter", "DegenerateSubtorus", "RankTooHigh",
+    "StabilityError", "StabilityReport", "SubtorusSpec", "SuiteFailure",
+    "build_stability_report", "coupled_delta", "coupled_ding",
+    "coupled_futaki", "find_destabilizer", "identity_suite",
+    "inner_twist_sup", "j_twist", "mu_slope", "reduced_coupled_delta",
+    "reduced_coupled_j", "semistable_verdict", "twisted_ratio_profile",
+    # serialize
+    "ParseError", "ValidationError", "canonical_json", "format_rational",
+    "load_model", "model_from_json", "model_to_json", "parse_rational",
+]

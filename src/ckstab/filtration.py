@@ -24,8 +24,8 @@ from typing import Optional, Sequence, Union
 from .errors import InputError
 from .geometry import Vec, as_vec, vdot
 from .toric import (TOTAL, RankMismatch, SummandIndex, ToricFanoModel,
-                    integrality_step, log_discrepancy, s_invariant,
-                    section_basis, support_min, t_invariant, theta_twist)
+                    integrality_step, s_invariant, section_basis,
+                    support_min, t_invariant, theta_twist)
 
 Char = tuple[int, ...]
 WeightTable = dict[int, dict[Char, Fraction]]
@@ -119,10 +119,6 @@ class ValuationDescriptor:
     eta: Vec
     shift: Fraction = Fraction(0)
 
-    @property
-    def is_trivial(self) -> bool:
-        return all(x == 0 for x in self.eta) and self.shift == 0
-
 
 @dataclass(frozen=True)
 class SumDescriptor:
@@ -140,65 +136,17 @@ class Filtration:
     """An immutable per-degree weight table on a graded basis.
 
     ``weights[m][alpha]`` is the largest level at which the degree-m section
-    of character alpha survives.  Linear boundedness is checked at
-    construction; multiplicativity is a sampling diagnostic, see
-    :meth:`check_multiplicative`.
+    of character alpha survives.  Every constructor builds its table from
+    the basis, so the table covers exactly the basis characters.
     """
 
     __slots__ = ("basis", "weights", "descriptor")
 
     def __init__(self, basis: GradedBasis, weights: WeightTable,
                  descriptor: Descriptor = None):
-        for m in basis.degrees:
-            row = weights.get(m)
-            if row is None:
-                raise MissingCharacter(f"no weights for degree {m}")
-            for alpha in basis.characters(m):
-                if alpha not in row:
-                    raise MissingCharacter(f"degree {m} lacks character {alpha}")
-                w = row[alpha]
-                if not isinstance(w, Fraction):
-                    raise UnboundedWeights(f"weight at {alpha} is not rational: {w!r}")
         self.basis = basis
-        self.weights = {m: dict(weights[m]) for m in basis.degrees}
+        self.weights = weights
         self.descriptor = descriptor
-
-    # -- bounds -------------------------------------------------------------
-
-    def slope_bounds(self) -> tuple[Fraction, Fraction]:
-        """(e_minus, e_plus) with e_minus * m <= w_m <= e_plus * m stored."""
-        lo = min(w / m for m, row in self.weights.items() for w in row.values())
-        hi = max(w / m for m, row in self.weights.items() for w in row.values())
-        return lo, hi
-
-    def weight(self, m: int, alpha: Char) -> Fraction:
-        try:
-            return self.weights[m][alpha]
-        except KeyError as exc:
-            raise MissingCharacter(f"degree {m}, character {alpha}") from exc
-
-    def check_multiplicative(self, samples: int, rng) -> int:
-        """Sampled superadditivity check
-        w_{m+m'}(a+a') >= w_m(a) + w_{m'}(a'); returns the number of triples
-        actually tested (triples leaving the stored grid are skipped)."""
-        degrees = self.basis.degrees
-        tested = 0
-        for _ in range(samples):
-            m1 = rng.choice(degrees)
-            m2 = rng.choice(degrees)
-            if m1 + m2 not in self.weights:
-                continue
-            a1 = rng.choice(self.basis.characters(m1))
-            a2 = rng.choice(self.basis.characters(m2))
-            s = tuple(x + y for x, y in zip(a1, a2))
-            if s not in self.weights[m1 + m2]:
-                raise EmptyDecomposition(
-                    f"character sum {s} missing at degree {m1 + m2}")
-            if self.weights[m1 + m2][s] < self.weights[m1][a1] + self.weights[m2][a2]:
-                raise FiltrationError(
-                    f"multiplicativity fails at {a1}+{a2}, degrees {m1}+{m2}")
-            tested += 1
-        return tested
 
     def table_equal(self, other: "Filtration") -> bool:
         return (self.basis.degrees == other.basis.degrees
@@ -211,12 +159,7 @@ class Filtration:
 
 
 def construct(basis: GradedBasis, spec) -> Filtration:
-    """Build a filtration from "trivial", ("toric_valuation", eta), or a
-    weight table {m: {alpha: weight}}."""
-    if spec == "trivial":
-        return trivial_filtration(basis)
-    if isinstance(spec, tuple) and len(spec) == 2 and spec[0] == "toric_valuation":
-        return valuation_filtration(basis, spec[1])
+    """Build a filtration from a weight table {m: {alpha: weight}}."""
     if isinstance(spec, dict):
         weights: WeightTable = {}
         for m in basis.degrees:
@@ -522,15 +465,3 @@ def numerics(f: Filtration) -> FiltrationNumerics:
     gaps = {m2: abs(s_by[m2] - s_by[m1]) for m1, m2 in zip(degs, degs[1:])}
     return FiltrationNumerics(t_by, s_by, lam, s_val, j_val, prov, gaps)
 
-
-def is_shifted_trivial(f: Filtration) -> tuple[bool, Optional[Fraction]]:
-    """True iff the weights are C*m for one constant C; returns C."""
-    c: Optional[Fraction] = None
-    for m, row in f.weights.items():
-        for w in row.values():
-            slope = w / m
-            if c is None:
-                c = slope
-            elif slope != c:
-                return False, None
-    return True, c

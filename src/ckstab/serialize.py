@@ -1,5 +1,5 @@
-"""JSON interchange: rationals as "p/q" strings, models, polytopes,
-filtrations, and canonical report rendering.
+"""JSON interchange: rationals as "p/q" strings, models, polytopes, and
+canonical report rendering.
 
 Nothing in this module ever produces or accepts floating point.  Canonical
 output has sorted keys and a fixed rational rendering, so byte equality is
@@ -9,8 +9,9 @@ meaningful for regression and determinism checks.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
 from .errors import InputError
 from .geometry import ExactPolytope, HalfSpace, Vec
@@ -40,6 +41,9 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+_RATIONAL = re.compile(r"\s*[-+]?[0-9]+(/[0-9]+)?\s*")
+
+
 def parse_rational(text) -> Fraction:
     if isinstance(text, bool):
         raise ParseError(f"expected a rational, got {text!r}")
@@ -49,9 +53,13 @@ def parse_rational(text) -> Fraction:
         raise ParseError("floating point input rejected; use \"p/q\" strings")
     if not isinstance(text, str):
         raise ParseError(f"expected a rational, got {text!r}")
+    # Fraction alone would also read decimals and exponents, and builds the
+    # whole integer of "1e10000000" before anything can reject it
+    if not _RATIONAL.fullmatch(text):
+        raise ParseError(f"bad rational {text!r}: expected an integer or p/q")
     try:
         return Fraction(text)
-    except ValueError as exc:
+    except ValueError as exc:   # more digits than int() converts
         raise ParseError(f"bad rational {text!r}: {exc}") from exc
     except ZeroDivisionError as exc:
         raise ParseError(f"bad rational {text!r}: zero denominator") from exc
@@ -161,84 +169,6 @@ def load_model(path: str) -> ToricFanoModel:
 
 
 # ---------------------------------------------------------------------------
-# filtrations
-
-
-def filtration_to_json(f) -> dict:
-    from .filtration import ValuationDescriptor
-    d = f.descriptor
-    if isinstance(d, ValuationDescriptor):
-        out = {"kind": "toric_valuation", "eta": format_vec(d.eta)}
-        if d.shift != 0:
-            out["shift"] = format_rational(d.shift)
-        if all(x == 0 for x in d.eta) and d.shift == 0:
-            return {"kind": "trivial"}
-        return out
-    degrees = {}
-    for m, row in sorted(f.weights.items()):
-        degrees[str(m)] = {
-            ",".join(str(c) for c in a): format_rational(w)
-            for a, w in sorted(row.items())}
-    return {"kind": "table", "degrees": degrees}
-
-
-def filtration_from_json(data, basis):
-    from .filtration import (construct, shift, trivial_filtration,
-                             valuation_filtration)
-    kind = data.get("kind")
-    if kind == "trivial":
-        return trivial_filtration(basis)
-    if kind == "toric_valuation":
-        f = valuation_filtration(basis, parse_vec(data["eta"]))
-        if "shift" in data:
-            f = shift(f, parse_rational(data["shift"]))
-        return f
-    if kind == "table":
-        table = {}
-        for m_str, row in data["degrees"].items():
-            table[int(m_str)] = {
-                tuple(int(c) for c in key.split(",")): parse_rational(w)
-                for key, w in row.items()}
-        return construct(basis, table)
-    raise ParseError(f"unknown filtration kind {kind!r}")
-
-
-def family_to_json(fam) -> dict:
-    return {
-        "model": model_to_json(fam.model),
-        "m_max": fam.degrees[-1],
-        "filtrations": [filtration_to_json(f) for f in fam.members],
-    }
-
-
-def family_from_json(data, model: Optional[ToricFanoModel] = None,
-                     model_resolver=None):
-    """A family is one filtration fragment per summand plus a model given
-    inline, by a resolvable name, or directly as an argument."""
-    from .filtration import (FiltrationFamily, family_degree_grid,
-                             graded_basis)
-    if model is None:
-        ref = data.get("model")
-        if isinstance(ref, dict):
-            model = model_from_json(ref)
-        elif isinstance(ref, str) and model_resolver is not None:
-            model = model_resolver(ref)
-        else:
-            raise ParseError("family needs an inline model, a resolver for "
-                             "its name, or an explicit model argument")
-    fragments = data.get("filtrations")
-    if not isinstance(fragments, list) or len(fragments) != model.num_summands:
-        raise ParseError("family needs one filtration per summand")
-    m_max = data.get("m_max", 6)
-    grid = family_degree_grid(model, m_max)
-    members = []
-    for i, frag in enumerate(fragments):
-        basis = graded_basis(model, i, m_max=m_max, step=grid[0])
-        members.append(filtration_from_json(frag, basis))
-    return FiltrationFamily(model, tuple(members))
-
-
-# ---------------------------------------------------------------------------
 # canonical rendering
 
 
@@ -254,21 +184,6 @@ def _canonicalize(obj) -> Any:
     return obj
 
 
-def assert_float_free(obj) -> None:
-    """Reject any structure containing a float; used as the report lint."""
-    if isinstance(obj, float):
-        raise ValidationError(f"floating point literal in report: {obj!r}")
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            assert_float_free(k)
-            assert_float_free(v)
-    elif isinstance(obj, (list, tuple)):
-        for v in obj:
-            assert_float_free(v)
-
-
 def canonical_json(obj) -> str:
-    data = _canonicalize(obj)
-    assert_float_free(data)
-    return json.dumps(data, sort_keys=True, indent=2,
+    return json.dumps(_canonicalize(obj), sort_keys=True, indent=2,
                       separators=(",", ": ")) + "\n"

@@ -22,13 +22,12 @@ from typing import Optional, Sequence
 
 from .errors import InputError, InternalInvariantError
 from .geometry import (ExactPolytope, Vec, _det, as_vec, centroid,
-                       extreme_rays, is_primitive, lattice_points, mat_rank,
-                       nullspace, primitive_vector, solve_linear, vdot, vneg,
-                       vsub)
+                       extreme_rays, mat_rank, nullspace, primitive_vector,
+                       solve_linear, vdot, vneg, vsub)
 from .optimize import (PLTermSpec, RatioProgram, Unbounded,
                        minimize_convex_pl, minimize_pl_ratio)
 from .toric import (TOTAL, TORIC_SEARCH_ASSUMPTION, MonomialIdealSeq,
-                    SummandIndex, ToricFanoModel, log_discrepancy,
+                    SummandIndex, ToricFanoModel, _show, log_discrepancy,
                     log_discrepancy_function, monomial_lct, s_invariant,
                     support_min, t_invariant, theta_twist, total_s_function,
                     total_s_sum)
@@ -36,10 +35,9 @@ from .filtration import (Filtration, FiltrationFamily,
                          SumDescriptor, UnsupportedDescriptor,
                          ValuationDescriptor, approximate, base_change,
                          construct, family_degree_grid, graded_basis,
-                         is_shifted_trivial, numerics, round_weights, shift,
-                         sum_filtration, trivial_family, trivial_filtration,
-                         twist, twist_family, valuation_family,
-                         valuation_filtration)
+                         numerics, round_weights, shift, sum_filtration,
+                         trivial_family, twist, twist_family,
+                         valuation_family, valuation_filtration)
 
 
 class StabilityError(InputError):
@@ -57,7 +55,8 @@ class RankTooHigh(StabilityError):
 class SuiteFailure(InternalInvariantError):
     def __init__(self, identity: str, inputs, lhs, rhs):
         super().__init__(
-            f"identity {identity!r} failed on {inputs!r}: {lhs!r} != {rhs!r}")
+            f"identity {identity!r} failed on {_show(inputs)}: "
+            f"{_show(lhs)} != {_show(rhs)}")
         self.identity = identity
         self.inputs = inputs
         self.lhs = lhs
@@ -314,19 +313,6 @@ def coupled_ding(fam: FiltrationFamily, delta=Fraction(1)) -> DingResult:
                       provenance=prov)
 
 
-def ding_of_twist(model: ToricFanoModel, fam: FiltrationFamily,
-                  xi: Sequence) -> Fraction:
-    """Coupled Ding invariant of the twisted family through the barycenter
-    pairing formula, cross-validated against the direct computation."""
-    xi = as_vec(xi)
-    base = coupled_ding(fam)
-    value = base.value - vdot(model.barycenter(TOTAL), xi)
-    direct = coupled_ding(twist_family(fam, xi)).value
-    if direct != value:
-        raise InternalInvariantError("twist formula disagrees with the direct value")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # thresholds
 
@@ -549,7 +535,7 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# distances (squared, exact) for the growth and norm bounds
+# distances (squared, exact) for the growth bound
 
 
 def inradius_squared(p: ExactPolytope, point: Sequence) -> Fraction:
@@ -563,41 +549,6 @@ def inradius_squared(p: ExactPolytope, point: Sequence) -> Fraction:
         if best is None or d2 < best:
             best = d2
     return best
-
-
-def dist2_to_affine(point: Sequence, base: Sequence,
-                    directions: Sequence[Sequence]) -> Fraction:
-    """Squared distance from a point to base + span(directions)."""
-    point, base = as_vec(point), as_vec(base)
-    diff = vsub(point, base)
-    if not directions:
-        return vdot(diff, diff)
-    dirs = [as_vec(d) for d in directions]
-    gram = [[vdot(a, b) for b in dirs] for a in dirs]
-    rhs = [vdot(diff, d) for d in dirs]
-    t = solve_linear(gram, rhs)
-    res = diff
-    for tj, d in zip(t, dirs):
-        res = tuple(r - tj * x for r, x in zip(res, d))
-    return vdot(res, res)
-
-
-def mean_slope_decay_constant(model: ToricFanoModel) -> Fraction:
-    """A computed constant c such that the lattice mean of the dilated
-    anticanonical polytope approaches the centroid at rate c/m.
-
-    Crude but certified for the tested range: the deviation is controlled
-    by the boundary layer, whose share of lattice points decays like the
-    boundary count over the total count, scaled by the diameter.
-    """
-    p = model.anticanonical
-    pts = lattice_points(p)
-    interior = [q for q in pts
-                if all(vdot(q, h.normal) > h.offset for h in p.halfspaces)]
-    boundary = len(pts) - len(interior)
-    diam = max(max(v[i] for v in p.vertices) - min(v[i] for v in p.vertices)
-               for i in range(p.rank))
-    return 4 * Fraction(diam) * Fraction(boundary, max(len(pts), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -837,6 +788,8 @@ def identity_suite(model: ToricFanoModel, samples: int = 100, seed: int = 0,
         bump("twist-inversion")
 
     suite_etas = [_rand_vec(rng, rank, span=2) for _ in range(samples)]
+    dres = coupled_delta(model)
+    dprime = dres.value - min(Fraction(dres.value, 10), Fraction(1, 10))
     for sample_no, eta in enumerate(suite_etas):
         fam = FiltrationFamily(model, tuple(
             valuation_filtration(bases[i], eta) for i in range(k)))
@@ -924,8 +877,6 @@ def identity_suite(model: ToricFanoModel, samples: int = 100, seed: int = 0,
 
         # one-sided threshold consistency: slightly below the threshold a
         # twist restores nonnegativity of the coupled Ding invariant
-        dres = coupled_delta(model)
-        dprime = dres.value - min(Fraction(dres.value, 10), Fraction(1, 10))
         if sample_no % 5 == 0 and dprime > 0 and any(x != 0 for x in eta):
             if all(x == 0 for x in b_total):
                 val = coupled_ding(fam_small, delta=dprime).value
@@ -1043,9 +994,7 @@ def identity_suite(model: ToricFanoModel, samples: int = 100, seed: int = 0,
                          and res_hi.value <= a_eta / high,
                          res_hi.value, a_eta / high)
             bump("lct-witness-upper-bound")
-        fam_grid = family_degree_grid(model, m_max)
-        basis0 = graded_basis(model, 0, m_max=m_max, step=fam_grid[0])
-        f = valuation_filtration(basis0, eta_i)
+        f = valuation_filtration(bases[0], eta_i)
         c = _rand_frac(rng)
         delta = Fraction(rng.randint(1, 3))
         _assert_eq("mu-shift-covariance", (eta_i, c, delta),

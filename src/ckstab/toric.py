@@ -65,9 +65,15 @@ class ZeroIdeal(ToricError):
     pass
 
 
-def _show(v: Sequence) -> str:
-    """A point with rational coordinates as "(p/q, ...)", for messages."""
-    return "(" + ", ".join(map(str, v)) + ")"
+def _show(v) -> str:
+    """A value for messages, rationals as "p/q" at any depth: a sequence as
+    "(a, b, ...)", a mapping as "{k: v, ...}"."""
+    if isinstance(v, (tuple, list)):
+        return "(" + ", ".join(map(_show, v)) + ")"
+    if isinstance(v, dict):
+        return "{" + ", ".join(f"{_show(k)}: {_show(x)}"
+                               for k, x in v.items()) + "}"
+    return str(v)
 
 
 TORIC_SEARCH_ASSUMPTION = (

@@ -1,10 +1,22 @@
 """Independent brute-force oracles used by the geometry and acceptance
 tests.  These deliberately use different algorithms from the library
-(monotone-chain hull, shoelace formulas, interval arithmetic)."""
+(monotone-chain hull, shoelace formulas, interval arithmetic).  The
+helpers after them are checks and constants that only the tests use."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from fractions import Fraction as F
+from typing import Optional, Sequence
+
+from ckstab.errors import InternalInvariantError
+from ckstab.filtration import (EmptyDecomposition, Filtration,
+                               FiltrationError, FiltrationFamily,
+                               twist_family)
+from ckstab.geometry import as_vec, lattice_points, solve_linear, vdot, vsub
+from ckstab.serialize import ValidationError
+from ckstab.stability import coupled_ding
+from ckstab.toric import TOTAL, ToricFanoModel
 
 
 def hull_oracle(points):
@@ -55,3 +67,105 @@ def interval_oracle(points):
     xs = sorted({p[0] for p in points})
     lo, hi = xs[0], xs[-1]
     return [(lo,), (hi,)], hi - lo, ((lo + hi) / 2,)
+
+
+# ---------------------------------------------------------------------------
+# test-only checks and constants
+
+
+def is_shifted_trivial(f: Filtration) -> tuple[bool, Optional[Fraction]]:
+    """True iff the weights are C*m for one constant C; returns C."""
+    c: Optional[Fraction] = None
+    for m, row in f.weights.items():
+        for w in row.values():
+            slope = w / m
+            if c is None:
+                c = slope
+            elif slope != c:
+                return False, None
+    return True, c
+
+
+def check_multiplicative(f: Filtration, samples: int, rng) -> int:
+    """Sampled superadditivity check
+    w_{m+m'}(a+a') >= w_m(a) + w_{m'}(a'); returns the number of triples
+    actually tested (triples leaving the stored grid are skipped)."""
+    degrees = f.basis.degrees
+    tested = 0
+    for _ in range(samples):
+        m1 = rng.choice(degrees)
+        m2 = rng.choice(degrees)
+        if m1 + m2 not in f.weights:
+            continue
+        a1 = rng.choice(f.basis.characters(m1))
+        a2 = rng.choice(f.basis.characters(m2))
+        s = tuple(x + y for x, y in zip(a1, a2))
+        if s not in f.weights[m1 + m2]:
+            raise EmptyDecomposition(
+                f"character sum {s} missing at degree {m1 + m2}")
+        if f.weights[m1 + m2][s] < f.weights[m1][a1] + f.weights[m2][a2]:
+            raise FiltrationError(
+                f"multiplicativity fails at {a1}+{a2}, degrees {m1}+{m2}")
+        tested += 1
+    return tested
+
+
+def dist2_to_affine(point: Sequence, base: Sequence,
+                    directions: Sequence[Sequence]) -> Fraction:
+    """Squared distance from a point to base + span(directions)."""
+    point, base = as_vec(point), as_vec(base)
+    diff = vsub(point, base)
+    if not directions:
+        return vdot(diff, diff)
+    dirs = [as_vec(d) for d in directions]
+    gram = [[vdot(a, b) for b in dirs] for a in dirs]
+    rhs = [vdot(diff, d) for d in dirs]
+    t = solve_linear(gram, rhs)
+    res = diff
+    for tj, d in zip(t, dirs):
+        res = tuple(r - tj * x for r, x in zip(res, d))
+    return vdot(res, res)
+
+
+def mean_slope_decay_constant(model: ToricFanoModel) -> Fraction:
+    """A computed constant c such that the lattice mean of the dilated
+    anticanonical polytope approaches the centroid at rate c/m.
+
+    Crude but certified for the tested range: the deviation is controlled
+    by the boundary layer, whose share of lattice points decays like the
+    boundary count over the total count, scaled by the diameter.
+    """
+    p = model.anticanonical
+    pts = lattice_points(p)
+    interior = [q for q in pts
+                if all(vdot(q, h.normal) > h.offset for h in p.halfspaces)]
+    boundary = len(pts) - len(interior)
+    diam = max(max(v[i] for v in p.vertices) - min(v[i] for v in p.vertices)
+               for i in range(p.rank))
+    return 4 * Fraction(diam) * Fraction(boundary, max(len(pts), 1))
+
+
+def ding_of_twist(model: ToricFanoModel, fam: FiltrationFamily,
+                  xi: Sequence) -> Fraction:
+    """Coupled Ding invariant of the twisted family through the barycenter
+    pairing formula, cross-validated against the direct computation."""
+    xi = as_vec(xi)
+    base = coupled_ding(fam)
+    value = base.value - vdot(model.barycenter(TOTAL), xi)
+    direct = coupled_ding(twist_family(fam, xi)).value
+    if direct != value:
+        raise InternalInvariantError("twist formula disagrees with the direct value")
+    return value
+
+
+def assert_float_free(obj) -> None:
+    """Reject any structure containing a float; used as the report lint."""
+    if isinstance(obj, float):
+        raise ValidationError(f"floating point literal in report: {obj!r}")
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            assert_float_free(k)
+            assert_float_free(v)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            assert_float_free(v)

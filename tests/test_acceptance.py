@@ -12,8 +12,8 @@ import random
 import time
 from fractions import Fraction as F
 
-from oracles import (hull_oracle, interval_oracle, rand_point, shoelace_area,
-                     shoelace_centroid)
+from oracles import (hull_oracle, interval_oracle, mean_slope_decay_constant,
+                     rand_point, shoelace_area, shoelace_centroid)
 
 from ckstab.filtration import (construct, family_degree_grid, graded_basis,
                                numerics, round_weights, trivial_filtration,
@@ -22,9 +22,8 @@ from ckstab.geometry import ExactPolytope, centroid, dual_description, volume
 from ckstab.serialize import canonical_json
 from ckstab.stability import (SubtorusSpec, coupled_delta, coupled_ding,
                               coupled_futaki, find_destabilizer,
-                              identity_suite, mean_slope_decay_constant,
-                              reduced_coupled_delta, semistable_verdict,
-                              twisted_ratio_profile)
+                              identity_suite, reduced_coupled_delta,
+                              semistable_verdict, twisted_ratio_profile)
 from ckstab.toric import TOTAL
 
 from conftest import CANONICAL

@@ -8,8 +8,10 @@ import json
 
 import pytest
 
+from oracles import assert_float_free
+
 from ckstab.cli import main, render_table, resolve_model_path
-from ckstab.serialize import assert_float_free, canonical_json, load_model
+from ckstab.serialize import canonical_json
 from ckstab.serialize import ParseError, ValidationError
 
 
@@ -213,44 +215,6 @@ def test_rational_parser_reduces():
     assert parse_rational("-6/3") == -2
     with pytest.raises(ParseError):
         parse_rational(0.5)
-
-
-def test_filtration_json_roundtrip(p1_skew):
-    from fractions import Fraction as F
-    from ckstab.filtration import graded_basis, shift, valuation_filtration
-    from ckstab.serialize import filtration_from_json, filtration_to_json
-    basis = graded_basis(p1_skew, 0, m_max=3)
-    f = shift(valuation_filtration(basis, (F(1, 2),)), F(-1, 3))
-    data = filtration_to_json(f)
-    assert data["kind"] == "toric_valuation"
-    again = filtration_from_json(data, basis)
-    assert again.table_equal(f)
-    # opaque tables survive too
-    table = {m: {a: F(1, 2) for a in basis.characters(m)}
-             for m in basis.degrees}
-    from ckstab.filtration import construct
-    g = construct(basis, table)
-    data = filtration_to_json(g)
-    assert data["kind"] == "table"
-    assert filtration_from_json(data, basis).table_equal(g)
-
-
-def test_family_json_roundtrip(bl1p2):
-    from ckstab.filtration import valuation_family
-    from ckstab.serialize import family_from_json, family_to_json
-    from ckstab.stability import coupled_ding
-    fam = valuation_family(bl1p2, (1, 1), m_max=4)
-    data = family_to_json(fam)
-    again = family_from_json(data)
-    assert all(a.table_equal(b) for a, b in zip(again.members, fam.members))
-    assert coupled_ding(again).value == coupled_ding(fam).value
-    # model by name through a resolver
-    named = {"model": "bl1p2_halves", "m_max": 4,
-             "filtrations": data["filtrations"]}
-    resolved = family_from_json(
-        named, model_resolver=lambda n: load_model(
-            resolve_model_path(n + ".json")))
-    assert coupled_ding(resolved).value == coupled_ding(fam).value
 
 
 def test_polytope_halfspace_fragment():

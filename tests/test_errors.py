@@ -4,6 +4,7 @@ traceback."""
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import importlib
 import inspect
@@ -46,6 +47,7 @@ def assert_input_error(*argv):
     ("reduced-delta", "p2", "--subtorus", "a,b"),
     ("lct", "p2", "--eta", "0,0", "--level", "1"),
     ("jnorm", "p2", "--xi", "1/0,1"),
+    ("jnorm", "p2", "--xi", "1e10000000,1"),
 ])
 def test_bad_arguments_exit_1(argv):
     assert_input_error(*argv)
@@ -84,6 +86,7 @@ P1 = {"name": "m", "rank": 1, "rays": [[1], [-1]]}
     {**P1, "decomposition": [{"vertices": 5}]},
     {**P1, "decomposition": [{"halfspaces": {"normal": [1]}}]},
     {**P1, "name": 0.5, "decomposition": [{"vertices": [["-1"], ["1"]]}]},
+    {**P1, "decomposition": [{"vertices": [["1e999999999"], ["1"]]}]},
 ])
 def test_malformed_model_exits_1(tmp_path, model):
     path = tmp_path / "model.json"
@@ -113,6 +116,7 @@ def test_failed_identity_exits_2(monkeypatch):
     assert "Traceback" not in err
     assert err.strip().splitlines()[-1].startswith(
         "internal error: identity 'barycenter-cache-consistency'")
+    assert "(1/7, 1/7)" in err and "Fraction(" not in err
 
 
 # --- the shape of the tree ---------------------------------------------------------
@@ -132,6 +136,31 @@ def test_one_error_tree():
             cls, InternalInvariantError), cls
     direct = {cls for cls in classes if Exception in cls.__bases__}
     assert direct == {CkstabError}
+
+
+def test_every_import_is_used():
+    # a name the package root re-exports counts as used through __all__
+    for path in pathlib.Path(ckstab.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        if path.name == "__init__.py":
+            used |= set(ckstab.__all__)
+        assert imported <= used, (path.name, sorted(imported - used))
+
+
+def test_star_import_binds_only_listed_names():
+    namespace = {}
+    # a listed name that does not resolve raises AttributeError here
+    exec("from ckstab import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(ckstab.__all__)
+    assert not [n for n, v in namespace.items() if inspect.ismodule(v)]
 
 
 def test_no_blanket_catches():

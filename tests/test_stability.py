@@ -9,18 +9,19 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import ding_of_twist, dist2_to_affine
+
 from ckstab.filtration import (UnsupportedDescriptor, construct,
                                family_degree_grid, graded_basis, shift,
                                trivial_family, twist_family,
                                valuation_family, valuation_filtration)
 from ckstab.stability import (DegenerateSubtorus, RankTooHigh, SubtorusSpec,
                               SuiteFailure, coupled_delta, coupled_ding,
-                              coupled_futaki, ding_of_twist, dist2_to_affine,
-                              find_destabilizer, identity_suite,
-                              inner_twist_sup, inradius_squared, j_twist,
-                              mu_slope, reduced_coupled_delta,
-                              reduced_coupled_j, semistable_verdict,
-                              twisted_ratio_profile)
+                              coupled_futaki, find_destabilizer,
+                              identity_suite, inner_twist_sup,
+                              inradius_squared, j_twist, mu_slope,
+                              reduced_coupled_delta, reduced_coupled_j,
+                              semistable_verdict, twisted_ratio_profile)
 from ckstab.toric import TOTAL, build_model, log_discrepancy, total_s_sum
 
 
