@@ -24,8 +24,8 @@ from .errors import CkstabError, InputError
 from .filtration import valuation_family
 from .geometry import Vec
 from .serialize import (IoError, ParseError, canonical_json, format_rational,
-                        format_vec, load_model, parse_rational, parse_vec,
-                        read_json)
+                        format_vec, load_model, parse_integer, parse_rational,
+                        parse_vec, read_json)
 from .stability import (SubtorusSpec, build_stability_report, coupled_delta,
                         coupled_ding, coupled_futaki, find_destabilizer,
                         j_twist, monomial_lct, reduced_coupled_delta,
@@ -88,8 +88,8 @@ def _parse_subtorus(text: Optional[str], rank: int) -> SubtorusSpec:
     basis = []
     for part in text.split(";"):
         try:
-            vec = tuple(int(c) for c in part.split(","))
-        except ValueError as exc:
+            vec = tuple(parse_integer(c) for c in part.split(","))
+        except ParseError as exc:
             raise ParseError(f"subtorus vector {part!r} is not integral") from exc
         if len(vec) != rank:
             raise ParseError(f"subtorus vector {part!r} has the wrong rank")

@@ -8,6 +8,12 @@ character decompositions.  That monomial reduction is the load-bearing
 simplification of this module and is enforced by construction: bases only
 come from :func:`ckstab.toric.section_basis`.
 
+A weight table stores ``int`` numerators over one positive ``int``
+denominator (``Filtration.nums`` and ``Filtration.den``), so shifts,
+twists, rounding and the max-plus sums add and compare Python ints; the
+``Fraction`` weights are a read-only view (``Filtration.weights``), and
+every public output is a ``Fraction``.
+
 All tables live on degrees up to a cap; operations never extrapolate beyond
 stored degrees except through closed-form descriptors (trivial, cocharacter
 valuation with shift, and sums of those), which carry certified asymptotic
@@ -17,18 +23,20 @@ invariants.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import add, mul
 from typing import Optional, Sequence, Union
 
 from .errors import InputError
-from .geometry import Vec, as_vec, vdot
+from .geometry import Vec, as_vec
 from .toric import (TOTAL, RankMismatch, SummandIndex, ToricFanoModel,
                     integrality_step, s_invariant, section_basis,
                     support_min, t_invariant, theta_twist)
 
 Char = tuple[int, ...]
-WeightTable = dict[int, dict[Char, Fraction]]
+IntTable = dict[int, dict[Char, int]]
 
 
 class FiltrationError(InputError):
@@ -132,36 +140,90 @@ Descriptor = Union[ValuationDescriptor, SumDescriptor, None]
 # filtrations
 
 
+class _WeightView(Mapping):
+    """The ``Fraction`` weights of an integer table, read-only; each
+    ``[m]`` builds the degree-m row afresh."""
+
+    __slots__ = ("_nums", "_den")
+
+    def __init__(self, nums: IntTable, den: int):
+        self._nums = nums
+        self._den = den
+
+    def __getitem__(self, m: int) -> dict[Char, Fraction]:
+        den = self._den
+        return {a: Fraction(n, den) for a, n in self._nums[m].items()}
+
+    def __iter__(self):
+        return iter(self._nums)
+
+    def __len__(self):
+        return len(self._nums)
+
+
 class Filtration:
     """An immutable per-degree weight table on a graded basis.
 
-    ``weights[m][alpha]`` is the largest level at which the degree-m section
-    of character alpha survives.  Every constructor builds its table from
-    the basis, so the table covers exactly the basis characters.
+    The weight of the degree-m section of character alpha, the largest level
+    at which it survives, is ``nums[m][alpha] / den``: ``int`` numerators
+    over one positive ``int`` denominator for the whole table, not
+    necessarily in lowest terms.  ``weights[m][alpha]`` reads the same
+    weight as a ``Fraction``, built on demand.  Every constructor builds its
+    table from the basis, so the table covers exactly the basis characters.
     """
 
-    __slots__ = ("basis", "weights", "descriptor")
+    __slots__ = ("basis", "nums", "den", "descriptor")
 
-    def __init__(self, basis: GradedBasis, weights: WeightTable,
+    def __init__(self, basis: GradedBasis, nums: IntTable, den: int,
                  descriptor: Descriptor = None):
         self.basis = basis
-        self.weights = weights
+        self.nums = nums
+        self.den = den
         self.descriptor = descriptor
 
+    @property
+    def weights(self) -> Mapping[int, dict[Char, Fraction]]:
+        return _WeightView(self.nums, self.den)
+
+    def row_max(self, m: int) -> Fraction:
+        """The largest weight at degree m."""
+        return Fraction(max(self.nums[m].values()), self.den)
+
+    def row_min(self, m: int) -> Fraction:
+        """The least weight at degree m."""
+        return Fraction(min(self.nums[m].values()), self.den)
+
     def table_equal(self, other: "Filtration") -> bool:
-        return (self.basis.degrees == other.basis.degrees
-                and self.basis.index == other.basis.index
-                and self.weights == other.weights)
+        if (self.basis.degrees != other.basis.degrees
+                or self.basis.index != other.basis.index):
+            return False
+        if self.den == other.den:
+            return self.nums == other.nums
+        # n / p == n' / q exactly when n * q == n' * p
+        p, q = self.den, other.den
+        for m, row in self.nums.items():
+            other_row = other.nums[m]
+            if row.keys() != other_row.keys():
+                return False
+            if any(n * q != other_row[a] * p for a, n in row.items()):
+                return False
+        return True
 
     def __repr__(self):
         return (f"Filtration(index={self.basis.index!r}, "
                 f"degrees={self.basis.degrees}, descriptor={self.descriptor!r})")
 
 
+def _numerators(values: Sequence[Fraction], den: int) -> tuple[int, ...]:
+    """The numerators of the values over den, a multiple of their
+    denominators."""
+    return tuple(x.numerator * (den // x.denominator) for x in values)
+
+
 def construct(basis: GradedBasis, spec) -> Filtration:
     """Build a filtration from a weight table {m: {alpha: weight}}."""
     if isinstance(spec, dict):
-        weights: WeightTable = {}
+        weights: dict[int, dict[Char, Fraction]] = {}
         for m in basis.degrees:
             if m not in spec:
                 raise MissingCharacter(f"table lacks degree {m}")
@@ -177,15 +239,18 @@ def construct(basis: GradedBasis, spec) -> Filtration:
                         f"floating point weight at {alpha}; weights must be rational")
                 row[alpha] = Fraction(w)
             weights[m] = row
-        return Filtration(basis, weights, descriptor=None)
+        den = math.lcm(*(w.denominator for row in weights.values()
+                         for w in row.values()))
+        nums = {m: dict(zip(row, _numerators(row.values(), den)))
+                for m, row in weights.items()}
+        return Filtration(basis, nums, den, descriptor=None)
     raise FiltrationError(f"unrecognized filtration spec {spec!r}")
 
 
 def trivial_filtration(basis: GradedBasis) -> Filtration:
-    zero = Fraction(0)
-    weights = {m: {a: zero for a in basis.characters(m)} for m in basis.degrees}
+    nums = {m: {a: 0 for a in basis.characters(m)} for m in basis.degrees}
     eta0 = tuple(Fraction(0) for _ in range(basis.model.rank))
-    return Filtration(basis, weights, ValuationDescriptor(eta0))
+    return Filtration(basis, nums, 1, ValuationDescriptor(eta0))
 
 
 def valuation_filtration(basis: GradedBasis, eta: Sequence) -> Filtration:
@@ -196,9 +261,13 @@ def valuation_filtration(basis: GradedBasis, eta: Sequence) -> Filtration:
     """
     eta = as_vec(eta)
     lam = support_min(basis.model, basis.index, eta)
-    weights = {m: {a: vdot(a, eta) - m * lam for a in basis.characters(m)}
-               for m in basis.degrees}
-    return Filtration(basis, weights, ValuationDescriptor(eta))
+    den = math.lcm(lam.denominator, *(x.denominator for x in eta))
+    eta_n = _numerators(eta, den)
+    (lam_n,) = _numerators((lam,), den)
+    nums = {m: {a: sum(map(mul, a, eta_n)) - m * lam_n
+                for a in basis.characters(m)}
+            for m in basis.degrees}
+    return Filtration(basis, nums, den, ValuationDescriptor(eta))
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +276,12 @@ def valuation_filtration(basis: GradedBasis, eta: Sequence) -> Filtration:
 
 def shift(f: Filtration, c) -> Filtration:
     c = Fraction(c)
-    weights = {m: {a: w + c * m for a, w in row.items()}
-               for m, row in f.weights.items()}
-    return Filtration(f.basis, weights, _shift_descriptor(f.descriptor, c))
+    den = math.lcm(f.den, c.denominator)
+    k = den // f.den
+    (c_n,) = _numerators((c,), den)
+    nums = {m: {a: n * k + c_n * m for a, n in row.items()}
+            for m, row in f.nums.items()}
+    return Filtration(f.basis, nums, den, _shift_descriptor(f.descriptor, c))
 
 
 def _shift_descriptor(d: Descriptor, c: Fraction) -> Descriptor:
@@ -227,9 +299,12 @@ def twist(f: Filtration, xi: Sequence) -> Filtration:
     xi = as_vec(xi)
     if len(xi) != f.basis.model.rank:
         raise RankMismatch("twist rank differs from the torus rank")
-    weights = {m: {a: w + vdot(a, xi) for a, w in row.items()}
-               for m, row in f.weights.items()}
-    return Filtration(f.basis, weights, _twist_descriptor(f, xi))
+    den = math.lcm(f.den, *(x.denominator for x in xi))
+    k = den // f.den
+    xi_n = _numerators(xi, den)
+    nums = {m: {a: n * k + sum(map(mul, a, xi_n)) for a, n in row.items()}
+            for m, row in f.nums.items()}
+    return Filtration(f.basis, nums, den, _twist_descriptor(f, xi))
 
 
 def _twist_descriptor(f: Filtration, xi: Vec) -> Descriptor:
@@ -241,18 +316,20 @@ def _twist_descriptor(f: Filtration, xi: Vec) -> Descriptor:
     return None
 
 
+def _integer_valued(f: Filtration) -> bool:
+    den = f.den
+    return all(n % den == 0 for row in f.nums.values() for n in row.values())
+
+
 def round_weights(f: Filtration) -> Filtration:
     """Round every weight down to an integer, the largest integer level at
     which each section persists.  Idempotent."""
-    weights = {m: {a: Fraction(math.floor(w)) for a, w in row.items()}
-               for m, row in f.weights.items()}
+    den = f.den
+    nums = {m: {a: n // den for a, n in row.items()}
+            for m, row in f.nums.items()}
     d = f.descriptor
-    if isinstance(d, ValuationDescriptor) and all(
-            w.denominator == 1 for row in f.weights.values() for w in row.values()):
-        keep = d
-    else:
-        keep = None
-    return Filtration(f.basis, weights, keep)
+    keep = d if isinstance(d, ValuationDescriptor) and _integer_valued(f) else None
+    return Filtration(f.basis, nums, 1, keep)
 
 
 def base_change(f: Filtration, e: int) -> Filtration:
@@ -260,19 +337,17 @@ def base_change(f: Filtration, e: int) -> Filtration:
     change); expectation and maximal slopes scale by e exactly."""
     if e < 1:
         raise FiltrationError("base change exponent must be a positive integer")
-    for row in f.weights.values():
-        for w in row.values():
-            if w.denominator != 1:
-                raise NotIntegerValued("round the filtration before base change")
-    weights = {m: {a: w * e for a, w in row.items()}
-               for m, row in f.weights.items()}
+    if not _integer_valued(f):
+        raise NotIntegerValued("round the filtration before base change")
+    nums = {m: {a: n * e for a, n in row.items()}
+            for m, row in f.nums.items()}
     d = f.descriptor
     if isinstance(d, ValuationDescriptor):
         keep: Descriptor = ValuationDescriptor(tuple(x * e for x in d.eta),
                                                d.shift * e)
     else:
         keep = None
-    return Filtration(f.basis, weights, keep)
+    return Filtration(f.basis, nums, f.den, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +407,11 @@ def twist_family(fam: FiltrationFamily, xi: Sequence) -> FiltrationFamily:
     return FiltrationFamily(fam.model, tuple(twist(f, xi) for f in fam.members))
 
 
-def _maxplus_pair(wa: dict[Char, Fraction], wb: dict[Char, Fraction]) -> dict[Char, Fraction]:
-    out: dict[Char, Fraction] = {}
+def _maxplus_pair(wa: dict[Char, int], wb: dict[Char, int]) -> dict[Char, int]:
+    out: dict[Char, int] = {}
     for a, x in wa.items():
         for b, y in wb.items():
-            s = tuple(p + q for p, q in zip(a, b))
+            s = tuple(map(add, a, b))
             v = x + y
             cur = out.get(s)
             if cur is None or v > cur:
@@ -353,19 +428,24 @@ def sum_filtration(fam: FiltrationFamily) -> Filtration:
     grid = fam.degrees
     total_basis = graded_basis(model, TOTAL, m_max=grid[-1], step=grid[0])
     total_basis = total_basis.restrict(grid)
-    weights: WeightTable = {}
+    den = math.lcm(*(f.den for f in fam.members))
+    members = [f.nums if f.den == den else
+               {m: {a: n * (den // f.den) for a, n in row.items()}
+                for m, row in f.nums.items()}
+               for f in fam.members]
+    nums: IntTable = {}
     for m in grid:
-        acc = fam.members[0].weights[m]
-        for f in fam.members[1:]:
-            acc = _maxplus_pair(acc, f.weights[m])
+        acc = members[0][m]
+        for table in members[1:]:
+            acc = _maxplus_pair(acc, table[m])
         row = {}
         for alpha in total_basis.characters(m):
             if alpha not in acc:
                 raise EmptyDecomposition(
                     f"character {alpha} at degree {m} admits no decomposition")
             row[alpha] = acc[alpha]
-        weights[m] = row
-    return Filtration(total_basis, weights, _sum_descriptor(fam))
+        nums[m] = row
+    return Filtration(total_basis, nums, den, _sum_descriptor(fam))
 
 
 def _sum_descriptor(fam: FiltrationFamily) -> Descriptor:
@@ -389,8 +469,8 @@ def approximate(f: Filtration, m0: int) -> Filtration:
         raise GridMismatch(f"degree {m0} not stored")
     target = [m for m in f.basis.degrees if m % m0 == 0]
     basis = f.basis.restrict(target)
-    base_row = f.weights[m0]
-    weights: WeightTable = {}
+    base_row = f.nums[m0]
+    nums: IntTable = {}
     power = dict(base_row)
     cur = m0
     powers = {m0: power}
@@ -405,15 +485,15 @@ def approximate(f: Filtration, m0: int) -> Filtration:
                 raise EmptyDecomposition(
                     f"character {alpha} at degree {m} admits no s-fold decomposition")
             row[alpha] = powers[m][alpha]
-        weights[m] = row
+        nums[m] = row
     # keep the closed form only when degree-m0 products really regenerate
     # the original table (true for valuation filtrations on these bases,
     # but checked rather than assumed)
     descriptor = None
     if isinstance(f.descriptor, ValuationDescriptor):
-        if all(weights[m] == f.weights[m] for m in target):
+        if all(nums[m] == f.nums[m] for m in target):
             descriptor = f.descriptor
-    return Filtration(basis, weights, descriptor)
+    return Filtration(basis, nums, f.den, descriptor)
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +520,11 @@ def numerics(f: Filtration) -> FiltrationNumerics:
     diagnostic; no limit is claimed.
     """
     t_by, s_by = {}, {}
-    for m, row in f.weights.items():
-        vals = list(row.values())
-        t_by[m] = max(vals) / m
-        s_by[m] = sum(vals, Fraction(0)) / (m * len(vals))
+    den = f.den
+    for m, row in f.nums.items():
+        vals = row.values()
+        t_by[m] = Fraction(max(vals), den * m)
+        s_by[m] = Fraction(sum(vals), den * m * len(vals))
     model = f.basis.model
     i = f.basis.index
     d = f.descriptor

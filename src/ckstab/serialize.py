@@ -41,7 +41,21 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-_RATIONAL = re.compile(r"\s*[-+]?[0-9]+(/[0-9]+)?\s*")
+# One integer grammar, [sign]digits in ASCII with surrounding whitespace:
+# int() and Fraction alone would also take underscores, non-ASCII digits,
+# decimals and exponents.
+_SIGNED = r"[-+]?[0-9]+"
+_INTEGER = re.compile(rf"\s*{_SIGNED}\s*")
+_RATIONAL = re.compile(rf"\s*{_SIGNED}(/[0-9]+)?\s*")
+
+
+def parse_integer(text: str) -> int:
+    if not _INTEGER.fullmatch(text):
+        raise ParseError(f"bad integer {text!r}: expected [sign]digits")
+    try:
+        return int(text)
+    except ValueError as exc:   # more digits than int() converts
+        raise ParseError(f"bad integer {text!r}: {exc}") from exc
 
 
 def parse_rational(text) -> Fraction:
@@ -53,8 +67,8 @@ def parse_rational(text) -> Fraction:
         raise ParseError("floating point input rejected; use \"p/q\" strings")
     if not isinstance(text, str):
         raise ParseError(f"expected a rational, got {text!r}")
-    # Fraction alone would also read decimals and exponents, and builds the
-    # whole integer of "1e10000000" before anything can reject it
+    # Fraction builds the whole integer of "1e10000000" before anything
+    # can reject it
     if not _RATIONAL.fullmatch(text):
         raise ParseError(f"bad rational {text!r}: expected an integer or p/q")
     try:

@@ -21,6 +21,7 @@ cocharacter valuations is recorded as an assumption in every certificate.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -70,7 +71,7 @@ def _show(v) -> str:
     "(a, b, ...)", a mapping as "{k: v, ...}"."""
     if isinstance(v, (tuple, list)):
         return "(" + ", ".join(map(_show, v)) + ")"
-    if isinstance(v, dict):
+    if isinstance(v, Mapping):
         return "{" + ", ".join(f"{_show(k)}: {_show(x)}"
                                for k, x in v.items()) + "}"
     return str(v)

@@ -1,10 +1,13 @@
-"""Independent brute-force oracles used by the geometry and acceptance
+"""Independent brute-force oracles used by the geometry, filtration and acceptance
 tests.  These deliberately use different algorithms from the library
-(monotone-chain hull, shoelace formulas, interval arithmetic).  The
-helpers after them are checks and constants that only the tests use."""
+(monotone-chain hull, shoelace formulas, interval arithmetic, weight
+tables of plain Fractions with every decomposition enumerated at once).
+The helpers after them are checks and constants that only the tests use."""
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 from fractions import Fraction as F
 from typing import Optional, Sequence
@@ -67,6 +70,63 @@ def interval_oracle(points):
     xs = sorted({p[0] for p in points})
     lo, hi = xs[0], xs[-1]
     return [(lo,), (hi,)], hi - lo, ((lo + hi) / 2,)
+
+
+# ---------------------------------------------------------------------------
+# weight tables as plain {m: {alpha: Fraction}} dicts, one entry at a time
+
+
+def table_shift(table, c):
+    return {m: {a: w + c * m for a, w in row.items()} for m, row in table.items()}
+
+
+def table_twist(table, xi):
+    return {m: {a: w + sum((F(x) * y for x, y in zip(a, xi)), F(0))
+                for a, w in row.items()}
+            for m, row in table.items()}
+
+
+def table_round(table):
+    return {m: {a: F(math.floor(w)) for a, w in row.items()}
+            for m, row in table.items()}
+
+
+def table_base_change(table, e):
+    """The e-fold table, or None when some weight is not an integer."""
+    if any(w != int(w) for row in table.values() for w in row.values()):
+        return None
+    return {m: {a: w * e for a, w in row.items()} for m, row in table.items()}
+
+
+def _best_decompositions(rows):
+    """Best weight of every character sum over one entry from each row,
+    choosing all the entries at once."""
+    best = {}
+    for picks in itertools.product(*(row.items() for row in rows)):
+        char = tuple(sum(coords) for coords in zip(*(a for a, _ in picks)))
+        w = sum((x for _, x in picks), F(0))
+        if char not in best or w > best[char]:
+            best[char] = w
+    return best
+
+
+def table_sum(tables):
+    """Max-plus sum of per-summand tables on one degree grid."""
+    return {m: _best_decompositions([t[m] for t in tables]) for m in tables[0]}
+
+
+def table_approximate(table, m0):
+    """Weights at the multiples s*m0 of the stored degrees from s-fold
+    products of the degree-m0 row."""
+    return {m: _best_decompositions([table[m0]] * (m // m0))
+            for m in table if m % m0 == 0}
+
+
+def table_slopes(table):
+    """Per-degree maximal and mean slopes."""
+    t_by = {m: max(row.values()) / m for m, row in table.items()}
+    s_by = {m: sum(row.values(), F(0)) / len(row) / m for m, row in table.items()}
+    return t_by, s_by
 
 
 # ---------------------------------------------------------------------------

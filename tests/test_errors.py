@@ -48,9 +48,28 @@ def assert_input_error(*argv):
     ("lct", "p2", "--eta", "0,0", "--level", "1"),
     ("jnorm", "p2", "--xi", "1/0,1"),
     ("jnorm", "p2", "--xi", "1e10000000,1"),
+    ("reduced-jnorm", "p1xp1_symmetric", "--xi", "1,0", "--subtorus", " 0_1 ,0"),
+    ("reduced-jnorm", "p1xp1_symmetric", "--xi", "1,0", "--subtorus", "\u0661,0"),
 ])
 def test_bad_arguments_exit_1(argv):
     assert_input_error(*argv)
+
+
+@pytest.mark.parametrize("text", [" 0_1 ,0", "\u0661,0", "1.0,0", "+-1,0"])
+def test_subtorus_entries_take_only_signed_digits(text):
+    code, out, err = run("reduced-jnorm", "p1xp1_symmetric", "--xi", "1,0",
+                         "--subtorus", text)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: subtorus vector {text!r} is not integral"]
+
+
+@pytest.mark.parametrize("text, basis", [("1,-1", [[1, -1]]), (" 1,0", [[1, 0]]),
+                                         ("0 , +1", [[0, 1]])])
+def test_subtorus_entries_parse(text, basis):
+    code, out, _ = run("reduced-jnorm", "p1xp1_symmetric", "--xi", "1,0",
+                       "--subtorus", text)
+    assert code == 0
+    assert json.loads(out)["report"]["subtorus"] == basis
 
 
 def test_vector_rank_message_names_both_numbers():

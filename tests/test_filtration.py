@@ -9,9 +9,11 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import (check_multiplicative, is_shifted_trivial,
-                     mean_slope_decay_constant)
+                     mean_slope_decay_constant, table_approximate,
+                     table_base_change, table_round, table_shift,
+                     table_slopes, table_sum, table_twist)
 
-from ckstab.filtration import (FiltrationFamily,
+from ckstab.filtration import (Filtration, FiltrationFamily,
                                GridMismatch, MissingCharacter,
                                NotIntegerValued, UnboundedWeights,
                                approximate, base_change, construct,
@@ -342,3 +344,143 @@ def test_valuation_mean_slope_decay(models):
             c = c_model * sum(abs(x) for x in eta)
             for m in basis.degrees:
                 assert abs(n.s_by_degree[m] - n.s_value) <= c / max(m, 1)
+
+
+# --- the integer tables against plain-Fraction oracles ----------------------
+
+def mixed_frac(rng, span=3):
+    den = rng.choice([1, 2, 3, 4, 5, 6, 7, 9])
+    return F(rng.randint(-span * den, span * den), den)
+
+
+def random_table(rng, basis, value=mixed_frac):
+    return {m: {a: value(rng) for a in basis.characters(m)} for m in basis.degrees}
+
+
+def assert_matches(f, table):
+    """f holds exactly the table, read through weights and numerics."""
+    assert {m: f.weights[m] for m in f.weights} == table
+    n = numerics(f)
+    assert (n.t_by_degree, n.s_by_degree) == table_slopes(table)
+
+
+@pytest.mark.parametrize("name", ["p1_halves", "p2_steps", "bl1p2_halves"])
+def test_operations_match_fraction_oracle(models, name):
+    rng = random.Random(20260810)
+    model = models[name]
+    grid = family_degree_grid(model, 4)
+    bases = [graded_basis(model, i, m_max=4, step=grid[0])
+             for i in range(model.num_summands)]
+    for _ in range(4):
+        tables = [random_table(rng, b) for b in bases]
+        fs = [construct(b, t) for b, t in zip(bases, tables)]
+        for f, t in zip(fs, tables):
+            assert_matches(f, t)
+            c = mixed_frac(rng)
+            xi = tuple(mixed_frac(rng, 2) for _ in range(model.rank))
+            assert_matches(shift(f, c), table_shift(t, c))
+            assert_matches(twist(f, xi), table_twist(t, xi))
+            assert_matches(twist(shift(f, c), xi),
+                           table_twist(table_shift(t, c), xi))
+            assert_matches(round_weights(f), table_round(t))
+            for m0 in grid:
+                ap = approximate(f, m0)
+                assert_matches(ap, table_approximate(t, m0))
+                assert ap.descriptor is None
+        total = sum_filtration(FiltrationFamily(model, tuple(fs)))
+        expected = table_sum(tables)
+        assert_matches(total, expected)
+        assert total.descriptor is None
+        for m in grid:
+            assert total.row_max(m) == max(expected[m].values())
+            assert total.row_min(m) == min(expected[m].values())
+
+
+def test_round_floors_negative_weights(p1_skew):
+    basis = graded_basis(p1_skew, 0, m_max=1)
+    f = construct(basis, {1: {(0,): F(-1, 2), (1,): F(-7, 3)}})
+    assert round_weights(f).weights[1] == {(0,): F(-1), (1,): F(-3)}
+
+
+def test_base_change_raises_exactly_on_fractions(models):
+    rng = random.Random(41)
+    model = models["p2_steps"]
+    basis = graded_basis(model, 0, m_max=3)
+    for trial in range(12):
+        # every weight integral on even trials, so both outcomes occur
+        table = random_table(rng, basis, lambda r: F(r.randint(-9, 9)))
+        if trial % 2:
+            m = rng.choice(basis.degrees)
+            a = rng.choice(basis.characters(m))
+            table[m][a] += F(rng.choice([-1, 1]), rng.choice([2, 3, 5]))
+        # a half shift there and back leaves the table, over denominator 2
+        f = shift(shift(construct(basis, table), F(1, 2)), F(-1, 2))
+        e = rng.choice([2, 3])
+        expected = table_base_change(table, e)
+        if expected is None:
+            with pytest.raises(NotIntegerValued):
+                base_change(f, e)
+        else:
+            assert_matches(base_change(f, e), expected)
+
+
+def test_approximate_keeps_only_regenerated_descriptors(models):
+    rng = random.Random(5)
+    for name in ("p2_halves", "p2_steps", "bl1p2_halves"):
+        model = models[name]
+        basis = graded_basis(model, TOTAL, m_max=4)
+        eta = tuple(mixed_frac(rng, 2) for _ in range(model.rank))
+        f = shift(valuation_filtration(basis, eta), mixed_frac(rng))
+        table = {m: f.weights[m] for m in f.weights}
+        m0 = basis.degrees[0]
+        ap = approximate(f, m0)
+        expected = table_approximate(table, m0)
+        assert_matches(ap, expected)
+        regenerated = all(expected[m] == table[m] for m in expected)
+        assert regenerated and ap.descriptor == f.descriptor
+        # the same table without its closed form keeps none
+        opaque = construct(basis, table)
+        assert approximate(opaque, m0).descriptor is None
+
+
+def test_table_equal_compares_values(models):
+    rng = random.Random(17)
+    basis = graded_basis(models["p2_steps"], 0, m_max=3)
+    table = random_table(rng, basis)
+    f = construct(basis, table)
+    # the same weights over a larger denominator
+    assert shift(shift(f, F(1, 11)), F(-1, 11)).table_equal(f)
+    m = basis.degrees[-1]
+    a = basis.characters(m)[0]
+    for bump in (F(1), F(1, 11)):
+        table[m][a] += bump
+        assert not construct(basis, table).table_equal(f)
+        assert not f.table_equal(construct(basis, table))
+
+
+def integer_tables(f):
+    return (type(f.den) is int and f.den > 0
+            and all(type(n) is int for row in f.nums.values() for n in row.values()))
+
+
+@pytest.mark.parametrize("name", ["p2_halves", "bl1p2_halves"])
+def test_tables_store_only_ints(models, name):
+    rng = random.Random(3)
+    model = models[name]
+    grid = family_degree_grid(model, 4)
+    basis = graded_basis(model, 0, m_max=4, step=grid[0])
+    eta = (F(1, 2), F(-2, 3))
+    val = valuation_filtration(basis, eta)
+    made = [trivial_filtration(basis), val,
+            construct(basis, random_table(rng, basis)),
+            shift(val, F(5, 7)), twist(val, (F(1, 3), 2)),
+            round_weights(val), base_change(round_weights(val), 3),
+            approximate(val, grid[0])]
+    families = [valuation_family(model, eta, m_max=4),
+                valuation_family(model, eta, m_max=4, shifts=(F(1, 4), -1)),
+                trivial_family(model, m_max=4)]
+    families.append(twist_family(families[0], (F(-1, 5), F(1, 2))))
+    for fam in families:
+        made.extend(fam.members)
+        made.append(sum_filtration(fam))
+    assert all(isinstance(f, Filtration) and integer_tables(f) for f in made)
