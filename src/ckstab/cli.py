@@ -9,6 +9,7 @@ including an identity-suite failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import re
@@ -274,7 +275,9 @@ VERBS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ckstab",
         description="Exact coupled K-stability invariants of toric Fano models")

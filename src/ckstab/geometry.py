@@ -518,13 +518,9 @@ def triangulate(p: ExactPolytope) -> list[tuple[Vec, ...]]:
     return simplices
 
 
-def _simplex_measure(simplex: tuple[Vec, ...], basis: Optional[list[Vec]] = None) -> Fraction:
+def _simplex_measure(simplex: tuple[Vec, ...]) -> Fraction:
     d = len(simplex) - 1
     edges = [vsub(v, simplex[0]) for v in simplex[1:]]
-    if basis is not None:
-        edges = [solve_linear([[basis[j][i] for j in range(len(basis))]
-                               for i in range(len(basis[0]))], e)
-                 for e in edges]
     det = _det([list(e) for e in edges])
     return abs(det) / math.factorial(d)
 

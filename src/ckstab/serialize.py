@@ -101,12 +101,12 @@ def polytope_from_json(data) -> ExactPolytope:
     if not isinstance(data, dict):
         raise ParseError(f"polytope fragment must be an object, got {data!r}")
     if "vertices" in data:
-        verts = [parse_vec(v) for v in _list(data["vertices"], "vertices")]
+        verts = [parse_vec(v) for v in _capped(data["vertices"], "vertices")]
         return ExactPolytope.from_vertices(verts)
     if "halfspaces" in data:
         hs = []
         rank = None
-        for item in _list(data["halfspaces"], "halfspaces"):
+        for item in _capped(data["halfspaces"], "halfspaces"):
             normal = item.get("normal") if isinstance(item, dict) else None
             if not isinstance(normal, list) or not all(
                     isinstance(c, int) for c in normal) or "offset" not in item:
@@ -122,6 +122,21 @@ def _list(value, key: str) -> list:
     if not isinstance(value, list):
         raise ParseError(f"{key!r} must be a list, got {value!r}")
     return value
+
+
+# The most rays, and the most vertices or half-spaces per summand, a model may
+# list.  Hulls enumerate C(n, rank) subsets of each list, and in rank 4 the
+# polytope cut out by n half-spaces can have n(n - 3)/2 vertices, which are
+# hulled again, so load time climbs steeply past this.
+MAX_ENTRIES = 12
+
+
+def _capped(value, key: str) -> list:
+    items = _list(value, key)
+    if len(items) > MAX_ENTRIES:
+        raise ParseError(f"{key!r} has {len(items)} entries; "
+                         f"at most {MAX_ENTRIES} are accepted")
+    return items
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +162,8 @@ def model_from_json(data, name: str = "") -> ToricFanoModel:
     # the documented scope; the subset enumerations grow like C(n, rank)
     if type(rank) is not int or not 1 <= rank <= 4:
         raise ParseError(f"rank must be an integer from 1 to 4, got {rank!r}")
-    rays = data["rays"]
-    if not isinstance(rays, list) or not all(
+    rays = _capped(data["rays"], "rays")
+    if not all(
             isinstance(r, list) and all(isinstance(c, int) for c in r)
             and len(r) == rank for r in rays):
         raise ParseError("rays must be integer vectors of the stated rank")

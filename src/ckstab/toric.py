@@ -131,9 +131,17 @@ def build_model(rays: Sequence[Sequence[int]],
     """Validate and assemble a model.
 
     Checks, in order: rays are primitive and span; the ray half-spaces cut
-    out a reflexive (lattice, canonically faceted) polytope; the Minkowski
-    sum of the decomposition equals that polytope exactly.  Caches the
-    normal fan and the per-cone support minimizers of every summand.
+    out a reflexive (lattice, canonically faceted) polytope; the summands
+    have its rank; the decomposition sums to it exactly; in rank 2 its
+    normal fan is complete.  Caches the normal fan and the per-cone support
+    minimizers of every summand.
+
+    The sum is certified on each cone of that fan: each summand's minimizer
+    at an interior probe must attain the summand's support value at every
+    generator (so that support function is linear on the cone), and the
+    minimizers must add up to the polytope's own.  As h(P + Q) = h(P) + h(Q)
+    and the fan is complete, this holds exactly when the sum is the
+    polytope; only a failure hulls the sum with ``minkowski_sum``.
     """
     ray_list = []
     rank = None
@@ -172,29 +180,30 @@ def build_model(rays: Sequence[Sequence[int]],
     for p in summands:
         if p.rank != rank:
             raise RankMismatch("summand rank differs from the model rank")
-    total = minkowski_sum(list(summands))
-    if total != antican:
-        raise DecompositionMismatch(
-            "Minkowski sum of the decomposition is "
-            f"{' '.join(map(_show, total.vertices))}, "
-            f"expected {' '.join(map(_show, antican.vertices))}")
-
     fan_pieces = min_support_function(antican).pieces
-    if rank == 2 and not check_complete_fan_rank2([c for c, _ in fan_pieces]):
-        raise NotReflexive("normal fan is not complete")
     cones = tuple(c for c, _ in fan_pieces)
     total_forms = tuple(f for _, f in fan_pieces)
     support_forms = []
-    for cone, _ in fan_pieces:
+    certified = True
+    for cone, form in fan_pieces:
         probe = cone.interior_point()
-        row = []
-        for p in summands:
-            _, vtx = support_value(p, probe, "min")
-            for g in cone.generators:
-                if vdot(vtx, g) != support_value(p, g, "min")[0]:
-                    raise InternalInvariantError("summand support not linear on a fan cone")
-            row.append(vtx)
-        support_forms.append(tuple(row))
+        row = tuple(support_value(p, probe, "min")[1] for p in summands)
+        certified = (certified and tuple(map(sum, zip(*row))) == form
+                     and all(vdot(a, g) == support_value(p, g, "min")[0]
+                             for p, a in zip(summands, row)
+                             for g in cone.generators))
+        support_forms.append(row)
+    if not certified or (rank == 2 and not check_complete_fan_rank2(cones)):
+        total = minkowski_sum(list(summands))
+        if total != antican:
+            raise DecompositionMismatch(
+                "Minkowski sum of the decomposition is "
+                f"{' '.join(map(_show, total.vertices))}, "
+                f"expected {' '.join(map(_show, antican.vertices))}")
+        if not certified:
+            raise InternalInvariantError(
+                "fan certificate rejected an exact Minkowski decomposition")
+        raise NotReflexive("normal fan is not complete")
 
     return ToricFanoModel(
         name=name,

@@ -5,12 +5,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from oracles import assert_float_free
 
-from ckstab.cli import main, render_table, resolve_model_path
+import ckstab
+from ckstab.cli import build_parser, main, render_table, resolve_model_path
 from ckstab.serialize import canonical_json
 from ckstab.serialize import ParseError, ValidationError
 
@@ -62,6 +66,30 @@ def test_negative_values_after_flags(capsys):
     # a flag after a value flag is still reported as a missing value
     code, _, err = run(capsys, "jnorm", "p2", "--xi", "--format", "json")
     assert code == 1 and "expected one argument" in err
+
+
+def test_verbs_back_to_back_match_fresh_processes(capsys):
+    # main() reuses one parser, so no call may see another's arguments
+    src = os.path.dirname(os.path.dirname(ckstab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    calls = [("futaki", "p2_halves"),
+             ("jnorm", "p1_halves", "--xi", "3", "--format", "table"),
+             ("delta", "bl1p2_halves", "--bogus"),
+             ("delta", "bl1p2_halves"),
+             ("lct", "p2", "--eta", "-1,0", "--level", "1"),
+             ("jnorm", "p2", "--xi", "-1,2")]
+    codes = []
+    for argv in calls:
+        code, out, err = run(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "ckstab.cli", *argv],
+                               capture_output=True, text=True, env=env,
+                               timeout=120)
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+        if code:
+            assert err == fresh.stderr
+        codes.append(code)
+    assert codes == [0, 0, 1, 0, 0, 0]
+    assert build_parser() is build_parser()
 
 
 def test_reduced_jnorm(capsys):

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import ckstab
 from ckstab.cli import main
 from ckstab.errors import CkstabError, InputError, InternalInvariantError
+from ckstab.serialize import MAX_ENTRIES
 
 
 def run(*argv):
@@ -111,6 +112,46 @@ def test_malformed_model_exits_1(tmp_path, model):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model))
     assert_input_error("delta", str(path))
+
+
+P2_RAYS = [[1, 0], [0, 1], [-1, -1]]
+
+
+def test_decomposition_mismatch_is_one_error_line(tmp_path):
+    third = [["-1/3", "-1/3"], ["2/3", "-1/3"], ["-1/3", "2/3"]]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"name": "m", "rank": 2, "rays": P2_RAYS,
+                                "decomposition": [{"vertices": third}] * 2}))
+    code, out, err = run("delta", str(path))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "error: Minkowski sum of the decomposition is "
+        "(-2/3, -2/3) (-2/3, 4/3) (4/3, -2/3), expected (-1, -1) (-1, 2) (2, -1)"]
+
+
+@pytest.mark.parametrize("key", ["rays", "vertices", "halfspaces"])
+def test_lists_longer_than_the_cap_exit_1(tmp_path, key):
+    # P^2 as two halves, one list padded with repeats to the cap and past it
+    entries = {"rays": P2_RAYS,
+               "vertices": [["-1/2", "-1/2"], ["1", "-1/2"], ["-1/2", "1"]],
+               "halfspaces": [{"normal": r, "offset": "-1/2"} for r in P2_RAYS]}
+    model = {"name": "m", "rank": 2, "rays": P2_RAYS}
+    path = tmp_path / "model.json"
+    for n in (MAX_ENTRIES, MAX_ENTRIES + 1):
+        padded = (entries[key] * n)[:n]
+        if key == "rays":
+            model.update(rays=padded,
+                         decomposition=[{"vertices": entries["vertices"]}] * 2)
+        else:
+            model.update(decomposition=[{key: padded}] * 2)
+        path.write_text(json.dumps(model))
+        code, _, err = run("futaki", str(path))
+        if n == MAX_ENTRIES:
+            assert code == 0, err
+        else:
+            assert code == 1 and err.splitlines() == [
+                f"error: {key!r} has {n} entries; "
+                f"at most {MAX_ENTRIES} are accepted"]
 
 
 @pytest.mark.parametrize("rank", [0, 5])

@@ -5,10 +5,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from importlib import resources
 
 import pytest
 
-from ckstab.geometry import ExactPolytope, support_value
+from ckstab.errors import InternalInvariantError
+from ckstab.geometry import (ExactPolytope, HalfSpace, minkowski_sum,
+                             support_value, vdot, vneg)
+from ckstab.serialize import load_model
 from ckstab.toric import (TOTAL, DecompositionMismatch, MonomialIdealSeq,
                           NonIntegralScaling, NotReflexive, RankMismatch,
                           ZeroIdeal, build_model, integrality_step,
@@ -42,6 +46,14 @@ def test_decomposition_mismatch():
         build_model([[1], [-1]], [u, u])
 
 
+def test_decomposition_mismatch_message():
+    u = ExactPolytope.from_vertices([(0,), (1,)])
+    with pytest.raises(DecompositionMismatch) as exc:
+        build_model([[1], [-1]], [u, u])
+    assert str(exc.value) == ("Minkowski sum of the decomposition is (0) (2), "
+                              "expected (-1) (1)")
+
+
 def test_not_reflexive_nonlattice_dual():
     p = ExactPolytope.from_vertices([(0, 0), (1, 0), (0, 1)])
     with pytest.raises(NotReflexive):
@@ -58,6 +70,162 @@ def test_rays_must_span():
     p = ExactPolytope.from_vertices([(0, 0), (1, 0)])
     with pytest.raises(RankMismatch):
         build_model([[1, 0], [-1, 0]], [p, p])
+
+
+# --- the decomposition certificate against the brute-force sum -----------------
+#
+# build_model certifies the sum cone by cone; minkowski_sum hulls every vertex
+# sum.  The model must be accepted exactly when the hull equals the
+# anticanonical polytope, and a rejection must word the hull's vertices.
+
+RAYS = {
+    "p1": [[1], [-1]],
+    "p2": [[1, 0], [0, 1], [-1, -1]],
+    "p1xp1": [[1, 0], [-1, 0], [0, 1], [0, -1]],
+    "bl1p2": [[1, 0], [0, 1], [-1, -1], [1, 1]],
+    "dp6": [[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]],
+    "p3": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+    "p1cubed": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1],
+                [0, 0, -1]],
+}
+
+
+def anticanonical(rays) -> ExactPolytope:
+    return ExactPolytope.from_halfspaces(
+        [HalfSpace.make(r, -1) for r in rays], len(rays[0]))
+
+
+def mismatch_message(total, antican) -> str:
+    def show(v):
+        return "(" + ", ".join(map(str, v)) + ")"
+    return ("Minkowski sum of the decomposition is "
+            f"{' '.join(map(show, total.vertices))}, "
+            f"expected {' '.join(map(show, antican.vertices))}")
+
+
+def accepted_as_oracle_says(rays, summands) -> bool:
+    """build_model accepts exactly when the brute-force sum is the polytope,
+    and its rejection message is built from that sum; returns the verdict."""
+    antican = anticanonical(rays)
+    total = minkowski_sum(summands)
+    if total == antican:
+        assert build_model(rays, summands).anticanonical == antican
+        return True
+    with pytest.raises(DecompositionMismatch) as exc:
+        build_model(rays, summands)
+    assert str(exc.value) == mismatch_message(total, antican)
+    return False
+
+
+def rand_lambda(rng):
+    d = rng.randint(2, 7)
+    return F(rng.randint(1, d - 1), d)
+
+
+def box_segments(rng, rank, shift):
+    """The box [-1, 1]^rank as axis segments, the first split in two at a
+    random ratio, shifted by +shift and -shift at the two ends."""
+    segs = [ExactPolytope.from_vertices(
+        [tuple(x if i == j else 0 for i in range(rank)) for x in (-1, 1)])
+        for j in range(rank)]
+    lam = rand_lambda(rng)
+    return ([segs[0].scale(lam).translate(shift), segs[0].scale(1 - lam)]
+            + segs[1:-1] + [segs[-1].translate(vneg(shift))])
+
+
+def good_splits(rng, rays):
+    """Exact decompositions: the dilates lambda P + t and (1 - lambda) P - t,
+    a three-way dilate split, and for boxes a split into axis segments.  The
+    cube takes only the segment split: hulling the sum of two generic cube
+    dilates takes the brute-force oracle most of a minute."""
+    p = anticanonical(rays)
+    rank, t = p.rank, rand_dir(rng, p.rank, span=3)
+    out = []
+    if rays in (RAYS["p1xp1"], RAYS["p1cubed"]):
+        out.append(box_segments(rng, rank, t))
+    if rays != RAYS["p1cubed"]:
+        lam, mu = rand_lambda(rng), rand_lambda(rng)
+        out += [[p.scale(lam).translate(t), p.scale(1 - lam).translate(vneg(t))],
+                [p.scale(lam * mu), p.scale(lam * (1 - mu)), p.scale(1 - lam)]]
+    return out
+
+
+def bad_splits(rng, rays):
+    """Wrong decompositions of two kinds.  Support functions linear on the
+    fan but sums off: (1/3) P + (1/3) P, and splits whose shifts do not
+    cancel.  Linearity fails: a summand, here a random segment or triangle,
+    whose normal fan the polytope's fan does not refine; the hull of the sum
+    then has more vertices than the polytope, which shows the refinement
+    fails.  Such summands also upset the minimizer sums; the next test but
+    one has a summand that only the linearity check rejects.  In rank 1
+    every fan is the same, so only the first kind exists."""
+    p = anticanonical(rays)
+    rank, t = p.rank, rand_dir(rng, p.rank, span=3)
+    if rays == RAYS["p1cubed"]:
+        base = box_segments(rng, rank, (0,) * rank)
+        out = [base[:-1] + [base[-1].translate(t)]]
+    else:
+        base = [p.scale(rand_lambda(rng))]
+        out = [[p.scale(F(1, 3)), p.scale(F(1, 3))],
+               [base[0].translate(t), p.scale(1 - rand_lambda(rng))]]
+    while rank > 1:
+        # a segment in rank 3 keeps the oracle's hull small
+        size = 2 if rank == 3 else rng.choice([2, 3])
+        pts = [rand_dir(rng, rank, span=3) for _ in range(size)]
+        parts = base + [ExactPolytope.from_vertices(pts)]
+        if len(minkowski_sum(parts).vertices) > len(p.vertices):
+            out.append(parts)
+            break
+    return out
+
+
+def test_certificate_agrees_with_minkowski_oracle_on_fixtures():
+    rng = random.Random(53)
+    names = sorted(f.name for f in (resources.files("ckstab") / "fixtures").iterdir()
+                   if f.name.endswith(".json"))
+    assert len(names) >= 11
+    for name in names:
+        model = load_model(str(resources.files("ckstab") / "fixtures" / name))
+        summands = list(model.summands)
+        assert accepted_as_oracle_says(model.rays, summands)
+        summands[0] = summands[0].translate(rand_dir(rng, model.rank, span=3))
+        assert not accepted_as_oracle_says(model.rays, summands)
+
+
+@pytest.mark.parametrize("base, rounds", [
+    ("p1", 6), ("p2", 4), ("p1xp1", 3), ("bl1p2", 3), ("dp6", 1), ("p3", 1),
+    ("p1cubed", 1)])
+def test_certificate_agrees_with_minkowski_oracle_on_random_splits(base, rounds):
+    rng = random.Random(f"split-{base}")
+    rays = RAYS[base]
+    for _ in range(rounds):
+        for summands in good_splits(rng, rays):
+            assert accepted_as_oracle_says(rays, summands)
+        for summands in bad_splits(rng, rays):
+            assert not accepted_as_oracle_says(rays, summands)
+
+
+def test_certificate_checks_linearity_not_only_minimizer_sums():
+    # conv(square, (2, 0)) is minimized at the square's vertices at all four
+    # probes (ties break to them), yet bulges between two of the probes
+    q = ExactPolytope.from_vertices([(-1, -1), (1, -1), (2, 0), (1, 1), (-1, 1)])
+    assert not accepted_as_oracle_says(RAYS["p1xp1"], [q])
+
+
+def test_failed_certificate_on_exact_sum_is_internal(p2, monkeypatch):
+    # a certificate that rejects a decomposition the hull confirms is a bug
+    monkeypatch.setattr("ckstab.toric.vdot", lambda a, b: vdot(a, b) + 1)
+    with pytest.raises(InternalInvariantError):
+        build_model(p2.rays, p2.summands)
+
+
+def test_mismatch_reported_before_an_incomplete_fan(p2, monkeypatch):
+    monkeypatch.setattr("ckstab.toric.check_complete_fan_rank2",
+                        lambda cones: False)
+    with pytest.raises(NotReflexive, match="normal fan is not complete"):
+        build_model(p2.rays, p2.summands)
+    with pytest.raises(DecompositionMismatch):
+        build_model(p2.rays, [p2.summands[0], p2.summands[0].scale(2)])
 
 
 # --- log discrepancy ----------------------------------------------------------
