@@ -1,19 +1,24 @@
 """Exact rational polytope kernel.
 
-Everything in this module is computed over ``fractions.Fraction``; there is
-no floating point anywhere.  Polytopes carry both a vertex description and a
-half-space description, cross-validated on construction.  The kernel also
-provides rational cones and piecewise-linear functions on complete fans,
-which the optimization and toric layers build on.
+Everything in this module is exact: there is no floating point anywhere.
+Polytopes carry both a vertex description and a half-space description,
+cross-validated on construction.  The kernel also provides rational cones
+and piecewise-linear functions on complete fans, which the optimization and
+toric layers build on.
 
-Intended for small ambient ranks (p <= 4); enumeration is done by exact
-brute force over subsets, which is entirely adequate at these sizes and
-keeps every certificate exact.  Every cone is enumerated by one routine,
-``extreme_rays``: the rays of a cone from its inner normals, the facets of
-a cone from its generators (the rays of the dual cone), the recession
-directions of a half-space system, and its feasibility through the
-homogenised system.  The only other subset enumerations are the two affine
-hull loops, ``_facets_from_points`` and ``_vertices_from_halfspaces``.
+Intended for small ambient ranks (p <= 4); enumeration is brute force over
+subsets, which is entirely adequate at these sizes and keeps every
+certificate exact.  The subset loops run on integers: every polytope keeps
+its vertices as ``int`` numerators over one ``int`` denominator, rational
+rows are scaled to integers before a loop starts, and each normal or vertex
+solve is one vector of signed integer minors (``_minor_normal``, with the
+fraction-free determinant ``_int_det``).  Values leave the module as
+``Fraction``.  Every cone is enumerated by one routine, ``extreme_rays``:
+the rays of a cone from its inner normals, the facets of a cone from its
+generators (the rays of the dual cone), the recession directions of a
+half-space system, and its feasibility through the homogenised system.
+The only other subset enumerations are the two affine hull loops,
+``_facets_from_points`` and ``_vertices_from_halfspaces``.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, InternalInvariantError
@@ -97,12 +103,10 @@ def primitive_vector(a: Sequence) -> IntVec:
 
     Orientation is preserved: the result is a positive multiple of the input.
     """
-    fr = [Fraction(x) for x in a]
-    if all(x == 0 for x in fr):
+    ints = _int_row(a)
+    g = math.gcd(*ints)
+    if g == 0:
         raise GeometryError("cannot primitivize the zero vector")
-    den = math.lcm(*(x.denominator for x in fr))
-    ints = [int(x * den) for x in fr]
-    g = math.gcd(*(abs(v) for v in ints))
     return tuple(v // g for v in ints)
 
 
@@ -146,10 +150,21 @@ def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int
 
 
 def mat_rank(rows: Sequence[Sequence]) -> int:
-    if not rows:
-        return 0
-    _, pivots = _echelon([[Fraction(x) for x in row] for row in rows])
-    return len(pivots)
+    # each row scaled to integers, then eliminated without division
+    mat = [_int_row(row) for row in rows]
+    rank = 0
+    for c in range(len(mat[0]) if mat else 0):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        p = mat[rank]
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][c]
+            if f:
+                mat[i] = [x * p[c] - f * y for x, y in zip(mat[i], p)]
+        rank += 1
+    return rank
 
 
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> Optional[Vec]:
@@ -194,6 +209,69 @@ def nullspace(rows: Sequence[Sequence], n: Optional[int] = None) -> list[Vec]:
 
 
 # ---------------------------------------------------------------------------
+# integer kernels
+
+
+def _scaled(vectors: Iterable[Sequence]) -> tuple[int, tuple[IntVec, ...]]:
+    """One positive denominator for rational vectors (the lcm of theirs),
+    and each vector's integer numerators over it."""
+    vectors = tuple(vectors)
+    den = math.lcm(*(x.denominator for v in vectors for x in v))
+    return den, tuple(tuple(x.numerator * (den // x.denominator) for x in v)
+                      for v in vectors)
+
+
+def _int_row(row: Sequence) -> IntVec:
+    """A positive integer multiple of a rational vector."""
+    return _scaled((row,))[1][0]
+
+
+def _on_boundary(den: int, nums: Sequence[IntVec], h: "HalfSpace") -> list[bool]:
+    """Which of the points nums / den lie on the boundary of h."""
+    c = h.offset * den
+    if c.denominator != 1:
+        return [False] * len(nums)
+    return [sum(map(mul, n, h.normal)) == c.numerator for n in nums]
+
+
+def _int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination
+    (Bareiss 1968): every division is exact, so no value leaves the ints."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    mat = [list(r) for r in rows]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if mat[k][k] == 0:
+            for i in range(k + 1, n):
+                if mat[i][k] != 0:
+                    mat[k], mat[i] = mat[i], mat[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pk, rk = mat[k][k], mat[k]
+        for i in range(k + 1, n):
+            ri = mat[i]
+            f = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (ri[j] * pk - f * rk[j]) // prev
+        prev = pk
+    return sign * mat[n - 1][n - 1]
+
+
+def _minor_normal(rows: Sequence[Sequence[int]], n: int) -> IntVec:
+    """The generalized cross product of n - 1 integer rows of length n: its
+    j-th entry is (-1)^j times the minor without column j.  It is
+    orthogonal to every row, and it is zero exactly when the rows are
+    dependent; otherwise it spans their nullspace."""
+    return tuple(-d if j % 2 else d
+                 for j, d in enumerate(_int_det([r[:j] + r[j + 1:] for r in rows])
+                                       for j in range(n)))
+
+
+# ---------------------------------------------------------------------------
 # half-spaces
 
 
@@ -214,9 +292,6 @@ class HalfSpace:
 
     def satisfies(self, point: Sequence) -> bool:
         return vdot(point, self.normal) >= self.offset
-
-    def on_boundary(self, point: Sequence) -> bool:
-        return vdot(point, self.normal) == self.offset
 
     def translate(self, t: Sequence) -> "HalfSpace":
         return HalfSpace(self.normal, self.offset + vdot(t, self.normal))
@@ -239,10 +314,11 @@ class ExactPolytope:
     primitive integer normals in a canonical order, so equal polytopes
     compare equal structurally.  Lower-dimensional polytopes are supported:
     their half-space list contains equality pairs cutting out the affine
-    hull.
+    hull.  ``nums`` holds the vertices as integer numerators over the
+    positive integer ``den``, in the order of ``vertices``.
     """
 
-    __slots__ = ("vertices", "halfspaces", "dim", "rank")
+    __slots__ = ("vertices", "halfspaces", "dim", "rank", "den", "nums")
 
     def __init__(self, vertices: Sequence[Vec], halfspaces: Sequence[HalfSpace],
                  dim: int, rank: int):
@@ -251,6 +327,7 @@ class ExactPolytope:
             sorted(set(halfspaces), key=HalfSpace.sort_key))
         self.dim = dim
         self.rank = rank
+        self.den, self.nums = _scaled(self.vertices)
 
     # -- constructors -------------------------------------------------------
 
@@ -333,7 +410,23 @@ class ExactPolytope:
         verts = _vertices_from_halfspaces(hs, rank)
         if not verts:
             raise EmptyRegion("half-space intersection is empty")
-        return ExactPolytope.from_vertices(verts)
+        den, nums = _scaled(verts)
+        if mat_rank([vsub(v, nums[0]) for v in nums[1:]]) < rank:
+            return ExactPolytope.from_vertices(verts)
+        # full-dimensional: the facets are the inputs tight on a face of
+        # affine rank - 1; the rest are redundant
+        facets = []
+        tight_count = [0] * len(nums)
+        for h in {HalfSpace.make(h.normal, h.offset) for h in hs}:
+            tight = _on_boundary(den, nums, h)
+            face = [v for v, on in zip(nums, tight) if on]
+            if len(face) >= rank and mat_rank(
+                    [vsub(v, face[0]) for v in face[1:]]) == rank - 1:
+                facets.append(h)
+                tight_count = [k + on for k, on in zip(tight_count, tight)]
+        if min(tight_count) < rank:
+            raise InternalInvariantError("a vertex lies on fewer facets than the rank")
+        return ExactPolytope(verts, facets, rank, rank)
 
     @staticmethod
     def _from_halfspaces_trusted(halfspaces: Sequence[HalfSpace], rank: int) -> "ExactPolytope":
@@ -394,64 +487,66 @@ def _independent_rows(rows: Sequence[Vec], want: int) -> list[Vec]:
     return chosen
 
 
-# The two affine hull loops below stay affine.  Lifted to height 1 they could
-# run through ``extreme_rays`` with the same results, but the model builds
-# whose time they dominate would then make 1.2 to 1.3 times the Python calls.
 def _facets_from_points(pts: list[Vec], rank: int) -> list[HalfSpace]:
+    den, ints = _scaled(pts)
     facets: set[HalfSpace] = set()
-    for subset in itertools.combinations(pts, rank):
-        diffs = [vsub(p, subset[0]) for p in subset[1:]]
-        if rank == 1:
-            normals = [(Fraction(1),)]
-        else:
-            ns = nullspace(diffs, rank)
-            if len(ns) != 1:
-                continue
-            normals = ns
-        n = normals[0]
-        c = vdot(subset[0], n)
-        vals = [vdot(p, n) for p in pts]
-        if all(v >= c for v in vals):
-            facets.add(HalfSpace.make(n, c))
-        if all(v <= c for v in vals):
-            facets.add(HalfSpace.make(vneg(n), -c))
+    for subset in itertools.combinations(ints, rank):
+        p0 = subset[0]
+        n = _minor_normal([vsub(p, p0) for p in subset[1:]], rank)
+        if not any(n):
+            continue
+        c = sum(map(mul, p0, n))
+        vals = [sum(map(mul, p, n)) for p in ints]
+        if min(vals) == c:
+            facets.add(HalfSpace.make(n, Fraction(c, den)))
+        if max(vals) == c:
+            facets.add(HalfSpace.make(vneg(n), Fraction(-c, den)))
     if not facets:
         raise InternalInvariantError("facet enumeration found nothing")
     return sorted(facets, key=HalfSpace.sort_key)
 
 
 def _vertices_from_halfspaces(halfspaces: Sequence[HalfSpace], rank: int) -> list[Vec]:
+    """Vertices by Cramer's rule: with the offsets scaled to integers b by
+    one lcm, the minor vector of the rows (normal, -b) of a rank-subset is
+    (x, t) with normal . x = b t, so t = 0 marks a singular subset."""
     hs = sorted(set(halfspaces), key=HalfSpace.sort_key)
+    den, (offsets,) = _scaled([[h.offset for h in hs]])
+    rows = [h.normal + (-b,) for h, b in zip(hs, offsets)]
     verts: set[Vec] = set()
-    for subset in itertools.combinations(hs, rank):
-        rows = [list(h.normal) for h in subset]
-        if mat_rank(rows) < rank:
+    for subset in itertools.combinations(rows, rank):
+        w = _minor_normal(subset, rank + 1)
+        t = w[-1]
+        if t == 0:
             continue
-        x = solve_linear(rows, [h.offset for h in subset])
-        if x is None:
-            continue
-        if all(h.satisfies(x) for h in hs):
-            verts.add(x)
+        if t < 0:
+            w, t = vneg(w), -t
+        if all(sum(map(mul, r, w)) >= 0 for r in rows):
+            verts.add(tuple(Fraction(x, t * den) for x in w[:-1]))
     return sorted(verts)
 
 
 def extreme_rays(normals: Sequence[Sequence], rank: int) -> list[Vec]:
     """Extreme rays of the cone { y : <n, y> >= 0 for every normal }.
 
-    Each (rank-1)-subset of the normals whose nullspace is a line spans g;
-    g and then -g are kept when they satisfy every inequality, unnormalised,
-    in subset order and with repeats.  The list is complete when the normals
+    Each (rank-1)-subset of the normals whose nullspace is a line spans g,
+    scaled so that its last nonzero entry is 1; g and then -g are kept when
+    they satisfy every inequality, in subset order and with repeats.  The list is complete when the normals
     span (the cone is pointed).  In rank 1 the empty subset spans the whole
     line, so +1 and -1 are checked.
     """
+    rows = [_int_row(n) for n in normals]
     rays: list[Vec] = []
-    for subset in itertools.combinations(normals, rank - 1):
-        ns = nullspace(subset, rank)
-        if len(ns) != 1:
+    for subset in itertools.combinations(rows, rank - 1):
+        g = _minor_normal(subset, rank)
+        if not any(g):
             continue
-        for cand in (ns[0], vneg(ns[0])):
-            if all(vdot(n, cand) >= 0 for n in normals):
-                rays.append(cand)
+        last = next(x for x in reversed(g) if x)
+        if last < 0:
+            g, last = vneg(g), -last
+        for sign in (1, -1):
+            if all(sign * sum(map(mul, n, g)) >= 0 for n in rows):
+                rays.append(tuple(Fraction(sign * x, last) for x in g))
     return rays
 
 
@@ -505,10 +600,16 @@ def triangulate(p: ExactPolytope) -> list[tuple[Vec, ...]]:
     v0 = p.vertices[0]
     simplices: list[tuple[Vec, ...]] = []
     for h in p.halfspaces:
-        if h.on_boundary(v0):
+        tight = _on_boundary(p.den, p.nums, h)
+        if tight[0]:
             continue
-        face_pts = [v for v in p.vertices if h.on_boundary(v)]
+        face_pts = [v for v, on in zip(p.vertices, tight) if on]
         if len(face_pts) < p.dim:
+            continue
+        if len(face_pts) == p.dim and mat_rank(
+                [vsub(v, face_pts[0]) for v in face_pts[1:]]) == p.dim - 1:
+            # a simplex facet is its own triangulation
+            simplices.append((v0,) + tuple(face_pts))
             continue
         face = ExactPolytope.from_vertices(face_pts)
         if face.dim != p.dim - 1:
@@ -520,33 +621,9 @@ def triangulate(p: ExactPolytope) -> list[tuple[Vec, ...]]:
 
 def _simplex_measure(simplex: tuple[Vec, ...]) -> Fraction:
     d = len(simplex) - 1
-    edges = [vsub(v, simplex[0]) for v in simplex[1:]]
-    det = _det([list(e) for e in edges])
-    return abs(det) / math.factorial(d)
-
-
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    mat = [list(r) for r in rows]
-    det = Fraction(1)
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if mat[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            mat[c], mat[piv] = mat[piv], mat[c]
-            det = -det
-        det *= mat[c][c]
-        pv = mat[c][c]
-        for r in range(c + 1, n):
-            if mat[r][c] != 0:
-                f = mat[r][c] / pv
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[c])]
-    return det
+    den, ints = _scaled(simplex)
+    det = _int_det([vsub(v, ints[0]) for v in ints[1:]])
+    return Fraction(abs(det), den ** d * math.factorial(d))
 
 
 def volume(p: ExactPolytope, ambient: bool = False) -> Fraction:
@@ -612,25 +689,20 @@ def support_value(p: ExactPolytope, xi: Sequence, mode: str = "min") -> tuple[Fr
         raise DimensionMismatch(f"direction rank {len(xi)} vs polytope rank {p.rank}")
     if mode not in ("min", "max"):
         raise GeometryError(f"unknown mode {mode!r}")
-    best_val = None
-    best_vtx = None
-    for v in p.vertices:
-        val = vdot(v, xi)
-        if best_val is None or (val < best_val if mode == "min" else val > best_val):
-            best_val, best_vtx = val, v
-    return best_val, best_vtx
+    xden, (xs,) = _scaled((xi,))
+    vals = [sum(map(mul, n, xs)) for n in p.nums]
+    best = min(vals) if mode == "min" else max(vals)
+    return Fraction(best, p.den * xden), p.vertices[vals.index(best)]
 
 
 def lattice_points(p: ExactPolytope) -> list[IntVec]:
     """All integer points of p, in lexicographic order."""
-    lo = [min(v[i] for v in p.vertices) for i in range(p.rank)]
-    hi = [max(v[i] for v in p.vertices) for i in range(p.rank)]
-    ranges = [range(math.ceil(l), math.floor(h) + 1) for l, h in zip(lo, hi)]
-    out = []
-    for cand in itertools.product(*ranges):
-        if p.contains(cand):
-            out.append(tuple(int(c) for c in cand))
-    return out
+    # an integer point meets <x, n> >= c exactly when it meets >= ceil(c)
+    checks = [(h.normal, math.ceil(h.offset)) for h in p.halfspaces]
+    ranges = [range(-(-min(col) // p.den), max(col) // p.den + 1)
+              for col in zip(*p.nums)]
+    return [cand for cand in itertools.product(*ranges)
+            if all(sum(map(mul, cand, n)) >= c for n, c in checks)]
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +735,7 @@ class Cone:
         # drop generators that are not extreme (conic combinations of others)
         extreme = []
         for g in prims:
-            active = [f for f in facets if vdot(g, f) == 0]
+            active = [f for f in facets if sum(map(mul, g, f)) == 0]
             if mat_rank([list(a) for a in active]) >= rank - 1:
                 extreme.append(g)
         return Cone(tuple(sorted(extreme)), tuple(sorted(facets)))
@@ -764,8 +836,9 @@ def normal_fan(p: ExactPolytope) -> list[tuple[Cone, Vec]]:
     if p.dim != p.rank:
         raise DegenerateInput("normal fan needs a full-dimensional polytope")
     pieces = []
-    for v in p.vertices:
-        active = [h.normal for h in p.halfspaces if h.on_boundary(v)]
+    tight = [_on_boundary(p.den, p.nums, h) for h in p.halfspaces]
+    for i, v in enumerate(p.vertices):
+        active = [h.normal for h, on in zip(p.halfspaces, tight) if on[i]]
         cone = Cone.from_generators(active)
         pieces.append((cone, v))
     return pieces

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InputError, InternalInvariantError
-from .geometry import (ExactPolytope, Vec, _det, as_vec, centroid,
+from .geometry import (ExactPolytope, Vec, _int_det, as_vec, centroid,
                        extreme_rays, mat_rank, nullspace, primitive_vector,
                        solve_linear, vdot, vneg, vsub)
 from .optimize import (PLTermSpec, RatioProgram, Unbounded,
@@ -112,18 +112,11 @@ class SubtorusSpec:
             if not all(isinstance(x, int) for x in v):
                 raise DegenerateSubtorus("subtorus basis must be integral")
         if self.basis:
-            rows = [list(v) for v in self.basis]
-            if mat_rank(rows) != len(self.basis):
+            g = math.gcd(*(_int_det([[v[c] for c in cols] for v in self.basis])
+                           for cols in itertools.combinations(
+                               range(len(self.basis[0])), len(self.basis))))
+            if g == 0:
                 raise DegenerateSubtorus("subtorus basis is linearly dependent")
-            k = len(self.basis)
-            n = len(self.basis[0])
-            minors = []
-            for cols in itertools.combinations(range(n), k):
-                sub = [[Fraction(rows[r][c]) for c in cols] for r in range(k)]
-                minors.append(abs(_det(sub)))
-            g = 0
-            for mnr in minors:
-                g = _gcd_frac(g, mnr)
             if g != 1:
                 raise DegenerateSubtorus("subtorus basis does not span a "
                                          "saturated sublattice")
@@ -147,12 +140,6 @@ class SubtorusSpec:
         rows = [[Fraction(self.basis[j][i]) for j in range(len(self.basis))]
                 for i in range(len(self.basis[0]))]
         return solve_linear(rows, as_vec(v)) is not None
-
-
-def _gcd_frac(a, b: Fraction) -> Fraction:
-    if b.denominator != 1:
-        raise DegenerateSubtorus("non-integral minor")
-    return Fraction(math.gcd(int(a), int(b)))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ cocharacter valuations is recorded as an assumption in every certificate.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -277,9 +276,7 @@ def total_s_sum(model: ToricFanoModel, eta: Sequence) -> Fraction:
 
 def integrality_step(model: ToricFanoModel, i: SummandIndex) -> int:
     """Least m such that m times the summand polytope is a lattice polytope."""
-    p = model.summand(i)
-    dens = [x.denominator for v in p.vertices for x in v]
-    return math.lcm(*dens) if dens else 1
+    return model.summand(i).den
 
 
 def section_basis(model: ToricFanoModel, i: SummandIndex, m: int) -> list[tuple[int, ...]]:
@@ -289,10 +286,9 @@ def section_basis(model: ToricFanoModel, i: SummandIndex, m: int) -> list[tuple[
         raise ToricError("degree must be positive")
     p = model.summand(i)
     scaled = p.scale(m)
-    for v in scaled.vertices:
-        if any(x.denominator != 1 for x in v):
-            raise NonIntegralScaling(
-                f"degree {m} does not clear the denominators of summand {i!r}")
+    if scaled.den != 1:
+        raise NonIntegralScaling(
+            f"degree {m} does not clear the denominators of summand {i!r}")
     return lattice_points(scaled)
 
 

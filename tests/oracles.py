@@ -73,6 +73,132 @@ def interval_oracle(points):
 
 
 # ---------------------------------------------------------------------------
+# polytopes in ranks 1 to 4: plain Fraction scans and cofactor expansions
+
+
+def cofactor_det(rows):
+    """Determinant by cofactor expansion along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * a * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, a in enumerate(rows[0]) if a)
+
+
+def affine_rank(points):
+    """Dimension of the affine hull: the size of the largest nonzero minor of
+    the differences to the first point."""
+    diffs = [tuple(F(a) - F(b) for a, b in zip(p, points[0])) for p in points[1:]]
+    n = len(points[0])
+    for k in range(min(len(diffs), n), 0, -1):
+        for rows in itertools.combinations(diffs, k):
+            for cols in itertools.combinations(range(n), k):
+                if cofactor_det([tuple(r[c] for c in cols) for r in rows]):
+                    return k
+    return 0
+
+
+def _pair(a, b):
+    return sum((F(x) * F(y) for x, y in zip(a, b)), F(0))
+
+
+def hull_oracle_any(points):
+    """(vertices, facets) of a full-dimensional hull.  Every rank-subset of
+    points spans a candidate hyperplane through its cofactor normal; the
+    supporting ones are the facets, as (primitive normal, offset) pairs, and
+    a point is a vertex when the facets through it meet only there."""
+    pts = sorted({tuple(F(x) for x in p) for p in points})
+    n = len(pts[0])
+    facets = set()
+    for sub in itertools.combinations(pts, n):
+        diffs = [tuple(a - b for a, b in zip(p, sub[0])) for p in sub[1:]]
+        normal = [(-1) ** j * cofactor_det([d[:j] + d[j + 1:] for d in diffs])
+                  for j in range(n)]
+        if not any(normal):
+            continue
+        for sign in (1, -1):
+            nrm = [sign * x for x in normal]
+            c = _pair(sub[0], nrm)
+            if all(_pair(p, nrm) >= c for p in pts):
+                den = math.lcm(*(F(x).denominator for x in nrm))
+                ints = [int(x * den) for x in nrm]
+                g = math.gcd(*ints)
+                facets.add((tuple(x // g for x in ints), c * den / g))
+    on = {f: {p for p in pts if _pair(p, f[0]) == f[1]} for f in facets}
+    verts = []
+    for p in pts:
+        meet = set(pts)
+        for f in facets:
+            if p in on[f]:
+                meet &= on[f]
+        if meet == {p}:
+            verts.append(p)
+    return verts, sorted(facets)
+
+
+def volume_centroid_oracle(points):
+    """Volume and centroid of a full-dimensional hull from its barycentric
+    subdivision: one simplex per flag of faces, spanned by the vertex means
+    of the faces in the flag."""
+    verts, facets = hull_oracle_any(points)
+    n = len(verts[0])
+    facet_sets = [frozenset(v for v in verts if _pair(v, f[0]) == f[1])
+                  for f in facets]
+
+    def mean(face):
+        return tuple(sum(c, F(0)) / len(face) for c in zip(*face))
+
+    def chains(face, k):
+        if k == 0:
+            return [[mean(face)]]
+        subs = {face & g for g in facet_sets}
+        out = []
+        for s in subs:
+            if s and affine_rank(sorted(s)) == k - 1:
+                out += [[mean(face)] + c for c in chains(s, k - 1)]
+        return out
+
+    vol, acc = F(0), [F(0)] * n
+    for chain in chains(frozenset(verts), n):
+        edges = [tuple(a - b for a, b in zip(p, chain[0])) for p in chain[1:]]
+        m = abs(cofactor_det(edges)) / math.factorial(n)
+        vol += m
+        acc = [a + m * c for a, c in zip(acc, mean(chain))]
+    return vol, tuple(a / vol for a in acc)
+
+
+def support_oracle(points, xi, mode):
+    """min or max of <p, xi> over the points, and the lexicographically
+    least point attaining it (a vertex of their hull)."""
+    vals = {tuple(F(x) for x in p): _pair(p, xi) for p in points}
+    best = min(vals.values()) if mode == "min" else max(vals.values())
+    return best, min(p for p, v in vals.items() if v == best)
+
+
+def lattice_oracle(vertices, halfspaces):
+    """Integer points of the bounding box of the vertices meeting every
+    (normal, offset) inequality, in lexicographic order."""
+    ranges = [range(math.ceil(min(F(v[i]) for v in vertices)),
+                    math.floor(max(F(v[i]) for v in vertices)) + 1)
+              for i in range(len(vertices[0]))]
+    return [x for x in itertools.product(*ranges)
+            if all(_pair(x, n) >= c for n, c in halfspaces)]
+
+
+def rand_rational_points(rng, rank, count, dim=None, span=9):
+    """Seeded points with negative coordinates and denominators up to 9,
+    spanning an affine subspace of dimension ``dim`` (default: the rank);
+    ``span`` bounds the numerators."""
+    def coord():
+        return F(rng.randint(-span, span), rng.randint(1, 9))
+    dim = rank if dim is None else dim
+    base = [coord() for _ in range(rank)]
+    dirs = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(dim)]
+    return [tuple(b + sum((t * d[i] for t, d in zip(ts, dirs)), F(0))
+                  for i, b in enumerate(base))
+            for ts in ([coord() for _ in range(dim)] for _ in range(count))]
+
+
+# ---------------------------------------------------------------------------
 # weight tables as plain {m: {alpha: Fraction}} dicts, one entry at a time
 
 

@@ -15,7 +15,7 @@ from oracles import assert_float_free
 
 import ckstab
 from ckstab.cli import build_parser, main, render_table, resolve_model_path
-from ckstab.serialize import canonical_json
+from ckstab.serialize import canonical_json, load_model
 from ckstab.serialize import ParseError, ValidationError
 
 
@@ -90,6 +90,32 @@ def test_verbs_back_to_back_match_fresh_processes(capsys):
         codes.append(code)
     assert codes == [0, 0, 1, 0, 0, 0]
     assert build_parser() is build_parser()
+
+
+def test_rank4_product_of_two_hexagons(capsys, tmp_path):
+    # dP6 x dP6: the hexagon's fan in each factor, 12 rays in all, split as
+    # hexagon x 0 plus 0 x hexagon
+    fan = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+    hexagon = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)]
+    path = tmp_path / "hexagons.json"
+    path.write_text(json.dumps({
+        "name": "hexagons", "rank": 4,
+        "rays": [[a, b, 0, 0] for a, b in fan] + [[0, 0, a, b] for a, b in fan],
+        "decomposition": [
+            {"vertices": [[str(a), str(b), "0", "0"] for a, b in hexagon]},
+            {"vertices": [["0", "0", str(a), str(b)] for a, b in hexagon]}]}))
+    antican = load_model(str(path)).anticanonical
+    # the product of two hexagons: 6 x 6 vertices, 6 + 6 facets
+    assert len(antican.vertices) == 36 and len(antican.halfspaces) == 12
+    assert {h.offset for h in antican.halfspaces} == {-1}
+    code, out, _ = run(capsys, "futaki", str(path))
+    # both summands are centrally symmetric, so each barycenter is 0
+    assert code == 0 and report_of(out) == {
+        "model": "hexagons", "per_summand": [["0"] * 4] * 2,
+        "total": ["0"] * 4, "vanishes": True}
+    # and with every barycenter at 0 the coupled threshold is 1
+    code, out, _ = run(capsys, "delta", str(path))
+    assert code == 0 and report_of(out)["delta"]["value"] == "1"
 
 
 def test_reduced_jnorm(capsys):

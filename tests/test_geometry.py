@@ -7,6 +7,7 @@ so agreement is a real cross-check.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -14,12 +15,16 @@ import pytest
 
 from ckstab.geometry import (Cone, DegenerateInput, DimensionMismatch,
                              EmptyRegion, ExactPolytope, HalfSpace,
-                             UnboundedRegion, centroid, cone_from_facets,
-                             dual_description, lattice_points, minkowski_sum,
+                             UnboundedRegion, _int_det, centroid,
+                             cone_from_facets, dual_description,
+                             lattice_points, minkowski_sum,
                              min_support_function, support_value, volume)
 
 
-from oracles import hull_oracle, rand_point, shoelace_area, shoelace_centroid
+from oracles import (affine_rank, cofactor_det, hull_oracle, hull_oracle_any,
+                     lattice_oracle, rand_point, rand_rational_points,
+                     shoelace_area, shoelace_centroid, support_oracle,
+                     volume_centroid_oracle)
 
 
 # --- dual description -------------------------------------------------------
@@ -255,3 +260,135 @@ def test_rank3_cone_roundtrip():
         back = cone_from_facets(cone.facets, 3)
         assert back.generators == cone.generators
         assert back.facets == cone.facets
+
+
+# --- integer kernels against plain-Fraction oracles, ranks 1 to 4 -----------
+
+# (rank, affine dimension, point count) of the seeded random polytopes;
+# full-dimensional and lower-dimensional ones in every rank
+SHAPES = [(1, 1, 4), (1, 0, 2), (2, 2, 7), (2, 1, 4), (3, 3, 7), (3, 2, 5),
+          (3, 1, 3), (4, 4, 7), (4, 3, 6), (4, 2, 4)]
+
+
+def _random_polytopes(seed, per_shape=3, span=9):
+    rng = random.Random(seed)
+    for rank, dim, count in SHAPES:
+        for _ in range(per_shape):
+            pts = rand_rational_points(rng, rank, count, dim, span)
+            yield pts, ExactPolytope.from_vertices(pts)
+
+
+def _structure(p):
+    return p.vertices, p.halfspaces, p.dim
+
+
+def test_int_det_against_cofactor_expansion():
+    rng = random.Random(41)
+    for n in range(5):
+        for _ in range(40):
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            if n >= 2 and rng.random() < 0.4:
+                # singular: the last row a combination of the others
+                coeffs = [rng.randint(-3, 3) for _ in rows[:-1]]
+                rows[-1] = [sum(c * r[j] for c, r in zip(coeffs, rows))
+                            for j in range(n)]
+                assert _int_det(rows) == 0
+            det = _int_det(rows)
+            assert type(det) is int and det == cofactor_det(rows)
+
+
+def test_hull_against_subset_scan_oracle():
+    seen_dims = set()
+    for pts, p in _random_polytopes(43):
+        assert p.dim == affine_rank(pts)
+        seen_dims.add((p.rank, p.dim))
+        if p.dim < p.rank:
+            continue
+        verts, facets = hull_oracle_any(pts)
+        assert list(p.vertices) == verts
+        assert [(h.normal, h.offset) for h in p.halfspaces] == facets
+    assert {(r, d) for r, d, _ in SHAPES} <= seen_dims
+
+
+def test_from_halfspaces_matches_from_vertices():
+    rng = random.Random(47)
+    for pts, p in _random_polytopes(47):
+        hs = list(p.halfspaces)
+        h = rng.choice(hs)
+        # a duplicate with a non-primitive normal, and a loosened copy
+        extra = [HalfSpace(tuple(2 * x for x in h.normal), 2 * h.offset),
+                 HalfSpace(h.normal, h.offset - F(1, rng.randint(1, 9)))]
+        if p.dim == p.rank >= 2:
+            # supporting at a vertex, tight on less than a facet
+            v = rng.choice(p.vertices)
+            through = [g.normal for g in hs
+                       if sum(a * b for a, b in zip(v, g.normal)) == g.offset]
+            n = tuple(a + b for a, b in zip(through[0], through[1]))
+            extra.append(HalfSpace.make(n, sum(a * b for a, b in zip(v, n))))
+        rng.shuffle(extra)
+        q = ExactPolytope.from_halfspaces(hs + extra + hs[:1], p.rank)
+        assert _structure(q) == _structure(p)
+        assert _structure(dual_description(halfspaces=hs, rank=p.rank)) == _structure(p)
+
+
+def test_support_value_against_point_scan():
+    rng = random.Random(53)
+    for pts, p in _random_polytopes(53):
+        for _ in range(6):
+            # small integer directions make ties on edges and facets common
+            xi = tuple(F(rng.randint(-2, 2), rng.choice([1, 1, 2, 9]))
+                       for _ in range(p.rank))
+            for mode in ("min", "max"):
+                val, vtx = support_value(p, xi, mode)
+                assert type(val) is F
+                assert (val, vtx) == support_oracle(pts, xi, mode)
+                assert vtx in p.vertices
+
+
+def test_lattice_points_against_fraction_scan():
+    # small numerators keep the oracle's bounding boxes small in rank 4; the
+    # copy moved to the origin puts lattice points on lower-dimensional ones
+    found = 0
+    for pts, p in _random_polytopes(59, span=2):
+        for q in (p, p.translate(tuple(-x for x in pts[0]))):
+            got = lattice_points(q)
+            assert got == lattice_oracle(
+                q.vertices, [(h.normal, h.offset) for h in q.halfspaces])
+            assert all(type(x) is int for pt in got for x in pt)
+            found += len(got)
+    assert found > 100
+
+
+def test_volume_centroid_against_barycentric_subdivision():
+    for pts, p in _random_polytopes(61, per_shape=2):
+        if p.dim < p.rank or p.rank == 1:
+            continue
+        assert (volume(p), centroid(p)) == volume_centroid_oracle(pts)
+    # rank 1, where the subdivision is the two halves of the segment
+    seg = ExactPolytope.from_vertices([(F(-7, 3),), (F(5, 9),), (F(1, 2),)])
+    assert (volume(seg), centroid(seg)) == volume_centroid_oracle(
+        [(F(-7, 3),), (F(5, 9),)])
+
+
+def _assert_int_table(p):
+    assert type(p.den) is int and p.den > 0
+    assert p.den == math.lcm(*(F(x).denominator for v in p.vertices for x in v))
+    assert len(p.nums) == len(p.vertices)
+    for n, v in zip(p.nums, p.vertices):
+        assert all(type(x) is int for x in n)
+        assert tuple(F(x, p.den) for x in n) == v
+
+
+def test_every_polytope_carries_its_int_vertex_table():
+    rng = random.Random(67)
+    for pts, p in _random_polytopes(67, per_shape=1):
+        _assert_int_table(p)
+        _assert_int_table(p.translate(rand_rational_points(rng, p.rank, 1)[0]))
+        _assert_int_table(p.scale(F(rng.randint(1, 9), rng.randint(1, 9))))
+        _assert_int_table(ExactPolytope.from_vertices(pts[:1]))
+        _assert_int_table(dual_description(halfspaces=list(p.halfspaces),
+                                           rank=p.rank))
+        if p.rank <= 3:
+            q = ExactPolytope.from_vertices(rand_rational_points(rng, p.rank, 3))
+            _assert_int_table(minkowski_sum([p, q]))
+    _assert_int_table(ExactPolytope.from_vertices([(0, 0), (2, 2)]))
