@@ -17,8 +17,15 @@ fraction-free determinant ``_int_det``).  Values leave the module as
 the rays of a cone from its inner normals, the facets of a cone from its
 generators (the rays of the dual cone), the recession directions of a
 half-space system, and its feasibility through the homogenised system.
-The only other subset enumerations are the two affine hull loops,
-``_facets_from_points`` and ``_vertices_from_halfspaces``.
+The only other subset enumerations are the facet loop
+``_facets_from_points`` and the vertex loop ``_vertices_from_halfspaces``,
+which also enumerates the twist cells of the reduced threshold.
+
+Ranks and affine charts come from one division-free elimination,
+``_int_echelon``.  A lower-dimensional polytope is hulled in the
+projection of its points onto the pivot columns of their differences,
+which is one to one on their affine hull; its facet normals are the
+chart's padded with zeros.
 """
 
 from __future__ import annotations
@@ -118,97 +125,6 @@ def is_primitive(a: Sequence[int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra (Gaussian elimination over Fraction)
-
-
-def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Row-reduce in place; return (reduced rows, pivot column indices)."""
-    mat = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    ncols = len(mat[0]) if mat else 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat, pivots
-
-
-def mat_rank(rows: Sequence[Sequence]) -> int:
-    # each row scaled to integers, then eliminated without division
-    mat = [_int_row(row) for row in rows]
-    rank = 0
-    for c in range(len(mat[0]) if mat else 0):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        p = mat[rank]
-        for i in range(rank + 1, len(mat)):
-            f = mat[i][c]
-            if f:
-                mat[i] = [x * p[c] - f * y for x, y in zip(mat[i], p)]
-        rank += 1
-    return rank
-
-
-def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> Optional[Vec]:
-    """Solve A x = b exactly.  Returns None if inconsistent.
-
-    For underdetermined systems the free variables are set to zero, with a
-    deterministic pivot order, so results are reproducible.
-    """
-    n = len(rows[0])
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    mat, pivots = _echelon(aug)
-    for row in mat:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for r, c in enumerate(pivots):
-        if c == n:
-            return None
-        x[c] = mat[r][-1]
-    return tuple(x)
-
-
-def nullspace(rows: Sequence[Sequence], n: Optional[int] = None) -> list[Vec]:
-    """Basis of the right nullspace of the given row vectors."""
-    if n is None:
-        if not rows:
-            raise GeometryError("nullspace needs the ambient rank for no rows")
-        n = len(rows[0])
-    if not rows:
-        return [tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
-                for i in range(n)]
-    mat, pivots = _echelon([[Fraction(x) for x in row] for row in rows])
-    basis = []
-    free_cols = [c for c in range(n) if c not in pivots]
-    for fc in free_cols:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -mat[r][fc]
-        basis.append(tuple(v))
-    return basis
-
-
-# ---------------------------------------------------------------------------
 # integer kernels
 
 
@@ -224,6 +140,31 @@ def _scaled(vectors: Iterable[Sequence]) -> tuple[int, tuple[IntVec, ...]]:
 def _int_row(row: Sequence) -> IntVec:
     """A positive integer multiple of a rational vector."""
     return _scaled((row,))[1][0]
+
+
+def _int_echelon(rows: Sequence[Sequence]) -> tuple[list[int], list[list[int]]]:
+    """Row echelon form without division: each row is scaled to integers and
+    eliminated by integer row operations.  Returns the pivot columns and the
+    nonzero echelon rows, which span the row space of ``rows``."""
+    mat = [list(_int_row(row)) for row in rows]
+    pivots: list[int] = []
+    for c in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        p = mat[r]
+        for i in range(r + 1, len(mat)):
+            f = mat[i][c]
+            if f:
+                mat[i] = [x * p[c] - f * y for x, y in zip(mat[i], p)]
+        pivots.append(c)
+    return pivots, mat[:len(pivots)]
+
+
+def mat_rank(rows: Sequence[Sequence]) -> int:
+    return len(_int_echelon(rows)[0])
 
 
 def _on_boundary(den: int, nums: Sequence[IntVec], h: "HalfSpace") -> list[bool]:
@@ -265,7 +206,7 @@ def _minor_normal(rows: Sequence[Sequence[int]], n: int) -> IntVec:
     """The generalized cross product of n - 1 integer rows of length n: its
     j-th entry is (-1)^j times the minor without column j.  It is
     orthogonal to every row, and it is zero exactly when the rows are
-    dependent; otherwise it spans their nullspace."""
+    dependent; otherwise it spans the line orthogonal to them."""
     return tuple(-d if j % 2 else d
                  for j, d in enumerate(_int_det([r[:j] + r[j + 1:] for r in rows])
                                        for j in range(n)))
@@ -341,8 +282,8 @@ class ExactPolytope:
             raise DimensionMismatch("points of mixed rank")
         rank = ranks.pop()
         base = pts[0]
-        diffs = [vsub(p, base) for p in pts[1:]]
-        dim = mat_rank(diffs) if diffs else 0
+        pivots, echelon = _int_echelon([vsub(p, base) for p in pts[1:]])
+        dim = len(pivots)
 
         if dim == 0:
             hs = []
@@ -354,39 +295,35 @@ class ExactPolytope:
 
         if dim == rank:
             halfspaces = _facets_from_points(pts, rank)
-            poly = ExactPolytope._from_halfspaces_trusted(halfspaces, rank)
-            input_set = set(pts)
-            for v in poly.vertices:
-                if v not in input_set:
-                    raise InternalInvariantError("hull cross-validation failed")
-            return poly
+            verts = _vertices_from_halfspaces(halfspaces, rank)
+            if not verts or not set(verts) <= set(pts):
+                raise InternalInvariantError("hull cross-validation failed")
+            return ExactPolytope(verts, halfspaces, rank, rank)
 
-        # lower-dimensional: work in affine-hull coordinates and lift back
-        span = _independent_rows(diffs, dim)
-        local_pts = []
-        for p in pts:
-            t = solve_linear([[span[j][i] for j in range(dim)] for i in range(rank)],
-                             vsub(p, base))
-            if t is None:
-                raise InternalInvariantError("point outside its own affine hull")
-            local_pts.append(t)
-        local = ExactPolytope.from_vertices(local_pts)
+        # lower-dimensional: the projection onto the pivot columns is one to
+        # one on the affine hull, so hull the projected points, map the
+        # vertices back, and pad each facet normal with zeros
+        lift = _chart(pts, pivots)
+        local = ExactPolytope.from_vertices(list(lift))
         halfspaces = []
         for h in local.halfspaces:
-            # lift a local facet <a, t> >= c to ambient <x, n> >= c + <base, n>
-            # where n solves span^T n = a
-            n = solve_linear([list(s) for s in span],
-                             [Fraction(a) for a in h.normal])
-            if n is None:
-                raise InternalInvariantError("facet lift failed")
-            halfspaces.append(HalfSpace.make(n, h.offset + vdot(base, n)))
-        for q in nullspace([list(s) for s in span], rank):
+            n = [0] * rank
+            for c, a in zip(pivots, h.normal):
+                n[c] = a
+            halfspaces.append(HalfSpace(tuple(n), h.offset))
+        # the affine hull: for each free column, the line orthogonal to the
+        # echelon rows on the pivot columns plus that column
+        for free in (c for c in range(rank) if c not in pivots):
+            cols = sorted(pivots + [free])
+            minors = _minor_normal([[r[c] for c in cols] for r in echelon], dim + 1)
+            q = [0] * rank
+            for c, x in zip(cols, minors):
+                q[c] = x
             qn = primitive_vector(q)
             c = vdot(base, qn)
             halfspaces.append(HalfSpace(qn, c))
-            halfspaces.append(HalfSpace(tuple(-x for x in qn), -c))
-        lifted = [vadd(base, _combine(span, t)) for t in local.vertices]
-        return ExactPolytope(lifted, halfspaces, dim, rank)
+            halfspaces.append(HalfSpace(vneg(qn), -c))
+        return ExactPolytope([lift[v] for v in local.vertices], halfspaces, dim, rank)
 
     @staticmethod
     def from_halfspaces(halfspaces: Sequence[HalfSpace], rank: int) -> "ExactPolytope":
@@ -428,15 +365,6 @@ class ExactPolytope:
             raise InternalInvariantError("a vertex lies on fewer facets than the rank")
         return ExactPolytope(verts, facets, rank, rank)
 
-    @staticmethod
-    def _from_halfspaces_trusted(halfspaces: Sequence[HalfSpace], rank: int) -> "ExactPolytope":
-        verts = _vertices_from_halfspaces(halfspaces, rank)
-        if not verts:
-            raise EmptyRegion("half-space intersection is empty")
-        base = verts[0]
-        dim = mat_rank([vsub(v, base) for v in verts[1:]]) if len(verts) > 1 else 0
-        return ExactPolytope(verts, halfspaces, dim, rank)
-
     # -- queries ------------------------------------------------------------
 
     def contains(self, point: Sequence) -> bool:
@@ -467,24 +395,11 @@ class ExactPolytope:
         return f"ExactPolytope(dim={self.dim}, rank={self.rank}, vertices={len(self.vertices)})"
 
 
-def _combine(basis: Sequence[Vec], coeffs: Vec) -> Vec:
-    out = [Fraction(0)] * len(basis[0])
-    for c, b in zip(coeffs, basis):
-        for i, x in enumerate(b):
-            out[i] += c * x
-    return tuple(out)
-
-
-def _independent_rows(rows: Sequence[Vec], want: int) -> list[Vec]:
-    chosen: list[Vec] = []
-    for r in rows:
-        if mat_rank(chosen + [r]) > len(chosen):
-            chosen.append(r)
-            if len(chosen) == want:
-                break
-    if len(chosen) != want:
-        raise InternalInvariantError("could not extract independent rows")
-    return chosen
+def _chart(pts: Sequence[Vec], pivots: Sequence[int]) -> dict[Vec, Vec]:
+    """Each point keyed by its projection onto ``pivots``, the pivot columns
+    of the differences of the points; the projection is one to one on their
+    affine hull."""
+    return {tuple(p[c] for c in pivots): p for p in pts}
 
 
 def _facets_from_points(pts: list[Vec], rank: int) -> list[HalfSpace]:
@@ -529,7 +444,7 @@ def _vertices_from_halfspaces(halfspaces: Sequence[HalfSpace], rank: int) -> lis
 def extreme_rays(normals: Sequence[Sequence], rank: int) -> list[Vec]:
     """Extreme rays of the cone { y : <n, y> >= 0 for every normal }.
 
-    Each (rank-1)-subset of the normals whose nullspace is a line spans g,
+    Each (rank-1)-subset of the normals orthogonal to exactly a line spans g,
     scaled so that its last nonzero entry is 1; g and then -g are kept when
     they satisfy every inequality, in subset order and with repeats.  The list is complete when the normals
     span (the cone is pointed).  In rank 1 the empty subset spans the whole
@@ -654,30 +569,32 @@ def volume(p: ExactPolytope, ambient: bool = False) -> Fraction:
 
 
 def centroid(p: ExactPolytope) -> Vec:
-    """Volume-weighted barycenter; exact, independent of any normalization."""
+    """Volume-weighted barycenter; exact, independent of any normalization.
+
+    A lower-dimensional polytope is triangulated in the chart of
+    ``from_vertices``, its projection onto the pivot columns of its vertex
+    differences, and each simplex's vertices are lifted back.  The
+    projection is affine and one to one on the affine hull, so it scales
+    every simplex measure by one constant and leaves the weights unchanged.
+    """
     if p.dim == 0:
         return p.vertices[0]
-    if p.dim == p.rank:
-        total = Fraction(0)
-        acc = [Fraction(0)] * p.rank
-        for s in triangulate(p):
-            m = _simplex_measure(s)
-            total += m
-            mean = vscale(Fraction(1, len(s)),
-                          tuple(sum(v[i] for v in s) for i in range(p.rank)))
-            for i in range(p.rank):
-                acc[i] += m * mean[i]
-        if total == 0:
-            raise DegenerateInput("zero-volume polytope in centroid")
-        return tuple(x / total for x in acc)
-    # degenerate: compute in affine-hull coordinates, then map back
-    base = p.vertices[0]
-    span = _independent_rows([vsub(v, base) for v in p.vertices[1:]], p.dim)
-    local = ExactPolytope.from_vertices(
-        [solve_linear([[span[j][i] for j in range(p.dim)] for i in range(p.rank)],
-                      vsub(v, base)) for v in p.vertices])
-    c = centroid(local)
-    return vadd(base, _combine(span, c))
+    chart, lift = p, {v: v for v in p.vertices}
+    if p.dim < p.rank:
+        pivots, _ = _int_echelon([vsub(v, p.vertices[0]) for v in p.vertices[1:]])
+        lift = _chart(p.vertices, pivots)
+        chart = ExactPolytope.from_vertices(list(lift))
+    total = Fraction(0)
+    acc = [Fraction(0)] * p.rank
+    for s in triangulate(chart):
+        m = _simplex_measure(s)
+        total += m
+        # the simplex's barycenter is this vertex sum over dim + 1
+        for i, x in enumerate(map(sum, zip(*map(lift.get, s)))):
+            acc[i] += m * x
+    if total == 0:
+        raise DegenerateInput("zero-volume polytope in centroid")
+    return tuple(x / (total * (p.dim + 1)) for x in acc)
 
 
 def support_value(p: ExactPolytope, xi: Sequence, mode: str = "min") -> tuple[Fraction, Vec]:

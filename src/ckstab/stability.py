@@ -21,9 +21,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InputError, InternalInvariantError
-from .geometry import (ExactPolytope, Vec, _int_det, as_vec, centroid,
-                       extreme_rays, mat_rank, nullspace, primitive_vector,
-                       solve_linear, vdot, vneg, vsub)
+from .geometry import (DimensionMismatch, ExactPolytope, HalfSpace, Vec,
+                       _int_det, _vertices_from_halfspaces, as_vec, centroid,
+                       extreme_rays, mat_rank, primitive_vector, vdot, vneg,
+                       vsub)
 from .optimize import (PLTermSpec, RatioProgram, Unbounded,
                        minimize_convex_pl, minimize_pl_ratio)
 from .toric import (TOTAL, TORIC_SEARCH_ASSUMPTION, MonomialIdealSeq,
@@ -135,11 +136,9 @@ class SubtorusSpec:
         return SubtorusSpec(())
 
     def contains_direction(self, v: Sequence) -> bool:
-        if not self.basis:
-            return all(x == 0 for x in v)
-        rows = [[Fraction(self.basis[j][i]) for j in range(len(self.basis))]
-                for i in range(len(self.basis[0]))]
-        return solve_linear(rows, as_vec(v)) is not None
+        if self.basis and len(v) != len(self.basis[0]):
+            raise DimensionMismatch(f"rank {len(self.basis[0])} vs {len(v)}")
+        return mat_rank(list(self.basis) + [v]) == self.dim
 
 
 @dataclass(frozen=True)
@@ -407,8 +406,16 @@ def inner_twist_sup(model: ToricFanoModel, sub: SubtorusSpec,
     with positive denominator, so the supremum over each cell is attained
     at a vertex or approached along an extreme recession direction, whose
     limit value is the ratio at the direction itself.
+
+    Candidates come cone by cone in fan order: first the cell's vertices,
+    in increasing lexicographic order of their twist coordinates, then its
+    recession directions.  A candidate replaces the best so far only with a
+    larger value, or with an equal attained value against an unattained
+    one, so on a tie inside a cone ``argument`` is at the least twist.
     """
     eta = as_vec(eta)
+    if len(eta) != model.rank:
+        raise DimensionMismatch(f"rank {model.rank} vs {len(eta)}")
     if sub.contains_direction(eta):
         raise StabilityError("slice direction lies in the subtorus")
     W = [as_vec(w) for w in sub.basis]
@@ -431,13 +438,7 @@ def inner_twist_sup(model: ToricFanoModel, sub: SubtorusSpec,
             continue
         rows = [(a, c) for a, c in rows if any(x != 0 for x in a)]
         # vertices of the cell in twist coordinates
-        for subset in itertools.combinations(range(len(rows)), s):
-            mat = [rows[i][0] for i in subset]
-            if mat_rank(mat) < s:
-                continue
-            t = solve_linear(mat, [rows[i][1] for i in subset])
-            if t is None or not all(vdot(a, t) >= c for a, c in rows):
-                continue
+        for t in _vertices_from_halfspaces([HalfSpace.make(a, c) for a, c in rows], s):
             z = eta
             for tj, w in zip(t, W):
                 z = tuple(x + tj * y for x, y in zip(z, w))
@@ -1074,14 +1075,18 @@ def _futaki_orthogonal_direction(model: ToricFanoModel,
         return _rand_int_vec(rng, rank, span=2, nonzero=True)
     if rank == 1:
         return None
-    perp = nullspace([list(b)], rank)
-    if not perp:
-        return None
+    # the reduced-echelon basis of the plane orthogonal to b: one vector per
+    # column fc other than the pivot p, with v[fc] = 1 and v[p] = -b[fc]/b[p]
+    p = next(i for i, x in enumerate(b) if x != 0)
+    perp = []
+    for fc in range(rank):
+        if fc != p:
+            v = [Fraction(0)] * rank
+            v[fc], v[p] = Fraction(1), -b[fc] / b[p]
+            perp.append(v)
     coeffs = [rng.randint(-2, 2) for _ in perp]
     if all(c == 0 for c in coeffs):
         coeffs[0] = 1
     cand = tuple(sum(c * v[i] for c, v in zip(coeffs, perp))
                  for i in range(rank))
-    if all(x == 0 for x in cand):
-        cand = perp[0]
     return primitive_vector(cand)

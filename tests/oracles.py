@@ -16,7 +16,7 @@ from ckstab.errors import InternalInvariantError
 from ckstab.filtration import (EmptyDecomposition, Filtration,
                                FiltrationError, FiltrationFamily,
                                twist_family)
-from ckstab.geometry import as_vec, lattice_points, solve_linear, vdot, vsub
+from ckstab.geometry import as_vec, lattice_points, vdot, vsub
 from ckstab.serialize import ValidationError
 from ckstab.stability import coupled_ding
 from ckstab.toric import TOTAL, ToricFanoModel
@@ -296,21 +296,10 @@ def check_multiplicative(f: Filtration, samples: int, rng) -> int:
     return tested
 
 
-def dist2_to_affine(point: Sequence, base: Sequence,
-                    directions: Sequence[Sequence]) -> Fraction:
-    """Squared distance from a point to base + span(directions)."""
-    point, base = as_vec(point), as_vec(base)
-    diff = vsub(point, base)
-    if not directions:
-        return vdot(diff, diff)
-    dirs = [as_vec(d) for d in directions]
-    gram = [[vdot(a, b) for b in dirs] for a in dirs]
-    rhs = [vdot(diff, d) for d in dirs]
-    t = solve_linear(gram, rhs)
-    res = diff
-    for tj, d in zip(t, dirs):
-        res = tuple(r - tj * x for r, x in zip(res, d))
-    return vdot(res, res)
+def dist2_to_affine(point: Sequence, base: Sequence) -> Fraction:
+    """Squared distance from a point to base."""
+    diff = vsub(as_vec(point), as_vec(base))
+    return vdot(diff, diff)
 
 
 def mean_slope_decay_constant(model: ToricFanoModel) -> Fraction:

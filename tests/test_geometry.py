@@ -370,6 +370,70 @@ def test_volume_centroid_against_barycentric_subdivision():
         [(F(-7, 3),), (F(5, 9),)])
 
 
+def _pair(a, b):
+    return sum((F(x) * F(y) for x, y in zip(a, b)), F(0))
+
+
+def test_lower_dimensional_hull_is_affine_equivariant():
+    # a full-dimensional Q in R^d, mapped into R^rank by an injective
+    # y -> A y + b: the image's vertices, facets and centroid are the
+    # oracle's for Q, carried through the map
+    rng = random.Random(71)
+    tested = 0
+    for rank in (2, 3, 4):
+        for d in range(1, rank):
+            for _ in range(6):
+                pts = rand_rational_points(rng, d, d + 3)
+                cols = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rank)]
+                        for _ in range(d)]
+                if affine_rank(pts) < d or affine_rank([(0,) * rank] + cols) < d:
+                    continue
+                b = rand_rational_points(rng, rank, 1)[0]
+
+                def image(y):
+                    return tuple(bi + sum((t * c[i] for t, c in zip(y, cols)), F(0))
+                                 for i, bi in enumerate(b))
+
+                p = ExactPolytope.from_vertices([image(y) for y in pts])
+                verts, facets = hull_oracle_any(pts)
+                assert p.dim == d
+                assert list(p.vertices) == sorted(image(v) for v in verts)
+                assert centroid(p) == image(volume_centroid_oracle(pts)[1])
+                hs = {(h.normal, h.offset) for h in p.halfspaces}
+                eqs = {(n, c) for n, c in hs if (tuple(-x for x in n), -c) in hs}
+                assert len(eqs) == 2 * (rank - d)
+                for n, c in eqs:
+                    assert all(_pair(v, n) == c for v in p.vertices)
+                # <A y + b, n> >= c is <y, A^T n> >= c - <b, n> on Q
+                back = {HalfSpace.make([_pair(col, n) for col in cols], c - _pair(b, n))
+                        for n, c in hs - eqs}
+                assert sorted((h.normal, h.offset) for h in back) == facets
+                tested += 1
+    assert tested >= 30
+
+
+def test_lower_dimensional_halfspaces_pinned():
+    # every facet normal is zero off the pivot columns of the vertex
+    # differences; one equality pair per other column
+    b = (F(1, 2), F(-1), F(1, 3))
+    square = [tuple(x + s * u + t * w for x, u, w in zip(b, (1, 2, 2), (2, 1, -2)))
+              for s in (0, 1) for t in (0, 1)]
+    p = ExactPolytope.from_vertices(square)
+    assert p.dim == 2
+    assert [(h.normal, h.offset) for h in p.halfspaces] == [
+        ((-2, 1, 0), F(-5)), ((-2, 2, -1), F(-10, 3)), ((-1, 2, 0), F(-5, 2)),
+        ((1, -2, 0), F(-1, 2)), ((2, -2, 1), F(10, 3)), ((2, -1, 0), F(2))]
+    assert centroid(p) == (F(2), F(1, 2), F(1, 3))
+    triangle = ExactPolytope.from_vertices(
+        [(1, 0, 2, -1), (0, F(1, 2), 1, 1), (2, -1, 0, F(1, 3))])
+    assert triangle.dim == 2
+    assert [(h.normal, h.offset) for h in triangle.halfspaces] == [
+        ((-16, -20, 0, -3), F(-13)), ((-4, -6, 1, 0), F(-2)), ((-1, -2, 0, 0), F(-1)),
+        ((-1, -1, 0, 0), F(-1)), ((3, 4, 0, 0), F(2)), ((4, 6, -1, 0), F(2)),
+        ((16, 20, 0, 3), F(13))]
+    assert centroid(triangle) == (F(1), F(-1, 6), F(1), F(1, 9))
+
+
 def _assert_int_table(p):
     assert type(p.den) is int and p.den > 0
     assert p.den == math.lcm(*(F(x).denominator for v in p.vertices for x in v))

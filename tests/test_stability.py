@@ -4,6 +4,7 @@ destabilizer search, the reduced threshold, and the identity suite."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -15,6 +16,7 @@ from ckstab.filtration import (UnsupportedDescriptor, construct,
                                family_degree_grid, graded_basis, shift,
                                trivial_family, twist_family,
                                valuation_family, valuation_filtration)
+from ckstab.geometry import DimensionMismatch
 from ckstab.stability import (DegenerateSubtorus, RankTooHigh, SubtorusSpec,
                               SuiteFailure, coupled_delta, coupled_ding,
                               coupled_futaki, find_destabilizer,
@@ -85,7 +87,7 @@ def test_reduced_j_lower_bound(p1, p1xp1):
         res = reduced_coupled_j(model, xi0, sub=SubtorusSpec.trivial())
         c1sq = inradius_squared(model.anticanonical,
                                 model.barycenter(TOTAL))
-        c2sq = dist2_to_affine(tuple(F(0) for _ in range(model.rank)), xi0, [])
+        c2sq = dist2_to_affine(tuple(F(0) for _ in range(model.rank)), xi0)
         assert res.value * res.value >= c1sq * c2sq
 
 
@@ -232,6 +234,60 @@ def test_reduced_delta_bl1p2_subtorus(bl1p2):
     assert res.value is not None and F(6, 7) <= res.value
     inner = inner_twist_sup(bl1p2, SubtorusSpec(((1, 1),)), (1, 0))
     assert inner.value == res.value or inner.value >= res.value
+
+
+def test_wrong_length_direction_is_a_dimension_mismatch(bl1p2):
+    sub = SubtorusSpec(((1, 1),))
+    with pytest.raises(DimensionMismatch, match=r"^rank 2 vs 3$"):
+        sub.contains_direction((1, 1, 0))
+    for s in (sub, SubtorusSpec.trivial()):
+        with pytest.raises(DimensionMismatch, match=r"^rank 2 vs 1$"):
+            inner_twist_sup(bl1p2, s, (1,))
+
+
+def _ray_crossing_sup(model, w, eta):
+    """(value, attained) of the sup of the ratio along eta + t w in rank 2:
+    the ratio is linear-fractional in t on each fan cone, so the sup is at a
+    crossing of the line with a fan ray r, where det(eta + t w, r) = 0 on
+    r's positive side, or the limit as t -> +-infinity, the ratio at +-w."""
+    def ratio(z):
+        return log_discrepancy(model, z) / total_s_sum(model, z)
+
+    def det(a, b):
+        return a[0] * b[1] - a[1] * b[0]
+
+    crossings = []
+    for r in {g for cone in model.fan for g in cone.generators}:
+        if det(w, r):
+            t = F(-det(eta, r), det(w, r))
+            z = tuple(e + t * x for e, x in zip(eta, w))
+            if z[0] * r[0] + z[1] * r[1] > 0:
+                crossings.append(ratio(z))
+    limits = [ratio(w), ratio(tuple(-x for x in w))]
+    value = max(crossings + limits)
+    return value, value in crossings
+
+
+def test_inner_twist_sup_against_ray_crossing_scan(models):
+    checked = 0
+    for model in models.values():
+        if model.rank != 2:
+            continue
+        for w in ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1)):
+            for eta in itertools.product(range(-2, 3), repeat=2):
+                if eta[0] * w[1] == eta[1] * w[0]:
+                    continue
+                got = inner_twist_sup(model, SubtorusSpec((w,)), eta)
+                assert (got.value, got.attained) == _ray_crossing_sup(model, w, eta)
+                checked += 1
+    # 20 slices each off (1, 0), (0, 1), (1, 1), (1, -1); 22 off (1, 2), (2, 1)
+    assert checked == 5 * (4 * 20 + 2 * 22)
+
+
+def test_inner_twist_sup_tie_goes_to_least_twist(p2):
+    # the ratio is 1 on the whole segment from (0, 1) to (1, 0)
+    got = inner_twist_sup(p2, SubtorusSpec(((1, -1),)), (0, 1))
+    assert (got.value, got.attained, got.argument) == (1, True, (0, 1))
 
 
 def test_subtorus_validation():
