@@ -9,7 +9,7 @@ the filtration-algebra identities tying those invariants together.
 
 from .errors import CkstabError, InputError, InternalInvariantError
 from .geometry import (Cone, DegenerateInput, DimensionMismatch, EmptyRegion,
-                       ExactPolytope, GeometryError, HalfSpace, PLFunc,
+                       ExactPolytope, GeometryError, HalfSpace,
                        UnboundedRegion, centroid, dual_description,
                        lattice_points, minkowski_sum, support_value, volume)
 from .toric import (TOTAL, DecompositionMismatch, MonomialIdealSeq,
@@ -25,9 +25,8 @@ from .filtration import (EmptyDecomposition, Filtration, FiltrationFamily,
                          shift, sum_filtration, trivial_family,
                          trivial_filtration, twist, twist_family,
                          valuation_family, valuation_filtration)
-from .optimize import (LinearProgram, RatioProgram, Unbounded,
-                       dinkelbach_ratio_min, lp_solve, minimize_convex_pl,
-                       minimize_pl_ratio)
+from .optimize import (LinearProgram, Unbounded, dinkelbach_ratio_min,
+                       lp_solve, minimize_convex_pl, minimize_pl_ratio)
 from .stability import (CoupledBarycenter, DegenerateSubtorus, RankTooHigh,
                         StabilityError, StabilityReport, SubtorusSpec,
                         SuiteFailure, build_stability_report, coupled_delta,
@@ -45,9 +44,9 @@ __all__ = [
     "CkstabError", "InputError", "InternalInvariantError",
     # geometry
     "Cone", "DegenerateInput", "DimensionMismatch", "EmptyRegion",
-    "ExactPolytope", "GeometryError", "HalfSpace", "PLFunc",
-    "UnboundedRegion", "centroid", "dual_description", "lattice_points",
-    "minkowski_sum", "support_value", "volume",
+    "ExactPolytope", "GeometryError", "HalfSpace", "UnboundedRegion",
+    "centroid", "dual_description", "lattice_points", "minkowski_sum",
+    "support_value", "volume",
     # toric
     "TOTAL", "DecompositionMismatch", "MonomialIdealSeq",
     "NonIntegralScaling", "NotReflexive", "RankMismatch", "ToricFanoModel",
@@ -61,7 +60,7 @@ __all__ = [
     "shift", "sum_filtration", "trivial_family", "trivial_filtration",
     "twist", "twist_family", "valuation_family", "valuation_filtration",
     # optimize
-    "LinearProgram", "RatioProgram", "Unbounded", "dinkelbach_ratio_min",
+    "LinearProgram", "Unbounded", "dinkelbach_ratio_min",
     "lp_solve", "minimize_convex_pl", "minimize_pl_ratio",
     # stability
     "CoupledBarycenter", "DegenerateSubtorus", "RankTooHigh",

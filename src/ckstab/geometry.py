@@ -3,8 +3,11 @@
 Everything in this module is exact: there is no floating point anywhere.
 Polytopes carry both a vertex description and a half-space description,
 cross-validated on construction.  The kernel also provides rational cones
-and piecewise-linear functions on complete fans, which the optimization and
-toric layers build on.
+and normal fans.  A piecewise-linear function has no type of its own: it is
+a list of cells, each a cone with the linear form the function takes on it
+(``normal_fan`` gives the cells of ``min_{a in p} <a, .>``,
+``restrict_min_support`` subdivides one cone), and the toric and
+optimization layers pass such lists along as they are.
 
 Intended for small ambient ranks (p <= 4); enumeration is brute force over
 subsets, which is entirely adequate at these sizes and keeps every
@@ -99,10 +102,6 @@ def vdot(a: Sequence, b: Sequence) -> Fraction:
     if len(a) != len(b):
         raise DimensionMismatch(f"rank {len(a)} vs {len(b)}")
     return sum((x * y for x, y in zip(a, b)), _ZERO)
-
-
-def is_zero_vec(a: Sequence) -> bool:
-    return all(x == 0 for x in a)
 
 
 def primitive_vector(a: Sequence) -> IntVec:
@@ -541,16 +540,13 @@ def _simplex_measure(simplex: tuple[Vec, ...]) -> Fraction:
     return Fraction(abs(det), den ** d * math.factorial(d))
 
 
-def volume(p: ExactPolytope, ambient: bool = False) -> Fraction:
+def volume(p: ExactPolytope) -> Fraction:
     """Exact Lebesgue volume within the affine hull.
 
-    With ``ambient=True`` a lower-dimensional polytope is an error instead
-    of zero.  Affine-hull volume of degenerate polytopes is normalized by
-    the induced lattice; it is implemented for dim <= 1 (points, segments),
-    which covers the degenerate inputs this library produces.
+    Affine-hull volume of degenerate polytopes is normalized by the induced
+    lattice; it is implemented for dim <= 1 (points, segments), which covers
+    the degenerate inputs this library produces.
     """
-    if ambient and p.dim < p.rank:
-        raise DegenerateInput("ambient volume of a lower-dimensional polytope")
     if p.dim == 0:
         return Fraction(1)
     if p.dim == 1:
@@ -623,7 +619,7 @@ def lattice_points(p: ExactPolytope) -> list[IntVec]:
 
 
 # ---------------------------------------------------------------------------
-# cones and piecewise-linear functions
+# cones and fans
 
 
 @dataclass(frozen=True)
@@ -671,11 +667,6 @@ class Cone:
                 s[i] += c
         return tuple(s)
 
-    def intersect(self, other: "Cone") -> Optional["Cone"]:
-        """Intersection cone if full-dimensional, else None."""
-        return cone_from_facets(sorted(set(self.facets) | set(other.facets)),
-                                self.rank)
-
 
 def cone_from_facets(normals: Sequence[IntVec], rank: int) -> Optional[Cone]:
     """The cone { x : <n, x> >= 0 } from inner normals, provided it is
@@ -704,46 +695,6 @@ def restrict_min_support(cone: Cone, p: ExactPolytope) -> list[tuple[Cone, Vec]]
     return out
 
 
-@dataclass(frozen=True)
-class PLFunc:
-    """A positively homogeneous piecewise-linear function on N_R.
-
-    Stored as (cone, linear form) pieces over a complete fan.  Construction
-    verifies that pieces agree on shared generators, so the function is
-    well defined and continuous.
-    """
-
-    pieces: tuple[tuple[Cone, Vec], ...]
-
-    def __post_init__(self):
-        for (c1, f1), (c2, f2) in itertools.combinations(self.pieces, 2):
-            for g in c1.generators:
-                if c2.contains(g) and vdot(f1, g) != vdot(f2, g):
-                    raise GeometryError("piecewise-linear pieces disagree on a shared ray")
-
-    @property
-    def rank(self) -> int:
-        return self.pieces[0][0].rank
-
-    def piece_at(self, x: Sequence) -> tuple[Cone, Vec]:
-        for cone, form in self.pieces:
-            if cone.contains(x):
-                return cone, form
-        raise InternalInvariantError(f"no cone contains {tuple(x)}; fan incomplete")
-
-    def __call__(self, x: Sequence) -> Fraction:
-        if is_zero_vec(x):
-            return Fraction(0)
-        _, form = self.piece_at(x)
-        return vdot(form, x)
-
-    def rays(self) -> list[IntVec]:
-        out: set[IntVec] = set()
-        for cone, _ in self.pieces:
-            out.update(cone.generators)
-        return sorted(out)
-
-
 def normal_fan(p: ExactPolytope) -> list[tuple[Cone, Vec]]:
     """Maximal cones of the (inner) normal fan of a full-dimensional polytope.
 
@@ -759,11 +710,6 @@ def normal_fan(p: ExactPolytope) -> list[tuple[Cone, Vec]]:
         cone = Cone.from_generators(active)
         pieces.append((cone, v))
     return pieces
-
-
-def min_support_function(p: ExactPolytope) -> PLFunc:
-    """The concave function eta -> min_{a in p} <a, eta> as a PLFunc."""
-    return PLFunc(tuple(normal_fan(p)))
 
 
 def check_complete_fan_rank2(cones: Sequence[Cone]) -> bool:
@@ -790,16 +736,3 @@ def check_complete_fan_rank2(cones: Sequence[Cone]) -> bool:
         if cur is None:
             return False
     return cur == first
-
-
-def refine_pl(f: PLFunc, g: PLFunc) -> list[tuple[Cone, Vec, Vec]]:
-    """Common refinement cells with the linear forms of both functions."""
-    if f.rank != g.rank:
-        raise DimensionMismatch("cannot refine functions of different rank")
-    cells = []
-    for cf, ff in f.pieces:
-        for cg, fg in g.pieces:
-            inter = cf.intersect(cg)
-            if inter is not None:
-                cells.append((inter, ff, fg))
-    return cells

@@ -4,19 +4,20 @@ Three layers, all over ``Fraction``:
 
 * a two-phase simplex with Bland's rule (no cycling, deterministic pivots),
 * convex piecewise-linear minimization through the epigraph reformulation,
-* piecewise-linear fractional programs solved cone by cone, with a
-  Dinkelbach iteration available as an independent cross-check.
+* piecewise-linear fractional programs given as cells, each a cone with
+  the linear forms of the numerator and the denominator on it; the infimum
+  is a scan over the cell rays, and a Dinkelbach iteration over the same
+  rays is a second solver.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InputError, InternalInvariantError
-from .geometry import (Cone, DimensionMismatch, PLFunc, Vec,
-                       refine_pl, vdot)
+from .geometry import Cone, DimensionMismatch, IntVec, Vec, vdot
 
 
 class OptimizeError(InputError):
@@ -226,18 +227,7 @@ def minimize_convex_pl(terms: Sequence[PLTermSpec], rank: int,
 # piecewise-linear fractional programs
 
 
-@dataclass
-class RatioProgram:
-    """inf of numerator/denominator over nonzero points, both PLFunc and
-    positively homogeneous of degree one."""
-
-    numerator: PLFunc
-    denominator: PLFunc
-    cells: list[tuple[Cone, Vec, Vec]] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.cells:
-            self.cells = refine_pl(self.numerator, self.denominator)
+Cell = tuple[Cone, Vec, Vec]
 
 
 @dataclass
@@ -246,52 +236,60 @@ class RatioResult:
     witness: Optional[tuple[int, ...]]
 
 
-def _candidate_rays(rp: RatioProgram) -> list[tuple[int, ...]]:
-    rays: set[tuple[int, ...]] = set()
-    for cone, _, _ in rp.cells:
-        rays.update(cone.generators)
-    return sorted(rays)
+def _ray_values(cells: Sequence[Cell], allow_zero_denominator: bool
+                ) -> list[tuple[IntVec, Fraction, Fraction]]:
+    """(ray, numerator, denominator) at every cell generator with a positive
+    denominator, sorted by ray.
 
-
-def minimize_pl_ratio(rp: RatioProgram, allow_zero_denominator: bool = False) -> RatioResult:
-    """Exact infimum of a degree-zero homogeneous ratio of PL functions.
-
-    On each refinement cell both functions are linear, so the ratio is
-    quasilinear there and its infimum over the cell is attained on an
-    extreme ray.  The global value is the minimum over all cell rays with
-    positive denominator; rays where the denominator vanishes contribute
-    no constraint when ``allow_zero_denominator`` is set and are an error
-    otherwise.
+    A ray shared by several cells must get the same two values from each of
+    them, or the cells do not describe one pair of functions.  A negative
+    denominator is an error, and so is a zero one unless
+    ``allow_zero_denominator`` is set, in which case the ray constrains
+    nothing and is left out.
     """
-    best: Optional[Fraction] = None
-    witness = None
-    for ray in _candidate_rays(rp):
-        den = rp.denominator(ray)
-        if den <= 0:
-            if den < 0 or not allow_zero_denominator:
-                raise InternalInvariantError(f"denominator vanishes along ray {ray}")
-            continue
-        val = rp.numerator(ray) / den
-        if best is None or val < best or (val == best and ray < witness):
-            best, witness = val, ray
-    return RatioResult(best, witness)
-
-
-def dinkelbach_ratio_min(rp: RatioProgram, allow_zero_denominator: bool = False,
-                         max_iter: int = 10_000) -> RatioResult:
-    """Independent oracle for :func:`minimize_pl_ratio`.
-
-    Solves the parametric problem min N - t*D over the candidate rays,
-    updating t to the ratio at the minimizer until optimality.  The ray set
-    is finite, so termination is guaranteed.
-    """
+    values: dict[IntVec, tuple[Fraction, Fraction]] = {}
+    for cone, num, den in cells:
+        for g in cone.generators:
+            pair = (vdot(num, g), vdot(den, g))
+            if values.setdefault(g, pair) != pair:
+                raise InternalInvariantError(f"cells disagree on the ray {g}")
     rays = []
-    for ray in _candidate_rays(rp):
-        den = rp.denominator(ray)
+    for ray, (num, den) in sorted(values.items()):
         if den < 0 or (den == 0 and not allow_zero_denominator):
             raise InternalInvariantError(f"denominator vanishes along ray {ray}")
         if den > 0:
-            rays.append((ray, rp.numerator(ray), den))
+            rays.append((ray, num, den))
+    return rays
+
+
+def minimize_pl_ratio(cells: Sequence[Cell],
+                      allow_zero_denominator: bool = False) -> RatioResult:
+    """Exact infimum of a degree-zero homogeneous ratio of PL functions.
+
+    Each cell is a cone with the linear forms of the numerator and the
+    denominator on it, so the ratio is quasilinear there and its infimum
+    over the cell is attained on an extreme ray.  The global value is the
+    minimum over all cell rays with positive denominator, at the least such
+    ray on a tie.
+    """
+    rays = _ray_values(cells, allow_zero_denominator)
+    if not rays:
+        return RatioResult(None, None)
+    ray, num, den = min(rays, key=lambda r: r[1] / r[2])
+    return RatioResult(num / den, ray)
+
+
+def dinkelbach_ratio_min(cells: Sequence[Cell], allow_zero_denominator: bool = False,
+                         max_iter: int = 10_000) -> RatioResult:
+    """A second solver for :func:`minimize_pl_ratio` over the same rays.
+
+    Solves the parametric problem min N - t*D over the candidate rays,
+    updating t to the ratio at the minimizer until optimality.  The ray set
+    is finite, so termination is guaranteed.  Both solvers read the rays
+    from ``_ray_values``, so their agreement checks the minimization, not
+    the cells.
+    """
+    rays = _ray_values(cells, allow_zero_denominator)
     if not rays:
         return RatioResult(None, None)
     ray, num, den = rays[0]

@@ -25,13 +25,12 @@ from .geometry import (DimensionMismatch, ExactPolytope, HalfSpace, Vec,
                        _int_det, _vertices_from_halfspaces, as_vec, centroid,
                        extreme_rays, mat_rank, primitive_vector, vdot, vneg,
                        vsub)
-from .optimize import (PLTermSpec, RatioProgram, Unbounded,
-                       minimize_convex_pl, minimize_pl_ratio)
+from .optimize import (PLTermSpec, Unbounded, minimize_convex_pl,
+                       minimize_pl_ratio)
 from .toric import (TOTAL, TORIC_SEARCH_ASSUMPTION, MonomialIdealSeq,
                     SummandIndex, ToricFanoModel, _show, log_discrepancy,
-                    log_discrepancy_function, monomial_lct, s_invariant,
-                    support_min, t_invariant, theta_twist, total_s_function,
-                    total_s_sum)
+                    monomial_lct, s_invariant, support_min, t_invariant,
+                    theta_twist, total_s_sum)
 from .filtration import (Filtration, FiltrationFamily,
                          SumDescriptor, UnsupportedDescriptor,
                          ValuationDescriptor, approximate, base_change,
@@ -311,13 +310,6 @@ class DeltaResult:
     assumptions: tuple[str, ...] = (TORIC_SEARCH_ASSUMPTION,)
 
 
-def _delta_ratio_program(model: ToricFanoModel) -> RatioProgram:
-    num = log_discrepancy_function(model)
-    den = total_s_function(model)
-    cells = [(c, nf, df) for (c, nf), (_, df) in zip(num.pieces, den.pieces)]
-    return RatioProgram(num, den, cells=cells)
-
-
 def coupled_delta(model: ToricFanoModel) -> DeltaResult:
     """Coupled stability threshold: the infimum over nonzero cocharacter
     directions of log discrepancy over summed expectation slopes.
@@ -325,7 +317,10 @@ def coupled_delta(model: ToricFanoModel) -> DeltaResult:
     Both functions are linear on each fan cone, so the infimum is attained
     on a ray of the fan; ties return the lexicographically least primitive
     direction."""
-    res = minimize_pl_ratio(_delta_ratio_program(model))
+    b = model.barycenter(TOTAL)
+    # on the cone minimized at the vertex f: A = -<f, .>, sum S = <b - f, .>
+    res = minimize_pl_ratio([(cone, vneg(f), vsub(b, f))
+                             for cone, f in zip(model.fan, model.total_forms)])
     if res.value is None:
         raise InternalInvariantError("threshold program had no constraining ray")
     return DeltaResult(res.value, res.witness)
@@ -437,19 +432,19 @@ def inner_twist_sup(model: ToricFanoModel, sub: SubtorusSpec,
         if any(all(x == 0 for x in a) and c > 0 for a, c in rows):
             continue
         rows = [(a, c) for a, c in rows if any(x != 0 for x in a)]
-        # vertices of the cell in twist coordinates
+        # vertices of the cell: it is the cone's facet system in twist
+        # coordinates, so every z below lies in the cone
         for t in _vertices_from_halfspaces([HalfSpace.make(a, c) for a, c in rows], s):
             z = eta
             for tj, w in zip(t, W):
                 z = tuple(x + tj * y for x, y in zip(z, w))
-            if cone.contains(z):
-                consider(InnerSup(_ratio_at(model, z), True, z, None))
+            consider(InnerSup(_ratio_at(model, z), True, z, None))
         # recession directions of the cell; it has no lineality, because the
-        # facet normals span and the subtorus basis is independent
+        # facet normals span and the subtorus basis is independent, so each
+        # direction maps to a nonzero vector of the cone
         for d in extreme_rays([a for a, _ in rows], s):
             zd = tuple(sum(dj * w[c] for dj, w in zip(d, W)) for c in range(model.rank))
-            if any(x != 0 for x in zd) and cone.contains(zd):
-                consider(InnerSup(_ratio_at(model, zd), False, None, zd))
+            consider(InnerSup(_ratio_at(model, zd), False, None, zd))
     if best is None:
         raise InternalInvariantError("twist slice met no fan cone; fan incomplete")
     return best
@@ -670,6 +665,8 @@ def identity_suite(model: ToricFanoModel, samples: int = 100, seed: int = 0,
     The report counts the checked cases per identity and is byte-stable for
     a fixed model, seed, and sample count.
     """
+    if samples < 1:
+        raise StabilityError(f"sample count must be at least 1, got {samples}")
     rng = random.Random(seed)
     rank = model.rank
     k = model.num_summands

@@ -27,11 +27,11 @@ from typing import Optional, Sequence, Union
 
 from .errors import InputError, InternalInvariantError
 from .geometry import (Cone, DimensionMismatch, ExactPolytope, GeometryError,
-                       HalfSpace, PLFunc, Vec, as_vec, centroid,
+                       HalfSpace, Vec, as_vec, centroid,
                        check_complete_fan_rank2, is_primitive, lattice_points,
-                       mat_rank, minkowski_sum, min_support_function,
-                       restrict_min_support, support_value, vdot, vneg, vsub)
-from .optimize import RatioProgram, dinkelbach_ratio_min, minimize_pl_ratio
+                       mat_rank, minkowski_sum, normal_fan,
+                       restrict_min_support, support_value, vdot, vneg)
+from .optimize import dinkelbach_ratio_min, minimize_pl_ratio
 
 TOTAL = "total"
 SummandIndex = Union[int, str]
@@ -179,7 +179,7 @@ def build_model(rays: Sequence[Sequence[int]],
     for p in summands:
         if p.rank != rank:
             raise RankMismatch("summand rank differs from the model rank")
-    fan_pieces = min_support_function(antican).pieces
+    fan_pieces = normal_fan(antican)
     cones = tuple(c for c, _ in fan_pieces)
     total_forms = tuple(f for _, f in fan_pieces)
     support_forms = []
@@ -293,19 +293,6 @@ def section_basis(model: ToricFanoModel, i: SummandIndex, m: int) -> list[tuple[
 
 
 # ---------------------------------------------------------------------------
-# piecewise-linear functions for the optimizers
-
-
-def log_discrepancy_function(model: ToricFanoModel) -> PLFunc:
-    return PLFunc(tuple((c, vneg(f)) for c, f in zip(model.fan, model.total_forms)))
-
-
-def total_s_function(model: ToricFanoModel) -> PLFunc:
-    b = model.barycenter(TOTAL)
-    return PLFunc(tuple((c, vsub(b, f)) for c, f in zip(model.fan, model.total_forms)))
-
-
-# ---------------------------------------------------------------------------
 # monomial ideal data and log canonical thresholds
 
 
@@ -392,7 +379,6 @@ def monomial_lct(model: ToricFanoModel, ideal: MonomialIdealSeq,
     if scale <= 0:
         raise ToricError("ideal scale must be positive")
     region = _region_of_ideal(model, ideal, degree)
-    numerator = log_discrepancy_function(model)
 
     # The vanishing order of the ideal along eta is
     #   min over the region of <., eta>  -  min over the summand of <., eta>.
@@ -405,18 +391,14 @@ def monomial_lct(model: ToricFanoModel, ideal: MonomialIdealSeq,
         idx = ideal.summand
         summand_forms = [row[idx] for row in model.support_forms]
     cells = []
-    den_pieces = []
     for cone, a_form, p_form in zip(model.fan,
                                     (vneg(f) for f in model.total_forms),
                                     summand_forms):
         for sub, v in restrict_min_support(cone, region):
             den_form = tuple(scale * (a - b) for a, b in zip(v, p_form))
             cells.append((sub, a_form, den_form))
-            den_pieces.append((sub, den_form))
-    denominator = PLFunc(tuple(den_pieces))
-    rp = RatioProgram(numerator, denominator, cells=cells)
     solver = dinkelbach_ratio_min if oracle else minimize_pl_ratio
-    res = solver(rp, allow_zero_denominator=True)
+    res = solver(cells, allow_zero_denominator=True)
     provenance = "optimized-with-certificate"
     if res.value is None:
         return LctResult(None, None, provenance)

@@ -51,6 +51,8 @@ def assert_input_error(*argv):
     ("jnorm", "p2", "--xi", "1e10000000,1"),
     ("reduced-jnorm", "p1xp1_symmetric", "--xi", "1,0", "--subtorus", " 0_1 ,0"),
     ("reduced-jnorm", "p1xp1_symmetric", "--xi", "1,0", "--subtorus", "\u0661,0"),
+    ("verify", "p2", "--samples", "-5"),
+    ("verify", "p2", "--samples", "0"),
 ])
 def test_bad_arguments_exit_1(argv):
     assert_input_error(*argv)
@@ -212,6 +214,25 @@ def test_every_import_is_used():
         if path.name == "__init__.py":
             used |= set(ckstab.__all__)
         assert imported <= used, (path.name, sorted(imported - used))
+
+
+def test_every_library_definition_is_used():
+    # a top-level function or class is used when some module names it
+    # outside the definition itself, or when the package root exports it
+    refs: dict[str, set[tuple[str, str]]] = {}
+    defs = []
+    for path in pathlib.Path(ckstab.__file__).parent.glob("*.py"):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(stmt, "name", "")
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((path.name, owner))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    refs.setdefault(node.id, set()).add((path.name, owner))
+    unused = [(module, name) for module, name in defs
+              if name not in ckstab.__all__
+              and not refs.get(name, set()) - {(module, name)}]
+    assert not unused, unused
 
 
 def test_star_import_binds_only_listed_names():

@@ -1,5 +1,6 @@
 """Optimizer tests: examples with frozen values, vertex-scan oracles for
-small linear programs, and Dinkelbach against the per-cone scan."""
+small linear programs and for ratio programs, and Dinkelbach against the
+per-ray scan."""
 
 from __future__ import annotations
 
@@ -8,10 +9,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from ckstab.geometry import (ExactPolytope, PLFunc, centroid,
-                             min_support_function, support_value, vneg, vsub)
-from ckstab.optimize import (LinearProgram, PLTermSpec, RatioProgram,
-                             Unbounded, dinkelbach_ratio_min, lp_solve,
+from ckstab.errors import InternalInvariantError
+from ckstab.geometry import (ExactPolytope, centroid, normal_fan,
+                             support_value, vdot, vneg, vsub)
+from ckstab.optimize import (LinearProgram, PLTermSpec, Unbounded,
+                             dinkelbach_ratio_min, lp_solve,
                              minimize_convex_pl, minimize_pl_ratio)
 
 
@@ -92,62 +94,73 @@ def test_convex_pl_unbounded():
         minimize_convex_pl([term], 1)
 
 
-def _bl1p2_ratio_program():
-    q = ExactPolytope.from_vertices([(-1, 2), (2, -1), (-1, 0), (0, -1)])
-    lam = min_support_function(q)
-    num = PLFunc(tuple((c, vneg(f)) for c, f in lam.pieces))
-    b = centroid(q)
-    den = PLFunc(tuple((c, vsub(b, f)) for c, f in lam.pieces))
-    return RatioProgram(num, den)
+_QUAD = ExactPolytope.from_vertices([(-1, 2), (2, -1), (-1, 0), (0, -1)])
+
+
+def _bl1p2_cells():
+    # on the normal cone of the vertex f: A = -<f, .> and S = <b - f, .>
+    b = centroid(_QUAD)
+    return [(cone, vneg(f), vsub(b, f)) for cone, f in normal_fan(_QUAD)]
 
 
 def test_ratio_symmetric_data_is_one():
     t = ExactPolytope.from_vertices([(-1, -1), (2, -1), (-1, 2)])
-    lam = min_support_function(t)
-    num = PLFunc(tuple((c, vneg(f)) for c, f in lam.pieces))
-    rp = RatioProgram(num, num)
-    res = minimize_pl_ratio(rp)
+    cells = [(cone, vneg(f), vneg(f)) for cone, f in normal_fan(t)]
+    res = minimize_pl_ratio(cells)
     assert res.value == 1
 
 
 def test_ratio_destabilized_quadrilateral():
-    res = minimize_pl_ratio(_bl1p2_ratio_program())
+    res = minimize_pl_ratio(_bl1p2_cells())
     assert res.value == F(6, 7) and res.witness == (1, 1)
 
 
 def test_ratio_zero_numerator():
-    q = ExactPolytope.from_vertices([(-1, 2), (2, -1), (-1, 0), (0, -1)])
-    lam = min_support_function(q)
-    zero = PLFunc(tuple((c, (F(0), F(0))) for c, _ in lam.pieces))
-    den = PLFunc(tuple((c, vneg(f)) for c, f in lam.pieces))
-    res = minimize_pl_ratio(RatioProgram(zero, den))
+    cells = [(cone, (F(0), F(0)), vneg(f)) for cone, f in normal_fan(_QUAD)]
+    res = minimize_pl_ratio(cells)
     assert res.value == 0
 
 
 def test_dinkelbach_matches_scan():
-    rp = _bl1p2_ratio_program()
-    a = minimize_pl_ratio(rp)
-    b = dinkelbach_ratio_min(rp)
+    cells = _bl1p2_cells()
+    a = minimize_pl_ratio(cells)
+    b = dinkelbach_ratio_min(cells)
     assert (a.value, a.witness) == (b.value, b.witness)
 
 
+@pytest.mark.parametrize("solver", [minimize_pl_ratio, dinkelbach_ratio_min])
+def test_cells_disagreeing_on_a_ray_are_an_internal_error(solver):
+    cells = _bl1p2_cells()
+    cone, num, den = cells[0]
+    cells[0] = (cone, tuple(x + 1 for x in num), den)
+    with pytest.raises(InternalInvariantError, match="disagree"):
+        solver(cells)
+
+
 def test_ratio_scaling_invariance():
-    rp = _bl1p2_ratio_program()
-    res = minimize_pl_ratio(rp)
+    # both functions are evaluated by vertex scan, apart from the cells
+    b = centroid(_QUAD)
+
+    def num(eta):
+        return -support_value(_QUAD, eta, "min")[0]
+
+    def den(eta):
+        return vdot(b, eta) - support_value(_QUAD, eta, "min")[0]
+
+    res = minimize_pl_ratio(_bl1p2_cells())
     rng = random.Random(9)
     for _ in range(200):
         eta = (F(rng.randint(-9, 9), rng.choice([1, 2, 3])),
                F(rng.randint(-9, 9), rng.choice([1, 2, 3])))
         if eta == (0, 0):
             continue
-        num, den = rp.numerator(eta), rp.denominator(eta)
-        assert den > 0
-        assert res.value <= num / den
+        assert den(eta) > 0
+        assert res.value <= num(eta) / den(eta)
         for e in (2, F(1, 3), F(7, 2)):
             scaled = tuple(e * x for x in eta)
-            assert rp.numerator(scaled) * den == num * rp.denominator(scaled)
+            assert num(scaled) * den(eta) == num(eta) * den(scaled)
     # equality at the returned witness
-    assert rp.numerator(res.witness) == res.value * rp.denominator(res.witness)
+    assert num(res.witness) == res.value * den(res.witness)
 
 
 def test_lp_agrees_with_vertex_scan_rank3():
