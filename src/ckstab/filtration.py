@@ -508,16 +508,14 @@ class FiltrationNumerics:
     s_value: Optional[Fraction]
     j_value: Optional[Fraction]
     provenance: str
-    s_gaps: dict[int, Fraction]
 
 
 def numerics(f: Filtration) -> FiltrationNumerics:
     """Per-degree maximal and mean slopes, with certified asymptotics when
     the descriptor provides closed forms.
 
-    For an opaque table only the finite-degree sequences are returned,
-    together with the successive gaps of the mean slopes as a convergence
-    diagnostic; no limit is claimed.
+    For an opaque table only the finite-degree sequences are returned; no
+    limit is claimed.
     """
     t_by, s_by = {}, {}
     den = f.den
@@ -542,7 +540,5 @@ def numerics(f: Filtration) -> FiltrationNumerics:
     else:
         lam = s_val = j_val = None
         prov = "finite-degree-estimate"
-    degs = sorted(s_by)
-    gaps = {m2: abs(s_by[m2] - s_by[m1]) for m1, m2 in zip(degs, degs[1:])}
-    return FiltrationNumerics(t_by, s_by, lam, s_val, j_val, prov, gaps)
+    return FiltrationNumerics(t_by, s_by, lam, s_val, j_val, prov)
 

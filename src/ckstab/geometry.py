@@ -70,10 +70,6 @@ class DegenerateInput(GeometryError):
 # vector helpers
 
 
-def vec(*coords) -> Vec:
-    return tuple(Fraction(c) for c in coords)
-
-
 def as_vec(coords: Iterable) -> Vec:
     return tuple(Fraction(c) for c in coords)
 

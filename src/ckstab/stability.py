@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import InputError, InternalInvariantError
+from .errors import CkstabError, InputError, InternalInvariantError
 from .geometry import (DimensionMismatch, ExactPolytope, HalfSpace, Vec,
                        _int_det, _vertices_from_halfspaces, as_vec, centroid,
                        extreme_rays, mat_rank, primitive_vector, vdot, vneg,
@@ -53,14 +53,20 @@ class RankTooHigh(StabilityError):
 
 
 class SuiteFailure(InternalInvariantError):
-    def __init__(self, identity: str, inputs, lhs, rhs):
+    """The identity suite found counterexamples.  The message and the
+    attributes name the first one; ``report`` counts every case run, with
+    ``failed`` > 0."""
+
+    def __init__(self, identity: str, inputs, lhs, rhs, report: SuiteReport):
         super().__init__(
             f"identity {identity!r} failed on {_show(inputs)}: "
-            f"{_show(lhs)} != {_show(rhs)}")
+            f"{_show(lhs)} != {_show(rhs)} "
+            f"({report.failed} of {report.passed + report.failed} cases failed)")
         self.identity = identity
         self.inputs = inputs
         self.lhs = lhs
         self.rhs = rhs
+        self.report = report
 
 
 CLOSED_FORM = "closed-form"
@@ -646,47 +652,57 @@ def _rand_int_vec(rng: random.Random, rank: int, span: int = 3,
             return v
 
 
-def _assert_eq(identity: str, inputs, lhs, rhs):
-    if lhs != rhs:
-        raise SuiteFailure(identity, inputs, lhs, rhs)
-
-
-def _assert_true(identity: str, inputs, ok: bool, lhs=None, rhs=None):
-    if not ok:
-        raise SuiteFailure(identity, inputs, lhs, rhs)
-
-
 def identity_suite(model: ToricFanoModel, samples: int = 100, seed: int = 0,
                    m_max: int = 4) -> SuiteReport:
     """Run every exact identity check on seeded samples.
 
-    All assertions are exact rational equalities or inequalities; the first
-    failure raises :class:`SuiteFailure` with the inputs and both sides.
-    The report counts the checked cases per identity and is byte-stable for
-    a fixed model, seed, and sample count.
+    Each check is one exact rational equality or inequality, counted as one
+    case of its identity.  Every check runs; a failed one is recorded, not
+    raised.  If any failed, :class:`SuiteFailure` is raised at the end: its
+    message gives the first counterexample (inputs and both sides) and the
+    failure count, and its ``report`` holds every count.  A ckstab error
+    raised by a library call after a failed check becomes that
+    ``SuiteFailure``.  The report counts the checked cases per identity and
+    is byte-stable for a fixed model, seed, and sample count.
     """
     if samples < 1:
         raise StabilityError(f"sample count must be at least 1, got {samples}")
-    rng = random.Random(seed)
+    cases: dict[str, int] = {}
+    failures: list[tuple] = []
+
+    def check(name: str, inputs, lhs, rhs, ok: Optional[bool] = None):
+        cases[name] = cases.get(name, 0) + 1
+        if not (lhs == rhs if ok is None else ok):
+            failures.append((name, inputs, lhs, rhs))
+
+    error = None
+    try:
+        _check_identities(model, random.Random(seed), samples, m_max, check)
+    except CkstabError as exc:
+        if not failures:
+            raise
+        error = exc
+    total = sum(cases.values())
+    report = SuiteReport(model.name, seed, samples, passed=total - len(failures),
+                         failed=len(failures), cases=cases)
+    if failures:
+        raise SuiteFailure(*failures[0], report) from error
+    return report
+
+
+def _check_identities(model: ToricFanoModel, rng: random.Random, samples: int,
+                      m_max: int, check) -> None:
+    """Run every identity on seeded samples, passing each case to ``check``."""
     rank = model.rank
     k = model.num_summands
-    cases: dict[str, int] = {}
-
-    def bump(name: str, n: int = 1):
-        cases[name] = cases.get(name, 0) + n
-
     grid = family_degree_grid(model, m_max)
     bases = [graded_basis(model, i, m_max=m_max, step=grid[0]) for i in range(k)]
     b_total = model.barycenter(TOTAL)
 
     # cached-barycenter consistency; this is what fault injection trips
     for i in range(k):
-        _assert_eq("barycenter-cache-consistency", (model.name, i),
-                   centroid(model.summands[i]), model.barycenters[i])
-        bump("barycenter-cache-consistency")
-    _assert_eq("barycenter-cache-consistency", (model.name, "total"),
-               tuple(sum(c[j] for c in model.barycenters) for j in range(rank)),
-               b_total)
+        check("barycenter-cache-consistency", (model.name, i),
+              centroid(model.summands[i]), model.barycenters[i])
 
     for case in range(samples):
         eta = _rand_vec(rng, rank)
@@ -694,58 +710,48 @@ def identity_suite(model: ToricFanoModel, samples: int = 100, seed: int = 0,
         eta_xi = tuple(a + b for a, b in zip(eta, xi))
 
         # twist correction additivity over the decomposition
-        _assert_eq("theta-additivity", (eta, xi),
-                   theta_twist(model, TOTAL, eta, xi),
-                   sum((theta_twist(model, i, eta, xi) for i in range(k)),
-                       Fraction(0)))
-        bump("theta-additivity")
+        check("theta-additivity", (eta, xi),
+              theta_twist(model, TOTAL, eta, xi),
+              sum((theta_twist(model, i, eta, xi) for i in range(k)),
+                  Fraction(0)))
 
         # expectation slope under twisting
         for i in range(k):
-            _assert_eq("s-invariant-twist", (i, eta, xi),
-                       s_invariant(model, i, eta_xi),
-                       s_invariant(model, i, eta) + vdot(model.barycenters[i], xi)
-                       + theta_twist(model, i, eta, xi))
-        bump("s-invariant-twist", k)
+            check("s-invariant-twist", (i, eta, xi),
+                  s_invariant(model, i, eta_xi),
+                  s_invariant(model, i, eta) + vdot(model.barycenters[i], xi)
+                  + theta_twist(model, i, eta, xi))
 
         # log discrepancy under twisting
-        _assert_eq("log-discrepancy-twist", (eta, xi),
-                   log_discrepancy(model, eta_xi) - log_discrepancy(model, eta),
-                   theta_twist(model, TOTAL, eta, xi))
-        bump("log-discrepancy-twist")
+        check("log-discrepancy-twist", (eta, xi),
+              log_discrepancy(model, eta_xi) - log_discrepancy(model, eta),
+              theta_twist(model, TOTAL, eta, xi))
 
         # discrepancy minus slope sum is twist-equivariant via the barycenter
-        _assert_eq("a-minus-s-twist", (eta, xi),
-                   log_discrepancy(model, eta_xi) - total_s_sum(model, eta_xi),
-                   log_discrepancy(model, eta) - total_s_sum(model, eta)
-                   - vdot(b_total, xi))
-        bump("a-minus-s-twist")
+        check("a-minus-s-twist", (eta, xi),
+              log_discrepancy(model, eta_xi) - total_s_sum(model, eta_xi),
+              log_discrepancy(model, eta) - total_s_sum(model, eta)
+              - vdot(b_total, xi))
 
         # homogeneity
         e = Fraction(rng.randint(1, 8), rng.choice([1, 2]))
         scaled = tuple(e * x for x in eta)
-        _assert_eq("degree-one-homogeneity", (eta, e),
-                   log_discrepancy(model, scaled),
-                   e * log_discrepancy(model, eta))
-        _assert_eq("degree-one-homogeneity", (eta, e),
-                   total_s_sum(model, scaled), e * total_s_sum(model, eta))
-        bump("degree-one-homogeneity", 2)
+        check("degree-one-homogeneity", (eta, e),
+              log_discrepancy(model, scaled), e * log_discrepancy(model, eta))
+        check("degree-one-homogeneity", (eta, e),
+              total_s_sum(model, scaled), e * total_s_sum(model, eta))
 
         # reflexive duality
-        _assert_eq("reflexive-support-duality", (eta,),
-                   support_min(model, TOTAL, eta), -log_discrepancy(model, eta))
-        bump("reflexive-support-duality")
+        check("reflexive-support-duality", (eta,),
+              support_min(model, TOTAL, eta), -log_discrepancy(model, eta))
 
         # barycenter sum is invariant under balanced retranslations
         shifts = [_rand_vec(rng, rank, span=2) for _ in range(k - 1)]
-        shifts.append(tuple(-sum(s[j] for s in shifts) if shifts else Fraction(0)
+        shifts.append(tuple(-sum((s[j] for s in shifts), Fraction(0))
                             for j in range(rank)))
-        if k == 1:
-            shifts = [tuple(Fraction(0) for _ in range(rank))]
         moved = [centroid(model.summands[i].translate(shifts[i])) for i in range(k)]
-        _assert_eq("barycenter-sum-translation-invariance", tuple(shifts),
-                   tuple(sum(c[j] for c in moved) for j in range(rank)), b_total)
-        bump("barycenter-sum-translation-invariance")
+        check("barycenter-sum-translation-invariance", tuple(shifts),
+              tuple(sum(c[j] for c in moved) for j in range(rank)), b_total)
 
     # table identities on a smaller sample budget per case, same totals
     for case in range(samples):
@@ -759,19 +765,15 @@ def identity_suite(model: ToricFanoModel, samples: int = 100, seed: int = 0,
         rhs = shift(valuation_filtration(bases[i],
                                          tuple(a + b for a, b in zip(eta, xi))),
                     -th)
-        if not lhs.table_equal(rhs):
-            raise SuiteFailure("twist-of-valuation-table", (i, eta, xi),
-                               lhs.weights, rhs.weights)
-        bump("twist-of-valuation-table")
+        check("twist-of-valuation-table", (i, eta, xi),
+              lhs.weights, rhs.weights, ok=lhs.table_equal(rhs))
 
         # shift composition and twist inversion
         c1, c2 = _rand_frac(rng), _rand_frac(rng)
-        _assert_true("shift-composition", (i, c1, c2),
-                     shift(shift(f, c1), c2).table_equal(shift(f, c1 + c2)))
-        _assert_true("twist-inversion", (i, xi),
-                     twist(twist(f, xi), vneg(xi)).table_equal(f))
-        bump("shift-composition")
-        bump("twist-inversion")
+        check("shift-composition", (i, c1, c2), None, None,
+              ok=shift(shift(f, c1), c2).table_equal(shift(f, c1 + c2)))
+        check("twist-inversion", (i, xi), None, None,
+              ok=twist(twist(f, xi), vneg(xi)).table_equal(f))
 
     suite_etas = [_rand_vec(rng, rank, span=2) for _ in range(samples)]
     dres = coupled_delta(model)
@@ -783,10 +785,8 @@ def identity_suite(model: ToricFanoModel, samples: int = 100, seed: int = 0,
 
         # maximal slope additivity, degree by degree
         for m in grid:
-            _assert_eq("sum-lambda-max-additivity", (eta, m),
-                       total.row_max(m),
-                       sum((f.row_max(m) for f in fam.members), Fraction(0)))
-        bump("sum-lambda-max-additivity", len(grid))
+            check("sum-lambda-max-additivity", (eta, m), total.row_max(m),
+                  sum((f.row_max(m) for f in fam.members), Fraction(0)))
 
         # mixed directions per summand keep the additivity
         etas = [_rand_vec(rng, rank, span=2) for _ in range(k)]
@@ -794,11 +794,9 @@ def identity_suite(model: ToricFanoModel, samples: int = 100, seed: int = 0,
             valuation_filtration(bases[i], etas[i]) for i in range(k)))
         total_mixed = sum_filtration(fam_mixed)
         for m in grid:
-            _assert_eq("sum-lambda-max-additivity", (tuple(etas), m),
-                       total_mixed.row_max(m),
-                       sum((f.row_max(m) for f in fam_mixed.members),
-                           Fraction(0)))
-        bump("sum-lambda-max-additivity", len(grid))
+            check("sum-lambda-max-additivity", (tuple(etas), m),
+                  total_mixed.row_max(m),
+                  sum((f.row_max(m) for f in fam_mixed.members), Fraction(0)))
 
         # shift and twist commute with the sum
         cs = [_rand_frac(rng) for _ in range(k)]
@@ -806,23 +804,20 @@ def identity_suite(model: ToricFanoModel, samples: int = 100, seed: int = 0,
         lhs = sum_filtration(FiltrationFamily(model, tuple(
             shift(f, c) for f, c in zip(fam_mixed.members, cs))))
         rhs = shift(total_mixed, sum(cs, Fraction(0)))
-        _assert_true("sum-shift-commutation", (tuple(etas), tuple(cs)),
-                     lhs.table_equal(rhs))
-        bump("sum-shift-commutation")
+        check("sum-shift-commutation", (tuple(etas), tuple(cs)), None, None,
+              ok=lhs.table_equal(rhs))
         lhs = sum_filtration(twist_family(fam_mixed, xi))
         rhs = twist(total_mixed, xi)
-        _assert_true("sum-twist-commutation", (tuple(etas), xi),
-                     lhs.table_equal(rhs))
-        bump("sum-twist-commutation")
+        check("sum-twist-commutation", (tuple(etas), xi), None, None,
+              ok=lhs.table_equal(rhs))
 
         # approximation commutes with the sum
         m0 = grid[0]
         lhs = sum_filtration(FiltrationFamily(model, tuple(
             approximate(f, m0) for f in fam_mixed.members)))
         rhs = approximate(total_mixed, m0)
-        _assert_true("sum-approximation-compatibility", (tuple(etas), m0),
-                     lhs.table_equal(rhs))
-        bump("sum-approximation-compatibility")
+        check("sum-approximation-compatibility", (tuple(etas), m0), None, None,
+              ok=lhs.table_equal(rhs))
 
         # base change commutes with the sum, and with integral twists
         int_eta = _rand_int_vec(rng, rank, span=2)
@@ -832,23 +827,20 @@ def identity_suite(model: ToricFanoModel, samples: int = 100, seed: int = 0,
         lhs = sum_filtration(FiltrationFamily(model, tuple(
             base_change(f, e) for f in fam_int.members)))
         rhs = base_change(sum_filtration(fam_int), e)
-        _assert_true("sum-base-change-compatibility", (int_eta, e),
-                     lhs.table_equal(rhs))
-        bump("sum-base-change-compatibility")
+        check("sum-base-change-compatibility", (int_eta, e), None, None,
+              ok=lhs.table_equal(rhs))
         int_xi = _rand_int_vec(rng, rank, span=2)
         for f in fam_int.members:
             lhs = twist(base_change(f, e), tuple(e * x for x in int_xi))
             rhs = base_change(twist(f, int_xi), e)
-            _assert_true("base-change-twist-compatibility",
-                         (f.basis.index, int_eta, int_xi, e),
-                         lhs.table_equal(rhs))
-            n_lhs, n_rhs = numerics(lhs), numerics(base_change(f, e))
+            check("base-change-twist-compatibility",
+                  (f.basis.index, int_eta, int_xi, e), None, None,
+                  ok=lhs.table_equal(rhs))
+            s_e = numerics(base_change(f, e)).s_by_degree
+            s_f = numerics(f).s_by_degree
             for m in grid:
-                _assert_eq("base-change-slope-scaling", (f.basis.index, e, m),
-                           n_rhs.s_by_degree[m],
-                           e * numerics(f).s_by_degree[m])
-        bump("base-change-twist-compatibility", k)
-        bump("base-change-slope-scaling", k * len(grid))
+                check("base-change-slope-scaling", (f.basis.index, e, m),
+                      s_e[m], e * s_f[m])
 
         # coupled Ding twist rule, direct against formula; the values are
         # descriptor-driven, so a single-degree grid suffices for the tables
@@ -856,17 +848,16 @@ def identity_suite(model: ToricFanoModel, samples: int = 100, seed: int = 0,
         fam_small = valuation_family(model, eta, m_max=grid[0])
         base_ding = coupled_ding(fam_small)
         twisted = coupled_ding(twist_family(fam_small, xi2))
-        _assert_eq("ding-twist", (eta, xi2),
-                   twisted.value, base_ding.value - vdot(b_total, xi2))
-        bump("ding-twist")
+        check("ding-twist", (eta, xi2),
+              twisted.value, base_ding.value - vdot(b_total, xi2))
 
         # one-sided threshold consistency: slightly below the threshold a
         # twist restores nonnegativity of the coupled Ding invariant
         if sample_no % 5 == 0 and dprime > 0 and any(x != 0 for x in eta):
             if all(x == 0 for x in b_total):
                 val = coupled_ding(fam_small, delta=dprime).value
-                _assert_true("reduced-ding-threshold-consistency",
-                             (eta, dprime), val >= 0, val, 0)
+                check("reduced-ding-threshold-consistency",
+                      (eta, dprime), val, 0, ok=val >= 0)
             else:
                 # twisting against the coupled barycenter restores the
                 # (certified lower bound of the) Ding invariant to >= 0
@@ -875,9 +866,8 @@ def identity_suite(model: ToricFanoModel, samples: int = 100, seed: int = 0,
                 xi_fix = tuple(-t * x for x in b_total)
                 val = coupled_ding(twist_family(fam_small, xi_fix),
                                    delta=dprime).value
-                _assert_true("reduced-ding-threshold-consistency",
-                             (eta, dprime, xi_fix), val >= 0, val, 0)
-            bump("reduced-ding-threshold-consistency")
+                check("reduced-ding-threshold-consistency",
+                      (eta, dprime, xi_fix), val, 0, ok=val >= 0)
 
     # growth lower bound for twisted sums on vanishing-Futaki models
     if all(x == 0 for x in b_total):
@@ -895,10 +885,9 @@ def identity_suite(model: ToricFanoModel, samples: int = 100, seed: int = 0,
             for m in grid:
                 t_m = tw.row_max(m) / m
                 gap = t_m - e_minus
-                _assert_true("twist-growth-lower-bound", (cshift, xi, m),
-                             gap >= 0 and gap * gap >= c2 * vdot(xi, xi),
-                             gap * gap, c2 * vdot(xi, xi))
-            bump("twist-growth-lower-bound", len(grid))
+                check("twist-growth-lower-bound", (cshift, xi, m),
+                      gap * gap, c2 * vdot(xi, xi),
+                      ok=gap >= 0 and gap * gap >= c2 * vdot(xi, xi))
 
     # twisted-ray ratio limits
     exps = (1, 2, 4, 8, 16)
@@ -916,25 +905,22 @@ def identity_suite(model: ToricFanoModel, samples: int = 100, seed: int = 0,
         if xi is not None:
             eta = safe_base(xi)
             prof = twisted_ratio_profile(model, eta, xi, exps)
-            _assert_eq("twisted-ratio-limit", (eta, xi), prof.limit, Fraction(1))
             vals = [r for e, r in prof.ratios if e >= prof.entry]
             diffs = [abs(r - 1) for r in vals]
-            _assert_true("twisted-ratio-limit", (eta, xi),
-                         all(a >= b for a, b in zip(diffs, diffs[1:])),
-                         diffs, "monotone")
-            bump("twisted-ratio-limit")
+            check("twisted-ratio-limit", (eta, xi),
+                  (prof.limit, diffs), (Fraction(1), "monotone"),
+                  ok=prof.limit == 1
+                  and all(a >= b for a, b in zip(diffs, diffs[1:])))
         xi2 = _rand_int_vec(rng, rank, span=2, nonzero=True)
         prof = twisted_ratio_profile(model, safe_base(xi2), xi2, exps)
-        _assert_eq("twisted-ratio-ray-value", (xi2,),
-                   prof.limit, _ratio_at(model, xi2))
-        bump("twisted-ratio-ray-value")
+        check("twisted-ratio-ray-value", (xi2,),
+              prof.limit, _ratio_at(model, xi2))
 
     # reduced J of a twisted-trivial family vanishes at the cancelling twist
     for _ in range(max(1, samples // 20)):
         xi0 = _rand_vec(rng, rank, span=3)
         res = reduced_coupled_j(model, xi0)
-        _assert_eq("reduced-j-twist-cancellation", (xi0,), res.value, Fraction(0))
-        bump("reduced-j-twist-cancellation")
+        check("reduced-j-twist-cancellation", (xi0,), res.value, Fraction(0))
 
     # rounding stability of the mean slopes under twisting
     for _ in range(max(1, samples // 10)):
@@ -946,10 +932,9 @@ def identity_suite(model: ToricFanoModel, samples: int = 100, seed: int = 0,
         s_plain = numerics(twist(f, xi)).s_by_degree
         s_round = numerics(twist(round_weights(f), xi)).s_by_degree
         for m in grid:
-            _assert_true("rounding-mean-slope-stability", (i, m),
-                         abs(s_plain[m] - s_round[m]) <= Fraction(1, m),
-                         abs(s_plain[m] - s_round[m]), Fraction(1, m))
-        bump("rounding-mean-slope-stability", len(grid))
+            check("rounding-mean-slope-stability", (i, m),
+                  abs(s_plain[m] - s_round[m]), Fraction(1, m),
+                  ok=abs(s_plain[m] - s_round[m]) <= Fraction(1, m))
 
     # lc slope closed form against the threshold oracle, and shift rule
     for _ in range(max(1, samples // 20)):
@@ -960,35 +945,24 @@ def identity_suite(model: ToricFanoModel, samples: int = 100, seed: int = 0,
         if level > 0:
             seq = MonomialIdealSeq.valuation_levels(eta_i, level)
             res = monomial_lct(model, seq)
-            _assert_eq("lct-closed-form", (eta_i, level),
-                       res.value, a_eta / level)
+            check("lct-closed-form", (eta_i, level), res.value, a_eta / level)
             res_o = monomial_lct(model, seq, oracle=True)
-            _assert_eq("lct-oracle-agreement", (eta_i, level),
-                       res_o.value, res.value)
-            bump("lct-closed-form")
-            bump("lct-oracle-agreement")
+            check("lct-oracle-agreement", (eta_i, level), res_o.value, res.value)
         # above that level the direction still caps the threshold
         t_max = t_invariant(model, TOTAL, eta_i)
         if t_max > a_eta:
             high = (a_eta + t_max) / 2
             res_hi = monomial_lct(
                 model, MonomialIdealSeq.valuation_levels(eta_i, high))
-            _assert_true("lct-witness-upper-bound", (eta_i, high),
-                         res_hi.value is not None
-                         and res_hi.value <= a_eta / high,
-                         res_hi.value, a_eta / high)
-            bump("lct-witness-upper-bound")
+            check("lct-witness-upper-bound", (eta_i, high),
+                  res_hi.value, a_eta / high,
+                  ok=res_hi.value is not None and res_hi.value <= a_eta / high)
         f = valuation_filtration(bases[0], eta_i)
         c = _rand_frac(rng)
         delta = Fraction(rng.randint(1, 3))
-        _assert_eq("mu-shift-covariance", (eta_i, c, delta),
-                   mu_slope(shift(f, c), delta).value,
-                   mu_slope(f, delta).value + c)
-        bump("mu-shift-covariance")
+        check("mu-shift-covariance", (eta_i, c, delta),
+              mu_slope(shift(f, c), delta).value, mu_slope(f, delta).value + c)
 
-    total_cases = sum(cases.values())
-    return SuiteReport(model.name, seed, samples, passed=total_cases, failed=0,
-                       cases=cases)
 
 
 # ---------------------------------------------------------------------------

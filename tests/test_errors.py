@@ -176,9 +176,31 @@ def test_failed_identity_exits_2(monkeypatch):
     code, out, err = run("verify", "p2_halves", "--samples", "2")
     assert code == 2 and out == ""
     assert "Traceback" not in err
-    assert err.strip().splitlines()[-1].startswith(
+    # one line: the first counterexample, then how many of the cases failed
+    (line,) = err.strip().splitlines()
+    assert line.startswith(
         "internal error: identity 'barycenter-cache-consistency'")
+    assert line.endswith("(4 of 70 cases failed)")
     assert "(1/7, 1/7)" in err and "Fraction(" not in err
+
+
+def test_input_error_after_failed_identity_exits_2(monkeypatch):
+    # a library call that raises an input error once a check has failed
+    # still reports the failed check, and the exit code stays 2
+    from ckstab.stability import StabilityError
+
+    def broken(*args, **kwargs):
+        raise StabilityError("injected")
+
+    monkeypatch.setattr("ckstab.stability.centroid",
+                        lambda p: (F(1, 7),) * p.rank)
+    monkeypatch.setattr("ckstab.stability.reduced_coupled_j", broken)
+    code, out, err = run("verify", "p2_halves", "--samples", "2")
+    assert code == 2 and out == ""
+    (line,) = err.strip().splitlines()
+    assert line.startswith(
+        "internal error: identity 'barycenter-cache-consistency'")
+    assert line.endswith("cases failed)")
 
 
 # --- the shape of the tree ---------------------------------------------------------
@@ -217,21 +239,26 @@ def test_every_import_is_used():
 
 
 def test_every_library_definition_is_used():
-    # a top-level function or class is used when some module names it
-    # outside the definition itself, or when the package root exports it
-    refs: dict[str, set[tuple[str, str]]] = {}
+    # a top-level function or class is used when its own module loads it
+    # outside the definition itself, when another module imports it by name
+    # from its module, or when the package root exports it; a local variable
+    # of the same name elsewhere does not count
+    used: set[tuple[str, str]] = set()
     defs = []
     for path in pathlib.Path(ckstab.__file__).parent.glob("*.py"):
+        module = path.stem
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             owner = getattr(stmt, "name", "")
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                defs.append((path.name, owner))
+                defs.append((module, owner))
             for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    refs.setdefault(node.id, set()).add((path.name, owner))
+                if (isinstance(node, ast.Name) and node.id != owner
+                        and isinstance(node.ctx, ast.Load)):
+                    used.add((module, node.id))
+                elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                    used.update((node.module, alias.name) for alias in node.names)
     unused = [(module, name) for module, name in defs
-              if name not in ckstab.__all__
-              and not refs.get(name, set()) - {(module, name)}]
+              if name not in ckstab.__all__ and (module, name) not in used]
     assert not unused, unused
 
 

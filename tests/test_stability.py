@@ -17,9 +17,9 @@ from ckstab.filtration import (UnsupportedDescriptor, construct,
                                trivial_family, twist_family,
                                valuation_family, valuation_filtration)
 from ckstab.geometry import DimensionMismatch
-from ckstab.stability import (DegenerateSubtorus, RankTooHigh, SubtorusSpec,
-                              SuiteFailure, coupled_delta, coupled_ding,
-                              coupled_futaki, find_destabilizer,
+from ckstab.stability import (DegenerateSubtorus, RankTooHigh, StabilityError,
+                              SubtorusSpec, SuiteFailure, coupled_delta,
+                              coupled_ding, coupled_futaki, find_destabilizer,
                               identity_suite, inner_twist_sup,
                               inradius_squared, j_twist, mu_slope,
                               reduced_coupled_delta, reduced_coupled_j,
@@ -346,13 +346,84 @@ def test_identity_suite_deterministic(p2):
     assert a == b
 
 
+# the same counts per identity for both models at this budget
+_SHARED_CASES = {
+    "a-minus-s-twist": 20, "barycenter-cache-consistency": 2,
+    "barycenter-sum-translation-invariance": 20,
+    "base-change-twist-compatibility": 40, "degree-one-homogeneity": 40,
+    "ding-twist": 20, "lct-closed-form": 1, "lct-oracle-agreement": 1,
+    "lct-witness-upper-bound": 1, "log-discrepancy-twist": 20,
+    "mu-shift-covariance": 1, "reduced-ding-threshold-consistency": 4,
+    "reduced-j-twist-cancellation": 1, "reflexive-support-duality": 20,
+    "s-invariant-twist": 40, "shift-composition": 20,
+    "sum-approximation-compatibility": 20, "sum-base-change-compatibility": 20,
+    "sum-shift-commutation": 20, "sum-twist-commutation": 20,
+    "theta-additivity": 20, "twist-inversion": 20,
+    "twist-of-valuation-table": 20, "twisted-ratio-limit": 1,
+    "twisted-ratio-ray-value": 1,
+}
+
+
+@pytest.mark.parametrize("name, passed, own_cases", [
+    # vanishing Futaki: the twist-growth bound runs, on a four-degree grid
+    ("p2_steps", 801, {"base-change-slope-scaling": 160,
+                       "rounding-mean-slope-stability": 8,
+                       "sum-lambda-max-additivity": 160,
+                       "twist-growth-lower-bound": 80}),
+    # nonvanishing Futaki: threshold consistency twists against the barycenter
+    ("bl1p2_halves", 557, {"base-change-slope-scaling": 80,
+                           "rounding-mean-slope-stability": 4,
+                           "sum-lambda-max-additivity": 80}),
+])
+def test_identity_suite_pinned_report(models, name, passed, own_cases):
+    # every case count is pinned, so a check added, lost or moved shows here
+    cases = dict(sorted({**_SHARED_CASES, **own_cases}.items()))
+    assert identity_suite(models[name], samples=20, seed=3).to_dict() == {
+        "model": name, "seed": 3, "samples": 20, "passed": passed,
+        "failed": 0, "cases": cases}
+
+
 def test_identity_suite_detects_corruption(p2):
-    # hand-edit the barycenter cache; the suite must call it out
+    # hand-edit the barycenter cache; the suite runs on and counts every
+    # failure: the cache check on summand 0, and each balanced translation
     bad = dataclasses.replace(
         p2, barycenters=((F(1, 7), F(0)), p2.barycenters[1]))
     with pytest.raises(SuiteFailure) as info:
         identity_suite(bad, samples=5, seed=1)
     assert info.value.identity == "barycenter-cache-consistency"
+    assert info.value.inputs == ("p2_halves", 0)
+    rep = info.value.report
+    assert (rep.failed, rep.passed) == (6, 141)
+    assert str(info.value).endswith("(6 of 147 cases failed)")
+    # the corrupt cache moves the coupled barycenter off zero, which skips
+    # only the growth bound that holds on vanishing-Futaki models
+    clean = identity_suite(p2, samples=5, seed=1).cases
+    assert clean.pop("twist-growth-lower-bound") == 10
+    assert rep.cases == clean
+
+
+def _injected(*args, **kwargs):
+    raise StabilityError("injected")
+
+
+def test_identity_suite_error_after_failed_check(p2, monkeypatch):
+    # a library error after a failed check still reports the counterexample
+    monkeypatch.setattr("ckstab.stability.centroid",
+                        lambda p: (F(1, 7),) * p.rank)
+    monkeypatch.setattr("ckstab.stability.reduced_coupled_j", _injected)
+    with pytest.raises(SuiteFailure) as info:
+        identity_suite(p2, samples=2, seed=0)
+    assert info.value.identity == "barycenter-cache-consistency"
+    assert isinstance(info.value.__cause__, StabilityError)
+    assert info.value.report.failed > 0
+
+
+def test_identity_suite_error_without_failed_check(p2, monkeypatch):
+    # with every check passed so far, the library error is raised as is
+    monkeypatch.setattr("ckstab.stability.reduced_coupled_j", _injected)
+    with pytest.raises(StabilityError, match="injected") as info:
+        identity_suite(p2, samples=2, seed=0)
+    assert not isinstance(info.value, SuiteFailure)
 
 
 def test_rank3_model_stability_stack():
