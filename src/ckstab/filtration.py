@@ -8,11 +8,17 @@ character decompositions.  That monomial reduction is the load-bearing
 simplification of this module and is enforced by construction: bases only
 come from :func:`ckstab.toric.section_basis`.
 
-A weight table stores ``int`` numerators over one positive ``int``
-denominator (``Filtration.nums`` and ``Filtration.den``), so shifts,
-twists, rounding and the max-plus sums add and compare Python ints; the
-``Fraction`` weights are a read-only view (``Filtration.weights``), and
-every public output is a ``Fraction``.
+A weight table stores, per degree, one tuple of ``int`` numerators aligned
+with the basis characters of that degree, over one positive ``int``
+denominator (``Filtration.nums`` and ``Filtration.den``); each character is
+stored once, in the basis.  Shifts, twists, rounding and the max-plus sums
+add and compare Python ints; the ``Fraction`` weights are a read-only view
+(``Filtration.weights``), and every public output is a ``Fraction``.
+
+A max-plus sum runs on a gather plan: for a pair of character lists, the
+index pairs whose characters add up to each output character.  Plans are
+memoized on the model, keyed by the exact character tuples they were built
+from, so every later table on the same bases only adds and compares ints.
 
 All tables live on degrees up to a cap; operations never extrapolate beyond
 stored degrees except through closed-form descriptors (trivial, cocharacter
@@ -26,7 +32,8 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import add, mul
+from itertools import product
+from operator import add, itemgetter, mul
 from typing import Optional, Sequence, Union
 
 from .errors import InputError
@@ -36,7 +43,7 @@ from .toric import (TOTAL, RankMismatch, SummandIndex, ToricFanoModel,
                     support_min, t_invariant, theta_twist)
 
 Char = tuple[int, ...]
-IntTable = dict[int, dict[Char, int]]
+IntTable = dict[int, tuple[int, ...]]
 
 
 class FiltrationError(InputError):
@@ -73,7 +80,10 @@ class UnsupportedDescriptor(FiltrationError):
 
 @dataclass(frozen=True)
 class GradedBasis:
-    """Characters of the stored degrees of one summand (or the total ring)."""
+    """Characters of the stored degrees of one summand (or the total ring).
+
+    ``chars[m]`` fixes the order of the degree-m characters: every weight
+    row on this basis is a tuple aligned with it."""
 
     model: ToricFanoModel
     index: SummandIndex
@@ -96,20 +106,22 @@ class GradedBasis:
 def graded_basis(model: ToricFanoModel, i: SummandIndex, m_max: int = 12,
                  step: Optional[int] = None) -> GradedBasis:
     """Basis on all degrees that are multiples of the summand's integrality
-    step, up to m_max.  Results are memoized on the model instance;
-    lattice-point enumeration dominates otherwise."""
+    step, up to m_max.  The characters are memoized on the model instance;
+    lattice-point enumeration dominates otherwise.  The memo holds no
+    reference back to the model, so a model that is no longer used is
+    freed at once rather than by the cycle collector."""
     if step is None:
         step = integrality_step(model, i)
     key = (i, m_max, step)
-    hit = model.bases.get(key)
-    if hit is not None:
-        return hit
-    degrees = tuple(range(step, m_max + 1, step))
-    if not degrees:
-        raise GridMismatch(f"degree cap {m_max} below the integrality step {step}")
-    chars = {m: tuple(section_basis(model, i, m)) for m in degrees}
-    basis = model.bases[key] = GradedBasis(model, i, degrees, chars)
-    return basis
+    chars = model.bases.get(key)
+    if chars is None:
+        degrees = range(step, m_max + 1, step)
+        if not degrees:
+            raise GridMismatch(
+                f"degree cap {m_max} below the integrality step {step}")
+        chars = model.bases[key] = {m: tuple(section_basis(model, i, m))
+                                    for m in degrees}
+    return GradedBasis(model, i, tuple(chars), chars)
 
 
 # ---------------------------------------------------------------------------
@@ -142,17 +154,20 @@ Descriptor = Union[ValuationDescriptor, SumDescriptor, None]
 
 class _WeightView(Mapping):
     """The ``Fraction`` weights of an integer table, read-only; each
-    ``[m]`` builds the degree-m row afresh."""
+    ``[m]`` builds the degree-m row afresh, keyed by character."""
 
-    __slots__ = ("_nums", "_den")
+    __slots__ = ("_chars", "_nums", "_den")
 
-    def __init__(self, nums: IntTable, den: int):
+    def __init__(self, chars: dict[int, tuple[Char, ...]], nums: IntTable,
+                 den: int):
+        self._chars = chars
         self._nums = nums
         self._den = den
 
     def __getitem__(self, m: int) -> dict[Char, Fraction]:
         den = self._den
-        return {a: Fraction(n, den) for a, n in self._nums[m].items()}
+        return {a: Fraction(n, den)
+                for a, n in zip(self._chars[m], self._nums[m])}
 
     def __iter__(self):
         return iter(self._nums)
@@ -164,10 +179,11 @@ class _WeightView(Mapping):
 class Filtration:
     """An immutable per-degree weight table on a graded basis.
 
-    The weight of the degree-m section of character alpha, the largest level
-    at which it survives, is ``nums[m][alpha] / den``: ``int`` numerators
-    over one positive ``int`` denominator for the whole table, not
-    necessarily in lowest terms.  ``weights[m][alpha]`` reads the same
+    The weight of the degree-m section of character ``basis.chars[m][k]``,
+    the largest level at which it survives, is ``nums[m][k] / den``: one
+    tuple of ``int`` numerators per degree, aligned with the basis
+    characters, over one positive ``int`` denominator for the whole table,
+    not necessarily in lowest terms.  ``weights[m][alpha]`` reads the same
     weight as a ``Fraction``, built on demand.  Every constructor builds its
     table from the basis, so the table covers exactly the basis characters.
     """
@@ -183,31 +199,45 @@ class Filtration:
 
     @property
     def weights(self) -> Mapping[int, dict[Char, Fraction]]:
-        return _WeightView(self.nums, self.den)
+        return _WeightView(self.basis.chars, self.nums, self.den)
 
     def row_max(self, m: int) -> Fraction:
         """The largest weight at degree m."""
-        return Fraction(max(self.nums[m].values()), self.den)
+        return Fraction(max(self.nums[m]), self.den)
 
     def row_min(self, m: int) -> Fraction:
         """The least weight at degree m."""
-        return Fraction(min(self.nums[m].values()), self.den)
+        return Fraction(min(self.nums[m]), self.den)
 
     def table_equal(self, other: "Filtration") -> bool:
-        if (self.basis.degrees != other.basis.degrees
-                or self.basis.index != other.basis.index):
-            return False
-        if self.den == other.den:
-            return self.nums == other.nums
-        # n / p == n' / q exactly when n * q == n' * p
+        return (self.basis.index == other.basis.index
+                and self.basis.degrees == other.basis.degrees
+                and all(self._row_equal(other, m) for m in self.basis.degrees))
+
+    def _row_equal(self, other: "Filtration", m: int) -> bool:
+        chars, other_chars = self.basis.chars[m], other.basis.chars[m]
+        if chars is not other_chars and chars != other_chars:
+            # the characters differ, or come in another order
+            return self.weights[m] == other.weights[m]
+        row, other_row = self.nums[m], other.nums[m]
         p, q = self.den, other.den
-        for m, row in self.nums.items():
-            other_row = other.nums[m]
-            if row.keys() != other_row.keys():
-                return False
-            if any(n * q != other_row[a] * p for a, n in row.items()):
-                return False
-        return True
+        if p == q:
+            return row == other_row
+        # n / p == n' / q exactly when n * q == n' * p
+        return all(n * q == o * p for n, o in zip(row, other_row))
+
+    def first_difference(self, other: "Filtration") -> Optional[tuple]:
+        """The first entry where the weight tables differ, as (degree,
+        character, weight, other weight), with ``Fraction`` weights and
+        None where a table lacks the entry; None when they agree."""
+        for m in sorted(self.nums.keys() | other.nums.keys()):
+            row = self.weights[m] if m in self.nums else {}
+            other_row = other.weights[m] if m in other.nums else {}
+            for alpha in {**row, **other_row}:
+                x, y = row.get(alpha), other_row.get(alpha)
+                if x != y:
+                    return m, alpha, x, y
+        return None
 
     def __repr__(self):
         return (f"Filtration(index={self.basis.index!r}, "
@@ -223,11 +253,11 @@ def _numerators(values: Sequence[Fraction], den: int) -> tuple[int, ...]:
 def construct(basis: GradedBasis, spec) -> Filtration:
     """Build a filtration from a weight table {m: {alpha: weight}}."""
     if isinstance(spec, dict):
-        weights: dict[int, dict[Char, Fraction]] = {}
+        weights: dict[int, list[Fraction]] = {}
         for m in basis.degrees:
             if m not in spec:
                 raise MissingCharacter(f"table lacks degree {m}")
-            row = {}
+            row = []
             for alpha in basis.characters(m):
                 if alpha not in spec[m]:
                     raise MissingCharacter(f"table lacks {alpha} at degree {m}")
@@ -237,18 +267,17 @@ def construct(basis: GradedBasis, spec) -> Filtration:
                 if isinstance(w, float):
                     raise FiltrationError(
                         f"floating point weight at {alpha}; weights must be rational")
-                row[alpha] = Fraction(w)
+                row.append(Fraction(w))
             weights[m] = row
         den = math.lcm(*(w.denominator for row in weights.values()
-                         for w in row.values()))
-        nums = {m: dict(zip(row, _numerators(row.values(), den)))
-                for m, row in weights.items()}
+                         for w in row))
+        nums = {m: _numerators(row, den) for m, row in weights.items()}
         return Filtration(basis, nums, den, descriptor=None)
     raise FiltrationError(f"unrecognized filtration spec {spec!r}")
 
 
 def trivial_filtration(basis: GradedBasis) -> Filtration:
-    nums = {m: {a: 0 for a in basis.characters(m)} for m in basis.degrees}
+    nums = {m: (0,) * len(basis.characters(m)) for m in basis.degrees}
     eta0 = tuple(Fraction(0) for _ in range(basis.model.rank))
     return Filtration(basis, nums, 1, ValuationDescriptor(eta0))
 
@@ -264,8 +293,8 @@ def valuation_filtration(basis: GradedBasis, eta: Sequence) -> Filtration:
     den = math.lcm(lam.denominator, *(x.denominator for x in eta))
     eta_n = _numerators(eta, den)
     (lam_n,) = _numerators((lam,), den)
-    nums = {m: {a: sum(map(mul, a, eta_n)) - m * lam_n
-                for a in basis.characters(m)}
+    nums = {m: tuple([sum(map(mul, a, eta_n)) - m * lam_n
+                      for a in basis.characters(m)])
             for m in basis.degrees}
     return Filtration(basis, nums, den, ValuationDescriptor(eta))
 
@@ -279,7 +308,7 @@ def shift(f: Filtration, c) -> Filtration:
     den = math.lcm(f.den, c.denominator)
     k = den // f.den
     (c_n,) = _numerators((c,), den)
-    nums = {m: {a: n * k + c_n * m for a, n in row.items()}
+    nums = {m: tuple([n * k + c_n * m for n in row])
             for m, row in f.nums.items()}
     return Filtration(f.basis, nums, den, _shift_descriptor(f.descriptor, c))
 
@@ -302,7 +331,9 @@ def twist(f: Filtration, xi: Sequence) -> Filtration:
     den = math.lcm(f.den, *(x.denominator for x in xi))
     k = den // f.den
     xi_n = _numerators(xi, den)
-    nums = {m: {a: n * k + sum(map(mul, a, xi_n)) for a, n in row.items()}
+    chars = f.basis.chars
+    nums = {m: tuple([n * k + sum(map(mul, a, xi_n))
+                      for a, n in zip(chars[m], row)])
             for m, row in f.nums.items()}
     return Filtration(f.basis, nums, den, _twist_descriptor(f, xi))
 
@@ -318,15 +349,14 @@ def _twist_descriptor(f: Filtration, xi: Vec) -> Descriptor:
 
 def _integer_valued(f: Filtration) -> bool:
     den = f.den
-    return all(n % den == 0 for row in f.nums.values() for n in row.values())
+    return all(n % den == 0 for row in f.nums.values() for n in row)
 
 
 def round_weights(f: Filtration) -> Filtration:
     """Round every weight down to an integer, the largest integer level at
     which each section persists.  Idempotent."""
     den = f.den
-    nums = {m: {a: n // den for a, n in row.items()}
-            for m, row in f.nums.items()}
+    nums = {m: tuple([n // den for n in row]) for m, row in f.nums.items()}
     d = f.descriptor
     keep = d if isinstance(d, ValuationDescriptor) and _integer_valued(f) else None
     return Filtration(f.basis, nums, 1, keep)
@@ -339,8 +369,7 @@ def base_change(f: Filtration, e: int) -> Filtration:
         raise FiltrationError("base change exponent must be a positive integer")
     if not _integer_valued(f):
         raise NotIntegerValued("round the filtration before base change")
-    nums = {m: {a: n * e for a, n in row.items()}
-            for m, row in f.nums.items()}
+    nums = {m: tuple([n * e for n in row]) for m, row in f.nums.items()}
     d = f.descriptor
     if isinstance(d, ValuationDescriptor):
         keep: Descriptor = ValuationDescriptor(tuple(x * e for x in d.eta),
@@ -407,16 +436,40 @@ def twist_family(fam: FiltrationFamily, xi: Sequence) -> FiltrationFamily:
     return FiltrationFamily(fam.model, tuple(twist(f, xi) for f in fam.members))
 
 
-def _maxplus_pair(wa: dict[Char, int], wb: dict[Char, int]) -> dict[Char, int]:
-    out: dict[Char, int] = {}
-    for a, x in wa.items():
-        for b, y in wb.items():
-            s = tuple(map(add, a, b))
-            v = x + y
-            cur = out.get(s)
-            if cur is None or v > cur:
-                out[s] = v
-    return out
+def _plan(model: ToricFanoModel, left: tuple[Char, ...],
+          right: tuple[Char, ...], target: tuple[Char, ...], m: int,
+          what: str) -> tuple[tuple, tuple[Char, ...]]:
+    """The gather plan of one max-plus stage, memoized on the model by the
+    exact character tuples: (gathers, output characters).
+
+    The outputs are the target characters in order, then every other sum
+    in first-seen order.  A gather is the flat index ``i * len(right) + j``
+    of the one pair (left[i], right[j]) adding up to its output, or an
+    ``itemgetter`` of all such indices.  A target character that is no sum
+    raises EmptyDecomposition, naming ``what`` it lacks."""
+    key = (left, right, target)
+    plan = model.plans.get(key)
+    if plan is None:
+        groups: dict[Char, list[int]] = {alpha: [] for alpha in target}
+        for k, (a, b) in enumerate(product(left, right)):
+            groups.setdefault(tuple(map(add, a, b)), []).append(k)
+        for alpha in target:
+            if not groups[alpha]:
+                raise EmptyDecomposition(
+                    f"character {alpha} at degree {m} admits no {what}")
+        gathers = tuple(ks[0] if len(ks) == 1 else itemgetter(*ks)
+                        for ks in groups.values())
+        out = target if len(groups) == len(target) else tuple(groups)
+        plan = model.plans[key] = (gathers, out)
+    return plan
+
+
+def _maxplus(gathers: tuple, wa: tuple[int, ...],
+             wb: tuple[int, ...]) -> tuple[int, ...]:
+    """The max-plus product of two weight rows, laid out by a plan."""
+    sums = [x + y for x in wa for y in wb]
+    return tuple([sums[g] if g.__class__ is int else max(g(sums))
+                  for g in gathers])
 
 
 def sum_filtration(fam: FiltrationFamily) -> Filtration:
@@ -429,22 +482,26 @@ def sum_filtration(fam: FiltrationFamily) -> Filtration:
     total_basis = graded_basis(model, TOTAL, m_max=grid[-1], step=grid[0])
     total_basis = total_basis.restrict(grid)
     den = math.lcm(*(f.den for f in fam.members))
-    members = [f.nums if f.den == den else
-               {m: {a: n * (den // f.den) for a, n in row.items()}
-                for m, row in f.nums.items()}
-               for f in fam.members]
+    rows = [f.nums if f.den == den else
+            {m: tuple([n * (den // f.den) for n in row])
+             for m, row in f.nums.items()}
+            for f in fam.members]
+    chars = [f.basis.chars for f in fam.members]
+    if len(rows) == 1:
+        # the one summand is the polytope: adding the zero character lays
+        # its rows out on the total basis
+        rows.append({m: (0,) for m in grid})
+        chars.append({m: ((0,) * model.rank,) for m in grid})
+    last = len(rows) - 1
     nums: IntTable = {}
     for m in grid:
-        acc = members[0][m]
-        for table in members[1:]:
-            acc = _maxplus_pair(acc, table[m])
-        row = {}
-        for alpha in total_basis.characters(m):
-            if alpha not in acc:
-                raise EmptyDecomposition(
-                    f"character {alpha} at degree {m} admits no decomposition")
-            row[alpha] = acc[alpha]
-        nums[m] = row
+        target = total_basis.chars[m]
+        out, row = chars[0][m], rows[0][m]
+        for k in range(1, last + 1):
+            gathers, out = _plan(model, out, chars[k][m],
+                                 target if k == last else (), m, "decomposition")
+            row = _maxplus(gathers, row, rows[k][m])
+        nums[m] = row[:len(target)]
     return Filtration(total_basis, nums, den, _sum_descriptor(fam))
 
 
@@ -469,23 +526,19 @@ def approximate(f: Filtration, m0: int) -> Filtration:
         raise GridMismatch(f"degree {m0} not stored")
     target = [m for m in f.basis.degrees if m % m0 == 0]
     basis = f.basis.restrict(target)
-    base_row = f.nums[m0]
-    nums: IntTable = {}
-    power = dict(base_row)
-    cur = m0
-    powers = {m0: power}
-    while cur + m0 <= target[-1]:
-        power = _maxplus_pair(power, base_row)
-        cur += m0
-        powers[cur] = power
-    for m in target:
-        row = {}
-        for alpha in basis.characters(m):
-            if alpha not in powers[m]:
-                raise EmptyDecomposition(
-                    f"character {alpha} at degree {m} admits no s-fold decomposition")
-            row[alpha] = powers[m][alpha]
-        nums[m] = row
+    model = basis.model
+    base_chars, base_row = basis.chars[m0], f.nums[m0]
+    nums: IntTable = {m0: base_row}
+    # each power keeps every s-fold sum, in or out of the target basis, so
+    # the next power sees all of them
+    out, row = base_chars, base_row
+    for m in range(2 * m0, basis.degrees[-1] + 1, m0):
+        chars = basis.chars.get(m, ())
+        gathers, out = _plan(model, out, base_chars, chars, m,
+                             "s-fold decomposition")
+        row = _maxplus(gathers, row, base_row)
+        if m in basis.chars:
+            nums[m] = row[:len(chars)]
     # keep the closed form only when degree-m0 products really regenerate
     # the original table (true for valuation filtrations on these bases,
     # but checked rather than assumed)
@@ -520,9 +573,8 @@ def numerics(f: Filtration) -> FiltrationNumerics:
     t_by, s_by = {}, {}
     den = f.den
     for m, row in f.nums.items():
-        vals = row.values()
-        t_by[m] = Fraction(max(vals), den * m)
-        s_by[m] = Fraction(sum(vals), den * m * len(vals))
+        t_by[m] = Fraction(max(row), den * m)
+        s_by[m] = Fraction(sum(row), den * m * len(row))
     model = f.basis.model
     i = f.basis.index
     d = f.descriptor

@@ -97,8 +97,14 @@ class ToricFanoModel:
     fan: tuple[Cone, ...]
     support_forms: tuple[tuple[Vec, ...], ...]   # [cone][summand] argmin vertex
     total_forms: tuple[Vec, ...]                 # [cone] argmin vertex of P^L
-    # graded bases by (summand, degree cap, step); see filtration.graded_basis
+    # the characters {degree: tuple} of each graded basis by (summand, degree
+    # cap, step); see filtration.graded_basis.  Weight rows are int tuples
+    # aligned with them.  Neither memo refers back to the model.
     bases: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
+    # max-plus gather plans by their exact (left, right, target) character
+    # tuples; see filtration._plan
+    plans: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 
     @property

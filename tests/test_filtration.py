@@ -3,7 +3,9 @@ the structural identities on sampled inputs."""
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +15,9 @@ from oracles import (check_multiplicative, is_shifted_trivial,
                      table_base_change, table_round, table_shift,
                      table_slopes, table_sum, table_twist)
 
-from ckstab.filtration import (Filtration, FiltrationFamily,
+from ckstab.cli import resolve_model_path
+from ckstab.filtration import (EmptyDecomposition, Filtration,
+                               FiltrationFamily, GradedBasis,
                                GridMismatch, MissingCharacter,
                                NotIntegerValued, UnboundedWeights,
                                approximate, base_change, construct,
@@ -22,7 +26,10 @@ from ckstab.filtration import (Filtration, FiltrationFamily,
                                trivial_family, trivial_filtration, twist,
                                twist_family, valuation_family,
                                valuation_filtration)
-from ckstab.toric import TOTAL, theta_twist
+from ckstab.geometry import ExactPolytope
+from ckstab.serialize import load_model
+from ckstab.stability import identity_suite
+from ckstab.toric import TOTAL, build_model, theta_twist
 
 
 def rand_frac(rng, span=3):
@@ -458,9 +465,41 @@ def test_table_equal_compares_values(models):
         assert not f.table_equal(construct(basis, table))
 
 
+def test_table_equal_reads_characters_not_positions(models):
+    # the same table on a basis listing its characters in another order
+    rng = random.Random(23)
+    basis = graded_basis(models["p2_steps"], 0, m_max=3)
+    flipped = GradedBasis(basis.model, basis.index, basis.degrees,
+                          {m: basis.chars[m][::-1] for m in basis.degrees})
+    table = random_table(rng, basis)
+    f, g = construct(basis, table), construct(flipped, table)
+    assert f.nums != g.nums
+    assert f.table_equal(g) and g.table_equal(f)
+    assert f.first_difference(g) is None
+    m = basis.degrees[-1]
+    a = basis.characters(m)[1]
+    table[m][a] += F(1, 2)
+    h = construct(flipped, table)
+    assert not f.table_equal(h)
+    assert f.first_difference(h) == (m, a, table[m][a] - F(1, 2), table[m][a])
+    # a character one table lacks reads None on that side
+    table[m][a] -= F(1, 2)
+    short = GradedBasis(basis.model, basis.index, basis.degrees,
+                        {d: basis.chars[d][:-1] if d == m else basis.chars[d]
+                         for d in basis.degrees})
+    e = construct(short, table)
+    last = basis.characters(m)[-1]
+    assert not f.table_equal(e)
+    assert f.first_difference(e) == (m, last, table[m][last], None)
+
+
 def integer_tables(f):
+    # one int tuple per degree, aligned with the basis characters
     return (type(f.den) is int and f.den > 0
-            and all(type(n) is int for row in f.nums.values() for n in row.values()))
+            and f.nums.keys() == f.basis.chars.keys()
+            and all(type(row) is tuple and len(row) == len(f.basis.chars[m])
+                    and all(type(n) is int for n in row)
+                    for m, row in f.nums.items()))
 
 
 @pytest.mark.parametrize("name", ["p2_halves", "bl1p2_halves"])
@@ -484,3 +523,118 @@ def test_tables_store_only_ints(models, name):
         made.extend(fam.members)
         made.append(sum_filtration(fam))
     assert all(isinstance(f, Filtration) and integer_tables(f) for f in made)
+
+
+# --- sums of three summands, and the plan memo -------------------------------
+
+@pytest.fixture(scope="module")
+def p2_thirds():
+    # P^2 as three copies of a third of its polytope: every sum and every
+    # three-fold power runs an intermediate stage
+    third = ExactPolytope.from_vertices(
+        [(F(-1, 3), F(-1, 3)), (F(2, 3), F(-1, 3)), (F(-1, 3), F(2, 3))])
+    return build_model([[1, 0], [0, 1], [-1, -1]], [third] * 3, name="p2_thirds")
+
+
+def test_three_summand_sums_match_fraction_oracle(p2_thirds):
+    rng = random.Random(20261018)
+    model = p2_thirds
+    assert family_degree_grid(model, 6) == (3, 6)
+    bases = [graded_basis(model, i, m_max=6, step=3) for i in range(3)]
+    for _ in range(2):
+        tables = [random_table(rng, b) for b in bases]
+        fs = [construct(b, t) for b, t in zip(bases, tables)]
+        total = sum_filtration(FiltrationFamily(model, tuple(fs)))
+        expected = table_sum(tables)
+        assert_matches(total, expected)
+        assert_matches(approximate(total, 3), table_approximate(expected, 3))
+    basis = graded_basis(model, 0, m_max=9, step=3)
+    table = random_table(rng, basis)
+    assert_matches(approximate(construct(basis, table), 3),
+                   table_approximate(table, 3))
+    # the closed form of a same-direction sum still holds on three summands
+    eta = (F(1, 2), F(-1, 3))
+    total = sum_filtration(valuation_family(model, eta, m_max=6))
+    assert total.table_equal(valuation_filtration(
+        graded_basis(model, TOTAL, m_max=6, step=3), eta))
+
+
+def test_one_summand_sum_is_its_member(p2):
+    # the whole polytope as its only summand: the sum lays the member's
+    # rows out on the total basis
+    whole = build_model(p2.rays, [p2.anticanonical], name="p2_whole")
+    basis = graded_basis(whole, 0, m_max=3)
+    table = random_table(random.Random(5), basis)
+    total = sum_filtration(FiltrationFamily(whole, (construct(basis, table),)))
+    assert total.basis.index == TOTAL
+    assert_matches(total, table)
+
+
+def without(basis, m, alpha):
+    """A hand-built copy of the basis lacking one character."""
+    return GradedBasis(basis.model, basis.index, basis.degrees,
+                       {d: tuple(a for a in basis.chars[d] if (d, a) != (m, alpha))
+                        for d in basis.degrees})
+
+
+def test_plans_follow_the_characters_not_the_summand(p2):
+    # plans for the canonical bases are cached first; a basis lacking the
+    # vertex (2, -1) of the degree-2 piece must not reuse them: (4, -2) is
+    # only (2, -1) twice, and (3, -2) only (2, -1) + (1, -1)
+    fam = valuation_family(p2, (F(1, 2), F(1, 3)), m_max=4)
+    sum_filtration(fam)
+    approximate(fam.members[0], 2)
+    assert p2.plans
+    basis = fam.members[0].basis
+    short = without(basis, 2, (2, -1))
+    f = valuation_filtration(short, (F(1, 2), F(1, 3)))
+    with pytest.raises(EmptyDecomposition,
+                       match=r"^character \(4, -2\) at degree 2 admits no decomposition$"):
+        sum_filtration(FiltrationFamily(p2, (f, fam.members[1])))
+    with pytest.raises(EmptyDecomposition,
+                       match=r"^character \(3, -2\) at degree 4 admits no s-fold decomposition$"):
+        approximate(f, 2)
+    # nor may a basis listing the same characters in another order
+    flipped = GradedBasis(p2, 0, basis.degrees,
+                          {d: basis.chars[d][::-1] for d in basis.degrees})
+    g = valuation_filtration(flipped, (F(1, 2), F(1, 3)))
+    assert sum_filtration(FiltrationFamily(p2, (g, fam.members[1]))).table_equal(
+        sum_filtration(fam))
+    assert approximate(g, 2).table_equal(approximate(fam.members[0], 2))
+
+
+def test_powers_keep_sums_outside_the_target_basis(models):
+    # (6, -3) at degree 6 is only (2, -1) three times, through (4, -2) at
+    # degree 4, which the hand-built basis lacks
+    rng = random.Random(31)
+    model = models["p2_halves"]
+    short = without(graded_basis(model, 0, m_max=6, step=2), 4, (4, -2))
+    table = random_table(rng, short)
+    expected = {m: {a: w for a, w in row.items() if a in short.chars[m]}
+                for m, row in table_approximate(table, 2).items()}
+    ap = approximate(construct(short, table), 2)
+    assert_matches(ap, expected)
+    assert ap.weights[6][(6, -3)] == 3 * table[2][(2, -1)]
+
+
+def test_memos_let_a_model_go_without_the_cycle_collector():
+    # neither memo refers back to the model, so a model is freed as soon as
+    # its caller lets go, with its bases and plans
+    gc.disable()
+    try:
+        model = load_model(resolve_model_path("p1_halves.json"))
+        identity_suite(model, samples=2, seed=0)
+        assert model.bases and model.plans
+        ref = weakref.ref(model)
+        del model
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_second_suite_run_adds_no_plans():
+    model = load_model(resolve_model_path("p1_halves.json"))
+    identity_suite(model, samples=5, seed=0)
+    sizes = len(model.bases), len(model.plans)
+    identity_suite(model, samples=5, seed=1)
+    assert (len(model.bases), len(model.plans)) == sizes

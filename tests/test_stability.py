@@ -426,6 +426,22 @@ def test_identity_suite_error_without_failed_check(p2, monkeypatch):
     assert not isinstance(info.value, SuiteFailure)
 
 
+def test_table_failure_names_the_first_difference(p1, monkeypatch):
+    # a shift that slips by one on an already shifted table breaks shift
+    # composition only; the message names the first differing entry
+    def slipping_shift(f, c):
+        return shift(f, c + 1 if getattr(f.descriptor, "shift", 0) else c)
+
+    monkeypatch.setattr("ckstab.stability.shift", slipping_shift)
+    with pytest.raises(SuiteFailure) as info:
+        identity_suite(p1, samples=1, seed=0)
+    assert str(info.value) == (
+        "identity 'shift-composition' failed on (0, -5/3, 1): "
+        "{2: {(-1): 2/3}} != {2: {(-1): -4/3}} (1 of 41 cases failed)")
+    assert info.value.lhs == {2: {(-1,): F(2, 3)}}
+    assert info.value.rhs == {2: {(-1,): F(-4, 3)}}
+
+
 def test_rank3_model_stability_stack():
     # the full stack works in rank 3: symmetric product model has
     # vanishing Futaki, threshold one, and no destabilizer
