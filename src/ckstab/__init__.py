@@ -25,8 +25,8 @@ from .filtration import (EmptyDecomposition, Filtration, FiltrationFamily,
                          shift, sum_filtration, trivial_family,
                          trivial_filtration, twist, twist_family,
                          valuation_family, valuation_filtration)
-from .optimize import (LinearProgram, Unbounded, dinkelbach_ratio_min,
-                       lp_solve, minimize_convex_pl, minimize_pl_ratio)
+from .optimize import (LinearProgram, Unbounded, lp_solve,
+                       minimize_convex_pl, minimize_pl_ratio)
 from .stability import (CoupledBarycenter, DegenerateSubtorus, RankTooHigh,
                         StabilityError, StabilityReport, SubtorusSpec,
                         SuiteFailure, build_stability_report, coupled_delta,
@@ -60,8 +60,8 @@ __all__ = [
     "shift", "sum_filtration", "trivial_family", "trivial_filtration",
     "twist", "twist_family", "valuation_family", "valuation_filtration",
     # optimize
-    "LinearProgram", "Unbounded", "dinkelbach_ratio_min",
-    "lp_solve", "minimize_convex_pl", "minimize_pl_ratio",
+    "LinearProgram", "Unbounded", "lp_solve", "minimize_convex_pl",
+    "minimize_pl_ratio",
     # stability
     "CoupledBarycenter", "DegenerateSubtorus", "RankTooHigh",
     "StabilityError", "StabilityReport", "SubtorusSpec", "SuiteFailure",

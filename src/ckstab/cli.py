@@ -98,7 +98,7 @@ def _parse_subtorus(text: Optional[str], rank: int) -> SubtorusSpec:
     return SubtorusSpec(tuple(basis))
 
 
-def render_table(data: dict, prefix: str = "") -> str:
+def render_table(data: dict) -> str:
     rows: list[tuple[str, str]] = []
 
     def walk(obj, key):
@@ -119,7 +119,7 @@ def render_table(data: dict, prefix: str = "") -> str:
             return "true" if v else "false"
         return str(v)
 
-    walk(data, prefix)
+    walk(data, "")
     width = max((len(k) for k, _ in rows), default=0)
     return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows) + "\n"
 
@@ -283,9 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact coupled K-stability invariants of toric Fano models")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, needs_model=True):
-        if needs_model:
-            p.add_argument("model", help="model JSON file (or fixture name)")
+    def common(p):
+        p.add_argument("model", help="model JSON file (or fixture name)")
         p.add_argument("--format", choices=["json", "table"], default="json")
         p.add_argument("--out", help="also write the report to this path")
 

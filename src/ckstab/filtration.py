@@ -106,22 +106,24 @@ class GradedBasis:
 def graded_basis(model: ToricFanoModel, i: SummandIndex, m_max: int = 12,
                  step: Optional[int] = None) -> GradedBasis:
     """Basis on all degrees that are multiples of the summand's integrality
-    step, up to m_max.  The characters are memoized on the model instance;
-    lattice-point enumeration dominates otherwise.  The memo holds no
-    reference back to the model, so a model that is no longer used is
-    freed at once rather than by the cycle collector."""
+    step, up to m_max.  The characters of each degree are memoized on the
+    model instance by (summand, degree), so every basis that stores a
+    degree shares one tuple for it; lattice-point enumeration dominates
+    otherwise.  The memo holds no reference back to the model, so a model
+    that is no longer used is freed at once rather than by the cycle
+    collector."""
     if step is None:
         step = integrality_step(model, i)
-    key = (i, m_max, step)
-    chars = model.bases.get(key)
-    if chars is None:
-        degrees = range(step, m_max + 1, step)
-        if not degrees:
-            raise GridMismatch(
-                f"degree cap {m_max} below the integrality step {step}")
-        chars = model.bases[key] = {m: tuple(section_basis(model, i, m))
-                                    for m in degrees}
-    return GradedBasis(model, i, tuple(chars), chars)
+    degrees = tuple(range(step, m_max + 1, step))
+    if not degrees:
+        raise GridMismatch(f"degree cap {m_max} below the integrality step {step}")
+    chars = {}
+    for m in degrees:
+        row = model.bases.get((i, m))
+        if row is None:
+            row = model.bases[i, m] = tuple(section_basis(model, i, m))
+        chars[m] = row
+    return GradedBasis(model, i, degrees, chars)
 
 
 # ---------------------------------------------------------------------------
@@ -414,17 +416,13 @@ def family_degree_grid(model: ToricFanoModel, m_max: int) -> tuple[int, ...]:
     return grid
 
 
-def valuation_family(model: ToricFanoModel, eta: Sequence, m_max: int = 6,
-                     shifts: Optional[Sequence] = None) -> FiltrationFamily:
+def valuation_family(model: ToricFanoModel, eta: Sequence,
+                     m_max: int = 6) -> FiltrationFamily:
     grid = family_degree_grid(model, m_max)
-    members = []
-    for i in range(model.num_summands):
-        basis = graded_basis(model, i, m_max=m_max, step=grid[0])
-        f = valuation_filtration(basis, eta)
-        if shifts is not None:
-            f = shift(f, shifts[i])
-        members.append(f)
-    return FiltrationFamily(model, tuple(members))
+    return FiltrationFamily(model, tuple(
+        valuation_filtration(graded_basis(model, i, m_max=m_max, step=grid[0]),
+                             eta)
+        for i in range(model.num_summands)))
 
 
 def trivial_family(model: ToricFanoModel, m_max: int = 6) -> FiltrationFamily:

@@ -6,8 +6,7 @@ Three layers, all over ``Fraction``:
 * convex piecewise-linear minimization through the epigraph reformulation,
 * piecewise-linear fractional programs given as cells, each a cone with
   the linear forms of the numerator and the denominator on it; the infimum
-  is a scan over the cell rays, and a Dinkelbach iteration over the same
-  rays is a second solver.
+  is a scan over the cell rays.
 """
 
 from __future__ import annotations
@@ -277,29 +276,3 @@ def minimize_pl_ratio(cells: Sequence[Cell],
         return RatioResult(None, None)
     ray, num, den = min(rays, key=lambda r: r[1] / r[2])
     return RatioResult(num / den, ray)
-
-
-def dinkelbach_ratio_min(cells: Sequence[Cell], allow_zero_denominator: bool = False,
-                         max_iter: int = 10_000) -> RatioResult:
-    """A second solver for :func:`minimize_pl_ratio` over the same rays.
-
-    Solves the parametric problem min N - t*D over the candidate rays,
-    updating t to the ratio at the minimizer until optimality.  The ray set
-    is finite, so termination is guaranteed.  Both solvers read the rays
-    from ``_ray_values``, so their agreement checks the minimization, not
-    the cells.
-    """
-    rays = _ray_values(cells, allow_zero_denominator)
-    if not rays:
-        return RatioResult(None, None)
-    ray, num, den = rays[0]
-    t = num / den
-    witness = ray
-    for _ in range(max_iter):
-        vals = [(n - t * d, r, n, d) for r, n, d in rays]
-        m = min(vals, key=lambda q: (q[0], q[1]))
-        if m[0] >= 0:
-            return RatioResult(t, witness)
-        _, witness, n, d = m
-        t = n / d
-    raise InternalInvariantError("Dinkelbach iteration failed to converge")

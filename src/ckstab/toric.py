@@ -16,6 +16,8 @@ to support values and centroids of these polytopes:
 Log canonical thresholds of equivariant monomial ideal data are computed by
 exact fractional programming over the fan; the reduction of the search to
 cocharacter valuations is recorded as an assumption in every certificate.
+A second route to the same threshold, through a polytope containment and
+without the fan, is the identity suite's oracle.
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ from typing import Optional, Sequence, Union
 
 from .errors import InputError, InternalInvariantError
 from .geometry import (Cone, DimensionMismatch, ExactPolytope, GeometryError,
-                       HalfSpace, Vec, as_vec, centroid,
-                       check_complete_fan_rank2, is_primitive, lattice_points,
-                       mat_rank, minkowski_sum, normal_fan,
+                       HalfSpace, Vec, _vertices_from_halfspaces, as_vec,
+                       centroid, check_complete_fan_rank2, is_primitive,
+                       lattice_points, mat_rank, minkowski_sum, normal_fan,
                        restrict_min_support, support_value, vdot, vneg)
-from .optimize import dinkelbach_ratio_min, minimize_pl_ratio
+from .optimize import minimize_pl_ratio
 
 TOTAL = "total"
 SummandIndex = Union[int, str]
@@ -97,9 +99,9 @@ class ToricFanoModel:
     fan: tuple[Cone, ...]
     support_forms: tuple[tuple[Vec, ...], ...]   # [cone][summand] argmin vertex
     total_forms: tuple[Vec, ...]                 # [cone] argmin vertex of P^L
-    # the characters {degree: tuple} of each graded basis by (summand, degree
-    # cap, step); see filtration.graded_basis.  Weight rows are int tuples
-    # aligned with them.  Neither memo refers back to the model.
+    # the character tuple of each (summand, degree); see
+    # filtration.graded_basis.  Weight rows are int tuples aligned with
+    # them.  Neither memo refers back to the model.
     bases: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
     # max-plus gather plans by their exact (left, right, target) character
@@ -370,16 +372,13 @@ def _region_of_ideal(model: ToricFanoModel, ideal: MonomialIdealSeq,
 
 def monomial_lct(model: ToricFanoModel, ideal: MonomialIdealSeq,
                  scale: Fraction = Fraction(1),
-                 degree: Optional[int] = None,
-                 oracle: bool = False) -> LctResult:
+                 degree: Optional[int] = None) -> LctResult:
     """Log canonical threshold of the (scaled) monomial ideal data.
 
     Computed as the infimum over cocharacter valuations of
     ``A(eta) / (scale * vanishing order of the ideal along eta)`` by exact
     per-cone fractional programming.  Returns +infinity (value None) when
-    no direction constrains, which is the unit-ideal case.  With
-    ``oracle=True`` the Dinkelbach iteration is used instead; both routes
-    agree exactly and tests exercise that.
+    no direction constrains, which is the unit-ideal case.
     """
     scale = Fraction(scale)
     if scale <= 0:
@@ -403,9 +402,36 @@ def monomial_lct(model: ToricFanoModel, ideal: MonomialIdealSeq,
         for sub, v in restrict_min_support(cone, region):
             den_form = tuple(scale * (a - b) for a, b in zip(v, p_form))
             cells.append((sub, a_form, den_form))
-    solver = dinkelbach_ratio_min if oracle else minimize_pl_ratio
-    res = solver(cells, allow_zero_denominator=True)
+    res = minimize_pl_ratio(cells, allow_zero_denominator=True)
     provenance = "optimized-with-certificate"
     if res.value is None:
         return LctResult(None, None, provenance)
     return LctResult(res.value, res.witness, provenance)
+
+
+def _containment_lct(model: ToricFanoModel,
+                     ideal: MonomialIdealSeq) -> Optional[Fraction]:
+    """The value of :func:`monomial_lct` at scale 1, found without the fan.
+
+    With P the anticanonical polytope, P_i the summand and R the ideal's
+    region, ``A(eta) >= c * ord(eta)`` for every eta says that ``c * P_i``
+    lies in ``P + c * R``.  So the threshold is ``1 / g``, with g the
+    largest over the vertices v of P_i of the least gauge of P at ``v - r``
+    for r in R, and +infinity (None) when g is 0.  The gauge of P at x is
+    ``max over rays rho of -<x, rho>``, which is never negative as the
+    rays of a complete fan positively span.  Each least gauge is the least
+    z over the pointed polyhedron
+    ``{(r, z) : r in R, z >= <r - v, rho> for every ray rho}``, taken at a
+    vertex, and 0 when v is in R.
+    """
+    rank = model.rank
+    region = _region_of_ideal(model, ideal)
+    lifted = [HalfSpace(h.normal + (0,), h.offset) for h in region.halfspaces]
+    g = Fraction(0)
+    for v in model.summand(ideal.summand).vertices:
+        if region.contains(v):
+            continue
+        rows = lifted + [HalfSpace(tuple(-x for x in rho) + (1,), -vdot(v, rho))
+                         for rho in model.rays]
+        g = max(g, min(w[-1] for w in _vertices_from_halfspaces(rows, rank + 1)))
+    return None if g == 0 else 1 / g

@@ -262,6 +262,60 @@ def test_every_library_definition_is_used():
     assert not unused, unused
 
 
+def _functions(node, owner=None):
+    """(function, class name or None) for every def under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef):
+            yield child, owner
+            yield from _functions(child)
+        else:
+            yield from _functions(
+                child, child.name if isinstance(child, ast.ClassDef) else None)
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a parameter with a default is a knob; some call in the library, the
+    # tests or the demos must set it, by keyword or by position.  Calls are
+    # matched by the name called (plain or attribute), a call to a class
+    # passes its __init__ parameters, and a call with *args or **kwargs
+    # counts as passing every parameter
+    src = pathlib.Path(ckstab.__file__).parent
+    top = src.parent.parent
+    keywords: dict[str, set] = {}
+    positions: dict[str, int] = {}
+    for path in [*src.glob("*.py"), *(top / "tests").glob("*.py"),
+                 *(top / "demos").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            splat = any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords)
+            keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+            positions[name] = max(positions.get(name, 0),
+                                  1_000 if splat else len(node.args))
+    knobs = []
+    for path in src.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn, owner in _functions(tree):
+            callee = owner if fn.name == "__init__" else fn.name
+            # a method's calls do not pass self
+            self_arg = int(owner is not None and not any(
+                getattr(d, "id", None) == "staticmethod"
+                for d in fn.decorator_list))
+            params = fn.args.posonlyargs + fn.args.args
+            first = len(params) - len(fn.args.defaults)
+            passed = [(a.arg, k - self_arg) for k, a in enumerate(params)
+                      if k >= first]
+            passed += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs,
+                                                     fn.args.kw_defaults)
+                       if d is not None]
+            knobs += [(path.stem, fn.name, arg) for arg, pos in passed
+                      if arg not in keywords.get(callee, ())
+                      and (pos is None or positions.get(callee, 0) <= pos)]
+    assert not knobs, knobs
+
+
 def test_star_import_binds_only_listed_names():
     namespace = {}
     # a listed name that does not resolve raises AttributeError here

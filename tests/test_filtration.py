@@ -515,8 +515,10 @@ def test_tables_store_only_ints(models, name):
             shift(val, F(5, 7)), twist(val, (F(1, 3), 2)),
             round_weights(val), base_change(round_weights(val), 3),
             approximate(val, grid[0])]
-    families = [valuation_family(model, eta, m_max=4),
-                valuation_family(model, eta, m_max=4, shifts=(F(1, 4), -1)),
+    plain = valuation_family(model, eta, m_max=4)
+    families = [plain,
+                FiltrationFamily(model, tuple(
+                    shift(f, c) for f, c in zip(plain.members, (F(1, 4), -1)))),
                 trivial_family(model, m_max=4)]
     families.append(twist_family(families[0], (F(-1, 5), F(1, 2))))
     for fam in families:
@@ -630,6 +632,16 @@ def test_memos_let_a_model_go_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_bases_share_one_tuple_per_degree():
+    # a degree stored under two caps is enumerated once
+    model = load_model(resolve_model_path("p2_steps.json"))
+    assert (graded_basis(model, 0, m_max=1).chars[1]
+            is graded_basis(model, 0, m_max=4).chars[1])
+    identity_suite(model, samples=5, seed=0)
+    assert set(model.bases) == {(i, m) for i in (0, 1, TOTAL)
+                                for m in range(1, 5)}
 
 
 def test_second_suite_run_adds_no_plans():

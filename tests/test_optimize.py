@@ -1,6 +1,5 @@
-"""Optimizer tests: examples with frozen values, vertex-scan oracles for
-small linear programs and for ratio programs, and Dinkelbach against the
-per-ray scan."""
+"""Optimizer tests: examples with frozen values, and vertex-scan oracles for
+small linear programs and for ratio programs."""
 
 from __future__ import annotations
 
@@ -12,8 +11,7 @@ import pytest
 from ckstab.errors import InternalInvariantError
 from ckstab.geometry import (ExactPolytope, centroid, normal_fan,
                              support_value, vdot, vneg, vsub)
-from ckstab.optimize import (LinearProgram, PLTermSpec, Unbounded,
-                             dinkelbach_ratio_min, lp_solve,
+from ckstab.optimize import (LinearProgram, PLTermSpec, Unbounded, lp_solve,
                              minimize_convex_pl, minimize_pl_ratio)
 
 
@@ -121,20 +119,12 @@ def test_ratio_zero_numerator():
     assert res.value == 0
 
 
-def test_dinkelbach_matches_scan():
-    cells = _bl1p2_cells()
-    a = minimize_pl_ratio(cells)
-    b = dinkelbach_ratio_min(cells)
-    assert (a.value, a.witness) == (b.value, b.witness)
-
-
-@pytest.mark.parametrize("solver", [minimize_pl_ratio, dinkelbach_ratio_min])
-def test_cells_disagreeing_on_a_ray_are_an_internal_error(solver):
+def test_cells_disagreeing_on_a_ray_are_an_internal_error():
     cells = _bl1p2_cells()
     cone, num, den = cells[0]
     cells[0] = (cone, tuple(x + 1 for x in num), den)
     with pytest.raises(InternalInvariantError, match="disagree"):
-        solver(cells)
+        minimize_pl_ratio(cells)
 
 
 def test_ratio_scaling_invariance():

@@ -1,5 +1,5 @@
 """Toric model tests: construction validation, the support-value invariants,
-and the monomial threshold oracle."""
+and the monomial threshold against its containment oracle."""
 
 from __future__ import annotations
 
@@ -9,16 +9,18 @@ from importlib import resources
 
 import pytest
 
+from ckstab import optimize
 from ckstab.errors import InternalInvariantError
 from ckstab.geometry import (ExactPolytope, HalfSpace, minkowski_sum,
                              support_value, vdot, vneg)
 from ckstab.serialize import load_model
+from ckstab.stability import SuiteFailure, _check_identities, identity_suite
 from ckstab.toric import (TOTAL, DecompositionMismatch, MonomialIdealSeq,
                           NonIntegralScaling, NotReflexive, RankMismatch,
-                          ZeroIdeal, build_model, integrality_step,
-                          log_discrepancy, monomial_lct, s_invariant,
-                          section_basis, support_min, t_invariant,
-                          theta_twist, total_s_sum)
+                          ZeroIdeal, _containment_lct, build_model,
+                          integrality_step, log_discrepancy, monomial_lct,
+                          s_invariant, section_basis, support_min,
+                          t_invariant, theta_twist, total_s_sum)
 
 
 def rand_dir(rng, rank, span=6):
@@ -337,8 +339,7 @@ def test_lct_explicit_generators(p2):
     seq = MonomialIdealSeq.from_generators(gens, level=1)
     res = monomial_lct(p2, seq)
     assert res.value is not None and res.value > 0
-    oracle = monomial_lct(p2, seq, oracle=True)
-    assert oracle.value == res.value
+    assert _containment_lct(p2, seq) == res.value
 
 
 def test_lct_closed_form_up_to_discrepancy(models):
@@ -356,17 +357,71 @@ def test_lct_closed_form_up_to_discrepancy(models):
                 assert res.value == a / level
 
 
-def test_lct_dinkelbach_agreement(bl1p2):
+def _valuation_ideals(model, rng, directions):
+    """Valuation ideals on the total ring and on each summand, at the levels
+    A/4, A/2, 3A/4, A, (A + t)/2 and 9t/10 that the ring reaches, with A the
+    log discrepancy and t the maximal slope."""
+    for summand in (TOTAL, *range(model.num_summands)):
+        for _ in range(directions):
+            eta = rand_dir(rng, model.rank, span=2)
+            a = log_discrepancy(model, eta)
+            t = t_invariant(model, summand, eta)
+            levels = {F(k, 4) * a for k in range(1, 5)} | {(a + t) / 2, F(9, 10) * t}
+            for level in sorted(x for x in levels if x <= t):
+                yield MonomialIdealSeq.valuation_levels(eta, level, summand=summand)
+
+
+def _generated_ideals(model, rng, count):
+    """One to four generators of random order at one degree of the total
+    ring or of a summand, so point, segment and polygon regions, at levels
+    0, 1/2 and 1."""
+    for _ in range(count):
+        summand = rng.choice((TOTAL, *range(model.num_summands)))
+        m = integrality_step(model, summand) * rng.randint(1, 2)
+        chars = section_basis(model, summand, m)
+        gens = [(ch, F(rng.randint(0, 2 * m), 2))
+                for ch in rng.sample(chars, rng.randint(1, min(4, len(chars))))]
+        for level in (0, F(1, 2), 1):
+            if any(order >= level * m for _, order in gens):
+                yield MonomialIdealSeq.from_generators({m: gens}, level, summand)
+
+
+def test_containment_oracle_agrees_with_the_fan(models):
     rng = random.Random(43)
-    for _ in range(10):
-        eta = tuple(rng.randint(-2, 2) for _ in range(2))
-        if all(x == 0 for x in eta):
-            continue
-        t_max = t_invariant(bl1p2, TOTAL, eta)
-        level = F(rng.randint(1, 4), 4) * t_max
-        seq = MonomialIdealSeq.valuation_levels(eta, level)
-        assert monomial_lct(bl1p2, seq).value == \
-            monomial_lct(bl1p2, seq, oracle=True).value
+    values = []
+    for model in models.values():
+        for seq in [*_valuation_ideals(model, rng, 2),
+                    *_generated_ideals(model, rng, 6)]:
+            # the threshold of s times the ideal is 1/s times its own
+            scale = rng.choice((1, F(2, 3)))
+            value = monomial_lct(model, seq, scale).value
+            oracle = _containment_lct(model, seq)
+            assert value == (oracle and oracle / scale), (model.name, seq)
+            values.append(value)
+    assert len(values) > 250 and None in values
+    assert len(set(values)) > 20
+
+
+def test_containment_oracle_catches_a_dropped_ray(monkeypatch, p2):
+    # (0, -1) is the least cell ray and the only one along which this ideal
+    # vanishes, so a ray scan that loses its first ray finds no threshold
+    seq = MonomialIdealSeq.valuation_levels((0, -1), 1)
+    assert _containment_lct(p2, seq) == monomial_lct(p2, seq).value == 2
+    ray_values = optimize._ray_values
+    monkeypatch.setattr(optimize, "_ray_values",
+                        lambda *args: ray_values(*args)[1:])
+    assert monomial_lct(p2, seq).value is None
+    assert _containment_lct(p2, seq) == 2
+    failed = set()
+
+    def check(name, inputs, lhs, rhs, ok=None):
+        if not (lhs == rhs if ok is None else ok):
+            failed.add(name)
+
+    _check_identities(p2, random.Random(0), 20, 4, check)
+    assert "lct-oracle-agreement" in failed
+    with pytest.raises(SuiteFailure):
+        identity_suite(p2, samples=20, seed=0)
 
 
 def test_support_min_linear_on_cones(bl1p2):
