@@ -25,8 +25,7 @@ from .filtration import (EmptyDecomposition, Filtration, FiltrationFamily,
                          shift, sum_filtration, trivial_family,
                          trivial_filtration, twist, twist_family,
                          valuation_family, valuation_filtration)
-from .optimize import (LinearProgram, Unbounded, lp_solve,
-                       minimize_convex_pl, minimize_pl_ratio)
+from .optimize import minimize_pl_ratio
 from .stability import (CoupledBarycenter, DegenerateSubtorus, RankTooHigh,
                         StabilityError, StabilityReport, SubtorusSpec,
                         SuiteFailure, build_stability_report, coupled_delta,
@@ -60,7 +59,6 @@ __all__ = [
     "shift", "sum_filtration", "trivial_family", "trivial_filtration",
     "twist", "twist_family", "valuation_family", "valuation_filtration",
     # optimize
-    "LinearProgram", "Unbounded", "lp_solve", "minimize_convex_pl",
     "minimize_pl_ratio",
     # stability
     "CoupledBarycenter", "DegenerateSubtorus", "RankTooHigh",

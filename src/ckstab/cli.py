@@ -143,6 +143,20 @@ def _opt_rat(x) -> Optional[str]:
     return None if x is None else _rat(x)
 
 
+# The max-plus sums of ``ding`` and ``destabilize`` grow like the square of
+# the lattice points at the top degree.  At --mmax 12 a rank-2 call takes
+# under 0.3 s and a rank-3 call up to about 10 s; at 24 a rank-2 call
+# already takes seconds.  The cap does not bound rank 4, whose top degree
+# alone can exhaust memory from --mmax 8 on.
+MAX_MMAX = 12
+
+
+def _mmax_arg(value: int) -> int:
+    if value > MAX_MMAX:
+        raise ParseError(f"--mmax {value} is above the cap of {MAX_MMAX}")
+    return value
+
+
 def _vec_arg(text: str, flag: str, rank: int) -> Vec:
     vec = parse_vec(text.split(","))
     if len(vec) != rank:
@@ -214,7 +228,7 @@ def _cmd_reduced_delta(model, args) -> dict:
 def _cmd_ding(model, args) -> dict:
     eta = _vec_arg(args.eta, "--eta", model.rank)
     slope = parse_rational(args.slope) if args.slope else Fraction(1)
-    fam = valuation_family(model, eta, m_max=args.mmax)
+    fam = valuation_family(model, eta, m_max=_mmax_arg(args.mmax))
     res = coupled_ding(fam, delta=slope)
     return {
         "ding": {"value": _rat(res.value), "provenance": res.provenance},
@@ -242,7 +256,7 @@ def _cmd_lct(model, args) -> dict:
 
 
 def _cmd_destabilize(model, args) -> dict:
-    res = find_destabilizer(model, m_max=args.mmax)
+    res = find_destabilizer(model, m_max=_mmax_arg(args.mmax))
     if res is None:
         return {"destabilizer": None}
     return {

@@ -211,6 +211,11 @@ class Filtration:
         """The least weight at degree m."""
         return Fraction(min(self.nums[m]), self.den)
 
+    def mean_slope(self, m: int) -> Fraction:
+        """The mean weight at degree m, over m."""
+        row = self.nums[m]
+        return Fraction(sum(row), self.den * m * len(row))
+
     def table_equal(self, other: "Filtration") -> bool:
         return (self.basis.index == other.basis.index
                 and self.basis.degrees == other.basis.degrees
@@ -572,7 +577,7 @@ def numerics(f: Filtration) -> FiltrationNumerics:
     den = f.den
     for m, row in f.nums.items():
         t_by[m] = Fraction(max(row), den * m)
-        s_by[m] = Fraction(sum(row), den * m * len(row))
+        s_by[m] = f.mean_slope(m)
     model = f.basis.model
     i = f.basis.index
     d = f.descriptor

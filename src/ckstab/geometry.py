@@ -22,8 +22,9 @@ generators (the rays of the dual cone), the recession directions of a
 half-space system, and its feasibility through the homogenised system.
 The only other subset enumerations are the facet loop
 ``_facets_from_points`` and the vertex loop ``_vertices_from_halfspaces``,
-which also enumerates the twist cells of the reduced threshold and the
-vertices of the lct containment oracle's polyhedra.
+which also gives the vertices of the cells in which the fan cuts a twist
+slice (``stability._slice_cells``, behind both the reduced threshold and
+the reduced J norm) and of the lct containment oracle's polyhedra.
 
 Ranks and affine charts come from one division-free elimination,
 ``_int_echelon``.  A lower-dimensional polytope is hulled in the

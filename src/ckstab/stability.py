@@ -23,10 +23,9 @@ from typing import Optional, Sequence
 from .errors import CkstabError, InputError, InternalInvariantError
 from .geometry import (DimensionMismatch, ExactPolytope, HalfSpace, Vec,
                        _int_det, _vertices_from_halfspaces, as_vec, centroid,
-                       extreme_rays, mat_rank, primitive_vector, vdot, vneg,
-                       vsub)
-from .optimize import (PLTermSpec, Unbounded, minimize_convex_pl,
-                       minimize_pl_ratio)
+                       extreme_rays, mat_rank, primitive_vector, vadd, vdot,
+                       vneg, vsub)
+from .optimize import minimize_pl_ratio
 from .toric import (TOTAL, TORIC_SEARCH_ASSUMPTION, MonomialIdealSeq,
                     SummandIndex, ToricFanoModel, _containment_lct, _show,
                     log_discrepancy, monomial_lct, s_invariant, support_min,
@@ -153,27 +152,58 @@ class ReducedJResult:
     provenance: str = OPTIMIZED
 
 
+def _slice_cells(model: ToricFanoModel, base: Vec, W: Sequence[Vec]):
+    """The cells in which the fan cuts the slice base + span(W), cone by cone
+    in fan order, in the twist coordinates t of base + sum t_j w_j.
+
+    A cell is its cone's facet system in those coordinates, so every point
+    of it lies in the cone.  Each is given as its vertices, in increasing
+    lexicographic order, and the inner normals of its facets, whose
+    ``extreme_rays`` are its recession directions.  Cones the slice misses
+    are skipped.
+    """
+    for cone in model.fan:
+        rows = [([vdot(n, w) for w in W], -vdot(n, base)) for n in cone.facets]
+        if any(all(x == 0 for x in a) and c > 0 for a, c in rows):
+            continue
+        rows = [(a, c) for a, c in rows if any(x != 0 for x in a)]
+        yield (_vertices_from_halfspaces([HalfSpace.make(a, c) for a, c in rows],
+                                         len(W)),
+               [a for a, _ in rows])
+
+
+def _combine(t: Sequence, W: Sequence[Vec], rank: int) -> Vec:
+    """sum t_j w_j."""
+    return tuple(sum((tj * w[c] for tj, w in zip(t, W)), Fraction(0))
+                 for c in range(rank))
+
+
 def reduced_coupled_j(model: ToricFanoModel, xi0: Sequence,
                       sub: Optional[SubtorusSpec] = None) -> ReducedJResult:
-    """Infimum over twists in the subtorus of the summed J norms of the
-    twisted-trivial family at base xi0.
+    """Infimum over twists xi in the subtorus of the summed J norms of the
+    twisted-trivial family at base xi0, and a twist attaining it.
 
-    Solved exactly through the epigraph linear program; the infimum over
-    the full torus of a common-base family is zero, attained at minus the
-    base twist.
+    The summed J norm at x = xi0 + xi is max_P <., x> - <b, x>, the summed
+    expectation slope at -x (P is the certified sum of the summands and b
+    the coupled barycenter).  That function is linear on each fan cone and
+    grows at least like a multiple of |x|, because b lies inside P, so its
+    minimum over the slice -xi0 + span(W) is attained at a vertex of a
+    cell in which the fan cuts the slice.  Writing -x = -xi0 + sum s_j w_j,
+    a tied minimum goes to the lexicographically least s, that is to the
+    greatest twist coordinates t = -s in xi = sum t_j w_j.  Over the full
+    torus the infimum is zero, attained at minus the base twist.
     """
     xi0 = as_vec(xi0)
     if sub is None:
         sub = SubtorusSpec.full(model.rank)
-    terms = [PLTermSpec(p.vertices, b, xi0)
-             for p, b in zip(model.summands, model.barycenters)]
-    subspace = [as_vec(w) for w in sub.basis]
-    try:
-        value, xi = minimize_convex_pl(terms, model.rank, subspace=subspace)
-    except Unbounded as exc:
-        raise InternalInvariantError(
-            "reduced J norm unbounded below; polytope kernel bug") from exc
-    return ReducedJResult(value, xi)
+    W = [as_vec(w) for w in sub.basis]
+    base = vneg(xi0)
+    verts = {s for cell, _ in _slice_cells(model, base, W) for s in cell}
+    if not verts:
+        raise InternalInvariantError("J slice met no fan cone; fan incomplete")
+    value, s = min((total_s_sum(model, vadd(base, _combine(s, W, model.rank))), s)
+                   for s in verts)
+    return ReducedJResult(value, vneg(_combine(s, W, model.rank)))
 
 
 # ---------------------------------------------------------------------------
@@ -425,25 +455,15 @@ def inner_twist_sup(model: ToricFanoModel, sub: SubtorusSpec,
                 cand.value == best.value and not best.attained and cand.attained):
             best = cand
 
-    for cone in model.fan:
-        rows = []
-        for n in cone.facets:
-            rows.append(([vdot(n, w) for w in W], -vdot(n, eta)))
-        if any(all(x == 0 for x in a) and c > 0 for a, c in rows):
-            continue
-        rows = [(a, c) for a, c in rows if any(x != 0 for x in a)]
-        # vertices of the cell: it is the cone's facet system in twist
-        # coordinates, so every z below lies in the cone
-        for t in _vertices_from_halfspaces([HalfSpace.make(a, c) for a, c in rows], s):
-            z = eta
-            for tj, w in zip(t, W):
-                z = tuple(x + tj * y for x, y in zip(z, w))
+    for verts, normals in _slice_cells(model, eta, W):
+        for t in verts:
+            z = vadd(eta, _combine(t, W, model.rank))
             consider(InnerSup(_ratio_at(model, z), True, z, None))
-        # recession directions of the cell; it has no lineality, because the
-        # facet normals span and the subtorus basis is independent, so each
-        # direction maps to a nonzero vector of the cone
-        for d in extreme_rays([a for a, _ in rows], s):
-            zd = tuple(sum(dj * w[c] for dj, w in zip(d, W)) for c in range(model.rank))
+        # the cell has no lineality, because the facet normals span and the
+        # subtorus basis is independent, so each recession direction maps
+        # to a nonzero vector of the cone
+        for d in extreme_rays(normals, s):
+            zd = _combine(d, W, model.rank)
             consider(InnerSup(_ratio_at(model, zd), False, None, zd))
     if best is None:
         raise InternalInvariantError("twist slice met no fan cone; fan incomplete")
@@ -837,11 +857,9 @@ def _check_identities(model: ToricFanoModel, rng: random.Random, samples: int,
                          (f.basis.index, int_eta, int_xi, e),
                          twist(f_e, tuple(e * x for x in int_xi)),
                          base_change(twist(f, int_xi), e))
-            s_e = numerics(f_e).s_by_degree
-            s_f = numerics(f).s_by_degree
             for m in grid:
                 check("base-change-slope-scaling", (f.basis.index, e, m),
-                      s_e[m], e * s_f[m])
+                      f_e.mean_slope(m), e * f.mean_slope(m))
 
         # coupled Ding twist rule, direct against formula; the values are
         # descriptor-driven, so a single-degree grid suffices for the tables
@@ -930,12 +948,11 @@ def _check_identities(model: ToricFanoModel, rng: random.Random, samples: int,
                  for m in grid}
         f = construct(bases[i], table)
         xi = _rand_vec(rng, rank, span=2)
-        s_plain = numerics(twist(f, xi)).s_by_degree
-        s_round = numerics(twist(round_weights(f), xi)).s_by_degree
+        plain, rounded = twist(f, xi), twist(round_weights(f), xi)
         for m in grid:
+            gap = abs(plain.mean_slope(m) - rounded.mean_slope(m))
             check("rounding-mean-slope-stability", (i, m),
-                  abs(s_plain[m] - s_round[m]), Fraction(1, m),
-                  ok=abs(s_plain[m] - s_round[m]) <= Fraction(1, m))
+                  gap, Fraction(1, m), ok=gap <= Fraction(1, m))
 
     # lc slope closed form against the containment oracle, and shift rule
     for _ in range(max(1, samples // 20)):

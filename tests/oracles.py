@@ -1,7 +1,8 @@
-"""Independent brute-force oracles used by the geometry, filtration and acceptance
-tests.  These deliberately use different algorithms from the library
-(monotone-chain hull, shoelace formulas, interval arithmetic, weight
-tables of plain Fractions with every decomposition enumerated at once).
+"""Independent brute-force oracles used by the geometry, filtration, stability
+and acceptance tests.  These deliberately use different algorithms from the
+library (monotone-chain hull, shoelace formulas, interval arithmetic, weight
+tables of plain Fractions with every decomposition enumerated at once,
+Cramer's rule on vertex-pair hyperplanes in place of the fan).
 The helpers after them are checks and constants that only the tests use."""
 
 from __future__ import annotations
@@ -196,6 +197,36 @@ def rand_rational_points(rng, rank, count, dim=None, span=9):
     return [tuple(b + sum((t * d[i] for t, d in zip(ts, dirs)), F(0))
                   for i, b in enumerate(base))
             for ts in ([coord() for _ in range(dim)] for _ in range(count))]
+
+
+def reduced_j_oracle(model: ToricFanoModel, xi0, basis) -> Fraction:
+    """Minimum over x in xi0 + span(basis) of max over the vertices v of the
+    anticanonical polytope of <v, x>, minus <b, x> for the coupled
+    barycenter b, without the fan.  The function is linear off the
+    hyperplanes <v - v', x> = 0 over vertex pairs, so its minimum on the
+    slice is at a point where s = len(basis) of them meet it: every
+    s-subset is solved for the twist coordinates by Cramer's rule.  The
+    origin is a candidate when xi0 lies in the span."""
+    xi0 = [F(x) for x in xi0]
+    W = [[F(x) for x in w] for w in basis]
+    verts = model.anticanonical.vertices
+    normals = sorted({tuple(a - c for a, c in zip(v, u))
+                      for v, u in itertools.combinations(verts, 2)})
+    points = []
+    if affine_rank([[F(0)] * len(xi0)] + W + [xi0]) == len(W):
+        points.append([F(0)] * len(xi0))
+    for rows in itertools.combinations(normals, len(W)):
+        m = [[_pair(n, w) for w in W] for n in rows]
+        rhs = [-_pair(n, xi0) for n in rows]
+        d = cofactor_det(m)
+        if d == 0:
+            continue
+        t = [cofactor_det([r[:j] + [c] + r[j + 1:] for r, c in zip(m, rhs)]) / d
+             for j in range(len(W))]
+        points.append([x + sum((tj * w[k] for tj, w in zip(t, W)), F(0))
+                       for k, x in enumerate(xi0)])
+    b = model.barycenter(TOTAL)
+    return min(max(_pair(v, x) for v in verts) - _pair(b, x) for x in points)
 
 
 # ---------------------------------------------------------------------------

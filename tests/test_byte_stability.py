@@ -40,11 +40,12 @@ def packaged_fixtures(monkeypatch):
     monkeypatch.delenv("CKS_FIXTURES", raising=False)
 
 
-@pytest.mark.parametrize("verb", ["ding", "destabilize"])
+@pytest.mark.parametrize("verb", ["ding", "destabilize", "reduced-jnorm"])
 def test_sum_filtration_reports_match_digests(verb):
     calls = [key for key in DIGESTS
              if key.split()[0] == verb and key.split()[1] in PACKAGED]
-    assert len(calls) == {"ding": 132, "destabilize": 8}[verb]
+    assert len(calls) == {"ding": 132, "destabilize": 8,
+                          "reduced-jnorm": 1030}[verb]
     changed = [key for key in calls if _digest(key.split()) != DIGESTS[key]]
     assert changed == []
 

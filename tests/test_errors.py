@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ckstab
-from ckstab.cli import main
+from ckstab.cli import MAX_MMAX, main
 from ckstab.errors import CkstabError, InputError, InternalInvariantError
 from ckstab.serialize import MAX_ENTRIES
 
@@ -154,6 +154,16 @@ def test_lists_longer_than_the_cap_exit_1(tmp_path, key):
             assert code == 1 and err.splitlines() == [
                 f"error: {key!r} has {n} entries; "
                 f"at most {MAX_ENTRIES} are accepted"]
+
+
+@pytest.mark.parametrize("argv", [("ding", "p2_halves", "--eta", "1,2"),
+                                  ("destabilize", "bl1p2_halves")])
+def test_mmax_above_the_cap_exits_1(argv):
+    code, _, err = run(*argv, "--mmax", str(MAX_MMAX))
+    assert code == 0, err
+    code, _, err = run(*argv, "--mmax", str(MAX_MMAX + 1))
+    assert code == 1 and err.splitlines() == [
+        f"error: --mmax {MAX_MMAX + 1} is above the cap of {MAX_MMAX}"]
 
 
 @pytest.mark.parametrize("rank", [0, 5])

@@ -401,6 +401,7 @@ def test_operations_match_fraction_oracle(models, name):
         for m in grid:
             assert total.row_max(m) == max(expected[m].values())
             assert total.row_min(m) == min(expected[m].values())
+            assert total.mean_slope(m) == table_slopes(expected)[1][m]
 
 
 def test_round_floors_negative_weights(p1_skew):

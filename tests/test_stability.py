@@ -10,13 +10,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import ding_of_twist, dist2_to_affine
+from oracles import ding_of_twist, dist2_to_affine, reduced_j_oracle
 
 from ckstab.filtration import (UnsupportedDescriptor, construct,
                                family_degree_grid, graded_basis, shift,
                                trivial_family, twist_family,
                                valuation_family, valuation_filtration)
-from ckstab.geometry import DimensionMismatch
+from ckstab.geometry import DimensionMismatch, ExactPolytope
 from ckstab.stability import (DegenerateSubtorus, RankTooHigh, StabilityError,
                               SubtorusSpec, SuiteFailure, coupled_delta,
                               coupled_ding, coupled_futaki, find_destabilizer,
@@ -89,6 +89,60 @@ def test_reduced_j_lower_bound(p1, p1xp1):
                                 model.barycenter(TOTAL))
         c2sq = dist2_to_affine(tuple(F(0) for _ in range(model.rank)), xi0)
         assert res.value * res.value >= c1sq * c2sq
+
+
+def _subtori(rng, rank, dim, count):
+    """Up to ``count`` distinct seeded saturated subtori of one dimension."""
+    out = set()
+    for _ in range(20 * count):
+        basis = tuple(tuple(rng.randint(-2, 2) for _ in range(rank))
+                      for _ in range(dim))
+        try:
+            out.add(SubtorusSpec(basis))
+        except DegenerateSubtorus:
+            continue
+        if len(out) == count:
+            break
+    return sorted(out, key=lambda sub: sub.basis)
+
+
+def test_reduced_j_agrees_with_the_vertex_pair_oracle(models):
+    p3 = ExactPolytope.from_vertices([(-1, -1, -1), (3, -1, -1), (-1, 3, -1),
+                                      (-1, -1, 3)])
+    p3_split = build_model([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+                           [p3.scale(F(1, 4)), p3.scale(F(3, 4))], name="p3_quarters")
+    rng = random.Random(83)
+    cases = 0
+    for model in list(models.values()) + [p3_split]:
+        for dim in range(model.rank + 1):
+            for sub in _subtori(rng, model.rank, dim, 3):
+                for _ in range(6):
+                    xi0 = tuple(F(rng.randint(-4, 4), rng.randint(1, 3))
+                                for _ in range(model.rank))
+                    res = reduced_coupled_j(model, xi0, sub=sub)
+                    assert res.value == reduced_j_oracle(model, xi0, sub.basis)
+                    assert sub.contains_direction(res.argmin)
+                    at = tuple(x + y for x, y in zip(xi0, res.argmin))
+                    assert sum(j_twist(model, i, at)
+                               for i in range(model.num_summands)) == res.value
+                    cases += 1
+    assert cases == 324
+
+
+def test_reduced_j_tie_goes_to_the_greatest_twist(p2):
+    # on the slice -xi0 + s (1, -1) the minimum is tied at s = -2 and s = 2
+    xi0 = (F(-2), F(-2))
+    res = reduced_coupled_j(p2, xi0, sub=SubtorusSpec(((1, -1),)))
+    assert res.argmin == (2, -2)
+    other = (F(-4), F(0))
+    assert sum(j_twist(p2, i, other) for i in range(2)) == res.value
+
+
+def test_reduced_j_wrong_rank_is_a_dimension_mismatch(p2):
+    with pytest.raises(DimensionMismatch):
+        reduced_coupled_j(p2, (F(1), F(0), F(0)))
+    with pytest.raises(DimensionMismatch):
+        reduced_coupled_j(p2, (F(1), F(0)), sub=SubtorusSpec(((1, 0, 0),)))
 
 
 # --- mu and coupled Ding ---------------------------------------------------------
