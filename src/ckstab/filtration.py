@@ -421,6 +421,26 @@ def family_degree_grid(model: ToricFanoModel, m_max: int) -> tuple[int, ...]:
     return grid
 
 
+# The most max-plus pairs one family sum may take; cli.MAX_MMAX gives the
+# counts the bound was chosen from.
+MAX_MAXPLUS_PAIRS = 20_000_000
+
+
+def check_maxplus_pairs(model: ToricFanoModel, m_max: int) -> None:
+    """Refuse a family up to degree m_max whose sum would take more than
+    MAX_MAXPLUS_PAIRS max-plus pairs: at each degree of the grid, at most
+    the product of the summand basis lengths.  The bases counted are the
+    ones the family is then built on."""
+    grid = family_degree_grid(model, m_max)
+    bases = [graded_basis(model, i, m_max=m_max, step=grid[0])
+             for i in range(model.num_summands)]
+    pairs = sum(math.prod(len(b.chars[m]) for b in bases) for m in grid)
+    if pairs > MAX_MAXPLUS_PAIRS:
+        raise FiltrationError(
+            f"degree cap {m_max} needs {pairs} max-plus pairs on this model, "
+            f"above the bound of {MAX_MAXPLUS_PAIRS}")
+
+
 def valuation_family(model: ToricFanoModel, eta: Sequence,
                      m_max: int = 6) -> FiltrationFamily:
     grid = family_degree_grid(model, m_max)

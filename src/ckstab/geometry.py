@@ -15,11 +15,17 @@ certificate exact.  The subset loops run on integers: every polytope keeps
 its vertices as ``int`` numerators over one ``int`` denominator, rational
 rows are scaled to integers before a loop starts, and each normal or vertex
 solve is one vector of signed integer minors (``_minor_normal``, with the
-fraction-free determinant ``_int_det``).  Values leave the module as
-``Fraction``.  Every cone is enumerated by one routine, ``extreme_rays``:
-the rays of a cone from its inner normals, the facets of a cone from its
-generators (the rays of the dual cone), the recession directions of a
-half-space system, and its feasibility through the homogenised system.
+fraction-free determinant ``_int_det``).  A direction is scaled to
+integers once (``_int_directions``) and paired with ``nums``
+(``_pairings``), which is all ``support_value`` and the toric invariants
+do; ``centroid`` and ``volume`` add integer simplex determinants over
+``nums`` and divide once; ``vdot`` of int vectors stays an ``int``.
+Values leave the module as ``Fraction``.
+
+Every cone is enumerated by one routine, ``extreme_rays``: the rays of a
+cone from its inner normals, the facets of a cone from its generators
+(the rays of the dual cone), the recession directions of a half-space
+system, and its feasibility through the homogenised system.
 The only other subset enumerations are the facet loop
 ``_facets_from_points`` and the vertex loop ``_vertices_from_halfspaces``,
 which also gives the vertices of the cells in which the fan cuts a twist
@@ -40,7 +46,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError, InternalInvariantError
 
@@ -93,13 +99,11 @@ def vscale(c, a: Vec) -> Vec:
     return tuple(c * x for x in a)
 
 
-_ZERO = Fraction(0)
-
-
-def vdot(a: Sequence, b: Sequence) -> Fraction:
+def vdot(a: Sequence, b: Sequence):
+    """<a, b>: an ``int`` when both vectors hold ints, else a ``Fraction``."""
     if len(a) != len(b):
         raise DimensionMismatch(f"rank {len(a)} vs {len(b)}")
-    return sum((x * y for x, y in zip(a, b)), _ZERO)
+    return sum(map(mul, a, b))
 
 
 def primitive_vector(a: Sequence) -> IntVec:
@@ -128,10 +132,27 @@ def is_primitive(a: Sequence[int]) -> bool:
 def _scaled(vectors: Iterable[Sequence]) -> tuple[int, tuple[IntVec, ...]]:
     """One positive denominator for rational vectors (the lcm of theirs),
     and each vector's integer numerators over it."""
-    vectors = tuple(vectors)
-    den = math.lcm(*(x.denominator for v in vectors for x in v))
-    return den, tuple(tuple(x.numerator * (den // x.denominator) for x in v)
-                      for v in vectors)
+    rows = [[x.as_integer_ratio() for x in v] for v in vectors]
+    den = math.lcm(*[d for row in rows for _, d in row])
+    return den, tuple(tuple([n * (den // d) for n, d in row]) for row in rows)
+
+
+def _int_directions(vectors: Iterable[Iterable], rank: int
+                    ) -> tuple[int, tuple[IntVec, ...]]:
+    """Directions of the given rank as integer numerators over one positive
+    denominator.  An entry that is neither ``int`` nor ``Fraction`` is read
+    by ``Fraction``, as ``as_vec`` reads it."""
+    vectors = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
+               for v in vectors]
+    for v in vectors:
+        if len(v) != rank:
+            raise DimensionMismatch(f"direction rank {len(v)} vs polytope rank {rank}")
+    return _scaled(vectors)
+
+
+def _pairings(nums: Sequence[IntVec], xs: IntVec) -> list[int]:
+    """<n, xs> for each integer vector n, in order."""
+    return [sum(map(mul, n, xs)) for n in nums]
 
 
 def _int_row(row: Sequence) -> IntVec:
@@ -531,11 +552,15 @@ def triangulate(p: ExactPolytope) -> list[tuple[Vec, ...]]:
     return simplices
 
 
-def _simplex_measure(simplex: tuple[Vec, ...]) -> Fraction:
-    d = len(simplex) - 1
-    den, ints = _scaled(simplex)
-    det = _int_det([vsub(v, ints[0]) for v in ints[1:]])
-    return Fraction(abs(det), den ** d * math.factorial(d))
+def _simplex_dets(p: ExactPolytope) -> Iterator[tuple[int, list[int]]]:
+    """Each simplex of ``triangulate(p)`` as (w, the indices of its vertices
+    in ``p.vertices``), with w = |det| of its integer edge rows over
+    ``p.den``: its measure times ``dim! * den^dim``."""
+    where = {v: k for k, v in enumerate(p.vertices)}
+    for s in triangulate(p):
+        ks = [where[v] for v in s]
+        base = p.nums[ks[0]]
+        yield abs(_int_det([vsub(p.nums[k], base) for k in ks[1:]])), ks
 
 
 def volume(p: ExactPolytope) -> Fraction:
@@ -556,39 +581,41 @@ def volume(p: ExactPolytope) -> Fraction:
         return d[j] / prim[j]
     if p.dim < p.rank:
         raise DegenerateInput("affine-hull volume implemented only for dim <= 1")
-    total = Fraction(0)
-    for s in triangulate(p):
-        total += _simplex_measure(s)
-    return total
+    return Fraction(sum(w for w, _ in _simplex_dets(p)),
+                    p.den ** p.dim * math.factorial(p.dim))
 
 
 def centroid(p: ExactPolytope) -> Vec:
     """Volume-weighted barycenter; exact, independent of any normalization.
 
-    A lower-dimensional polytope is triangulated in the chart of
-    ``from_vertices``, its projection onto the pivot columns of its vertex
-    differences, and each simplex's vertices are lifted back.  The
-    projection is affine and one to one on the affine hull, so it scales
-    every simplex measure by one constant and leaves the weights unchanged.
+    The simplex weights are the integer determinants of ``_simplex_dets``
+    and the vertex sums are taken over ``p.nums``, so the one division is
+    the last step.  A lower-dimensional polytope is triangulated in the
+    chart of ``from_vertices``, its projection onto the pivot columns of
+    its vertex differences, and each simplex's vertices are lifted back.
+    The projection is affine and one to one on the affine hull, so it
+    scales every simplex measure by one constant and leaves the weights
+    unchanged.
     """
     if p.dim == 0:
         return p.vertices[0]
-    chart, lift = p, {v: v for v in p.vertices}
+    chart, lift = p, p.nums
     if p.dim < p.rank:
         pivots, _ = _int_echelon([vsub(v, p.vertices[0]) for v in p.vertices[1:]])
         lift = _chart(p.vertices, pivots)
         chart = ExactPolytope.from_vertices(list(lift))
-    total = Fraction(0)
-    acc = [Fraction(0)] * p.rank
-    for s in triangulate(chart):
-        m = _simplex_measure(s)
-        total += m
+        nums = dict(zip(p.vertices, p.nums))
+        lift = [nums[lift[v]] for v in chart.vertices]
+    total, acc = 0, [0] * p.rank
+    for w, ks in _simplex_dets(chart):
+        total += w
         # the simplex's barycenter is this vertex sum over dim + 1
-        for i, x in enumerate(map(sum, zip(*map(lift.get, s)))):
-            acc[i] += m * x
+        for i, x in enumerate(map(sum, zip(*(lift[k] for k in ks)))):
+            acc[i] += w * x
     if total == 0:
         raise DegenerateInput("zero-volume polytope in centroid")
-    return tuple(x / (total * (p.dim + 1)) for x in acc)
+    den = total * (p.dim + 1) * p.den
+    return tuple(Fraction(x, den) for x in acc)
 
 
 def support_value(p: ExactPolytope, xi: Sequence, mode: str = "min") -> tuple[Fraction, Vec]:
@@ -596,12 +623,10 @@ def support_value(p: ExactPolytope, xi: Sequence, mode: str = "min") -> tuple[Fr
 
     Ties are broken toward the lexicographically least vertex.
     """
-    if len(xi) != p.rank:
-        raise DimensionMismatch(f"direction rank {len(xi)} vs polytope rank {p.rank}")
+    xden, (xs,) = _int_directions((xi,), p.rank)
     if mode not in ("min", "max"):
         raise GeometryError(f"unknown mode {mode!r}")
-    xden, (xs,) = _scaled((xi,))
-    vals = [sum(map(mul, n, xs)) for n in p.nums]
+    vals = _pairings(p.nums, xs)
     best = min(vals) if mode == "min" else max(vals)
     return Fraction(best, p.den * xden), p.vertices[vals.index(best)]
 

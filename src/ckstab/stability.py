@@ -33,9 +33,9 @@ from .toric import (TOTAL, TORIC_SEARCH_ASSUMPTION, MonomialIdealSeq,
 from .filtration import (Filtration, FiltrationFamily,
                          SumDescriptor, UnsupportedDescriptor,
                          ValuationDescriptor, approximate, base_change,
-                         construct, family_degree_grid, graded_basis,
-                         numerics, round_weights, shift, sum_filtration,
-                         trivial_family, twist, twist_family,
+                         check_maxplus_pairs, construct, family_degree_grid,
+                         graded_basis, numerics, round_weights, shift,
+                         sum_filtration, trivial_family, twist, twist_family,
                          valuation_family, valuation_filtration)
 
 
@@ -392,10 +392,15 @@ class DestabilizerResult:
 
 def find_destabilizer(model: ToricFanoModel, m_max: int = 6) -> Optional[DestabilizerResult]:
     """If the threshold is below one, the valuation family at the witness
-    direction, together with its (strictly negative) coupled Ding value."""
+    direction, together with its (strictly negative) coupled Ding value.
+    The degree cap is checked first, so a semistable model rejects the
+    caps that an unstable one does; the max-plus pairs of the family are
+    counted before it is built."""
+    family_degree_grid(model, m_max)
     d = coupled_delta(model)
     if d.value >= 1:
         return None
+    check_maxplus_pairs(model, m_max)
     fam = valuation_family(model, d.witness, m_max=m_max)
     ding = coupled_ding(fam)
     if ding.value >= 0:

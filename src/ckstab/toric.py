@@ -13,6 +13,12 @@ to support values and centroids of these polytopes:
   ``<barycenter, eta> - min`` and ``max - min`` of the support pairing;
 * the twist correction: a difference of support minima.
 
+Each invariant scales its direction to integers once (one lcm over eta
+and xi together for the twist), pairs it with the integer vertex table of
+the polytope, the integer facets of the fan cones and the barycenter
+numerators ``bary_nums`` of the model, and builds one ``Fraction`` for
+its result.
+
 Log canonical thresholds of equivariant monomial ideal data are computed by
 exact fractional programming over the fan; the reduction of the search to
 cocharacter valuations is recorded as an assumption in every certificate.
@@ -25,13 +31,15 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Optional, Sequence, Union
 
 from .errors import InputError, InternalInvariantError
 from .geometry import (Cone, DimensionMismatch, ExactPolytope, GeometryError,
-                       HalfSpace, Vec, _vertices_from_halfspaces, as_vec,
-                       centroid, check_complete_fan_rank2, is_primitive,
-                       lattice_points, mat_rank, minkowski_sum, normal_fan,
+                       HalfSpace, IntVec, Vec, _int_directions, _pairings,
+                       _scaled, _vertices_from_halfspaces, as_vec, centroid,
+                       check_complete_fan_rank2, is_primitive, lattice_points,
+                       mat_rank, minkowski_sum, normal_fan,
                        restrict_min_support, support_value, vdot, vneg)
 from .optimize import minimize_pl_ratio
 
@@ -88,7 +96,15 @@ TORIC_SEARCH_ASSUMPTION = (
 class ToricFanoModel:
     """Immutable toric Fano model: fan rays, anticanonical polytope, and a
     Minkowski decomposition into summand polytopes, with cached barycenters
-    and per-cone support forms."""
+    and per-cone support forms.
+
+    ``fan[k]`` is the inner normal cone of ``anticanonical.vertices[k]``,
+    so that vertex (``total_forms[k]``, with numerators
+    ``anticanonical.nums[k]``) is the form of the support function on it.
+    ``bary_nums`` holds the barycenters, and their sum last, as integer
+    numerators over the positive integer ``bary_den``; both are set from
+    ``barycenters``.
+    """
 
     name: str
     rank: int
@@ -98,7 +114,6 @@ class ToricFanoModel:
     barycenters: tuple[Vec, ...]
     fan: tuple[Cone, ...]
     support_forms: tuple[tuple[Vec, ...], ...]   # [cone][summand] argmin vertex
-    total_forms: tuple[Vec, ...]                 # [cone] argmin vertex of P^L
     # the character tuple of each (summand, degree); see
     # filtration.graded_basis.  Weight rows are int tuples aligned with
     # them.  Neither memo refers back to the model.
@@ -108,6 +123,17 @@ class ToricFanoModel:
     # tuples; see filtration._plan
     plans: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
+    bary_den: int = field(init=False, repr=False, compare=False)
+    bary_nums: tuple[IntVec, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        den, nums = _scaled(self.barycenters)
+        object.__setattr__(self, "bary_den", den)
+        object.__setattr__(self, "bary_nums", nums + (tuple(map(sum, zip(*nums))),))
+
+    @property
+    def total_forms(self) -> tuple[Vec, ...]:
+        return self.anticanonical.vertices
 
     @property
     def num_summands(self) -> int:
@@ -122,11 +148,7 @@ class ToricFanoModel:
 
     def barycenter(self, i: SummandIndex) -> Vec:
         if i == TOTAL:
-            total = [Fraction(0)] * self.rank
-            for b in self.barycenters:
-                for j, x in enumerate(b):
-                    total[j] += x
-            return tuple(total)
+            return tuple(Fraction(n, self.bary_den) for n in self.bary_nums[-1])
         if not isinstance(i, int) or not 0 <= i < len(self.summands):
             raise IndexOutOfRange(f"summand index {i!r}")
         return self.barycenters[i]
@@ -189,7 +211,6 @@ def build_model(rays: Sequence[Sequence[int]],
             raise RankMismatch("summand rank differs from the model rank")
     fan_pieces = normal_fan(antican)
     cones = tuple(c for c, _ in fan_pieces)
-    total_forms = tuple(f for _, f in fan_pieces)
     support_forms = []
     certified = True
     for cone, form in fan_pieces:
@@ -221,7 +242,6 @@ def build_model(rays: Sequence[Sequence[int]],
         barycenters=tuple(centroid(p) for p in summands),
         fan=cones,
         support_forms=tuple(support_forms),
-        total_forms=total_forms,
     )
 
 
@@ -232,49 +252,56 @@ def build_model(rays: Sequence[Sequence[int]],
 def support_min(model: ToricFanoModel, i: SummandIndex, eta: Sequence) -> Fraction:
     """min over the chosen polytope of <alpha, eta>; linear on each fan cone."""
     p = model.summand(i)
-    return support_value(p, as_vec(eta), "min")[0]
+    den, (e,) = _int_directions((eta,), p.rank)
+    return Fraction(min(_pairings(p.nums, e)), p.den * den)
 
 
 def log_discrepancy(model: ToricFanoModel, eta: Sequence) -> Fraction:
     """Log discrepancy of the cocharacter valuation at eta.
 
     Evaluated through the fan (value one on each primitive ray, linear on
-    cones); equals minus the support minimum over the anticanonical
+    cones): the first cone holding eta gives minus the pairing with its
+    vertex.  This equals minus the support minimum over the anticanonical
     polytope, which tests cross-check.
     """
-    eta = as_vec(eta)
-    if len(eta) != model.rank:
-        raise DimensionMismatch("direction rank mismatch")
-    if all(x == 0 for x in eta):
-        return Fraction(0)
-    for cone, form in zip(model.fan, model.total_forms):
-        if cone.contains(eta):
-            return -vdot(form, eta)
+    p = model.anticanonical
+    den, (e,) = _int_directions((eta,), model.rank)
+    for cone, form in zip(model.fan, p.nums):
+        if cone.contains(e):
+            return Fraction(-vdot(form, e), p.den * den)
     raise InternalInvariantError("fan lookup failed; fan incomplete")
 
 
 def s_invariant(model: ToricFanoModel, i: SummandIndex, eta: Sequence) -> Fraction:
     """Expected vanishing slope of the summand along eta:
     <barycenter, eta> - min <., eta>."""
-    eta = as_vec(eta)
-    return vdot(model.barycenter(i), eta) - support_min(model, i, eta)
+    p = model.summand(i)
+    den, (e,) = _int_directions((eta,), p.rank)
+    b = model.bary_nums[-1 if i == TOTAL else i]
+    bden = model.bary_den
+    return Fraction(vdot(b, e) * p.den - min(_pairings(p.nums, e)) * bden,
+                    bden * p.den * den)
 
 
 def t_invariant(model: ToricFanoModel, i: SummandIndex, eta: Sequence) -> Fraction:
     """Maximal vanishing slope: max <., eta> - min <., eta> over the summand."""
-    eta = as_vec(eta)
     p = model.summand(i)
-    return support_value(p, eta, "max")[0] - support_value(p, eta, "min")[0]
+    den, (e,) = _int_directions((eta,), p.rank)
+    vals = _pairings(p.nums, e)
+    return Fraction(max(vals) - min(vals), p.den * den)
 
 
 def theta_twist(model: ToricFanoModel, i: SummandIndex, eta: Sequence,
                 xi: Sequence) -> Fraction:
     """Twist correction term: min<., eta> - min<., eta + xi> on the summand."""
-    eta, xi = as_vec(eta), as_vec(xi)
+    eta, xi = tuple(eta), tuple(xi)
     if len(eta) != len(xi):
         raise DimensionMismatch("eta and xi rank mismatch")
-    shifted = tuple(a + b for a, b in zip(eta, xi))
-    return support_min(model, i, eta) - support_min(model, i, shifted)
+    p = model.summand(i)
+    den, (e, x) = _int_directions((eta, xi), p.rank)
+    shifted = tuple(map(add, e, x))
+    return Fraction(min(_pairings(p.nums, e)) - min(_pairings(p.nums, shifted)),
+                    p.den * den)
 
 
 def total_s_sum(model: ToricFanoModel, eta: Sequence) -> Fraction:
@@ -321,8 +348,10 @@ class MonomialIdealSeq:
 
     @staticmethod
     def valuation_levels(eta: Sequence, level, summand: SummandIndex = TOTAL) -> "MonomialIdealSeq":
-        return MonomialIdealSeq(summand=summand, level=Fraction(level),
-                                eta=as_vec(eta))
+        eta = as_vec(eta)
+        if not any(eta):
+            raise ToricError("the valuation direction must be nonzero")
+        return MonomialIdealSeq(summand=summand, level=Fraction(level), eta=eta)
 
     @staticmethod
     def from_generators(degrees: dict[int, Sequence[tuple[Sequence[int], Fraction]]],

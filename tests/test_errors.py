@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ckstab
+from ckstab import filtration
 from ckstab.cli import MAX_MMAX, main
 from ckstab.errors import CkstabError, InputError, InternalInvariantError
 from ckstab.serialize import MAX_ENTRIES
@@ -164,6 +165,75 @@ def test_mmax_above_the_cap_exits_1(argv):
     code, _, err = run(*argv, "--mmax", str(MAX_MMAX + 1))
     assert code == 1 and err.splitlines() == [
         f"error: --mmax {MAX_MMAX + 1} is above the cap of {MAX_MMAX}"]
+
+
+@pytest.mark.parametrize("argv", [("ding", "p2_halves", "--eta=1,1"),
+                                  ("destabilize", "p2_halves")])
+@pytest.mark.parametrize("mmax", [-3, 0])
+def test_cap_below_the_family_step_exits_1(argv, mmax):
+    # p2_halves is semistable: destabilize builds no family, and still
+    # checks the cap
+    code, out, err = run(*argv, f"--mmax={mmax}")
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: degree cap {mmax} below the family step 2"]
+
+
+def test_destabilize_rejects_the_caps_ding_rejects(models):
+    for name, model in models.items():
+        eta = ",".join(["1"] * model.rank)
+        for mmax in range(-1, 5):
+            ding = run("ding", name, f"--eta={eta}", f"--mmax={mmax}")
+            destab = run("destabilize", name, f"--mmax={mmax}")
+            assert ding[0] == destab[0], (name, mmax)
+            if ding[0] == 1:
+                assert ding[2] == destab[2], (name, mmax)
+
+
+def test_zero_lct_direction_exits_1():
+    code, out, err = run("lct", "p2_halves", "--eta=0,0", "--level=1")
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: the valuation direction must be nonzero"]
+
+
+def test_maxplus_pairs_bounded_before_any_sum(tmp_path, monkeypatch):
+    # four copies of P^1, both summands the half cube; at --mmax 8 the top
+    # degree alone has 9^4 characters per summand
+    halfspaces = [{"normal": [s * (i == j) for j in range(4)], "offset": "-1/2"}
+                  for i in range(4) for s in (1, -1)]
+    path = tmp_path / "p1x4.json"
+    path.write_text(json.dumps({
+        "name": "p1x4", "rank": 4,
+        "rays": [[s * (i == j) for j in range(4)] for i in range(4) for s in (1, -1)],
+        "decomposition": [{"halfspaces": halfspaces}] * 2}))
+    code, _, err = run("ding", str(path), "--eta=1,1,1,1", "--mmax=4")
+    assert code == 0, err
+
+    def no_sums(*args):
+        raise AssertionError("a max-plus sum was started")
+
+    monkeypatch.setattr(filtration, "_plan", no_sums)
+    monkeypatch.setattr(filtration, "_maxplus", no_sums)
+    # 3^8 + 5^8 + 7^8 + 9^8 pairs, one product per degree of the grid
+    pairs = sum((m + 1) ** 8 for m in (2, 4, 6, 8))
+    assert pairs > filtration.MAX_MAXPLUS_PAIRS
+    code, out, err = run("ding", str(path), "--eta=1,1,1,1", "--mmax=8")
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        f"error: degree cap 8 needs {pairs} max-plus pairs on this model, "
+        f"above the bound of {filtration.MAX_MAXPLUS_PAIRS}"]
+
+
+def test_destabilize_counts_the_pairs_of_its_family(monkeypatch):
+    # bl1p2_halves is unstable: at --mmax 4 its family sums 9 * 9 + 25 * 25
+    # pairs, at degrees 2 and 4
+    monkeypatch.setattr(filtration, "MAX_MAXPLUS_PAIRS", 705)
+    code, out, err = run("destabilize", "bl1p2_halves", "--mmax=4")
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "error: degree cap 4 needs 706 max-plus pairs on this model, "
+        "above the bound of 705"]
+    monkeypatch.setattr(filtration, "MAX_MAXPLUS_PAIRS", 706)
+    assert run("destabilize", "bl1p2_halves", "--mmax=4")[0] == 0
 
 
 @pytest.mark.parametrize("rank", [0, 5])

@@ -193,6 +193,15 @@ def test_support_examples():
     assert support_value(t, (0, 0), "min")[0] == 0
 
 
+def test_vdot_keeps_ints_and_the_rank_check():
+    assert vdot((1, -2, 3), (4, 5, 6)) == 12
+    assert type(vdot((1, -2, 3), (4, 5, 6))) is int
+    assert type(vdot((F(1, 2), 2), (2, 3))) is F
+    assert vdot((F(1, 2), 2), (2, 3)) == 7
+    with pytest.raises(DimensionMismatch):
+        vdot((1, 2), (1, 2, 3))
+
+
 def test_support_rank_mismatch():
     t = ExactPolytope.from_vertices([(-1, -1), (2, -1), (-1, 2)])
     with pytest.raises(DimensionMismatch):

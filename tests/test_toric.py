@@ -11,16 +11,17 @@ import pytest
 
 from ckstab import optimize
 from ckstab.errors import InternalInvariantError
-from ckstab.geometry import (ExactPolytope, HalfSpace, minkowski_sum,
-                             support_value, vdot, vneg)
+from ckstab.geometry import (DimensionMismatch, ExactPolytope, HalfSpace,
+                             minkowski_sum, support_value, vdot, vneg)
 from ckstab.serialize import load_model
 from ckstab.stability import SuiteFailure, _check_identities, identity_suite
 from ckstab.toric import (TOTAL, DecompositionMismatch, MonomialIdealSeq,
                           NonIntegralScaling, NotReflexive, RankMismatch,
-                          ZeroIdeal, _containment_lct, build_model,
+                          ToricError, ZeroIdeal, _containment_lct, build_model,
                           integrality_step, log_discrepancy, monomial_lct,
                           s_invariant, section_basis, support_min,
                           t_invariant, theta_twist, total_s_sum)
+from oracles import support_oracle, volume_centroid_oracle
 
 
 def rand_dir(rng, rank, span=6):
@@ -288,6 +289,79 @@ def test_twist_identities_sampled(models):
                     - log_discrepancy(model, eta)
                     == theta_twist(model, TOTAL, eta, xi))
             assert t_invariant(model, TOTAL, eta) >= s_invariant(model, TOTAL, eta) > 0
+
+
+# --- the integer pairing kernels against the vertex-scan oracles ---------------
+
+def _direction(rng, rank, form):
+    """A seeded direction written as ints, Fractions, a mix of both, or
+    strings; zero entries and zero vectors included."""
+    def frac():
+        return F(rng.randint(-8, 8), rng.choice([1, 2, 3, 5]))
+    if form == "int":
+        return tuple(rng.randint(-4, 4) for _ in range(rank))
+    if form == "fraction":
+        return tuple(frac() for _ in range(rank))
+    if form == "mixed":
+        return tuple(rng.choice([rng.randint(-4, 4), frac()]) for _ in range(rank))
+    return tuple(str(frac()) for _ in range(rank))
+
+
+def _dot(a, b):
+    return sum((x * y for x, y in zip(a, b)), F(0))
+
+
+@pytest.mark.parametrize("form", ["int", "fraction", "mixed", "str"])
+def test_integer_invariants_against_vertex_scans(models, form):
+    rng = random.Random(53)
+    for model in models.values():
+        # the summand barycenters from the barycentric subdivision, and
+        # the coupled one as their sum
+        bary = [volume_centroid_oracle(p.vertices)[1] for p in model.summands]
+        bary.append(tuple(map(sum, zip(*bary))))
+        antican = model.anticanonical.vertices
+        for _ in range(12):
+            eta = _direction(rng, model.rank, form)
+            xi = _direction(rng, model.rank, form)
+            e, x = tuple(map(F, eta)), tuple(map(F, xi))
+            ex = tuple(a + b for a, b in zip(e, x))
+            got = log_discrepancy(model, eta)
+            assert type(got) is F
+            assert got == -support_oracle(antican, e, "min")[0]
+            for i, b in zip(list(range(model.num_summands)) + [TOTAL], bary):
+                verts = model.summand(i).vertices
+                lo = support_oracle(verts, e, "min")[0]
+                hi = support_oracle(verts, e, "max")[0]
+                results = [
+                    (support_min(model, i, eta), lo),
+                    (t_invariant(model, i, eta), hi - lo),
+                    (s_invariant(model, i, eta), _dot(b, e) - lo),
+                    (theta_twist(model, i, eta, xi),
+                     lo - support_oracle(verts, ex, "min")[0]),
+                ]
+                for value, expected in results:
+                    assert type(value) is F and value == expected, (model.name, i)
+
+
+def test_integer_invariants_reject_a_wrong_length(models):
+    for model in models.values():
+        long = (1,) * (model.rank + 1)
+        for i in (0, TOTAL):
+            for call in (lambda d: support_min(model, i, d),
+                         lambda d: t_invariant(model, i, d),
+                         lambda d: s_invariant(model, i, d),
+                         lambda d: theta_twist(model, i, d, d),
+                         lambda d: theta_twist(model, i, d, d[1:]),
+                         lambda d: log_discrepancy(model, d)):
+                with pytest.raises(DimensionMismatch):
+                    call(long)
+
+
+def test_valuation_levels_need_a_nonzero_direction():
+    with pytest.raises(ToricError, match="must be nonzero"):
+        MonomialIdealSeq.valuation_levels((0, F(0)), 1)
+    with pytest.raises(ToricError, match="must be nonzero"):
+        MonomialIdealSeq.valuation_levels(("0", "0/3"), 1)
 
 
 # --- section bases -------------------------------------------------------------
