@@ -5,9 +5,11 @@ Polytopes carry both a vertex description and a half-space description,
 cross-validated on construction.  The kernel also provides rational cones
 and normal fans.  A piecewise-linear function has no type of its own: it is
 a list of cells, each a cone with the linear form the function takes on it
-(``normal_fan`` gives the cells of ``min_{a in p} <a, .>``,
-``restrict_min_support`` subdivides one cone), and the toric and
-optimization layers pass such lists along as they are.
+(``normal_fan`` gives the cells of ``min_{a in p} <a, .>``), and the toric
+and optimization layers pass such lists along as they are.  Where only the
+rays of a cell are read, a cell is its sorted primitive extreme rays:
+``restrict_min_support`` subdivides one cone into such ray lists, each
+from one ``extreme_rays`` call, for the lc threshold's ratio program.
 
 Intended for small ambient ranks (p <= 4); enumeration is brute force over
 subsets, which is entirely adequate at these sizes and keeps every
@@ -691,30 +693,23 @@ class Cone:
         return tuple(s)
 
 
-def cone_from_facets(normals: Sequence[IntVec], rank: int) -> Optional[Cone]:
-    """The cone { x : <n, x> >= 0 } from inner normals, provided it is
-    full-dimensional and pointed; None otherwise."""
-    rays = {primitive_vector(r) for r in extreme_rays(normals, rank)}
-    if mat_rank(list(rays)) < rank:
-        return None
-    return Cone.from_generators(sorted(rays))
-
-
-def restrict_min_support(cone: Cone, p: ExactPolytope) -> list[tuple[Cone, Vec]]:
+def restrict_min_support(cone: Cone, p: ExactPolytope) -> list[tuple[list[IntVec], Vec]]:
     """Subdivide a pointed full-dimensional cone into the linearity cells of
-    ``eta -> min over p of <a, eta>``, each with its minimizing vertex.
+    ``eta -> min over p of <a, eta>``, each as its sorted primitive extreme
+    rays with its minimizing vertex.
 
     Works for degenerate polytopes as well: the vertex v wins on
-    ``cone ∩ { <w - v, eta> >= 0 for all vertices w }``, and only the
-    full-dimensional pieces are returned.
+    ``cone ∩ { <w - v, eta> >= 0 for all vertices w }``, a pointed cone
+    whose extreme rays are the ``extreme_rays`` of those normals; only the
+    full-dimensional pieces, whose rays span, are returned.
     """
     out = []
     for v in p.vertices:
-        normals = sorted({primitive_vector(vsub(w, v))
-                          for w in p.vertices if w != v})
-        sub = cone_from_facets(sorted(set(cone.facets) | set(normals)), cone.rank)
-        if sub is not None:
-            out.append((sub, v))
+        normals = {primitive_vector(vsub(w, v)) for w in p.vertices if w != v}
+        rays = sorted({primitive_vector(r) for r in
+                       extreme_rays(sorted(set(cone.facets) | normals), cone.rank)})
+        if mat_rank(rays) == cone.rank:
+            out.append((rays, v))
     return out
 
 

@@ -25,7 +25,6 @@ from .geometry import (DimensionMismatch, ExactPolytope, HalfSpace, Vec,
                        _int_det, _vertices_from_halfspaces, as_vec, centroid,
                        extreme_rays, mat_rank, primitive_vector, vadd, vdot,
                        vneg, vsub)
-from .optimize import minimize_pl_ratio
 from .toric import (TOTAL, TORIC_SEARCH_ASSUMPTION, MonomialIdealSeq,
                     SummandIndex, ToricFanoModel, _containment_lct, _show,
                     log_discrepancy, monomial_lct, s_invariant, support_min,
@@ -99,11 +98,9 @@ def coupled_futaki(model: ToricFanoModel) -> CoupledBarycenter:
 
 def j_twist(model: ToricFanoModel, i: SummandIndex, xi: Sequence) -> Fraction:
     """J norm of the xi-twist of the trivial configuration on one summand
-    (or the total polarization): max pairing minus barycenter pairing."""
-    xi = as_vec(xi)
-    p = model.summand(i)
-    top = max(vdot(v, xi) for v in p.vertices)
-    return top - vdot(model.barycenter(i), xi)
+    (or the total polarization): max pairing minus barycenter pairing,
+    which is the expectation slope at -xi."""
+    return s_invariant(model, i, vneg(as_vec(xi)))
 
 
 @dataclass(frozen=True)
@@ -157,17 +154,18 @@ def _slice_cells(model: ToricFanoModel, base: Vec, W: Sequence[Vec]):
     in fan order, in the twist coordinates t of base + sum t_j w_j.
 
     A cell is its cone's facet system in those coordinates, so every point
-    of it lies in the cone.  Each is given as its vertices, in increasing
-    lexicographic order, and the inner normals of its facets, whose
-    ``extreme_rays`` are its recession directions.  Cones the slice misses
-    are skipped.
+    of it lies in the cone.  Each is given as the index of its cone in
+    ``model.fan``, its vertices, in increasing lexicographic order, and the
+    inner normals of its facets, whose ``extreme_rays`` are its recession
+    directions.  Cones the slice misses are skipped.
     """
-    for cone in model.fan:
+    for k, cone in enumerate(model.fan):
         rows = [([vdot(n, w) for w in W], -vdot(n, base)) for n in cone.facets]
         if any(all(x == 0 for x in a) and c > 0 for a, c in rows):
             continue
         rows = [(a, c) for a, c in rows if any(x != 0 for x in a)]
-        yield (_vertices_from_halfspaces([HalfSpace.make(a, c) for a, c in rows],
+        yield (k,
+               _vertices_from_halfspaces([HalfSpace.make(a, c) for a, c in rows],
                                          len(W)),
                [a for a, _ in rows])
 
@@ -198,7 +196,7 @@ def reduced_coupled_j(model: ToricFanoModel, xi0: Sequence,
         sub = SubtorusSpec.full(model.rank)
     W = [as_vec(w) for w in sub.basis]
     base = vneg(xi0)
-    verts = {s for cell, _ in _slice_cells(model, base, W) for s in cell}
+    verts = {s for _, cell, _ in _slice_cells(model, base, W) for s in cell}
     if not verts:
         raise InternalInvariantError("J slice met no fan cone; fan incomplete")
     value, s = min((total_s_sum(model, vadd(base, _combine(s, W, model.rank))), s)
@@ -345,15 +343,18 @@ def coupled_delta(model: ToricFanoModel) -> DeltaResult:
     directions of log discrepancy over summed expectation slopes.
 
     Both functions are linear on each fan cone, so the infimum is attained
-    on a ray of the fan; ties return the lexicographically least primitive
-    direction."""
-    b = model.barycenter(TOTAL)
-    # on the cone minimized at the vertex f: A = -<f, .>, sum S = <b - f, .>
-    res = minimize_pl_ratio([(cone, vneg(f), vsub(b, f))
-                             for cone, f in zip(model.fan, model.total_forms)])
-    if res.value is None:
-        raise InternalInvariantError("threshold program had no constraining ray")
-    return DeltaResult(res.value, res.witness)
+    on a ray of the fan.  There the log discrepancy is one, as
+    ``build_model`` checks that every ray is a facet normal of the
+    anticanonical polytope at level -1, and the summed slope is
+    ``1 + <b, rho>`` for the coupled barycenter b.  So the threshold is the
+    least ``1 / (1 + <b, rho>)``, at the least ray on a tie."""
+    den = model.bary_den
+    # bary_den times the summed slope along each ray, in sorted ray order
+    slopes = [den + vdot(model.bary_nums[-1], rho) for rho in model.rays]
+    if min(slopes) <= 0:
+        raise InternalInvariantError("summed slope not positive on a fan ray")
+    k = slopes.index(max(slopes))
+    return DeltaResult(Fraction(den, slopes[k]), model.rays[k])
 
 
 @dataclass(frozen=True)
@@ -460,7 +461,7 @@ def inner_twist_sup(model: ToricFanoModel, sub: SubtorusSpec,
                 cand.value == best.value and not best.attained and cand.attained):
             best = cand
 
-    for verts, normals in _slice_cells(model, eta, W):
+    for _, verts, normals in _slice_cells(model, eta, W):
         for t in verts:
             z = vadd(eta, _combine(t, W, model.rank))
             consider(InnerSup(_ratio_at(model, z), True, z, None))
@@ -581,48 +582,32 @@ def twisted_ratio_profile(model: ToricFanoModel, eta: Sequence, xi: Sequence,
     at xi and the deviation is bounded by kappa/e from the cone entry on.
     """
     eta, xi = as_vec(eta), as_vec(xi)
+    if not any(xi):
+        raise StabilityError("the twist direction must be nonzero")
     ratios = tuple((e, _ratio_at(model, tuple(h + e * x for h, x in zip(eta, xi))))
                    for e in sorted(exponents))
-    cone = None
-    for c in model.fan:
-        if c.contains(xi):
-            entry_bounds = []
-            ok = True
-            for n in c.facets:
-                nx = vdot(n, xi)
-                nh = vdot(n, eta)
-                if nx > 0:
-                    if nh < 0:
-                        entry_bounds.append(-nh / nx)
-                elif nx == 0:
-                    if nh < 0:
-                        ok = False
-                        break
-                else:
-                    ok = False
-                    break
-            if ok:
-                cone = c
-                entry = max([Fraction(0)] + entry_bounds)
-                break
-    if cone is None:
+    # on the line eta + t xi, a cell whose facet rows all grow with t holds
+    # the ray from its one vertex t on
+    for idx, verts, normals in _slice_cells(model, eta, [xi]):
+        if all(a >= 0 for (a,) in normals):
+            break
+    else:
         raise InternalInvariantError("no fan cone absorbs the twisted ray")
-    idx = model.fan.index(cone)
     a_form = vneg(model.total_forms[idx])
     b = model.barycenter(TOTAL)
     s_form = vsub(b, model.total_forms[idx])
     a1, a2 = vdot(a_form, eta), vdot(a_form, xi)
     s1, s2 = vdot(s_form, eta), vdot(s_form, xi)
     if s2 <= 0:
-        raise StabilityError("slope sum must grow along the twist direction")
+        # the coupled barycenter is interior, so no nonzero xi gets here
+        raise InternalInvariantError("slope sum does not grow along the twist")
     limit = a2 / s2
     cross = abs(a1 * s2 - a2 * s1)
-    entry_int = max(1, math.ceil(entry))
+    entry_int = max(1, math.ceil(verts[0][0]))
     if s1 >= 0:
         kappa = cross / (s2 * s2)
     else:
-        e_min = max(entry_int, -int(2 * s1 // s2) + 1)
-        entry_int = max(entry_int, e_min)
+        entry_int = max(entry_int, -int(2 * s1 // s2) + 1)
         kappa = 2 * cross / (s2 * s2)
     for e, r in ratios:
         if e >= entry_int and abs(r - limit) * e > kappa:

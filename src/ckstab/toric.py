@@ -346,12 +346,16 @@ class MonomialIdealSeq:
     eta: Optional[Vec] = None
     degrees: Optional[dict[int, tuple[tuple[tuple[int, ...], Fraction], ...]]] = None
 
+    def __post_init__(self):
+        if (self.eta is None) == (self.degrees is None):
+            raise ToricError("ideal data needs exactly one of eta or degrees")
+        if self.eta is not None and not any(self.eta):
+            raise ToricError("the valuation direction must be nonzero")
+
     @staticmethod
     def valuation_levels(eta: Sequence, level, summand: SummandIndex = TOTAL) -> "MonomialIdealSeq":
-        eta = as_vec(eta)
-        if not any(eta):
-            raise ToricError("the valuation direction must be nonzero")
-        return MonomialIdealSeq(summand=summand, level=Fraction(level), eta=eta)
+        return MonomialIdealSeq(summand=summand, level=Fraction(level),
+                                eta=as_vec(eta))
 
     @staticmethod
     def from_generators(degrees: dict[int, Sequence[tuple[Sequence[int], Fraction]]],
@@ -385,7 +389,6 @@ def _region_of_ideal(model: ToricFanoModel, ideal: MonomialIdealSeq,
             raise ZeroIdeal(
                 f"no sections reach slope {ideal.level} along {_show(ideal.eta)}"
             ) from exc
-    assert ideal.degrees is not None
     if degree is None:
         degree = min(ideal.degrees)
     gens = [ch for ch, order in ideal.degrees.get(degree, ())
@@ -428,14 +431,11 @@ def monomial_lct(model: ToricFanoModel, ideal: MonomialIdealSeq,
     for cone, a_form, p_form in zip(model.fan,
                                     (vneg(f) for f in model.total_forms),
                                     summand_forms):
-        for sub, v in restrict_min_support(cone, region):
+        for rays, v in restrict_min_support(cone, region):
             den_form = tuple(scale * (a - b) for a, b in zip(v, p_form))
-            cells.append((sub, a_form, den_form))
-    res = minimize_pl_ratio(cells, allow_zero_denominator=True)
-    provenance = "optimized-with-certificate"
-    if res.value is None:
-        return LctResult(None, None, provenance)
-    return LctResult(res.value, res.witness, provenance)
+            cells.append((rays, a_form, den_form))
+    res = minimize_pl_ratio(cells)
+    return LctResult(res.value, res.witness, "optimized-with-certificate")
 
 
 def _containment_lct(model: ToricFanoModel,

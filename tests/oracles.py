@@ -2,7 +2,9 @@
 and acceptance tests.  These deliberately use different algorithms from the
 library (monotone-chain hull, shoelace formulas, interval arithmetic, weight
 tables of plain Fractions with every decomposition enumerated at once,
-Cramer's rule on vertex-pair hyperplanes in place of the fan).
+Cramer's rule on vertex-pair hyperplanes in place of the fan, and the
+routes the library replaced: the threshold's ratio program over fan cells,
+and the facet loop that found the cone absorbing a twisted ray).
 The helpers after them are checks and constants that only the tests use."""
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from ckstab.errors import InternalInvariantError
 from ckstab.filtration import (EmptyDecomposition, Filtration,
                                FiltrationError, FiltrationFamily,
                                twist_family)
-from ckstab.geometry import as_vec, lattice_points, vdot, vsub
+from ckstab.geometry import as_vec, lattice_points, vdot, vneg, vsub
+from ckstab.optimize import minimize_pl_ratio
 from ckstab.serialize import ValidationError
 from ckstab.stability import coupled_ding
 from ckstab.toric import TOTAL, ToricFanoModel
@@ -227,6 +230,48 @@ def reduced_j_oracle(model: ToricFanoModel, xi0, basis) -> Fraction:
                        for k, x in enumerate(xi0)])
     b = model.barycenter(TOTAL)
     return min(max(_pair(v, x) for v in verts) - _pair(b, x) for x in points)
+
+
+def fan_cell_delta(model: ToricFanoModel) -> tuple[Fraction, tuple[int, ...]]:
+    """The coupled threshold and its witness from the ratio program over
+    the anticanonical normal fan: on the cone minimized at the vertex f the
+    log discrepancy is -<f, .> and the summed slope <b - f, .>, with b the
+    coupled barycenter."""
+    b = model.barycenter(TOTAL)
+    res = minimize_pl_ratio([(cone.generators, vneg(f), vsub(b, f))
+                             for cone, f in zip(model.fan, model.total_forms)])
+    return res.value, res.witness
+
+
+def twisted_profile_oracle(model: ToricFanoModel, eta, xi
+                           ) -> tuple[int, Fraction, Fraction]:
+    """(entry, limit, kappa) of the ratio of the log discrepancy to the
+    summed slope along eta + e xi.  The cone that absorbs the ray is the
+    first in fan order that contains xi and whose facets the line crosses
+    only inward, found by a loop over its facet pairings; the line enters
+    it at the largest -<n, eta> / <n, xi>."""
+    eta, xi = as_vec(eta), as_vec(xi)
+    for k, cone in enumerate(model.fan):
+        bounds = [Fraction(0)]
+        for n in cone.facets:
+            nx, nh = vdot(n, xi), vdot(n, eta)
+            if nx < 0 or (nx == 0 and nh < 0):
+                break
+            if nx > 0 and nh < 0:
+                bounds.append(-nh / nx)
+        else:
+            break
+    else:
+        raise InternalInvariantError("no fan cone absorbs the twisted ray")
+    f = model.total_forms[k]
+    s_form = vsub(model.barycenter(TOTAL), f)
+    a1, a2 = -vdot(f, eta), -vdot(f, xi)
+    s1, s2 = vdot(s_form, eta), vdot(s_form, xi)
+    cross = abs(a1 * s2 - a2 * s1)
+    entry = max(1, math.ceil(max(bounds)))
+    if s1 >= 0:
+        return entry, a2 / s2, cross / (s2 * s2)
+    return max(entry, -int(2 * s1 // s2) + 1), a2 / s2, 2 * cross / (s2 * s2)
 
 
 # ---------------------------------------------------------------------------

@@ -40,12 +40,16 @@ def packaged_fixtures(monkeypatch):
     monkeypatch.delenv("CKS_FIXTURES", raising=False)
 
 
-@pytest.mark.parametrize("verb", ["ding", "destabilize", "reduced-jnorm"])
-def test_sum_filtration_reports_match_digests(verb):
+# the packaged calls of each verb replayed here, and their number
+PACKAGED_CALLS = {"ding": 132, "destabilize": 8, "reduced-jnorm": 1030,
+                  "lct": 396, "delta": 8, "reduced-delta": 46, "jnorm": 140}
+
+
+@pytest.mark.parametrize("verb", sorted(PACKAGED_CALLS))
+def test_packaged_reports_match_digests(verb):
     calls = [key for key in DIGESTS
              if key.split()[0] == verb and key.split()[1] in PACKAGED]
-    assert len(calls) == {"ding": 132, "destabilize": 8,
-                          "reduced-jnorm": 1030}[verb]
+    assert len(calls) == PACKAGED_CALLS[verb]
     changed = [key for key in calls if _digest(key.split()) != DIGESTS[key]]
     assert changed == []
 

@@ -195,6 +195,21 @@ def test_zero_lct_direction_exits_1():
     assert err.splitlines() == ["error: the valuation direction must be nonzero"]
 
 
+def test_ideal_data_checked_at_construction():
+    # built directly, not through valuation_levels: a zero direction, or
+    # neither or both of eta and degrees, is a one-line input error
+    from ckstab.toric import TOTAL, MonomialIdealSeq, ToricError
+    cases = [({"eta": (0, 0)}, "the valuation direction must be nonzero"),
+             ({}, "ideal data needs exactly one of eta or degrees"),
+             ({"eta": (1, 0), "degrees": {1: ()}},
+              "ideal data needs exactly one of eta or degrees")]
+    for fields, message in cases:
+        with pytest.raises(ToricError) as info:
+            MonomialIdealSeq(TOTAL, F(1), **fields)
+        assert isinstance(info.value, InputError)
+        assert str(info.value) == message
+
+
 def test_maxplus_pairs_bounded_before_any_sum(tmp_path, monkeypatch):
     # four copies of P^1, both summands the half cube; at --mmax 8 the top
     # degree alone has 9^4 characters per summand

@@ -15,9 +15,10 @@ import pytest
 
 from ckstab.geometry import (Cone, DimensionMismatch, EmptyRegion,
                              ExactPolytope, HalfSpace, UnboundedRegion,
-                             _int_det, centroid, cone_from_facets,
-                             dual_description, lattice_points, minkowski_sum,
-                             normal_fan, support_value, vdot, volume)
+                             _int_det, centroid, dual_description,
+                             extreme_rays, lattice_points, minkowski_sum,
+                             normal_fan, primitive_vector,
+                             restrict_min_support, support_value, vdot, volume)
 
 
 from oracles import (affine_rank, cofactor_det, hull_oracle, hull_oracle_any,
@@ -267,9 +268,35 @@ def test_rank3_cone_roundtrip():
         gens = [(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(1, 3))
                 for _ in range(rng.randint(3, 7))]
         cone = Cone.from_generators(gens)
-        back = cone_from_facets(cone.facets, 3)
-        assert back.generators == cone.generators
-        assert back.facets == cone.facets
+        back = sorted({primitive_vector(r) for r in extreme_rays(cone.facets, 3)})
+        assert tuple(back) == cone.generators
+
+
+def test_min_support_cells_are_the_rays_of_their_cones():
+    # each cell of restrict_min_support is the sorted generator list of the
+    # cone its rays span, lies in the cone, and has its vertex minimize the
+    # support pairing on every ray; degenerate polytopes included
+    rng = random.Random(37)
+    cells_seen = 0
+    for rank in (2, 3):
+        for _ in range(15):
+            gens = [tuple(rng.randint(-3, 3) for _ in range(rank - 1))
+                    + (rng.randint(1, 3),) for _ in range(rng.randint(rank, 6))]
+            if affine_rank([(0,) * rank] + gens) < rank:
+                continue
+            cone = Cone.from_generators(gens)
+            dim = rng.randint(0, rank)
+            p = ExactPolytope.from_vertices(
+                rand_rational_points(rng, rank, dim + 2, dim, 4))
+            cells = restrict_min_support(cone, p)
+            assert cells
+            for rays, v in cells:
+                assert rays == list(Cone.from_generators(rays).generators)
+                assert all(cone.contains(r) for r in rays)
+                assert all(vdot(v, r) == support_value(p, r, "min")[0]
+                           for r in rays)
+                cells_seen += 1
+    assert cells_seen > 30
 
 
 # --- integer kernels against plain-Fraction oracles, ranks 1 to 4 -----------

@@ -20,12 +20,13 @@ _QUAD = ExactPolytope.from_vertices([(-1, 2), (2, -1), (-1, 0), (0, -1)])
 def _bl1p2_cells():
     # on the normal cone of the vertex f: A = -<f, .> and S = <b - f, .>
     b = centroid(_QUAD)
-    return [(cone, vneg(f), vsub(b, f)) for cone, f in normal_fan(_QUAD)]
+    return [(cone.generators, vneg(f), vsub(b, f))
+            for cone, f in normal_fan(_QUAD)]
 
 
 def test_ratio_symmetric_data_is_one():
     t = ExactPolytope.from_vertices([(-1, -1), (2, -1), (-1, 2)])
-    cells = [(cone, vneg(f), vneg(f)) for cone, f in normal_fan(t)]
+    cells = [(cone.generators, vneg(f), vneg(f)) for cone, f in normal_fan(t)]
     res = minimize_pl_ratio(cells)
     assert res.value == 1
 
@@ -36,15 +37,16 @@ def test_ratio_destabilized_quadrilateral():
 
 
 def test_ratio_zero_numerator():
-    cells = [(cone, (F(0), F(0)), vneg(f)) for cone, f in normal_fan(_QUAD)]
+    cells = [(cone.generators, (F(0), F(0)), vneg(f))
+             for cone, f in normal_fan(_QUAD)]
     res = minimize_pl_ratio(cells)
     assert res.value == 0
 
 
 def test_cells_disagreeing_on_a_ray_are_an_internal_error():
     cells = _bl1p2_cells()
-    cone, num, den = cells[0]
-    cells[0] = (cone, tuple(x + 1 for x in num), den)
+    rays, num, den = cells[0]
+    cells[0] = (rays, tuple(x + 1 for x in num), den)
     with pytest.raises(InternalInvariantError, match="disagree"):
         minimize_pl_ratio(cells)
 
@@ -74,3 +76,15 @@ def test_ratio_scaling_invariance():
     # equality at the returned witness
     assert num(res.witness) == res.value * den(res.witness)
 
+
+
+def test_zero_denominator_rays_are_left_out_and_negative_ones_raise():
+    # the denominator <(0, 1), .> is zero along (1, 0) and (-1, 0), which
+    # constrain nothing, and negative along (0, -1)
+    num, den = (F(1), F(1)), (F(0), F(1))
+    cells = [([(1, 0), (0, 1)], num, den), ([(-1, 0), (0, 1)], num, den)]
+    res = minimize_pl_ratio(cells)
+    assert res.value == 1 and res.witness == (0, 1)
+    assert minimize_pl_ratio([([(1, 0)], num, den)]).value is None
+    with pytest.raises(InternalInvariantError, match="negative"):
+        minimize_pl_ratio(cells + [([(1, 0), (0, -1)], num, den)])

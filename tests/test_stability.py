@@ -10,13 +10,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import ding_of_twist, dist2_to_affine, reduced_j_oracle
+from oracles import (ding_of_twist, dist2_to_affine, fan_cell_delta,
+                     reduced_j_oracle, twisted_profile_oracle)
 
 from ckstab.filtration import (GridMismatch, UnsupportedDescriptor,
                                construct, family_degree_grid, graded_basis,
                                shift, trivial_family, twist_family,
                                valuation_family, valuation_filtration)
-from ckstab.geometry import DimensionMismatch, ExactPolytope
+from ckstab.geometry import DimensionMismatch, ExactPolytope, HalfSpace
 from ckstab.stability import (DegenerateSubtorus, RankTooHigh, StabilityError,
                               SubtorusSpec, SuiteFailure, coupled_delta,
                               coupled_ding, coupled_futaki, find_destabilizer,
@@ -223,6 +224,42 @@ def test_delta_fixture_values(models):
         assert (res.value, res.witness) == (value, witness), name
 
 
+def _split(name, rays, *scales):
+    # the reflexive polytope of the rays, split into scaled copies
+    p = ExactPolytope.from_halfspaces([HalfSpace(tuple(r), F(-1)) for r in rays],
+                                      len(rays[0]))
+    return build_model(rays, [p.scale(F(t)) for t in scales], name=name)
+
+
+_P3_RAYS = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]
+_CUBE_RAYS = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
+_DP7_RAYS = [[1, 0], [1, 1], [0, 1], [-1, 0], [0, -1]]
+_DP6_RAYS = [[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]]
+
+
+def _extra_models():
+    # the rank-3 benchmark models, the two del Pezzo models beyond the
+    # corpus in two splits each, and two weighted projective planes
+    return [_split("p1cubed", _CUBE_RAYS, F(1, 2), F(1, 2)),
+            _split("p3_halves", _P3_RAYS, F(1, 2), F(1, 2)),
+            _split("p3_quarters", _P3_RAYS, F(1, 4), F(3, 4)),
+            _split("dp7_halves", _DP7_RAYS, F(1, 2), F(1, 2)),
+            _split("dp7_thirds", _DP7_RAYS, F(1, 3), F(2, 3)),
+            _split("dp6_halves", _DP6_RAYS, F(1, 2), F(1, 2)),
+            _split("dp6_thirds", _DP6_RAYS, F(1, 3), F(2, 3)),
+            _split("p112", [[1, 0], [0, 1], [-1, -2]], F(1, 2), F(1, 2)),
+            _split("p123", [[1, 0], [0, 1], [-2, -3]], F(1, 2), F(1, 2))]
+
+
+def test_delta_ray_scan_matches_the_fan_cell_program(models):
+    values = set()
+    for model in list(models.values()) + _extra_models():
+        res = coupled_delta(model)
+        assert (res.value, res.witness) == fan_cell_delta(model), model.name
+        values.add(res.value)
+    assert values == {1, F(6, 7), F(9, 11), F(21, 25), F(3, 4), F(1, 2)}
+
+
 def test_delta_is_global_infimum(bl1p2):
     rng = random.Random(83)
     res = coupled_delta(bl1p2)
@@ -388,6 +425,37 @@ def test_twisted_ratio_profile_generic_direction(bl1p2):
                       F(108, 125), F(68, 79), F(396, 461)]
     diffs = [abs(r - prof.limit) for r in values]
     assert all(a > b for a, b in zip(diffs, diffs[1:]))
+
+
+def test_twisted_ratio_profile_matches_the_cone_loop(models):
+    # random directions, and twists along each fan ray, with eta random or
+    # on the ray's line, so that the whole line lies on a wall of the fan
+    rng = random.Random(97)
+    exps = (1, 2, 8, 64)
+
+    def rand_vec(rank):
+        return tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(rank))
+
+    cases = 0
+    for model in list(models.values()) + [_split("p3_quarters", _P3_RAYS,
+                                                  F(1, 4), F(3, 4))]:
+        pairs = [(rand_vec(model.rank), rand_vec(model.rank)) for _ in range(8)]
+        for rho in model.rays:
+            pairs.append((rand_vec(model.rank), rho))
+            q = F(2 * rng.randint(-4, 4) + 1, 2)
+            pairs.append((tuple(q * c for c in rho), rho))
+        for eta, xi in pairs:
+            if not any(xi) or any(not any(h + e * x for h, x in zip(eta, xi))
+                                  for e in exps):
+                continue
+            prof = twisted_ratio_profile(model, eta, xi, exps)
+            assert (prof.entry, prof.limit, prof.kappa) == \
+                twisted_profile_oracle(model, eta, xi), (model.name, eta, xi)
+            cases += 1
+        with pytest.raises(StabilityError, match="twist direction"):
+            twisted_ratio_profile(model, rand_vec(model.rank),
+                                  (F(0),) * model.rank, exps)
+    assert cases == 126
 
 
 # --- identity suite --------------------------------------------------------------
