@@ -22,7 +22,7 @@ from typing import Optional
 
 from . import __version__
 from .errors import CkstabError, InputError
-from .filtration import check_maxplus_pairs, valuation_family
+from .filtration import valuation_family
 from .geometry import Vec
 from .serialize import (IoError, ParseError, canonical_json, format_rational,
                         format_vec, load_model, parse_integer, parse_rational,
@@ -143,17 +143,11 @@ def _opt_rat(x) -> Optional[str]:
     return None if x is None else _rat(x)
 
 
-# The max-plus sums of ``ding`` and ``destabilize`` grow like the square of
-# the lattice points at the top degree.  At --mmax 12 a rank-2 call takes
-# under 0.3 s and a rank-3 call up to about 10 s; at 24 a rank-2 call
-# already takes seconds.  The cap alone does not bound rank 4, so the
-# pairs are bounded too, by ``filtration.MAX_MAXPLUS_PAIRS`` (2e7) before
-# a family is built.  The largest count a benchmark pool reaches is 4,997
-# (ding on p2_steps at --mmax 6), and the largest in a tier-1 test is
-# 397,186 (ding on the four-P^1 model with two half cubes at --mmax 4).
-# That model needs 6,161,987 pairs at --mmax 6 (9.6 s) and 49,208,708 at
-# --mmax 8, which ran out of a 2.5 GB address space; p3_halves at
-# --mmax 12 needs 12,866,502 (17 s, 0.7 GB peak).
+# ``ding`` and ``destabilize`` enumerate and weigh each summand's characters
+# on every degree of the family grid up to --mmax, about mmax^(rank + 1)
+# of them; no sum of the tables is built.  At --mmax 12 the four-P^1 model
+# split into two half cubes has 52,870 characters per summand (0.66 s,
+# 31 MB peak), p3_halves takes 0.14 s and a rank-2 fixture under 0.02 s.
 MAX_MMAX = 12
 
 
@@ -234,9 +228,7 @@ def _cmd_reduced_delta(model, args) -> dict:
 def _cmd_ding(model, args) -> dict:
     eta = _vec_arg(args.eta, "--eta", model.rank)
     slope = parse_rational(args.slope) if args.slope else Fraction(1)
-    m_max = _mmax_arg(args.mmax)
-    check_maxplus_pairs(model, m_max)
-    fam = valuation_family(model, eta, m_max=m_max)
+    fam = valuation_family(model, eta, m_max=_mmax_arg(args.mmax))
     res = coupled_ding(fam, delta=slope)
     return {
         "ding": {"value": _rat(res.value), "provenance": res.provenance},

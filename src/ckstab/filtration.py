@@ -37,7 +37,7 @@ from operator import add, itemgetter, mul
 from typing import Optional, Sequence, Union
 
 from .errors import InputError
-from .geometry import Vec, as_vec
+from .geometry import Vec, _exact_entries, as_vec
 from .toric import (TOTAL, RankMismatch, SummandIndex, ToricFanoModel,
                     integrality_step, s_invariant, section_basis,
                     support_min, t_invariant, theta_twist)
@@ -332,7 +332,7 @@ def _shift_descriptor(d: Descriptor, c: Fraction) -> Descriptor:
 def twist(f: Filtration, xi: Sequence) -> Filtration:
     """Add <alpha, xi> to every weight.  For a valuation descriptor this is
     again a shifted valuation descriptor at eta + xi."""
-    xi = as_vec(xi)
+    xi = _exact_entries(xi)
     if len(xi) != f.basis.model.rank:
         raise RankMismatch("twist rank differs from the torus rank")
     den = math.lcm(f.den, *(x.denominator for x in xi))
@@ -421,26 +421,6 @@ def family_degree_grid(model: ToricFanoModel, m_max: int) -> tuple[int, ...]:
     return grid
 
 
-# The most max-plus pairs one family sum may take; cli.MAX_MMAX gives the
-# counts the bound was chosen from.
-MAX_MAXPLUS_PAIRS = 20_000_000
-
-
-def check_maxplus_pairs(model: ToricFanoModel, m_max: int) -> None:
-    """Refuse a family up to degree m_max whose sum would take more than
-    MAX_MAXPLUS_PAIRS max-plus pairs: at each degree of the grid, at most
-    the product of the summand basis lengths.  The bases counted are the
-    ones the family is then built on."""
-    grid = family_degree_grid(model, m_max)
-    bases = [graded_basis(model, i, m_max=m_max, step=grid[0])
-             for i in range(model.num_summands)]
-    pairs = sum(math.prod(len(b.chars[m]) for b in bases) for m in grid)
-    if pairs > MAX_MAXPLUS_PAIRS:
-        raise FiltrationError(
-            f"degree cap {m_max} needs {pairs} max-plus pairs on this model, "
-            f"above the bound of {MAX_MAXPLUS_PAIRS}")
-
-
 def valuation_family(model: ToricFanoModel, eta: Sequence,
                      m_max: int = 6) -> FiltrationFamily:
     grid = family_degree_grid(model, m_max)
@@ -525,15 +505,17 @@ def sum_filtration(fam: FiltrationFamily) -> Filtration:
                                  target if k == last else (), m, "decomposition")
             row = _maxplus(gathers, row, rows[k][m])
         nums[m] = row[:len(target)]
-    return Filtration(total_basis, nums, den, _sum_descriptor(fam))
+    return Filtration(total_basis, nums, den,
+                      _sum_descriptor([f.descriptor for f in fam.members]))
 
 
-def _sum_descriptor(fam: FiltrationFamily) -> Descriptor:
-    parts = []
-    for f in fam.members:
-        if not isinstance(f.descriptor, ValuationDescriptor):
-            return None
-        parts.append(f.descriptor)
+def _sum_descriptor(parts: Sequence[Descriptor]) -> Descriptor:
+    """The descriptor of the sum of a family whose members carry ``parts``:
+    one valuation descriptor with the summed shift when they share a
+    direction, the parts as a sum descriptor when they do not, and None
+    when a member is opaque."""
+    if not all(isinstance(p, ValuationDescriptor) for p in parts):
+        return None
     etas = {p.eta for p in parts}
     if len(etas) == 1:
         total_shift = sum((p.shift for p in parts), Fraction(0))

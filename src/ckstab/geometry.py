@@ -81,7 +81,16 @@ class DegenerateInput(GeometryError):
 
 
 def as_vec(coords: Iterable) -> Vec:
-    return tuple(Fraction(c) for c in coords)
+    """The coordinates as ``Fraction``s; a ``Fraction`` entry is kept as it
+    is."""
+    return tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coords)
+
+
+def _exact_entries(coords: Iterable) -> tuple:
+    """The coordinates with ``int`` and ``Fraction`` entries as they are; any
+    other entry is read by ``Fraction``, as ``as_vec`` reads it."""
+    return tuple(x if isinstance(x, (int, Fraction)) else Fraction(x)
+                 for x in coords)
 
 
 def vadd(a: Vec, b: Vec) -> Vec:
@@ -142,10 +151,8 @@ def _scaled(vectors: Iterable[Sequence]) -> tuple[int, tuple[IntVec, ...]]:
 def _int_directions(vectors: Iterable[Iterable], rank: int
                     ) -> tuple[int, tuple[IntVec, ...]]:
     """Directions of the given rank as integer numerators over one positive
-    denominator.  An entry that is neither ``int`` nor ``Fraction`` is read
-    by ``Fraction``, as ``as_vec`` reads it."""
-    vectors = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
-               for v in vectors]
+    denominator, read by ``_exact_entries``."""
+    vectors = [_exact_entries(v) for v in vectors]
     for v in vectors:
         if len(v) != rank:
             raise DimensionMismatch(f"direction rank {len(v)} vs polytope rank {rank}")

@@ -29,12 +29,12 @@ from .toric import (TOTAL, TORIC_SEARCH_ASSUMPTION, MonomialIdealSeq,
                     SummandIndex, ToricFanoModel, _containment_lct, _show,
                     log_discrepancy, monomial_lct, s_invariant, support_min,
                     t_invariant, theta_twist, total_s_sum)
-from .filtration import (Filtration, FiltrationFamily,
+from .filtration import (Descriptor, Filtration, FiltrationFamily,
                          SumDescriptor, UnsupportedDescriptor,
-                         ValuationDescriptor, approximate, base_change,
-                         check_maxplus_pairs, construct, family_degree_grid,
-                         graded_basis, numerics, round_weights, shift,
-                         sum_filtration, trivial_family, twist, twist_family,
+                         _sum_descriptor, _twist_descriptor, approximate,
+                         base_change, construct, family_degree_grid,
+                         graded_basis, round_weights, shift, sum_filtration,
+                         trivial_family, twist, twist_family,
                          valuation_family, valuation_filtration)
 
 
@@ -216,6 +216,29 @@ class MuResult:
     provenance: str
 
 
+def _slope_parameter(delta) -> Fraction:
+    delta = Fraction(delta)
+    if delta <= 0:
+        raise StabilityError("slope parameter must be positive")
+    return delta
+
+
+def _closed_form_mu(model: ToricFanoModel, d: Descriptor,
+                    delta: Fraction) -> tuple[Fraction, bool]:
+    """The delta-lc slope of a filtration with a valuation descriptor, and
+    whether it is exact: ``A(eta)/delta + shift`` for delta >= 1, and for
+    delta < 1 the certified lower bound ``A(eta) + shift`` (see
+    :func:`mu_slope`).  A sum of distinct directions has no certified
+    slope."""
+    if isinstance(d, SumDescriptor):
+        raise UnsupportedDescriptor(
+            "no certified lc slope for sums of distinct valuation directions")
+    a = log_discrepancy(model, d.eta)
+    if delta >= 1:
+        return a / delta + d.shift, True
+    return a + d.shift, False
+
+
 def mu_slope(f: Filtration, delta) -> MuResult:
     """The delta-lc slope of a filtration.
 
@@ -231,21 +254,15 @@ def mu_slope(f: Filtration, delta) -> MuResult:
     per-degree threshold tests, the upper end from the maximal stored
     slope.
     """
-    delta = Fraction(delta)
-    if delta <= 0:
-        raise StabilityError("slope parameter must be positive")
+    delta = _slope_parameter(delta)
     d = f.descriptor
     model = f.basis.model
-    if isinstance(d, ValuationDescriptor):
-        a = log_discrepancy(model, d.eta)
-        if delta >= 1:
-            mu = a / delta + d.shift
+    if d is not None:
+        mu, exact = _closed_form_mu(model, d, delta)
+        if exact:
             return MuResult(mu, mu, mu, CLOSED_FORM)
         lam = t_invariant(model, f.basis.index, d.eta) + d.shift
-        return MuResult(None, a + d.shift, lam, "certified-bounds")
-    if isinstance(d, SumDescriptor):
-        raise UnsupportedDescriptor(
-            "no certified lc slope for sums of distinct valuation directions")
+        return MuResult(None, mu, lam, "certified-bounds")
     lo = None
     hi = None
     for m in f.basis.degrees:
@@ -282,48 +299,44 @@ class DingResult:
 
 
 def coupled_ding(fam: FiltrationFamily, delta=Fraction(1)) -> DingResult:
-    """Coupled Ding invariant of a descriptor-backed family: the lc slope of
-    the sum filtration minus the summed expectation slopes of the members.
+    """Coupled Ding invariant of a family of valuation filtrations at one
+    direction eta: the lc slope of the sum filtration minus the summed
+    expectation slopes of the members, both read from the member
+    descriptors.  The lc slope is ``A(eta)/delta`` plus the summed shifts,
+    and member i contributes ``S_i(eta)`` plus its shift; no weight table,
+    and no sum of tables, is read.
 
     For slope >= 1 the value is exact.  For smaller slopes the lc slope is
     only bounded, and the returned value is the certified lower bound, with
     the provenance field saying so.  At slope one the twist identity is
-    evaluated at a probe direction and checked against the direct
-    computation, so every exact value has passed one internal
-    cross-validation.
+    evaluated at a probe direction, from the twisted member descriptors,
+    and checked against the direct computation, so every exact value has
+    passed one internal cross-validation.
     """
-    delta = Fraction(delta)
+    delta = _slope_parameter(delta)
     model = fam.model
-    total = sum_filtration(fam)
-    mu = mu_slope(total, delta)
-    if mu.value is None and mu.provenance == "certified-bounds":
-        mu_used, prov = mu.lo, "lower-bound"
-    elif mu.value is None:
-        raise UnsupportedDescriptor("coupled Ding needs a certified lc slope")
-    else:
-        mu_used, prov = mu.value, CLOSED_FORM
-    s_vals = []
-    for f in fam.members:
-        n = numerics(f)
-        if n.s_value is None:
-            raise UnsupportedDescriptor(
-                "coupled Ding needs certified expectation slopes")
-        s_vals.append(n.s_value)
-    value = mu_used - sum(s_vals, Fraction(0))
+
+    def terms(parts):
+        # the lc slope of the sum, whether it is exact, and the member slopes
+        d = _sum_descriptor(parts)
+        if d is None:
+            raise UnsupportedDescriptor("coupled Ding needs a certified lc slope")
+        mu, exact = _closed_form_mu(model, d, delta)
+        return mu, exact, tuple(s_invariant(model, i, p.eta) + p.shift
+                                for i, p in enumerate(parts))
+
+    mu, exact, s_vals = terms([f.descriptor for f in fam.members])
+    value = mu - sum(s_vals, Fraction(0))
     probe = tuple(Fraction(1) for _ in range(model.rank))
-    twisted = twist_family(fam, probe)
-    t_total = sum_filtration(twisted)
-    t_mu = mu_slope(t_total, delta)
-    t_s = [numerics(f).s_value for f in twisted.members]
-    probe_value = (t_mu.value if t_mu.value is not None else t_mu.lo) \
-        - sum(t_s, Fraction(0))
+    t_mu, _, t_s = terms([_twist_descriptor(f, probe) for f in fam.members])
+    probe_value = t_mu - sum(t_s, Fraction(0))
     if delta == 1:
         # the barycenter twist rule is a slope-one identity
         b = model.barycenter(TOTAL)
         if probe_value != value - vdot(b, probe):
             raise InternalInvariantError("twist identity cross-validation failed")
-    return DingResult(value, mu_used, tuple(s_vals), delta, probe, probe_value,
-                      provenance=prov)
+    return DingResult(value, mu, s_vals, delta, probe, probe_value,
+                      provenance=CLOSED_FORM if exact else "lower-bound")
 
 
 # ---------------------------------------------------------------------------
@@ -395,13 +408,13 @@ def find_destabilizer(model: ToricFanoModel, m_max: int = 6) -> Optional[Destabi
     """If the threshold is below one, the valuation family at the witness
     direction, together with its (strictly negative) coupled Ding value.
     The degree cap is checked first, so a semistable model rejects the
-    caps that an unstable one does; the max-plus pairs of the family are
-    counted before it is built."""
+    caps that an unstable one does.  The family's members are built on
+    their bases up to m_max; the Ding value reads only their descriptors,
+    so no sum of them is built."""
     family_degree_grid(model, m_max)
     d = coupled_delta(model)
     if d.value >= 1:
         return None
-    check_maxplus_pairs(model, m_max)
     fam = valuation_family(model, d.witness, m_max=m_max)
     ding = coupled_ding(fam)
     if ding.value >= 0:

@@ -4,7 +4,8 @@ library (monotone-chain hull, shoelace formulas, interval arithmetic, weight
 tables of plain Fractions with every decomposition enumerated at once,
 Cramer's rule on vertex-pair hyperplanes in place of the fan, and the
 routes the library replaced: the threshold's ratio program over fan cells,
-and the facet loop that found the cone absorbing a twisted ray).
+the facet loop that found the cone absorbing a twisted ray, and the
+coupled Ding invariant through sum tables).
 The helpers after them are checks and constants that only the tests use."""
 
 from __future__ import annotations
@@ -18,12 +19,15 @@ from typing import Optional, Sequence
 from ckstab.errors import InternalInvariantError
 from ckstab.filtration import (EmptyDecomposition, Filtration,
                                FiltrationError, FiltrationFamily,
+                               SumDescriptor, UnsupportedDescriptor,
+                               ValuationDescriptor, numerics, sum_filtration,
                                twist_family)
 from ckstab.geometry import as_vec, lattice_points, vdot, vneg, vsub
 from ckstab.optimize import minimize_pl_ratio
 from ckstab.serialize import ValidationError
-from ckstab.stability import coupled_ding
-from ckstab.toric import TOTAL, ToricFanoModel
+from ckstab.stability import (CLOSED_FORM, DingResult, StabilityError,
+                              coupled_ding, mu_slope)
+from ckstab.toric import TOTAL, ToricFanoModel, log_discrepancy
 
 
 def hull_oracle(points):
@@ -241,6 +245,53 @@ def fan_cell_delta(model: ToricFanoModel) -> tuple[Fraction, tuple[int, ...]]:
     res = minimize_pl_ratio([(cone.generators, vneg(f), vsub(b, f))
                              for cone, f in zip(model.fan, model.total_forms)])
     return res.value, res.witness
+
+
+def ding_via_sums(fam: FiltrationFamily, delta=Fraction(1)) -> DingResult:
+    """The coupled Ding invariant through the sum tables, the route that
+    ``coupled_ding`` replaced: it builds the sum filtration of the family
+    and of its twist by the all-ones probe, reads the lc slope from each
+    sum's descriptor and the expectation slopes from ``numerics`` of each
+    member.  The closed form of the lc slope is written out here, apart
+    from the library's: A(eta)/delta + shift for delta >= 1, and the lower
+    bound A(eta) + shift below one.  An opaque sum first runs the
+    finite-degree lc tests of ``mu_slope``, which certify no value."""
+    delta = Fraction(delta)
+    model = fam.model
+
+    def lc_slope(total: Filtration) -> tuple[Fraction, str]:
+        if delta <= 0:
+            raise StabilityError("slope parameter must be positive")
+        d = total.descriptor
+        if isinstance(d, ValuationDescriptor):
+            a = log_discrepancy(model, d.eta)
+            if delta >= 1:
+                return a / delta + d.shift, CLOSED_FORM
+            return a + d.shift, "lower-bound"
+        if isinstance(d, SumDescriptor):
+            raise UnsupportedDescriptor(
+                "no certified lc slope for sums of distinct valuation directions")
+        assert mu_slope(total, delta).value is None
+        raise UnsupportedDescriptor("coupled Ding needs a certified lc slope")
+
+    def expectation_slopes(f: FiltrationFamily) -> tuple[Fraction, ...]:
+        slopes = tuple(numerics(g).s_value for g in f.members)
+        if None in slopes:
+            raise UnsupportedDescriptor(
+                "coupled Ding needs certified expectation slopes")
+        return slopes
+
+    mu, prov = lc_slope(sum_filtration(fam))
+    s_vals = expectation_slopes(fam)
+    value = mu - sum(s_vals, Fraction(0))
+    probe = tuple(Fraction(1) for _ in range(model.rank))
+    twisted = twist_family(fam, probe)
+    t_mu, _ = lc_slope(sum_filtration(twisted))
+    probe_value = t_mu - sum(expectation_slopes(twisted), Fraction(0))
+    if delta == 1 and probe_value != value - vdot(model.barycenter(TOTAL), probe):
+        raise InternalInvariantError("twist identity cross-validation failed")
+    return DingResult(value, mu, s_vals, delta, probe, probe_value,
+                      provenance=prov)
 
 
 def twisted_profile_oracle(model: ToricFanoModel, eta, xi

@@ -261,6 +261,42 @@ def test_model_roundtrip_through_json(tmp_path, bl1p2):
     assert again.barycenters == bl1p2.barycenters
 
 
+def test_ding_under_summand_reversal_and_split(capsys, tmp_path, models):
+    # reversing the summands keeps the value and mu and reverses the
+    # summand slopes; splitting summand 0 into two halves keeps the value
+    # and mu.  The degree cap is the family step of the split model, which
+    # the halves can double
+    import random
+    from fractions import Fraction as F
+    from ckstab.filtration import family_degree_grid
+    from ckstab.serialize import model_to_json, polytope_to_json
+    rng = random.Random(59)
+
+    def ding(data, eta, mmax):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "ding", str(path), f"--eta={eta}",
+                             f"--mmax={mmax}")
+        assert code == 0, err
+        rep = report_of(out)
+        return rep["ding"], rep["mu"], rep["summand_slopes"]
+
+    for name, model in models.items():
+        data = model_to_json(model)
+        reverse = {**data, "decomposition": data["decomposition"][::-1]}
+        half = polytope_to_json(model.summands[0].scale(F(1, 2)))
+        split = {**data, "decomposition": [half, half, *data["decomposition"][1:]]}
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps(split))
+        mmax = family_degree_grid(load_model(str(path)), 12)[0]
+        for _ in range(3):
+            eta = ",".join(f"{rng.randint(-4, 4)}/{rng.randint(1, 3)}"
+                           for _ in range(model.rank))
+            value, mu, slopes = ding(data, eta, mmax)
+            assert ding(reverse, eta, mmax) == (value, mu, slopes[::-1]), name
+            assert ding(split, eta, mmax)[:2] == (value, mu), name
+
+
 def test_rational_parser_reduces():
     from ckstab.serialize import parse_rational, format_rational
     from fractions import Fraction as F

@@ -3,6 +3,7 @@ destabilizer search, the reduced threshold, and the identity suite."""
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 import random
@@ -10,13 +11,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import (ding_of_twist, dist2_to_affine, fan_cell_delta,
-                     reduced_j_oracle, twisted_profile_oracle)
+from oracles import (ding_of_twist, ding_via_sums, dist2_to_affine,
+                     fan_cell_delta, reduced_j_oracle, twisted_profile_oracle)
 
-from ckstab.filtration import (GridMismatch, UnsupportedDescriptor,
-                               construct, family_degree_grid, graded_basis,
-                               shift, trivial_family, twist_family,
-                               valuation_family, valuation_filtration)
+from ckstab.errors import CkstabError
+from ckstab.filtration import (FiltrationFamily, GridMismatch,
+                               UnsupportedDescriptor, construct,
+                               family_degree_grid, graded_basis,
+                               round_weights, shift, trivial_family,
+                               twist_family, valuation_family,
+                               valuation_filtration)
 from ckstab.geometry import DimensionMismatch, ExactPolytope, HalfSpace
 from ckstab.stability import (DegenerateSubtorus, RankTooHigh, StabilityError,
                               SubtorusSpec, SuiteFailure, coupled_delta,
@@ -204,6 +208,63 @@ def test_ding_of_twist(bl1p2, p2):
     triv = trivial_family(bl1p2, m_max=4)
     assert ding_of_twist(bl1p2, triv, (1, 1)) == -F(1, 6)
     assert ding_of_twist(p2, trivial_family(p2, m_max=4), (3, -2)) == 0
+
+
+def _outcome(ding, fam, delta):
+    try:
+        return ding(fam, delta)
+    except CkstabError as exc:
+        return type(exc), str(exc)
+
+
+def test_coupled_ding_matches_the_sum_route(models):
+    # every field of the result, or the class and message of the refusal,
+    # against the route through sum tables: seeded directions, per-member
+    # shifts, twisted families and members at distinct directions, and on
+    # one degree, where the sum route's finite-degree lc tests stay cheap,
+    # an opaque member built from a table or by rounding
+    rng = random.Random(131)
+
+    def rand_vec(rank):
+        return tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rank))
+
+    def check(fam, deltas):
+        for delta in deltas:
+            got = _outcome(coupled_ding, fam, delta)
+            assert got == _outcome(ding_via_sums, fam, delta), (fam, delta)
+            seen[got[1] if isinstance(got, tuple) else got.provenance] += 1
+
+    seen = collections.Counter()
+    for model in [*models.values(), _split("p3_halves", _P3_RAYS, F(1, 2), F(1, 2))]:
+        step = family_degree_grid(model, 12)[0]
+        m_max = step if model.rank == 3 else 2 * step
+        for _ in range(3):
+            fam = valuation_family(model, rand_vec(model.rank), m_max=m_max)
+            shifted = FiltrationFamily(model, tuple(
+                shift(f, F(rng.randint(-6, 6), rng.randint(1, 4)))
+                for f in fam.members))
+            mixed = FiltrationFamily(model, tuple(
+                valuation_filtration(f.basis, rand_vec(model.rank))
+                for f in fam.members))
+            for f in (fam, shifted, twist_family(shifted, rand_vec(model.rank)),
+                      mixed):
+                check(f, (F(1, 3), F(1, 2), F(1), F(2), F(3)))
+        check(fam, (F(0), F(-1)))
+        if model.rank == 3:
+            continue
+        # a shift by 1/5 leaves no weight of degree at most 4 an integer, so
+        # rounding drops the descriptor
+        small = valuation_family(model, rand_vec(model.rank), m_max=step)
+        first = small.members[0]
+        table = construct(first.basis, {
+            step: {a: F(rng.randint(-3, 3), 2) for a in first.basis.characters(step)}})
+        for g in (table, round_weights(shift(first, F(1, 5)))):
+            check(FiltrationFamily(model, (g,) + small.members[1:]), (F(1, 2), F(1)))
+    assert seen == {"closed-form": 243, "lower-bound": 162,
+                    "no certified lc slope for sums of distinct valuation "
+                    "directions": 135,
+                    "coupled Ding needs a certified lc slope": 32,
+                    "slope parameter must be positive": 18}
 
 
 # --- thresholds -------------------------------------------------------------------
