@@ -22,15 +22,15 @@ from typing import Optional
 
 from . import __version__
 from .errors import CkstabError, InputError
-from .filtration import valuation_family
+from .filtration import ValuationDescriptor, family_degree_grid
 from .geometry import Vec
 from .serialize import (IoError, ParseError, canonical_json, format_rational,
                         format_vec, load_model, parse_integer, parse_rational,
                         parse_vec, read_json)
 from .stability import (SubtorusSpec, build_stability_report, coupled_delta,
-                        coupled_ding, coupled_futaki, find_destabilizer,
-                        j_twist, monomial_lct, reduced_coupled_delta,
-                        reduced_coupled_j)
+                        coupled_futaki, ding_of_descriptors,
+                        find_destabilizer, j_twist, monomial_lct,
+                        reduced_coupled_delta, reduced_coupled_j)
 from .toric import TOTAL, MonomialIdealSeq
 
 
@@ -143,11 +143,10 @@ def _opt_rat(x) -> Optional[str]:
     return None if x is None else _rat(x)
 
 
-# ``ding`` and ``destabilize`` enumerate and weigh each summand's characters
-# on every degree of the family grid up to --mmax, about mmax^(rank + 1)
-# of them; no sum of the tables is built.  At --mmax 12 the four-P^1 model
-# split into two half cubes has 52,870 characters per summand (0.66 s,
-# 31 MB peak), p3_halves takes 0.14 s and a rank-2 fixture under 0.02 s.
+# ``ding`` and ``destabilize`` read only the descriptors of the family's
+# members, so their cost does not grow with --mmax.  The cap, and the check
+# that it reaches the family's degree step, keep the arguments they accept
+# those of the family the value describes.
 MAX_MMAX = 12
 
 
@@ -228,8 +227,10 @@ def _cmd_reduced_delta(model, args) -> dict:
 def _cmd_ding(model, args) -> dict:
     eta = _vec_arg(args.eta, "--eta", model.rank)
     slope = parse_rational(args.slope) if args.slope else Fraction(1)
-    fam = valuation_family(model, eta, m_max=_mmax_arg(args.mmax))
-    res = coupled_ding(fam, delta=slope)
+    # the value reads no table, but the cap must suit the family's grid
+    family_degree_grid(model, _mmax_arg(args.mmax))
+    res = ding_of_descriptors(
+        model, [ValuationDescriptor(eta)] * model.num_summands, slope)
     return {
         "ding": {"value": _rat(res.value), "provenance": res.provenance},
         "mu": _rat(res.mu),

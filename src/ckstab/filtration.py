@@ -39,8 +39,8 @@ from typing import Optional, Sequence, Union
 from .errors import InputError
 from .geometry import Vec, _exact_entries, as_vec
 from .toric import (TOTAL, RankMismatch, SummandIndex, ToricFanoModel,
-                    integrality_step, s_invariant, section_basis,
-                    support_min, t_invariant, theta_twist)
+                    _twist_terms, integrality_step, s_invariant,
+                    section_basis, support_min, t_invariant)
 
 Char = tuple[int, ...]
 IntTable = dict[int, tuple[int, ...]]
@@ -342,14 +342,19 @@ def twist(f: Filtration, xi: Sequence) -> Filtration:
     nums = {m: tuple([n * k + sum(map(mul, a, xi_n))
                       for a, n in zip(chars[m], row)])
             for m, row in f.nums.items()}
-    return Filtration(f.basis, nums, den, _twist_descriptor(f, xi))
+    return Filtration(f.basis, nums, den,
+                      _twist_descriptor(f.basis.model, f.basis.index,
+                                        f.descriptor, xi))
 
 
-def _twist_descriptor(f: Filtration, xi: Vec) -> Descriptor:
-    d = f.descriptor
+def _twist_descriptor(model: ToricFanoModel, i: SummandIndex, d: Descriptor,
+                      xi: Sequence) -> Descriptor:
+    """The descriptor of the twist by xi of a table on summand i carrying
+    d: a valuation descriptor moves to eta + xi, its shift less the twist
+    correction; both come from one integer scaling of eta and xi."""
     if isinstance(d, ValuationDescriptor):
-        theta = theta_twist(f.basis.model, f.basis.index, d.eta, xi)
-        return ValuationDescriptor(tuple(a + b for a, b in zip(d.eta, xi)),
+        theta, den, shifted = _twist_terms(model, i, d.eta, xi)
+        return ValuationDescriptor(tuple([Fraction(n, den) for n in shifted]),
                                    d.shift - theta)
     return None
 

@@ -13,26 +13,37 @@ from one ``extreme_rays`` call, for the lc threshold's ratio program.
 
 Intended for small ambient ranks (p <= 4); enumeration is brute force over
 subsets, which is entirely adequate at these sizes and keeps every
-certificate exact.  The subset loops run on integers: every polytope keeps
-its vertices as ``int`` numerators over one ``int`` denominator, rational
-rows are scaled to integers before a loop starts, and each normal or vertex
-solve is one vector of signed integer minors (``_minor_normal``, with the
-fraction-free determinant ``_int_det``).  A direction is scaled to
-integers once (``_int_directions``) and paired with ``nums``
-(``_pairings``), which is all ``support_value`` and the toric invariants
-do; ``centroid`` and ``volume`` add integer simplex determinants over
-``nums`` and divide once; ``vdot`` of int vectors stays an ``int``.
-Values leave the module as ``Fraction``.
+certificate exact.
 
-Every cone is enumerated by one routine, ``extreme_rays``: the rays of a
-cone from its inner normals, the facets of a cone from its generators
-(the rays of the dual cone), the recession directions of a half-space
-system, and its feasibility through the homogenised system.
-The only other subset enumerations are the facet loop
-``_facets_from_points`` and the vertex loop ``_vertices_from_halfspaces``,
-which also gives the vertices of the cells in which the fan cuts a twist
-slice (``stability._slice_cells``, behind both the reduced threshold and
-the reduced J norm) and of the lct containment oracle's polyhedra.
+There is one path, and it runs on integers.  A polytope is an integer
+table: its vertices as ``int`` numerators ``nums`` over one positive
+``int`` denominator ``den``, and its facets as pairs (primitive normal,
+``int`` offset numerator over the same ``den``).  The hull (``_hull``,
+with the facet loop ``_facets_from_points`` and the vertex loop
+``_cramer_vertices``), the half-space constructor (``_from_rows``), the
+triangulation behind ``centroid`` and ``volume`` (``_simplices``), the
+normal fan and the cones all read and write such tables, and each normal
+or vertex solve is one vector of signed integer minors (``_minor_normal``,
+with the determinant ``_int_det``).  The public constructors
+(``from_vertices``, ``from_halfspaces``, ``translate``, ``scale``) scale
+their input to integers once at entry; the loader hands its parsed tables
+straight to ``_from_points`` and ``_from_rows``.  ``ExactPolytope``
+reduces ``den`` to the least common denominator and builds the public
+``Fraction`` ``vertices`` and ``halfspaces`` once, from the table.  A
+direction is scaled to integers once (``_int_directions``) and paired
+with ``nums`` (``_pairings``), which is all ``support_value`` and the
+toric invariants do; ``vdot`` of int vectors stays an ``int``.  Values
+leave the module as ``Fraction``.
+
+Every cone is enumerated by one routine, ``_rays`` (public as
+``extreme_rays``): the rays of a cone from its inner normals, the facets
+of a cone from its generators (the rays of the dual cone), the recession
+directions of a half-space system, and its feasibility through the
+homogenised system.  The only other subset enumerations are the facet
+loop and the vertex loop, which also gives the vertices of the cells in
+which the fan cuts a twist slice (``stability._slice_cells``, behind both
+the reduced threshold and the reduced J norm) and of the lct containment
+oracle's polyhedra.
 
 Ranks and affine charts come from one division-free elimination,
 ``_int_echelon``.  A lower-dimensional polytope is hulled in the
@@ -54,6 +65,9 @@ from .errors import InputError, InternalInvariantError
 
 Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
+# a half-space <x, normal> >= offset / den of an integer table, as
+# (primitive normal, offset numerator)
+Facet = tuple[IntVec, int]
 
 
 class GeometryError(InputError):
@@ -105,11 +119,6 @@ def vneg(a: Vec) -> Vec:
     return tuple(-x for x in a)
 
 
-def vscale(c, a: Vec) -> Vec:
-    c = Fraction(c)
-    return tuple(c * x for x in a)
-
-
 def vdot(a: Sequence, b: Sequence):
     """<a, b>: an ``int`` when both vectors hold ints, else a ``Fraction``."""
     if len(a) != len(b):
@@ -123,10 +132,9 @@ def primitive_vector(a: Sequence) -> IntVec:
     Orientation is preserved: the result is a positive multiple of the input.
     """
     ints = _int_row(a)
-    g = math.gcd(*ints)
-    if g == 0:
+    if not any(ints):
         raise GeometryError("cannot primitivize the zero vector")
-    return tuple(v // g for v in ints)
+    return _primitive(ints)
 
 
 def is_primitive(a: Sequence[int]) -> bool:
@@ -169,11 +177,17 @@ def _int_row(row: Sequence) -> IntVec:
     return _scaled((row,))[1][0]
 
 
-def _int_echelon(rows: Sequence[Sequence]) -> tuple[list[int], list[list[int]]]:
-    """Row echelon form without division: each row is scaled to integers and
-    eliminated by integer row operations.  Returns the pivot columns and the
-    nonzero echelon rows, which span the row space of ``rows``."""
-    mat = [list(_int_row(row)) for row in rows]
+def _primitive(v: IntVec) -> IntVec:
+    """A nonzero integer vector over the gcd of its entries."""
+    g = math.gcd(*v)
+    return tuple([x // g for x in v])
+
+
+def _int_echelon(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """Row echelon form of integer rows without division, by integer row
+    operations.  Returns the pivot columns and the nonzero echelon rows,
+    which span the row space of ``rows``."""
+    mat = [list(row) for row in rows]
     pivots: list[int] = []
     for c in range(len(mat[0]) if mat else 0):
         r = len(pivots)
@@ -190,24 +204,30 @@ def _int_echelon(rows: Sequence[Sequence]) -> tuple[list[int], list[list[int]]]:
     return pivots, mat[:len(pivots)]
 
 
-def mat_rank(rows: Sequence[Sequence]) -> int:
+def _rank(rows: Sequence[Sequence[int]]) -> int:
+    """The rank of integer rows."""
     return len(_int_echelon(rows)[0])
 
 
-def _on_boundary(den: int, nums: Sequence[IntVec], h: "HalfSpace") -> list[bool]:
-    """Which of the points nums / den lie on the boundary of h."""
-    c = h.offset * den
-    if c.denominator != 1:
-        return [False] * len(nums)
-    return [sum(map(mul, n, h.normal)) == c.numerator for n in nums]
+def mat_rank(rows: Sequence[Sequence]) -> int:
+    return _rank([_int_row(row) for row in rows])
 
 
 def _int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination
-    (Bareiss 1968): every division is exact, so no value leaves the ints."""
+    """Determinant of a square integer matrix: written out up to 3 x 3, by
+    fraction-free elimination (Bareiss 1968) above, where every division
+    is exact, so no value leaves the ints."""
     n = len(rows)
-    if n == 0:
-        return 1
+    if n <= 3:
+        if n == 0:
+            return 1
+        if n == 1:
+            return rows[0][0]
+        if n == 2:
+            (a, b), (c, d) = rows
+            return a * d - b * c
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     mat = [list(r) for r in rows]
     sign, prev = 1, 1
     for k in range(n - 1):
@@ -233,7 +253,14 @@ def _minor_normal(rows: Sequence[Sequence[int]], n: int) -> IntVec:
     """The generalized cross product of n - 1 integer rows of length n: its
     j-th entry is (-1)^j times the minor without column j.  It is
     orthogonal to every row, and it is zero exactly when the rows are
-    dependent; otherwise it spans the line orthogonal to them."""
+    dependent; otherwise it spans the line orthogonal to them.  Written out
+    for n <= 3."""
+    if n == 2:
+        ((a, b),) = rows
+        return (b, -a)
+    if n == 3:
+        (a, b, c), (d, e, f) = rows
+        return (b * f - c * e, c * d - a * f, a * e - b * d)
     return tuple(-d if j % 2 else d
                  for j, d in enumerate(_int_det([r[:j] + r[j + 1:] for r in rows])
                                        for j in range(n)))
@@ -261,15 +288,6 @@ class HalfSpace:
     def satisfies(self, point: Sequence) -> bool:
         return vdot(point, self.normal) >= self.offset
 
-    def translate(self, t: Sequence) -> "HalfSpace":
-        return HalfSpace(self.normal, self.offset + vdot(t, self.normal))
-
-    def scale(self, r: Fraction) -> "HalfSpace":
-        return HalfSpace(self.normal, self.offset * Fraction(r))
-
-    def sort_key(self):
-        return (self.normal, self.offset)
-
 
 # ---------------------------------------------------------------------------
 # polytopes
@@ -283,114 +301,103 @@ class ExactPolytope:
     compare equal structurally.  Lower-dimensional polytopes are supported:
     their half-space list contains equality pairs cutting out the affine
     hull.  ``nums`` holds the vertices as integer numerators over the
-    positive integer ``den``, in the order of ``vertices``.
+    positive integer ``den``, the least common denominator of their
+    coordinates, in the order of ``vertices``.
+
+    The constructor takes an integer table: vertex numerators over ``den``
+    and facets (primitive normal, offset numerator over ``den``).  It sorts
+    both, reduces ``den`` and builds the ``Fraction`` views once.
     """
 
     __slots__ = ("vertices", "halfspaces", "dim", "rank", "den", "nums")
 
-    def __init__(self, vertices: Sequence[Vec], halfspaces: Sequence[HalfSpace],
+    def __init__(self, den: int, nums: Iterable[IntVec], facets: Iterable[Facet],
                  dim: int, rank: int):
-        self.vertices: tuple[Vec, ...] = tuple(sorted(set(vertices)))
+        nums = sorted(set(nums))
+        facets = sorted(set(facets))
+        # every facet offset is a pairing with a vertex, so it divides too
+        g = math.gcd(den, *(x for n in nums for x in n))
+        if g > 1:
+            den //= g
+            nums = [tuple([x // g for x in n]) for n in nums]
+            facets = [(a, c // g) for a, c in facets]
+        self.den = den
+        self.nums: tuple[IntVec, ...] = tuple(nums)
+        self.vertices: tuple[Vec, ...] = tuple(
+            tuple([Fraction(x, den) for x in n]) for n in nums)
         self.halfspaces: tuple[HalfSpace, ...] = tuple(
-            sorted(set(halfspaces), key=HalfSpace.sort_key))
+            HalfSpace(a, Fraction(c, den)) for a, c in facets)
         self.dim = dim
         self.rank = rank
-        self.den, self.nums = _scaled(self.vertices)
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def from_vertices(points: Sequence[Sequence]) -> "ExactPolytope":
-        pts = sorted({as_vec(p) for p in points})
+        return ExactPolytope._from_points(*_scaled(_exact_entries(p) for p in points))
+
+    @staticmethod
+    def _from_points(den: int, nums: Sequence[IntVec]) -> "ExactPolytope":
+        """The hull of the points nums / den."""
+        pts = sorted(set(nums))
         if not pts:
             raise EmptyRegion("no points given")
         ranks = {len(p) for p in pts}
         if len(ranks) != 1:
             raise DimensionMismatch("points of mixed rank")
         rank = ranks.pop()
-        base = pts[0]
-        pivots, echelon = _int_echelon([vsub(p, base) for p in pts[1:]])
-        dim = len(pivots)
-
-        if dim == 0:
-            hs = []
-            for j in range(rank):
-                e = tuple(1 if i == j else 0 for i in range(rank))
-                hs.append(HalfSpace(e, base[j]))
-                hs.append(HalfSpace(tuple(-x for x in e), -base[j]))
-            return ExactPolytope([base], hs, 0, rank)
-
-        if dim == rank:
-            halfspaces = _facets_from_points(pts, rank)
-            verts = _vertices_from_halfspaces(halfspaces, rank)
-            if not verts or not set(verts) <= set(pts):
-                raise InternalInvariantError("hull cross-validation failed")
-            return ExactPolytope(verts, halfspaces, rank, rank)
-
-        # lower-dimensional: the projection onto the pivot columns is one to
-        # one on the affine hull, so hull the projected points, map the
-        # vertices back, and pad each facet normal with zeros
-        lift = _chart(pts, pivots)
-        local = ExactPolytope.from_vertices(list(lift))
-        halfspaces = []
-        for h in local.halfspaces:
-            n = [0] * rank
-            for c, a in zip(pivots, h.normal):
-                n[c] = a
-            halfspaces.append(HalfSpace(tuple(n), h.offset))
-        # the affine hull: for each free column, the line orthogonal to the
-        # echelon rows on the pivot columns plus that column
-        for free in (c for c in range(rank) if c not in pivots):
-            cols = sorted(pivots + [free])
-            minors = _minor_normal([[r[c] for c in cols] for r in echelon], dim + 1)
-            q = [0] * rank
-            for c, x in zip(cols, minors):
-                q[c] = x
-            qn = primitive_vector(q)
-            c = vdot(base, qn)
-            halfspaces.append(HalfSpace(qn, c))
-            halfspaces.append(HalfSpace(vneg(qn), -c))
-        return ExactPolytope([lift[v] for v in local.vertices], halfspaces, dim, rank)
+        return ExactPolytope(den, *_hull(pts, rank), rank)
 
     @staticmethod
     def from_halfspaces(halfspaces: Sequence[HalfSpace], rank: int) -> "ExactPolytope":
-        hs = sorted(set(halfspaces), key=HalfSpace.sort_key)
-        if not hs:
+        den, (offsets,) = _scaled([[h.offset for h in halfspaces]])
+        return ExactPolytope._from_rows(
+            den, [(h.normal, c) for h, c in zip(halfspaces, offsets)], rank)
+
+    @staticmethod
+    def _from_rows(den: int, rows: Sequence[tuple[IntVec, int]],
+                   rank: int) -> "ExactPolytope":
+        """The polytope { x : <x, a> >= c / den for every row (a, c) }; the
+        normals a are nonzero integer vectors, not necessarily primitive."""
+        rows = sorted(set(rows))
+        if not rows:
             raise GeometryError("no half-spaces given")
-        for h in hs:
-            if len(h.normal) != rank:
+        for a, _ in rows:
+            if len(a) != rank:
                 raise DimensionMismatch("half-space rank mismatch")
-        normals = [h.normal for h in hs]
-        if mat_rank(normals) < rank:
+        normals = [a for a, _ in rows]
+        if _rank(normals) < rank:
             raise UnboundedRegion("half-space normals do not span; lineality present")
-        if extreme_rays(normals, rank):
+        lifted = [a + (-c,) for a, c in rows]
+        if next(_rays(normals, rank), None) is not None:
             # a recession direction exists; the region is nonempty exactly when
-            # the cone { (x, t) : <n, x> >= offset * t, t >= 0 }, pointed as
-            # the normals span, has a ray with t > 0
-            lifted = [h.normal + (-h.offset,) for h in hs] + [(0,) * rank + (1,)]
-            if any(r[-1] > 0 for r in extreme_rays(lifted, rank + 1)):
+            # the cone { (x, t) : <n, x> >= c t, t >= 0 }, pointed as the
+            # normals span, has a ray with t > 0
+            if any(g[-1] > 0 for g in _rays(lifted + [(0,) * rank + (1,)], rank + 1)):
                 raise UnboundedRegion("feasible region is unbounded")
             raise EmptyRegion("contradictory constraints")
-        verts = _vertices_from_halfspaces(hs, rank)
-        if not verts:
+        sols = _cramer_vertices(lifted, rank)
+        if not sols:
             raise EmptyRegion("half-space intersection is empty")
-        den, nums = _scaled(verts)
-        if mat_rank([vsub(v, nums[0]) for v in nums[1:]]) < rank:
-            return ExactPolytope.from_vertices(verts)
-        # full-dimensional: the facets are the inputs tight on a face of
-        # affine rank - 1; the rest are redundant
-        facets = []
-        tight_count = [0] * len(nums)
-        for h in {HalfSpace.make(h.normal, h.offset) for h in hs}:
-            tight = _on_boundary(den, nums, h)
-            face = [v for v, on in zip(nums, tight) if on]
-            if len(face) >= rank and mat_rank(
+        # vertex w[:-1] / (w[-1] den) is nums / (lcm_t den)
+        lcm_t = math.lcm(*(w[-1] for w in sols))
+        nums = sorted(tuple([x * (lcm_t // w[-1]) for x in w[:-1]]) for w in sols)
+        den *= lcm_t
+        if _rank([vsub(n, nums[0]) for n in nums[1:]]) < rank:
+            return ExactPolytope(den, *_hull(nums, rank), rank)
+        # full-dimensional: the facets are the rows tight on a face of affine
+        # rank - 1; the rest are redundant
+        facets: dict[Facet, list[bool]] = {}
+        for a, c in rows:
+            tight = [p == c * lcm_t for p in _pairings(nums, a)]
+            face = [n for n, on in zip(nums, tight) if on]
+            if len(face) >= rank and _rank(
                     [vsub(v, face[0]) for v in face[1:]]) == rank - 1:
-                facets.append(h)
-                tight_count = [k + on for k, on in zip(tight_count, tight)]
-        if min(tight_count) < rank:
+                prim = _primitive(a)
+                facets[prim, sum(map(mul, face[0], prim))] = tight
+        if not facets or min(map(sum, zip(*facets.values()))) < rank:
             raise InternalInvariantError("a vertex lies on fewer facets than the rank")
-        return ExactPolytope(verts, facets, rank, rank)
+        return ExactPolytope(den, nums, facets, rank, rank)
 
     # -- queries ------------------------------------------------------------
 
@@ -398,97 +405,174 @@ class ExactPolytope:
         return all(h.satisfies(point) for h in self.halfspaces)
 
     def translate(self, t: Sequence) -> "ExactPolytope":
-        tv = as_vec(t)
-        return ExactPolytope([vadd(v, tv) for v in self.vertices],
-                             [h.translate(tv) for h in self.halfspaces],
+        tden, (tn,) = _scaled([_exact_entries(t)])
+        den = math.lcm(self.den, tden)
+        k, kt = den // self.den, den // tden
+        return ExactPolytope(den,
+                             [tuple([x * k + y * kt for x, y in zip(n, tn)])
+                              for n in self.nums],
+                             [(a, c * k + vdot(tn, a) * kt) for a, c in _facets(self)],
                              self.dim, self.rank)
 
     def scale(self, r) -> "ExactPolytope":
         r = Fraction(r)
         if r <= 0:
             raise GeometryError("scale factor must be positive")
-        return ExactPolytope([vscale(r, v) for v in self.vertices],
-                             [h.scale(r) for h in self.halfspaces],
+        p, q = r.numerator, r.denominator
+        return ExactPolytope(self.den * q,
+                             [tuple([x * p for x in n]) for n in self.nums],
+                             [(a, c * p) for a, c in _facets(self)],
                              self.dim, self.rank)
 
     def __eq__(self, other):
         return (isinstance(other, ExactPolytope)
-                and self.vertices == other.vertices)
+                and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self):
-        return hash(self.vertices)
+        return hash((self.den, self.nums))
 
     def __repr__(self):
         return f"ExactPolytope(dim={self.dim}, rank={self.rank}, vertices={len(self.vertices)})"
 
 
-def _chart(pts: Sequence[Vec], pivots: Sequence[int]) -> dict[Vec, Vec]:
+def _facets(p: ExactPolytope) -> list[Facet]:
+    """The half-spaces of p as (normal, offset numerator over p.den)."""
+    den = p.den
+    return [(h.normal, h.offset.numerator * (den // h.offset.denominator))
+            for h in p.halfspaces]
+
+
+def _chart(pts: Sequence[IntVec], pivots: Sequence[int]) -> dict[IntVec, IntVec]:
     """Each point keyed by its projection onto ``pivots``, the pivot columns
     of the differences of the points; the projection is one to one on their
     affine hull."""
-    return {tuple(p[c] for c in pivots): p for p in pts}
+    return {tuple([p[c] for c in pivots]): p for p in pts}
 
 
-def _facets_from_points(pts: list[Vec], rank: int) -> list[HalfSpace]:
-    den, ints = _scaled(pts)
-    facets: set[HalfSpace] = set()
-    for subset in itertools.combinations(ints, rank):
+def _hull(pts: list[IntVec], rank: int) -> tuple[list[IntVec], list[Facet], int]:
+    """The vertices, facets and dimension of the hull of sorted distinct
+    integer points; a facet (a, c) is <x, a> >= c in the units of the
+    points."""
+    base = pts[0]
+    pivots, echelon = _int_echelon([vsub(p, base) for p in pts[1:]])
+    dim = len(pivots)
+
+    if dim == 0:
+        facets = []
+        for j in range(rank):
+            e = tuple(int(i == j) for i in range(rank))
+            facets += [(e, base[j]), (vneg(e), -base[j])]
+        return [base], sorted(facets), 0
+
+    if dim == rank:
+        facets = _facets_from_points(pts, rank)
+        verts = _cramer_vertices([a + (-c,) for a, c in facets], rank)
+        if (not verts or any(w[-1] != 1 for w in verts)
+                or not {w[:-1] for w in verts} <= set(pts)):
+            raise InternalInvariantError("hull cross-validation failed")
+        return sorted(w[:-1] for w in verts), facets, rank
+
+    # lower-dimensional: hull the projected points, map the vertices back,
+    # and pad each facet normal with zeros
+    lift = _chart(pts, pivots)
+    local, local_facets, _ = _hull(sorted(lift), dim)
+    facets = []
+    for a, c in local_facets:
+        n = [0] * rank
+        for col, x in zip(pivots, a):
+            n[col] = x
+        facets.append((tuple(n), c))
+    # the affine hull: for each free column, the line orthogonal to the
+    # echelon rows on the pivot columns plus that column
+    for free in (c for c in range(rank) if c not in pivots):
+        cols = sorted(pivots + [free])
+        minors = _minor_normal([[r[c] for c in cols] for r in echelon], dim + 1)
+        q = [0] * rank
+        for col, x in zip(cols, minors):
+            q[col] = x
+        qn = _primitive(q)
+        c = sum(map(mul, base, qn))
+        facets += [(qn, c), (vneg(qn), -c)]
+    return sorted(lift[v] for v in local), sorted(facets), dim
+
+
+def _facets_from_points(pts: list[IntVec], rank: int) -> list[Facet]:
+    facets: set[Facet] = set()
+    for subset in itertools.combinations(pts, rank):
         p0 = subset[0]
         n = _minor_normal([vsub(p, p0) for p in subset[1:]], rank)
         if not any(n):
             continue
         c = sum(map(mul, p0, n))
-        vals = [sum(map(mul, p, n)) for p in ints]
-        if min(vals) == c:
-            facets.add(HalfSpace.make(n, Fraction(c, den)))
-        if max(vals) == c:
-            facets.add(HalfSpace.make(vneg(n), Fraction(-c, den)))
+        vals = _pairings(pts, n)
+        low, high = min(vals) == c, max(vals) == c
+        if low or high:
+            g = math.gcd(*n)
+            n, c = tuple([x // g for x in n]), c // g
+            if low:
+                facets.add((n, c))
+            if high:
+                facets.add((vneg(n), -c))
     if not facets:
         raise InternalInvariantError("facet enumeration found nothing")
-    return sorted(facets, key=HalfSpace.sort_key)
+    return sorted(facets)
+
+
+def _cramer_vertices(rows: Sequence[IntVec], rank: int) -> set[IntVec]:
+    """The vertices of { x : <a, x> >= c t } for integer rows (a, -c), by
+    Cramer's rule: the minor vector of the rows of a rank-subset is (x, t)
+    with <a, x> = c t on each, and t = 0 marks a singular subset.  Each
+    vertex x / t is returned once, as (x, t) with t > 0 and gcd 1."""
+    verts: set[IntVec] = set()
+    for subset in itertools.combinations(rows, rank):
+        w = _minor_normal(subset, rank + 1)
+        if w[-1] == 0:
+            continue
+        if w[-1] < 0:
+            w = vneg(w)
+        if all(sum(map(mul, r, w)) >= 0 for r in rows):
+            verts.add(_primitive(w))
+    return verts
 
 
 def _vertices_from_halfspaces(halfspaces: Sequence[HalfSpace], rank: int) -> list[Vec]:
-    """Vertices by Cramer's rule: with the offsets scaled to integers b by
-    one lcm, the minor vector of the rows (normal, -b) of a rank-subset is
-    (x, t) with normal . x = b t, so t = 0 marks a singular subset."""
-    hs = sorted(set(halfspaces), key=HalfSpace.sort_key)
-    den, (offsets,) = _scaled([[h.offset for h in hs]])
-    rows = [h.normal + (-b,) for h, b in zip(hs, offsets)]
-    verts: set[Vec] = set()
-    for subset in itertools.combinations(rows, rank):
-        w = _minor_normal(subset, rank + 1)
-        t = w[-1]
-        if t == 0:
-            continue
-        if t < 0:
-            w, t = vneg(w), -t
-        if all(sum(map(mul, r, w)) >= 0 for r in rows):
-            verts.add(tuple(Fraction(x, t * den) for x in w[:-1]))
-    return sorted(verts)
+    """The vertices of the region the half-spaces cut out, in increasing
+    lexicographic order."""
+    den, (offsets,) = _scaled([[h.offset for h in halfspaces]])
+    rows = {h.normal + (-c,) for h, c in zip(halfspaces, offsets)}
+    return sorted(tuple([Fraction(x, w[-1] * den) for x in w[:-1]])
+                  for w in _cramer_vertices(list(rows), rank))
 
 
-def extreme_rays(normals: Sequence[Sequence], rank: int) -> list[Vec]:
-    """Extreme rays of the cone { y : <n, y> >= 0 for every normal }.
-
-    Each (rank-1)-subset of the normals orthogonal to exactly a line spans g,
-    scaled so that its last nonzero entry is 1; g and then -g are kept when
-    they satisfy every inequality, in subset order and with repeats.  The list is complete when the normals
-    span (the cone is pointed).  In rank 1 the empty subset spans the whole
-    line, so +1 and -1 are checked.
-    """
-    rows = [_int_row(n) for n in normals]
-    rays: list[Vec] = []
+def _rays(rows: Sequence[IntVec], rank: int) -> Iterator[IntVec]:
+    """The extreme rays of { y : <n, y> >= 0 for every integer row }, as
+    integer vectors: each (rank-1)-subset of the rows orthogonal to exactly
+    a line spans g, oriented so that its last nonzero entry is positive; g
+    and then -g are yielded when they satisfy every inequality, in subset
+    order and with repeats.  The list is complete when the rows span (the
+    cone is pointed).  In rank 1 the empty subset spans the whole line, so
+    +1 and -1 are checked."""
     for subset in itertools.combinations(rows, rank - 1):
         g = _minor_normal(subset, rank)
         if not any(g):
             continue
-        last = next(x for x in reversed(g) if x)
-        if last < 0:
-            g, last = vneg(g), -last
-        for sign in (1, -1):
-            if all(sign * sum(map(mul, n, g)) >= 0 for n in rows):
-                rays.append(tuple(Fraction(sign * x, last) for x in g))
+        if next(x for x in reversed(g) if x) < 0:
+            g = vneg(g)
+        vals = _pairings(rows, g)
+        if all(v >= 0 for v in vals):
+            yield g
+        if all(v <= 0 for v in vals):
+            yield vneg(g)
+
+
+def extreme_rays(normals: Sequence[Sequence], rank: int) -> list[Vec]:
+    """Extreme rays of the cone { y : <n, y> >= 0 for every normal }, in the
+    order of ``_rays``, each scaled so that its last nonzero entry is 1 or
+    -1."""
+    rays = []
+    for g in _rays([_int_row(n) for n in normals], rank):
+        last = abs(next(x for x in reversed(g) if x))
+        rays.append(tuple(Fraction(x, last) for x in g))
     return rays
 
 
@@ -524,52 +608,53 @@ def minkowski_sum(polys: Sequence[ExactPolytope]) -> ExactPolytope:
         raise DimensionMismatch("Minkowski summands of mixed rank")
     acc = polys[0]
     for q in polys[1:]:
-        sums = [vadd(a, b) for a in acc.vertices for b in q.vertices]
-        acc = ExactPolytope.from_vertices(sums)
+        den = math.lcm(acc.den, q.den)
+        ka, kq = den // acc.den, den // q.den
+        acc = ExactPolytope._from_points(
+            den, [tuple([x * ka + y * kq for x, y in zip(a, b)])
+                  for a in acc.nums for b in q.nums])
     return acc
 
 
-def triangulate(p: ExactPolytope) -> list[tuple[Vec, ...]]:
-    """Simplices (as vertex tuples) fanned from the lex-least vertex.
+def _simplices(nums: Sequence[IntVec], facets: Sequence[Facet],
+               dim: int) -> list[tuple[IntVec, ...]]:
+    """Simplices (as vertex tuples) fanned from the lex-least vertex of the
+    polytope with these sorted vertices and facets, in the units of the
+    vertices.
 
     The simplices partition the polytope up to measure zero; the list order
     is deterministic.
     """
-    if p.dim == 0:
-        return [(p.vertices[0],)]
-    if p.dim == 1:
-        return [(p.vertices[0], p.vertices[-1])]
-    v0 = p.vertices[0]
-    simplices: list[tuple[Vec, ...]] = []
-    for h in p.halfspaces:
-        tight = _on_boundary(p.den, p.nums, h)
-        if tight[0]:
+    if dim == 0:
+        return [(nums[0],)]
+    if dim == 1:
+        return [(nums[0], nums[-1])]
+    v0 = nums[0]
+    simplices: list[tuple[IntVec, ...]] = []
+    for a, c in facets:
+        face = [n for n, p in zip(nums, _pairings(nums, a)) if p == c]
+        if len(face) < dim or face[0] == v0:
             continue
-        face_pts = [v for v, on in zip(p.vertices, tight) if on]
-        if len(face_pts) < p.dim:
-            continue
-        if len(face_pts) == p.dim and mat_rank(
-                [vsub(v, face_pts[0]) for v in face_pts[1:]]) == p.dim - 1:
+        if len(face) == dim and _rank(
+                [vsub(v, face[0]) for v in face[1:]]) == dim - 1:
             # a simplex facet is its own triangulation
-            simplices.append((v0,) + tuple(face_pts))
+            simplices.append((v0,) + tuple(face))
             continue
-        face = ExactPolytope.from_vertices(face_pts)
-        if face.dim != p.dim - 1:
+        verts, face_facets, face_dim = _hull(face, len(v0))
+        if face_dim != dim - 1:
             continue
-        for s in triangulate(face):
+        for s in _simplices(verts, face_facets, face_dim):
             simplices.append((v0,) + s)
     return simplices
 
 
-def _simplex_dets(p: ExactPolytope) -> Iterator[tuple[int, list[int]]]:
-    """Each simplex of ``triangulate(p)`` as (w, the indices of its vertices
-    in ``p.vertices``), with w = |det| of its integer edge rows over
-    ``p.den``: its measure times ``dim! * den^dim``."""
-    where = {v: k for k, v in enumerate(p.vertices)}
-    for s in triangulate(p):
-        ks = [where[v] for v in s]
-        base = p.nums[ks[0]]
-        yield abs(_int_det([vsub(p.nums[k], base) for k in ks[1:]])), ks
+def _simplex_dets(nums: Sequence[IntVec], facets: Sequence[Facet],
+                  dim: int) -> Iterator[tuple[int, tuple[IntVec, ...]]]:
+    """Each simplex of ``_simplices`` as (w, its vertices), with w = |det| of
+    its integer edge rows: its measure times ``dim!`` in the units of the
+    vertices."""
+    for s in _simplices(nums, facets, dim):
+        yield abs(_int_det([vsub(v, s[0]) for v in s[1:]])), s
 
 
 def volume(p: ExactPolytope) -> Fraction:
@@ -590,7 +675,7 @@ def volume(p: ExactPolytope) -> Fraction:
         return d[j] / prim[j]
     if p.dim < p.rank:
         raise DegenerateInput("affine-hull volume implemented only for dim <= 1")
-    return Fraction(sum(w for w, _ in _simplex_dets(p)),
+    return Fraction(sum(w for w, _ in _simplex_dets(p.nums, _facets(p), p.dim)),
                     p.den ** p.dim * math.factorial(p.dim))
 
 
@@ -608,18 +693,18 @@ def centroid(p: ExactPolytope) -> Vec:
     """
     if p.dim == 0:
         return p.vertices[0]
-    chart, lift = p, p.nums
+    nums, facets, lift = p.nums, _facets(p), None
     if p.dim < p.rank:
-        pivots, _ = _int_echelon([vsub(v, p.vertices[0]) for v in p.vertices[1:]])
-        lift = _chart(p.vertices, pivots)
-        chart = ExactPolytope.from_vertices(list(lift))
-        nums = dict(zip(p.vertices, p.nums))
-        lift = [nums[lift[v]] for v in chart.vertices]
+        pivots, _ = _int_echelon([vsub(n, p.nums[0]) for n in p.nums[1:]])
+        lift = _chart(p.nums, pivots)
+        nums, facets, _ = _hull(sorted(lift), p.dim)
     total, acc = 0, [0] * p.rank
-    for w, ks in _simplex_dets(chart):
+    for w, s in _simplex_dets(nums, facets, p.dim):
+        if lift is not None:
+            s = [lift[v] for v in s]
         total += w
         # the simplex's barycenter is this vertex sum over dim + 1
-        for i, x in enumerate(map(sum, zip(*(lift[k] for k in ks)))):
+        for i, x in enumerate(map(sum, zip(*s))):
             acc[i] += w * x
     if total == 0:
         raise DegenerateInput("zero-volume polytope in centroid")
@@ -642,8 +727,9 @@ def support_value(p: ExactPolytope, xi: Sequence, mode: str = "min") -> tuple[Fr
 
 def lattice_points(p: ExactPolytope) -> list[IntVec]:
     """All integer points of p, in lexicographic order."""
-    # an integer point meets <x, n> >= c exactly when it meets >= ceil(c)
-    checks = [(h.normal, math.ceil(h.offset)) for h in p.halfspaces]
+    # an integer point meets <x, n> >= c / den exactly when it meets
+    # >= ceil(c / den)
+    checks = [(a, -(-c // p.den)) for a, c in _facets(p)]
     ranges = [range(-(-min(col) // p.den), max(col) // p.den + 1)
               for col in zip(*p.nums)]
     return [cand for cand in itertools.product(*ranges)
@@ -667,23 +753,25 @@ class Cone:
 
     @staticmethod
     def from_generators(gens: Sequence[Sequence]) -> "Cone":
-        prims = sorted({primitive_vector(g) for g in gens})
+        return Cone._spanned(sorted({primitive_vector(g) for g in gens}))
+
+    @staticmethod
+    def _spanned(prims: list[IntVec]) -> "Cone":
+        """The cone spanned by sorted distinct primitive integer vectors."""
         rank = len(prims[0])
-        if mat_rank([list(g) for g in prims]) < rank:
+        if _rank(prims) < rank:
             raise GeometryError("cone generators do not span")
         if rank == 1:
             return Cone(tuple(prims), tuple(prims))
         # the facet normals are the extreme rays of the dual cone
-        facets = {primitive_vector(n) for n in extreme_rays(prims, rank)}
+        facets = {_primitive(n) for n in _rays(prims, rank)}
         if not facets:
             raise InternalInvariantError("cone facet enumeration failed")
         # drop generators that are not extreme (conic combinations of others)
-        extreme = []
-        for g in prims:
-            active = [f for f in facets if sum(map(mul, g, f)) == 0]
-            if mat_rank([list(a) for a in active]) >= rank - 1:
-                extreme.append(g)
-        return Cone(tuple(sorted(extreme)), tuple(sorted(facets)))
+        extreme = [g for g in prims
+                   if _rank([f for f in facets if sum(map(mul, g, f)) == 0])
+                   >= rank - 1]
+        return Cone(tuple(extreme), tuple(sorted(facets)))
 
     @property
     def rank(self) -> int:
@@ -691,13 +779,6 @@ class Cone:
 
     def contains(self, x: Sequence) -> bool:
         return all(vdot(x, f) >= 0 for f in self.facets)
-
-    def interior_point(self) -> Vec:
-        s = [Fraction(0)] * self.rank
-        for g in self.generators:
-            for i, c in enumerate(g):
-                s[i] += c
-        return tuple(s)
 
 
 def restrict_min_support(cone: Cone, p: ExactPolytope) -> list[tuple[list[IntVec], Vec]]:
@@ -711,11 +792,11 @@ def restrict_min_support(cone: Cone, p: ExactPolytope) -> list[tuple[list[IntVec
     full-dimensional pieces, whose rays span, are returned.
     """
     out = []
-    for v in p.vertices:
-        normals = {primitive_vector(vsub(w, v)) for w in p.vertices if w != v}
-        rays = sorted({primitive_vector(r) for r in
-                       extreme_rays(sorted(set(cone.facets) | normals), cone.rank)})
-        if mat_rank(rays) == cone.rank:
+    for n, v in zip(p.nums, p.vertices):
+        normals = {_primitive(vsub(w, n)) for w in p.nums if w != n}
+        rays = sorted({_primitive(r) for r in
+                       _rays(sorted(set(cone.facets) | normals), cone.rank)})
+        if _rank(rays) == cone.rank:
             out.append((rays, v))
     return out
 
@@ -728,13 +809,9 @@ def normal_fan(p: ExactPolytope) -> list[tuple[Cone, Vec]]:
     """
     if p.dim != p.rank:
         raise DegenerateInput("normal fan needs a full-dimensional polytope")
-    pieces = []
-    tight = [_on_boundary(p.den, p.nums, h) for h in p.halfspaces]
-    for i, v in enumerate(p.vertices):
-        active = [h.normal for h, on in zip(p.halfspaces, tight) if on[i]]
-        cone = Cone.from_generators(active)
-        pieces.append((cone, v))
-    return pieces
+    facets = _facets(p)
+    return [(Cone._spanned([a for a, c in facets if sum(map(mul, n, a)) == c]), v)
+            for n, v in zip(p.nums, p.vertices)]
 
 
 def check_complete_fan_rank2(cones: Sequence[Cone]) -> bool:

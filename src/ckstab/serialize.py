@@ -9,12 +9,13 @@ meaningful for regression and determinism checks.
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 from typing import Any, Sequence
 
 from .errors import InputError
-from .geometry import ExactPolytope, HalfSpace, Vec
+from .geometry import ExactPolytope, GeometryError, Vec
 from .toric import ToricFanoModel, build_model
 
 
@@ -58,11 +59,13 @@ def parse_integer(text: str) -> int:
         raise ParseError(f"bad integer {text!r}: {exc}") from exc
 
 
-def parse_rational(text) -> Fraction:
+def _ratio(text) -> tuple[int, int]:
+    """The numerator and the positive denominator of a rational, as written
+    (not reduced)."""
     if isinstance(text, bool):
         raise ParseError(f"expected a rational, got {text!r}")
     if isinstance(text, int):
-        return Fraction(text)
+        return text, 1
     if isinstance(text, float):
         raise ParseError("floating point input rejected; use \"p/q\" strings")
     if not isinstance(text, str):
@@ -71,22 +74,39 @@ def parse_rational(text) -> Fraction:
     # can reject it
     if not _RATIONAL.fullmatch(text):
         raise ParseError(f"bad rational {text!r}: expected an integer or p/q")
+    num, _, den = text.strip().partition("/")
     try:
-        return Fraction(text)
+        p, q = int(num), int(den or "1")
     except ValueError as exc:   # more digits than int() converts
         raise ParseError(f"bad rational {text!r}: {exc}") from exc
-    except ZeroDivisionError as exc:
-        raise ParseError(f"bad rational {text!r}: zero denominator") from exc
+    if q == 0:
+        raise ParseError(f"bad rational {text!r}: zero denominator")
+    return p, q
+
+
+def parse_rational(text) -> Fraction:
+    return Fraction(*_ratio(text))
 
 
 def format_vec(v: Sequence) -> list[str]:
     return [format_rational(Fraction(x)) for x in v]
 
 
-def parse_vec(data) -> Vec:
+def _ratios(data) -> list[tuple[int, int]]:
     if not isinstance(data, (list, tuple)):
         raise ParseError(f"expected a vector, got {data!r}")
-    return tuple(parse_rational(x) for x in data)
+    return [_ratio(x) for x in data]
+
+
+def parse_vec(data) -> Vec:
+    return tuple(Fraction(p, q) for p, q in _ratios(data))
+
+
+def _table(rows: list[list[tuple[int, int]]]) -> tuple[int, list[tuple[int, ...]]]:
+    """Rows of (numerator, denominator) pairs as integer numerators over
+    one positive denominator."""
+    den = math.lcm(*(q for row in rows for _, q in row))
+    return den, [tuple([p * (den // q) for p, q in row]) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -98,23 +118,28 @@ def polytope_to_json(p: ExactPolytope) -> dict:
 
 
 def polytope_from_json(data) -> ExactPolytope:
+    """A polytope fragment, parsed straight into one integer table."""
     if not isinstance(data, dict):
         raise ParseError(f"polytope fragment must be an object, got {data!r}")
     if "vertices" in data:
-        verts = [parse_vec(v) for v in _capped(data["vertices"], "vertices")]
-        return ExactPolytope.from_vertices(verts)
+        return ExactPolytope._from_points(*_table(
+            [_ratios(v) for v in _capped(data["vertices"], "vertices")]))
     if "halfspaces" in data:
-        hs = []
-        rank = None
+        normals, offsets = [], []
         for item in _capped(data["halfspaces"], "halfspaces"):
             normal = item.get("normal") if isinstance(item, dict) else None
             if not isinstance(normal, list) or not all(
-                    isinstance(c, int) for c in normal) or "offset" not in item:
+                    type(c) is int for c in normal) or "offset" not in item:
                 raise ParseError("a half-space needs an integral 'normal' list "
                                  f"and an 'offset': {item!r}")
-            hs.append(HalfSpace.make(tuple(normal), parse_rational(item["offset"])))
-            rank = len(normal)
-        return ExactPolytope.from_halfspaces(hs, rank)
+            offsets.append([_ratio(item["offset"])])
+            if not any(normal):
+                raise GeometryError("half-space normal must be nonzero")
+            normals.append(tuple(normal))
+        den, offsets = _table(offsets)
+        rank = len(normals[-1]) if normals else None
+        return ExactPolytope._from_rows(
+            den, [(a, c) for a, (c,) in zip(normals, offsets)], rank)
     raise ParseError("polytope fragment needs 'vertices' or 'halfspaces'")
 
 
@@ -164,7 +189,7 @@ def model_from_json(data, name: str = "") -> ToricFanoModel:
         raise ParseError(f"rank must be an integer from 1 to 4, got {rank!r}")
     rays = _capped(data["rays"], "rays")
     if not all(
-            isinstance(r, list) and all(isinstance(c, int) for c in r)
+            isinstance(r, list) and all(type(c) is int for c in r)
             and len(r) == rank for r in rays):
         raise ParseError("rays must be integer vectors of the stated rank")
     model_name = data.get("name", name)

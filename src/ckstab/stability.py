@@ -31,7 +31,8 @@ from .toric import (TOTAL, TORIC_SEARCH_ASSUMPTION, MonomialIdealSeq,
                     t_invariant, theta_twist, total_s_sum)
 from .filtration import (Descriptor, Filtration, FiltrationFamily,
                          SumDescriptor, UnsupportedDescriptor,
-                         _sum_descriptor, _twist_descriptor, approximate,
+                         ValuationDescriptor, _sum_descriptor,
+                         _twist_descriptor, approximate,
                          base_change, construct, family_degree_grid,
                          graded_basis, round_weights, shift, sum_filtration,
                          trivial_family, twist, twist_family,
@@ -299,22 +300,29 @@ class DingResult:
 
 
 def coupled_ding(fam: FiltrationFamily, delta=Fraction(1)) -> DingResult:
-    """Coupled Ding invariant of a family of valuation filtrations at one
-    direction eta: the lc slope of the sum filtration minus the summed
-    expectation slopes of the members, both read from the member
-    descriptors.  The lc slope is ``A(eta)/delta`` plus the summed shifts,
-    and member i contributes ``S_i(eta)`` plus its shift; no weight table,
-    and no sum of tables, is read.
+    """Coupled Ding invariant of a family of filtrations, read from its
+    member descriptors by :func:`ding_of_descriptors`."""
+    return ding_of_descriptors(fam.model, [f.descriptor for f in fam.members],
+                               delta)
+
+
+def ding_of_descriptors(model: ToricFanoModel, parts: Sequence[Descriptor],
+                        delta) -> DingResult:
+    """Coupled Ding invariant of a family whose member i carries the
+    descriptor ``parts[i]``, at one direction eta: the lc slope of the sum
+    filtration minus the summed expectation slopes of the members.  The lc
+    slope is ``A(eta)/delta`` plus the summed shifts, and member i
+    contributes ``S_i(eta)`` plus its shift; no basis, weight table or sum
+    of tables is built.
 
     For slope >= 1 the value is exact.  For smaller slopes the lc slope is
     only bounded, and the returned value is the certified lower bound, with
     the provenance field saying so.  At slope one the twist identity is
-    evaluated at a probe direction, from the twisted member descriptors,
-    and checked against the direct computation, so every exact value has
+    evaluated at a probe direction, from the twisted descriptors, and
+    checked against the direct computation, so every exact value has
     passed one internal cross-validation.
     """
     delta = _slope_parameter(delta)
-    model = fam.model
 
     def terms(parts):
         # the lc slope of the sum, whether it is exact, and the member slopes
@@ -325,10 +333,11 @@ def coupled_ding(fam: FiltrationFamily, delta=Fraction(1)) -> DingResult:
         return mu, exact, tuple(s_invariant(model, i, p.eta) + p.shift
                                 for i, p in enumerate(parts))
 
-    mu, exact, s_vals = terms([f.descriptor for f in fam.members])
+    mu, exact, s_vals = terms(parts)
     value = mu - sum(s_vals, Fraction(0))
     probe = tuple(Fraction(1) for _ in range(model.rank))
-    t_mu, _, t_s = terms([_twist_descriptor(f, probe) for f in fam.members])
+    t_mu, _, t_s = terms([_twist_descriptor(model, i, d, probe)
+                          for i, d in enumerate(parts)])
     probe_value = t_mu - sum(t_s, Fraction(0))
     if delta == 1:
         # the barycenter twist rule is a slope-one identity
@@ -400,26 +409,25 @@ def semistable_verdict(model: ToricFanoModel) -> VerdictReport:
 @dataclass(frozen=True)
 class DestabilizerResult:
     eta: tuple[int, ...]
-    family: FiltrationFamily
     ding: DingResult
 
 
 def find_destabilizer(model: ToricFanoModel, m_max: int = 6) -> Optional[DestabilizerResult]:
-    """If the threshold is below one, the valuation family at the witness
-    direction, together with its (strictly negative) coupled Ding value.
-    The degree cap is checked first, so a semistable model rejects the
-    caps that an unstable one does.  The family's members are built on
-    their bases up to m_max; the Ding value reads only their descriptors,
-    so no sum of them is built."""
+    """If the threshold is below one, the witness direction, with the
+    (strictly negative) coupled Ding value of its valuation family.  The
+    degree cap is checked first, so a semistable model rejects the caps
+    that an unstable one does.  The value reads only the descriptors of
+    the family's members, so no member is built."""
     family_degree_grid(model, m_max)
     d = coupled_delta(model)
     if d.value >= 1:
         return None
-    fam = valuation_family(model, d.witness, m_max=m_max)
-    ding = coupled_ding(fam)
+    eta = as_vec(d.witness)
+    ding = ding_of_descriptors(
+        model, [ValuationDescriptor(eta)] * model.num_summands, Fraction(1))
     if ding.value >= 0:
         raise InternalInvariantError("witness family failed to destabilize")
-    return DestabilizerResult(d.witness, fam, ding)
+    return DestabilizerResult(d.witness, ding)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ without the fan, is the identity suite's oracle.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,10 +38,10 @@ from typing import Optional, Sequence, Union
 from .errors import InputError, InternalInvariantError
 from .geometry import (Cone, DimensionMismatch, ExactPolytope, GeometryError,
                        HalfSpace, IntVec, Vec, _int_directions, _pairings,
-                       _scaled, _vertices_from_halfspaces, as_vec, centroid,
-                       check_complete_fan_rank2, is_primitive, lattice_points,
-                       mat_rank, minkowski_sum, normal_fan,
-                       restrict_min_support, support_value, vdot, vneg)
+                       _rank, _scaled, _vertices_from_halfspaces, as_vec,
+                       centroid, check_complete_fan_rank2, is_primitive,
+                       lattice_points, minkowski_sum, normal_fan,
+                       restrict_min_support, vdot, vneg)
 from .optimize import minimize_pl_ratio
 
 TOTAL = "total"
@@ -170,7 +171,10 @@ def build_model(rays: Sequence[Sequence[int]],
     generator (so that support function is linear on the cone), and the
     minimizers must add up to the polytope's own.  As h(P + Q) = h(P) + h(Q)
     and the fan is complete, this holds exactly when the sum is the
-    polytope; only a failure hulls the sum with ``minkowski_sum``.
+    polytope; only a failure hulls the sum with ``minkowski_sum``.  The
+    probe is the sum of the cone's generators, which are rays, so every
+    pairing is an integer sum of each summand's vertex pairings with the
+    rays.
     """
     ray_list = []
     rank = None
@@ -184,19 +188,20 @@ def build_model(rays: Sequence[Sequence[int]],
             raise NotReflexive(f"ray {t} is not primitive")
         ray_list.append(t)
     ray_tuple = tuple(sorted(set(ray_list)))
-    if rank is None or mat_rank([list(r) for r in ray_tuple]) < rank:
+    if rank is None or _rank(ray_tuple) < rank:
         raise RankMismatch("rays do not span the cocharacter space")
 
-    halfspaces = [HalfSpace(r, Fraction(-1)) for r in ray_tuple]
     try:
-        antican = ExactPolytope.from_halfspaces(halfspaces, rank)
+        antican = ExactPolytope._from_rows(1, [(r, -1) for r in ray_tuple], rank)
     except GeometryError as exc:
         raise NotReflexive(f"ray half-spaces do not bound a polytope: {exc}") from exc
     if antican.dim != rank:
         raise NotReflexive("anticanonical polytope is not full-dimensional")
-    for v in antican.vertices:
-        if any(x.denominator != 1 for x in v):
-            raise NotReflexive(f"anticanonical polytope has non-lattice vertex {_show(v)}")
+    den = antican.den
+    if den != 1:
+        v = next(v for n, v in zip(antican.nums, antican.vertices)
+                 if any(x % den for x in n))
+        raise NotReflexive(f"anticanonical polytope has non-lattice vertex {_show(v)}")
     facet_normals = {h.normal for h in antican.halfspaces}
     if facet_normals != set(ray_tuple):
         raise NotReflexive("rays do not match the facets of the anticanonical polytope")
@@ -209,18 +214,25 @@ def build_model(rays: Sequence[Sequence[int]],
     for p in summands:
         if p.rank != rank:
             raise RankMismatch("summand rank differs from the model rank")
-    fan_pieces = normal_fan(antican)
-    cones = tuple(c for c, _ in fan_pieces)
+    cones = tuple(c for c, _ in normal_fan(antican))
+    # the summand vertex pairings with each ray, and the factors that bring
+    # the summands to one denominator
+    pairs = [{r: _pairings(p.nums, r) for r in ray_tuple} for p in summands]
+    lcm = math.lcm(*(p.den for p in summands))
+    factors = [lcm // p.den for p in summands]
     support_forms = []
     certified = True
-    for cone, form in fan_pieces:
-        probe = cone.interior_point()
-        row = tuple(support_value(p, probe, "min")[1] for p in summands)
-        certified = (certified and tuple(map(sum, zip(*row))) == form
-                     and all(vdot(a, g) == support_value(p, g, "min")[0]
-                             for p, a in zip(summands, row)
-                             for g in cone.generators))
-        support_forms.append(row)
+    for cone, form in zip(cones, antican.nums):
+        row, summed = [], [0] * rank
+        for p, by_ray, f in zip(summands, pairs, factors):
+            vals = [by_ray[g] for g in cone.generators]
+            probe = list(map(sum, zip(*vals)))
+            k = probe.index(min(probe))
+            certified = certified and all(v[k] == min(v) for v in vals)
+            summed = [t + x * f for t, x in zip(summed, p.nums[k])]
+            row.append(p.vertices[k])
+        certified = certified and summed == [x * lcm for x in form]
+        support_forms.append(tuple(row))
     if not certified or (rank == 2 and not check_complete_fan_rank2(cones)):
         total = minkowski_sum(list(summands))
         if total != antican:
@@ -294,14 +306,22 @@ def t_invariant(model: ToricFanoModel, i: SummandIndex, eta: Sequence) -> Fracti
 def theta_twist(model: ToricFanoModel, i: SummandIndex, eta: Sequence,
                 xi: Sequence) -> Fraction:
     """Twist correction term: min<., eta> - min<., eta + xi> on the summand."""
+    return _twist_terms(model, i, eta, xi)[0]
+
+
+def _twist_terms(model: ToricFanoModel, i: SummandIndex, eta: Sequence,
+                 xi: Sequence) -> tuple[Fraction, int, IntVec]:
+    """The twist correction, and eta + xi as integer numerators over one
+    positive denominator, from one integer scaling of eta and xi."""
     eta, xi = tuple(eta), tuple(xi)
     if len(eta) != len(xi):
         raise DimensionMismatch("eta and xi rank mismatch")
     p = model.summand(i)
     den, (e, x) = _int_directions((eta, xi), p.rank)
     shifted = tuple(map(add, e, x))
-    return Fraction(min(_pairings(p.nums, e)) - min(_pairings(p.nums, shifted)),
-                    p.den * den)
+    theta = Fraction(min(_pairings(p.nums, e)) - min(_pairings(p.nums, shifted)),
+                     p.den * den)
+    return theta, den, shifted
 
 
 def total_s_sum(model: ToricFanoModel, eta: Sequence) -> Fraction:

@@ -178,7 +178,10 @@ def test_acceptance_05_destabilizer(models):
     assert res is not None
     assert res.eta == (1, 1)
     assert res.ding.value == -F(1, 6)
-    assert coupled_ding(res.family).value == -F(1, 6)
+    # the family the value describes, built on its bases, gives it too
+    family = valuation_family(models["bl1p2_halves"], res.eta, m_max=6)
+    assert coupled_ding(family).value == -F(1, 6)
+    assert coupled_ding(family) == res.ding
     rng = random.Random(SEED)
     sampled = 0
     for name in ("p1_halves", "p1_skew", "p1_thirds", "p2_halves",

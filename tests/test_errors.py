@@ -118,6 +118,30 @@ def test_malformed_model_exits_1(tmp_path, model):
 
 
 P2_RAYS = [[1, 0], [0, 1], [-1, -1]]
+P2_HALF = [{"normal": r, "offset": "-1/2"} for r in P2_RAYS]
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_json_booleans_are_not_integers(tmp_path, value):
+    # JSON true and false are Python bools, which isinstance(..., int) takes
+    path = tmp_path / "model.json"
+    base = {"name": "m", "rank": 2, "rays": P2_RAYS,
+            "decomposition": [{"halfspaces": P2_HALF}] * 2}
+    path.write_text(json.dumps(base))
+    assert run("futaki", str(path))[0] == 0
+    rays = [[1, value], [0, 1], [-1, -1]]
+    path.write_text(json.dumps({**base, "rays": rays}))
+    code, out, err = run("futaki", str(path))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: rays must be integer vectors of the stated rank"]
+    item = {"normal": [1, value], "offset": "-1/2"}
+    path.write_text(json.dumps({**base, "decomposition": [
+        {"halfspaces": [item] + P2_HALF[1:]}, {"halfspaces": P2_HALF}]}))
+    code, out, err = run("futaki", str(path))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "error: a half-space needs an integral 'normal' list and an 'offset': "
+        f"{{'normal': [1, {value}], 'offset': '-1/2'}}"]
 
 
 def test_decomposition_mismatch_is_one_error_line(tmp_path):

@@ -12,7 +12,7 @@ import pytest
 from ckstab import optimize
 from ckstab.errors import InternalInvariantError
 from ckstab.geometry import (DimensionMismatch, ExactPolytope, HalfSpace,
-                             minkowski_sum, support_value, vdot, vneg)
+                             _pairings, minkowski_sum, support_value, vneg)
 from ckstab.serialize import load_model
 from ckstab.stability import SuiteFailure, _check_identities, identity_suite
 from ckstab.toric import (TOTAL, DecompositionMismatch, MonomialIdealSeq,
@@ -216,8 +216,10 @@ def test_certificate_checks_linearity_not_only_minimizer_sums():
 
 
 def test_failed_certificate_on_exact_sum_is_internal(p2, monkeypatch):
-    # a certificate that rejects a decomposition the hull confirms is a bug
-    monkeypatch.setattr("ckstab.toric.vdot", lambda a, b: vdot(a, b) + 1)
+    # a certificate that rejects a decomposition the hull confirms is a bug;
+    # negated pairings make it pick each summand's maximizers
+    monkeypatch.setattr("ckstab.toric._pairings",
+                        lambda nums, xs: [-v for v in _pairings(nums, xs)])
     with pytest.raises(InternalInvariantError):
         build_model(p2.rays, p2.summands)
 
