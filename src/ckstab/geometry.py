@@ -17,20 +17,21 @@ certificate exact.
 
 There is one path, and it runs on integers.  A polytope is an integer
 table: its vertices as ``int`` numerators ``nums`` over one positive
-``int`` denominator ``den``, and its facets as pairs (primitive normal,
-``int`` offset numerator over the same ``den``).  The hull (``_hull``,
-with the facet loop ``_facets_from_points`` and the vertex loop
-``_cramer_vertices``), the half-space constructor (``_from_rows``), the
-triangulation behind ``centroid`` and ``volume`` (``_simplices``), the
-normal fan and the cones all read and write such tables, and each normal
-or vertex solve is one vector of signed integer minors (``_minor_normal``,
-with the determinant ``_int_det``).  The public constructors
-(``from_vertices``, ``from_halfspaces``, ``translate``, ``scale``) scale
-their input to integers once at entry; the loader hands its parsed tables
-straight to ``_from_points`` and ``_from_rows``.  ``ExactPolytope``
-reduces ``den`` to the least common denominator and builds the public
-``Fraction`` ``vertices`` and ``halfspaces`` once, from the table.  A
-direction is scaled to integers once (``_int_directions``) and paired
+``int`` denominator ``den``, and its ``facets`` as ``Facet`` pairs
+(primitive normal, ``int`` offset numerator over the same ``den``).  The
+hull (``_hull``, with the facet loop ``_facets_from_points`` and the vertex
+loop ``_cramer_vertices``), the half-space constructor (``_from_rows``),
+the triangulation behind ``centroid`` and ``volume`` (``_simplices``), the
+normal fan, ``contains`` and the cones all read and write such tables, and
+each normal or vertex solve is one vector of signed integer minors
+(``_minor_normal``, with the determinant ``_int_det``).  The public
+constructors (``from_vertices``, ``from_halfspaces``, ``translate``,
+``scale``) scale their input to integers once at entry; the loader hands
+its parsed tables straight to ``_from_points`` and ``_from_rows``.
+``ExactPolytope`` reduces ``den`` to the least common denominator and
+builds the public ``Fraction`` ``vertices`` once, from the table;
+``halfspaces``, the facets as ``HalfSpace``s, is a view built on access.
+A direction is scaled to integers once (``_int_directions``) and paired
 with ``nums`` (``_pairings``), which is all ``support_value`` and the
 toric invariants do; ``vdot`` of int vectors stays an ``int``.  Values
 leave the module as ``Fraction``.
@@ -40,10 +41,12 @@ Every cone is enumerated by one routine, ``_rays`` (public as
 of a cone from its generators (the rays of the dual cone), the recession
 directions of a half-space system, and its feasibility through the
 homogenised system.  The only other subset enumerations are the facet
-loop and the vertex loop, which also gives the vertices of the cells in
-which the fan cuts a twist slice (``stability._slice_cells``, behind both
-the reduced threshold and the reduced J norm) and of the lct containment
-oracle's polyhedra.
+loop and the vertex loop.  The vertex loop takes ``Facet`` rows over a
+``den`` and returns a vertex table over one denominator; besides the hull
+and ``_from_rows`` it gives the vertices of the cells in which the fan
+cuts a twist slice (``stability._slice_cells``, behind both the reduced
+threshold and the reduced J norm) and of the lct containment oracle's
+polyhedra, whose rows those callers build as integers.
 
 Ranks and affine charts come from one division-free elimination,
 ``_int_echelon``.  A lower-dimensional polytope is hulled in the
@@ -65,8 +68,8 @@ from .errors import InputError, InternalInvariantError
 
 Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
-# a half-space <x, normal> >= offset / den of an integer table, as
-# (primitive normal, offset numerator)
+# a half-space <x, normal> >= offset / den over an integer table's den, as
+# (normal, offset numerator); a polytope's facets have primitive normals
 Facet = tuple[IntVec, int]
 
 
@@ -285,9 +288,6 @@ class HalfSpace:
         j = next(i for i, x in enumerate(prim) if x != 0)
         return HalfSpace(prim, Fraction(offset) * prim[j] / Fraction(normal[j]))
 
-    def satisfies(self, point: Sequence) -> bool:
-        return vdot(point, self.normal) >= self.offset
-
 
 # ---------------------------------------------------------------------------
 # polytopes
@@ -296,20 +296,20 @@ class HalfSpace:
 class ExactPolytope:
     """A nonempty bounded rational polytope with dual descriptions.
 
-    Vertices are stored in lexicographic order and half-spaces with
-    primitive integer normals in a canonical order, so equal polytopes
+    A polytope is its integer table: ``nums``, the vertices as integer
+    numerators over the positive integer ``den`` (the least common
+    denominator of their coordinates), in lexicographic order, and
+    ``facets``, the half-spaces ``<x, a> >= c / den`` as pairs (primitive
+    normal a, offset numerator c), in a canonical order, so equal polytopes
     compare equal structurally.  Lower-dimensional polytopes are supported:
-    their half-space list contains equality pairs cutting out the affine
-    hull.  ``nums`` holds the vertices as integer numerators over the
-    positive integer ``den``, the least common denominator of their
-    coordinates, in the order of ``vertices``.
+    their facets contain equality pairs cutting out the affine hull.
 
-    The constructor takes an integer table: vertex numerators over ``den``
-    and facets (primitive normal, offset numerator over ``den``).  It sorts
-    both, reduces ``den`` and builds the ``Fraction`` views once.
+    The constructor takes such a table, sorts it, reduces ``den`` and builds
+    the ``Fraction`` ``vertices`` once.  ``halfspaces`` is a read-only view
+    of ``facets`` as ``HalfSpace``s, built on each access.
     """
 
-    __slots__ = ("vertices", "halfspaces", "dim", "rank", "den", "nums")
+    __slots__ = ("vertices", "facets", "dim", "rank", "den", "nums")
 
     def __init__(self, den: int, nums: Iterable[IntVec], facets: Iterable[Facet],
                  dim: int, rank: int):
@@ -323,12 +323,15 @@ class ExactPolytope:
             facets = [(a, c // g) for a, c in facets]
         self.den = den
         self.nums: tuple[IntVec, ...] = tuple(nums)
+        self.facets: tuple[Facet, ...] = tuple(facets)
         self.vertices: tuple[Vec, ...] = tuple(
             tuple([Fraction(x, den) for x in n]) for n in nums)
-        self.halfspaces: tuple[HalfSpace, ...] = tuple(
-            HalfSpace(a, Fraction(c, den)) for a, c in facets)
         self.dim = dim
         self.rank = rank
+
+    @property
+    def halfspaces(self) -> tuple[HalfSpace, ...]:
+        return tuple(HalfSpace(a, Fraction(c, self.den)) for a, c in self.facets)
 
     # -- constructors -------------------------------------------------------
 
@@ -355,8 +358,7 @@ class ExactPolytope:
             den, [(h.normal, c) for h, c in zip(halfspaces, offsets)], rank)
 
     @staticmethod
-    def _from_rows(den: int, rows: Sequence[tuple[IntVec, int]],
-                   rank: int) -> "ExactPolytope":
+    def _from_rows(den: int, rows: Sequence[Facet], rank: int) -> "ExactPolytope":
         """The polytope { x : <x, a> >= c / den for every row (a, c) }; the
         normals a are nonzero integer vectors, not necessarily primitive."""
         rows = sorted(set(rows))
@@ -368,28 +370,25 @@ class ExactPolytope:
         normals = [a for a, _ in rows]
         if _rank(normals) < rank:
             raise UnboundedRegion("half-space normals do not span; lineality present")
-        lifted = [a + (-c,) for a, c in rows]
         if next(_rays(normals, rank), None) is not None:
             # a recession direction exists; the region is nonempty exactly when
             # the cone { (x, t) : <n, x> >= c t, t >= 0 }, pointed as the
             # normals span, has a ray with t > 0
-            if any(g[-1] > 0 for g in _rays(lifted + [(0,) * rank + (1,)], rank + 1)):
+            lifted = [a + (-c,) for a, c in rows] + [(0,) * rank + (1,)]
+            if any(g[-1] > 0 for g in _rays(lifted, rank + 1)):
                 raise UnboundedRegion("feasible region is unbounded")
             raise EmptyRegion("contradictory constraints")
-        sols = _cramer_vertices(lifted, rank)
-        if not sols:
+        vden, nums = _cramer_vertices(den, rows, rank)
+        if not nums:
             raise EmptyRegion("half-space intersection is empty")
-        # vertex w[:-1] / (w[-1] den) is nums / (lcm_t den)
-        lcm_t = math.lcm(*(w[-1] for w in sols))
-        nums = sorted(tuple([x * (lcm_t // w[-1]) for x in w[:-1]]) for w in sols)
-        den *= lcm_t
         if _rank([vsub(n, nums[0]) for n in nums[1:]]) < rank:
-            return ExactPolytope(den, *_hull(nums, rank), rank)
+            return ExactPolytope(vden, *_hull(nums, rank), rank)
         # full-dimensional: the facets are the rows tight on a face of affine
         # rank - 1; the rest are redundant
+        k = vden // den
         facets: dict[Facet, list[bool]] = {}
         for a, c in rows:
-            tight = [p == c * lcm_t for p in _pairings(nums, a)]
+            tight = [p == c * k for p in _pairings(nums, a)]
             face = [n for n, on in zip(nums, tight) if on]
             if len(face) >= rank and _rank(
                     [vsub(v, face[0]) for v in face[1:]]) == rank - 1:
@@ -397,12 +396,14 @@ class ExactPolytope:
                 facets[prim, sum(map(mul, face[0], prim))] = tight
         if not facets or min(map(sum, zip(*facets.values()))) < rank:
             raise InternalInvariantError("a vertex lies on fewer facets than the rank")
-        return ExactPolytope(den, nums, facets, rank, rank)
+        return ExactPolytope(vden, nums, facets, rank, rank)
 
     # -- queries ------------------------------------------------------------
 
     def contains(self, point: Sequence) -> bool:
-        return all(h.satisfies(point) for h in self.halfspaces)
+        pden, (xs,) = _int_directions((point,), self.rank)
+        return all(sum(map(mul, xs, a)) * self.den >= c * pden
+                   for a, c in self.facets)
 
     def translate(self, t: Sequence) -> "ExactPolytope":
         tden, (tn,) = _scaled([_exact_entries(t)])
@@ -411,7 +412,7 @@ class ExactPolytope:
         return ExactPolytope(den,
                              [tuple([x * k + y * kt for x, y in zip(n, tn)])
                               for n in self.nums],
-                             [(a, c * k + vdot(tn, a) * kt) for a, c in _facets(self)],
+                             [(a, c * k + vdot(tn, a) * kt) for a, c in self.facets],
                              self.dim, self.rank)
 
     def scale(self, r) -> "ExactPolytope":
@@ -421,7 +422,7 @@ class ExactPolytope:
         p, q = r.numerator, r.denominator
         return ExactPolytope(self.den * q,
                              [tuple([x * p for x in n]) for n in self.nums],
-                             [(a, c * p) for a, c in _facets(self)],
+                             [(a, c * p) for a, c in self.facets],
                              self.dim, self.rank)
 
     def __eq__(self, other):
@@ -433,13 +434,6 @@ class ExactPolytope:
 
     def __repr__(self):
         return f"ExactPolytope(dim={self.dim}, rank={self.rank}, vertices={len(self.vertices)})"
-
-
-def _facets(p: ExactPolytope) -> list[Facet]:
-    """The half-spaces of p as (normal, offset numerator over p.den)."""
-    den = p.den
-    return [(h.normal, h.offset.numerator * (den // h.offset.denominator))
-            for h in p.halfspaces]
 
 
 def _chart(pts: Sequence[IntVec], pivots: Sequence[int]) -> dict[IntVec, IntVec]:
@@ -466,11 +460,10 @@ def _hull(pts: list[IntVec], rank: int) -> tuple[list[IntVec], list[Facet], int]
 
     if dim == rank:
         facets = _facets_from_points(pts, rank)
-        verts = _cramer_vertices([a + (-c,) for a, c in facets], rank)
-        if (not verts or any(w[-1] != 1 for w in verts)
-                or not {w[:-1] for w in verts} <= set(pts)):
+        vden, verts = _cramer_vertices(1, facets, rank)
+        if not verts or vden != 1 or not set(verts) <= set(pts):
             raise InternalInvariantError("hull cross-validation failed")
-        return sorted(w[:-1] for w in verts), facets, rank
+        return verts, facets, rank
 
     # lower-dimensional: hull the projected points, map the vertices back,
     # and pad each facet normal with zeros
@@ -518,30 +511,29 @@ def _facets_from_points(pts: list[IntVec], rank: int) -> list[Facet]:
     return sorted(facets)
 
 
-def _cramer_vertices(rows: Sequence[IntVec], rank: int) -> set[IntVec]:
-    """The vertices of { x : <a, x> >= c t } for integer rows (a, -c), by
-    Cramer's rule: the minor vector of the rows of a rank-subset is (x, t)
-    with <a, x> = c t on each, and t = 0 marks a singular subset.  Each
-    vertex x / t is returned once, as (x, t) with t > 0 and gcd 1."""
-    verts: set[IntVec] = set()
-    for subset in itertools.combinations(rows, rank):
+def _cramer_vertices(den: int, rows: Sequence[Facet], rank: int
+                     ) -> tuple[int, list[IntVec]]:
+    """The vertices of { x : <x, a> >= c / den for every row (a, c) }, the
+    normals a nonzero but not necessarily primitive, as integer numerators
+    over one positive denominator, in increasing lexicographic order.
+
+    By Cramer's rule on the homogenised rows (a, -c): the minor vector of a
+    rank-subset of them is (y, t) with <a, y> = c t on each, and t = 0 marks
+    a singular subset; a feasible (y, t) with t > 0 is the vertex
+    y / (t den)."""
+    lifted = [a + (-c,) for a, c in rows]
+    sols: set[IntVec] = set()
+    for subset in itertools.combinations(lifted, rank):
         w = _minor_normal(subset, rank + 1)
         if w[-1] == 0:
             continue
         if w[-1] < 0:
             w = vneg(w)
-        if all(sum(map(mul, r, w)) >= 0 for r in rows):
-            verts.add(_primitive(w))
-    return verts
-
-
-def _vertices_from_halfspaces(halfspaces: Sequence[HalfSpace], rank: int) -> list[Vec]:
-    """The vertices of the region the half-spaces cut out, in increasing
-    lexicographic order."""
-    den, (offsets,) = _scaled([[h.offset for h in halfspaces]])
-    rows = {h.normal + (-c,) for h, c in zip(halfspaces, offsets)}
-    return sorted(tuple([Fraction(x, w[-1] * den) for x in w[:-1]])
-                  for w in _cramer_vertices(list(rows), rank))
+        if all(sum(map(mul, r, w)) >= 0 for r in lifted):
+            sols.add(_primitive(w))
+    lcm_t = math.lcm(*(w[-1] for w in sols))
+    return den * lcm_t, sorted(tuple([x * (lcm_t // w[-1]) for x in w[:-1]])
+                               for w in sols)
 
 
 def _rays(rows: Sequence[IntVec], rank: int) -> Iterator[IntVec]:
@@ -675,7 +667,7 @@ def volume(p: ExactPolytope) -> Fraction:
         return d[j] / prim[j]
     if p.dim < p.rank:
         raise DegenerateInput("affine-hull volume implemented only for dim <= 1")
-    return Fraction(sum(w for w, _ in _simplex_dets(p.nums, _facets(p), p.dim)),
+    return Fraction(sum(w for w, _ in _simplex_dets(p.nums, p.facets, p.dim)),
                     p.den ** p.dim * math.factorial(p.dim))
 
 
@@ -693,7 +685,7 @@ def centroid(p: ExactPolytope) -> Vec:
     """
     if p.dim == 0:
         return p.vertices[0]
-    nums, facets, lift = p.nums, _facets(p), None
+    nums, facets, lift = p.nums, p.facets, None
     if p.dim < p.rank:
         pivots, _ = _int_echelon([vsub(n, p.nums[0]) for n in p.nums[1:]])
         lift = _chart(p.nums, pivots)
@@ -729,7 +721,7 @@ def lattice_points(p: ExactPolytope) -> list[IntVec]:
     """All integer points of p, in lexicographic order."""
     # an integer point meets <x, n> >= c / den exactly when it meets
     # >= ceil(c / den)
-    checks = [(a, -(-c // p.den)) for a, c in _facets(p)]
+    checks = [(a, -(-c // p.den)) for a, c in p.facets]
     ranges = [range(-(-min(col) // p.den), max(col) // p.den + 1)
               for col in zip(*p.nums)]
     return [cand for cand in itertools.product(*ranges)
@@ -809,8 +801,7 @@ def normal_fan(p: ExactPolytope) -> list[tuple[Cone, Vec]]:
     """
     if p.dim != p.rank:
         raise DegenerateInput("normal fan needs a full-dimensional polytope")
-    facets = _facets(p)
-    return [(Cone._spanned([a for a, c in facets if sum(map(mul, n, a)) == c]), v)
+    return [(Cone._spanned([a for a, c in p.facets if sum(map(mul, n, a)) == c]), v)
             for n, v in zip(p.nums, p.vertices)]
 
 

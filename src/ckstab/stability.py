@@ -21,8 +21,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import CkstabError, InputError, InternalInvariantError
-from .geometry import (DimensionMismatch, ExactPolytope, HalfSpace, Vec,
-                       _int_det, _vertices_from_halfspaces, as_vec, centroid,
+from .geometry import (DimensionMismatch, ExactPolytope, Vec, _cramer_vertices,
+                       _int_det, _int_directions, _pairings, as_vec, centroid,
                        extreme_rays, mat_rank, primitive_vector, vadd, vdot,
                        vneg, vsub)
 from .toric import (TOTAL, TORIC_SEARCH_ASSUMPTION, MonomialIdealSeq,
@@ -155,19 +155,21 @@ def _slice_cells(model: ToricFanoModel, base: Vec, W: Sequence[Vec]):
     in fan order, in the twist coordinates t of base + sum t_j w_j.
 
     A cell is its cone's facet system in those coordinates, so every point
-    of it lies in the cone.  Each is given as the index of its cone in
-    ``model.fan``, its vertices, in increasing lexicographic order, and the
-    inner normals of its facets, whose ``extreme_rays`` are its recession
-    directions.  Cones the slice misses are skipped.
+    of it lies in the cone: the facet n holds at base + sum t_j w_j when
+    sum t_j <n, w_j> >= -<n, base>, an integer row once base and W are
+    scaled to one denominator.  Each cell is given as the index of its cone
+    in ``model.fan``, its vertices, in increasing lexicographic order, and
+    the integer inner normals of its facets, whose ``extreme_rays`` are its
+    recession directions.  Cones the slice misses are skipped.
     """
+    _, (b, *ws) = _int_directions([base, *W], model.rank)
     for k, cone in enumerate(model.fan):
-        rows = [([vdot(n, w) for w in W], -vdot(n, base)) for n in cone.facets]
-        if any(all(x == 0 for x in a) and c > 0 for a, c in rows):
+        rows = [(tuple(_pairings(ws, n)), -vdot(n, b)) for n in cone.facets]
+        if any(c > 0 and not any(a) for a, c in rows):
             continue
-        rows = [(a, c) for a, c in rows if any(x != 0 for x in a)]
-        yield (k,
-               _vertices_from_halfspaces([HalfSpace.make(a, c) for a, c in rows],
-                                         len(W)),
+        rows = [(a, c) for a, c in rows if any(a)]
+        den, nums = _cramer_vertices(1, rows, len(W))
+        yield (k, [tuple([Fraction(x, den) for x in n]) for n in nums],
                [a for a, _ in rows])
 
 
@@ -571,14 +573,8 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 def inradius_squared(p: ExactPolytope, point: Sequence) -> Fraction:
     """Squared distance from an interior point to the polytope boundary."""
     point = as_vec(point)
-    best = None
-    for h in p.halfspaces:
-        num = (vdot(point, h.normal) - h.offset) ** 2
-        den = vdot(h.normal, h.normal)
-        d2 = num / den
-        if best is None or d2 < best:
-            best = d2
-    return best
+    return min((vdot(point, a) - Fraction(c, p.den)) ** 2 / vdot(a, a)
+               for a, c in p.facets)
 
 
 # ---------------------------------------------------------------------------

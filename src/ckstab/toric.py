@@ -37,11 +37,11 @@ from typing import Optional, Sequence, Union
 
 from .errors import InputError, InternalInvariantError
 from .geometry import (Cone, DimensionMismatch, ExactPolytope, GeometryError,
-                       HalfSpace, IntVec, Vec, _int_directions, _pairings,
-                       _rank, _scaled, _vertices_from_halfspaces, as_vec,
-                       centroid, check_complete_fan_rank2, is_primitive,
-                       lattice_points, minkowski_sum, normal_fan,
-                       restrict_min_support, vdot, vneg)
+                       IntVec, Vec, _cramer_vertices, _int_directions,
+                       _pairings, _rank, _scaled, as_vec, centroid,
+                       check_complete_fan_rank2, is_primitive, lattice_points,
+                       minkowski_sum, normal_fan, restrict_min_support, vdot,
+                       vneg)
 from .optimize import minimize_pl_ratio
 
 TOTAL = "total"
@@ -202,10 +202,9 @@ def build_model(rays: Sequence[Sequence[int]],
         v = next(v for n, v in zip(antican.nums, antican.vertices)
                  if any(x % den for x in n))
         raise NotReflexive(f"anticanonical polytope has non-lattice vertex {_show(v)}")
-    facet_normals = {h.normal for h in antican.halfspaces}
-    if facet_normals != set(ray_tuple):
+    if {a for a, _ in antican.facets} != set(ray_tuple):
         raise NotReflexive("rays do not match the facets of the anticanonical polytope")
-    if any(h.offset != -1 for h in antican.halfspaces):
+    if any(c != -1 for _, c in antican.facets):
         raise NotReflexive("anticanonical facets not at level -1")
 
     summands = tuple(decomposition)
@@ -371,6 +370,8 @@ class MonomialIdealSeq:
             raise ToricError("ideal data needs exactly one of eta or degrees")
         if self.eta is not None and not any(self.eta):
             raise ToricError("the valuation direction must be nonzero")
+        if self.degrees is not None and any(m < 1 for m in self.degrees):
+            raise ToricError("degree must be positive")
 
     @staticmethod
     def valuation_levels(eta: Sequence, level, summand: SummandIndex = TOTAL) -> "MonomialIdealSeq":
@@ -401,10 +402,15 @@ def _region_of_ideal(model: ToricFanoModel, ideal: MonomialIdealSeq,
     """Normalized Newton region of the ideal data inside the summand polytope."""
     p = model.summand(ideal.summand)
     if ideal.eta is not None:
-        lam = support_min(model, ideal.summand, ideal.eta)
-        cut = HalfSpace.make(ideal.eta, ideal.level + lam)
+        # with eta = e / eden, the cut <x, eta> >= level + min_p <., eta> is
+        # <x, e> >= level eden + min_p <., e>
+        eden, (e,) = _int_directions((ideal.eta,), p.rank)
+        cut = ideal.level * eden + Fraction(min(_pairings(p.nums, e)), p.den)
+        den = math.lcm(p.den, cut.denominator)
+        rows = [(a, c * (den // p.den)) for a, c in p.facets]
+        rows.append((e, cut.numerator * (den // cut.denominator)))
         try:
-            return ExactPolytope.from_halfspaces(list(p.halfspaces) + [cut], p.rank)
+            return ExactPolytope._from_rows(den, rows, p.rank)
         except GeometryError as exc:
             raise ZeroIdeal(
                 f"no sections reach slope {ideal.level} along {_show(ideal.eta)}"
@@ -415,11 +421,11 @@ def _region_of_ideal(model: ToricFanoModel, ideal: MonomialIdealSeq,
             if order >= ideal.level * degree]
     if not gens:
         raise ZeroIdeal(f"no generators at degree {degree} reach the level")
-    pts = [tuple(Fraction(c, degree) for c in ch) for ch in gens]
-    for pt in pts:
+    for ch in gens:
+        pt = tuple(Fraction(c, degree) for c in ch)
         if not p.contains(pt):
             raise ToricError(f"generator {_show(pt)} outside the summand polytope")
-    return ExactPolytope.from_vertices(pts)
+    return ExactPolytope._from_points(degree, gens)
 
 
 def monomial_lct(model: ToricFanoModel, ideal: MonomialIdealSeq,
@@ -473,14 +479,18 @@ def _containment_lct(model: ToricFanoModel,
     ``{(r, z) : r in R, z >= <r - v, rho> for every ray rho}``, taken at a
     vertex, and 0 when v is in R.
     """
-    rank = model.rank
     region = _region_of_ideal(model, ideal)
-    lifted = [HalfSpace(h.normal + (0,), h.offset) for h in region.halfspaces]
+    p = model.summand(ideal.summand)
+    # the rows over den: r in R, and z >= <r, rho> - <n, rho> / p.den
+    den = math.lcm(region.den, p.den)
+    lifted = [(a + (0,), c * (den // region.den)) for a, c in region.facets]
     g = Fraction(0)
-    for v in model.summand(ideal.summand).vertices:
+    for n, v in zip(p.nums, p.vertices):
         if region.contains(v):
             continue
-        rows = lifted + [HalfSpace(tuple(-x for x in rho) + (1,), -vdot(v, rho))
+        rows = lifted + [(tuple(-x for x in rho) + (1,),
+                          -vdot(n, rho) * (den // p.den))
                          for rho in model.rays]
-        g = max(g, min(w[-1] for w in _vertices_from_halfspaces(rows, rank + 1)))
+        vden, verts = _cramer_vertices(den, rows, model.rank + 1)
+        g = max(g, Fraction(min(w[-1] for w in verts), vden))
     return None if g == 0 else 1 / g

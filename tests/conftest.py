@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import pathlib
+import runpy
+
 import pytest
 
 from ckstab.serialize import load_model
@@ -13,6 +16,8 @@ FIXTURE_NAMES = [
 ]
 
 CANONICAL = ["p1_halves", "p2_halves", "p1xp1_symmetric", "bl1p2_halves"]
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 
 def _load(name):
@@ -57,3 +62,17 @@ def bl1p2(models):
 @pytest.fixture(scope="session")
 def bl1p2_hsplit(models):
     return models["bl1p2_hsplit"]
+
+
+@pytest.fixture(scope="session")
+def rank3_dir(tmp_path_factory):
+    """The rank-3 benchmark models, written from the benchmark's data."""
+    directory = tmp_path_factory.mktemp("rank3")
+    workloads = runpy.run_path(str(BENCH / "workloads.py"))
+    workloads["write_rank3_models"](str(directory))
+    return directory
+
+
+@pytest.fixture(scope="session")
+def rank3_models(rank3_dir):
+    return {p.stem: load_model(str(p)) for p in sorted(rank3_dir.glob("*.json"))}

@@ -2,7 +2,8 @@
 and acceptance tests.  These deliberately use different algorithms from the
 library (monotone-chain hull, shoelace formulas, interval arithmetic, weight
 tables of plain Fractions with every decomposition enumerated at once,
-Cramer's rule on vertex-pair hyperplanes in place of the fan, and the
+Cramer's rule with cofactor determinants on vertex-pair hyperplanes in
+place of the fan and on the facet rows of each twist-slice cell, and the
 routes the library replaced: the threshold's ratio program over fan cells,
 the facet loop that found the cone absorbing a twisted ray, and the
 coupled Ding invariant through sum tables).
@@ -234,6 +235,41 @@ def reduced_j_oracle(model: ToricFanoModel, xi0, basis) -> Fraction:
                        for k, x in enumerate(xi0)])
     b = model.barycenter(TOTAL)
     return min(max(_pair(v, x) for v in verts) - _pair(b, x) for x in points)
+
+
+# the one-dimensional subtori of the benchmark's rank-2 argument pool
+SUBTORI_2 = [((1, 0),), ((0, 1),), ((1, 1),), ((1, -1),), ((1, 2),), ((2, 1),)]
+
+
+def slice_cells_oracle(model: ToricFanoModel, base, W) -> list:
+    """(cone index, vertices, normals) of the cells in which the fan cuts
+    the slice base + span(W), in fan order and in plain Fractions.  The
+    facet n of a cone gives the row sum t_j <n, w_j> >= -<n, base>; a zero
+    row that fails skips the cone and one that holds is dropped.  Every
+    s-subset of the other rows is solved for t by Cramer's rule with
+    cofactor determinants, and the solutions that meet every row are the
+    vertices, sorted."""
+    base = [F(x) for x in base]
+    W = [[F(x) for x in w] for w in W]
+    cells = []
+    for k, cone in enumerate(model.fan):
+        rows = [([_pair(n, w) for w in W], -_pair(n, base)) for n in cone.facets]
+        if any(c > 0 and not any(a) for a, c in rows):
+            continue
+        rows = [(a, c) for a, c in rows if any(a)]
+        verts = set()
+        for sub in itertools.combinations(rows, len(W)):
+            m = [a for a, _ in sub]
+            d = cofactor_det(m)
+            if d == 0:
+                continue
+            t = tuple(F(cofactor_det([r[:j] + [c] + r[j + 1:]
+                                      for r, (_, c) in zip(m, sub)])) / d
+                      for j in range(len(W)))
+            if all(_pair(a, t) >= c for a, c in rows):
+                verts.add(t)
+        cells.append((k, sorted(verts), [a for a, _ in rows]))
+    return cells
 
 
 def fan_cell_delta(model: ToricFanoModel) -> tuple[Fraction, tuple[int, ...]]:

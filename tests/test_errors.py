@@ -220,10 +220,13 @@ def test_zero_lct_direction_exits_1():
 
 
 def test_ideal_data_checked_at_construction():
-    # built directly, not through valuation_levels: a zero direction, or
-    # neither or both of eta and degrees, is a one-line input error
+    # built directly, not through valuation_levels: a zero direction, a
+    # degree below 1, or neither or both of eta and degrees, is a one-line
+    # input error
     from ckstab.toric import TOTAL, MonomialIdealSeq, ToricError
     cases = [({"eta": (0, 0)}, "the valuation direction must be nonzero"),
+             ({"degrees": {-1: (((1, 0), F(0)),)}}, "degree must be positive"),
+             ({"degrees": {0: ()}}, "degree must be positive"),
              ({}, "ideal data needs exactly one of eta or degrees"),
              ({"eta": (1, 0), "degrees": {1: ()}},
               "ideal data needs exactly one of eta or degrees")]
@@ -348,11 +351,12 @@ def test_every_import_is_used():
 def test_every_library_definition_is_used():
     # a top-level function, class or assigned name (other than a dunder) is
     # used when its own module loads it outside the definition itself, when
-    # another module imports it by name from its module, or when the
-    # package root exports it; a local variable of the same name elsewhere
-    # does not count
+    # another module imports it by name from its module and loads it, or
+    # when the package root exports it; a local variable of the same name
+    # elsewhere does not count.  An import that its module never loads is
+    # itself reported, except in the package root, whose imports export
     used: set[tuple[str, str]] = set()
-    defs = []
+    defs, imports = [], []
     for path in pathlib.Path(ckstab.__file__).parent.glob("*.py"):
         module = path.stem
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -370,10 +374,17 @@ def test_every_library_definition_is_used():
                         and isinstance(node.ctx, ast.Load)):
                     used.add((module, node.id))
                 elif isinstance(node, ast.ImportFrom) and node.level == 1:
-                    used.update((node.module, alias.name) for alias in node.names)
+                    imports.extend((module, node.module, alias.asname or alias.name,
+                                    alias.name) for alias in node.names)
+    unread = []
+    for module, source, local, name in imports:
+        if module == "__init__" or (module, local) in used:
+            used.add((source, name))
+        else:
+            unread.append((module, f"import of {source}.{name}"))
     unused = [(module, name) for module, name in defs
               if name not in ckstab.__all__ and (module, name) not in used]
-    assert not unused, unused
+    assert not unused + unread, unused + unread
 
 
 def _functions(node, owner=None):

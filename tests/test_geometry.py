@@ -209,6 +209,38 @@ def test_support_rank_mismatch():
         support_value(t, (1,), "min")
 
 
+def test_contains_on_the_boundary_inside_and_out():
+    t = ExactPolytope.from_vertices([(-1, -1), (2, -1), (-1, 2)])
+    # a vertex, a rational edge point, a rational interior point
+    for pt in [(2, -1), (F(1, 2), F(1, 2)), (F(-1, 3), F(1, 7))]:
+        assert t.contains(pt)
+    # just past the edge x + y <= 1, and just below the vertex (-1, -1)
+    for pt in [(F(1, 2), F(1, 2) + F(1, 10 ** 9)), (-1, F(-101, 100))]:
+        assert not t.contains(pt)
+    # a segment in rank 3: on it, at its end, past its end, and off its line
+    s = ExactPolytope.from_vertices([(0, 0, 0), (F(1, 2), 1, F(3, 2))])
+    assert s.contains((F(1, 4), F(1, 2), F(3, 4)))
+    assert s.contains((F(1, 2), 1, F(3, 2)))
+    assert not s.contains((1, 2, 3))
+    assert not s.contains((F(1, 4), F(1, 2), F(3, 4) + F(1, 10 ** 9)))
+    # a point of the wrong length is refused, not zipped down to size
+    for pt in [(0,), (0, 0, 0)]:
+        with pytest.raises(DimensionMismatch):
+            t.contains(pt)
+
+
+def test_contains_agrees_with_the_halfspace_view():
+    rng = random.Random(71)
+    inside = 0
+    for _, p in _random_polytopes(71, per_shape=1):
+        mid = tuple((a + b) / 2 for a, b in zip(p.vertices[0], p.vertices[-1]))
+        for q in [*rand_rational_points(rng, p.rank, 6), *p.vertices, mid]:
+            assert p.contains(q) == all(vdot(q, h.normal) >= h.offset
+                                        for h in p.halfspaces)
+            inside += p.contains(q)
+    assert inside > 0
+
+
 # --- lattice points and support cells ---------------------------------------
 
 def test_lattice_points_triangle():

@@ -8,27 +8,32 @@ from the benchmark's own data into a temporary directory.
 ``test_model_in_another_lattice_frame`` writes each fixture in the frame of
 a seeded unimodular U: rays and half-space normals go by U, vertices by
 U^-T.  The model must load as the same model seen in that frame, and the
-threshold and the Futaki vector must follow.
+threshold, the Futaki vector, the lc thresholds of valuation ideals, the
+J norms and the reduced J norm and threshold must follow.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import pathlib
 import random
-import runpy
 from fractions import Fraction as F
 from importlib import resources
 
 import pytest
 
+from oracles import SUBTORI_2
+
+from ckstab.geometry import restrict_min_support, support_value
 from ckstab.serialize import load_model
-from ckstab.stability import coupled_delta, coupled_futaki
+from ckstab.stability import (SubtorusSpec, coupled_delta, coupled_futaki,
+                              j_twist, reduced_coupled_delta, reduced_coupled_j)
+from ckstab.toric import (TOTAL, MonomialIdealSeq, _region_of_ideal,
+                          log_discrepancy, monomial_lct, support_min,
+                          t_invariant)
 
 FIXTURES = sorted(p.stem for p in (resources.files("ckstab") / "fixtures").iterdir()
                   if p.name.endswith(".json"))
-BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 
 def _fixture_path(name: str) -> str:
@@ -92,15 +97,6 @@ PINNED = {
 }
 
 
-@pytest.fixture(scope="module")
-def rank3_dir(tmp_path_factory):
-    """The rank-3 benchmark models, written from the benchmark's data."""
-    directory = tmp_path_factory.mktemp("rank3")
-    workloads = runpy.run_path(str(BENCH / "workloads.py"))
-    workloads["write_rank3_models"](str(directory))
-    return directory
-
-
 def test_loaded_model_structure_is_pinned(rank3_dir):
     paths = {name: _fixture_path(name) for name in FIXTURES}
     paths.update((p.stem, str(p)) for p in rank3_dir.glob("*.json"))
@@ -156,6 +152,72 @@ def _frame_model(model, u, w) -> dict:
             "decomposition": decomposition}
 
 
+def _lct_attaining_rays(model, seq, value) -> list:
+    """The rays of the threshold's cells at which A / ord takes its value."""
+    region = _region_of_ideal(model, seq)
+    rays = {r for cone in model.fan
+            for cell, _ in restrict_min_support(cone, region) for r in cell}
+    attaining = []
+    for r in sorted(rays):
+        order = support_value(region, r)[0] - support_min(model, seq.summand, r)
+        if order > 0 and log_discrepancy(model, r) == value * order:
+            attaining.append(r)
+    return attaining
+
+
+def _frame_inputs(model, rng) -> dict:
+    """Seeded inputs in the model's own frame, with their values: valuation
+    ideals on the total ring and on summand 0, twists for the J norms, and
+    the subtori of the reduced J norm and threshold."""
+    def rational():
+        return F(rng.randint(-6, 6), rng.randint(1, 4))
+
+    ideals = []
+    for summand in (TOTAL, 0):
+        eta = tuple(rng.choice([-2, -1, 1, 2]) for _ in range(model.rank))
+        level = t_invariant(model, summand, eta) * F(rng.randint(1, 4), 4)
+        seq = MonomialIdealSeq.valuation_levels(eta, level, summand)
+        res = monomial_lct(model, seq)
+        unique = res.value is not None and len(
+            _lct_attaining_rays(model, seq, res.value)) == 1
+        ideals.append((seq, res, unique))
+    xi = tuple(rational() for _ in range(model.rank))
+    jnorms = {i: j_twist(model, i, xi) for i in (TOTAL, *range(model.num_summands))}
+    xi0 = tuple(rational() for _ in range(model.rank))
+    bases = [(), SubtorusSpec.full(model.rank).basis]
+    if model.rank == 2:
+        bases.append(rng.choice(SUBTORI_2))
+    reduced_j = [(basis, reduced_coupled_j(model, xi0, SubtorusSpec(basis)))
+                 for basis in bases]
+    reduced_delta = [(basis, reduced_coupled_delta(model, SubtorusSpec(basis)))
+                     for basis in (SUBTORI_2 if model.rank == 2 else [])]
+    return {"ideals": ideals, "xi": xi, "jnorms": jnorms, "xi0": xi0,
+            "reduced_j": reduced_j, "reduced_delta": reduced_delta}
+
+
+def _assert_invariants_follow(moved, u, inputs) -> None:
+    """The seeded invariants of a model at its inputs moved by U equal those
+    of ``moved``, the model seen in the frame of U."""
+    for seq, res, unique in inputs["ideals"]:
+        got = monomial_lct(moved, MonomialIdealSeq.valuation_levels(
+            _apply(u, seq.eta), seq.level, seq.summand))
+        assert got.value == res.value
+        if unique:
+            assert got.witness == _apply(u, res.witness)
+    xi = _apply(u, inputs["xi"])
+    assert {i: j_twist(moved, i, xi) for i in inputs["jnorms"]} == inputs["jnorms"]
+    for basis, res in inputs["reduced_j"]:
+        got = reduced_coupled_j(moved, _apply(u, inputs["xi0"]),
+                                SubtorusSpec(tuple(_apply(u, w) for w in basis)))
+        assert got.value == res.value
+        assert got.argmin == _apply(u, res.argmin)
+    for basis, res in inputs["reduced_delta"]:
+        # the witness is a coset representative chosen in each frame
+        got = reduced_coupled_delta(moved, SubtorusSpec(
+            tuple(_apply(u, w) for w in basis)))
+        assert (got.value, got.note) == (res.value, res.note)
+
+
 @pytest.mark.parametrize("name", FIXTURES)
 def test_model_in_another_lattice_frame(tmp_path, name):
     model = load_model(_fixture_path(name))
@@ -164,6 +226,8 @@ def test_model_in_another_lattice_frame(tmp_path, name):
     slopes = [1 + sum(b * r for b, r in zip(futaki.total, rho)) for rho in model.rays]
     unique = slopes.count(max(slopes)) == 1
     rng = random.Random(f"frame:{name}")
+    inputs = _frame_inputs(model, random.Random(f"frame-inputs:{name}"))
+    assert any(unique for _, _, unique in inputs["ideals"])
     for k in range(4):
         u = _unimodular(rng, model.rank)
         w = _inverse_transpose(u)
@@ -182,3 +246,4 @@ def test_model_in_another_lattice_frame(tmp_path, name):
         assert moved_delta.value == delta.value
         if unique:
             assert moved_delta.witness == _apply(u, delta.witness)
+        _assert_invariants_follow(moved, u, inputs)

@@ -11,8 +11,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import (ding_of_twist, ding_via_sums, dist2_to_affine,
-                     fan_cell_delta, reduced_j_oracle, twisted_profile_oracle)
+from oracles import (SUBTORI_2, ding_of_twist, ding_via_sums,
+                     dist2_to_affine, fan_cell_delta, reduced_j_oracle,
+                     slice_cells_oracle, twisted_profile_oracle)
 
 from ckstab.errors import CkstabError
 from ckstab.filtration import (FiltrationFamily, GridMismatch,
@@ -23,12 +24,13 @@ from ckstab.filtration import (FiltrationFamily, GridMismatch,
                                valuation_filtration)
 from ckstab.geometry import DimensionMismatch, ExactPolytope, HalfSpace
 from ckstab.stability import (DegenerateSubtorus, RankTooHigh, StabilityError,
-                              SubtorusSpec, SuiteFailure, coupled_delta,
-                              coupled_ding, coupled_futaki, find_destabilizer,
-                              identity_suite, inner_twist_sup,
-                              inradius_squared, j_twist, mu_slope,
-                              reduced_coupled_delta, reduced_coupled_j,
-                              semistable_verdict, twisted_ratio_profile)
+                              SubtorusSpec, SuiteFailure, _slice_cells,
+                              coupled_delta, coupled_ding, coupled_futaki,
+                              find_destabilizer, identity_suite,
+                              inner_twist_sup, inradius_squared, j_twist,
+                              mu_slope, reduced_coupled_delta,
+                              reduced_coupled_j, semistable_verdict,
+                              twisted_ratio_profile)
 from ckstab.toric import TOTAL, build_model, log_discrepancy, total_s_sum
 
 
@@ -132,6 +134,41 @@ def test_reduced_j_agrees_with_the_vertex_pair_oracle(models):
                                for i in range(model.num_summands)) == res.value
                     cases += 1
     assert cases == 324
+
+
+# the benchmark's two-dimensional rank-3 subtori, and three lines
+SUBTORI_3 = [((1, 0, 0),), ((1, 1, 1),), ((1, -1, 2),),
+             ((1, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1))]
+
+
+def _positive_multiple(a, b) -> bool:
+    j = next(i for i, x in enumerate(b) if x)
+    r = F(a[j]) / b[j]
+    return r > 0 and all(x == r * y for x, y in zip(a, b))
+
+
+def test_slice_cells_match_the_cramer_oracle(models, rank3_models):
+    # the same cones, the same vertex lists in the same order, and the same
+    # facet normals up to a positive factor
+    rng = random.Random(59)
+    cases = 0
+    rank2_bases = [(), *SUBTORI_2, SubtorusSpec.full(2).basis]
+    pairs = [(m, rank2_bases) for m in models.values() if m.rank == 2]
+    pairs += [(m, SUBTORI_3) for m in rank3_models.values()]
+    for model, bases in pairs:
+        for basis in bases:
+            W = [tuple(F(x) for x in w) for w in basis]
+            for _ in range(3):
+                base = tuple(F(rng.randint(-6, 6), rng.randint(1, 4))
+                             for _ in range(model.rank))
+                got = list(_slice_cells(model, base, W))
+                want = slice_cells_oracle(model, base, W)
+                assert [(k, v) for k, v, _ in got] == [(k, v) for k, v, _ in want]
+                for (_, _, normals), (_, _, rows) in zip(got, want):
+                    assert len(normals) == len(rows)
+                    assert all(map(_positive_multiple, normals, rows))
+                cases += 1
+    assert cases == 5 * 8 * 3 + 3 * 6 * 3
 
 
 def test_reduced_j_tie_goes_to_the_greatest_twist(p2):

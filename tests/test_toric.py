@@ -11,14 +11,16 @@ import pytest
 
 from ckstab import optimize
 from ckstab.errors import InternalInvariantError
-from ckstab.geometry import (DimensionMismatch, ExactPolytope, HalfSpace,
-                             _pairings, minkowski_sum, support_value, vneg)
+from ckstab.geometry import (DimensionMismatch, ExactPolytope, GeometryError,
+                             HalfSpace, _pairings, minkowski_sum,
+                             support_value, vneg)
 from ckstab.serialize import load_model
 from ckstab.stability import SuiteFailure, _check_identities, identity_suite
 from ckstab.toric import (TOTAL, DecompositionMismatch, MonomialIdealSeq,
                           NonIntegralScaling, NotReflexive, RankMismatch,
-                          ToricError, ZeroIdeal, _containment_lct, build_model,
-                          integrality_step, log_discrepancy, monomial_lct,
+                          ToricError, ZeroIdeal, _containment_lct,
+                          _region_of_ideal, build_model, integrality_step,
+                          log_discrepancy, monomial_lct,
                           s_invariant, section_basis, support_min,
                           t_invariant, theta_twist, total_s_sum)
 from oracles import support_oracle, volume_centroid_oracle
@@ -476,6 +478,54 @@ def test_containment_oracle_agrees_with_the_fan(models):
             values.append(value)
     assert len(values) > 250 and None in values
     assert len(set(values)) > 20
+
+
+def _public_region(model, seq):
+    """The Newton region through the public constructors: the summand's
+    half-spaces and the cut through ``HalfSpace.make``, or the hull of the
+    generators that reach the level."""
+    p = model.summand(seq.summand)
+    if seq.eta is not None:
+        lam = support_min(model, seq.summand, seq.eta)
+        cut = HalfSpace.make(seq.eta, seq.level + lam)
+        return ExactPolytope.from_halfspaces(list(p.halfspaces) + [cut], p.rank)
+    ((m, gens),) = seq.degrees.items()
+    return ExactPolytope.from_vertices([tuple(F(c, m) for c in ch)
+                                        for ch, order in gens if order >= seq.level * m])
+
+
+def test_region_of_ideal_matches_the_public_constructors(models):
+    rng = random.Random(53)
+    regions, empty = 0, 0
+    for model in models.values():
+        seqs = [*_valuation_ideals(model, rng, 2), *_generated_ideals(model, rng, 6)]
+        # at the maximal slope the region is a face; past it, empty
+        for seq in seqs[:4]:
+            t = t_invariant(model, seq.summand, seq.eta)
+            seqs += [MonomialIdealSeq.valuation_levels(seq.eta, level, seq.summand)
+                     for level in (t, t + F(1, 3))]
+        for seq in seqs:
+            try:
+                want = _public_region(model, seq)
+            except GeometryError:
+                with pytest.raises(ZeroIdeal):
+                    _region_of_ideal(model, seq)
+                empty += 1
+                continue
+            got = _region_of_ideal(model, seq)
+            assert (got.den, got.nums, got.facets, got.dim) == (
+                want.den, want.nums, want.facets, want.dim)
+            regions += 1
+    assert regions == 388 and empty == 4 * len(models)
+
+
+def test_lct_generator_outside_the_summand_is_named(p2):
+    # (3/2, 3/2) lies past the edge x + y <= 1/2 of the first half of P^2
+    seq = MonomialIdealSeq.from_generators({2: [((0, 0), F(2)), ((3, 3), F(2))]},
+                                           level=0, summand=0)
+    with pytest.raises(ToricError, match=r"^generator \(3/2, 3/2\) outside the "
+                                         r"summand polytope$"):
+        monomial_lct(p2, seq)
 
 
 def test_containment_oracle_catches_a_dropped_ray(monkeypatch, p2):
