@@ -22,7 +22,7 @@ from typing import Optional
 
 from . import __version__
 from .errors import CkstabError, InputError
-from .filtration import ValuationDescriptor, family_degree_grid
+from .filtration import ValuationDescriptor
 from .geometry import Vec
 from .serialize import (IoError, ParseError, canonical_json, format_rational,
                         format_vec, load_model, parse_integer, parse_rational,
@@ -143,19 +143,6 @@ def _opt_rat(x) -> Optional[str]:
     return None if x is None else _rat(x)
 
 
-# ``ding`` and ``destabilize`` read only the descriptors of the family's
-# members, so their cost does not grow with --mmax.  The cap, and the check
-# that it reaches the family's degree step, keep the arguments they accept
-# those of the family the value describes.
-MAX_MMAX = 12
-
-
-def _mmax_arg(value: int) -> int:
-    if value > MAX_MMAX:
-        raise ParseError(f"--mmax {value} is above the cap of {MAX_MMAX}")
-    return value
-
-
 def _vec_arg(text: str, flag: str, rank: int) -> Vec:
     vec = parse_vec(text.split(","))
     if len(vec) != rank:
@@ -227,8 +214,6 @@ def _cmd_reduced_delta(model, args) -> dict:
 def _cmd_ding(model, args) -> dict:
     eta = _vec_arg(args.eta, "--eta", model.rank)
     slope = parse_rational(args.slope) if args.slope else Fraction(1)
-    # the value reads no table, but the cap must suit the family's grid
-    family_degree_grid(model, _mmax_arg(args.mmax))
     res = ding_of_descriptors(
         model, [ValuationDescriptor(eta)] * model.num_summands, slope)
     return {
@@ -257,7 +242,7 @@ def _cmd_lct(model, args) -> dict:
 
 
 def _cmd_destabilize(model, args) -> dict:
-    res = find_destabilizer(model, m_max=_mmax_arg(args.mmax))
+    res = find_destabilizer(model)
     if res is None:
         return {"destabilizer": None}
     return {
@@ -322,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--eta", required=True, help="valuation direction")
     p.add_argument("--slope", help="slope parameter (default 1)")
-    p.add_argument("--mmax", type=int, default=6)
     p = sub.add_parser("lct", help="log canonical threshold of valuation ideals")
     common(p)
     p.add_argument("--eta", required=True)
@@ -330,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", help="ideal scale (default 1)")
     p = sub.add_parser("destabilize", help="search for a destabilizing family")
     common(p)
-    p.add_argument("--mmax", type=int, default=6)
     p = sub.add_parser("verify", help="run the exact identity suite")
     common(p)
     p.add_argument("--samples", type=int, default=100)

@@ -3,13 +3,13 @@
 Everything in this module is exact: there is no floating point anywhere.
 Polytopes carry both a vertex description and a half-space description,
 cross-validated on construction.  The kernel also provides rational cones
-and normal fans.  A piecewise-linear function has no type of its own: it is
-a list of cells, each a cone with the linear form the function takes on it
-(``normal_fan`` gives the cells of ``min_{a in p} <a, .>``), and the toric
-and optimization layers pass such lists along as they are.  Where only the
-rays of a cell are read, a cell is its sorted primitive extreme rays:
-``restrict_min_support`` subdivides one cone into such ray lists, each
-from one ``extreme_rays`` call, for the lc threshold's ratio program.
+and normal fans.  A piecewise-linear function has no type of its own and
+no linear forms are carried: a cell is its sorted primitive extreme rays.
+``normal_fan`` gives the cones on which ``min_{a in p} <a, .>`` is linear,
+each with its minimizing vertex, and ``restrict_min_support`` subdivides
+one cone into the cells of such a minimum, each from one ``extreme_rays``
+call.  The lc threshold scans the union of those rays and evaluates its
+functions there directly.
 
 Intended for small ambient ranks (p <= 4); enumeration is brute force over
 subsets, which is entirely adequate at these sizes and keeps every
@@ -773,10 +773,10 @@ class Cone:
         return all(vdot(x, f) >= 0 for f in self.facets)
 
 
-def restrict_min_support(cone: Cone, p: ExactPolytope) -> list[tuple[list[IntVec], Vec]]:
+def restrict_min_support(cone: Cone, p: ExactPolytope) -> list[list[IntVec]]:
     """Subdivide a pointed full-dimensional cone into the linearity cells of
     ``eta -> min over p of <a, eta>``, each as its sorted primitive extreme
-    rays with its minimizing vertex.
+    rays.
 
     Works for degenerate polytopes as well: the vertex v wins on
     ``cone ∩ { <w - v, eta> >= 0 for all vertices w }``, a pointed cone
@@ -784,12 +784,12 @@ def restrict_min_support(cone: Cone, p: ExactPolytope) -> list[tuple[list[IntVec
     full-dimensional pieces, whose rays span, are returned.
     """
     out = []
-    for n, v in zip(p.nums, p.vertices):
+    for n in p.nums:
         normals = {_primitive(vsub(w, n)) for w in p.nums if w != n}
         rays = sorted({_primitive(r) for r in
                        _rays(sorted(set(cone.facets) | normals), cone.rank)})
         if _rank(rays) == cone.rank:
-            out.append((rays, v))
+            out.append(rays)
     return out
 
 

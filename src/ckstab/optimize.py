@@ -1,26 +1,24 @@
 """Exact piecewise-linear fractional programs.
 
-A program is a list of cells, each the primitive extreme rays of a cone with
-the linear forms of the numerator and the denominator on it; its infimum,
-over ``Fraction``, is a scan over those rays.  The lc thresholds are such
-programs.  The coupled threshold needs no program: its numerator is one on
-every fan ray, so ``stability`` scans the rays directly.  The reduced J
-norm, a convex piecewise-linear minimum, needs no solver either:
-``stability`` reads it off the vertices of the cells in which the fan cuts
-the twist slice.
+A program is the numerator and the denominator of a degree-zero
+homogeneous ratio evaluated at candidate rays; when both are linear on
+every cell of a fan whose rays are the candidates, the infimum, over
+``Fraction``, is a scan over those values.  The lc thresholds are such
+programs, at the rays of the cells of their ideal's region.  The coupled
+threshold needs no program: its numerator is one on every fan ray, so
+``stability`` scans the rays directly.  The reduced J norm, a convex
+piecewise-linear minimum, needs no solver either: ``stability`` reads it
+off the vertices of the cells in which the fan cuts the twist slice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import InternalInvariantError
-from .geometry import IntVec, Vec, vdot
-
-
-Cell = tuple[Sequence[IntVec], Vec, Vec]
+from .geometry import IntVec
 
 
 @dataclass
@@ -29,41 +27,18 @@ class RatioResult:
     witness: Optional[tuple[int, ...]]
 
 
-def _ray_values(cells: Sequence[Cell]) -> list[tuple[IntVec, Fraction, Fraction]]:
-    """(ray, numerator, denominator) at every cell ray with a positive
-    denominator, sorted by ray.
+def minimize_pl_ratio(values: Iterable[tuple[IntVec, Fraction, Fraction]]) -> RatioResult:
+    """Exact infimum of a degree-zero homogeneous ratio of PL functions,
+    given as (ray, numerator, denominator) at each candidate ray.
 
-    A ray shared by several cells must get the same two values from each of
-    them, or the cells do not describe one pair of functions.  A negative
-    denominator is an error; along a zero one the ray constrains nothing
-    and is left out.
+    The value is the least ratio over the rays with a positive denominator,
+    at the least such ray on a tie; along a zero denominator a ray
+    constrains nothing, and a negative one is an error.
     """
-    values: dict[IntVec, tuple[Fraction, Fraction]] = {}
-    for rays, num, den in cells:
-        for g in rays:
-            pair = (vdot(num, g), vdot(den, g))
-            if values.setdefault(g, pair) != pair:
-                raise InternalInvariantError(f"cells disagree on the ray {g}")
-    out = []
-    for ray, (num, den) in sorted(values.items()):
+    best = None
+    for ray, num, den in values:
         if den < 0:
             raise InternalInvariantError(f"denominator negative along ray {ray}")
-        if den > 0:
-            out.append((ray, num, den))
-    return out
-
-
-def minimize_pl_ratio(cells: Sequence[Cell]) -> RatioResult:
-    """Exact infimum of a degree-zero homogeneous ratio of PL functions.
-
-    Each cell is the rays of a cone with the linear forms of the numerator
-    and the denominator on it, so the ratio is quasilinear there and its
-    infimum over the cell is attained on an extreme ray.  The global value
-    is the minimum over all cell rays with positive denominator, at the
-    least such ray on a tie.
-    """
-    rays = _ray_values(cells)
-    if not rays:
-        return RatioResult(None, None)
-    ray, num, den = min(rays, key=lambda r: r[1] / r[2])
-    return RatioResult(num / den, ray)
+        if den > 0 and (best is None or (num / den, ray) < best):
+            best = (num / den, ray)
+    return RatioResult(*best) if best else RatioResult(None, None)

@@ -414,13 +414,11 @@ class DestabilizerResult:
     ding: DingResult
 
 
-def find_destabilizer(model: ToricFanoModel, m_max: int = 6) -> Optional[DestabilizerResult]:
+def find_destabilizer(model: ToricFanoModel) -> Optional[DestabilizerResult]:
     """If the threshold is below one, the witness direction, with the
     (strictly negative) coupled Ding value of its valuation family.  The
-    degree cap is checked first, so a semistable model rejects the caps
-    that an unstable one does.  The value reads only the descriptors of
-    the family's members, so no member is built."""
-    family_degree_grid(model, m_max)
+    value reads only the descriptors of the family's members, so no member
+    is built and no degree grid is read."""
     d = coupled_delta(model)
     if d.value >= 1:
         return None

@@ -19,9 +19,12 @@ the polytope, the integer facets of the fan cones and the barycenter
 numerators ``bary_nums`` of the model, and builds one ``Fraction`` for
 its result.
 
-Log canonical thresholds of equivariant monomial ideal data are computed by
-exact fractional programming over the fan; the reduction of the search to
-cocharacter valuations is recorded as an assumption in every certificate.
+Log canonical thresholds of equivariant monomial ideal data are a scan over
+candidate rays: the log discrepancy and the ideal's vanishing order are
+both linear on each cell in which the ideal's region subdivides a fan
+cone, so their ratio takes its infimum at a ray of those cells, where
+both are evaluated directly.  The reduction of the search to cocharacter
+valuations is recorded as an assumption in every certificate.
 A second route to the same threshold, through a polytope containment and
 without the fan, is the identity suite's oracle.
 """
@@ -40,8 +43,7 @@ from .geometry import (Cone, DimensionMismatch, ExactPolytope, GeometryError,
                        IntVec, Vec, _cramer_vertices, _int_directions,
                        _pairings, _rank, _scaled, as_vec, centroid,
                        check_complete_fan_rank2, is_primitive, lattice_points,
-                       minkowski_sum, normal_fan, restrict_min_support, vdot,
-                       vneg)
+                       minkowski_sum, normal_fan, restrict_min_support, vdot)
 from .optimize import minimize_pl_ratio
 
 TOTAL = "total"
@@ -96,8 +98,7 @@ TORIC_SEARCH_ASSUMPTION = (
 @dataclass(frozen=True)
 class ToricFanoModel:
     """Immutable toric Fano model: fan rays, anticanonical polytope, and a
-    Minkowski decomposition into summand polytopes, with cached barycenters
-    and per-cone support forms.
+    Minkowski decomposition into summand polytopes, with cached barycenters.
 
     ``fan[k]`` is the inner normal cone of ``anticanonical.vertices[k]``,
     so that vertex (``total_forms[k]``, with numerators
@@ -114,7 +115,6 @@ class ToricFanoModel:
     summands: tuple[ExactPolytope, ...]
     barycenters: tuple[Vec, ...]
     fan: tuple[Cone, ...]
-    support_forms: tuple[tuple[Vec, ...], ...]   # [cone][summand] argmin vertex
     # the character tuple of each (summand, degree); see
     # filtration.graded_basis.  Weight rows are int tuples aligned with
     # them.  Neither memo refers back to the model.
@@ -163,8 +163,7 @@ def build_model(rays: Sequence[Sequence[int]],
     Checks, in order: rays are primitive and span; the ray half-spaces cut
     out a reflexive (lattice, canonically faceted) polytope; the summands
     have its rank; the decomposition sums to it exactly; in rank 2 its
-    normal fan is complete.  Caches the normal fan and the per-cone support
-    minimizers of every summand.
+    normal fan is complete.  Caches the normal fan.
 
     The sum is certified on each cone of that fan: each summand's minimizer
     at an interior probe must attain the summand's support value at every
@@ -219,19 +218,16 @@ def build_model(rays: Sequence[Sequence[int]],
     pairs = [{r: _pairings(p.nums, r) for r in ray_tuple} for p in summands]
     lcm = math.lcm(*(p.den for p in summands))
     factors = [lcm // p.den for p in summands]
-    support_forms = []
     certified = True
     for cone, form in zip(cones, antican.nums):
-        row, summed = [], [0] * rank
+        summed = [0] * rank
         for p, by_ray, f in zip(summands, pairs, factors):
             vals = [by_ray[g] for g in cone.generators]
             probe = list(map(sum, zip(*vals)))
             k = probe.index(min(probe))
             certified = certified and all(v[k] == min(v) for v in vals)
             summed = [t + x * f for t, x in zip(summed, p.nums[k])]
-            row.append(p.vertices[k])
         certified = certified and summed == [x * lcm for x in form]
-        support_forms.append(tuple(row))
     if not certified or (rank == 2 and not check_complete_fan_rank2(cones)):
         total = minkowski_sum(list(summands))
         if total != antican:
@@ -252,7 +248,6 @@ def build_model(rays: Sequence[Sequence[int]],
         summands=summands,
         barycenters=tuple(centroid(p) for p in summands),
         fan=cones,
-        support_forms=tuple(support_forms),
     )
 
 
@@ -434,33 +429,29 @@ def monomial_lct(model: ToricFanoModel, ideal: MonomialIdealSeq,
     """Log canonical threshold of the (scaled) monomial ideal data.
 
     Computed as the infimum over cocharacter valuations of
-    ``A(eta) / (scale * vanishing order of the ideal along eta)`` by exact
-    per-cone fractional programming.  Returns +infinity (value None) when
-    no direction constrains, which is the unit-ideal case.
+    ``A(eta) / (scale * ord(eta))``, with ``ord`` the vanishing order of
+    the ideal, ``min over the region of <., eta>`` minus ``min over the
+    summand of <., eta>``.  The summand's support is linear on every fan
+    cone, and ``restrict_min_support`` cuts each cone into the cells on
+    which the region's is too, which covers degenerate (point or segment)
+    regions; A is linear on every cone.  So the infimum is taken at a ray
+    of those cells, where both are evaluated directly.  Returns +infinity
+    (value None) when no direction constrains, which is the unit-ideal
+    case.
     """
     scale = Fraction(scale)
     if scale <= 0:
         raise ToricError("ideal scale must be positive")
     region = _region_of_ideal(model, ideal, degree)
-
-    # The vanishing order of the ideal along eta is
-    #   min over the region of <., eta>  -  min over the summand of <., eta>.
-    # The summand support is linear on every fan cone already; only the
-    # region support needs a subdivision, which also covers degenerate
-    # (point or segment) Newton regions.
-    if ideal.summand == TOTAL:
-        summand_forms = list(model.total_forms)
-    else:
-        idx = ideal.summand
-        summand_forms = [row[idx] for row in model.support_forms]
-    cells = []
-    for cone, a_form, p_form in zip(model.fan,
-                                    (vneg(f) for f in model.total_forms),
-                                    summand_forms):
-        for rays, v in restrict_min_support(cone, region):
-            den_form = tuple(scale * (a - b) for a, b in zip(v, p_form))
-            cells.append((rays, a_form, den_form))
-    res = minimize_pl_ratio(cells)
+    p = model.summand(ideal.summand)
+    rays = sorted({g for cone in model.fan
+                   for cell in restrict_min_support(cone, region) for g in cell})
+    unit = scale / (region.den * p.den)
+    res = minimize_pl_ratio(
+        (g, log_discrepancy(model, g),
+         unit * (min(_pairings(region.nums, g)) * p.den
+                 - min(_pairings(p.nums, g)) * region.den))
+        for g in rays)
     return LctResult(res.value, res.witness, "optimized-with-certificate")
 
 

@@ -4,9 +4,10 @@ library (monotone-chain hull, shoelace formulas, interval arithmetic, weight
 tables of plain Fractions with every decomposition enumerated at once,
 Cramer's rule with cofactor determinants on vertex-pair hyperplanes in
 place of the fan and on the facet rows of each twist-slice cell, and the
-routes the library replaced: the threshold's ratio program over fan cells,
-the facet loop that found the cone absorbing a twisted ray, and the
-coupled Ding invariant through sum tables).
+routes the library replaced: the ratio programs of the coupled and the lc
+thresholds over the linear forms of their cells, the facet loop that found
+the cone absorbing a twisted ray, and the coupled Ding invariant through
+sum tables).
 The helpers after them are checks and constants that only the tests use."""
 
 from __future__ import annotations
@@ -23,12 +24,14 @@ from ckstab.filtration import (EmptyDecomposition, Filtration,
                                SumDescriptor, UnsupportedDescriptor,
                                ValuationDescriptor, numerics, sum_filtration,
                                twist_family)
-from ckstab.geometry import as_vec, lattice_points, vdot, vneg, vsub
+from ckstab.geometry import (as_vec, extreme_rays, lattice_points, mat_rank,
+                             primitive_vector, vdot, vneg, vsub)
 from ckstab.optimize import minimize_pl_ratio
 from ckstab.serialize import ValidationError
 from ckstab.stability import (CLOSED_FORM, DingResult, StabilityError,
                               coupled_ding, mu_slope)
-from ckstab.toric import TOTAL, ToricFanoModel, log_discrepancy
+from ckstab.toric import (TOTAL, MonomialIdealSeq, ToricFanoModel,
+                          _region_of_ideal, log_discrepancy)
 
 
 def hull_oracle(points):
@@ -272,15 +275,64 @@ def slice_cells_oracle(model: ToricFanoModel, base, W) -> list:
     return cells
 
 
+def _cell_ray_values(cells) -> list[tuple[tuple[int, ...], Fraction, Fraction]]:
+    """(ray, numerator, denominator) at every ray of the cells, sorted by
+    ray, each cell given as its rays with the linear forms of the numerator
+    and the denominator on it.  The cells must agree on every ray they
+    share, or they do not describe one pair of functions."""
+    values = {}
+    for rays, num, den in cells:
+        for g in rays:
+            pair = (vdot(num, g), vdot(den, g))
+            if values.setdefault(g, pair) != pair:
+                raise AssertionError(f"cells disagree on the ray {g}")
+    return [(g, *pair) for g, pair in sorted(values.items())]
+
+
 def fan_cell_delta(model: ToricFanoModel) -> tuple[Fraction, tuple[int, ...]]:
     """The coupled threshold and its witness from the ratio program over
     the anticanonical normal fan: on the cone minimized at the vertex f the
     log discrepancy is -<f, .> and the summed slope <b - f, .>, with b the
     coupled barycenter."""
     b = model.barycenter(TOTAL)
-    res = minimize_pl_ratio([(cone.generators, vneg(f), vsub(b, f))
-                             for cone, f in zip(model.fan, model.total_forms)])
+    res = minimize_pl_ratio(_cell_ray_values(
+        (cone.generators, vneg(f), vsub(b, f))
+        for cone, f in zip(model.fan, model.total_forms)))
     return res.value, res.witness
+
+
+def lct_via_cell_forms(model: ToricFanoModel, ideal: MonomialIdealSeq,
+                       scale=Fraction(1), degree: Optional[int] = None
+                       ) -> tuple[Optional[Fraction], Optional[tuple[int, ...]]]:
+    """The lc threshold and its witness by the per-cell linear forms that
+    ``monomial_lct`` replaced with a ray scan.  On the fan cone of the
+    anticanonical vertex f, A is -<f, .>, and the summand's support is
+    <q, .> with q its minimizer at the cone's probe, the sum of the cone's
+    generators.  Each cone is cut into the full-dimensional cells on which
+    one vertex v of the ideal's region minimizes, and there the scaled
+    order is scale <v - q, .>.  Every cell ray is scored by every cell that
+    holds it, the cells must agree, and the least ratio with a positive
+    denominator wins, at the least ray on a tie.  None is +infinity."""
+    region = _region_of_ideal(model, ideal, degree)
+    summand = model.summand(ideal.summand)
+    cells = []
+    for cone, f in zip(model.fan, model.total_forms):
+        probe = [sum(x) for x in zip(*cone.generators)]
+        q = min(summand.vertices, key=lambda w: vdot(w, probe))
+        for v in region.vertices:
+            normals = [vsub(w, v) for w in region.vertices if w != v]
+            rays = sorted({primitive_vector(r) for r in
+                           extreme_rays(list(cone.facets) + normals, model.rank)})
+            if mat_rank(rays) == model.rank:
+                cells.append((rays, vneg(f),
+                              tuple(scale * x for x in vsub(v, q))))
+    best = (None, None)
+    for g, num, den in _cell_ray_values(cells):
+        if den < 0:
+            raise AssertionError(f"order negative along the ray {g}")
+        if den > 0 and (best[0] is None or num / den < best[0]):
+            best = (num / den, g)
+    return best
 
 
 def ding_via_sums(fam: FiltrationFamily, delta=Fraction(1)) -> DingResult:

@@ -1,5 +1,8 @@
 """The canonical reports stay byte-identical: calls replayed from the
-benchmark's digest table, run in-process through ``cli.main``.
+benchmark's digest table, run in-process through ``cli.main``.  Every call
+but ``verify`` is replayed, on the packaged fixtures and on the rank-3
+models, which resolve through ``CKS_FIXTURES``; of ``verify``, one call per
+model at seed 0.
 
 ``bench/digests.json`` maps each call (``"<verb> <model> <args...>"``) to
 the first 16 hex digits of the SHA-256 of its standard output.  It is only
@@ -42,7 +45,11 @@ def packaged_fixtures(monkeypatch):
 
 # the packaged calls of each verb replayed here, and their number
 PACKAGED_CALLS = {"ding": 132, "destabilize": 8, "reduced-jnorm": 1030,
-                  "lct": 396, "delta": 8, "reduced-delta": 46, "jnorm": 140}
+                  "lct": 396, "delta": 8, "reduced-delta": 46, "jnorm": 140,
+                  "futaki": 8}
+# the same for the calls on the rank-3 benchmark models
+RANK3_CALLS = {"delta": 3, "destabilize": 2, "futaki": 2, "jnorm": 24,
+               "lct": 32, "reduced-jnorm": 64}
 
 
 @pytest.mark.parametrize("verb", sorted(PACKAGED_CALLS))
@@ -50,6 +57,16 @@ def test_packaged_reports_match_digests(verb):
     calls = [key for key in DIGESTS
              if key.split()[0] == verb and key.split()[1] in PACKAGED]
     assert len(calls) == PACKAGED_CALLS[verb]
+    changed = [key for key in calls if _digest(key.split()) != DIGESTS[key]]
+    assert changed == []
+
+
+@pytest.mark.parametrize("verb", sorted(RANK3_CALLS))
+def test_rank3_reports_match_digests(verb, rank3_dir, monkeypatch):
+    monkeypatch.setenv("CKS_FIXTURES", str(rank3_dir))
+    calls = [key for key in DIGESTS
+             if key.split()[0] == verb and key.split()[1] not in PACKAGED]
+    assert len(calls) == RANK3_CALLS[verb]
     changed = [key for key in calls if _digest(key.split()) != DIGESTS[key]]
     assert changed == []
 

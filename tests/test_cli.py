@@ -262,39 +262,96 @@ def test_model_roundtrip_through_json(tmp_path, bl1p2):
 
 
 def test_ding_under_summand_reversal_and_split(capsys, tmp_path, models):
-    # reversing the summands keeps the value and mu and reverses the
-    # summand slopes; splitting summand 0 into two halves keeps the value
-    # and mu.  The degree cap is the family step of the split model, which
-    # the halves can double
+    # Reversing the summands reverses every per-summand output: the Ding
+    # summand slopes, the Futaki vector of each summand, the J norm of each
+    # summand, and the lc threshold (value and witness) of each summand
+    # ring.  Splitting summand 0 into two halves keeps the Ding value and
+    # mu.  Both keep the reports of futaki's total, jnorm, lct, delta,
+    # destabilize, reduced-jnorm and reduced-delta.
     import random
     from fractions import Fraction as F
-    from ckstab.filtration import family_degree_grid
     from ckstab.serialize import model_to_json, polytope_to_json
+    from ckstab.toric import (MonomialIdealSeq, log_discrepancy, monomial_lct,
+                              t_invariant)
     rng = random.Random(59)
 
-    def ding(data, eta, mmax):
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(data))
-        code, out, err = run(capsys, "ding", str(path), f"--eta={eta}",
-                             f"--mmax={mmax}")
-        assert code == 0, err
-        rep = report_of(out)
-        return rep["ding"], rep["mu"], rep["summand_slopes"]
+    def report(path, verb, *flags):
+        code, out, err = run(capsys, verb, str(path), *flags)
+        assert code == 0, (verb, flags, err)
+        return report_of(out)
+
+    def direction():
+        while True:
+            v = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(model.rank)]
+            if any(v):
+                return v
+
+    def flag(v):
+        return ",".join(map(str, v))
 
     for name, model in models.items():
+        k = model.num_summands
         data = model_to_json(model)
-        reverse = {**data, "decomposition": data["decomposition"][::-1]}
         half = polytope_to_json(model.summands[0].scale(F(1, 2)))
-        split = {**data, "decomposition": [half, half, *data["decomposition"][1:]]}
-        path = tmp_path / "split.json"
-        path.write_text(json.dumps(split))
-        mmax = family_degree_grid(load_model(str(path)), 12)[0]
+        paths = {}
+        for key, summands in [("same", data["decomposition"]),
+                              ("reverse", data["decomposition"][::-1]),
+                              ("split", [half, half, *data["decomposition"][1:]])]:
+            paths[key] = tmp_path / f"{name}_{key}.json"
+            paths[key].write_text(json.dumps({**data, "decomposition": summands}))
+        same, reverse, split = paths.values()
+        reversed_model = load_model(str(reverse))
+
+        calls = [("delta",), ("destabilize",), ("reduced-delta", "--subtorus=trivial")]
+        if model.rank == 2:
+            calls.append(("reduced-delta", "--subtorus=1,-1"))
         for _ in range(3):
-            eta = ",".join(f"{rng.randint(-4, 4)}/{rng.randint(1, 3)}"
-                           for _ in range(model.rank))
-            value, mu, slopes = ding(data, eta, mmax)
-            assert ding(reverse, eta, mmax) == (value, mu, slopes[::-1]), name
-            assert ding(split, eta, mmax)[:2] == (value, mu), name
+            v = direction()
+            eta, xi = flag(v), flag(direction())
+            level = F(rng.randint(1, 4), 4) * log_discrepancy(model, v)
+            calls += [("jnorm", f"--xi={xi}"),
+                      ("lct", f"--eta={eta}", f"--level={level}"),
+                      ("reduced-jnorm", f"--xi={xi}", "--subtorus=trivial")]
+
+            ding = report(same, "ding", f"--eta={eta}")
+            ding_reversed = report(reverse, "ding", f"--eta={eta}")
+            assert ding_reversed["summand_slopes"] == ding["summand_slopes"][::-1]
+            ding_split = report(split, "ding", f"--eta={eta}")
+            for other in (ding_reversed, ding_split):
+                assert (other["ding"], other["mu"]) == (ding["ding"], ding["mu"])
+
+            for i in range(k):
+                assert (report(reverse, "jnorm", f"--xi={xi}", f"--summand={k - 1 - i}")
+                        ["jnorm"] == report(same, "jnorm", f"--xi={xi}",
+                                            f"--summand={i}")["jnorm"]), name
+                e = direction()
+                level = F(rng.randint(0, 4), 4) * t_invariant(model, i, e)
+                want = monomial_lct(model, MonomialIdealSeq.valuation_levels(
+                    e, level, i))
+                got = monomial_lct(reversed_model, MonomialIdealSeq.valuation_levels(
+                    e, level, k - 1 - i))
+                assert (got.value, got.witness) == (want.value, want.witness), name
+
+        futaki = report(same, "futaki")
+        futaki_reversed = report(reverse, "futaki")
+        assert futaki_reversed["per_summand"] == futaki["per_summand"][::-1]
+        for other in (futaki_reversed, report(split, "futaki")):
+            assert (other["total"], other["vanishes"]) == (futaki["total"],
+                                                           futaki["vanishes"])
+        for call in calls:
+            want = report(same, *call)
+            assert report(reverse, *call) == want, (name, call)
+            assert report(split, *call) == want, (name, call)
+
+    # P^1 in thirds with summand 0 in halves has family step 8; ding and
+    # destabilize read no degree grid, so both run at their defaults
+    split = tmp_path / "p1_thirds_split.json"
+    assert report(split, "ding", "--eta=1") == {
+        "ding": {"provenance": "closed-form", "value": "0"}, "eta": ["1"],
+        "model": "p1_thirds", "mu": "1", "slope": "1",
+        "summand_slopes": ["1/4", "1/4", "1/2"]}
+    assert report(split, "destabilize") == {"destabilizer": None,
+                                            "model": "p1_thirds"}
 
 
 def test_rational_parser_reduces():

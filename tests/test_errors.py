@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import ckstab
 from ckstab import filtration
-from ckstab.cli import MAX_MMAX, main
+from ckstab.cli import main
 from ckstab.errors import CkstabError, InputError, InternalInvariantError
 from ckstab.serialize import MAX_ENTRIES
 
@@ -44,7 +44,7 @@ def assert_input_error(*argv):
 
 @pytest.mark.parametrize("argv", [
     ("jnorm", "p2", "--xi", "1"),
-    ("ding", "p1_halves", "--eta", "1", "--mmax", "0"),
+    ("ding", "p1_halves", "--eta", "1", "--slope", "0"),
     ("reduced-delta", "p2", "--subtorus", "2,0"),
     ("reduced-delta", "p2", "--subtorus", "a,b"),
     ("lct", "p2", "--eta", "0,0", "--level", "1"),
@@ -181,38 +181,6 @@ def test_lists_longer_than_the_cap_exit_1(tmp_path, key):
                 f"at most {MAX_ENTRIES} are accepted"]
 
 
-@pytest.mark.parametrize("argv", [("ding", "p2_halves", "--eta", "1,2"),
-                                  ("destabilize", "bl1p2_halves")])
-def test_mmax_above_the_cap_exits_1(argv):
-    code, _, err = run(*argv, "--mmax", str(MAX_MMAX))
-    assert code == 0, err
-    code, _, err = run(*argv, "--mmax", str(MAX_MMAX + 1))
-    assert code == 1 and err.splitlines() == [
-        f"error: --mmax {MAX_MMAX + 1} is above the cap of {MAX_MMAX}"]
-
-
-@pytest.mark.parametrize("argv", [("ding", "p2_halves", "--eta=1,1"),
-                                  ("destabilize", "p2_halves")])
-@pytest.mark.parametrize("mmax", [-3, 0])
-def test_cap_below_the_family_step_exits_1(argv, mmax):
-    # p2_halves is semistable: destabilize builds no family, and still
-    # checks the cap
-    code, out, err = run(*argv, f"--mmax={mmax}")
-    assert code == 1 and out == ""
-    assert err.splitlines() == [f"error: degree cap {mmax} below the family step 2"]
-
-
-def test_destabilize_rejects_the_caps_ding_rejects(models):
-    for name, model in models.items():
-        eta = ",".join(["1"] * model.rank)
-        for mmax in range(-1, 5):
-            ding = run("ding", name, f"--eta={eta}", f"--mmax={mmax}")
-            destab = run("destabilize", name, f"--mmax={mmax}")
-            assert ding[0] == destab[0], (name, mmax)
-            if ding[0] == 1:
-                assert ding[2] == destab[2], (name, mmax)
-
-
 def test_zero_lct_direction_exits_1():
     code, out, err = run("lct", "p2_halves", "--eta=0,0", "--level=1")
     assert code == 1 and out == ""
@@ -238,9 +206,9 @@ def test_ideal_data_checked_at_construction():
 
 
 def test_ding_and_destabilize_run_no_sum(tmp_path, monkeypatch):
-    # four copies of P^1, both summands the half cube; at --mmax 12 the top
-    # degree alone has 13^4 characters per summand, and a sum of the two
-    # would take 13^8 pairs there
+    # four copies of P^1, both summands the half cube; at degree 12 alone
+    # each summand has 13^4 characters, and a sum of the two would take
+    # 13^8 pairs there
     halfspaces = [{"normal": [s * (i == j) for j in range(4)], "offset": "-1/2"}
                   for i in range(4) for s in (1, -1)]
     path = tmp_path / "p1x4.json"
@@ -254,14 +222,11 @@ def test_ding_and_destabilize_run_no_sum(tmp_path, monkeypatch):
 
     monkeypatch.setattr(filtration, "_plan", no_sums)
     monkeypatch.setattr(filtration, "_maxplus", no_sums)
-    values = set()
-    for mmax in (4, 8, 12):
-        code, out, err = run("ding", str(path), "--eta=1,1,1,1", f"--mmax={mmax}")
-        assert code == 0, err
-        report = json.loads(out)["report"]
-        values.add((report["ding"]["value"], report["mu"]))
-    assert len(values) == 1
-    code, out, err = run("destabilize", "bl1p2_halves", "--mmax=12")
+    code, out, err = run("ding", str(path), "--eta=1,1,1,1")
+    assert code == 0, err
+    report = json.loads(out)["report"]
+    assert (report["ding"]["value"], report["mu"]) == ("0", "4")
+    code, out, err = run("destabilize", "bl1p2_halves")
     assert code == 0, err
     assert json.loads(out)["report"]["destabilizer"] is not None
 
@@ -477,7 +442,6 @@ _FLAG_VALUES = {
     "--slope": st.one_of(_rational, _junk),
     "--scale": st.one_of(_rational, _junk),
     "--summand": st.one_of(_small_int, _junk),
-    "--mmax": st.one_of(_small_int, _junk),
     "--seed": _small_int,
     "--format": st.sampled_from(["json", "table", "xml"]),
 }
@@ -488,9 +452,9 @@ _VERBS = {
     "reduced-jnorm": (("--xi",), ("--subtorus",)),
     "delta": ((), ()),
     "reduced-delta": ((), ("--subtorus",)),
-    "ding": (("--eta",), ("--slope", "--mmax")),
+    "ding": (("--eta",), ("--slope",)),
     "lct": (("--eta", "--level"), ("--scale",)),
-    "destabilize": ((), ("--mmax",)),
+    "destabilize": ((), ()),
     "verify": ((), ("--seed",)),
     "show": ((), ()),
 }

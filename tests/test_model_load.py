@@ -66,8 +66,6 @@ def structure(model) -> dict:
         "summands": [_polytope(p) for p in model.summands],
         "fan": [{"generators": [_ints(g) for g in c.generators],
                  "facets": [_ints(f) for f in c.facets]} for c in model.fan],
-        "support_forms": [[[_q(x) for x in v] for v in row]
-                          for row in model.support_forms],
         "barycenters": [[_q(x) for x in b] for b in model.barycenters],
         "bary_den": model.bary_den,
         "bary_nums": [_ints(b) for b in model.bary_nums],
@@ -80,20 +78,20 @@ def digest(model) -> str:
 
 
 PINNED = {
-    "bl1p2_halves": "3b1e347f6f2cf65f",
-    "bl1p2_hsplit": "afc8749d970bec65",
-    "p1": "d744c467348fc2ec",
-    "p1_halves": "353c6ead904828fc",
-    "p1_skew": "5fbeff9b1f751a6f",
-    "p1_thirds": "490af15c00e3ed4e",
-    "p1xp1": "be0283700f7113e1",
-    "p1xp1_symmetric": "bac30b30dacfa2ee",
-    "p2": "d6d3c0d47e950762",
-    "p2_halves": "38c679161a68af75",
-    "p2_steps": "aa2cd36b731beba9",
-    "p1cubed": "01dbee9eef017fd7",
-    "p3_halves": "3d1d0a6056a4a1b5",
-    "p3_quarters": "d9f3355b88e3102b",
+    "bl1p2_halves": "98406326a4c73f62",
+    "bl1p2_hsplit": "a8cafc402b2b2a83",
+    "p1": "0428623a10882f50",
+    "p1_halves": "7529c0cc965d851c",
+    "p1_skew": "4df40658ae02f65a",
+    "p1_thirds": "b7952b6b5c2b6e37",
+    "p1xp1": "6172ea0bd4d05f56",
+    "p1xp1_symmetric": "ad78b977eabe473f",
+    "p2": "c8a4459d9c19b1b5",
+    "p2_halves": "532808a8cb787ec4",
+    "p2_steps": "18fb4901fb75d3c6",
+    "p1cubed": "54d729bc04d0e8b8",
+    "p3_halves": "b64e695a5a4a3768",
+    "p3_quarters": "8552db51bb26e86b",
 }
 
 
@@ -156,7 +154,7 @@ def _lct_attaining_rays(model, seq, value) -> list:
     """The rays of the threshold's cells at which A / ord takes its value."""
     region = _region_of_ideal(model, seq)
     rays = {r for cone in model.fan
-            for cell, _ in restrict_min_support(cone, region) for r in cell}
+            for cell in restrict_min_support(cone, region) for r in cell}
     attaining = []
     for r in sorted(rays):
         order = support_value(region, r)[0] - support_min(model, seq.summand, r)

@@ -10,49 +10,49 @@ import pytest
 
 from ckstab.errors import InternalInvariantError
 from ckstab.geometry import (ExactPolytope, centroid, normal_fan,
-                             support_value, vdot, vneg, vsub)
+                             support_value, vdot)
 from ckstab.optimize import minimize_pl_ratio
 
 
 _QUAD = ExactPolytope.from_vertices([(-1, 2), (2, -1), (-1, 0), (0, -1)])
 
 
-def _bl1p2_cells():
-    # on the normal cone of the vertex f: A = -<f, .> and S = <b - f, .>
+def _fan_values(p, num, den):
+    """(ray, num(ray), den(ray)) at the sorted rays of the normal fan of p."""
+    rays = sorted({g for cone, _ in normal_fan(p) for g in cone.generators})
+    return [(g, num(g), den(g)) for g in rays]
+
+
+def _bl1p2_values():
+    # A = -min <., .> over the quadrilateral and S = <b, .> - min
     b = centroid(_QUAD)
-    return [(cone.generators, vneg(f), vsub(b, f))
-            for cone, f in normal_fan(_QUAD)]
+    return _fan_values(_QUAD, lambda g: -support_value(_QUAD, g, "min")[0],
+                       lambda g: vdot(b, g) - support_value(_QUAD, g, "min")[0])
 
 
 def test_ratio_symmetric_data_is_one():
     t = ExactPolytope.from_vertices([(-1, -1), (2, -1), (-1, 2)])
-    cells = [(cone.generators, vneg(f), vneg(f)) for cone, f in normal_fan(t)]
-    res = minimize_pl_ratio(cells)
-    assert res.value == 1
+
+    def minus(g):
+        return -support_value(t, g, "min")[0]
+
+    res = minimize_pl_ratio(_fan_values(t, minus, minus))
+    assert res.value == 1 and res.witness == (-1, -1)
 
 
 def test_ratio_destabilized_quadrilateral():
-    res = minimize_pl_ratio(_bl1p2_cells())
+    res = minimize_pl_ratio(_bl1p2_values())
     assert res.value == F(6, 7) and res.witness == (1, 1)
 
 
 def test_ratio_zero_numerator():
-    cells = [(cone.generators, (F(0), F(0)), vneg(f))
-             for cone, f in normal_fan(_QUAD)]
-    res = minimize_pl_ratio(cells)
+    res = minimize_pl_ratio(_fan_values(
+        _QUAD, lambda g: F(0), lambda g: -support_value(_QUAD, g, "min")[0]))
     assert res.value == 0
 
 
-def test_cells_disagreeing_on_a_ray_are_an_internal_error():
-    cells = _bl1p2_cells()
-    rays, num, den = cells[0]
-    cells[0] = (rays, tuple(x + 1 for x in num), den)
-    with pytest.raises(InternalInvariantError, match="disagree"):
-        minimize_pl_ratio(cells)
-
-
 def test_ratio_scaling_invariance():
-    # both functions are evaluated by vertex scan, apart from the cells
+    # both functions are evaluated by vertex scan, apart from the candidates
     b = centroid(_QUAD)
 
     def num(eta):
@@ -61,7 +61,7 @@ def test_ratio_scaling_invariance():
     def den(eta):
         return vdot(b, eta) - support_value(_QUAD, eta, "min")[0]
 
-    res = minimize_pl_ratio(_bl1p2_cells())
+    res = minimize_pl_ratio(_bl1p2_values())
     rng = random.Random(9)
     for _ in range(200):
         eta = (F(rng.randint(-9, 9), rng.choice([1, 2, 3])),
@@ -77,14 +77,21 @@ def test_ratio_scaling_invariance():
     assert num(res.witness) == res.value * den(res.witness)
 
 
+def test_ties_keep_the_least_ray_in_any_order():
+    values = [((0, 1), F(2), F(4)), ((1, 0), F(1), F(2)), ((-1, 0), F(3), F(6))]
+    for order in (values, values[::-1], values[1:] + values[:1]):
+        res = minimize_pl_ratio(order)
+        assert res.value == F(1, 2) and res.witness == (-1, 0)
+
 
 def test_zero_denominator_rays_are_left_out_and_negative_ones_raise():
     # the denominator <(0, 1), .> is zero along (1, 0) and (-1, 0), which
     # constrain nothing, and negative along (0, -1)
-    num, den = (F(1), F(1)), (F(0), F(1))
-    cells = [([(1, 0), (0, 1)], num, den), ([(-1, 0), (0, 1)], num, den)]
-    res = minimize_pl_ratio(cells)
+    values = [((-1, 0), F(1), F(0)), ((0, 1), F(1), F(1)), ((1, 0), F(1), F(0))]
+    res = minimize_pl_ratio(values)
     assert res.value == 1 and res.witness == (0, 1)
-    assert minimize_pl_ratio([([(1, 0)], num, den)]).value is None
-    with pytest.raises(InternalInvariantError, match="negative"):
-        minimize_pl_ratio(cells + [([(1, 0), (0, -1)], num, den)])
+    assert minimize_pl_ratio(values[2:]).value is None
+    assert minimize_pl_ratio([]).value is None
+    with pytest.raises(InternalInvariantError,
+                       match=r"^denominator negative along ray \(0, -1\)$"):
+        minimize_pl_ratio(values + [((0, -1), F(1), F(-1))])

@@ -382,10 +382,6 @@ def test_find_destabilizer(bl1p2, p2, p1xp1):
     assert res.eta == (1, 1) and res.ding.value == -F(1, 6)
     assert find_destabilizer(p2) is None
     assert find_destabilizer(p1xp1) is None
-    # a semistable model checks the degree cap as an unstable one does
-    for model in (bl1p2, p2):
-        with pytest.raises(GridMismatch, match="below the family step 2"):
-            find_destabilizer(model, m_max=1)
 
 
 def test_sampled_families_nonnegative_on_vanishing_futaki(models):

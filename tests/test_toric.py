@@ -4,26 +4,28 @@ and the monomial threshold against its containment oracle."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 from importlib import resources
 
 import pytest
 
-from ckstab import optimize
+from ckstab import toric
 from ckstab.errors import InternalInvariantError
 from ckstab.geometry import (DimensionMismatch, ExactPolytope, GeometryError,
                              HalfSpace, _pairings, minkowski_sum,
                              support_value, vneg)
+from ckstab.optimize import minimize_pl_ratio
 from ckstab.serialize import load_model
 from ckstab.stability import SuiteFailure, _check_identities, identity_suite
-from ckstab.toric import (TOTAL, DecompositionMismatch, MonomialIdealSeq,
-                          NonIntegralScaling, NotReflexive, RankMismatch,
-                          ToricError, ZeroIdeal, _containment_lct,
-                          _region_of_ideal, build_model, integrality_step,
-                          log_discrepancy, monomial_lct,
+from ckstab.toric import (TOTAL, DecompositionMismatch, LctResult,
+                          MonomialIdealSeq, NonIntegralScaling, NotReflexive,
+                          RankMismatch, ToricError, ZeroIdeal,
+                          _containment_lct, _region_of_ideal, build_model,
+                          integrality_step, log_discrepancy, monomial_lct,
                           s_invariant, section_basis, support_min,
                           t_invariant, theta_twist, total_s_sum)
-from oracles import support_oracle, volume_centroid_oracle
+from oracles import lct_via_cell_forms, support_oracle, volume_centroid_oracle
 
 
 def rand_dir(rng, rank, span=6):
@@ -480,6 +482,66 @@ def test_containment_oracle_agrees_with_the_fan(models):
     assert len(set(values)) > 20
 
 
+def _lct_or_refusal(call):
+    """The value and witness of an lc threshold, or the class and message
+    of its refusal."""
+    try:
+        res = call()
+    except ToricError as exc:
+        return type(exc), str(exc)
+    return (res.value, res.witness) if isinstance(res, LctResult) else res
+
+
+def test_lct_ray_scan_matches_the_cell_forms(models, rank3_models):
+    # seeded directions on the total ring and every summand, at levels
+    # below A, from 0 (the unit ideal) to below the maximal slope t, and
+    # past t (a refusal), each at one of the scales 1, 1/2 and 3
+    rng = random.Random(61)
+    outcomes = Counter()
+    for model in [*models.values(), *rank3_models.values()]:
+        for summand in (TOTAL, *range(model.num_summands)):
+            for _ in range(2):
+                eta = rand_dir(rng, model.rank, span=2)
+                a = log_discrepancy(model, eta)
+                t = t_invariant(model, summand, eta)
+                for level in (F(rng.randint(1, 4), 4) * a,
+                              F(rng.randint(0, 9), 10) * t,
+                              t + F(1, rng.randint(1, 3))):
+                    seq = MonomialIdealSeq.valuation_levels(eta, level, summand)
+                    scale = rng.choice((1, F(1, 2), 3))
+                    got = _lct_or_refusal(lambda: monomial_lct(model, seq, scale))
+                    want = _lct_or_refusal(
+                        lambda: lct_via_cell_forms(model, seq, scale))
+                    assert got == want, (model.name, seq, scale)
+                    # the unit ideal, a refusal, or a value at its scale
+                    outcomes[got[0] if got[0] in (None, ZeroIdeal) else scale] += 1
+    assert set(outcomes) == {None, ZeroIdeal, 1, F(1, 2), 3}, outcomes
+
+
+def test_generator_ideals_agree_with_the_containment_oracle(models, rank3_models):
+    # point, segment and larger regions from seeded generators at one or
+    # two integrality steps, on the total ring and every summand of each
+    # rank-2 fixture and of P^3 in halves
+    rng = random.Random(67)
+    dims = Counter()
+    chosen = [m for m in models.values() if m.rank == 2] + [rank3_models["p3_halves"]]
+    for model in chosen:
+        for summand in (TOTAL, *range(model.num_summands)):
+            for size in (1, 2, 4, 6):
+                m = integrality_step(model, summand) * rng.randint(1, 2)
+                chars = section_basis(model, summand, m)
+                gens = [(ch, F(rng.randint(0, 2 * m), 2))
+                        for ch in rng.sample(chars, min(size, len(chars)))]
+                orders = [order for _, order in gens]
+                # every generator reaches the least order
+                level = (rng.choice(orders) if size == 4 else min(orders)) / m
+                seq = MonomialIdealSeq.from_generators({m: gens}, level, summand)
+                dims[_region_of_ideal(model, seq).dim] += 1
+                assert (monomial_lct(model, seq).value
+                        == _containment_lct(model, seq)), (model.name, seq)
+    assert set(dims) == {0, 1, 2, 3}, dims
+
+
 def _public_region(model, seq):
     """The Newton region through the public constructors: the summand's
     half-spaces and the cut through ``HalfSpace.make``, or the hull of the
@@ -529,13 +591,12 @@ def test_lct_generator_outside_the_summand_is_named(p2):
 
 
 def test_containment_oracle_catches_a_dropped_ray(monkeypatch, p2):
-    # (0, -1) is the least cell ray and the only one along which this ideal
-    # vanishes, so a ray scan that loses its first ray finds no threshold
+    # (0, -1) is the only candidate ray along which this ideal vanishes, so
+    # a ray scan that loses it finds no threshold
     seq = MonomialIdealSeq.valuation_levels((0, -1), 1)
     assert _containment_lct(p2, seq) == monomial_lct(p2, seq).value == 2
-    ray_values = optimize._ray_values
-    monkeypatch.setattr(optimize, "_ray_values",
-                        lambda *args: ray_values(*args)[1:])
+    monkeypatch.setattr(toric, "minimize_pl_ratio", lambda values:
+                        minimize_pl_ratio([v for v in values if v[0] != (0, -1)]))
     assert monomial_lct(p2, seq).value is None
     assert _containment_lct(p2, seq) == 2
     failed = set()
