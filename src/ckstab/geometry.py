@@ -7,13 +7,18 @@ and normal fans.  A piecewise-linear function has no type of its own and
 no linear forms are carried: a cell is its sorted primitive extreme rays.
 ``normal_fan`` gives the cones on which ``min_{a in p} <a, .>`` is linear,
 each with its minimizing vertex, and ``restrict_min_support`` subdivides
-one cone into the cells of such a minimum, each from one ``extreme_rays``
-call.  The lc threshold scans the union of those rays and evaluates its
-functions there directly.
+cones into the cells of such a minimum.  It builds the polytope's edge
+table once (``_edge_table``: vertex pairs whose common tight facets have
+rank ``rank - 1``, O(V^2) rank tests) and walks the cells of each cone
+from the vertices that minimize at its probe, crossing only walls of full
+dimension inside the cone, so it solves each full-dimensional cell once,
+by one ``_rays`` call over the cone's facets and that vertex's edge
+directions, and no other.  The lc threshold scans the union of those
+rays and evaluates its functions there directly.
 
-Intended for small ambient ranks (p <= 4); enumeration is brute force over
-subsets, which is entirely adequate at these sizes and keeps every
-certificate exact.
+Intended for small ambient ranks (p <= 4).  The facet loop, the vertex
+loop and ``_rays`` enumerate subsets of rows by brute force, which is
+entirely adequate at these sizes and keeps every certificate exact.
 
 There is one path, and it runs on integers.  A polytope is an integer
 table: its vertices as ``int`` numerators ``nums`` over one positive
@@ -773,23 +778,69 @@ class Cone:
         return all(vdot(x, f) >= 0 for f in self.facets)
 
 
-def restrict_min_support(cone: Cone, p: ExactPolytope) -> list[list[IntVec]]:
-    """Subdivide a pointed full-dimensional cone into the linearity cells of
-    ``eta -> min over p of <a, eta>``, each as its sorted primitive extreme
-    rays.
+def _edge_table(p: ExactPolytope) -> list[list[tuple[IntVec, int]]]:
+    """Each vertex of p, in the order of ``nums``, as the list of its edges:
+    the primitive direction from it to the other end, and that end's index.
 
-    Works for degenerate polytopes as well: the vertex v wins on
-    ``cone ∩ { <w - v, eta> >= 0 for all vertices w }``, a pointed cone
-    whose extreme rays are the ``extreme_rays`` of those normals; only the
-    full-dimensional pieces, whose rays span, are returned.
+    Vertices v and w span an edge when the facets tight at both (equality
+    pairs included) have rank ``rank - 1``: their face is then one
+    dimensional, and v and w are its two ends.  The normal cone
+    ``{ y : <w - v, y> >= 0 for every vertex w }`` of v is cut out by its
+    edge directions alone.
     """
+    tight = [{a for a, c in p.facets if sum(map(mul, n, a)) == c} for n in p.nums]
+    edges: list[list[tuple[IntVec, int]]] = [[] for _ in p.nums]
+    for i, j in itertools.combinations(range(len(p.nums)), 2):
+        if _rank(list(tight[i] & tight[j])) == p.rank - 1:
+            d = _primitive(vsub(p.nums[j], p.nums[i]))
+            edges[i].append((d, j))
+            edges[j].append((vneg(d), i))
+    return edges
+
+
+def restrict_min_support(cones: Sequence[Cone], p: ExactPolytope
+                         ) -> list[list[list[IntVec]]]:
+    """Subdivide each pointed full-dimensional cone into the linearity cells
+    of ``eta -> min over p of <a, eta>``, each cell as its sorted primitive
+    extreme rays, in the order of the minimizing vertices in ``p.nums``;
+    one list of cells per cone.
+
+    Works for degenerate polytopes as well.  The vertex v wins on the cone
+    intersected with its normal cone, which the edge directions at v cut
+    out, so a cell is one ``_rays`` solve over the cone's facets and v's
+    edges; the edge table is built once for all the cones.  Only the
+    full-dimensional cells are solved, by a walk: the vertices that
+    minimize at the cone's probe (the sum of its generators, an interior
+    point) have one, and from the cell of v the walk crosses the edge to w
+    where the cell's rays on ``<w - v, .> = 0`` span a wall of rank
+    ``rank - 1`` that is not on a facet of the cone.  Such a wall meets the
+    cone's interior, so w has a full-dimensional cell there too; and as the
+    cells subdivide the convex cone, the walk reaches each of them.
+    """
+    edges = _edge_table(p)
     out = []
-    for n in p.nums:
-        normals = {_primitive(vsub(w, n)) for w in p.nums if w != n}
-        rays = sorted({_primitive(r) for r in
-                       _rays(sorted(set(cone.facets) | normals), cone.rank)})
-        if _rank(rays) == cone.rank:
-            out.append(rays)
+    for cone in cones:
+        rank, facets = cone.rank, set(cone.facets)
+        vals = _pairings(p.nums, list(map(sum, zip(*cone.generators))))
+        low = min(vals)
+        todo = [i for i, x in enumerate(vals) if x == low]
+        cells: dict[int, list[IntVec]] = {}
+        while todo:
+            i = todo.pop()
+            if i in cells:
+                continue
+            rays = sorted({_primitive(r) for r in _rays(
+                sorted(facets.union(d for d, _ in edges[i])), rank)})
+            cells[i] = rays
+            for d, j in edges[i]:
+                # the wall spans the hyperplane orthogonal to d, so it lies
+                # on a facet of the cone exactly when d is that facet's
+                # normal (or its negative)
+                if (j not in cells and d not in facets and vneg(d) not in facets
+                        and _rank([r for r in rays if sum(map(mul, d, r)) == 0])
+                        == rank - 1):
+                    todo.append(j)
+        out.append([cells[i] for i in sorted(cells)])
     return out
 
 

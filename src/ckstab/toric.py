@@ -170,7 +170,11 @@ def build_model(rays: Sequence[Sequence[int]],
     generator (so that support function is linear on the cone), and the
     minimizers must add up to the polytope's own.  As h(P + Q) = h(P) + h(Q)
     and the fan is complete, this holds exactly when the sum is the
-    polytope; only a failure hulls the sum with ``minkowski_sum``.  The
+    polytope.  On a failure the summands' support values along each ray
+    must still add up to -1, the polytope's, or the mismatch is reported
+    at the first ray where they do not; only then is the sum hulled with
+    ``minkowski_sum``, to tell a wrong decomposition from a failed
+    certificate and to list the sum's vertices.  The
     probe is the sum of the cone's generators, which are rays, so every
     pairing is an integer sum of each summand's vertex pairings with the
     rays.
@@ -229,6 +233,13 @@ def build_model(rays: Sequence[Sequence[int]],
             summed = [t + x * f for t, x in zip(summed, p.nums[k])]
         certified = certified and summed == [x * lcm for x in form]
     if not certified or (rank == 2 and not check_complete_fan_rank2(cones)):
+        for r in ray_tuple:
+            h = Fraction(sum(min(by_ray[r]) * f
+                             for by_ray, f in zip(pairs, factors)), lcm)
+            if h != -1:
+                raise DecompositionMismatch(
+                    f"support of the decomposition along ray {_show(r)} "
+                    f"is {h}, expected -1")
         total = minkowski_sum(list(summands))
         if total != antican:
             raise DecompositionMismatch(
@@ -432,20 +443,21 @@ def monomial_lct(model: ToricFanoModel, ideal: MonomialIdealSeq,
     ``A(eta) / (scale * ord(eta))``, with ``ord`` the vanishing order of
     the ideal, ``min over the region of <., eta>`` minus ``min over the
     summand of <., eta>``.  The summand's support is linear on every fan
-    cone, and ``restrict_min_support`` cuts each cone into the cells on
+    cone, and ``restrict_min_support`` cuts every cone into the cells on
     which the region's is too, which covers degenerate (point or segment)
     regions; A is linear on every cone.  So the infimum is taken at a ray
-    of those cells, where both are evaluated directly.  Returns +infinity
-    (value None) when no direction constrains, which is the unit-ideal
-    case.
+    of those cells, where both are evaluated directly.  The region's edge
+    table is built once per call, and each cone's cells are found by a
+    walk that solves only the cells that exist.  Returns +infinity (value
+    None) when no direction constrains, which is the unit-ideal case.
     """
     scale = Fraction(scale)
     if scale <= 0:
         raise ToricError("ideal scale must be positive")
     region = _region_of_ideal(model, ideal, degree)
     p = model.summand(ideal.summand)
-    rays = sorted({g for cone in model.fan
-                   for cell in restrict_min_support(cone, region) for g in cell})
+    rays = sorted({g for cells in restrict_min_support(model.fan, region)
+                   for cell in cells for g in cell})
     unit = scale / (region.den * p.den)
     res = minimize_pl_ratio(
         (g, log_discrepancy(model, g),

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pathlib
 import runpy
+from fractions import Fraction
 
 import pytest
 
@@ -76,3 +77,17 @@ def rank3_dir(tmp_path_factory):
 @pytest.fixture(scope="session")
 def rank3_models(rank3_dir):
     return {p.stem: load_model(str(p)) for p in sorted(rank3_dir.glob("*.json"))}
+
+
+@pytest.fixture(scope="session")
+def lct_pool():
+    """The (eta, level) pairs of the benchmark's lct calls, by rank, sorted:
+    those of the ``verbs`` fixtures in ranks 1 and 2, of ``rank3`` in 3."""
+    workloads = runpy.run_path(str(BENCH / "workloads.py"))
+    pool = {}
+    for argv in workloads["pool"]("verbs") + workloads["pool"]("rank3"):
+        if argv[0] == "lct":
+            flags = dict(a.split("=") for a in argv[2:])
+            eta = tuple(Fraction(x) for x in flags["--eta"].split(","))
+            pool.setdefault(len(eta), set()).add((eta, Fraction(flags["--level"])))
+    return {rank: sorted(pairs) for rank, pairs in pool.items()}

@@ -6,8 +6,8 @@ Cramer's rule with cofactor determinants on vertex-pair hyperplanes in
 place of the fan and on the facet rows of each twist-slice cell, and the
 routes the library replaced: the ratio programs of the coupled and the lc
 thresholds over the linear forms of their cells, the facet loop that found
-the cone absorbing a twisted ray, and the coupled Ding invariant through
-sum tables).
+the cone absorbing a twisted ray, the all-vertex loop behind the cells of
+a support minimum, and the coupled Ding invariant through sum tables).
 The helpers after them are checks and constants that only the tests use."""
 
 from __future__ import annotations
@@ -301,6 +301,23 @@ def fan_cell_delta(model: ToricFanoModel) -> tuple[Fraction, tuple[int, ...]]:
     return res.value, res.witness
 
 
+def min_support_cells(cone, p) -> list[tuple[tuple, list[tuple[int, ...]]]]:
+    """The cells of ``eta -> min over p of <a, eta>`` in the cone, by the loop
+    that ``geometry.restrict_min_support`` replaced with a walk over p's
+    edges: for every vertex v of p, in order, the extreme rays of the cone
+    cut by ``<w - v, .> >= 0`` for every other vertex w, kept when they
+    span.  Returns (v, its sorted primitive rays) for each kept cell."""
+    rank = len(cone.facets[0])
+    cells = []
+    for v in p.vertices:
+        normals = [vsub(w, v) for w in p.vertices if w != v]
+        rays = sorted({primitive_vector(r) for r in
+                       extreme_rays(list(cone.facets) + normals, rank)})
+        if mat_rank(rays) == rank:
+            cells.append((v, rays))
+    return cells
+
+
 def lct_via_cell_forms(model: ToricFanoModel, ideal: MonomialIdealSeq,
                        scale=Fraction(1), degree: Optional[int] = None
                        ) -> tuple[Optional[Fraction], Optional[tuple[int, ...]]]:
@@ -319,13 +336,8 @@ def lct_via_cell_forms(model: ToricFanoModel, ideal: MonomialIdealSeq,
     for cone, f in zip(model.fan, model.total_forms):
         probe = [sum(x) for x in zip(*cone.generators)]
         q = min(summand.vertices, key=lambda w: vdot(w, probe))
-        for v in region.vertices:
-            normals = [vsub(w, v) for w in region.vertices if w != v]
-            rays = sorted({primitive_vector(r) for r in
-                           extreme_rays(list(cone.facets) + normals, model.rank)})
-            if mat_rank(rays) == model.rank:
-                cells.append((rays, vneg(f),
-                              tuple(scale * x for x in vsub(v, q))))
+        for v, rays in min_support_cells(cone, region):
+            cells.append((rays, vneg(f), tuple(scale * x for x in vsub(v, q))))
     best = (None, None)
     for g, num, den in _cell_ray_values(cells):
         if den < 0:

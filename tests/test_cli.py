@@ -9,14 +9,21 @@ import os
 import subprocess
 import sys
 
+from fractions import Fraction as F
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from oracles import assert_float_free
 
 import ckstab
 from ckstab.cli import build_parser, main, render_table, resolve_model_path
-from ckstab.serialize import canonical_json, load_model
+from ckstab.serialize import (canonical_json, load_model, model_from_json,
+                              model_to_json, polytope_to_json)
 from ckstab.serialize import ParseError, ValidationError
+from ckstab.toric import (TOTAL, MonomialIdealSeq, log_discrepancy,
+                          monomial_lct, t_invariant)
 
 
 def run(capsys, *argv):
@@ -224,7 +231,7 @@ def test_validation_error_exit(capsys, tmp_path):
     }))
     code, _, err = run(capsys, "delta", str(bad))
     assert code == 1
-    assert "Minkowski" in err
+    assert err == "error: support of the decomposition along ray (-1) is -2, expected -1\n"
 
 
 def test_missing_file_exit(capsys):
@@ -261,6 +268,20 @@ def test_model_roundtrip_through_json(tmp_path, bl1p2):
     assert again.barycenters == bl1p2.barycenters
 
 
+def _rearranged(model, order=None, split=None) -> dict:
+    """The model's JSON with, when ``split`` is (i, t), summand Q_i replaced
+    in place by t Q_i and (1 - t) Q_i, and then the summands taken in
+    ``order`` (by default as they stand)."""
+    parts = [polytope_to_json(p) for p in model.summands]
+    if split is not None:
+        i, t = split
+        parts[i:i + 1] = [polytope_to_json(model.summands[i].scale(c))
+                          for c in (t, 1 - t)]
+    if order is not None:
+        parts = [parts[j] for j in order]
+    return {**model_to_json(model), "decomposition": parts}
+
+
 def test_ding_under_summand_reversal_and_split(capsys, tmp_path, models):
     # Reversing the summands reverses every per-summand output: the Ding
     # summand slopes, the Futaki vector of each summand, the J norm of each
@@ -269,10 +290,6 @@ def test_ding_under_summand_reversal_and_split(capsys, tmp_path, models):
     # mu.  Both keep the reports of futaki's total, jnorm, lct, delta,
     # destabilize, reduced-jnorm and reduced-delta.
     import random
-    from fractions import Fraction as F
-    from ckstab.serialize import model_to_json, polytope_to_json
-    from ckstab.toric import (MonomialIdealSeq, log_discrepancy, monomial_lct,
-                              t_invariant)
     rng = random.Random(59)
 
     def report(path, verb, *flags):
@@ -291,14 +308,12 @@ def test_ding_under_summand_reversal_and_split(capsys, tmp_path, models):
 
     for name, model in models.items():
         k = model.num_summands
-        data = model_to_json(model)
-        half = polytope_to_json(model.summands[0].scale(F(1, 2)))
         paths = {}
-        for key, summands in [("same", data["decomposition"]),
-                              ("reverse", data["decomposition"][::-1]),
-                              ("split", [half, half, *data["decomposition"][1:]])]:
+        for key, data in [("same", _rearranged(model)),
+                          ("reverse", _rearranged(model, order=range(k)[::-1])),
+                          ("split", _rearranged(model, split=(0, F(1, 2))))]:
             paths[key] = tmp_path / f"{name}_{key}.json"
-            paths[key].write_text(json.dumps({**data, "decomposition": summands}))
+            paths[key].write_text(json.dumps(data))
         same, reverse, split = paths.values()
         reversed_model = load_model(str(reverse))
 
@@ -352,6 +367,44 @@ def test_ding_under_summand_reversal_and_split(capsys, tmp_path, models):
         "summand_slopes": ["1/4", "1/4", "1/2"]}
     assert report(split, "destabilize") == {"destabilizer": None,
                                             "model": "p1_thirds"}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_lct_under_summand_permutation_and_split(models, rank3_models, data):
+    # Split summand i of a model into t Q_i and (1 - t) Q_i, then take all
+    # k + 1 summands in any order.  The lc threshold of the total ring does
+    # not change, summand j of the result has the threshold (value and
+    # witness) of summand order[j] of the split model, and a piece c Q_i at
+    # level c L has that of Q_i at level L with the ideal scaled by c.
+    pool = {**models, **rank3_models}
+    model = pool[data.draw(st.sampled_from(sorted(pool)))]
+    k = model.num_summands
+    i = data.draw(st.integers(0, k - 1))
+    den = data.draw(st.integers(2, 7))
+    t = F(data.draw(st.integers(1, den - 1)), den)
+    order = data.draw(st.permutations(range(k + 1)))
+    eta = data.draw(st.lists(st.integers(-2, 2), min_size=model.rank,
+                             max_size=model.rank).filter(any))
+    frac = F(data.draw(st.integers(0, 8)), 8)
+    split = model_from_json(_rearranged(model, split=(i, t)))
+    moved = model_from_json(_rearranged(model, order, (i, t)))
+
+    def lct(m, summand, level, scale=1):
+        res = monomial_lct(m, MonomialIdealSeq.valuation_levels(eta, level, summand),
+                           scale)
+        return res.value, res.witness
+
+    level = frac * log_discrepancy(model, eta)
+    assert lct(moved, TOTAL, level) == lct(split, TOTAL, level) == lct(
+        model, TOTAL, level)
+    for j, source in enumerate(order):
+        level = frac * t_invariant(split, source, eta)
+        assert lct(moved, j, level) == lct(split, source, level), (j, source)
+    level = frac * t_invariant(model, i, eta)
+    for c, piece in ((t, i), (1 - t, i + 1)):
+        assert lct(split, piece, c * level) == lct(model, i, level, c), piece
 
 
 def test_rational_parser_reduces():

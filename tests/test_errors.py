@@ -145,15 +145,54 @@ def test_json_booleans_are_not_integers(tmp_path, value):
 
 
 def test_decomposition_mismatch_is_one_error_line(tmp_path):
+    # (1/3) P^2 twice misses the polytope's support along every ray; the
+    # hexagon that cuts the corners off P^2 meets it along every ray, so only
+    # the hull of the sum shows the mismatch
+    third = [["-1/3", "-1/3"], ["2/3", "-1/3"], ["-1/3", "2/3"]]
+    hexagon = [["0", "-1"], ["1", "-1"], ["1", "0"], ["0", "1"], ["-1", "1"],
+               ["-1", "0"]]
+    path = tmp_path / "model.json"
+    for parts, line in [
+            ([third] * 2, "support of the decomposition along ray (-1, -1) "
+                          "is -2/3, expected -1"),
+            ([hexagon], "Minkowski sum of the decomposition is (-1, 0) (-1, 1) "
+                        "(0, -1) (0, 1) (1, -1) (1, 0), "
+                        "expected (-1, -1) (-1, 2) (2, -1)")]:
+        path.write_text(json.dumps({
+            "name": "m", "rank": 2, "rays": P2_RAYS,
+            "decomposition": [{"vertices": v} for v in parts]}))
+        code, out, err = run("delta", str(path))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["error: " + line]
+
+
+def test_wrong_decomposition_exits_before_any_hull(tmp_path, monkeypatch):
+    # two 12-vertex cyclic polytopes on the P^3 rays, on the moment curve
+    # at t / 200 and at (t + 1/2) / 200, whose 144 vertex sums the hull
+    # would take about half a minute over, and (1/3) P^2 twice: both miss
+    # the polytope's support along a ray, so no Minkowski sum is built
+    from ckstab import toric
+    hulls = []
+    monkeypatch.setattr(toric, "minkowski_sum",
+                        lambda polys: hulls.append(polys))
+    cyclic = [[[f"{t}/200", f"{t * t}/200", f"{t ** 3}/200"] for t in range(-6, 6)],
+              [[f"{s}/400", f"{s * s}/800", f"{s ** 3}/1600"]
+               for s in range(-11, 12, 2)]]
     third = [["-1/3", "-1/3"], ["2/3", "-1/3"], ["-1/3", "2/3"]]
     path = tmp_path / "model.json"
-    path.write_text(json.dumps({"name": "m", "rank": 2, "rays": P2_RAYS,
-                                "decomposition": [{"vertices": third}] * 2}))
-    code, out, err = run("delta", str(path))
-    assert (code, out) == (1, "")
-    assert err.splitlines() == [
-        "error: Minkowski sum of the decomposition is "
-        "(-2/3, -2/3) (-2/3, 4/3) (4/3, -2/3), expected (-1, -1) (-1, 2) (2, -1)"]
+    for rank, rays, parts, line in [
+            (3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]], cyclic,
+             "support of the decomposition along ray (-1, -1, -1) "
+             "is -2857/1600, expected -1"),
+            (2, P2_RAYS, [third] * 2,
+             "support of the decomposition along ray (-1, -1) is -2/3, "
+             "expected -1")]:
+        path.write_text(json.dumps({
+            "name": "m", "rank": rank, "rays": rays,
+            "decomposition": [{"vertices": v} for v in parts]}))
+        code, out, err = run("futaki", str(path))
+        assert (code, out, err.splitlines()) == (1, "", ["error: " + line])
+    assert hulls == []
 
 
 @pytest.mark.parametrize("key", ["rays", "vertices", "halfspaces"])

@@ -22,9 +22,9 @@ from ckstab.geometry import (Cone, DimensionMismatch, EmptyRegion,
 
 
 from oracles import (affine_rank, cofactor_det, hull_oracle, hull_oracle_any,
-                     lattice_oracle, rand_point, rand_rational_points,
-                     shoelace_area, shoelace_centroid, support_oracle,
-                     volume_centroid_oracle)
+                     lattice_oracle, min_support_cells, rand_point,
+                     rand_rational_points, shoelace_area, shoelace_centroid,
+                     support_oracle, volume_centroid_oracle)
 
 
 # --- dual description -------------------------------------------------------
@@ -321,7 +321,7 @@ def test_min_support_cells_are_the_rays_of_their_cones():
             dim = rng.randint(0, rank)
             p = ExactPolytope.from_vertices(
                 rand_rational_points(rng, rank, dim + 2, dim, 4))
-            cells = restrict_min_support(cone, p)
+            (cells,) = restrict_min_support([cone], p)
             assert cells
             winners = set()
             for rays in cells:
@@ -334,6 +334,79 @@ def test_min_support_cells_are_the_rays_of_their_cones():
                 cells_seen += 1
             assert len(winners) == len(cells)
     assert cells_seen > 30
+
+
+def _seeded_cone(rng, rank):
+    """A pointed full-dimensional cone: in rank 1 a half-line, above it the
+    span of rank to 6 generators with a positive last coordinate."""
+    if rank == 1:
+        return Cone.from_generators([(rng.choice([-1, 1]),)])
+    while True:
+        gens = [tuple(rng.randint(-3, 3) for _ in range(rank - 1))
+                + (rng.randint(1, 3),) for _ in range(rng.randint(rank, 6))]
+        if affine_rank([(0,) * rank] + gens) == rank:
+            return Cone.from_generators(gens)
+
+
+def _seeded_cells(rng):
+    """(cone, polytope) pairs in ranks 1 to 3, each polytope a point, a
+    segment, a polygon or a solid of one to six seeded points."""
+    for rank in (1, 2, 3):
+        for k in range(48):
+            dim = k % (rank + 1)
+            yield _seeded_cone(rng, rank), ExactPolytope.from_vertices(
+                rand_rational_points(rng, rank, dim + rng.randint(1, 5), dim, 4))
+
+
+def test_min_support_walk_matches_the_all_vertex_loop():
+    # the walk over the edge table returns the cells, in the order of their
+    # vertices, that the loop over every vertex and every vertex difference
+    # keeps; one call takes several cones
+    rng = random.Random(71)
+    seen = set()
+    for cone, p in _seeded_cells(rng):
+        other = _seeded_cone(rng, p.rank)
+        want = [[rays for _, rays in min_support_cells(c, p)] for c in (cone, other)]
+        assert restrict_min_support([cone, other], p) == want, (cone, p.vertices)
+        seen.add((p.rank, p.dim, max(map(len, want))))
+    # every rank and dimension, with cones cut into one and into several cells
+    assert {(r, d) for r, d, _ in seen} == {(r, d) for r in (1, 2, 3)
+                                            for d in range(r + 1)}
+    assert {n for r, _, n in seen if r > 1} >= {1, 2, 3}
+
+
+def test_min_support_walk_solves_only_its_cells(monkeypatch, rank3_models, lct_pool):
+    # one _rays solve per returned cell, and at most one more per vertex
+    # tied with another at the cone's probe: on seeded cones and on the
+    # regions of the rank-3 lct calls of the benchmark, whose 128 cones
+    # hold 168 cells among 672 (cone, vertex) pairs
+    from ckstab import geometry
+    from ckstab.toric import MonomialIdealSeq, _region_of_ideal
+    rays = geometry._rays
+    solves = []
+
+    def counted(rows, rank):
+        solves.append(rows)
+        return rays(rows, rank)
+
+    seeded = list(_seeded_cells(random.Random(73)))
+    pooled = []
+    for name in ("p3_halves", "p3_quarters"):
+        model = rank3_models[name]
+        for eta, level in lct_pool[3]:
+            region = _region_of_ideal(
+                model, MonomialIdealSeq.valuation_levels(eta, level))
+            pooled += [(cone, region) for cone in model.fan]
+    monkeypatch.setattr(geometry, "_rays", counted)
+    found = []
+    for cone, p in seeded + pooled:
+        solves.clear()
+        (got,) = restrict_min_support([cone], p)
+        vals = [vdot(v, [sum(x) for x in zip(*cone.generators)]) for v in p.vertices]
+        assert len(solves) <= len(got) + vals.count(min(vals)) - 1, (cone, p.vertices)
+        found.append(len(got))
+    assert (sum(len(p.nums) for _, p in pooled),
+            sum(found[len(seeded):])) == (672, 168)
 
 
 # --- integer kernels against plain-Fraction oracles, ranks 1 to 4 -----------

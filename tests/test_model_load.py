@@ -22,15 +22,16 @@ from importlib import resources
 
 import pytest
 
-from oracles import SUBTORI_2
+from oracles import SUBTORI_2, min_support_cells
 
-from ckstab.geometry import restrict_min_support, support_value
+from ckstab.geometry import (Cone, ExactPolytope, restrict_min_support,
+                             support_value)
 from ckstab.serialize import load_model
 from ckstab.stability import (SubtorusSpec, coupled_delta, coupled_futaki,
                               j_twist, reduced_coupled_delta, reduced_coupled_j)
-from ckstab.toric import (TOTAL, MonomialIdealSeq, _region_of_ideal,
-                          log_discrepancy, monomial_lct, support_min,
-                          t_invariant)
+from ckstab.toric import (TOTAL, MonomialIdealSeq, ZeroIdeal,
+                          _region_of_ideal, log_discrepancy, monomial_lct,
+                          support_min, t_invariant)
 
 FIXTURES = sorted(p.stem for p in (resources.files("ckstab") / "fixtures").iterdir()
                   if p.name.endswith(".json"))
@@ -153,8 +154,8 @@ def _frame_model(model, u, w) -> dict:
 def _lct_attaining_rays(model, seq, value) -> list:
     """The rays of the threshold's cells at which A / ord takes its value."""
     region = _region_of_ideal(model, seq)
-    rays = {r for cone in model.fan
-            for cell in restrict_min_support(cone, region) for r in cell}
+    rays = {r for cells in restrict_min_support(model.fan, region)
+            for cell in cells for r in cell}
     attaining = []
     for r in sorted(rays):
         order = support_value(region, r)[0] - support_min(model, seq.summand, r)
@@ -245,3 +246,36 @@ def test_model_in_another_lattice_frame(tmp_path, name):
         if unique:
             assert moved_delta.witness == _apply(u, delta.witness)
         _assert_invariants_follow(moved, u, inputs)
+
+
+def test_min_support_walk_on_lct_regions_in_other_frames(models, rank3_models,
+                                                         lct_pool):
+    # the regions of the benchmark's lct calls, on the total ring and on
+    # every summand of the 8 fixtures and the 3 rank-3 models, cut by the
+    # model's fan: the walk returns the all-vertex loop's cells in the
+    # model's frame, and in the frames of 4 seeded unimodular U, the fan by
+    # U and the region by U^-T, each region in one of them in turn
+    checked = 0
+    for name, model in [*models.items(), *rank3_models.items()]:
+        regions = set()
+        for eta, level in lct_pool[model.rank]:
+            for summand in (TOTAL, *range(model.num_summands)):
+                seq = MonomialIdealSeq.valuation_levels(eta, level, summand)
+                try:
+                    regions.add(_region_of_ideal(model, seq))
+                except ZeroIdeal:
+                    pass
+        rng = random.Random(f"frame:{name}")
+        frames = []
+        for _ in range(4):
+            u = _unimodular(rng, model.rank)
+            frames.append(([Cone.from_generators([_apply(u, g) for g in c.generators])
+                            for c in model.fan], _inverse_transpose(u)))
+        for k, region in enumerate(sorted(regions, key=lambda p: (p.den, p.nums))):
+            fan, w = frames[k % 4]
+            moved = ExactPolytope.from_vertices([_apply(w, v) for v in region.vertices])
+            for cones, p in ((model.fan, region), (fan, moved)):
+                want = [[rays for _, rays in min_support_cells(c, p)] for c in cones]
+                assert restrict_min_support(cones, p) == want, (name, p.vertices)
+            checked += 1
+    assert checked == 783

@@ -13,7 +13,7 @@ import pytest
 from ckstab import toric
 from ckstab.errors import InternalInvariantError
 from ckstab.geometry import (DimensionMismatch, ExactPolytope, GeometryError,
-                             HalfSpace, _pairings, minkowski_sum,
+                             HalfSpace, minkowski_sum, normal_fan,
                              support_value, vneg)
 from ckstab.optimize import minimize_pl_ratio
 from ckstab.serialize import load_model
@@ -57,8 +57,8 @@ def test_decomposition_mismatch_message():
     u = ExactPolytope.from_vertices([(0,), (1,)])
     with pytest.raises(DecompositionMismatch) as exc:
         build_model([[1], [-1]], [u, u])
-    assert str(exc.value) == ("Minkowski sum of the decomposition is (0) (2), "
-                              "expected (-1) (1)")
+    assert str(exc.value) == ("support of the decomposition along ray (-1) "
+                              "is -2, expected -1")
 
 
 def test_not_reflexive_nonlattice_dual():
@@ -83,7 +83,9 @@ def test_rays_must_span():
 #
 # build_model certifies the sum cone by cone; minkowski_sum hulls every vertex
 # sum.  The model must be accepted exactly when the hull equals the
-# anticanonical polytope, and a rejection must word the hull's vertices.
+# anticanonical polytope.  A rejection names the first ray along which the
+# summands' support values do not add up to -1, and words the hull's
+# vertices only when there is none.
 
 RAYS = {
     "p1": [[1], [-1]],
@@ -102,9 +104,14 @@ def anticanonical(rays) -> ExactPolytope:
         [HalfSpace.make(r, -1) for r in rays], len(rays[0]))
 
 
-def mismatch_message(total, antican) -> str:
+def mismatch_message(rays, summands, total, antican) -> str:
     def show(v):
         return "(" + ", ".join(map(str, v)) + ")"
+    for r in sorted(map(tuple, rays)):
+        h = sum(support_value(p, r)[0] for p in summands)
+        if h != -1:
+            return (f"support of the decomposition along ray {show(r)} "
+                    f"is {h}, expected -1")
     return ("Minkowski sum of the decomposition is "
             f"{' '.join(map(show, total.vertices))}, "
             f"expected {' '.join(map(show, antican.vertices))}")
@@ -112,7 +119,8 @@ def mismatch_message(total, antican) -> str:
 
 def accepted_as_oracle_says(rays, summands) -> bool:
     """build_model accepts exactly when the brute-force sum is the polytope,
-    and its rejection message is built from that sum; returns the verdict."""
+    and its rejection message is built from the summands' ray supports or
+    from that sum; returns the verdict."""
     antican = anticanonical(rays)
     total = minkowski_sum(summands)
     if total == antican:
@@ -120,7 +128,7 @@ def accepted_as_oracle_says(rays, summands) -> bool:
         return True
     with pytest.raises(DecompositionMismatch) as exc:
         build_model(rays, summands)
-    assert str(exc.value) == mismatch_message(total, antican)
+    assert str(exc.value) == mismatch_message(rays, summands, total, antican)
     return False
 
 
@@ -221,9 +229,10 @@ def test_certificate_checks_linearity_not_only_minimizer_sums():
 
 def test_failed_certificate_on_exact_sum_is_internal(p2, monkeypatch):
     # a certificate that rejects a decomposition the hull confirms is a bug;
-    # negated pairings make it pick each summand's maximizers
-    monkeypatch.setattr("ckstab.toric._pairings",
-                        lambda nums, xs: [-v for v in _pairings(nums, xs)])
+    # the fan's cones in reverse order pair each cone with another cone's
+    # vertex, while the ray supports, which read no cone, still add up
+    monkeypatch.setattr("ckstab.toric.normal_fan",
+                        lambda p: normal_fan(p)[::-1])
     with pytest.raises(InternalInvariantError):
         build_model(p2.rays, p2.summands)
 
