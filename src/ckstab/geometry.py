@@ -5,16 +5,19 @@ Polytopes carry both a vertex description and a half-space description,
 cross-validated on construction.  The kernel also provides rational cones
 and normal fans.  A piecewise-linear function has no type of its own and
 no linear forms are carried: a cell is its sorted primitive extreme rays.
-``normal_fan`` gives the cones on which ``min_{a in p} <a, .>`` is linear,
-each with its minimizing vertex, and ``restrict_min_support`` subdivides
-cones into the cells of such a minimum.  It builds the polytope's edge
-table once (``_edge_table``: vertex pairs whose common tight facets have
-rank ``rank - 1``, O(V^2) rank tests) and walks the cells of each cone
-from the vertices that minimize at its probe, crossing only walls of full
-dimension inside the cone, so it solves each full-dimensional cell once,
-by one ``_rays`` call over the cone's facets and that vertex's edge
-directions, and no other.  The lc threshold scans the union of those
-rays and evaluates its functions there directly.
+Normal cones have one construction, the polytope's edge table
+(``_edge_table``: the facets tight at each vertex, and the vertex pairs
+whose common tight facets have rank ``rank - 1``, O(V^2) rank tests).
+``normal_fan`` reads from it the cones on which ``min_{a in p} <a, .>`` is
+linear, each with its minimizing vertex: a cone's generators are the
+vertex's tight facet normals and its facets are the vertex's edge
+directions, so no ray is solved for.  ``restrict_min_support`` subdivides
+cones into the cells of such a minimum.  It builds the edge table once and
+walks the cells of each cone from the vertices that minimize at its probe,
+crossing only walls of full dimension inside the cone, so it solves each
+full-dimensional cell once, by one ``_rays`` call over the cone's facets
+and that vertex's edge directions, and no other.  The lc threshold scans
+the union of those rays and evaluates its functions there directly.
 
 Intended for small ambient ranks (p <= 4).  The facet loop, the vertex
 loop and ``_rays`` enumerate subsets of rows by brute force, which is
@@ -41,17 +44,19 @@ with ``nums`` (``_pairings``), which is all ``support_value`` and the
 toric invariants do; ``vdot`` of int vectors stays an ``int``.  Values
 leave the module as ``Fraction``.
 
-Every cone is enumerated by one routine, ``_rays`` (public as
-``extreme_rays``): the rays of a cone from its inner normals, the facets
-of a cone from its generators (the rays of the dual cone), the recession
-directions of a half-space system, and its feasibility through the
-homogenised system.  The only other subset enumerations are the facet
-loop and the vertex loop.  The vertex loop takes ``Facet`` rows over a
-``den`` and returns a vertex table over one denominator; besides the hull
-and ``_from_rows`` it gives the vertices of the cells in which the fan
-cuts a twist slice (``stability._slice_cells``, behind both the reduced
-threshold and the reduced J norm) and of the lct containment oracle's
-polyhedra, whose rows those callers build as integers.
+Every ray solve is one routine, ``_rays`` (public as ``extreme_rays``):
+the rays of a cone from its inner normals (the cells of
+``restrict_min_support``), the facets of a cone from its generators as the
+rays of the dual cone (only ``Cone.from_generators`` asks for these; a
+normal cone is read off the edge table), the recession directions of a
+half-space system, and its feasibility through the homogenised system.
+The only other subset enumerations are the facet loop and the vertex
+loop.  The vertex loop takes ``Facet`` rows over a ``den`` and returns a
+vertex table over one denominator; besides the hull and ``_from_rows`` it
+gives the vertices of the cells in which the fan cuts a twist slice
+(``stability._slice_cells``, behind both the reduced threshold and the
+reduced J norm) and of the lct containment oracle's polyhedra, whose rows
+those callers build as integers.
 
 Ranks and affine charts come from one division-free elimination,
 ``_int_echelon``.  A lower-dimensional polytope is hulled in the
@@ -743,6 +748,8 @@ class Cone:
 
     ``generators`` are the primitive extreme rays; ``facets`` are primitive
     inner normals, so membership is ``<facet, x> >= 0`` for every facet.
+    A normal cone is read off the edge table (``normal_fan``);
+    ``from_generators`` solves for the facets of any other cone.
     """
 
     generators: tuple[IntVec, ...]
@@ -750,11 +757,7 @@ class Cone:
 
     @staticmethod
     def from_generators(gens: Sequence[Sequence]) -> "Cone":
-        return Cone._spanned(sorted({primitive_vector(g) for g in gens}))
-
-    @staticmethod
-    def _spanned(prims: list[IntVec]) -> "Cone":
-        """The cone spanned by sorted distinct primitive integer vectors."""
+        prims = sorted({primitive_vector(g) for g in gens})
         rank = len(prims[0])
         if _rank(prims) < rank:
             raise GeometryError("cone generators do not span")
@@ -778,15 +781,18 @@ class Cone:
         return all(vdot(x, f) >= 0 for f in self.facets)
 
 
-def _edge_table(p: ExactPolytope) -> list[list[tuple[IntVec, int]]]:
-    """Each vertex of p, in the order of ``nums``, as the list of its edges:
-    the primitive direction from it to the other end, and that end's index.
+def _edge_table(p: ExactPolytope) -> tuple[list[set[IntVec]],
+                                            list[list[tuple[IntVec, int]]]]:
+    """Each vertex of p, in the order of ``nums``, as the set of normals of
+    the facets tight at it (equality pairs included) and the list of its
+    edges: the primitive direction from it to the other end, and that end's
+    index.
 
-    Vertices v and w span an edge when the facets tight at both (equality
-    pairs included) have rank ``rank - 1``: their face is then one
-    dimensional, and v and w are its two ends.  The normal cone
-    ``{ y : <w - v, y> >= 0 for every vertex w }`` of v is cut out by its
-    edge directions alone.
+    Vertices v and w span an edge when their common tight facets have rank
+    ``rank - 1``: their face is then one dimensional, and v and w are its
+    two ends.  The normal cone ``{ y : <w - v, y> >= 0 for every vertex w }``
+    of v is cut out by its edge directions alone, and when p is
+    full-dimensional it is spanned by its tight facet normals.
     """
     tight = [{a for a, c in p.facets if sum(map(mul, n, a)) == c} for n in p.nums]
     edges: list[list[tuple[IntVec, int]]] = [[] for _ in p.nums]
@@ -795,7 +801,7 @@ def _edge_table(p: ExactPolytope) -> list[list[tuple[IntVec, int]]]:
             d = _primitive(vsub(p.nums[j], p.nums[i]))
             edges[i].append((d, j))
             edges[j].append((vneg(d), i))
-    return edges
+    return tight, edges
 
 
 def restrict_min_support(cones: Sequence[Cone], p: ExactPolytope
@@ -817,7 +823,7 @@ def restrict_min_support(cones: Sequence[Cone], p: ExactPolytope
     cone's interior, so w has a full-dimensional cell there too; and as the
     cells subdivide the convex cone, the walk reaches each of them.
     """
-    edges = _edge_table(p)
+    _, edges = _edge_table(p)
     out = []
     for cone in cones:
         rank, facets = cone.rank, set(cone.facets)
@@ -845,38 +851,18 @@ def restrict_min_support(cones: Sequence[Cone], p: ExactPolytope
 
 
 def normal_fan(p: ExactPolytope) -> list[tuple[Cone, Vec]]:
-    """Maximal cones of the (inner) normal fan of a full-dimensional polytope.
+    """Maximal cones of the (inner) normal fan of a full-dimensional polytope,
+    one per vertex, in the order of ``vertices``.
 
     The cone attached to a vertex v consists of the directions minimized at
     v, so the pair (cone, v) makes ``min_{a in p} <a, .>`` linear per cone.
+    Both of its descriptions are read off the edge table: its generators are
+    the normals of the facets tight at v, each extreme as p is
+    full-dimensional, and its inner facet normals are the primitive edge
+    directions at v.  No ray is solved for, and the fan is complete.
     """
     if p.dim != p.rank:
         raise DegenerateInput("normal fan needs a full-dimensional polytope")
-    return [(Cone._spanned([a for a, c in p.facets if sum(map(mul, n, a)) == c]), v)
-            for n, v in zip(p.nums, p.vertices)]
-
-
-def check_complete_fan_rank2(cones: Sequence[Cone]) -> bool:
-    """Exact completeness check for a rank-2 fan: boundary rays must chain
-    around the full circle with consistent orientation."""
-    edges = {}
-    for c in cones:
-        if len(c.generators) != 2:
-            return False
-        g1, g2 = c.generators
-        cross = g1[0] * g2[1] - g1[1] * g2[0]
-        if cross == 0:
-            return False
-        start, end = (g1, g2) if cross > 0 else (g2, g1)
-        if start in edges:
-            return False
-        edges[start] = end
-    if not edges:
-        return False
-    first = next(iter(edges))
-    cur = first
-    for _ in range(len(edges)):
-        cur = edges.get(cur)
-        if cur is None:
-            return False
-    return cur == first
+    tight, edges = _edge_table(p)
+    return [(Cone(tuple(sorted(t)), tuple(sorted(d for d, _ in e))), v)
+            for t, e, v in zip(tight, edges, p.vertices)]

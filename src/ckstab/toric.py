@@ -42,8 +42,8 @@ from .errors import InputError, InternalInvariantError
 from .geometry import (Cone, DimensionMismatch, ExactPolytope, GeometryError,
                        IntVec, Vec, _cramer_vertices, _int_directions,
                        _pairings, _rank, _scaled, as_vec, centroid,
-                       check_complete_fan_rank2, is_primitive, lattice_points,
-                       minkowski_sum, normal_fan, restrict_min_support, vdot)
+                       is_primitive, lattice_points, minkowski_sum,
+                       normal_fan, restrict_min_support, vdot)
 from .optimize import minimize_pl_ratio
 
 TOTAL = "total"
@@ -162,8 +162,9 @@ def build_model(rays: Sequence[Sequence[int]],
 
     Checks, in order: rays are primitive and span; the ray half-spaces cut
     out a reflexive (lattice, canonically faceted) polytope; the summands
-    have its rank; the decomposition sums to it exactly; in rank 2 its
-    normal fan is complete.  Caches the normal fan.
+    have its rank; the decomposition sums to it exactly.  Caches the normal
+    fan, which ``normal_fan`` reads off the polytope's edge table and which
+    is complete by construction.
 
     The sum is certified on each cone of that fan: each summand's minimizer
     at an interior probe must attain the summand's support value at every
@@ -232,7 +233,7 @@ def build_model(rays: Sequence[Sequence[int]],
             certified = certified and all(v[k] == min(v) for v in vals)
             summed = [t + x * f for t, x in zip(summed, p.nums[k])]
         certified = certified and summed == [x * lcm for x in form]
-    if not certified or (rank == 2 and not check_complete_fan_rank2(cones)):
+    if not certified:
         for r in ray_tuple:
             h = Fraction(sum(min(by_ray[r]) * f
                              for by_ray, f in zip(pairs, factors)), lcm)
@@ -246,10 +247,8 @@ def build_model(rays: Sequence[Sequence[int]],
                 "Minkowski sum of the decomposition is "
                 f"{' '.join(map(_show, total.vertices))}, "
                 f"expected {' '.join(map(_show, antican.vertices))}")
-        if not certified:
-            raise InternalInvariantError(
-                "fan certificate rejected an exact Minkowski decomposition")
-        raise NotReflexive("normal fan is not complete")
+        raise InternalInvariantError(
+            "fan certificate rejected an exact Minkowski decomposition")
 
     return ToricFanoModel(
         name=name,

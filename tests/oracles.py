@@ -7,7 +7,8 @@ place of the fan and on the facet rows of each twist-slice cell, and the
 routes the library replaced: the ratio programs of the coupled and the lc
 thresholds over the linear forms of their cells, the facet loop that found
 the cone absorbing a twisted ray, the all-vertex loop behind the cells of
-a support minimum, and the coupled Ding invariant through sum tables).
+a support minimum, the normal fan's cones with their facets solved from
+their generators, and the coupled Ding invariant through sum tables).
 The helpers after them are checks and constants that only the tests use."""
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from ckstab.filtration import (EmptyDecomposition, Filtration,
                                SumDescriptor, UnsupportedDescriptor,
                                ValuationDescriptor, numerics, sum_filtration,
                                twist_family)
-from ckstab.geometry import (as_vec, extreme_rays, lattice_points, mat_rank,
-                             primitive_vector, vdot, vneg, vsub)
+from ckstab.geometry import (Cone, as_vec, extreme_rays, lattice_points,
+                             mat_rank, primitive_vector, vdot, vneg, vsub)
 from ckstab.optimize import minimize_pl_ratio
 from ckstab.serialize import ValidationError
 from ckstab.stability import (CLOSED_FORM, DingResult, StabilityError,
@@ -316,6 +317,17 @@ def min_support_cells(cone, p) -> list[tuple[tuple, list[tuple[int, ...]]]]:
         if mat_rank(rays) == rank:
             cells.append((v, rays))
     return cells
+
+
+def normal_fan_oracle(p) -> list[tuple[Cone, tuple]]:
+    """The normal fan of a full-dimensional polytope by the route that
+    ``geometry.normal_fan`` replaced with a read of the edge table: for every
+    vertex v, in order, the cone spanned by the normals of the half-spaces
+    tight at v, with its facets solved for as the rays of the dual cone by
+    ``Cone.from_generators``, paired with v."""
+    return [(Cone.from_generators([h.normal for h in p.halfspaces
+                                   if vdot(v, h.normal) == h.offset]), v)
+            for v in p.vertices]
 
 
 def lct_via_cell_forms(model: ToricFanoModel, ideal: MonomialIdealSeq,

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,13 +16,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import FIXTURE_NAMES
 from oracles import assert_float_free
 
 import ckstab
 from ckstab.cli import build_parser, main, render_table, resolve_model_path
+from ckstab.filtration import ValuationDescriptor
+from ckstab.geometry import as_vec
 from ckstab.serialize import (canonical_json, load_model, model_from_json,
                               model_to_json, polytope_to_json)
 from ckstab.serialize import ParseError, ValidationError
+from ckstab.stability import (SubtorusSpec, coupled_delta, coupled_futaki,
+                              ding_of_descriptors, find_destabilizer, j_twist,
+                              reduced_coupled_delta, reduced_coupled_j)
 from ckstab.toric import (TOTAL, MonomialIdealSeq, log_discrepancy,
                           monomial_lct, t_invariant)
 
@@ -369,6 +376,20 @@ def test_ding_under_summand_reversal_and_split(capsys, tmp_path, models):
                                             "model": "p1_thirds"}
 
 
+def _draw_rearrangement(data, model):
+    """A split (i, t) of the model's summand i into t Q_i and (1 - t) Q_i,
+    and an order of the k + 1 pieces, drawn; returns them with the split
+    model and the split model taken in that order."""
+    k = model.num_summands
+    i = data.draw(st.integers(0, k - 1))
+    den = data.draw(st.integers(2, 7))
+    t = F(data.draw(st.integers(1, den - 1)), den)
+    order = data.draw(st.permutations(range(k + 1)))
+    split = model_from_json(_rearranged(model, split=(i, t)))
+    moved = model_from_json(_rearranged(model, order, (i, t)))
+    return i, t, order, split, moved
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=40,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
@@ -380,16 +401,10 @@ def test_lct_under_summand_permutation_and_split(models, rank3_models, data):
     # level c L has that of Q_i at level L with the ideal scaled by c.
     pool = {**models, **rank3_models}
     model = pool[data.draw(st.sampled_from(sorted(pool)))]
-    k = model.num_summands
-    i = data.draw(st.integers(0, k - 1))
-    den = data.draw(st.integers(2, 7))
-    t = F(data.draw(st.integers(1, den - 1)), den)
-    order = data.draw(st.permutations(range(k + 1)))
+    i, t, order, split, moved = _draw_rearrangement(data, model)
     eta = data.draw(st.lists(st.integers(-2, 2), min_size=model.rank,
                              max_size=model.rank).filter(any))
     frac = F(data.draw(st.integers(0, 8)), 8)
-    split = model_from_json(_rearranged(model, split=(i, t)))
-    moved = model_from_json(_rearranged(model, order, (i, t)))
 
     def lct(m, summand, level, scale=1):
         res = monomial_lct(m, MonomialIdealSeq.valuation_levels(eta, level, summand),
@@ -405,6 +420,72 @@ def test_lct_under_summand_permutation_and_split(models, rank3_models, data):
     level = frac * t_invariant(model, i, eta)
     for c, piece in ((t, i), (1 - t, i + 1)):
         assert lct(split, piece, c * level) == lct(model, i, level, c), piece
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + ["p1cubed", "p3_halves",
+                                                  "p3_quarters"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=8,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_invariants_under_summand_permutation_and_split(models, rank3_models,
+                                                        name, data):
+    # The same rearrangements keep every invariant of the total: the Futaki
+    # total, the total J norm, the coupled threshold and the destabilizer,
+    # the reduced J norm, the rank-2 reduced threshold, and the Ding value
+    # and mu.  Per-summand outputs (Futaki vector, J norm, Ding slopes)
+    # follow the order, and a piece c Q_i has c times those of Q_i.
+    model = {**models, **rank3_models}[name]
+    i, t, order, split, moved = _draw_rearrangement(data, model)
+    rank = model.rank
+
+    def vec(primitive=False):
+        return tuple(data.draw(st.lists(st.integers(-3, 3), min_size=rank,
+                                        max_size=rank).filter(
+            lambda v: not primitive or math.gcd(*v) == 1)))
+
+    xi, eta, w = vec(), as_vec(vec(primitive=True)), vec(primitive=True)
+    slope = F(data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3)))
+    pieces = ((i, t), (i + 1, 1 - t))
+
+    def same(f):
+        # f on the model, the split model and the reordered split model
+        want = f(model)
+        assert f(split) == want and f(moved) == want
+        return want
+
+    def follows(per_summand, scaled=lambda c, x: c * x):
+        # the split model's per-summand values, which the reordered split
+        # model takes in order and whose pieces scale those of Q_i
+        got, want = per_summand(split), per_summand(model)
+        assert per_summand(moved) == [got[j] for j in order]
+        for piece, c in pieces:
+            assert got[piece] == scaled(c, want[i]), piece
+
+    same(lambda m: coupled_futaki(m).total)
+    follows(lambda m: list(coupled_futaki(m).per_summand),
+            lambda c, v: tuple(c * x for x in v))
+    same(lambda m: j_twist(m, TOTAL, xi))
+    follows(lambda m: [j_twist(m, j, xi) for j in range(m.num_summands)])
+
+    same(coupled_delta)
+    destabilizer = same(lambda m: None if (r := find_destabilizer(m)) is None else (
+        r.eta, r.ding.value, r.ding.mu, r.ding.provenance))
+    if destabilizer is not None:
+        follows(lambda m: list(find_destabilizer(m).ding.s_values))
+
+    subtori = [SubtorusSpec.trivial(), SubtorusSpec((w,)), SubtorusSpec.full(rank)]
+    for sub in subtori:
+        same(lambda m: reduced_coupled_j(m, xi, sub))
+        if rank == 2:
+            same(lambda m: reduced_coupled_delta(m, sub))
+
+    def ding(m):
+        r = ding_of_descriptors(m, [ValuationDescriptor(eta)] * m.num_summands,
+                                slope)
+        return (r.value, r.mu, r.provenance), list(r.s_values)
+
+    same(lambda m: ding(m)[0])
+    follows(lambda m: ding(m)[1])
 
 
 def test_rational_parser_reduces():

@@ -10,21 +10,25 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction as F
+from importlib import resources
 
 import pytest
 
+import ckstab.geometry
+from ckstab.cli import resolve_model_path
 from ckstab.geometry import (Cone, DimensionMismatch, EmptyRegion,
                              ExactPolytope, HalfSpace, UnboundedRegion,
                              _int_det, centroid, dual_description,
                              extreme_rays, lattice_points, minkowski_sum,
                              normal_fan, primitive_vector,
                              restrict_min_support, support_value, vdot, volume)
+from ckstab.serialize import load_model
 
 
 from oracles import (affine_rank, cofactor_det, hull_oracle, hull_oracle_any,
-                     lattice_oracle, min_support_cells, rand_point,
-                     rand_rational_points, shoelace_area, shoelace_centroid,
-                     support_oracle, volume_centroid_oracle)
+                     lattice_oracle, min_support_cells, normal_fan_oracle,
+                     rand_point, rand_rational_points, shoelace_area,
+                     shoelace_centroid, support_oracle, volume_centroid_oracle)
 
 
 # --- dual description -------------------------------------------------------
@@ -260,6 +264,71 @@ def test_normal_fan_matches_vertex_scan():
         assert forms
         for v in forms:
             assert vdot(v, eta) == support_value(q, eta, "min")[0]
+
+
+def _all_fixtures(models):
+    """Every packaged fixture model, by name, reusing those that the
+    ``models`` fixture has loaded."""
+    names = sorted(f.name[:-len(".json")]
+                   for f in (resources.files("ckstab") / "fixtures").iterdir()
+                   if f.name.endswith(".json"))
+    assert len(names) == 11
+    return {name: models.get(name) or load_model(resolve_model_path(name + ".json"))
+            for name in names}
+
+
+def _hexagons_antican():
+    """The 36-vertex product of two hexagons, cut out by the 12 rays of the
+    two hexagon fans at level -1."""
+    fan = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+    rays = [(a, b, 0, 0) for a, b in fan] + [(0, 0, a, b) for a, b in fan]
+    return ExactPolytope.from_halfspaces([HalfSpace.make(r, -1) for r in rays], 4)
+
+
+def test_normal_fan_matches_the_spanned_cones(models, rank3_models):
+    # each cone read off the edge table equals the span of the vertex's
+    # tight facet normals with its facets solved for: same generators,
+    # facets, vertex and order
+    polys = []
+    for model in [*_all_fixtures(models).values(), *rank3_models.values()]:
+        polys.append(model.anticanonical)
+        polys += [q for q in model.summands if q.dim == q.rank]
+    polys.append(ExactPolytope.from_vertices(
+        [tuple(s * (i == j) for j in range(3)) for i in range(3) for s in (1, -1)]))
+    polys.append(ExactPolytope.from_vertices(
+        [tuple(s * (i == j) for j in range(4)) for i in range(4) for s in (1, -1)]))
+    polys.append(_hexagons_antican())
+    rng = random.Random(41)
+    # rank-4 hulls of rational points dominate the time, so fewer of them
+    for rank, count in ((1, 30), (2, 30), (3, 30), (4, 10)):
+        seeded = 0
+        while seeded < count:
+            p = ExactPolytope.from_vertices(rand_rational_points(
+                rng, rank, rng.randint(rank + 1, rank + 4), span=4))
+            if p.dim == rank:
+                polys.append(p)
+                seeded += 1
+    for p in polys:
+        assert normal_fan(p) == normal_fan_oracle(p), p
+
+
+def test_normal_fan_solves_no_rays(models, monkeypatch):
+    # the fan is read off the edge table, so no cone is solved for; the
+    # counter is live, as the oracle's solves show
+    fixtures = _all_fixtures(models)
+    calls = []
+    rays = ckstab.geometry._rays
+
+    def counted(rows, rank):
+        calls.append(rank)
+        return rays(rows, rank)
+
+    monkeypatch.setattr(ckstab.geometry, "_rays", counted)
+    for name, model in fixtures.items():
+        normal_fan(model.anticanonical)
+        assert calls == [], name
+    normal_fan_oracle(models["p2_halves"].anticanonical)
+    assert calls
 
 
 # --- rank-3 coverage ---------------------------------------------------------

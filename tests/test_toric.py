@@ -237,15 +237,6 @@ def test_failed_certificate_on_exact_sum_is_internal(p2, monkeypatch):
         build_model(p2.rays, p2.summands)
 
 
-def test_mismatch_reported_before_an_incomplete_fan(p2, monkeypatch):
-    monkeypatch.setattr("ckstab.toric.check_complete_fan_rank2",
-                        lambda cones: False)
-    with pytest.raises(NotReflexive, match="normal fan is not complete"):
-        build_model(p2.rays, p2.summands)
-    with pytest.raises(DecompositionMismatch):
-        build_model(p2.rays, [p2.summands[0], p2.summands[0].scale(2)])
-
-
 # --- log discrepancy ----------------------------------------------------------
 
 def test_log_discrepancy_rays(p2, bl1p2):
