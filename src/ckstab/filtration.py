@@ -23,24 +23,29 @@ from, so every later table on the same bases only adds and compares ints.
 All tables live on degrees up to a cap; operations never extrapolate beyond
 stored degrees except through closed-form descriptors (trivial, cocharacter
 valuation with shift, and sums of those), which carry certified asymptotic
-invariants.
+invariants.  A valuation descriptor is integer too: its direction eta is
+``int`` numerators over one positive ``int`` denominator in lowest terms,
+beside one ``Fraction`` shift.  Its shifts, twists, base changes and sums
+add ints, its closed forms call the integer cores of :mod:`ckstab.toric`
+on those numerators, and each value reported is built as one ``Fraction``.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import add, itemgetter, mul
 from typing import Optional, Sequence, Union
 
 from .errors import InputError
-from .geometry import Vec, _exact_entries, as_vec
+from .geometry import IntVec, Vec, _exact_entries, _int_directions, _scaled
 from .toric import (TOTAL, RankMismatch, SummandIndex, ToricFanoModel,
-                    _twist_terms, integrality_step, s_invariant,
-                    section_basis, support_min, t_invariant)
+                    _fraction_sum, _ratio_plus, _s_invariant, _support_min,
+                    _t_invariant, _twist_terms, integrality_step,
+                    section_basis)
 
 Char = tuple[int, ...]
 IntTable = dict[int, tuple[int, ...]]
@@ -130,16 +135,46 @@ def graded_basis(model: ToricFanoModel, i: SummandIndex, m_max: int = 12,
 # descriptors: the closed forms behind certified asymptotics
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class ValuationDescriptor:
     """Weights <alpha, eta> - m * min(eta) + shift * m on the carrying basis.
 
     eta = 0 with zero shift is the trivial filtration; shifts and twists of
     cocharacter-valuation filtrations stay in this class.
+
+    eta is held as ``int`` numerators ``nums`` over one positive ``int``
+    denominator ``den``, in lowest terms, so two descriptors are equal (and
+    hash alike) exactly when their eta and shift are equal as rationals.
+    ``eta`` reads the direction as ``Fraction``s, built on demand; the
+    descriptor steps and the closed forms use only ``den`` and ``nums``.
     """
 
-    eta: Vec
-    shift: Fraction = Fraction(0)
+    den: int
+    nums: IntVec
+    shift: Fraction
+
+    def __init__(self, eta: Sequence, shift=Fraction(0)):
+        # one lcm of the entries' own denominators is already lowest terms
+        den, (nums,) = _scaled((_exact_entries(eta),))
+        vars(self).update(den=den, nums=nums, shift=Fraction(shift))
+
+    @property
+    def eta(self) -> Vec:
+        den = self.den
+        return tuple([Fraction(n, den) for n in self.nums])
+
+    def __repr__(self):
+        return f"ValuationDescriptor(eta={self.eta!r}, shift={self.shift!r})"
+
+
+def _valuation(den: int, nums: IntVec, shift: Fraction) -> ValuationDescriptor:
+    """The valuation descriptor at eta = nums / den, reduced to lowest terms."""
+    g = math.gcd(den, *nums)
+    if g != 1:
+        den, nums = den // g, tuple([n // g for n in nums])
+    d = object.__new__(ValuationDescriptor)
+    vars(d).update(den=den, nums=nums, shift=shift)
+    return d
 
 
 @dataclass(frozen=True)
@@ -285,8 +320,8 @@ def construct(basis: GradedBasis, spec) -> Filtration:
 
 def trivial_filtration(basis: GradedBasis) -> Filtration:
     nums = {m: (0,) * len(basis.characters(m)) for m in basis.degrees}
-    eta0 = tuple(Fraction(0) for _ in range(basis.model.rank))
-    return Filtration(basis, nums, 1, ValuationDescriptor(eta0))
+    zero = (0,) * basis.model.rank
+    return Filtration(basis, nums, 1, _valuation(1, zero, Fraction(0)))
 
 
 def valuation_filtration(basis: GradedBasis, eta: Sequence) -> Filtration:
@@ -295,15 +330,22 @@ def valuation_filtration(basis: GradedBasis, eta: Sequence) -> Filtration:
     This normalization makes every weight nonnegative with minimum zero,
     i.e. the section through the support minimizer is the last to vanish.
     """
-    eta = as_vec(eta)
-    lam = support_min(basis.model, basis.index, eta)
-    den = math.lcm(lam.denominator, *(x.denominator for x in eta))
-    eta_n = _numerators(eta, den)
-    (lam_n,) = _numerators((lam,), den)
+    model = basis.model
+    eden, (e,) = _int_directions((eta,), model.rank)
+    d = _valuation(eden, e, Fraction(0))
+    # lam = lam_n / lam_den in lowest terms, and the table over the lcm of
+    # its denominator and eta's
+    lam_n, lam_den = _support_min(model, basis.index, d.den, d.nums)
+    g = math.gcd(lam_n, lam_den)
+    lam_n, lam_den = lam_n // g, lam_den // g
+    den = math.lcm(lam_den, d.den)
+    k = den // d.den
+    eta_n = d.nums if k == 1 else tuple([n * k for n in d.nums])
+    lam_n *= den // lam_den
     nums = {m: tuple([sum(map(mul, a, eta_n)) - m * lam_n
                       for a in basis.characters(m)])
             for m in basis.degrees}
-    return Filtration(basis, nums, den, ValuationDescriptor(eta))
+    return Filtration(basis, nums, den, d)
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +364,10 @@ def shift(f: Filtration, c) -> Filtration:
 
 def _shift_descriptor(d: Descriptor, c: Fraction) -> Descriptor:
     if isinstance(d, ValuationDescriptor):
-        return replace(d, shift=d.shift + c)
+        return _valuation(d.den, d.nums, d.shift + c)
     if isinstance(d, SumDescriptor):
-        first = replace(d.parts[0], shift=d.parts[0].shift + c)
+        first = d.parts[0]
+        first = _valuation(first.den, first.nums, first.shift + c)
         return SumDescriptor((first,) + d.parts[1:])
     return None
 
@@ -344,18 +387,22 @@ def twist(f: Filtration, xi: Sequence) -> Filtration:
             for m, row in f.nums.items()}
     return Filtration(f.basis, nums, den,
                       _twist_descriptor(f.basis.model, f.basis.index,
-                                        f.descriptor, xi))
+                                        f.descriptor, den, xi_n))
 
 
 def _twist_descriptor(model: ToricFanoModel, i: SummandIndex, d: Descriptor,
-                      xi: Sequence) -> Descriptor:
-    """The descriptor of the twist by xi of a table on summand i carrying
-    d: a valuation descriptor moves to eta + xi, its shift less the twist
-    correction; both come from one integer scaling of eta and xi."""
+                      den: int, xi_n: IntVec) -> Descriptor:
+    """The descriptor of the twist by xi = xi_n / den of a table on summand
+    i carrying d: a valuation descriptor moves to eta + xi, its shift less
+    the twist correction; both come from eta and xi over one denominator."""
     if isinstance(d, ValuationDescriptor):
-        theta, den, shifted = _twist_terms(model, i, d.eta, xi)
-        return ValuationDescriptor(tuple([Fraction(n, den) for n in shifted]),
-                                   d.shift - theta)
+        common = math.lcm(d.den, den)
+        k, kx = common // d.den, common // den
+        e = d.nums if k == 1 else tuple([n * k for n in d.nums])
+        x = xi_n if kx == 1 else tuple([n * kx for n in xi_n])
+        (theta, theta_den), shifted = _twist_terms(model, i, common, e, x)
+        return _valuation(common, shifted,
+                          _ratio_plus((-theta, theta_den), d.shift))
     return None
 
 
@@ -384,8 +431,8 @@ def base_change(f: Filtration, e: int) -> Filtration:
     nums = {m: tuple([n * e for n in row]) for m, row in f.nums.items()}
     d = f.descriptor
     if isinstance(d, ValuationDescriptor):
-        keep: Descriptor = ValuationDescriptor(tuple(x * e for x in d.eta),
-                                               d.shift * e)
+        keep: Descriptor = _valuation(d.den, tuple([n * e for n in d.nums]),
+                                      d.shift * e)
     else:
         keep = None
     return Filtration(f.basis, nums, f.den, keep)
@@ -521,10 +568,11 @@ def _sum_descriptor(parts: Sequence[Descriptor]) -> Descriptor:
     when a member is opaque."""
     if not all(isinstance(p, ValuationDescriptor) for p in parts):
         return None
-    etas = {p.eta for p in parts}
-    if len(etas) == 1:
-        total_shift = sum((p.shift for p in parts), Fraction(0))
-        return ValuationDescriptor(parts[0].eta, total_shift)
+    # in lowest terms, two directions agree exactly when their den and nums do
+    if len({(p.den, p.nums) for p in parts}) == 1:
+        first = parts[0]
+        return _valuation(first.den, first.nums,
+                          _fraction_sum([p.shift for p in parts]))
     return SumDescriptor(tuple(parts))
 
 
@@ -589,13 +637,14 @@ def numerics(f: Filtration) -> FiltrationNumerics:
     i = f.basis.index
     d = f.descriptor
     if isinstance(d, ValuationDescriptor):
-        lam = t_invariant(model, i, d.eta) + d.shift
-        s_val = s_invariant(model, i, d.eta) + d.shift
+        lam = _ratio_plus(_t_invariant(model, i, d.den, d.nums), d.shift)
+        s_val = _ratio_plus(_s_invariant(model, i, d.den, d.nums), d.shift)
         prov = "closed-form"
         j_val = lam - s_val
     elif isinstance(d, SumDescriptor):
-        lam = sum((t_invariant(model, k, p.eta) + p.shift
-                   for k, p in enumerate(d.parts)), Fraction(0))
+        lam = _fraction_sum([_ratio_plus(_t_invariant(model, k, p.den, p.nums),
+                                         p.shift)
+                             for k, p in enumerate(d.parts)])
         s_val = None
         j_val = None
         prov = "closed-form-lambda-only"

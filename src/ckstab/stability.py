@@ -26,7 +26,9 @@ from .geometry import (DimensionMismatch, ExactPolytope, Vec, _cramer_vertices,
                        extreme_rays, mat_rank, primitive_vector, vadd, vdot,
                        vneg, vsub)
 from .toric import (TOTAL, TORIC_SEARCH_ASSUMPTION, MonomialIdealSeq,
-                    SummandIndex, ToricFanoModel, _containment_lct, _show,
+                    SummandIndex, ToricFanoModel, _containment_lct,
+                    _fraction_sum, _log_discrepancy, _ratio_plus,
+                    _s_invariant, _show, _t_invariant,
                     log_discrepancy, monomial_lct, s_invariant, support_min,
                     t_invariant, theta_twist, total_s_sum)
 from .filtration import (Descriptor, Filtration, FiltrationFamily,
@@ -236,10 +238,11 @@ def _closed_form_mu(model: ToricFanoModel, d: Descriptor,
     if isinstance(d, SumDescriptor):
         raise UnsupportedDescriptor(
             "no certified lc slope for sums of distinct valuation directions")
-    a = log_discrepancy(model, d.eta)
+    a, a_den = _log_discrepancy(model, d.den, d.nums)
     if delta >= 1:
-        return a / delta + d.shift, True
-    return a + d.shift, False
+        return _ratio_plus((a * delta.denominator, a_den * delta.numerator),
+                           d.shift), True
+    return _ratio_plus((a, a_den), d.shift), False
 
 
 def mu_slope(f: Filtration, delta) -> MuResult:
@@ -264,7 +267,8 @@ def mu_slope(f: Filtration, delta) -> MuResult:
         mu, exact = _closed_form_mu(model, d, delta)
         if exact:
             return MuResult(mu, mu, mu, CLOSED_FORM)
-        lam = t_invariant(model, f.basis.index, d.eta) + d.shift
+        lam = _ratio_plus(_t_invariant(model, f.basis.index, d.den, d.nums),
+                          d.shift)
         return MuResult(None, mu, lam, "certified-bounds")
     lo = None
     hi = None
@@ -332,19 +336,22 @@ def ding_of_descriptors(model: ToricFanoModel, parts: Sequence[Descriptor],
         if d is None:
             raise UnsupportedDescriptor("coupled Ding needs a certified lc slope")
         mu, exact = _closed_form_mu(model, d, delta)
-        return mu, exact, tuple(s_invariant(model, i, p.eta) + p.shift
-                                for i, p in enumerate(parts))
+        return mu, exact, tuple([_ratio_plus(_s_invariant(model, i, p.den,
+                                                          p.nums), p.shift)
+                                 for i, p in enumerate(parts)])
 
     mu, exact, s_vals = terms(parts)
-    value = mu - sum(s_vals, Fraction(0))
-    probe = tuple(Fraction(1) for _ in range(model.rank))
-    t_mu, _, t_s = terms([_twist_descriptor(model, i, d, probe)
+    value = mu - _fraction_sum(s_vals)
+    ones = (1,) * model.rank
+    t_mu, _, t_s = terms([_twist_descriptor(model, i, d, 1, ones)
                           for i, d in enumerate(parts)])
-    probe_value = t_mu - sum(t_s, Fraction(0))
+    probe = tuple(map(Fraction, ones))
+    probe_value = t_mu - _fraction_sum(t_s)
     if delta == 1:
-        # the barycenter twist rule is a slope-one identity
-        b = model.barycenter(TOTAL)
-        if probe_value != value - vdot(b, probe):
+        # the barycenter twist rule is a slope-one identity; <b, probe> is
+        # the sum of the coupled barycenter's coordinates
+        b_probe = Fraction(sum(model.bary_nums[-1]), model.bary_den)
+        if probe_value != value - b_probe:
             raise InternalInvariantError("twist identity cross-validation failed")
     return DingResult(value, mu, s_vals, delta, probe, probe_value,
                       provenance=CLOSED_FORM if exact else "lower-bound")
@@ -422,9 +429,9 @@ def find_destabilizer(model: ToricFanoModel) -> Optional[DestabilizerResult]:
     d = coupled_delta(model)
     if d.value >= 1:
         return None
-    eta = as_vec(d.witness)
     ding = ding_of_descriptors(
-        model, [ValuationDescriptor(eta)] * model.num_summands, Fraction(1))
+        model, [ValuationDescriptor(d.witness)] * model.num_summands,
+        Fraction(1))
     if ding.value >= 0:
         raise InternalInvariantError("witness family failed to destabilize")
     return DestabilizerResult(d.witness, ding)

@@ -13,11 +13,17 @@ to support values and centroids of these polytopes:
   ``<barycenter, eta> - min`` and ``max - min`` of the support pairing;
 * the twist correction: a difference of support minima.
 
-Each invariant scales its direction to integers once (one lcm over eta
-and xi together for the twist), pairs it with the integer vertex table of
-the polytope, the integer facets of the fan cones and the barycenter
-numerators ``bary_nums`` of the model, and builds one ``Fraction`` for
-its result.
+Each invariant has an integer core that takes its direction as integer
+numerators over one positive denominator, ``(den, e)``, pairs them with
+the integer vertex table of the polytope, the integer facets of the fan
+cones and the barycenter numerators ``bary_nums`` of the model, and
+returns its value as a ``Ratio``, an int numerator over a positive int
+denominator.  The public function scales its direction to integers once
+(one lcm over eta and xi together for the twist), calls its core and
+builds one ``Fraction``.  The valuation descriptors of
+:mod:`ckstab.filtration` already hold their direction as integers: they
+call the cores directly and build one ``Fraction`` per value they report,
+with ``_ratio_plus``.
 
 Log canonical thresholds of equivariant monomial ideal data are a scan over
 candidate rays: the log discrepancy and the ideal's vanishing order are
@@ -48,6 +54,9 @@ from .optimize import minimize_pl_ratio
 
 TOTAL = "total"
 SummandIndex = Union[int, str]
+# a rational as an int numerator over a positive int denominator, not
+# necessarily in lowest terms: the value of an integer core
+Ratio = tuple[int, int]
 
 
 class ToricError(InputError):
@@ -265,11 +274,32 @@ def build_model(rays: Sequence[Sequence[int]],
 # support minima and the basic invariants
 
 
+def _ratio_plus(r: Ratio, c: Fraction) -> Fraction:
+    """The ratio n / d plus c, built as one ``Fraction``."""
+    n, d = r
+    q = c.denominator
+    return Fraction(n * q + c.numerator * d, d * q)
+
+
+def _fraction_sum(values: Sequence[Fraction]) -> Fraction:
+    """The sum of the values, built as one ``Fraction`` over the lcm of their
+    denominators."""
+    den = math.lcm(*[x.denominator for x in values])
+    return Fraction(sum([x.numerator * (den // x.denominator) for x in values]),
+                    den)
+
+
 def support_min(model: ToricFanoModel, i: SummandIndex, eta: Sequence) -> Fraction:
     """min over the chosen polytope of <alpha, eta>; linear on each fan cone."""
+    den, (e,) = _int_directions((eta,), model.summand(i).rank)
+    return Fraction(*_support_min(model, i, den, e))
+
+
+def _support_min(model: ToricFanoModel, i: SummandIndex, den: int,
+                 e: IntVec) -> Ratio:
+    """:func:`support_min` at eta = e / den."""
     p = model.summand(i)
-    den, (e,) = _int_directions((eta,), p.rank)
-    return Fraction(min(_pairings(p.nums, e)), p.den * den)
+    return min(_pairings(p.nums, e)), p.den * den
 
 
 def log_discrepancy(model: ToricFanoModel, eta: Sequence) -> Fraction:
@@ -280,52 +310,69 @@ def log_discrepancy(model: ToricFanoModel, eta: Sequence) -> Fraction:
     vertex.  This equals minus the support minimum over the anticanonical
     polytope, which tests cross-check.
     """
-    p = model.anticanonical
     den, (e,) = _int_directions((eta,), model.rank)
+    return Fraction(*_log_discrepancy(model, den, e))
+
+
+def _log_discrepancy(model: ToricFanoModel, den: int, e: IntVec) -> Ratio:
+    """:func:`log_discrepancy` at eta = e / den."""
+    p = model.anticanonical
     for cone, form in zip(model.fan, p.nums):
         if cone.contains(e):
-            return Fraction(-vdot(form, e), p.den * den)
+            return -vdot(form, e), p.den * den
     raise InternalInvariantError("fan lookup failed; fan incomplete")
 
 
 def s_invariant(model: ToricFanoModel, i: SummandIndex, eta: Sequence) -> Fraction:
     """Expected vanishing slope of the summand along eta:
     <barycenter, eta> - min <., eta>."""
+    den, (e,) = _int_directions((eta,), model.summand(i).rank)
+    return Fraction(*_s_invariant(model, i, den, e))
+
+
+def _s_invariant(model: ToricFanoModel, i: SummandIndex, den: int,
+                 e: IntVec) -> Ratio:
+    """:func:`s_invariant` at eta = e / den."""
     p = model.summand(i)
-    den, (e,) = _int_directions((eta,), p.rank)
     b = model.bary_nums[-1 if i == TOTAL else i]
     bden = model.bary_den
-    return Fraction(vdot(b, e) * p.den - min(_pairings(p.nums, e)) * bden,
-                    bden * p.den * den)
+    return (vdot(b, e) * p.den - min(_pairings(p.nums, e)) * bden,
+            bden * p.den * den)
 
 
 def t_invariant(model: ToricFanoModel, i: SummandIndex, eta: Sequence) -> Fraction:
     """Maximal vanishing slope: max <., eta> - min <., eta> over the summand."""
+    den, (e,) = _int_directions((eta,), model.summand(i).rank)
+    return Fraction(*_t_invariant(model, i, den, e))
+
+
+def _t_invariant(model: ToricFanoModel, i: SummandIndex, den: int,
+                 e: IntVec) -> Ratio:
+    """:func:`t_invariant` at eta = e / den."""
     p = model.summand(i)
-    den, (e,) = _int_directions((eta,), p.rank)
     vals = _pairings(p.nums, e)
-    return Fraction(max(vals) - min(vals), p.den * den)
+    return max(vals) - min(vals), p.den * den
 
 
 def theta_twist(model: ToricFanoModel, i: SummandIndex, eta: Sequence,
                 xi: Sequence) -> Fraction:
     """Twist correction term: min<., eta> - min<., eta + xi> on the summand."""
-    return _twist_terms(model, i, eta, xi)[0]
-
-
-def _twist_terms(model: ToricFanoModel, i: SummandIndex, eta: Sequence,
-                 xi: Sequence) -> tuple[Fraction, int, IntVec]:
-    """The twist correction, and eta + xi as integer numerators over one
-    positive denominator, from one integer scaling of eta and xi."""
     eta, xi = tuple(eta), tuple(xi)
     if len(eta) != len(xi):
         raise DimensionMismatch("eta and xi rank mismatch")
+    den, (e, x) = _int_directions((eta, xi), model.summand(i).rank)
+    return Fraction(*_twist_terms(model, i, den, e, x)[0])
+
+
+def _twist_terms(model: ToricFanoModel, i: SummandIndex, den: int, e: IntVec,
+                 x: IntVec) -> tuple[Ratio, IntVec]:
+    """The twist correction at eta = e / den and xi = x / den, and the
+    numerators of eta + xi over den."""
     p = model.summand(i)
-    den, (e, x) = _int_directions((eta, xi), p.rank)
     shifted = tuple(map(add, e, x))
-    theta = Fraction(min(_pairings(p.nums, e)) - min(_pairings(p.nums, shifted)),
-                     p.den * den)
-    return theta, den, shifted
+    theta = (min(_pairings(p.nums, e)) - min(_pairings(p.nums, shifted)),
+             p.den * den)
+    return theta, shifted
 
 
 def total_s_sum(model: ToricFanoModel, eta: Sequence) -> Fraction:

@@ -8,7 +8,8 @@ routes the library replaced: the ratio programs of the coupled and the lc
 thresholds over the linear forms of their cells, the facet loop that found
 the cone absorbing a twisted ray, the all-vertex loop behind the cells of
 a support minimum, the normal fan's cones with their facets solved from
-their generators, and the coupled Ding invariant through sum tables).
+their generators, the coupled Ding invariant through sum tables, and the
+closed-form descriptor steps in plain Fractions over the vertices).
 The helpers after them are checks and constants that only the tests use."""
 
 from __future__ import annotations
@@ -404,6 +405,79 @@ def ding_via_sums(fam: FiltrationFamily, delta=Fraction(1)) -> DingResult:
         raise InternalInvariantError("twist identity cross-validation failed")
     return DingResult(value, mu, s_vals, delta, probe, probe_value,
                       provenance=prov)
+
+
+def _min_pairing(vertices, eta) -> Fraction:
+    return min(vdot(v, eta) for v in vertices)
+
+
+def valuation_oracle(eta) -> tuple[tuple[Fraction, ...], Fraction]:
+    """The descriptor (eta, shift) of ``valuation_filtration`` at eta."""
+    return as_vec(eta), F(0)
+
+
+def descriptor_shift_oracle(desc, c) -> tuple[tuple[Fraction, ...], Fraction]:
+    """The shift of a valuation descriptor (eta, shift) by c, in Fractions."""
+    eta, s = desc
+    return eta, s + F(c)
+
+
+def descriptor_twist_oracle(model: ToricFanoModel, i, desc, xi
+                            ) -> tuple[tuple[Fraction, ...], Fraction]:
+    """The twist by xi of a valuation descriptor (eta, shift) on summand i,
+    in Fractions: (eta + xi, shift - theta), with theta the least pairing
+    of the summand's vertices with eta less their least pairing with
+    eta + xi."""
+    eta, s = desc
+    moved = tuple(a + b for a, b in zip(eta, as_vec(xi)))
+    verts = model.summand(i).vertices
+    theta = _min_pairing(verts, eta) - _min_pairing(verts, moved)
+    return moved, s - theta
+
+
+def descriptor_base_change_oracle(desc, e) -> tuple[tuple[Fraction, ...], Fraction]:
+    """The e-fold base change of a valuation descriptor (eta, shift)."""
+    eta, s = desc
+    return tuple(e * x for x in eta), e * s
+
+
+def descriptor_sum_oracle(parts):
+    """The descriptor of a sum whose members carry the valuation descriptors
+    ``parts``, as (eta, shift) pairs: one pair with the summed shift when
+    every eta is the same rational vector, else the parts as a tuple."""
+    if all(eta == parts[0][0] for eta, _ in parts):
+        return parts[0][0], sum((s for _, s in parts), F(0))
+    return tuple(parts)
+
+
+def ding_descriptor_oracle(model: ToricFanoModel, parts, delta
+                           ) -> tuple[Fraction, Fraction, tuple, str, Fraction]:
+    """(value, mu, summand slopes, provenance, probe value) of the coupled
+    Ding invariant of a family whose members carry the valuation
+    descriptors ``parts``, (eta, shift) pairs on one eta, in Fractions:
+    the log discrepancy is minus the least pairing of the anticanonical
+    vertices, a member's slope is its barycenter pairing less its least
+    vertex pairing, plus its shift, and the probe is the all-ones twist of
+    every member."""
+    delta = F(delta)
+    antican = model.anticanonical.vertices
+
+    def terms(parts):
+        eta, total_shift = descriptor_sum_oracle(parts)
+        a = -_min_pairing(antican, eta)
+        mu = (a / delta if delta >= 1 else a) + total_shift
+        slopes = tuple(vdot(model.barycenters[i], e)
+                       - _min_pairing(model.summand(i).vertices, e) + s
+                       for i, (e, s) in enumerate(parts))
+        return mu, slopes
+
+    mu, slopes = terms(parts)
+    ones = (F(1),) * model.rank
+    t_mu, t_slopes = terms([descriptor_twist_oracle(model, i, p, ones)
+                            for i, p in enumerate(parts)])
+    return (mu - sum(slopes, F(0)), mu, slopes,
+            CLOSED_FORM if delta >= 1 else "lower-bound",
+            t_mu - sum(t_slopes, F(0)))
 
 
 def twisted_profile_oracle(model: ToricFanoModel, eta, xi

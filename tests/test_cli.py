@@ -17,14 +17,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURE_NAMES
-from oracles import assert_float_free
+from oracles import assert_float_free, ding_descriptor_oracle
 
 import ckstab
 from ckstab.cli import build_parser, main, render_table, resolve_model_path
 from ckstab.filtration import ValuationDescriptor
 from ckstab.geometry import as_vec
-from ckstab.serialize import (canonical_json, load_model, model_from_json,
-                              model_to_json, polytope_to_json)
+from ckstab.serialize import (canonical_json, format_rational, load_model,
+                              model_from_json, model_to_json,
+                              polytope_to_json)
 from ckstab.serialize import ParseError, ValidationError
 from ckstab.stability import (SubtorusSpec, coupled_delta, coupled_futaki,
                               ding_of_descriptors, find_destabilizer, j_twist,
@@ -390,17 +391,19 @@ def _draw_rearrangement(data, model):
     return i, t, order, split, moved
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=40,
+@pytest.mark.parametrize("name", FIXTURE_NAMES + ["p1cubed", "p3_halves",
+                                                  "p3_quarters"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=4,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
-def test_lct_under_summand_permutation_and_split(models, rank3_models, data):
+def test_lct_under_summand_permutation_and_split(models, rank3_models, name,
+                                                 data):
     # Split summand i of a model into t Q_i and (1 - t) Q_i, then take all
     # k + 1 summands in any order.  The lc threshold of the total ring does
     # not change, summand j of the result has the threshold (value and
     # witness) of summand order[j] of the split model, and a piece c Q_i at
     # level c L has that of Q_i at level L with the ideal scaled by c.
-    pool = {**models, **rank3_models}
-    model = pool[data.draw(st.sampled_from(sorted(pool)))]
+    model = {**models, **rank3_models}[name]
     i, t, order, split, moved = _draw_rearrangement(data, model)
     eta = data.draw(st.lists(st.integers(-2, 2), min_size=model.rank,
                              max_size=model.rank).filter(any))
@@ -506,3 +509,26 @@ def test_polytope_halfspace_fragment():
     assert p.vertices == ((F(-1),), (F(1),))
     q = polytope_from_json({"vertices": [["2/4"], ["1"]]})
     assert q.vertices == ((F(1, 2),), (F(1),))   # non-reduced input reduced
+
+
+@pytest.mark.parametrize("name", ["p2_halves", "p2_steps", "p1xp1_symmetric",
+                                  "bl1p2_halves", "bl1p2_hsplit"])
+def test_ding_on_fractional_directions_matches_the_fraction_oracle(
+        capsys, models, name):
+    # the benchmark digests hold only integer directions at slope one; here
+    # eta has denominators 2, 3 and 6 (zero and negative entries included),
+    # at slopes below, at and above one
+    model = models[name]
+    for eta in ("1/2,-1/3", "-5/6,0", "2/3,7/6", "0,-1/2", "-3/2,5/3"):
+        parts = [(as_vec(map(F, eta.split(","))), F(0))] * model.num_summands
+        for slope in ("1/2", "1", "3"):
+            code, out, _ = run(capsys, "ding", name, f"--eta={eta}",
+                               "--slope", slope)
+            assert code == 0
+            rep = report_of(out)
+            value, mu, slopes, provenance, _ = ding_descriptor_oracle(
+                model, parts, F(slope))
+            assert rep["ding"] == {"value": format_rational(value),
+                                   "provenance": provenance}, (eta, slope)
+            assert rep["mu"] == format_rational(mu)
+            assert rep["summand_slopes"] == list(map(format_rational, slopes))

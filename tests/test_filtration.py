@@ -3,6 +3,7 @@ the structural identities on sampled inputs."""
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import random
 import weakref
@@ -10,16 +11,23 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import (check_multiplicative, is_shifted_trivial,
-                     mean_slope_decay_constant, table_approximate,
-                     table_base_change, table_round, table_shift,
-                     table_slopes, table_sum, table_twist)
+from conftest import FIXTURE_NAMES
+from oracles import (check_multiplicative, descriptor_base_change_oracle,
+                     descriptor_shift_oracle, descriptor_sum_oracle,
+                     descriptor_twist_oracle, ding_descriptor_oracle,
+                     is_shifted_trivial, mean_slope_decay_constant,
+                     table_approximate, table_base_change, table_round,
+                     table_shift, table_slopes, table_sum, table_twist,
+                     valuation_oracle)
+
+import ckstab
 
 from ckstab.cli import resolve_model_path
 from ckstab.filtration import (EmptyDecomposition, Filtration,
                                FiltrationFamily, GradedBasis,
                                GridMismatch, MissingCharacter,
                                NotIntegerValued, UnboundedWeights,
+                               ValuationDescriptor,
                                approximate, base_change, construct,
                                family_degree_grid, graded_basis, numerics,
                                round_weights, shift, sum_filtration,
@@ -28,8 +36,8 @@ from ckstab.filtration import (EmptyDecomposition, Filtration,
                                valuation_filtration)
 from ckstab.geometry import ExactPolytope
 from ckstab.serialize import load_model
-from ckstab.stability import identity_suite
-from ckstab.toric import TOTAL, build_model, theta_twist
+from ckstab.stability import coupled_ding, ding_of_descriptors, identity_suite
+from ckstab.toric import TOTAL, build_model, s_invariant, theta_twist
 
 
 def rand_frac(rng, span=3):
@@ -651,3 +659,140 @@ def test_second_suite_run_adds_no_plans():
     sizes = len(model.bases), len(model.plans)
     identity_suite(model, samples=5, seed=1)
     assert (len(model.bases), len(model.plans)) == sizes
+
+
+# --- integer descriptors against the Fraction descriptor steps ---------------
+
+def desc_of(f):
+    d = f.descriptor
+    assert all(type(x) is F for x in d.eta) and type(d.shift) is F
+    return d.eta, d.shift
+
+
+def twelfths(rng, span=2):
+    # denominators up to 12, with zero entries drawn on purpose
+    if rng.random() < 0.2:
+        return F(0)
+    den = rng.randint(1, 12)
+    return F(rng.randint(-span * den, span * den), den)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + ["p1cubed", "p3_halves",
+                                                  "p3_quarters"])
+def test_descriptor_steps_match_fraction_oracle(models, rank3_models, name):
+    model = {**models, **rank3_models}[name]
+    rng = random.Random(sum(map(ord, name)))
+    rank, k = model.rank, model.num_summands
+    step = family_degree_grid(model, 12)[0]
+
+    def vec(draw=twelfths):
+        return tuple(draw(rng) for _ in range(rank))
+
+    def ints(rng):
+        return F(rng.randint(-3, 3))
+
+    for _ in range(3):
+        eta, xi, cs = vec(), vec(), [twelfths(rng, 3) for _ in range(k)]
+        fam = valuation_family(model, eta, m_max=step)
+        shifted, twisted = [], []
+        for i, f in enumerate(fam.members):
+            want = valuation_oracle(eta)
+            assert desc_of(f) == want
+            g = shift(f, cs[i])
+            want = descriptor_shift_oracle(want, cs[i])
+            assert desc_of(g) == want
+            h = twist(g, xi)
+            moved = descriptor_twist_oracle(model, i, want, xi)
+            assert desc_of(h) == moved
+            back = twist(h, tuple(-x for x in xi))
+            assert desc_of(back) == descriptor_twist_oracle(
+                model, i, moved, tuple(-x for x in xi)) == want
+            shifted.append(g)
+            twisted.append(h)
+        for members in (shifted, twisted):
+            total = sum_filtration(FiltrationFamily(model, tuple(members)))
+            assert desc_of(total) == descriptor_sum_oracle(
+                [desc_of(g) for g in members])
+        mixed = FiltrationFamily(model, tuple(
+            valuation_filtration(f.basis, vec()) for f in fam.members))
+        want = descriptor_sum_oracle([desc_of(f) for f in mixed.members])
+        d = sum_filtration(mixed).descriptor
+        got = ((d.eta, d.shift) if isinstance(d, ValuationDescriptor)
+               else tuple((p.eta, p.shift) for p in d.parts))
+        assert got == want
+        # the closed forms read from the descriptors, probe included
+        parts = [desc_of(g) for g in shifted]
+        res = coupled_ding(FiltrationFamily(model, tuple(shifted)))
+        assert (res.value, res.mu, res.s_values, res.provenance,
+                res.probe_value) == ding_descriptor_oracle(model, parts, 1)
+        # base change keeps integer tables: integer eta, shifts and twists
+        int_eta, int_xi = vec(ints), vec(ints)
+        e = rng.choice([2, 3])
+        for i in range(k):
+            f = valuation_filtration(fam.members[i].basis, int_eta)
+            c = F(rng.randint(-3, 3))
+            for g, want in (
+                    (shift(f, c), descriptor_shift_oracle(valuation_oracle(int_eta), c)),
+                    (twist(f, int_xi), descriptor_twist_oracle(
+                        model, i, valuation_oracle(int_eta), int_xi))):
+                assert desc_of(base_change(g, e)) == \
+                    descriptor_base_change_oracle(want, e)
+
+
+def test_descriptors_are_normalized(p2, bl1p2):
+    half = ValuationDescriptor((F(2, 4), 1))
+    assert half == ValuationDescriptor((F(1, 2), 1))
+    assert hash(half) == hash(ValuationDescriptor((F(1, 2), 1)))
+    assert (half.den, half.nums) == (2, (1, 2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        half.den = 4
+    assert ValuationDescriptor((1, -2), 3) == ValuationDescriptor(
+        (F(1), F(-2)), F(3))
+    assert hash(ValuationDescriptor((1, -2), 3)) == hash(
+        ValuationDescriptor((F(1), F(-2)), F(3)))
+    assert ValuationDescriptor((F(1, 2), 1)) != ValuationDescriptor((F(1, 2), 1),
+                                                                    F(1, 2))
+    assert repr(ValuationDescriptor((1, F(1, 2)), F(-1, 3))) == (
+        "ValuationDescriptor(eta=(Fraction(1, 1), Fraction(1, 2)), "
+        "shift=Fraction(-1, 3))")
+    # a member twisted away and back, over a larger denominator, still
+    # shares its direction with the others, so the sum keeps one direction
+    for model in (p2, bl1p2):
+        eta, xi = (F(1, 2), F(1)), (F(1, 3), F(-1, 6))
+        fam = valuation_family(model, eta, m_max=family_degree_grid(model, 2)[0])
+        first = twist(twist(fam.members[0], xi), tuple(-x for x in xi))
+        assert first.descriptor == fam.members[0].descriptor
+        assert hash(first.descriptor) == hash(fam.members[0].descriptor)
+        total = sum_filtration(FiltrationFamily(
+            model, (first,) + fam.members[1:]))
+        assert isinstance(total.descriptor, ValuationDescriptor)
+        assert total.descriptor == ValuationDescriptor(eta)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + ["p1cubed", "p3_halves",
+                                                  "p3_quarters"])
+def test_descriptor_steps_rescale_no_direction(models, rank3_models, name,
+                                               monkeypatch):
+    # the descriptors hold their direction as integers, so neither the Ding
+    # closed form nor a twist scales a direction again; the counter is
+    # live, as the public invariant shows
+    model = {**models, **rank3_models}[name]
+    fam = valuation_family(model, (F(1, 2),) + (F(-1, 3),) * (model.rank - 1),
+                           m_max=family_degree_grid(model, 12)[0])
+    parts = [f.descriptor for f in fam.members]
+    calls = []
+    for module in (ckstab.geometry, ckstab.toric, ckstab.filtration,
+                   ckstab.stability):
+        for fn in ("_int_directions", "_scaled"):
+            if hasattr(module, fn):
+                def counted(*args, _fn=getattr(module, fn), _name=fn):
+                    calls.append(_name)
+                    return _fn(*args)
+                monkeypatch.setattr(module, fn, counted)
+    for delta in (F(1, 2), 1, 3):
+        ding_of_descriptors(model, parts, delta)
+    for f in fam.members:
+        twist(f, (F(1, 4),) * model.rank)
+    assert calls == [], name
+    s_invariant(model, 0, parts[0].eta)
+    assert calls
