@@ -5,19 +5,22 @@ Polytopes carry both a vertex description and a half-space description,
 cross-validated on construction.  The kernel also provides rational cones
 and normal fans.  A piecewise-linear function has no type of its own and
 no linear forms are carried: a cell is its sorted primitive extreme rays.
-Normal cones have one construction, the polytope's edge table
-(``_edge_table``: the facets tight at each vertex, and the vertex pairs
-whose common tight facets have rank ``rank - 1``, O(V^2) rank tests).
-``normal_fan`` reads from it the cones on which ``min_{a in p} <a, .>`` is
-linear, each with its minimizing vertex: a cone's generators are the
-vertex's tight facet normals and its facets are the vertex's edge
-directions, so no ray is solved for.  ``restrict_min_support`` subdivides
-cones into the cells of such a minimum.  It builds the edge table once and
-walks the cells of each cone from the vertices that minimize at its probe,
-crossing only walls of full dimension inside the cone, so it solves each
-full-dimensional cell once, by one ``_rays`` call over the cone's facets
-and that vertex's edge directions, and no other.  The lc threshold scans
-the union of those rays and evaluates its functions there directly.
+The face structure of a polytope is read one way, off its vertex-facet
+incidence (``_incidence``: the facets tight at each vertex), with no hull.
+The edge table (``_edge_table``) adds the vertex pairs whose common tight
+facets have rank ``rank - 1``.  ``normal_fan`` reads from it the cones on
+which ``min_{a in p} <a, .>`` is linear, each with its minimizing vertex:
+a cone's generators are the vertex's tight facet normals and its facets
+are the vertex's edge directions, so no ray is solved for.
+``restrict_min_support`` subdivides cones into the cells of such a
+minimum.  It builds the edge table once and walks the cells of each cone
+from the vertices that minimize at its probe, crossing only walls of full
+dimension inside the cone, so it solves each full-dimensional cell once,
+by one ``_rays`` call over the cone's facets and that vertex's edge
+directions.  The lc threshold scans the union of those rays.  The
+triangulation behind ``centroid`` and ``volume`` (``_triangulation``)
+pulls each face's least vertex over the faces cut from it by the facets
+of the polytope, as sets of vertex indices.
 
 Intended for small ambient ranks (p <= 4).  The facet loop, the vertex
 loop and ``_rays`` enumerate subsets of rows by brute force, which is
@@ -29,13 +32,13 @@ table: its vertices as ``int`` numerators ``nums`` over one positive
 (primitive normal, ``int`` offset numerator over the same ``den``).  The
 hull (``_hull``, with the facet loop ``_facets_from_points`` and the vertex
 loop ``_cramer_vertices``), the half-space constructor (``_from_rows``),
-the triangulation behind ``centroid`` and ``volume`` (``_simplices``), the
-normal fan, ``contains`` and the cones all read and write such tables, and
-each normal or vertex solve is one vector of signed integer minors
-(``_minor_normal``, with the determinant ``_int_det``).  The public
-constructors (``from_vertices``, ``from_halfspaces``, ``translate``,
-``scale``) scale their input to integers once at entry; the loader hands
-its parsed tables straight to ``_from_points`` and ``_from_rows``.
+the triangulation, the normal fan, ``contains`` and the cones all read and
+write such tables, and each normal or vertex solve is one vector of signed
+integer minors (``_minor_normal``, with the determinant ``_int_det``).
+Only ``_from_points`` (behind ``from_vertices`` and ``minkowski_sum``)
+and ``_from_rows`` (behind ``from_halfspaces``) hull.  The public
+constructors scale their input to integers once at entry; the loader
+hands its parsed tables straight to ``_from_points`` and ``_from_rows``.
 ``ExactPolytope`` reduces ``den`` to the least common denominator and
 builds the public ``Fraction`` ``vertices`` once, from the table;
 ``halfspaces``, the facets as ``HalfSpace``s, is a view built on access.
@@ -46,23 +49,21 @@ leave the module as ``Fraction``.
 
 Every ray solve is one routine, ``_rays`` (public as ``extreme_rays``):
 the rays of a cone from its inner normals (the cells of
-``restrict_min_support``), the facets of a cone from its generators as the
-rays of the dual cone (only ``Cone.from_generators`` asks for these; a
-normal cone is read off the edge table), the recession directions of a
-half-space system, and its feasibility through the homogenised system.
-The only other subset enumerations are the facet loop and the vertex
-loop.  The vertex loop takes ``Facet`` rows over a ``den`` and returns a
-vertex table over one denominator; besides the hull and ``_from_rows`` it
-gives the vertices of the cells in which the fan cuts a twist slice
+``restrict_min_support``), the recession directions of a half-space
+system, and its feasibility through the homogenised system.  The only
+other subset enumerations are the facet loop and the vertex loop.  The
+vertex loop takes ``Facet`` rows over a ``den`` and returns a vertex table
+over one denominator; besides the hull and ``_from_rows`` it gives the
+vertices of the cells in which the fan cuts a twist slice
 (``stability._slice_cells``, behind both the reduced threshold and the
 reduced J norm) and of the lct containment oracle's polyhedra, whose rows
 those callers build as integers.
 
-Ranks and affine charts come from one division-free elimination,
-``_int_echelon``.  A lower-dimensional polytope is hulled in the
-projection of its points onto the pivot columns of their differences,
-which is one to one on their affine hull; its facet normals are the
-chart's padded with zeros.
+Ranks come from one division-free elimination, ``_int_echelon``.  Its
+pivot columns give the chart of a lower-dimensional polytope: the
+projection of its points onto them is one to one on their affine hull.
+``_hull`` hulls such a polytope there once and pads its facet normals with
+zeros; the triangulation takes its simplex weights there.
 """
 
 from __future__ import annotations
@@ -446,13 +447,6 @@ class ExactPolytope:
         return f"ExactPolytope(dim={self.dim}, rank={self.rank}, vertices={len(self.vertices)})"
 
 
-def _chart(pts: Sequence[IntVec], pivots: Sequence[int]) -> dict[IntVec, IntVec]:
-    """Each point keyed by its projection onto ``pivots``, the pivot columns
-    of the differences of the points; the projection is one to one on their
-    affine hull."""
-    return {tuple([p[c] for c in pivots]): p for p in pts}
-
-
 def _hull(pts: list[IntVec], rank: int) -> tuple[list[IntVec], list[Facet], int]:
     """The vertices, facets and dimension of the hull of sorted distinct
     integer points; a facet (a, c) is <x, a> >= c in the units of the
@@ -475,9 +469,10 @@ def _hull(pts: list[IntVec], rank: int) -> tuple[list[IntVec], list[Facet], int]
             raise InternalInvariantError("hull cross-validation failed")
         return verts, facets, rank
 
-    # lower-dimensional: hull the projected points, map the vertices back,
-    # and pad each facet normal with zeros
-    lift = _chart(pts, pivots)
+    # lower-dimensional: hull the points projected onto the pivot columns,
+    # which is one to one on their affine hull, map the vertices back, and
+    # pad each facet normal with zeros
+    lift = {tuple([p[c] for c in pivots]): p for p in pts}
     local, local_facets, _ = _hull(sorted(lift), dim)
     facets = []
     for a, c in local_facets:
@@ -618,45 +613,58 @@ def minkowski_sum(polys: Sequence[ExactPolytope]) -> ExactPolytope:
     return acc
 
 
-def _simplices(nums: Sequence[IntVec], facets: Sequence[Facet],
-               dim: int) -> list[tuple[IntVec, ...]]:
-    """Simplices (as vertex tuples) fanned from the lex-least vertex of the
-    polytope with these sorted vertices and facets, in the units of the
-    vertices.
+def _incidence(nums: Sequence[IntVec], facets: Sequence[Facet]) -> list[set[int]]:
+    """For each vertex, in order, the indices of the facets tight at it,
+    equality pairs included; the one vertex-facet scan of a polytope."""
+    return [{k for k, (a, c) in enumerate(facets) if sum(map(mul, n, a)) == c}
+            for n in nums]
 
-    The simplices partition the polytope up to measure zero; the list order
-    is deterministic.
+
+def _triangulation(p: ExactPolytope) -> Iterator[tuple[int, list[IntVec]]]:
+    """The pulling triangulation of p, of dimension at least one (De Loera,
+    Rambau and Santos, *Triangulations*, 2010): a face is coned from its
+    least vertex over its facets that miss that vertex, each triangulated in
+    turn.  Each simplex is (w, its vertices in ``p.nums``), w the |det| of
+    its integer edge rows on the pivot columns of p's affine hull: its
+    measure times ``dim!`` in the units of ``nums``, up to one factor for
+    all simplices when p is lower-dimensional.
+
+    A face is a set of vertex indices, read off ``_incidence`` with no hull.
+    Every face of p is an intersection of facets of p, so the facets of a
+    face F are the sets F & T, T a facet of p, of affine rank dim F - 1;
+    several T cut the same one, so they are taken once.  At the top every
+    facet that misses vertex 0 is such a set (an equality pair contains all
+    of p), and a face with dim F + 1 vertices is a simplex.
     """
-    if dim == 0:
-        return [(nums[0],)]
-    if dim == 1:
-        return [(nums[0], nums[-1])]
-    v0 = nums[0]
-    simplices: list[tuple[IntVec, ...]] = []
-    for a, c in facets:
-        face = [n for n, p in zip(nums, _pairings(nums, a)) if p == c]
-        if len(face) < dim or face[0] == v0:
-            continue
-        if len(face) == dim and _rank(
-                [vsub(v, face[0]) for v in face[1:]]) == dim - 1:
-            # a simplex facet is its own triangulation
-            simplices.append((v0,) + tuple(face))
-            continue
-        verts, face_facets, face_dim = _hull(face, len(v0))
-        if face_dim != dim - 1:
-            continue
-        for s in _simplices(verts, face_facets, face_dim):
-            simplices.append((v0,) + s)
-    return simplices
+    nums = p.nums
+    inc = _incidence(nums, p.facets)
+    # the vertices on each facet, in order
+    on = [[i for i, ks in enumerate(inc) if k in ks] for k in range(len(p.facets))]
 
+    def pull(v0: int, d: int, ridges: Iterable[tuple[int, ...]]
+             ) -> list[tuple[int, ...]]:
+        # the simplices of a face of dimension d with least vertex v0, coned
+        # from v0 over its ridges, the facets of the face that miss v0
+        out = []
+        for g in ridges:
+            if len(g) == d:
+                out.append((v0,) + g)
+                continue
+            keep = set(g)
+            cuts = {tuple([i for i in t if i in keep]) for t in on}
+            out += [(v0,) + s for s in pull(g[0], d - 1, [
+                c for c in cuts if len(c) >= d - 1 and c[0] != g[0]
+                and _rank([vsub(nums[i], nums[c[0]]) for i in c[1:]]) == d - 2])]
+        return out
 
-def _simplex_dets(nums: Sequence[IntVec], facets: Sequence[Facet],
-                  dim: int) -> Iterator[tuple[int, tuple[IntVec, ...]]]:
-    """Each simplex of ``_simplices`` as (w, its vertices), with w = |det| of
-    its integer edge rows: its measure times ``dim!`` in the units of the
-    vertices."""
-    for s in _simplices(nums, facets, dim):
-        yield abs(_int_det([vsub(v, s[0]) for v in s[1:]])), s
+    rows = nums
+    if p.dim < p.rank:
+        pivots, _ = _int_echelon([vsub(n, nums[0]) for n in nums[1:]])
+        rows = [tuple([n[c] for c in pivots]) for n in nums]
+    for s in pull(0, p.dim, {tuple(t) for t in on if t[0]}):
+        base = rows[s[0]]
+        yield (abs(_int_det([vsub(rows[i], base) for i in s[1:]])),
+               [nums[i] for i in s])
 
 
 def volume(p: ExactPolytope) -> Fraction:
@@ -664,7 +672,8 @@ def volume(p: ExactPolytope) -> Fraction:
 
     Affine-hull volume of degenerate polytopes is normalized by the induced
     lattice; it is implemented for dim <= 1 (points, segments), which covers
-    the degenerate inputs this library produces.
+    the degenerate inputs this library produces.  Above that, the volume is
+    the weight sum of ``_triangulation``.
     """
     if p.dim == 0:
         return Fraction(1)
@@ -677,33 +686,24 @@ def volume(p: ExactPolytope) -> Fraction:
         return d[j] / prim[j]
     if p.dim < p.rank:
         raise DegenerateInput("affine-hull volume implemented only for dim <= 1")
-    return Fraction(sum(w for w, _ in _simplex_dets(p.nums, p.facets, p.dim)),
+    return Fraction(sum(w for w, _ in _triangulation(p)),
                     p.den ** p.dim * math.factorial(p.dim))
 
 
 def centroid(p: ExactPolytope) -> Vec:
     """Volume-weighted barycenter; exact, independent of any normalization.
 
-    The simplex weights are the integer determinants of ``_simplex_dets``
+    The simplex weights are the integer determinants of ``_triangulation``
     and the vertex sums are taken over ``p.nums``, so the one division is
-    the last step.  A lower-dimensional polytope is triangulated in the
-    chart of ``from_vertices``, its projection onto the pivot columns of
-    its vertex differences, and each simplex's vertices are lifted back.
-    The projection is affine and one to one on the affine hull, so it
-    scales every simplex measure by one constant and leaves the weights
-    unchanged.
+    the last step.  On a lower-dimensional polytope the weights are taken
+    on the pivot columns of its affine hull; that projection is one to one
+    on the hull and scales every simplex measure by one factor, so the
+    barycenter is unchanged.
     """
     if p.dim == 0:
         return p.vertices[0]
-    nums, facets, lift = p.nums, p.facets, None
-    if p.dim < p.rank:
-        pivots, _ = _int_echelon([vsub(n, p.nums[0]) for n in p.nums[1:]])
-        lift = _chart(p.nums, pivots)
-        nums, facets, _ = _hull(sorted(lift), p.dim)
     total, acc = 0, [0] * p.rank
-    for w, s in _simplex_dets(nums, facets, p.dim):
-        if lift is not None:
-            s = [lift[v] for v in s]
+    for w, s in _triangulation(p):
         total += w
         # the simplex's barycenter is this vertex sum over dim + 1
         for i, x in enumerate(map(sum, zip(*s))):
@@ -748,30 +748,11 @@ class Cone:
 
     ``generators`` are the primitive extreme rays; ``facets`` are primitive
     inner normals, so membership is ``<facet, x> >= 0`` for every facet.
-    A normal cone is read off the edge table (``normal_fan``);
-    ``from_generators`` solves for the facets of any other cone.
+    A normal cone is read off the edge table (``normal_fan``).
     """
 
     generators: tuple[IntVec, ...]
     facets: tuple[IntVec, ...]
-
-    @staticmethod
-    def from_generators(gens: Sequence[Sequence]) -> "Cone":
-        prims = sorted({primitive_vector(g) for g in gens})
-        rank = len(prims[0])
-        if _rank(prims) < rank:
-            raise GeometryError("cone generators do not span")
-        if rank == 1:
-            return Cone(tuple(prims), tuple(prims))
-        # the facet normals are the extreme rays of the dual cone
-        facets = {_primitive(n) for n in _rays(prims, rank)}
-        if not facets:
-            raise InternalInvariantError("cone facet enumeration failed")
-        # drop generators that are not extreme (conic combinations of others)
-        extreme = [g for g in prims
-                   if _rank([f for f in facets if sum(map(mul, g, f)) == 0])
-                   >= rank - 1]
-        return Cone(tuple(extreme), tuple(sorted(facets)))
 
     @property
     def rank(self) -> int:
@@ -781,12 +762,11 @@ class Cone:
         return all(vdot(x, f) >= 0 for f in self.facets)
 
 
-def _edge_table(p: ExactPolytope) -> tuple[list[set[IntVec]],
+def _edge_table(p: ExactPolytope) -> tuple[list[set[int]],
                                             list[list[tuple[IntVec, int]]]]:
-    """Each vertex of p, in the order of ``nums``, as the set of normals of
-    the facets tight at it (equality pairs included) and the list of its
-    edges: the primitive direction from it to the other end, and that end's
-    index.
+    """Each vertex of p, in the order of ``nums``, as its ``_incidence`` and
+    the list of its edges: the primitive direction from it to the other end,
+    and that end's index.
 
     Vertices v and w span an edge when their common tight facets have rank
     ``rank - 1``: their face is then one dimensional, and v and w are its
@@ -794,10 +774,10 @@ def _edge_table(p: ExactPolytope) -> tuple[list[set[IntVec]],
     of v is cut out by its edge directions alone, and when p is
     full-dimensional it is spanned by its tight facet normals.
     """
-    tight = [{a for a, c in p.facets if sum(map(mul, n, a)) == c} for n in p.nums]
+    tight = _incidence(p.nums, p.facets)
     edges: list[list[tuple[IntVec, int]]] = [[] for _ in p.nums]
     for i, j in itertools.combinations(range(len(p.nums)), 2):
-        if _rank(list(tight[i] & tight[j])) == p.rank - 1:
+        if _rank([p.facets[k][0] for k in tight[i] & tight[j]]) == p.rank - 1:
             d = _primitive(vsub(p.nums[j], p.nums[i]))
             edges[i].append((d, j))
             edges[j].append((vneg(d), i))
@@ -864,5 +844,6 @@ def normal_fan(p: ExactPolytope) -> list[tuple[Cone, Vec]]:
     if p.dim != p.rank:
         raise DegenerateInput("normal fan needs a full-dimensional polytope")
     tight, edges = _edge_table(p)
-    return [(Cone(tuple(sorted(t)), tuple(sorted(d for d, _ in e))), v)
+    return [(Cone(tuple(sorted(p.facets[k][0] for k in t)),
+                  tuple(sorted(d for d, _ in e))), v)
             for t, e, v in zip(tight, edges, p.vertices)]

@@ -323,10 +323,13 @@ def ding_of_descriptors(model: ToricFanoModel, parts: Sequence[Descriptor],
 
     For slope >= 1 the value is exact.  For smaller slopes the lc slope is
     only bounded, and the returned value is the certified lower bound, with
-    the provenance field saying so.  At slope one the twist identity is
-    evaluated at a probe direction, from the twisted descriptors, and
-    checked against the direct computation, so every exact value has
-    passed one internal cross-validation.
+    the provenance field saying so.  At slope one every member is twisted by
+    a probe direction and two twist rules are checked against the direct
+    computation: the lc slope of the sum is unchanged, and member i's slope
+    moves by ``<b_i, probe>``, b_i its barycenter.  Together they give the
+    probe value ``value - <b, probe>``, so every exact value has passed one
+    internal cross-validation.  A summand with b_i = 0, as in the halves
+    models, moves neither side, so a wrong twist of it goes unseen.
     """
     delta = _slope_parameter(delta)
 
@@ -348,10 +351,11 @@ def ding_of_descriptors(model: ToricFanoModel, parts: Sequence[Descriptor],
     probe = tuple(map(Fraction, ones))
     probe_value = t_mu - _fraction_sum(t_s)
     if delta == 1:
-        # the barycenter twist rule is a slope-one identity; <b, probe> is
-        # the sum of the coupled barycenter's coordinates
-        b_probe = Fraction(sum(model.bary_nums[-1]), model.bary_den)
-        if probe_value != value - b_probe:
+        # the barycenter twist rules are slope-one identities; <b_i, probe>
+        # is the sum of the coordinates of summand i's barycenter
+        den = model.bary_den
+        if t_mu != mu or any(t != s + Fraction(sum(b), den)
+                             for t, s, b in zip(t_s, s_vals, model.bary_nums)):
             raise InternalInvariantError("twist identity cross-validation failed")
     return DingResult(value, mu, s_vals, delta, probe, probe_value,
                       provenance=CLOSED_FORM if exact else "lower-bound")

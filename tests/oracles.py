@@ -320,13 +320,30 @@ def min_support_cells(cone, p) -> list[tuple[tuple, list[tuple[int, ...]]]]:
     return cells
 
 
+def cone_from_generators(gens: Sequence[Sequence]) -> Cone:
+    """The pointed full-dimensional cone spanned by the generators: the
+    primitive ones that are extreme, and its facets solved for as the
+    extreme rays of the dual cone."""
+    prims = sorted({primitive_vector(g) for g in gens})
+    rank = len(prims[0])
+    if mat_rank(prims) < rank:
+        raise ValueError("cone generators do not span")
+    if rank == 1:
+        return Cone(tuple(prims), tuple(prims))
+    facets = sorted({primitive_vector(n) for n in extreme_rays(prims, rank)})
+    # drop generators that are not extreme (conic combinations of others)
+    extreme = [g for g in prims
+               if mat_rank([f for f in facets if vdot(g, f) == 0]) >= rank - 1]
+    return Cone(tuple(extreme), tuple(facets))
+
+
 def normal_fan_oracle(p) -> list[tuple[Cone, tuple]]:
     """The normal fan of a full-dimensional polytope by the route that
     ``geometry.normal_fan`` replaced with a read of the edge table: for every
     vertex v, in order, the cone spanned by the normals of the half-spaces
     tight at v, with its facets solved for as the rays of the dual cone by
-    ``Cone.from_generators``, paired with v."""
-    return [(Cone.from_generators([h.normal for h in p.halfspaces
+    ``cone_from_generators``, paired with v."""
+    return [(cone_from_generators([h.normal for h in p.halfspaces
                                    if vdot(v, h.normal) == h.offset]), v)
             for v in p.vertices]
 

@@ -10,6 +10,7 @@ import importlib
 import inspect
 import io
 import json
+import math
 import pathlib
 import pkgutil
 import re
@@ -315,6 +316,27 @@ def test_input_error_after_failed_identity_exits_2(monkeypatch):
     assert line.startswith(
         "internal error: identity 'barycenter-cache-consistency'")
     assert line.endswith("cases failed)")
+
+
+def test_ding_cross_check_catches_an_unscaled_twist(monkeypatch):
+    # a twist that leaves xi over its own denominator, not the common one,
+    # goes unseen by the probe value alone where the coupled barycenter
+    # vanishes; the member slope rule catches it on these models
+    from ckstab.filtration import _valuation
+    from ckstab.toric import _ratio_plus, _twist_terms
+
+    def unscaled(model, i, d, den, xi_n):
+        common = math.lcm(d.den, den)
+        e = tuple([n * (common // d.den) for n in d.nums])
+        (theta, theta_den), shifted = _twist_terms(model, i, common, e, xi_n)
+        return _valuation(common, shifted, _ratio_plus((-theta, theta_den), d.shift))
+
+    monkeypatch.setattr("ckstab.stability._twist_descriptor", unscaled)
+    for args in (("p2_steps", "--eta=1/2,1/3"), ("p1_skew", "--eta=1/2"),
+                 ("p1_thirds", "--eta=1/2")):
+        code, out, err = run("ding", *args)
+        assert code == 2 and out == "", args
+        assert "twist identity cross-validation failed" in err
 
 
 # --- the shape of the tree ---------------------------------------------------------

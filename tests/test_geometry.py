@@ -7,6 +7,7 @@ so agreement is a real cross-check.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -16,19 +17,19 @@ import pytest
 
 import ckstab.geometry
 from ckstab.cli import resolve_model_path
-from ckstab.geometry import (Cone, DimensionMismatch, EmptyRegion,
-                             ExactPolytope, HalfSpace, UnboundedRegion,
-                             _int_det, centroid, dual_description,
-                             extreme_rays, lattice_points, minkowski_sum,
-                             normal_fan, primitive_vector,
+from ckstab.geometry import (DimensionMismatch, EmptyRegion, ExactPolytope,
+                             HalfSpace, UnboundedRegion, _int_det, centroid,
+                             dual_description, extreme_rays, lattice_points,
+                             minkowski_sum, normal_fan, primitive_vector,
                              restrict_min_support, support_value, vdot, volume)
 from ckstab.serialize import load_model
 
 
-from oracles import (affine_rank, cofactor_det, hull_oracle, hull_oracle_any,
-                     lattice_oracle, min_support_cells, normal_fan_oracle,
-                     rand_point, rand_rational_points, shoelace_area,
-                     shoelace_centroid, support_oracle, volume_centroid_oracle)
+from oracles import (affine_rank, cofactor_det, cone_from_generators,
+                     hull_oracle, hull_oracle_any, lattice_oracle,
+                     min_support_cells, normal_fan_oracle, rand_point,
+                     rand_rational_points, shoelace_area, shoelace_centroid,
+                     support_oracle, volume_centroid_oracle)
 
 
 # --- dual description -------------------------------------------------------
@@ -368,7 +369,7 @@ def test_rank3_cone_roundtrip():
         # generators with a positive last coordinate span a pointed cone
         gens = [(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(1, 3))
                 for _ in range(rng.randint(3, 7))]
-        cone = Cone.from_generators(gens)
+        cone = cone_from_generators(gens)
         back = sorted({primitive_vector(r) for r in extreme_rays(cone.facets, 3)})
         assert tuple(back) == cone.generators
 
@@ -386,7 +387,7 @@ def test_min_support_cells_are_the_rays_of_their_cones():
                     + (rng.randint(1, 3),) for _ in range(rng.randint(rank, 6))]
             if affine_rank([(0,) * rank] + gens) < rank:
                 continue
-            cone = Cone.from_generators(gens)
+            cone = cone_from_generators(gens)
             dim = rng.randint(0, rank)
             p = ExactPolytope.from_vertices(
                 rand_rational_points(rng, rank, dim + 2, dim, 4))
@@ -394,7 +395,7 @@ def test_min_support_cells_are_the_rays_of_their_cones():
             assert cells
             winners = set()
             for rays in cells:
-                assert rays == list(Cone.from_generators(rays).generators)
+                assert rays == list(cone_from_generators(rays).generators)
                 assert all(cone.contains(r) for r in rays)
                 (v,) = [v for v in p.vertices
                         if all(vdot(v, r) == support_value(p, r, "min")[0]
@@ -409,12 +410,12 @@ def _seeded_cone(rng, rank):
     """A pointed full-dimensional cone: in rank 1 a half-line, above it the
     span of rank to 6 generators with a positive last coordinate."""
     if rank == 1:
-        return Cone.from_generators([(rng.choice([-1, 1]),)])
+        return cone_from_generators([(rng.choice([-1, 1]),)])
     while True:
         gens = [tuple(rng.randint(-3, 3) for _ in range(rank - 1))
                 + (rng.randint(1, 3),) for _ in range(rng.randint(rank, 6))]
         if affine_rank([(0,) * rank] + gens) == rank:
-            return Cone.from_generators(gens)
+            return cone_from_generators(gens)
 
 
 def _seeded_cells(rng):
@@ -575,6 +576,54 @@ def test_lattice_points_against_fraction_scan():
     assert found > 100
 
 
+def _cube(rank):
+    return [tuple(x) for x in itertools.product((-1, 1), repeat=rank)]
+
+
+# full-dimensional polytopes with faces that are not simplices
+SQUARE_PYRAMID = [(x, y, 0) for x in (-1, 1) for y in (-1, 1)] + [(F(1, 3), F(1, 2), 2)]
+NON_SIMPLICIAL = [
+    _cube(3),
+    [tuple(F(3, 2) * x + t for x, t in zip(v, (F(1, 2), F(-1, 3), 2)))
+     for v in _cube(3)],
+    [(x, y, z) for x, y in ((0, 0), (1, 0), (0, 1)) for z in (0, 2)],
+    SQUARE_PYRAMID,
+    _cube(4),
+    # the prism over the square pyramid, whose facets include the prism
+    # over its square base
+    [v + (z,) for v in SQUARE_PYRAMID for z in (0, F(3, 2))],
+    # the bipyramid over the 3-cube: each edge of a square base of a facet
+    # is cut by two other facets, so it must be taken once
+    [v + (0,) for v in _cube(3)] + [(0, 0, 0, 1), (0, 0, 0, -1)],
+]
+# a hexagon and a square in the plane, each mapped into ranks 3 and 4
+PLANAR = [[(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)],
+          [(0, 0), (2, 0), (0, 2), (2, 2)]]
+
+
+def _affine_map(cols, b):
+    """y -> A y + b, with the columns of A given."""
+    def image(y):
+        return tuple(bi + sum((t * c[i] for t, c in zip(y, cols)), F(0))
+                     for i, bi in enumerate(b))
+    return image
+
+
+def _planar_maps():
+    """(pts, image, p) for each planar polygon mapped into ranks 3 and 4 by
+    an injective y -> A y + b, as in the affine equivariance test."""
+    rng = random.Random(73)
+    for pts in PLANAR:
+        for rank in (3, 4):
+            while True:
+                cols = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rank)]
+                        for _ in range(2)]
+                if affine_rank([(0,) * rank] + cols) == 2:
+                    break
+            image = _affine_map(cols, rand_rational_points(rng, rank, 1)[0])
+            yield pts, image, ExactPolytope.from_vertices([image(y) for y in pts])
+
+
 def test_volume_centroid_against_barycentric_subdivision():
     for pts, p in _random_polytopes(61, per_shape=2):
         if p.dim < p.rank or p.rank == 1:
@@ -584,6 +633,38 @@ def test_volume_centroid_against_barycentric_subdivision():
     seg = ExactPolytope.from_vertices([(F(-7, 3),), (F(5, 9),), (F(1, 2),)])
     assert (volume(seg), centroid(seg)) == volume_centroid_oracle(
         [(F(-7, 3),), (F(5, 9),)])
+    # faces that are not simplices, where the triangulation recurses
+    for pts in NON_SIMPLICIAL:
+        p = ExactPolytope.from_vertices(pts)
+        assert p.dim == p.rank
+        assert (volume(p), centroid(p)) == volume_centroid_oracle(pts)
+    for pts, image, p in _planar_maps():
+        assert p.dim == 2
+        assert centroid(p) == image(volume_centroid_oracle(pts)[1])
+
+
+def test_centroid_and_volume_hull_nothing(models, rank3_models, monkeypatch):
+    # the triangulation reads every face off the vertex-facet incidence, so
+    # no face is hulled again; the counter is live, as a constructor shows
+    polys = [q for model in [*_all_fixtures(models).values(), *rank3_models.values()]
+             for q in model.summands]
+    polys += [ExactPolytope.from_vertices(pts) for pts in NON_SIMPLICIAL]
+    polys += [p for _, _, p in _planar_maps()]
+    calls = []
+    hull = ckstab.geometry._hull
+
+    def counted(pts, rank):
+        calls.append(rank)
+        return hull(pts, rank)
+
+    monkeypatch.setattr(ckstab.geometry, "_hull", counted)
+    for p in polys:
+        centroid(p)
+        if p.dim == p.rank or p.dim <= 1:
+            volume(p)
+        assert calls == [], p
+    ExactPolytope.from_vertices(NON_SIMPLICIAL[0])
+    assert calls
 
 
 def _pair(a, b):
@@ -605,11 +686,7 @@ def test_lower_dimensional_hull_is_affine_equivariant():
                 if affine_rank(pts) < d or affine_rank([(0,) * rank] + cols) < d:
                     continue
                 b = rand_rational_points(rng, rank, 1)[0]
-
-                def image(y):
-                    return tuple(bi + sum((t * c[i] for t, c in zip(y, cols)), F(0))
-                                 for i, bi in enumerate(b))
-
+                image = _affine_map(cols, b)
                 p = ExactPolytope.from_vertices([image(y) for y in pts])
                 verts, facets = hull_oracle_any(pts)
                 assert p.dim == d

@@ -22,10 +22,9 @@ from importlib import resources
 
 import pytest
 
-from oracles import SUBTORI_2, min_support_cells
+from oracles import SUBTORI_2, cone_from_generators, min_support_cells
 
-from ckstab.geometry import (Cone, ExactPolytope, restrict_min_support,
-                             support_value)
+from ckstab.geometry import ExactPolytope, restrict_min_support, support_value
 from ckstab.serialize import load_model
 from ckstab.stability import (SubtorusSpec, coupled_delta, coupled_futaki,
                               j_twist, reduced_coupled_delta, reduced_coupled_j)
@@ -269,7 +268,7 @@ def test_min_support_walk_on_lct_regions_in_other_frames(models, rank3_models,
         frames = []
         for _ in range(4):
             u = _unimodular(rng, model.rank)
-            frames.append(([Cone.from_generators([_apply(u, g) for g in c.generators])
+            frames.append(([cone_from_generators([_apply(u, g) for g in c.generators])
                             for c in model.fan], _inverse_transpose(u)))
         for k, region in enumerate(sorted(regions, key=lambda p: (p.den, p.nums))):
             fan, w = frames[k % 4]
