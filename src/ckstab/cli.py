@@ -62,23 +62,22 @@ def _sha256(path: str) -> str:
         raise IoError(f"cannot read {path}: {exc}") from exc
 
 
+# the packaged fixture corpus
+_FIXTURES_DIR = resources.files("ckstab") / "fixtures"
+
+
 def resolve_model_path(path: str) -> str:
     """The path itself, then the CKS_FIXTURES directory, then the packaged
-    fixture corpus."""
-    if os.path.exists(path):
-        return path
+    fixture corpus; then, for a path without the ``.json`` suffix, the
+    same three with it."""
     env_dir = os.environ.get("CKS_FIXTURES")
-    if env_dir:
-        cand = os.path.join(env_dir, path)
-        if os.path.exists(cand):
-            return cand
-    pkg_dir = resources.files("ckstab") / "fixtures"
-    cand = str(pkg_dir / path)
-    if os.path.exists(cand):
-        return cand
-    if not path.endswith(".json"):
-        return resolve_model_path(path + ".json")
-    raise IoError(f"model file not found: {path}")
+    names = [path] if path.endswith(".json") else [path, path + ".json"]
+    for name in names:
+        for cand in (name, env_dir and os.path.join(env_dir, name),
+                     str(_FIXTURES_DIR / name)):
+            if cand and os.path.exists(cand):
+                return cand
+    raise IoError(f"model file not found: {names[-1]}")
 
 
 def _parse_subtorus(text: Optional[str], rank: int) -> SubtorusSpec:

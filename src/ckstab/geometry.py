@@ -6,12 +6,15 @@ cross-validated on construction.  The kernel also provides rational cones
 and normal fans.  A piecewise-linear function has no type of its own and
 no linear forms are carried: a cell is its sorted primitive extreme rays.
 The face structure of a polytope is read one way, off its vertex-facet
-incidence (``_incidence``: the facets tight at each vertex), with no hull.
-The edge table (``_edge_table``) adds the vertex pairs whose common tight
-facets have rank ``rank - 1``.  ``normal_fan`` reads from it the cones on
-which ``min_{a in p} <a, .>`` is linear, each with its minimizing vertex:
-a cone's generators are the vertex's tight facet normals and its facets
-are the vertex's edge directions, so no ray is solved for.
+incidence (``ExactPolytope.incidence``: the facets tight at each vertex),
+with no hull and no rank.  The vertex loop finds it with the vertices, and
+every face query compares its sets: a face is the set of vertices tight on
+some facets, and the facets common to two vertices cut out the least face
+that holds both.  The edge table (``_edge_table``) takes the vertex pairs
+whose least face holds no third vertex.  ``normal_fan`` reads from it the
+cones on which ``min_{a in p} <a, .>`` is linear, each with its minimizing
+vertex: a cone's generators are the vertex's tight facet normals and its
+facets are the vertex's edge directions, so no ray is solved for.
 ``restrict_min_support`` subdivides cones into the cells of such a
 minimum.  It builds the edge table once and walks the cells of each cone
 from the vertices that minimize at its probe, crossing only walls of full
@@ -19,8 +22,8 @@ dimension inside the cone, so it solves each full-dimensional cell once,
 by one ``_rays`` call over the cone's facets and that vertex's edge
 directions.  The lc threshold scans the union of those rays.  The
 triangulation behind ``centroid`` and ``volume`` (``_triangulation``)
-pulls each face's least vertex over the faces cut from it by the facets
-of the polytope, as sets of vertex indices.
+pulls each face's least vertex over the greatest of the faces cut from it
+by the facets of the polytope, as sets of vertex indices.
 
 Intended for small ambient ranks (p <= 4).  The facet loop, the vertex
 loop and ``_rays`` enumerate subsets of rows by brute force, which is
@@ -53,8 +56,12 @@ the rays of a cone from its inner normals (the cells of
 system, and its feasibility through the homogenised system.  The only
 other subset enumerations are the facet loop and the vertex loop.  The
 vertex loop takes ``Facet`` rows over a ``den`` and returns a vertex table
-over one denominator; besides the hull and ``_from_rows`` it gives the
-vertices of the cells in which the fan cuts a twist slice
+over one denominator with the rows tight at each vertex.  It gives a
+full-dimensional hull and ``_from_rows`` their incidence, and
+``_from_rows`` its facets: the rows whose sets of tight vertices no other
+row's set strictly contains.  Only a hull of lower dimension scans its
+vertices against its facets (``_incidence``).  The vertex loop also gives
+the vertices of the cells in which the fan cuts a twist slice
 (``stability._slice_cells``, behind both the reduced threshold and the
 reduced J norm) and of the lct containment oracle's polyhedra, whose rows
 those callers build as integers.
@@ -268,13 +275,22 @@ def _minor_normal(rows: Sequence[Sequence[int]], n: int) -> IntVec:
     j-th entry is (-1)^j times the minor without column j.  It is
     orthogonal to every row, and it is zero exactly when the rows are
     dependent; otherwise it spans the line orthogonal to them.  Written out
-    for n <= 3."""
+    for n <= 4, for n = 4 by expanding each 3 x 3 minor along the first row
+    over the six 2 x 2 minors of the last two."""
     if n == 2:
         ((a, b),) = rows
         return (b, -a)
     if n == 3:
         (a, b, c), (d, e, f) = rows
         return (b * f - c * e, c * d - a * f, a * e - b * d)
+    if n == 4:
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = rows
+        m01, m02, m03 = b0 * c1 - b1 * c0, b0 * c2 - b2 * c0, b0 * c3 - b3 * c0
+        m12, m13, m23 = b1 * c2 - b2 * c1, b1 * c3 - b3 * c1, b2 * c3 - b3 * c2
+        return (a1 * m23 - a2 * m13 + a3 * m12,
+                a2 * m03 - a0 * m23 - a3 * m02,
+                a0 * m13 - a1 * m03 + a3 * m01,
+                a1 * m02 - a0 * m12 - a2 * m01)
     return tuple(-d if j % 2 else d
                  for j, d in enumerate(_int_det([r[:j] + r[j + 1:] for r in rows])
                                        for j in range(n)))
@@ -311,21 +327,24 @@ class ExactPolytope:
     numerators over the positive integer ``den`` (the least common
     denominator of their coordinates), in lexicographic order, and
     ``facets``, the half-spaces ``<x, a> >= c / den`` as pairs (primitive
-    normal a, offset numerator c), in a canonical order, so equal polytopes
+    normal a, offset numerator c), in increasing order, so equal polytopes
     compare equal structurally.  Lower-dimensional polytopes are supported:
     their facets contain equality pairs cutting out the affine hull.
+    ``incidence`` holds, for each vertex in the order of ``nums``, the
+    frozenset of the indices in ``facets`` of the facets tight at it,
+    equality pairs included.  It is the one vertex-facet incidence of the
+    polytope, which every face query reads.
 
-    The constructor takes such a table, sorts it, reduces ``den`` and builds
-    the ``Fraction`` ``vertices`` once.  ``halfspaces`` is a read-only view
-    of ``facets`` as ``HalfSpace``s, built on each access.
+    The constructor takes such a table, already sorted, reduces ``den``
+    (which keeps both orders) and builds the ``Fraction`` ``vertices``
+    once.  ``halfspaces`` is a read-only view of ``facets`` as
+    ``HalfSpace``s, built on each access.
     """
 
-    __slots__ = ("vertices", "facets", "dim", "rank", "den", "nums")
+    __slots__ = ("vertices", "facets", "dim", "rank", "den", "nums", "incidence")
 
-    def __init__(self, den: int, nums: Iterable[IntVec], facets: Iterable[Facet],
-                 dim: int, rank: int):
-        nums = sorted(set(nums))
-        facets = sorted(set(facets))
+    def __init__(self, den: int, nums: Sequence[IntVec], facets: Sequence[Facet],
+                 incidence: Sequence[frozenset[int]], dim: int, rank: int):
         # every facet offset is a pairing with a vertex, so it divides too
         g = math.gcd(den, *(x for n in nums for x in n))
         if g > 1:
@@ -335,6 +354,7 @@ class ExactPolytope:
         self.den = den
         self.nums: tuple[IntVec, ...] = tuple(nums)
         self.facets: tuple[Facet, ...] = tuple(facets)
+        self.incidence: tuple[frozenset[int], ...] = tuple(incidence)
         self.vertices: tuple[Vec, ...] = tuple(
             tuple([Fraction(x, den) for x in n]) for n in nums)
         self.dim = dim
@@ -371,7 +391,10 @@ class ExactPolytope:
     @staticmethod
     def _from_rows(den: int, rows: Sequence[Facet], rank: int) -> "ExactPolytope":
         """The polytope { x : <x, a> >= c / den for every row (a, c) }; the
-        normals a are nonzero integer vectors, not necessarily primitive."""
+        normals a are nonzero integer vectors, not necessarily primitive.
+        One vertex loop gives the vertices and the rows tight at each, and
+        the dimension, the facets and the incidence are read off those
+        sets, with no rank and no second scan."""
         rows = sorted(set(rows))
         if not rows:
             raise GeometryError("no half-spaces given")
@@ -389,25 +412,29 @@ class ExactPolytope:
             if any(g[-1] > 0 for g in _rays(lifted, rank + 1)):
                 raise UnboundedRegion("feasible region is unbounded")
             raise EmptyRegion("contradictory constraints")
-        vden, nums = _cramer_vertices(den, rows, rank)
+        vden, nums, tight = _cramer_vertices(den, rows, rank)
         if not nums:
             raise EmptyRegion("half-space intersection is empty")
-        if _rank([vsub(n, nums[0]) for n in nums[1:]]) < rank:
+        if frozenset.intersection(*tight):
+            # a row tight at every vertex: the polytope lies in its hyperplane
             return ExactPolytope(vden, *_hull(nums, rank), rank)
-        # full-dimensional: the facets are the rows tight on a face of affine
-        # rank - 1; the rest are redundant
-        k = vden // den
-        facets: dict[Facet, list[bool]] = {}
-        for a, c in rows:
-            tight = [p == c * k for p in _pairings(nums, a)]
-            face = [n for n, on in zip(nums, tight) if on]
-            if len(face) >= rank and _rank(
-                    [vsub(v, face[0]) for v in face[1:]]) == rank - 1:
+        # full-dimensional: every facet is cut out by a row, and every other
+        # row's face lies in a facet, so the facets are the rows whose tight
+        # vertex sets are nonempty and maximal; the rest are redundant
+        on = [frozenset([i for i, t in enumerate(tight) if r in t])
+              for r in range(len(rows))]
+        top = set(_maximal(on))
+        faces = {}
+        for (a, _), face in zip(rows, on):
+            if face in top:
                 prim = _primitive(a)
-                facets[prim, sum(map(mul, face[0], prim))] = tight
-        if not facets or min(map(sum, zip(*facets.values()))) < rank:
+                faces[prim, sum(map(mul, nums[min(face)], prim))] = face
+        facets = sorted(faces)
+        incidence = [frozenset([k for k, f in enumerate(facets) if i in faces[f]])
+                     for i in range(len(nums))]
+        if min(map(len, incidence)) < rank:
             raise InternalInvariantError("a vertex lies on fewer facets than the rank")
-        return ExactPolytope(vden, nums, facets, rank, rank)
+        return ExactPolytope(vden, nums, facets, incidence, rank, rank)
 
     # -- queries ------------------------------------------------------------
 
@@ -420,11 +447,13 @@ class ExactPolytope:
         tden, (tn,) = _scaled([_exact_entries(t)])
         den = math.lcm(self.den, tden)
         k, kt = den // self.den, den // tden
+        # a translation keeps the order of the vertices, and that of the
+        # facets, whose normals are distinct, so the incidence carries over
         return ExactPolytope(den,
                              [tuple([x * k + y * kt for x, y in zip(n, tn)])
                               for n in self.nums],
                              [(a, c * k + vdot(tn, a) * kt) for a, c in self.facets],
-                             self.dim, self.rank)
+                             self.incidence, self.dim, self.rank)
 
     def scale(self, r) -> "ExactPolytope":
         r = Fraction(r)
@@ -434,7 +463,7 @@ class ExactPolytope:
         return ExactPolytope(self.den * q,
                              [tuple([x * p for x in n]) for n in self.nums],
                              [(a, c * p) for a, c in self.facets],
-                             self.dim, self.rank)
+                             self.incidence, self.dim, self.rank)
 
     def __eq__(self, other):
         return (isinstance(other, ExactPolytope)
@@ -447,10 +476,13 @@ class ExactPolytope:
         return f"ExactPolytope(dim={self.dim}, rank={self.rank}, vertices={len(self.vertices)})"
 
 
-def _hull(pts: list[IntVec], rank: int) -> tuple[list[IntVec], list[Facet], int]:
-    """The vertices, facets and dimension of the hull of sorted distinct
-    integer points; a facet (a, c) is <x, a> >= c in the units of the
-    points."""
+def _hull(pts: list[IntVec], rank: int
+          ) -> tuple[list[IntVec], list[Facet], list[frozenset[int]], int]:
+    """The vertices, facets, incidence and dimension of the hull of sorted
+    distinct integer points, each list sorted; a facet (a, c) is
+    <x, a> >= c in the units of the points.  A full-dimensional hull takes
+    its incidence from the vertex loop that cross-checks its facets, any
+    other from one ``_incidence`` scan."""
     base = pts[0]
     pivots, echelon = _int_echelon([vsub(p, base) for p in pts[1:]])
     dim = len(pivots)
@@ -460,20 +492,21 @@ def _hull(pts: list[IntVec], rank: int) -> tuple[list[IntVec], list[Facet], int]
         for j in range(rank):
             e = tuple(int(i == j) for i in range(rank))
             facets += [(e, base[j]), (vneg(e), -base[j])]
-        return [base], sorted(facets), 0
+        facets.sort()
+        return [base], facets, _incidence([base], facets), 0
 
     if dim == rank:
         facets = _facets_from_points(pts, rank)
-        vden, verts = _cramer_vertices(1, facets, rank)
+        vden, verts, tight = _cramer_vertices(1, facets, rank)
         if not verts or vden != 1 or not set(verts) <= set(pts):
             raise InternalInvariantError("hull cross-validation failed")
-        return verts, facets, rank
+        return verts, facets, tight, rank
 
     # lower-dimensional: hull the points projected onto the pivot columns,
     # which is one to one on their affine hull, map the vertices back, and
     # pad each facet normal with zeros
     lift = {tuple([p[c] for c in pivots]): p for p in pts}
-    local, local_facets, _ = _hull(sorted(lift), dim)
+    local, local_facets, _, _ = _hull(sorted(lift), dim)
     facets = []
     for a, c in local_facets:
         n = [0] * rank
@@ -491,7 +524,9 @@ def _hull(pts: list[IntVec], rank: int) -> tuple[list[IntVec], list[Facet], int]
         qn = _primitive(q)
         c = sum(map(mul, base, qn))
         facets += [(qn, c), (vneg(qn), -c)]
-    return sorted(lift[v] for v in local), sorted(facets), dim
+    verts = sorted(lift[v] for v in local)
+    facets.sort()
+    return verts, facets, _incidence(verts, facets), dim
 
 
 def _facets_from_points(pts: list[IntVec], rank: int) -> list[Facet]:
@@ -517,28 +552,37 @@ def _facets_from_points(pts: list[IntVec], rank: int) -> list[Facet]:
 
 
 def _cramer_vertices(den: int, rows: Sequence[Facet], rank: int
-                     ) -> tuple[int, list[IntVec]]:
+                     ) -> tuple[int, list[IntVec], list[frozenset[int]]]:
     """The vertices of { x : <x, a> >= c / den for every row (a, c) }, the
     normals a nonzero but not necessarily primitive, as integer numerators
-    over one positive denominator, in increasing lexicographic order.
+    over one positive denominator, in increasing lexicographic order, and
+    beside them, aligned, the frozenset of the indices of the rows tight at
+    each vertex.
 
     By Cramer's rule on the homogenised rows (a, -c): the minor vector of a
     rank-subset of them is (y, t) with <a, y> = c t on each, and t = 0 marks
     a singular subset; a feasible (y, t) with t > 0 is the vertex
-    y / (t den)."""
+    y / (t den), and the rows that pair to 0 with (y, t) are tight there.
+    Each vertex is paired with the rows once, at the first subset that
+    finds it."""
     lifted = [a + (-c,) for a, c in rows]
-    sols: set[IntVec] = set()
+    sols: dict[IntVec, Optional[frozenset[int]]] = {}
     for subset in itertools.combinations(lifted, rank):
         w = _minor_normal(subset, rank + 1)
         if w[-1] == 0:
             continue
-        if w[-1] < 0:
-            w = vneg(w)
-        if all(sum(map(mul, r, w)) >= 0 for r in lifted):
-            sols.add(_primitive(w))
-    lcm_t = math.lcm(*(w[-1] for w in sols))
-    return den * lcm_t, sorted(tuple([x * (lcm_t // w[-1]) for x in w[:-1]])
-                               for w in sols)
+        w = _primitive(w if w[-1] > 0 else vneg(w))
+        if w in sols:
+            continue
+        vals = _pairings(lifted, w)
+        # None marks an infeasible point, so it is not paired again
+        sols[w] = (frozenset([k for k, v in enumerate(vals) if v == 0])
+                   if all(v >= 0 for v in vals) else None)
+    found = [(w, t) for w, t in sols.items() if t is not None]
+    lcm_t = math.lcm(*(w[-1] for w, _ in found))
+    table = {tuple([x * (lcm_t // w[-1]) for x in w[:-1]]): t for w, t in found}
+    nums = sorted(table)
+    return den * lcm_t, nums, [table[n] for n in nums]
 
 
 def _rays(rows: Sequence[IntVec], rank: int) -> Iterator[IntVec]:
@@ -613,11 +657,19 @@ def minkowski_sum(polys: Sequence[ExactPolytope]) -> ExactPolytope:
     return acc
 
 
-def _incidence(nums: Sequence[IntVec], facets: Sequence[Facet]) -> list[set[int]]:
+def _incidence(nums: Sequence[IntVec], facets: Sequence[Facet]
+               ) -> list[frozenset[int]]:
     """For each vertex, in order, the indices of the facets tight at it,
-    equality pairs included; the one vertex-facet scan of a polytope."""
-    return [{k for k, (a, c) in enumerate(facets) if sum(map(mul, n, a)) == c}
-            for n in nums]
+    equality pairs included: the scan that gives a hull which is not
+    full-dimensional its incidence."""
+    return [frozenset([k for k, (a, c) in enumerate(facets)
+                       if sum(map(mul, n, a)) == c]) for n in nums]
+
+
+def _maximal(sets: Iterable[frozenset[int]]) -> list[frozenset[int]]:
+    """The nonempty sets that no other set strictly contains, each once."""
+    sets = set(sets)
+    return [s for s in sets if s and not any(s < t for t in sets)]
 
 
 def _triangulation(p: ExactPolytope) -> Iterator[tuple[int, list[IntVec]]]:
@@ -629,17 +681,18 @@ def _triangulation(p: ExactPolytope) -> Iterator[tuple[int, list[IntVec]]]:
     measure times ``dim!`` in the units of ``nums``, up to one factor for
     all simplices when p is lower-dimensional.
 
-    A face is a set of vertex indices, read off ``_incidence`` with no hull.
-    Every face of p is an intersection of facets of p, so the facets of a
-    face F are the sets F & T, T a facet of p, of affine rank dim F - 1;
-    several T cut the same one, so they are taken once.  At the top every
-    facet that misses vertex 0 is such a set (an equality pair contains all
-    of p), and a face with dim F + 1 vertices is a simplex.
+    A face is a set of vertex indices, read off ``p.incidence`` with no
+    hull and no rank.  Every face of p is an intersection of facets of p,
+    so the facets of a face F are the greatest of the sets F & T other than
+    F, T a facet of p; several T cut the same one, so they are taken once.
+    At the top every facet that misses vertex 0 is such a set (an equality
+    pair contains all of p), and a face with dim F + 1 vertices is a
+    simplex.
     """
     nums = p.nums
-    inc = _incidence(nums, p.facets)
-    # the vertices on each facet, in order
-    on = [[i for i, ks in enumerate(inc) if k in ks] for k in range(len(p.facets))]
+    # the vertices on each facet
+    on = [frozenset([i for i, ks in enumerate(p.incidence) if k in ks])
+          for k in range(len(p.facets))]
 
     def pull(v0: int, d: int, ridges: Iterable[tuple[int, ...]]
              ) -> list[tuple[int, ...]]:
@@ -650,18 +703,18 @@ def _triangulation(p: ExactPolytope) -> Iterator[tuple[int, list[IntVec]]]:
             if len(g) == d:
                 out.append((v0,) + g)
                 continue
-            keep = set(g)
-            cuts = {tuple([i for i in t if i in keep]) for t in on}
+            face = frozenset(g)
             out += [(v0,) + s for s in pull(g[0], d - 1, [
-                c for c in cuts if len(c) >= d - 1 and c[0] != g[0]
-                and _rank([vsub(nums[i], nums[c[0]]) for i in c[1:]]) == d - 2])]
+                tuple(sorted(c)) for c in _maximal([face & t for t in on
+                                                    if not face <= t])
+                if g[0] not in c])]
         return out
 
     rows = nums
     if p.dim < p.rank:
         pivots, _ = _int_echelon([vsub(n, nums[0]) for n in nums[1:]])
         rows = [tuple([n[c] for c in pivots]) for n in nums]
-    for s in pull(0, p.dim, {tuple(t) for t in on if t[0]}):
+    for s in pull(0, p.dim, {tuple(sorted(t)) for t in on if 0 not in t}):
         base = rows[s[0]]
         yield (abs(_int_det([vsub(rows[i], base) for i in s[1:]])),
                [nums[i] for i in s])
@@ -762,26 +815,26 @@ class Cone:
         return all(vdot(x, f) >= 0 for f in self.facets)
 
 
-def _edge_table(p: ExactPolytope) -> tuple[list[set[int]],
-                                            list[list[tuple[IntVec, int]]]]:
-    """Each vertex of p, in the order of ``nums``, as its ``_incidence`` and
-    the list of its edges: the primitive direction from it to the other end,
-    and that end's index.
+def _edge_table(p: ExactPolytope) -> list[list[tuple[IntVec, int]]]:
+    """Each vertex of p, in the order of ``nums``, as the list of its edges:
+    the primitive direction from it to the other end, and that end's index.
 
-    Vertices v and w span an edge when their common tight facets have rank
-    ``rank - 1``: their face is then one dimensional, and v and w are its
-    two ends.  The normal cone ``{ y : <w - v, y> >= 0 for every vertex w }``
-    of v is cut out by its edge directions alone, and when p is
+    The facets tight at both of two vertices v and w (``p.incidence``) cut
+    out the least face that holds both, and that face is an edge exactly
+    when it has no third vertex, that is when no other vertex is tight on
+    all of them.  The normal cone ``{ y : <w - v, y> >= 0 for every vertex
+    w }`` of v is cut out by its edge directions alone, and when p is
     full-dimensional it is spanned by its tight facet normals.
     """
-    tight = _incidence(p.nums, p.facets)
+    tight = p.incidence
     edges: list[list[tuple[IntVec, int]]] = [[] for _ in p.nums]
     for i, j in itertools.combinations(range(len(p.nums)), 2):
-        if _rank([p.facets[k][0] for k in tight[i] & tight[j]]) == p.rank - 1:
+        common = tight[i] & tight[j]
+        if sum([common <= t for t in tight]) == 2:
             d = _primitive(vsub(p.nums[j], p.nums[i]))
             edges[i].append((d, j))
             edges[j].append((vneg(d), i))
-    return tight, edges
+    return edges
 
 
 def restrict_min_support(cones: Sequence[Cone], p: ExactPolytope
@@ -803,7 +856,7 @@ def restrict_min_support(cones: Sequence[Cone], p: ExactPolytope
     cone's interior, so w has a full-dimensional cell there too; and as the
     cells subdivide the convex cone, the walk reaches each of them.
     """
-    _, edges = _edge_table(p)
+    edges = _edge_table(p)
     out = []
     for cone in cones:
         rank, facets = cone.rank, set(cone.facets)
@@ -843,7 +896,6 @@ def normal_fan(p: ExactPolytope) -> list[tuple[Cone, Vec]]:
     """
     if p.dim != p.rank:
         raise DegenerateInput("normal fan needs a full-dimensional polytope")
-    tight, edges = _edge_table(p)
     return [(Cone(tuple(sorted(p.facets[k][0] for k in t)),
                   tuple(sorted(d for d, _ in e))), v)
-            for t, e, v in zip(tight, edges, p.vertices)]
+            for t, e, v in zip(p.incidence, _edge_table(p), p.vertices)]

@@ -170,7 +170,7 @@ def _slice_cells(model: ToricFanoModel, base: Vec, W: Sequence[Vec]):
         if any(c > 0 and not any(a) for a, c in rows):
             continue
         rows = [(a, c) for a, c in rows if any(a)]
-        den, nums = _cramer_vertices(1, rows, len(W))
+        den, nums, _ = _cramer_vertices(1, rows, len(W))
         yield (k, [tuple([Fraction(x, den) for x in n]) for n in nums],
                [a for a, _ in rows])
 

@@ -540,6 +540,6 @@ def _containment_lct(model: ToricFanoModel,
         rows = lifted + [(tuple(-x for x in rho) + (1,),
                           -vdot(n, rho) * (den // p.den))
                          for rho in model.rays]
-        vden, verts = _cramer_vertices(den, rows, model.rank + 1)
+        vden, verts, _ = _cramer_vertices(den, rows, model.rank + 1)
         g = max(g, Fraction(min(w[-1] for w in verts), vden))
     return None if g == 0 else 1 / g

@@ -94,6 +94,11 @@ def cofactor_det(rows):
     """Determinant by cofactor expansion along the first row."""
     if not rows:
         return 1
+    if len(rows) == 1:
+        return rows[0][0]
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
     return sum((-1) ** j * a * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
                for j, a in enumerate(rows[0]) if a)
 
@@ -116,27 +121,31 @@ def _pair(a, b):
 
 
 def hull_oracle_any(points):
-    """(vertices, facets) of a full-dimensional hull.  Every rank-subset of
-    points spans a candidate hyperplane through its cofactor normal; the
-    supporting ones are the facets, as (primitive normal, offset) pairs, and
-    a point is a vertex when the facets through it meet only there."""
+    """(vertices, facets) of a full-dimensional hull.  The points are scaled
+    to integers once; every rank-subset of them spans a candidate hyperplane
+    through its cofactor normal, paired with all points once for both
+    orientations, and the supporting ones are the facets, as (primitive
+    normal, offset) pairs.  A point is a vertex when the facets through it
+    meet only there."""
     pts = sorted({tuple(F(x) for x in p) for p in points})
     n = len(pts[0])
+    den = math.lcm(*(x.denominator for p in pts for x in p))
+    ints = [tuple(int(x * den) for x in p) for p in pts]
     facets = set()
-    for sub in itertools.combinations(pts, n):
+    for sub in itertools.combinations(ints, n):
         diffs = [tuple(a - b for a, b in zip(p, sub[0])) for p in sub[1:]]
         normal = [(-1) ** j * cofactor_det([d[:j] + d[j + 1:] for d in diffs])
                   for j in range(n)]
         if not any(normal):
             continue
-        for sign in (1, -1):
-            nrm = [sign * x for x in normal]
-            c = _pair(sub[0], nrm)
-            if all(_pair(p, nrm) >= c for p in pts):
-                den = math.lcm(*(F(x).denominator for x in nrm))
-                ints = [int(x * den) for x in nrm]
-                g = math.gcd(*ints)
-                facets.add((tuple(x // g for x in ints), c * den / g))
+        g = math.gcd(*normal)
+        normal = tuple(x // g for x in normal)
+        vals = [sum(x * y for x, y in zip(p, normal)) for p in ints]
+        c = sum(x * y for x, y in zip(sub[0], normal))
+        if min(vals) == c:
+            facets.add((normal, F(c, den)))
+        if max(vals) == c:
+            facets.add((tuple(-x for x in normal), F(-c, den)))
     on = {f: {p for p in pts if _pair(p, f[0]) == f[1]} for f in facets}
     verts = []
     for p in pts:
@@ -147,6 +156,21 @@ def hull_oracle_any(points):
         if meet == {p}:
             verts.append(p)
     return verts, sorted(facets)
+
+
+def incidence_oracle(vertices, halfspaces):
+    """For each vertex, the frozenset of the indices of the (normal, offset)
+    half-spaces it meets with equality, in Fractions."""
+    return [frozenset(k for k, (a, c) in enumerate(halfspaces) if _pair(v, a) == c)
+            for v in vertices]
+
+
+def minor_normal_oracle(rows):
+    """The cofactor vector of n - 1 rows of length n: its j-th entry is
+    (-1)^j times the determinant of the rows without column j."""
+    n = len(rows) + 1
+    return tuple((-1) ** j * cofactor_det([list(r[:j]) + list(r[j + 1:]) for r in rows])
+                 for j in range(n))
 
 
 def volume_centroid_oracle(points):

@@ -26,7 +26,7 @@ from ckstab.geometry import as_vec
 from ckstab.serialize import (canonical_json, format_rational, load_model,
                               model_from_json, model_to_json,
                               polytope_to_json)
-from ckstab.serialize import ParseError, ValidationError
+from ckstab.serialize import IoError, ParseError, ValidationError
 from ckstab.stability import (SubtorusSpec, coupled_delta, coupled_futaki,
                               ding_of_descriptors, find_destabilizer, j_twist,
                               reduced_coupled_delta, reduced_coupled_j)
@@ -260,6 +260,46 @@ def test_fixture_env_override(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("CKS_FIXTURES", str(tmp_path))
     code, out, _ = run(capsys, "futaki", "alt.json")
     assert code == 0 and report_of(out)["vanishes"] is True
+
+
+def test_model_path_candidates_in_order(tmp_path, monkeypatch):
+    # the path itself, then CKS_FIXTURES, then the package; then the same
+    # three with ".json" for a name without it
+    packaged = resolve_model_path("p1_halves.json")
+    env = tmp_path / "env"
+    env.mkdir()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("CKS_FIXTURES", str(env))
+    assert resolve_model_path("p1_halves") == packaged
+    # a CKS_FIXTURES file shadows the packaged one, with or without suffix
+    (env / "p1_halves.json").write_text("{}")
+    assert resolve_model_path("p1_halves.json") == str(env / "p1_halves.json")
+    assert resolve_model_path("p1_halves") == str(env / "p1_halves.json")
+    # the path itself comes first
+    (tmp_path / "p1_halves.json").write_text("{}")
+    assert resolve_model_path("p1_halves.json") == "p1_halves.json"
+    assert resolve_model_path("p1_halves") == "p1_halves.json"
+    # the name as given, in any place, comes before the ".json" retry
+    (env / "p1_halves").write_text("{}")
+    assert resolve_model_path("p1_halves") == str(env / "p1_halves")
+    (tmp_path / "p1_halves").write_text("{}")
+    assert resolve_model_path("p1_halves") == "p1_halves"
+    monkeypatch.delenv("CKS_FIXTURES")
+    assert resolve_model_path("p1_halves.json") == "p1_halves.json"
+    (tmp_path / "p1_halves.json").unlink()
+    assert resolve_model_path("p1_halves.json") == packaged
+    with pytest.raises(IoError, match="^model file not found: nothing.json$"):
+        resolve_model_path("nothing")
+    with pytest.raises(IoError, match="^model file not found: nothing.json$"):
+        resolve_model_path("nothing.json")
+    # in a stand-in package directory, the name as given comes before a
+    # ".json" file in the working directory
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    monkeypatch.setattr(ckstab.cli, "_FIXTURES_DIR", pkg)
+    (pkg / "q").write_text("{}")
+    (tmp_path / "q.json").write_text("{}")
+    assert resolve_model_path("q") == str(pkg / "q")
 
 
 def test_render_table_scalars():

@@ -18,7 +18,8 @@ import pytest
 import ckstab.geometry
 from ckstab.cli import resolve_model_path
 from ckstab.geometry import (DimensionMismatch, EmptyRegion, ExactPolytope,
-                             HalfSpace, UnboundedRegion, _int_det, centroid,
+                             HalfSpace, UnboundedRegion, _edge_table, _int_det,
+                             _minor_normal, centroid,
                              dual_description, extreme_rays, lattice_points,
                              minkowski_sum, normal_fan, primitive_vector,
                              restrict_min_support, support_value, vdot, volume)
@@ -26,8 +27,9 @@ from ckstab.serialize import load_model
 
 
 from oracles import (affine_rank, cofactor_det, cone_from_generators,
-                     hull_oracle, hull_oracle_any, lattice_oracle,
-                     min_support_cells, normal_fan_oracle, rand_point,
+                     hull_oracle, hull_oracle_any, incidence_oracle,
+                     lattice_oracle, min_support_cells, minor_normal_oracle,
+                     normal_fan_oracle, rand_point,
                      rand_rational_points, shoelace_area, shoelace_centroid,
                      support_oracle, volume_centroid_oracle)
 
@@ -332,6 +334,43 @@ def test_normal_fan_solves_no_rays(models, monkeypatch):
     assert calls
 
 
+def test_loading_and_face_queries_rescan_nothing(models, rank3_dir, monkeypatch):
+    # the vertex loop gives a full-dimensional polytope its incidence, and
+    # the edge table, the fan and the triangulation compare its sets: no
+    # second scan, and no rank.  The counters are live, as the last calls
+    # show
+    paths = [resolve_model_path(name + ".json") for name in _all_fixtures(models)]
+    paths += sorted(str(p) for p in rank3_dir.glob("*.json"))
+    assert len(paths) == 14
+    scanned, ranked = [], []
+    incidence, rank = ckstab.geometry._incidence, ckstab.geometry._rank
+
+    def counted_incidence(nums, facets):
+        scanned.append(nums)
+        return incidence(nums, facets)
+
+    def counted_rank(rows):
+        ranked.append(rows)
+        return rank(rows)
+
+    monkeypatch.setattr(ckstab.geometry, "_incidence", counted_incidence)
+    monkeypatch.setattr(ckstab.geometry, "_rank", counted_rank)
+    loaded = [load_model(path) for path in paths]
+    # only a hull of lower dimension is scanned
+    assert all(affine_rank(nums) < len(nums[0]) for nums in scanned)
+    del scanned[:], ranked[:]
+    for model in loaded:
+        for p in (model.anticanonical, *model.summands):
+            if p.dim == p.rank:
+                normal_fan(p)
+            _edge_table(p)
+            centroid(p)
+            assert scanned == [] and ranked == [], (model.name, p)
+    ExactPolytope.from_vertices([(0, 0), (1, 1)])
+    ckstab.geometry.mat_rank([(1, 0)])
+    assert scanned and ranked
+
+
 # --- rank-3 coverage ---------------------------------------------------------
 
 def test_rank3_cube_volume_centroid():
@@ -497,6 +536,28 @@ def _random_polytopes(seed, per_shape=3, span=9):
 
 def _structure(p):
     return p.vertices, p.halfspaces, p.dim
+
+
+def test_minor_normal_in_four_columns_against_cofactor_expansion():
+    # the written-out n = 4 kernel against the cofactor vector, on rows with
+    # entries up to 10^6, zero rows and dependent rows
+    rng = random.Random(83)
+    for _ in range(20_000):
+        span = rng.choice((9, 1_000, 10 ** 6))
+        rows = [[rng.randint(-span, span) for _ in range(4)] for _ in range(3)]
+        kind = rng.random()
+        if kind < 0.1:
+            rows[rng.randrange(3)] = [0] * 4
+        elif kind < 0.3:
+            k = rng.randrange(3)
+            a, b = [r for i, r in enumerate(rows) if i != k]
+            s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows[k] = [s * x + t * y for x, y in zip(a, b)]
+        rows = [tuple(r) for r in rows]
+        w = _minor_normal(rows, 4)
+        assert w == minor_normal_oracle(rows), rows
+        if kind < 0.3:
+            assert not any(w)
 
 
 def test_int_det_against_cofactor_expansion():
@@ -734,6 +795,11 @@ def _assert_int_table(p):
     for n, v in zip(p.nums, p.vertices):
         assert all(type(x) is int for x in n)
         assert tuple(F(x, p.den) for x in n) == v
+    # the stored incidence is the Fraction scan, aligned with both orders
+    assert type(p.incidence) is tuple
+    assert all(type(t) is frozenset for t in p.incidence)
+    assert list(p.incidence) == incidence_oracle(
+        p.vertices, [(h.normal, h.offset) for h in p.halfspaces])
 
 
 def test_every_polytope_carries_its_int_vertex_table():
@@ -749,3 +815,50 @@ def test_every_polytope_carries_its_int_vertex_table():
             q = ExactPolytope.from_vertices(rand_rational_points(rng, p.rank, 3))
             _assert_int_table(minkowski_sum([p, q]))
     _assert_int_table(ExactPolytope.from_vertices([(0, 0), (2, 2)]))
+
+
+def _rank_criterion_facets(vertices, rows, rank):
+    """The facets of the full-dimensional polytope with these vertices cut
+    out by (normal, offset) rows, by the rank test the incidence replaced:
+    a row is a facet when its tight vertices span an affine space of
+    dimension rank - 1."""
+    facets = set()
+    for a, c in rows:
+        face = [v for v in vertices if _pair(v, a) == c]
+        if len(face) >= rank and affine_rank(face) == rank - 1:
+            h = HalfSpace.make(a, c)
+            facets.add((h.normal, h.offset))
+    return sorted(facets)
+
+
+def test_from_rows_facets_match_the_rank_criterion():
+    # redundant rows tight only at a vertex, on an edge or on a larger face,
+    # a facet row scaled by 2 and a loosened one; the facets kept are those
+    # of the rank test, and the incidence is the Fraction scan's
+    rng = random.Random(89)
+    tested = 0
+    for pts, p in _random_polytopes(89, per_shape=2):
+        if p.dim < p.rank or p.rank == 1:
+            continue
+        hs = [(h.normal, h.offset) for h in p.halfspaces]
+        inc = incidence_oracle(p.vertices, hs)
+        rows = list(hs)
+        for _ in range(3):
+            # the normals of the facets common to two vertices sum to a
+            # normal that supports their least face, at most a facet
+            i, j = rng.sample(range(len(p.vertices)), 2)
+            for ks in (inc[i], inc[i] & inc[j]):
+                n = tuple(map(sum, zip(*(hs[k][0] for k in ks))))
+                if any(n):
+                    rows.append((n, _pair(p.vertices[i], n)))
+        a, c = rng.choice(hs)
+        rows += [(tuple(2 * x for x in a), 2 * c), (a, c - F(1, rng.randint(1, 9)))]
+        rng.shuffle(rows)
+        q = dual_description(halfspaces=[HalfSpace(a, c) for a, c in rows],
+                             rank=p.rank)
+        assert q.vertices == p.vertices
+        got = [(h.normal, h.offset) for h in q.halfspaces]
+        assert got == _rank_criterion_facets(q.vertices, rows, p.rank) == hs
+        assert list(q.incidence) == inc
+        tested += 1
+    assert tested == 6
