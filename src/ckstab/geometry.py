@@ -7,7 +7,7 @@ and normal fans.  A piecewise-linear function has no type of its own and
 no linear forms are carried: a cell is its sorted primitive extreme rays.
 The face structure of a polytope is read one way, off its vertex-facet
 incidence (``ExactPolytope.incidence``: the facets tight at each vertex),
-with no hull and no rank.  The vertex loop finds it with the vertices, and
+with no hull and no rank.  ``_rays`` finds it with the vertices, and
 every face query compares its sets: a face is the set of vertices tight on
 some facets, and the facets common to two vertices cut out the least face
 that holds both.  The edge table (``_edge_table``) takes the vertex pairs
@@ -25,46 +25,45 @@ triangulation behind ``centroid`` and ``volume`` (``_triangulation``)
 pulls each face's least vertex over the greatest of the faces cut from it
 by the facets of the polytope, as sets of vertex indices.
 
-Intended for small ambient ranks (p <= 4).  The facet loop, the vertex
-loop and ``_rays`` enumerate subsets of rows by brute force, which is
-entirely adequate at these sizes and keeps every certificate exact.
+Intended for small ambient ranks (p <= 4).  One loop, ``_rays``,
+enumerates subsets of rows by brute force, which is entirely adequate at
+these sizes and keeps every certificate exact.  It gives each extreme ray
+of a cone { y : <n, y> >= 0 } over integer rows n once, with the rows
+tight at it, and every other enumeration is a homogenised cone (Ziegler,
+*Lectures on Polytopes*, sections 1.5 and 2.6): the facets <x, a> >= c of
+a hull are the rays (a, c) over the rows (p, -1) of its points p; the
+vertices y / t of a system <x, a> >= c are the rays (y, t) with t > 0 over
+the rows (a, -c) (``_cramer_vertices``), and with the row t >= 0 added
+the rays with t = 0 are its recession directions; the cells of
+``restrict_min_support`` and ``extreme_rays`` are the rays of cones.
 
 There is one path, and it runs on integers.  A polytope is an integer
 table: its vertices as ``int`` numerators ``nums`` over one positive
 ``int`` denominator ``den``, and its ``facets`` as ``Facet`` pairs
 (primitive normal, ``int`` offset numerator over the same ``den``).  The
-hull (``_hull``, with the facet loop ``_facets_from_points`` and the vertex
-loop ``_cramer_vertices``), the half-space constructor (``_from_rows``),
-the triangulation, the normal fan, ``contains`` and the cones all read and
-write such tables, and each normal or vertex solve is one vector of signed
-integer minors (``_minor_normal``, with the determinant ``_int_det``).
-Only ``_from_points`` (behind ``from_vertices`` and ``minkowski_sum``)
-and ``_from_rows`` (behind ``from_halfspaces``) hull.  The public
-constructors scale their input to integers once at entry; the loader
-hands its parsed tables straight to ``_from_points`` and ``_from_rows``.
-``ExactPolytope`` reduces ``den`` to the least common denominator and
-builds the public ``Fraction`` ``vertices`` once, from the table;
-``halfspaces``, the facets as ``HalfSpace``s, is a view built on access.
-A direction is scaled to integers once (``_int_directions``) and paired
-with ``nums`` (``_pairings``), which is all ``support_value`` and the
-toric invariants do; ``vdot`` of int vectors stays an ``int``.  Values
-leave the module as ``Fraction``.
+hull (``_hull``), the half-space constructor (``_from_rows``), the
+triangulation, the normal fan, ``contains`` and the cones all read and
+write such tables, and each ray candidate is one vector of signed integer
+minors (``_minor_normal``, with the determinant ``_int_det``).  Only
+``_from_points`` (behind ``from_vertices`` and ``minkowski_sum``) and
+``_from_rows`` (behind ``from_halfspaces``) hull.  The public constructors
+scale their input to integers once at entry; the loader hands its parsed
+tables straight to ``_from_points`` and ``_from_rows``.  ``ExactPolytope``
+reduces ``den`` to the least common denominator and builds the public
+``Fraction`` ``vertices`` once, from the table; ``halfspaces``, the facets
+as ``HalfSpace``s, is a view built on access.  A direction is scaled to
+integers once (``_int_directions``) and paired with ``nums``
+(``_pairings``), which is all ``support_value`` and the toric invariants
+do; ``vdot`` of int vectors stays an ``int``.  Values leave the module as
+``Fraction``.
 
-Every ray solve is one routine, ``_rays`` (public as ``extreme_rays``):
-the rays of a cone from its inner normals (the cells of
-``restrict_min_support``), the recession directions of a half-space
-system, and its feasibility through the homogenised system.  The only
-other subset enumerations are the facet loop and the vertex loop.  The
-vertex loop takes ``Facet`` rows over a ``den`` and returns a vertex table
-over one denominator with the rows tight at each vertex.  It gives a
-full-dimensional hull and ``_from_rows`` their incidence, and
-``_from_rows`` its facets: the rows whose sets of tight vertices no other
-row's set strictly contains.  Only a hull of lower dimension scans its
-vertices against its facets (``_incidence``).  The vertex loop also gives
-the vertices of the cells in which the fan cuts a twist slice
-(``stability._slice_cells``, behind both the reduced threshold and the
-reduced J norm) and of the lct containment oracle's polyhedra, whose rows
-those callers build as integers.
+The tight rows of each vertex give a full-dimensional hull (from the
+cross-check that solves its vertices back from its facets) and
+``_from_rows`` their incidence, and ``_from_rows`` its facets: the rows
+whose sets of tight vertices no other row's set strictly contains.  Only
+a hull of lower dimension scans its vertices against its facets
+(``_incidence``).  ``stability`` and ``toric`` solve the row systems of
+their cells and polyhedra with ``_cramer_vertices`` too.
 
 Ranks come from one division-free elimination, ``_int_echelon``.  Its
 pivot columns give the chart of a lower-dimensional polytope: the
@@ -275,8 +274,8 @@ def _minor_normal(rows: Sequence[Sequence[int]], n: int) -> IntVec:
     j-th entry is (-1)^j times the minor without column j.  It is
     orthogonal to every row, and it is zero exactly when the rows are
     dependent; otherwise it spans the line orthogonal to them.  Written out
-    for n <= 4, for n = 4 by expanding each 3 x 3 minor along the first row
-    over the six 2 x 2 minors of the last two."""
+    for n <= 5, for n >= 4 by expanding each minor along the first row over
+    the minors of the rows below, down to the 2 x 2 minors of the last two."""
     if n == 2:
         ((a, b),) = rows
         return (b, -a)
@@ -291,6 +290,28 @@ def _minor_normal(rows: Sequence[Sequence[int]], n: int) -> IntVec:
                 a2 * m03 - a0 * m23 - a3 * m02,
                 a0 * m13 - a1 * m03 + a3 * m01,
                 a1 * m02 - a0 * m12 - a2 * m01)
+    if n == 5:
+        (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4), (c0, c1, c2, c3, c4), \
+            (d0, d1, d2, d3, d4) = rows
+        m01, m02, m03, m04 = (c0 * d1 - c1 * d0, c0 * d2 - c2 * d0,
+                              c0 * d3 - c3 * d0, c0 * d4 - c4 * d0)
+        m12, m13, m14 = c1 * d2 - c2 * d1, c1 * d3 - c3 * d1, c1 * d4 - c4 * d1
+        m23, m24, m34 = c2 * d3 - c3 * d2, c2 * d4 - c4 * d2, c3 * d4 - c4 * d3
+        t012 = b0 * m12 - b1 * m02 + b2 * m01
+        t013 = b0 * m13 - b1 * m03 + b3 * m01
+        t014 = b0 * m14 - b1 * m04 + b4 * m01
+        t023 = b0 * m23 - b2 * m03 + b3 * m02
+        t024 = b0 * m24 - b2 * m04 + b4 * m02
+        t034 = b0 * m34 - b3 * m04 + b4 * m03
+        t123 = b1 * m23 - b2 * m13 + b3 * m12
+        t124 = b1 * m24 - b2 * m14 + b4 * m12
+        t134 = b1 * m34 - b3 * m14 + b4 * m13
+        t234 = b2 * m34 - b3 * m24 + b4 * m23
+        return (a1 * t234 - a2 * t134 + a3 * t124 - a4 * t123,
+                a2 * t034 - a0 * t234 - a3 * t024 + a4 * t023,
+                a0 * t134 - a1 * t034 + a3 * t014 - a4 * t013,
+                a1 * t024 - a0 * t124 - a2 * t014 + a4 * t012,
+                a0 * t123 - a1 * t023 + a2 * t013 - a3 * t012)
     return tuple(-d if j % 2 else d
                  for j, d in enumerate(_int_det([r[:j] + r[j + 1:] for r in rows])
                                        for j in range(n)))
@@ -392,9 +413,11 @@ class ExactPolytope:
     def _from_rows(den: int, rows: Sequence[Facet], rank: int) -> "ExactPolytope":
         """The polytope { x : <x, a> >= c / den for every row (a, c) }; the
         normals a are nonzero integer vectors, not necessarily primitive.
-        One vertex loop gives the vertices and the rows tight at each, and
-        the dimension, the facets and the incidence are read off those
-        sets, with no rank and no second scan."""
+        One ``_rays`` call over the rows (a, -c) and t >= 0, a pointed cone
+        once the normals span, gives the recession directions (t = 0),
+        which make the region unbounded or, with no vertex, empty, and the
+        vertices (t > 0) with their tight rows, off which the dimension,
+        the facets and the incidence are read with no other rank."""
         rows = sorted(set(rows))
         if not rows:
             raise GeometryError("no half-spaces given")
@@ -404,15 +427,12 @@ class ExactPolytope:
         normals = [a for a, _ in rows]
         if _rank(normals) < rank:
             raise UnboundedRegion("half-space normals do not span; lineality present")
-        if next(_rays(normals, rank), None) is not None:
-            # a recession direction exists; the region is nonempty exactly when
-            # the cone { (x, t) : <n, x> >= c t, t >= 0 }, pointed as the
-            # normals span, has a ray with t > 0
-            lifted = [a + (-c,) for a, c in rows] + [(0,) * rank + (1,)]
-            if any(g[-1] > 0 for g in _rays(lifted, rank + 1)):
+        rays = _rays([a + (-c,) for a, c in rows] + [(0,) * rank + (1,)], rank + 1)
+        vden, nums, tight = _vertex_table(den, rays)
+        if any(g[-1] == 0 for g in rays):
+            if nums:
                 raise UnboundedRegion("feasible region is unbounded")
             raise EmptyRegion("contradictory constraints")
-        vden, nums, tight = _cramer_vertices(den, rows, rank)
         if not nums:
             raise EmptyRegion("half-space intersection is empty")
         if frozenset.intersection(*tight):
@@ -481,8 +501,10 @@ def _hull(pts: list[IntVec], rank: int
     """The vertices, facets, incidence and dimension of the hull of sorted
     distinct integer points, each list sorted; a facet (a, c) is
     <x, a> >= c in the units of the points.  A full-dimensional hull takes
-    its incidence from the vertex loop that cross-checks its facets, any
-    other from one ``_incidence`` scan."""
+    its facets from the rays (a, c) over the rows (p, -1), a primitive as
+    (a, c) is since c = <p, a>, and its incidence from the cross-check
+    that solves its vertices back from them; any other hull takes it from
+    one ``_incidence`` scan."""
     base = pts[0]
     pivots, echelon = _int_echelon([vsub(p, base) for p in pts[1:]])
     dim = len(pivots)
@@ -496,7 +518,8 @@ def _hull(pts: list[IntVec], rank: int
         return [base], facets, _incidence([base], facets), 0
 
     if dim == rank:
-        facets = _facets_from_points(pts, rank)
+        facets = sorted((g[:-1], g[-1])
+                        for g in _rays([p + (-1,) for p in pts], rank + 1))
         vden, verts, tight = _cramer_vertices(1, facets, rank)
         if not verts or vden != 1 or not set(verts) <= set(pts):
             raise InternalInvariantError("hull cross-validation failed")
@@ -529,87 +552,57 @@ def _hull(pts: list[IntVec], rank: int
     return verts, facets, _incidence(verts, facets), dim
 
 
-def _facets_from_points(pts: list[IntVec], rank: int) -> list[Facet]:
-    facets: set[Facet] = set()
-    for subset in itertools.combinations(pts, rank):
-        p0 = subset[0]
-        n = _minor_normal([vsub(p, p0) for p in subset[1:]], rank)
-        if not any(n):
-            continue
-        c = sum(map(mul, p0, n))
-        vals = _pairings(pts, n)
-        low, high = min(vals) == c, max(vals) == c
-        if low or high:
-            g = math.gcd(*n)
-            n, c = tuple([x // g for x in n]), c // g
-            if low:
-                facets.add((n, c))
-            if high:
-                facets.add((vneg(n), -c))
-    if not facets:
-        raise InternalInvariantError("facet enumeration found nothing")
-    return sorted(facets)
-
-
 def _cramer_vertices(den: int, rows: Sequence[Facet], rank: int
                      ) -> tuple[int, list[IntVec], list[frozenset[int]]]:
     """The vertices of { x : <x, a> >= c / den for every row (a, c) }, the
-    normals a nonzero but not necessarily primitive, as integer numerators
-    over one positive denominator, in increasing lexicographic order, and
-    beside them, aligned, the frozenset of the indices of the rows tight at
-    each vertex.
+    normals a nonzero but not necessarily primitive: the ``_vertex_table``
+    of the rays over the homogenised rows (a, -c)."""
+    return _vertex_table(den, _rays([a + (-c,) for a, c in rows], rank + 1))
 
-    By Cramer's rule on the homogenised rows (a, -c): the minor vector of a
-    rank-subset of them is (y, t) with <a, y> = c t on each, and t = 0 marks
-    a singular subset; a feasible (y, t) with t > 0 is the vertex
-    y / (t den), and the rows that pair to 0 with (y, t) are tight there.
-    Each vertex is paired with the rows once, at the first subset that
-    finds it."""
-    lifted = [a + (-c,) for a, c in rows]
-    sols: dict[IntVec, Optional[frozenset[int]]] = {}
-    for subset in itertools.combinations(lifted, rank):
-        w = _minor_normal(subset, rank + 1)
-        if w[-1] == 0:
-            continue
-        w = _primitive(w if w[-1] > 0 else vneg(w))
-        if w in sols:
-            continue
-        vals = _pairings(lifted, w)
-        # None marks an infeasible point, so it is not paired again
-        sols[w] = (frozenset([k for k, v in enumerate(vals) if v == 0])
-                   if all(v >= 0 for v in vals) else None)
-    found = [(w, t) for w, t in sols.items() if t is not None]
+
+def _vertex_table(den: int, rays: dict[IntVec, frozenset[int]]
+                  ) -> tuple[int, list[IntVec], list[frozenset[int]]]:
+    """The rays (y, t) with t > 0 of a system over ``den`` as the vertices
+    y / (t den): integer numerators over one positive denominator, in
+    increasing lexicographic order, and beside them the rows tight at each."""
+    found = [(w, t) for w, t in rays.items() if w[-1] > 0]
     lcm_t = math.lcm(*(w[-1] for w, _ in found))
     table = {tuple([x * (lcm_t // w[-1]) for x in w[:-1]]): t for w, t in found}
     nums = sorted(table)
     return den * lcm_t, nums, [table[n] for n in nums]
 
 
-def _rays(rows: Sequence[IntVec], rank: int) -> Iterator[IntVec]:
-    """The extreme rays of { y : <n, y> >= 0 for every integer row }, as
-    integer vectors: each (rank-1)-subset of the rows orthogonal to exactly
-    a line spans g, oriented so that its last nonzero entry is positive; g
-    and then -g are yielded when they satisfy every inequality, in subset
-    order and with repeats.  The list is complete when the rows span (the
-    cone is pointed).  In rank 1 the empty subset spans the whole line, so
-    +1 and -1 are checked."""
+def _rays(rows: Sequence[IntVec], rank: int) -> dict[IntVec, frozenset[int]]:
+    """The extreme rays of { y : <n, y> >= 0 for every integer row n }, each
+    once, primitive and in the order first found, mapped to the frozenset
+    of the indices of the rows tight at it.  Each (rank-1)-subset of the
+    rows orthogonal to exactly a line spans g, its minor vector; g and then
+    -g are rays when every row pairs nonnegatively with them, and only then
+    is a candidate made primitive.  Every ray is found when the rows span
+    (the cone is pointed).  In rank 1 the empty subset spans the whole
+    line, so +1 and -1 are checked."""
+    found: dict[IntVec, frozenset[int]] = {}
     for subset in itertools.combinations(rows, rank - 1):
         g = _minor_normal(subset, rank)
         if not any(g):
             continue
-        if next(x for x in reversed(g) if x) < 0:
-            g = vneg(g)
-        vals = _pairings(rows, g)
-        if all(v >= 0 for v in vals):
-            yield g
-        if all(v <= 0 for v in vals):
-            yield vneg(g)
+        vals = [sum(map(mul, n, g)) for n in rows]
+        lo, hi = (min(vals), max(vals)) if vals else (0, 0)
+        if lo < 0 < hi:
+            continue
+        # lo == hi == 0 when every row is tight on the line of g (there are
+        # no rows, or a lineality): then g and -g are both rays
+        for h in (g, vneg(g)) if lo == hi == 0 else (g,) if lo >= 0 else (vneg(g),):
+            h = _primitive(h)
+            if h not in found:
+                found[h] = frozenset([k for k, v in enumerate(vals) if v == 0])
+    return found
 
 
 def extreme_rays(normals: Sequence[Sequence], rank: int) -> list[Vec]:
-    """Extreme rays of the cone { y : <n, y> >= 0 for every normal }, in the
-    order of ``_rays``, each scaled so that its last nonzero entry is 1 or
-    -1."""
+    """Extreme rays of the cone { y : <n, y> >= 0 for every normal }, each
+    once, in the order of ``_rays``, scaled so that its last nonzero entry
+    is 1 or -1."""
     rays = []
     for g in _rays([_int_row(n) for n in normals], rank):
         last = abs(next(x for x in reversed(g) if x))
@@ -868,8 +861,7 @@ def restrict_min_support(cones: Sequence[Cone], p: ExactPolytope
             i = todo.pop()
             if i in cells:
                 continue
-            rays = sorted({_primitive(r) for r in _rays(
-                sorted(facets.union(d for d, _ in edges[i])), rank)})
+            rays = sorted(_rays(sorted(facets.union(d for d, _ in edges[i])), rank))
             cells[i] = rays
             for d, j in edges[i]:
                 # the wall spans the hyperplane orthogonal to d, so it lies

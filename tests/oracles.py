@@ -1,6 +1,7 @@
 """Independent brute-force oracles used by the geometry, filtration, stability
 and acceptance tests.  These deliberately use different algorithms from the
-library (monotone-chain hull, shoelace formulas, interval arithmetic, weight
+library (monotone-chain hull, shoelace formulas, interval arithmetic, the
+rays of a cone from the cofactor vectors of its row subsets, weight
 tables of plain Fractions with every decomposition enumerated at once,
 Cramer's rule with cofactor determinants on vertex-pair hyperplanes in
 place of the fan and on the facet rows of each twist-slice cell, and the
@@ -18,6 +19,7 @@ import itertools
 import math
 from fractions import Fraction
 from fractions import Fraction as F
+from operator import mul
 from typing import Optional, Sequence
 
 from ckstab.errors import InternalInvariantError
@@ -26,8 +28,8 @@ from ckstab.filtration import (EmptyDecomposition, Filtration,
                                SumDescriptor, UnsupportedDescriptor,
                                ValuationDescriptor, numerics, sum_filtration,
                                twist_family)
-from ckstab.geometry import (Cone, as_vec, extreme_rays, lattice_points,
-                             mat_rank, primitive_vector, vdot, vneg, vsub)
+from ckstab.geometry import (Cone, as_vec, lattice_points, mat_rank,
+                             primitive_vector, vdot, vneg, vsub)
 from ckstab.optimize import minimize_pl_ratio
 from ckstab.serialize import ValidationError
 from ckstab.stability import (CLOSED_FORM, DingResult, StabilityError,
@@ -171,6 +173,30 @@ def minor_normal_oracle(rows):
     n = len(rows) + 1
     return tuple((-1) ** j * cofactor_det([list(r[:j]) + list(r[j + 1:]) for r in rows])
                  for j in range(n))
+
+
+def cone_rays_oracle(rows, rank) -> dict[tuple[int, ...], frozenset[int]]:
+    """The extreme rays of the pointed cone { y : <n, y> >= 0 for every
+    row n }, each primitive and once, in the order in which the
+    (rank - 1)-subsets of the rows, taken in order, first find them, mapped
+    to the frozenset of the indices of the rows they meet with equality.
+    Each row is scaled to integers; a subset's nonzero cofactor vector, and
+    then its negative, is kept when every row pairs nonnegatively with it."""
+    ints = []
+    for r in rows:
+        den = math.lcm(*(x.denominator for x in r))
+        ints.append(tuple(x.numerator * (den // x.denominator) for x in r))
+    found = {}
+    for sub in itertools.combinations(ints, rank - 1):
+        g = minor_normal_oracle(sub)
+        if not any(g):
+            continue
+        g = tuple(x // math.gcd(*g) for x in g)
+        vals = [sum(map(mul, r, g)) for r in ints]
+        for h, sign in ((g, 1), (tuple(-x for x in g), -1)):
+            if h not in found and all(sign * v >= 0 for v in vals):
+                found[h] = frozenset(k for k, v in enumerate(vals) if v == 0)
+    return found
 
 
 def volume_centroid_oracle(points):
@@ -337,8 +363,7 @@ def min_support_cells(cone, p) -> list[tuple[tuple, list[tuple[int, ...]]]]:
     cells = []
     for v in p.vertices:
         normals = [vsub(w, v) for w in p.vertices if w != v]
-        rays = sorted({primitive_vector(r) for r in
-                       extreme_rays(list(cone.facets) + normals, rank)})
+        rays = sorted(cone_rays_oracle(list(cone.facets) + normals, rank))
         if mat_rank(rays) == rank:
             cells.append((v, rays))
     return cells
@@ -347,14 +372,14 @@ def min_support_cells(cone, p) -> list[tuple[tuple, list[tuple[int, ...]]]]:
 def cone_from_generators(gens: Sequence[Sequence]) -> Cone:
     """The pointed full-dimensional cone spanned by the generators: the
     primitive ones that are extreme, and its facets solved for as the
-    extreme rays of the dual cone."""
+    extreme rays of the dual cone by ``cone_rays_oracle``."""
     prims = sorted({primitive_vector(g) for g in gens})
     rank = len(prims[0])
     if mat_rank(prims) < rank:
         raise ValueError("cone generators do not span")
     if rank == 1:
         return Cone(tuple(prims), tuple(prims))
-    facets = sorted({primitive_vector(n) for n in extreme_rays(prims, rank)})
+    facets = sorted(cone_rays_oracle(prims, rank))
     # drop generators that are not extreme (conic combinations of others)
     extreme = [g for g in prims
                if mat_rank([f for f in facets if vdot(g, f) == 0]) >= rank - 1]

@@ -27,8 +27,9 @@ from ckstab.serialize import load_model
 
 
 from oracles import (affine_rank, cofactor_det, cone_from_generators,
-                     hull_oracle, hull_oracle_any, incidence_oracle,
-                     lattice_oracle, min_support_cells, minor_normal_oracle,
+                     cone_rays_oracle, hull_oracle, hull_oracle_any,
+                     incidence_oracle, lattice_oracle, min_support_cells,
+                     minor_normal_oracle,
                      normal_fan_oracle, rand_point,
                      rand_rational_points, shoelace_area, shoelace_centroid,
                      support_oracle, volume_centroid_oracle)
@@ -50,23 +51,39 @@ def test_halfspaces_to_vertices():
                                (F(-1), F(0)), (F(0), F(-1))}
 
 
+def _unit(rank, i, s=1):
+    return tuple(s * (j == i) for j in range(rank))
+
+
 def test_empty_region():
-    with pytest.raises(EmptyRegion):
-        dual_description(halfspaces=[HalfSpace.make((1,), 0),
-                                     HalfSpace.make((-1,), 1)], rank=1)
-    # x >= 1, -x >= 0, y >= 0: a recession direction, but no point
-    with pytest.raises(EmptyRegion, match="contradictory constraints"):
-        dual_description(halfspaces=[HalfSpace.make((1, 0), 1),
-                                     HalfSpace.make((-1, 0), 0),
-                                     HalfSpace.make((0, 1), 0)], rank=2)
+    for rank in (1, 2, 3, 4):
+        # x >= 0 and -sum x >= 1: no recession direction and no point
+        hs = [HalfSpace.make(_unit(rank, i), 0) for i in range(rank)]
+        with pytest.raises(EmptyRegion, match="half-space intersection is empty"):
+            dual_description(halfspaces=hs + [HalfSpace.make((-1,) * rank, 1)],
+                             rank=rank)
+        if rank == 1:
+            # normals that span in rank 1 leave no recession direction
+            continue
+        # x_0 >= 1, -x_0 >= 0, x_i >= 0: a recession direction, but no point
+        hs = [HalfSpace.make(_unit(rank, 0), 1), HalfSpace.make(_unit(rank, 0, -1), 0)]
+        hs += [HalfSpace.make(_unit(rank, i), 0) for i in range(1, rank)]
+        with pytest.raises(EmptyRegion, match="contradictory constraints"):
+            dual_description(halfspaces=hs, rank=rank)
 
 
 def test_unbounded_region():
-    with pytest.raises(UnboundedRegion):
-        dual_description(halfspaces=[HalfSpace.make((1,), 0)], rank=1)
-    with pytest.raises(UnboundedRegion, match="feasible region is unbounded"):
-        dual_description(halfspaces=[HalfSpace.make((1, 0), 0),
-                                     HalfSpace.make((0, 1), 0)], rank=2)
+    for rank in (1, 2, 3, 4):
+        hs = [HalfSpace.make(_unit(rank, i), 0) for i in range(rank)]
+        with pytest.raises(UnboundedRegion, match="feasible region is unbounded"):
+            dual_description(halfspaces=hs, rank=rank)
+        if rank == 1:
+            # a nonzero normal spans in rank 1
+            continue
+        # x_i >= 0 for i < rank - 1: the last axis is a line
+        with pytest.raises(UnboundedRegion, match="half-space normals do not span; "
+                           "lineality present"):
+            dual_description(halfspaces=hs[:-1], rank=rank)
 
 
 def test_roundtrip_exact():
@@ -317,7 +334,7 @@ def test_normal_fan_matches_the_spanned_cones(models, rank3_models):
 
 def test_normal_fan_solves_no_rays(models, monkeypatch):
     # the fan is read off the edge table, so no cone is solved for; the
-    # counter is live, as the oracle's solves show
+    # counter is live, as a library solve shows
     fixtures = _all_fixtures(models)
     calls = []
     rays = ckstab.geometry._rays
@@ -330,8 +347,8 @@ def test_normal_fan_solves_no_rays(models, monkeypatch):
     for name, model in fixtures.items():
         normal_fan(model.anticanonical)
         assert calls == [], name
-    normal_fan_oracle(models["p2_halves"].anticanonical)
-    assert calls
+    extreme_rays([(1, 0), (0, 1)], 2)
+    assert calls == [2]
 
 
 def test_loading_and_face_queries_rescan_nothing(models, rank3_dir, monkeypatch):
@@ -402,15 +419,28 @@ def test_rank3_roundtrip():
         assert back.vertices == p.vertices
 
 
-def test_rank3_cone_roundtrip():
+def test_cone_roundtrip_and_rays_contract():
+    # the rays of a cone's facets, with sums of two facets and a doubled
+    # facet among them, are the cone's generators; _rays gives each ray
+    # once, primitive, in the order in which the oracle's subset scan first
+    # finds it, with the rows the oracle scans tight at it, and
+    # extreme_rays in the same order
     rng = random.Random(31)
-    for _ in range(30):
-        # generators with a positive last coordinate span a pointed cone
-        gens = [(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(1, 3))
-                for _ in range(rng.randint(3, 7))]
-        cone = cone_from_generators(gens)
-        back = sorted({primitive_vector(r) for r in extreme_rays(cone.facets, 3)})
-        assert tuple(back) == cone.generators
+    repeated = 0
+    for rank in (1, 2, 3, 4):
+        for _ in range(5 if rank == 1 else 30):
+            cone = _seeded_cone(rng, rank)
+            facets = list(cone.facets)
+            rows = facets + [tuple(2 * x for x in rng.choice(facets))]
+            rows += [tuple(map(sum, zip(*rng.sample(facets, 2))))
+                     for _ in range(min(2, len(facets) - 1))]
+            got = ckstab.geometry._rays(rows, rank)
+            assert list(got.items()) == list(cone_rays_oracle(rows, rank).items())
+            assert sorted(got) == list(cone.generators)
+            assert [primitive_vector(r) for r in extreme_rays(rows, rank)] == list(got)
+            # a ray tight at rank rows or more is found by several subsets
+            repeated += any(len(t) >= rank for t in got.values())
+    assert repeated > 30
 
 
 def test_min_support_cells_are_the_rays_of_their_cones():
@@ -538,26 +568,29 @@ def _structure(p):
     return p.vertices, p.halfspaces, p.dim
 
 
-def test_minor_normal_in_four_columns_against_cofactor_expansion():
-    # the written-out n = 4 kernel against the cofactor vector, on rows with
-    # entries up to 10^6, zero rows and dependent rows
+def test_minor_normal_in_four_and_five_columns_against_cofactor_expansion():
+    # the written-out n = 4 and n = 5 kernels against the cofactor vector,
+    # on rows with entries up to 10^6, zero rows and dependent rows; the
+    # n = 5 oracle takes about six times as long per case, so it gets fewer
     rng = random.Random(83)
-    for _ in range(20_000):
-        span = rng.choice((9, 1_000, 10 ** 6))
-        rows = [[rng.randint(-span, span) for _ in range(4)] for _ in range(3)]
-        kind = rng.random()
-        if kind < 0.1:
-            rows[rng.randrange(3)] = [0] * 4
-        elif kind < 0.3:
-            k = rng.randrange(3)
-            a, b = [r for i, r in enumerate(rows) if i != k]
-            s, t = rng.randint(-3, 3), rng.randint(-3, 3)
-            rows[k] = [s * x + t * y for x, y in zip(a, b)]
-        rows = [tuple(r) for r in rows]
-        w = _minor_normal(rows, 4)
-        assert w == minor_normal_oracle(rows), rows
-        if kind < 0.3:
-            assert not any(w)
+    for n, cases in ((4, 20_000), (5, 2_000)):
+        for _ in range(cases):
+            span = rng.choice((9, 1_000, 10 ** 6))
+            rows = [[rng.randint(-span, span) for _ in range(n)] for _ in range(n - 1)]
+            kind = rng.random()
+            if kind < 0.1:
+                rows[rng.randrange(n - 1)] = [0] * n
+            elif kind < 0.3:
+                k = rng.randrange(n - 1)
+                others = [r for i, r in enumerate(rows) if i != k]
+                coeffs = [rng.randint(-3, 3) for _ in others]
+                rows[k] = [sum(c * x for c, x in zip(coeffs, col))
+                           for col in zip(*others)]
+            rows = [tuple(r) for r in rows]
+            w = _minor_normal(rows, n)
+            assert w == minor_normal_oracle(rows), rows
+            if kind < 0.3:
+                assert not any(w)
 
 
 def test_int_det_against_cofactor_expansion():
