@@ -25,8 +25,8 @@ from .errors import CkstabError, InputError
 from .filtration import ValuationDescriptor
 from .geometry import Vec
 from .serialize import (IoError, ParseError, canonical_json, format_rational,
-                        format_vec, load_model, parse_integer, parse_rational,
-                        parse_vec, read_json)
+                        format_vec, model_from_json, parse_integer, parse_json,
+                        parse_rational, parse_vec, read_bytes, read_json)
 from .stability import (SubtorusSpec, build_stability_report, coupled_delta,
                         coupled_futaki, ding_of_descriptors,
                         find_destabilizer, j_twist, monomial_lct,
@@ -52,14 +52,6 @@ class RunRecord:
             "assumptions": self.assumptions,
             "report": self.report,
         }
-
-
-def _sha256(path: str) -> str:
-    try:
-        with open(path, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
 
 
 # the packaged fixture corpus
@@ -350,10 +342,12 @@ def main(argv: Optional[list[str]] = None) -> int:
             sys.stdout.write(render_table(data.get("report", data)))
             return 0
         path = resolve_model_path(args.model)
-        digest_before = _sha256(path)
-        model = load_model(path)
+        # the digest reported is of the very bytes parsed
+        raw = read_bytes(path)
+        digest_before = hashlib.sha256(raw).hexdigest()
+        model = model_from_json(parse_json(raw, path), name=path)
         report = VERBS[args.verb](model, args)
-        if _sha256(path) != digest_before:
+        if hashlib.sha256(read_bytes(path)).hexdigest() != digest_before:
             raise IoError(f"input file {path} changed during the run")
         record = RunRecord(
             command=["ckstab", args.verb] + argv[1:],

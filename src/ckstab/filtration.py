@@ -15,6 +15,11 @@ stored once, in the basis.  Shifts, twists, rounding and the max-plus sums
 add and compare Python ints; the ``Fraction`` weights are a read-only view
 (``Filtration.weights``), and every public output is a ``Fraction``.
 
+A basis also holds each degree's characters as integer coordinate columns,
+built once per (summand, degree) beside the character tuple.  A valuation
+table and a twist add ``<alpha, v>`` to a whole row through one pairing
+kernel, one pass over a column for each nonzero coordinate of ``v``.
+
 A max-plus sum runs on a gather plan: for a pair of character lists, the
 index pairs whose characters add up to each output character.  Plans are
 memoized on the model, keyed by the exact character tuples they were built
@@ -34,10 +39,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from operator import add, itemgetter, mul
+from operator import add, itemgetter
 from typing import Optional, Sequence, Union
 
 from .errors import InputError
@@ -88,12 +93,22 @@ class GradedBasis:
     """Characters of the stored degrees of one summand (or the total ring).
 
     ``chars[m]`` fixes the order of the degree-m characters: every weight
-    row on this basis is a tuple aligned with it."""
+    row on this basis is a tuple aligned with it.  ``cols[m]`` holds the
+    same characters as integer coordinate columns, ``tuple(zip(*chars[m]))``,
+    so ``cols[m][j][k]`` is coordinate j of ``chars[m][k]``.  A basis built
+    by hand derives its columns from its own ``chars``."""
 
     model: ToricFanoModel
     index: SummandIndex
     degrees: tuple[int, ...]
     chars: dict[int, tuple[Char, ...]]
+    cols: dict[int, tuple[IntVec, ...]] = field(default=None, repr=False,
+                                                 compare=False)
+
+    def __post_init__(self):
+        if self.cols is None:
+            object.__setattr__(self, "cols", {m: tuple(zip(*row))
+                                              for m, row in self.chars.items()})
 
     def characters(self, m: int) -> tuple[Char, ...]:
         if m not in self.chars:
@@ -105,30 +120,39 @@ class GradedBasis:
         if any(d not in self.chars for d in degs):
             raise GridMismatch("restriction outside the stored grid")
         return GradedBasis(self.model, self.index, degs,
-                           {d: self.chars[d] for d in degs})
+                           {d: self.chars[d] for d in degs},
+                           {d: self.cols[d] for d in degs})
+
+
+def _stored(model: ToricFanoModel, i: SummandIndex, degrees: Sequence[int]
+            ) -> tuple[dict[int, tuple[Char, ...]], dict[int, tuple[IntVec, ...]]]:
+    """The characters and columns of the degrees of summand i, from the
+    model's memo, enumerating each missing degree once."""
+    chars, cols = {}, {}
+    for m in degrees:
+        entry = model.bases.get((i, m))
+        if entry is None:
+            row = tuple(section_basis(model, i, m))
+            entry = model.bases[i, m] = (row, tuple(zip(*row)))
+        chars[m], cols[m] = entry
+    return chars, cols
 
 
 def graded_basis(model: ToricFanoModel, i: SummandIndex, m_max: int = 12,
                  step: Optional[int] = None) -> GradedBasis:
     """Basis on all degrees that are multiples of the summand's integrality
-    step, up to m_max.  The characters of each degree are memoized on the
-    model instance by (summand, degree), so every basis that stores a
-    degree shares one tuple for it; lattice-point enumeration dominates
-    otherwise.  The memo holds no reference back to the model, so a model
-    that is no longer used is freed at once rather than by the cycle
-    collector."""
+    step, up to m_max.  The characters of each degree and their columns are
+    memoized on the model instance by (summand, degree), so every basis
+    that stores a degree shares one tuple of each for it; lattice-point
+    enumeration dominates otherwise.  The memo holds no reference back to
+    the model, so a model that is no longer used is freed at once rather
+    than by the cycle collector."""
     if step is None:
         step = integrality_step(model, i)
     degrees = tuple(range(step, m_max + 1, step))
     if not degrees:
         raise GridMismatch(f"degree cap {m_max} below the integrality step {step}")
-    chars = {}
-    for m in degrees:
-        row = model.bases.get((i, m))
-        if row is None:
-            row = model.bases[i, m] = tuple(section_basis(model, i, m))
-        chars[m] = row
-    return GradedBasis(model, i, degrees, chars)
+    return GradedBasis(model, i, degrees, *_stored(model, i, degrees))
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +366,23 @@ def valuation_filtration(basis: GradedBasis, eta: Sequence) -> Filtration:
     k = den // d.den
     eta_n = d.nums if k == 1 else tuple([n * k for n in d.nums])
     lam_n *= den // lam_den
-    nums = {m: tuple([sum(map(mul, a, eta_n)) - m * lam_n
-                      for a in basis.characters(m)])
-            for m in basis.degrees}
+    nums = {}
+    for m in basis.degrees:
+        row = (-m * lam_n,) * len(basis.characters(m))
+        nums[m] = _pairing(basis.cols[m], eta_n, row)
     return Filtration(basis, nums, den, d)
+
+
+def _pairing(cols: tuple[IntVec, ...], v: IntVec, row: Sequence[int],
+             k: int = 1) -> tuple[int, ...]:
+    """``n * k + <alpha, v>`` for each entry n of a row and its character
+    alpha, read off the characters' coordinate columns: one pass for each
+    nonzero coordinate of v, the first also scaling the row by k."""
+    for x, col in zip(v, cols):
+        if x:
+            row = [n * k + x * p for n, p in zip(row, col)]
+            k = 1
+    return tuple(row) if k == 1 else tuple([n * k for n in row])
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +418,8 @@ def twist(f: Filtration, xi: Sequence) -> Filtration:
     den = math.lcm(f.den, *(x.denominator for x in xi))
     k = den // f.den
     xi_n = _numerators(xi, den)
-    chars = f.basis.chars
-    nums = {m: tuple([n * k + sum(map(mul, a, xi_n))
-                      for a, n in zip(chars[m], row)])
-            for m, row in f.nums.items()}
+    cols = f.basis.cols
+    nums = {m: _pairing(cols[m], xi_n, row, k) for m, row in f.nums.items()}
     return Filtration(f.basis, nums, den,
                       _twist_descriptor(f.basis.model, f.basis.index,
                                         f.descriptor, den, xi_n))
@@ -408,6 +443,8 @@ def _twist_descriptor(model: ToricFanoModel, i: SummandIndex, d: Descriptor,
 
 def _integer_valued(f: Filtration) -> bool:
     den = f.den
+    if den == 1:
+        return True
     return all(n % den == 0 for row in f.nums.values() for n in row)
 
 
@@ -534,8 +571,7 @@ def sum_filtration(fam: FiltrationFamily) -> Filtration:
     generate the total basis); a gap raises EmptyDecomposition."""
     model = fam.model
     grid = fam.degrees
-    total_basis = graded_basis(model, TOTAL, m_max=grid[-1], step=grid[0])
-    total_basis = total_basis.restrict(grid)
+    total_basis = _total_basis(model, grid)
     den = math.lcm(*(f.den for f in fam.members))
     rows = [f.nums if f.den == den else
             {m: tuple([n * (den // f.den) for n in row])
@@ -559,6 +595,22 @@ def sum_filtration(fam: FiltrationFamily) -> Filtration:
         nums[m] = row[:len(target)]
     return Filtration(total_basis, nums, den,
                       _sum_descriptor([f.descriptor for f in fam.members]))
+
+
+def _total_basis(model: ToricFanoModel, grid: tuple[int, ...]) -> GradedBasis:
+    """The total basis on a family's grid: its multiples of the first
+    degree, up to the last.  The degrees, characters and columns of each
+    grid are kept on the model, so a grid seen before costs no lookup per
+    degree; the basis object itself is not kept, as it refers back to the
+    model."""
+    entry = model.totals.get(grid)
+    if entry is None:
+        step, top = grid[0], grid[-1]
+        if any(m % step or not step <= m <= top for m in grid):
+            raise GridMismatch("restriction outside the stored grid")
+        degrees = tuple(sorted(grid))
+        entry = model.totals[grid] = (degrees, *_stored(model, TOTAL, degrees))
+    return GradedBasis(model, TOTAL, *entry)
 
 
 def _sum_descriptor(parts: Sequence[Descriptor]) -> Descriptor:

@@ -200,14 +200,24 @@ def model_from_json(data, name: str = "") -> ToricFanoModel:
     return build_model(rays, summands, name=model_name)
 
 
+def read_bytes(path: str) -> bytes:
+    """The contents of a file; an unreadable file is an input error."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+
+
 def read_json(path: str):
     """The parsed contents of a JSON file; an unreadable file or malformed
     JSON is an input error."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    return parse_json(read_bytes(path), path)
+
+
+def parse_json(raw: bytes, path: str):
+    """The parsed contents of the bytes read from path; malformed JSON is
+    an input error that names the path."""
     try:
         return json.loads(raw.decode("utf-8"))
     except json.JSONDecodeError as exc:

@@ -277,17 +277,22 @@ def mu_slope(f: Filtration, delta) -> MuResult:
         t_m = max(row.values()) / m
         hi = t_m if hi is None else max(hi, t_m)
         levels = sorted({w / m for w in row.values()})
-        best = None
-        for t in levels:
-            seq = MonomialIdealSeq.from_generators(
-                {m: [(a, w) for a, w in row.items()]}, level=t,
-                summand=f.basis.index)
+        gens = {m: list(row.items())}
+        # a higher level gives a smaller ideal and a lower threshold (None
+        # is the unit ideal's), so the levels that pass come first: bisect
+        # for the last of them
+        lo_k, hi_k = 0, len(levels)
+        while lo_k < hi_k:
+            mid = (lo_k + hi_k) // 2
+            seq = MonomialIdealSeq.from_generators(gens, level=levels[mid],
+                                                   summand=f.basis.index)
             res = monomial_lct(model, seq, degree=m)
             if res.value is None or res.value >= delta:
-                best = t
+                lo_k = mid + 1
             else:
-                break
-        if best is not None:
+                hi_k = mid
+        if lo_k:
+            best = levels[lo_k - 1]
             lo = best if lo is None else max(lo, best)
     if lo is None:
         lo = min(w / m for m, row in f.weights.items() for w in row.values())
@@ -665,8 +670,11 @@ class SuiteReport:
         }
 
 
+_RAND_DENS = (1, 2, 3, 4)
+
+
 def _rand_frac(rng: random.Random, span: int = 3) -> Fraction:
-    den = rng.choice([1, 2, 3, 4])
+    den = rng.choice(_RAND_DENS)
     return Fraction(rng.randint(-span * den, span * den), den)
 
 

@@ -124,15 +124,19 @@ class ToricFanoModel:
     summands: tuple[ExactPolytope, ...]
     barycenters: tuple[Vec, ...]
     fan: tuple[Cone, ...]
-    # the character tuple of each (summand, degree); see
-    # filtration.graded_basis.  Weight rows are int tuples aligned with
-    # them.  Neither memo refers back to the model.
+    # the character tuple of each (summand, degree) and its integer
+    # coordinate columns; see filtration.graded_basis.  Weight rows are
+    # int tuples aligned with them.  No memo refers back to the model.
     bases: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
     # max-plus gather plans by their exact (left, right, target) character
     # tuples; see filtration._plan
     plans: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
+    # the characters and columns of the total ring on each degree grid a
+    # sum filtration has seen; see filtration.sum_filtration
+    totals: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
     bary_den: int = field(init=False, repr=False, compare=False)
     bary_nums: tuple[IntVec, ...] = field(init=False, repr=False, compare=False)
 

@@ -9,7 +9,8 @@ routes the library replaced: the ratio programs of the coupled and the lc
 thresholds over the linear forms of their cells, the facet loop that found
 the cone absorbing a twisted ray, the all-vertex loop behind the cells of
 a support minimum, the normal fan's cones with their facets solved from
-their generators, the coupled Ding invariant through sum tables, and the
+their generators, the coupled Ding invariant through sum tables, the
+scan of every level behind the finite-degree lc slope, and the
 closed-form descriptor steps in plain Fractions over the vertices).
 The helpers after them are checks and constants that only the tests use."""
 
@@ -35,7 +36,7 @@ from ckstab.serialize import ValidationError
 from ckstab.stability import (CLOSED_FORM, DingResult, StabilityError,
                               coupled_ding, mu_slope)
 from ckstab.toric import (TOTAL, MonomialIdealSeq, ToricFanoModel,
-                          _region_of_ideal, log_discrepancy)
+                          _region_of_ideal, log_discrepancy, monomial_lct)
 
 
 def hull_oracle(points):
@@ -585,6 +586,17 @@ def table_shift(table, c):
     return {m: {a: w + c * m for a, w in row.items()} for m, row in table.items()}
 
 
+def valuation_table(basis, eta):
+    """The weights of ``valuation_filtration`` one character at a time:
+    <alpha, eta> less m times the least pairing of the summand's vertices
+    with eta."""
+    eta = as_vec(eta)
+    least = _min_pairing(basis.model.summand(basis.index).vertices, eta)
+    return {m: {a: sum((F(x) * y for x, y in zip(a, eta)), F(0)) - m * least
+                for a in basis.chars[m]}
+            for m in basis.degrees}
+
+
 def table_twist(table, xi):
     return {m: {a: w + sum((F(x) * y for x, y in zip(a, xi)), F(0))
                 for a, w in row.items()}
@@ -625,6 +637,44 @@ def table_approximate(table, m0):
     products of the degree-m0 row."""
     return {m: _best_decompositions([table[m0]] * (m // m0))
             for m in table if m % m0 == 0}
+
+
+def mu_slope_scan(f: Filtration, deltas) -> dict:
+    """The interval (lo, hi) that ``mu_slope`` certifies for an opaque
+    table at each slope parameter delta, by the scan its bisection
+    replaced: at each degree, the levels of the table in rising order, up
+    to the first whose lc threshold falls below delta.  Each level's
+    threshold is computed once, for every delta."""
+    model = f.basis.model
+    thresholds = {}
+
+    def passes(m, row, t, delta):
+        if (m, t) not in thresholds:
+            seq = MonomialIdealSeq.from_generators(
+                {m: list(row.items())}, level=t, summand=f.basis.index)
+            thresholds[m, t] = monomial_lct(model, seq, degree=m).value
+        value = thresholds[m, t]
+        return value is None or value >= delta
+
+    out = {}
+    for delta in deltas:
+        delta = F(delta)
+        lo = hi = None
+        for m in f.basis.degrees:
+            row = f.weights[m]
+            t_m = max(row.values()) / m
+            hi = t_m if hi is None else max(hi, t_m)
+            best = None
+            for t in sorted({w / m for w in row.values()}):
+                if not passes(m, row, t, delta):
+                    break
+                best = t
+            if best is not None:
+                lo = best if lo is None else max(lo, best)
+        if lo is None:
+            lo = min(w / m for m, row in f.weights.items() for w in row.values())
+        out[delta] = lo, hi
+    return out
 
 
 def table_slopes(table):

@@ -211,6 +211,44 @@ def test_input_not_mutated(capsys, tmp_path):
     assert json.loads(out)["input_sha256"] == before
 
 
+def test_model_file_read_once_and_hashed_as_parsed(capsys, tmp_path,
+                                                  monkeypatch):
+    # one read serves both the digest and the parse, and one more re-hashes
+    # the file after the run
+    dst = tmp_path / "model.json"
+    dst.write_bytes(open(resolve_model_path("bl1p2_halves.json"), "rb").read())
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        if os.fspath(file) == str(dst):
+            opened.append(args[:1])
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    code, out, _ = run(capsys, "ding", str(dst), "--eta", "1,1")
+    assert code == 0
+    assert opened == [("rb",), ("rb",)]
+    assert json.loads(out)["input_sha256"] == hashlib.sha256(
+        dst.read_bytes()).hexdigest()
+
+
+def test_model_file_changed_during_run(capsys, tmp_path, monkeypatch):
+    dst = tmp_path / "model.json"
+    dst.write_bytes(open(resolve_model_path("p1_halves.json"), "rb").read())
+    futaki = ckstab.cli.VERBS["futaki"]
+
+    def touching(model, args):
+        with open(dst, "ab") as fh:
+            fh.write(b"\n")
+        return futaki(model, args)
+
+    monkeypatch.setitem(ckstab.cli.VERBS, "futaki", touching)
+    code, out, err = run(capsys, "futaki", str(dst))
+    assert (code, out) == (1, "")
+    assert err == f"error: input file {dst} changed during the run\n"
+
+
 def test_no_float_literals_in_reports(capsys):
     code, out, _ = run(capsys, "verify", "p1_halves", "--samples", "10",
                        "--seed", "1")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import itertools
 import random
 import weakref
 from fractions import Fraction as F
@@ -18,7 +19,7 @@ from oracles import (check_multiplicative, descriptor_base_change_oracle,
                      is_shifted_trivial, mean_slope_decay_constant,
                      table_approximate, table_base_change, table_round,
                      table_shift, table_slopes, table_sum, table_twist,
-                     valuation_oracle)
+                     valuation_oracle, valuation_table)
 
 import ckstab
 
@@ -656,9 +657,111 @@ def test_bases_share_one_tuple_per_degree():
 def test_second_suite_run_adds_no_plans():
     model = load_model(resolve_model_path("p1_halves.json"))
     identity_suite(model, samples=5, seed=0)
-    sizes = len(model.bases), len(model.plans)
+    sizes = len(model.bases), len(model.plans), len(model.totals)
+    assert sizes[2] == 1    # every sum in the suite is on its one grid
     identity_suite(model, samples=5, seed=1)
-    assert (len(model.bases), len(model.plans)) == sizes
+    assert (len(model.bases), len(model.plans), len(model.totals)) == sizes
+
+
+def test_sums_build_no_basis_once_a_grid_is_seen(p2_steps, monkeypatch):
+    # the total basis of a grid is kept on the model: a later sum on that
+    # grid neither looks up its degrees again nor restricts a basis
+    fam = valuation_family(p2_steps, (F(1, 2), F(-1, 3)), m_max=3)
+    first = sum_filtration(fam)
+    assert first.basis.degrees == (1, 2, 3)
+    assert first.basis.chars == graded_basis(p2_steps, TOTAL, m_max=3).chars
+    calls = []
+    for fn in ("graded_basis", "_stored"):
+        def counted(*args, _fn=getattr(ckstab.filtration, fn), **kwargs):
+            calls.append(_fn.__name__)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(ckstab.filtration, fn, counted)
+    monkeypatch.setattr(GradedBasis, "restrict", None)
+    again = sum_filtration(twist_family(fam, (1, 0)))
+    assert calls == []
+    assert again.basis.chars is first.basis.chars
+    assert again.basis.cols is first.basis.cols
+    # a grid that is no run of multiples of its first degree is refused,
+    # as the restriction of the total basis refused it
+    odd = GradedBasis(p2_steps, 0, (2, 3), {m: fam.members[0].basis.chars[m]
+                                            for m in (2, 3)})
+    other = GradedBasis(p2_steps, 1, (2, 3), {m: fam.members[1].basis.chars[m]
+                                              for m in (2, 3)})
+    with pytest.raises(GridMismatch,
+                       match="^restriction outside the stored grid$"):
+        sum_filtration(FiltrationFamily(p2_steps, (
+            trivial_filtration(odd), trivial_filtration(other))))
+
+
+# --- valuation tables and twists against per-character Fraction tables ------
+
+@pytest.fixture(scope="module")
+def p1_fourth():
+    # (P^1)^4 with its 4-cube as the one summand: rank 4, with 81
+    # characters at degree 1
+    cube = ExactPolytope.from_vertices(list(itertools.product((-1, 1), repeat=4)))
+    rays = [[s * (j == k) for j in range(4)] for k in range(4) for s in (1, -1)]
+    return build_model(rays, [cube], name="p1to4")
+
+
+def pairing_draw(rng):
+    # zero and unit coordinates come up often, and so do other fractions
+    r = rng.random()
+    if r < 0.3:
+        return F(0)
+    if r < 0.6:
+        return F(rng.choice((1, -1)))
+    den = rng.randint(1, 6)
+    return F(rng.randint(-3 * den, 3 * den), den)
+
+
+@pytest.mark.parametrize("name, m_max", [
+    ("p1_halves", 6), ("p1_thirds", 6), ("p1_skew", 3),
+    ("p3_halves", 2), ("p1cubed", 2), ("p1to4", 1)])
+def test_pairing_tables_match_fraction_oracle(models, rank3_models, p1_fourth,
+                                              name, m_max):
+    # valuation tables and twists on the bases of every summand and the
+    # total ring, on a hand-built basis with its characters reversed or
+    # one short, and on a restriction, against tables built one character
+    # at a time in Fractions
+    model = {**models, **rank3_models, "p1to4": p1_fourth}[name]
+    rng = random.Random(sum(map(ord, name)))
+    rank = model.rank
+    step = family_degree_grid(model, m_max)[0]
+    pairs = [((F(0),) * rank, (F(1),) * rank), ((F(-1),) * rank, (F(0),) * rank),
+             (tuple(pairing_draw(rng) for _ in range(rank)),
+              tuple(pairing_draw(rng) for _ in range(rank)))]
+    for i in (*range(model.num_summands), TOTAL):
+        # the total ring's bases are the largest: its first degree only
+        basis = graded_basis(model, i, m_max=m_max if i != TOTAL else step,
+                             step=step)
+        m = basis.degrees[-1]
+        flipped = GradedBasis(model, i, basis.degrees,
+                              {d: row[::-1] for d, row in basis.chars.items()})
+        short = GradedBasis(model, i, basis.degrees,
+                            {d: row[1:] if d == m else row
+                             for d, row in basis.chars.items()})
+        restricted = basis.restrict(basis.degrees[1:] or basis.degrees)
+        assert all(restricted.cols[d] is basis.cols[d]
+                   for d in restricted.degrees)
+        for b in (basis, flipped, short, restricted):
+            assert b.cols == {d: tuple(zip(*row)) for d, row in b.chars.items()}
+            for eta, xi in pairs:
+                f = valuation_filtration(b, eta)
+                table = valuation_table(b, eta)
+                assert dict(f.weights) == table
+                assert dict(twist(f, xi).weights) == table_twist(table, xi)
+            # an opaque table, over a denominator the twist must scale
+            table = {d: {a: w + F(1, 7) for a, w in row.items()}
+                     for d, row in table.items()}
+            assert dict(twist(construct(b, table), xi).weights) == \
+                table_twist(table, xi)
+
+
+def test_identity_suite_in_rank_three(rank3_models):
+    rep = identity_suite(rank3_models["p3_halves"], samples=3, seed=0)
+    assert rep.failed == 0
+    assert rep.passed == sum(rep.cases.values()) > 0
 
 
 # --- integer descriptors against the Fraction descriptor steps ---------------

@@ -6,14 +6,18 @@ from __future__ import annotations
 import collections
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from oracles import (SUBTORI_2, ding_of_twist, ding_via_sums,
-                     dist2_to_affine, fan_cell_delta, reduced_j_oracle,
-                     slice_cells_oracle, twisted_profile_oracle)
+                     dist2_to_affine, fan_cell_delta, mu_slope_scan,
+                     reduced_j_oracle, slice_cells_oracle,
+                     twisted_profile_oracle)
+
+import ckstab
 
 from ckstab.errors import CkstabError
 from ckstab.filtration import (FiltrationFamily, GridMismatch,
@@ -215,6 +219,43 @@ def test_mu_slope_table_interval(p1):
     assert res.value is None
     assert res.lo <= 1 <= res.hi
     assert res.lo == 1    # the closed form sits on the lower end here
+
+
+@pytest.mark.parametrize("name", ["p2_halves", "p2_steps", "p1xp1_symmetric",
+                                  "bl1p2_halves", "bl1p2_hsplit"])
+def test_mu_slope_bisection_matches_level_scan(models, name, monkeypatch):
+    # on opaque tables the levels are bisected: the interval is the one the
+    # scan of every level gives, from at most ceil(log2 levels) + 1 lc
+    # thresholds per degree
+    model = models[name]
+    rng = random.Random(sum(map(ord, name)))
+    step = family_degree_grid(model, 4)[0]
+    calls = collections.Counter()
+
+    def counted(model, seq, degree=None, _lct=ckstab.stability.monomial_lct):
+        calls[degree] += 1
+        return _lct(model, seq, degree=degree)
+
+    monkeypatch.setattr(ckstab.stability, "monomial_lct", counted)
+    for i in (0, TOTAL):
+        basis = graded_basis(model, i, m_max=2, step=step)
+        eta = (F(rng.randint(-2, 2)), F(rng.randint(-2, 2), 2))
+        val = valuation_filtration(basis, eta)
+        tables = [{m: dict(val.weights[m]) for m in basis.degrees}]
+        tables += [{m: {a: F(rng.randint(-m, 3 * m), rng.choice((1, 2)))
+                        for a in basis.characters(m)} for m in basis.degrees}
+                   for _ in range(2)]
+        for table in tables:
+            f = construct(basis, table)
+            scans = mu_slope_scan(f, (F(1, 2), 1, 2))
+            for delta, interval in scans.items():
+                calls.clear()
+                res = mu_slope(f, delta)
+                assert (res.value, res.provenance) == (None, "finite-degree-estimate")
+                assert (res.lo, res.hi) == interval
+                for m in basis.degrees:
+                    levels = len(set(table[m].values()))
+                    assert 1 <= calls[m] <= math.ceil(math.log2(levels)) + 1
 
 
 def test_coupled_ding_values(p1, bl1p2):
