@@ -27,12 +27,12 @@ from .filtration import (EmptyDecomposition, Filtration, FiltrationFamily,
                          valuation_family, valuation_filtration)
 from .optimize import minimize_pl_ratio
 from .stability import (CoupledBarycenter, DegenerateSubtorus, RankTooHigh,
-                        StabilityError, StabilityReport, SubtorusSpec,
-                        SuiteFailure, build_stability_report, coupled_delta,
-                        coupled_ding, coupled_futaki, find_destabilizer,
-                        identity_suite, inner_twist_sup, j_twist, mu_slope,
-                        reduced_coupled_delta, reduced_coupled_j,
-                        semistable_verdict, twisted_ratio_profile)
+                        StabilityError, SubtorusSpec, SuiteFailure,
+                        coupled_delta, coupled_ding, coupled_futaki,
+                        find_destabilizer, identity_suite, inner_twist_sup,
+                        j_twist, mu_slope, reduced_coupled_delta,
+                        reduced_coupled_j, semistable_verdict,
+                        twisted_ratio_profile)
 from .serialize import (ParseError, ValidationError, canonical_json,
                         format_rational, load_model, model_from_json,
                         model_to_json, parse_rational)
@@ -62,9 +62,8 @@ __all__ = [
     "minimize_pl_ratio",
     # stability
     "CoupledBarycenter", "DegenerateSubtorus", "RankTooHigh",
-    "StabilityError", "StabilityReport", "SubtorusSpec", "SuiteFailure",
-    "build_stability_report", "coupled_delta", "coupled_ding",
-    "coupled_futaki", "find_destabilizer", "identity_suite",
+    "StabilityError", "SubtorusSpec", "SuiteFailure", "coupled_delta",
+    "coupled_ding", "coupled_futaki", "find_destabilizer", "identity_suite",
     "inner_twist_sup", "j_twist", "mu_slope", "reduced_coupled_delta",
     "reduced_coupled_j", "semistable_verdict", "twisted_ratio_profile",
     # serialize

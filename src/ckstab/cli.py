@@ -1,8 +1,12 @@
 """Command-line surface.
 
-One verb per invocation; every report is canonical JSON (or an aligned
-text table) with all numbers rendered as exact rationals.  Exit codes:
-0 success, 1 input error, 2 an internal cross-check failed (a bug),
+One verb per invocation.  Each verb handler returns library values
+(``Fraction``s, tuples, ints, ``None``), and ``serialize.canonical_json``
+renders the whole run record once, each rational as its exact "p/q"
+string.  ``--out`` and standard output are written from that one text;
+``--format table`` renders its parsed canonical form, so a table is
+exactly what ``show`` prints for the ``--out`` file.  Exit codes: 0
+success, 1 input error, 2 an internal cross-check failed (a bug),
 including an identity-suite failure.
 """
 
@@ -11,11 +15,11 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import json
 import os
 import re
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import Optional
@@ -24,34 +28,15 @@ from . import __version__
 from .errors import CkstabError, InputError
 from .filtration import ValuationDescriptor
 from .geometry import Vec
-from .serialize import (IoError, ParseError, canonical_json, format_rational,
-                        format_vec, model_from_json, parse_integer, parse_json,
-                        parse_rational, parse_vec, read_bytes, read_json)
-from .stability import (SubtorusSpec, build_stability_report, coupled_delta,
+from .serialize import (IoError, ParseError, canonical_json, model_from_json,
+                        parse_integer, parse_json, parse_rational, parse_vec,
+                        read_bytes, read_json)
+from .stability import (CLOSED_FORM, SubtorusSpec, coupled_delta,
                         coupled_futaki, ding_of_descriptors,
-                        find_destabilizer, j_twist, monomial_lct,
-                        reduced_coupled_delta, reduced_coupled_j)
+                        find_destabilizer, identity_suite, j_twist,
+                        monomial_lct, reduced_coupled_delta,
+                        reduced_coupled_j, semistable_verdict)
 from .toric import TOTAL, MonomialIdealSeq
-
-
-@dataclass
-class RunRecord:
-    """What was run, on what input, producing which report."""
-
-    command: list[str]
-    input_sha256: Optional[str]
-    report: dict
-    version: str
-    assumptions: list[str]
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "input_sha256": self.input_sha256,
-            "version": self.version,
-            "assumptions": self.assumptions,
-            "report": self.report,
-        }
 
 
 # the packaged fixture corpus
@@ -90,14 +75,14 @@ def _parse_subtorus(text: Optional[str], rank: int) -> SubtorusSpec:
 
 
 def render_table(data: dict) -> str:
+    """An aligned key/value table of a report as parsed from its canonical
+    JSON."""
     rows: list[tuple[str, str]] = []
 
     def walk(obj, key):
         if isinstance(obj, dict):
             for k in sorted(obj):
                 walk(obj[k], f"{key}.{k}" if key else str(k))
-        elif isinstance(obj, list):
-            rows.append((key, "[" + ", ".join(_scalar(v) for v in obj) + "]"))
         else:
             rows.append((key, _scalar(obj)))
 
@@ -115,25 +100,6 @@ def render_table(data: dict) -> str:
     return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows) + "\n"
 
 
-def emit_report(record: RunRecord, out_path: Optional[str]) -> str:
-    text = canonical_json(record.to_dict())
-    if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise IoError(f"cannot write {out_path}: {exc}") from exc
-    return text
-
-
-def _rat(x) -> str:
-    return format_rational(Fraction(x))
-
-
-def _opt_rat(x) -> Optional[str]:
-    return None if x is None else _rat(x)
-
-
 def _vec_arg(text: str, flag: str, rank: int) -> Vec:
     vec = parse_vec(text.split(","))
     if len(vec) != rank:
@@ -143,14 +109,14 @@ def _vec_arg(text: str, flag: str, rank: int) -> Vec:
 
 
 # ---------------------------------------------------------------------------
-# verb handlers: each returns the report dict
+# verb handlers: each returns the report dict, of library values
 
 
 def _cmd_futaki(model, args) -> dict:
     fut = coupled_futaki(model)
     return {
-        "per_summand": [format_vec(v) for v in fut.per_summand],
-        "total": format_vec(fut.total),
+        "per_summand": fut.per_summand,
+        "total": fut.total,
         "vanishes": fut.vanishes,
     }
 
@@ -160,8 +126,8 @@ def _cmd_jnorm(model, args) -> dict:
     index = TOTAL if args.summand is None else args.summand
     value = j_twist(model, index, xi)
     return {
-        "jnorm": {"value": _rat(value), "provenance": "closed-form"},
-        "xi": format_vec(xi),
+        "jnorm": {"value": value, "provenance": CLOSED_FORM},
+        "xi": xi,
         "summand": "total" if index == TOTAL else index,
     }
 
@@ -171,19 +137,19 @@ def _cmd_reduced_jnorm(model, args) -> dict:
     sub = _parse_subtorus(args.subtorus, model.rank)
     res = reduced_coupled_j(model, xi0, sub=sub)
     return {
-        "reduced_jnorm": {"value": _rat(res.value), "provenance": res.provenance},
-        "argmin": format_vec(res.argmin),
-        "xi0": format_vec(xi0),
-        "subtorus": [list(v) for v in sub.basis],
+        "reduced_jnorm": {"value": res.value, "provenance": res.provenance},
+        "argmin": res.argmin,
+        "xi0": xi0,
+        "subtorus": sub.basis,
     }
 
 
 def _cmd_delta(model, args) -> dict:
     res = coupled_delta(model)
     return {
-        "delta": {"value": _rat(res.value), "provenance": res.provenance},
-        "witness": list(res.witness),
-        "assumptions": list(res.assumptions),
+        "delta": {"value": res.value, "provenance": res.provenance},
+        "witness": res.witness,
+        "assumptions": res.assumptions,
     }
 
 
@@ -191,11 +157,10 @@ def _cmd_reduced_delta(model, args) -> dict:
     sub = _parse_subtorus(args.subtorus, model.rank)
     res = reduced_coupled_delta(model, sub)
     report = {
-        "reduced_delta": {"value": _opt_rat(res.value),
-                          "provenance": res.provenance},
-        "witness": None if res.witness is None else list(res.witness),
-        "subtorus": [list(v) for v in sub.basis],
-        "assumptions": list(res.assumptions),
+        "reduced_delta": {"value": res.value, "provenance": res.provenance},
+        "witness": res.witness,
+        "subtorus": sub.basis,
+        "assumptions": res.assumptions,
     }
     if res.note:
         report["note"] = res.note
@@ -208,11 +173,11 @@ def _cmd_ding(model, args) -> dict:
     res = ding_of_descriptors(
         model, [ValuationDescriptor(eta)] * model.num_summands, slope)
     return {
-        "ding": {"value": _rat(res.value), "provenance": res.provenance},
-        "mu": _rat(res.mu),
-        "summand_slopes": [_rat(s) for s in res.s_values],
-        "eta": format_vec(eta),
-        "slope": _rat(slope),
+        "ding": {"value": res.value, "provenance": res.provenance},
+        "mu": res.mu,
+        "summand_slopes": res.s_values,
+        "eta": eta,
+        "slope": slope,
     }
 
 
@@ -223,12 +188,12 @@ def _cmd_lct(model, args) -> dict:
     seq = MonomialIdealSeq.valuation_levels(eta, level)
     res = monomial_lct(model, seq, scale=scale)
     return {
-        "lct": {"value": _opt_rat(res.value), "provenance": res.provenance},
-        "witness": None if res.witness is None else list(res.witness),
-        "eta": format_vec(eta),
-        "level": _rat(level),
-        "scale": _rat(scale),
-        "assumptions": list(res.assumptions),
+        "lct": {"value": res.value, "provenance": res.provenance},
+        "witness": res.witness,
+        "eta": eta,
+        "level": level,
+        "scale": scale,
+        "assumptions": res.assumptions,
     }
 
 
@@ -238,19 +203,36 @@ def _cmd_destabilize(model, args) -> dict:
         return {"destabilizer": None}
     return {
         "destabilizer": {
-            "eta": list(res.eta),
-            "ding": {"value": _rat(res.ding.value),
-                     "provenance": res.ding.provenance},
+            "eta": res.eta,
+            "ding": {"value": res.ding.value, "provenance": res.ding.provenance},
         },
     }
 
 
 def _cmd_verify(model, args) -> dict:
-    rep = build_stability_report(model, samples=args.samples, seed=args.seed)
-    print(f"suite elapsed: {rep.elapsed_seconds:.3f}s", file=sys.stderr)
-    data = rep.to_dict()
-    del data["model"]   # re-attached by the record wrapper
-    return data
+    started = time.monotonic()
+    verdict = semistable_verdict(model)
+    suite = identity_suite(model, samples=args.samples, seed=args.seed)
+    print(f"suite elapsed: {time.monotonic() - started:.3f}s", file=sys.stderr)
+    delta, fut = verdict.delta, verdict.futaki
+    return {
+        "assumptions": verdict.assumptions,
+        "values": {
+            "delta": {"value": delta.value, "provenance": delta.provenance},
+            "futaki_total": {"value": fut.total, "provenance": CLOSED_FORM},
+            "futaki_per_summand": {"value": fut.per_summand,
+                                   "provenance": CLOSED_FORM},
+        },
+        "witnesses": {"delta_witness": delta.witness},
+        "verdicts": {
+            "semistable": verdict.semistable,
+            "futaki_vanishes": fut.vanishes,
+            "delta_at_least_one": delta.value >= 1,
+        },
+        "suite": suite.to_dict(),
+        "seed": args.seed,
+        "samples": args.samples,
+    }
 
 
 VERBS = {
@@ -349,24 +331,27 @@ def main(argv: Optional[list[str]] = None) -> int:
         report = VERBS[args.verb](model, args)
         if hashlib.sha256(read_bytes(path)).hexdigest() != digest_before:
             raise IoError(f"input file {path} changed during the run")
-        record = RunRecord(
-            command=["ckstab", args.verb] + argv[1:],
-            input_sha256=digest_before,
-            report={"model": model.name, **report},
-            version=__version__,
-            assumptions=report.get("assumptions", []),
-        )
-        text = emit_report(record, args.out)
+        text = canonical_json({
+            "command": ["ckstab", args.verb] + argv[1:],
+            "input_sha256": digest_before,
+            "version": __version__,
+            "assumptions": report.get("assumptions", []),
+            "report": {"model": model.name, **report},
+        })
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise IoError(f"cannot write {args.out}: {exc}") from exc
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CkstabError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "table":
-        sys.stdout.write(render_table(record.to_dict()["report"]))
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(render_table(json.loads(text)["report"])
+                     if args.format == "table" else text)
     print(f"elapsed: {time.monotonic() - started:.3f}s", file=sys.stderr)
     return 0
 

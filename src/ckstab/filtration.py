@@ -501,9 +501,14 @@ class FiltrationFamily:
         return self.members[0].basis.degrees
 
 
-def family_degree_grid(model: ToricFanoModel, m_max: int) -> tuple[int, ...]:
-    step = math.lcm(*(integrality_step(model, i)
+def family_step(model: ToricFanoModel) -> int:
+    """The least degree that clears the denominators of every summand."""
+    return math.lcm(*(integrality_step(model, i)
                       for i in range(model.num_summands)))
+
+
+def family_degree_grid(model: ToricFanoModel, m_max: int) -> tuple[int, ...]:
+    step = family_step(model)
     grid = tuple(range(step, m_max + 1, step))
     if not grid:
         raise GridMismatch(f"degree cap {m_max} below the family step {step}")

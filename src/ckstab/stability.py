@@ -36,8 +36,8 @@ from .filtration import (Descriptor, Filtration, FiltrationFamily,
                          ValuationDescriptor, _sum_descriptor,
                          _twist_descriptor, approximate,
                          base_change, construct, family_degree_grid,
-                         graded_basis, round_weights, shift, sum_filtration,
-                         trivial_family, twist, twist_family,
+                         family_step, graded_basis, round_weights, shift,
+                         sum_filtration, trivial_family, twist, twist_family,
                          valuation_family, valuation_filtration)
 
 
@@ -552,10 +552,9 @@ def reduced_coupled_delta(model: ToricFanoModel, sub: SubtorusSpec) -> ReducedDe
                           "use sampled bounds instead")
     # rank 2, one-dimensional subtorus: complete the basis unimodularly
     w = sub.basis[0]
-    g, x, y = _ext_gcd(w[0], w[1])
-    if g not in (1, -1):
-        raise DegenerateSubtorus("subtorus direction is not primitive")
-    # det(w, (y, -x)) = -(w0 x + w1 y) = -g, so (y, -x) completes w to a
+    _, x, y = _ext_gcd(w[0], w[1])
+    # SubtorusSpec admits only a primitive w, so g = 1, and
+    # det(w, (y, -x)) = -(w0 x + w1 y) = -1, so (y, -x) completes w to a
     # lattice basis and its two signs represent all slice cosets
     eta0 = (y, -x)
     best_val: Optional[Fraction] = None
@@ -690,9 +689,13 @@ def _rand_int_vec(rng: random.Random, rank: int, span: int = 3,
             return v
 
 
-def identity_suite(model: ToricFanoModel, samples: int = 100, seed: int = 0,
-                   m_max: int = 4) -> SuiteReport:
+def identity_suite(model: ToricFanoModel, samples: int = 100,
+                   seed: int = 0) -> SuiteReport:
     """Run every exact identity check on seeded samples.
+
+    The degree grid is the multiples of the family step up to degree 4, or
+    the step alone when it is above 4, so every model that loads can be
+    verified.
 
     Each check is one exact rational equality or inequality, counted as one
     case of its identity.  Every check runs; a failed one is recorded, not
@@ -716,7 +719,7 @@ def identity_suite(model: ToricFanoModel, samples: int = 100, seed: int = 0,
 
     error = None
     try:
-        _check_identities(model, random.Random(seed), samples, m_max, check)
+        _check_identities(model, random.Random(seed), samples, check)
     except CkstabError as exc:
         if not failures:
             raise
@@ -730,12 +733,13 @@ def identity_suite(model: ToricFanoModel, samples: int = 100, seed: int = 0,
 
 
 def _check_identities(model: ToricFanoModel, rng: random.Random, samples: int,
-                      m_max: int, check) -> None:
+                      check) -> None:
     """Run every identity on seeded samples, passing each case to ``check``."""
     rank = model.rank
     k = model.num_summands
-    grid = family_degree_grid(model, m_max)
-    bases = [graded_basis(model, i, m_max=m_max, step=grid[0]) for i in range(k)]
+    grid = family_degree_grid(model, max(4, family_step(model)))
+    bases = [graded_basis(model, i, m_max=grid[-1], step=grid[0])
+             for i in range(k)]
     b_total = model.barycenter(TOTAL)
 
     def check_tables(name: str, inputs, lhs: Filtration, rhs: Filtration):
@@ -916,7 +920,7 @@ def _check_identities(model: ToricFanoModel, rng: random.Random, samples: int,
     if all(x == 0 for x in b_total):
         c2 = inradius_squared(model.anticanonical,
                               tuple(Fraction(0) for _ in range(rank)))
-        fam = trivial_family(model, m_max=m_max)
+        fam = trivial_family(model, m_max=grid[-1])
         for _ in range(samples):
             cshift = _rand_frac(rng)
             shifted = FiltrationFamily(model, tuple(
@@ -1004,78 +1008,6 @@ def _check_identities(model: ToricFanoModel, rng: random.Random, samples: int,
         delta = Fraction(rng.randint(1, 3))
         check("mu-shift-covariance", (eta_i, c, delta),
               mu_slope(shift(f, c), delta).value, mu_slope(f, delta).value + c)
-
-
-
-# ---------------------------------------------------------------------------
-# aggregated reports
-
-
-@dataclass
-class StabilityReport:
-    """Everything a verification run certifies about one model.
-
-    Every numeric entry in ``values`` carries a provenance marker.  The
-    wall-clock duration is kept out of the serialized payload so identical
-    model and seed give byte-identical reports; it rides along as a plain
-    attribute for logging.
-    """
-
-    model_name: str
-    values: dict
-    witnesses: dict
-    verdicts: dict
-    assumptions: tuple[str, ...]
-    suite: dict
-    seed: int
-    samples: int
-    elapsed_seconds: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model_name,
-            "assumptions": list(self.assumptions),
-            "values": self.values,
-            "witnesses": self.witnesses,
-            "verdicts": self.verdicts,
-            "suite": self.suite,
-            "seed": self.seed,
-            "samples": self.samples,
-        }
-
-
-def build_stability_report(model: ToricFanoModel, samples: int = 100,
-                           seed: int = 0) -> StabilityReport:
-    """Run the verdicts and the identity suite and assemble one report."""
-    import time as _time
-    started = _time.monotonic()
-    verdict = semistable_verdict(model)
-    suite = identity_suite(model, samples=samples, seed=seed)
-    fut = verdict.futaki
-    values = {
-        "delta": {"value": verdict.delta.value,
-                  "provenance": verdict.delta.provenance},
-        "futaki_total": {"value": list(fut.total), "provenance": CLOSED_FORM},
-        "futaki_per_summand": {"value": [list(v) for v in fut.per_summand],
-                               "provenance": CLOSED_FORM},
-    }
-    witnesses = {"delta_witness": list(verdict.delta.witness)}
-    verdicts = {
-        "semistable": verdict.semistable,
-        "futaki_vanishes": fut.vanishes,
-        "delta_at_least_one": verdict.delta.value >= 1,
-    }
-    return StabilityReport(
-        model_name=model.name,
-        values=values,
-        witnesses=witnesses,
-        verdicts=verdicts,
-        assumptions=verdict.assumptions,
-        suite=suite.to_dict(),
-        seed=seed,
-        samples=samples,
-        elapsed_seconds=_time.monotonic() - started,
-    )
 
 
 def _futaki_orthogonal_direction(model: ToricFanoModel,

@@ -190,14 +190,80 @@ def test_verify_deterministic(capsys):
     assert rep["suite"]["failed"] == 0 and rep["suite"]["passed"] > 0
 
 
+# every verb whose report holds vectors, and delta
+SHOW_CASES = [
+    ("delta", "bl1p2_halves"),
+    ("futaki", "bl1p2_hsplit"),
+    ("jnorm", "p2_steps", "--xi", "1/2,-1", "--summand", "0"),
+    ("reduced-jnorm", "bl1p2_hsplit", "--xi", "1/2,-1", "--subtorus", "1,1"),
+    ("ding", "bl1p2_hsplit", "--eta", "1,-2", "--slope", "1/2"),
+    ("lct", "p2_steps", "--eta", "1,-2", "--level", "7", "--scale", "2"),
+    ("verify", "p1_thirds", "--samples", "1"),
+]
+
+
 def test_show_roundtrip(capsys, tmp_path):
-    out_path = str(tmp_path / "report.json")
-    code, table_direct, _ = run(capsys, "delta", "bl1p2_halves",
-                                "--format", "table", "--out", out_path)
-    assert code == 0
-    code, shown, _ = run(capsys, "show", out_path)
-    assert code == 0
-    assert shown == table_direct
+    # a table renders the canonical form, so rationals inside vectors print
+    # as "p/q" exactly as the stored report has them
+    for i, argv in enumerate(SHOW_CASES):
+        out_path = str(tmp_path / f"report{i}.json")
+        code, table_direct, _ = run(capsys, *argv, "--format", "table",
+                                    "--out", out_path)
+        assert code == 0
+        code, shown, _ = run(capsys, "show", out_path)
+        assert code == 0
+        assert shown == table_direct, argv
+        assert "Fraction" not in shown and "(" not in shown, argv
+
+
+def test_vector_tables_pinned(capsys):
+    code, out, _ = run(capsys, "futaki", "bl1p2_hsplit", "--format", "table")
+    assert code == 0 and out == (
+        "model        bl1p2_hsplit\n"
+        "per_summand  [[1/3, 1/3], [-2/9, -2/9]]\n"
+        "total        [1/9, 1/9]\n"
+        "vanishes     false\n")
+    code, out, _ = run(capsys, "ding", "bl1p2_hsplit", "--eta", "1,-2",
+                       "--slope", "1/2", "--format", "table")
+    assert code == 0 and out == (
+        "ding.provenance  lower-bound\n"
+        "ding.value       1/9\n"
+        "eta              [1, -2]\n"
+        "model            bl1p2_hsplit\n"
+        "mu               5\n"
+        "slope            1/2\n"
+        "summand_slopes   [5/3, 29/9]\n")
+
+
+# family steps above 4: summand denominators 5, and a dP6 split translated by
+# thirds and halves (step 6)
+STEP_ABOVE_FOUR = {
+    "fifths": {"rank": 1, "rays": [[1], [-1]], "decomposition": [
+        {"vertices": [["-1/5"], ["1/5"]]}, {"vertices": [["-4/5"], ["4/5"]]}]},
+    "dp6_moved": {"rank": 2, "rays": [[1, 0], [1, 1], [0, 1], [-1, 0],
+                                      [-1, -1], [0, -1]], "decomposition": [
+        {"vertices": [["-1/6", "-1/2"], ["-1/6", "0"], ["1/3", "-1"],
+                      ["1/3", "0"], ["5/6", "-1"], ["5/6", "-1/2"]]},
+        {"vertices": [["-5/6", "1/2"], ["-5/6", "1"], ["-1/3", "0"],
+                      ["-1/3", "1"], ["1/6", "0"], ["1/6", "1/2"]]}]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_ABOVE_FOUR))
+def test_verify_runs_above_degree_four(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(STEP_ABOVE_FOUR[name]))
+    code, out, err = run(capsys, "verify", str(path), "--samples", "3")
+    assert code == 0, err
+    suite = report_of(out)["suite"]
+    assert suite["failed"] == 0 and suite["passed"] > 0
+
+
+def test_reduced_delta_refuses_unsaturated_subtorus(capsys):
+    code, out, err = run(capsys, "reduced-delta", "p2", "--subtorus", "2,0")
+    assert (code, out) == (1, "")
+    assert err == ("error: subtorus basis does not span a saturated "
+                   "sublattice\n")
 
 
 def test_input_not_mutated(capsys, tmp_path):

@@ -9,6 +9,7 @@ import itertools
 import math
 import random
 from fractions import Fraction as F
+from importlib import resources
 
 import pytest
 
@@ -27,6 +28,7 @@ from ckstab.filtration import (FiltrationFamily, GridMismatch,
                                twist_family, valuation_family,
                                valuation_filtration)
 from ckstab.geometry import DimensionMismatch, ExactPolytope, HalfSpace
+from ckstab.serialize import load_model
 from ckstab.stability import (DegenerateSubtorus, RankTooHigh, StabilityError,
                               SubtorusSpec, SuiteFailure, _slice_cells,
                               coupled_delta, coupled_ding, coupled_futaki,
@@ -607,6 +609,23 @@ def test_identity_suite_deterministic(p2):
     assert a == b
 
 
+def test_suite_grid_follows_the_family_step():
+    # the multiples of the family step up to 4 on every packaged fixture, and
+    # the step alone above 4
+    fixtures = resources.files("ckstab") / "fixtures"
+    names = sorted(f.name for f in fixtures.iterdir())
+    assert len(names) == 11
+    for name in names:
+        model = load_model(str(fixtures / name))
+        identity_suite(model, samples=1)
+        assert set(model.totals) == {family_degree_grid(model, 4)}, name
+    seg = ExactPolytope.from_vertices([(F(-1),), (F(1),)])
+    fifths = build_model([[1], [-1]], [seg.scale(F(1, 5)), seg.scale(F(4, 5))],
+                         name="fifths")
+    assert identity_suite(fifths, samples=1).failed == 0
+    assert set(fifths.totals) == {(5,)}
+
+
 # the same counts per identity for both models at this budget
 _SHARED_CASES = {
     "a-minus-s-twist": 20, "barycenter-cache-consistency": 2,
@@ -749,7 +768,7 @@ def test_extra_del_pezzo_models():
                             name=f"{name}_moved")
         assert coupled_futaki(moved).total == fut_total
         # thirds-of-integers translations push the integrality step to six
-        rep = identity_suite(moved, samples=10, seed=3, m_max=6)
+        rep = identity_suite(moved, samples=10, seed=3)
         assert rep.failed == 0
 
 

@@ -605,7 +605,7 @@ def test_containment_oracle_catches_a_dropped_ray(monkeypatch, p2):
         if not (lhs == rhs if ok is None else ok):
             failed.add(name)
 
-    _check_identities(p2, random.Random(0), 20, 4, check)
+    _check_identities(p2, random.Random(0), 20, check)
     assert "lct-oracle-agreement" in failed
     with pytest.raises(SuiteFailure):
         identity_suite(p2, samples=20, seed=0)
