@@ -76,7 +76,9 @@ def _parse_subtorus(text: Optional[str], rank: int) -> SubtorusSpec:
 
 def render_table(data: dict) -> str:
     """An aligned key/value table of a report as parsed from its canonical
-    JSON."""
+    JSON.  A null under a key ending in ``value`` is an infinite threshold
+    and prints as ``+inf``; any other null, a missing witness or
+    destabilizer, prints as ``none``."""
     rows: list[tuple[str, str]] = []
 
     def walk(obj, key):
@@ -84,13 +86,14 @@ def render_table(data: dict) -> str:
             for k in sorted(obj):
                 walk(obj[k], f"{key}.{k}" if key else str(k))
         else:
-            rows.append((key, _scalar(obj)))
+            rows.append((key, _scalar(obj, "+inf" if key.endswith("value")
+                                      else "none")))
 
-    def _scalar(v) -> str:
+    def _scalar(v, null: str) -> str:
         if isinstance(v, list):
-            return "[" + ", ".join(_scalar(x) for x in v) + "]"
+            return "[" + ", ".join(_scalar(x, null) for x in v) + "]"
         if v is None:
-            return "+inf"
+            return null
         if isinstance(v, bool):
             return "true" if v else "false"
         return str(v)

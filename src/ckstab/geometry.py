@@ -50,9 +50,9 @@ minors (``_minor_normal``, with the determinant ``_int_det``).  Only
 scale their input to integers once at entry; the loader hands its parsed
 tables straight to ``_from_points`` and ``_from_rows``.  ``ExactPolytope``
 reduces ``den`` to the least common denominator and builds the public
-``Fraction`` ``vertices`` once, from the table; ``halfspaces``, the facets
-as ``HalfSpace``s, is a view built on access.  A direction is scaled to
-integers once (``_int_directions``) and paired with ``nums``
+``Fraction`` ``vertices`` from the table on first read; ``halfspaces``,
+the facets as ``HalfSpace``s, is a view built on access.  A direction is
+scaled to integers once (``_int_directions``) and paired with ``nums``
 (``_pairings``), which is all ``support_value`` and the toric invariants
 do; ``vdot`` of int vectors stays an ``int``.  Values leave the module as
 ``Fraction``.
@@ -356,13 +356,16 @@ class ExactPolytope:
     equality pairs included.  It is the one vertex-facet incidence of the
     polytope, which every face query reads.
 
-    The constructor takes such a table, already sorted, reduces ``den``
-    (which keeps both orders) and builds the ``Fraction`` ``vertices``
-    once.  ``halfspaces`` is a read-only view of ``facets`` as
-    ``HalfSpace``s, built on each access.
+    The constructor takes such a table, already sorted, and reduces
+    ``den`` (which keeps both orders).  The ``Fraction`` ``vertices`` are
+    built from the table on first read and kept; most polytopes, such as
+    the summands of a model behind most verbs, are never asked for them.
+    ``halfspaces`` is a read-only view of ``facets`` as ``HalfSpace``s,
+    built on each access.  A polytope is never changed after construction,
+    so equal summands of a model may share one.
     """
 
-    __slots__ = ("vertices", "facets", "dim", "rank", "den", "nums", "incidence")
+    __slots__ = ("_vertices", "facets", "dim", "rank", "den", "nums", "incidence")
 
     def __init__(self, den: int, nums: Sequence[IntVec], facets: Sequence[Facet],
                  incidence: Sequence[frozenset[int]], dim: int, rank: int):
@@ -376,10 +379,17 @@ class ExactPolytope:
         self.nums: tuple[IntVec, ...] = tuple(nums)
         self.facets: tuple[Facet, ...] = tuple(facets)
         self.incidence: tuple[frozenset[int], ...] = tuple(incidence)
-        self.vertices: tuple[Vec, ...] = tuple(
-            tuple([Fraction(x, den) for x in n]) for n in nums)
+        self._vertices: Optional[tuple[Vec, ...]] = None
         self.dim = dim
         self.rank = rank
+
+    @property
+    def vertices(self) -> tuple[Vec, ...]:
+        if self._vertices is None:
+            den = self.den
+            self._vertices = tuple(tuple([Fraction(x, den) for x in n])
+                                   for n in self.nums)
+        return self._vertices
 
     @property
     def halfspaces(self) -> tuple[HalfSpace, ...]:
@@ -493,7 +503,7 @@ class ExactPolytope:
         return hash((self.den, self.nums))
 
     def __repr__(self):
-        return f"ExactPolytope(dim={self.dim}, rank={self.rank}, vertices={len(self.vertices)})"
+        return f"ExactPolytope(dim={self.dim}, rank={self.rank}, vertices={len(self.nums)})"
 
 
 def _hull(pts: list[IntVec], rank: int

@@ -3,7 +3,10 @@ canonical report rendering.
 
 Nothing in this module ever produces or accepts floating point.  Canonical
 output has sorted keys and a fixed rational rendering, so byte equality is
-meaningful for regression and determinism checks.
+meaningful for regression and determinism checks.  ``canonical_json``
+renders a report in one recursive walk, with the bytes ``json.dumps``
+would give for its plain form.  ``model_from_json`` hulls each distinct
+decomposition fragment once, and equal fragments share that polytope.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ import json
 import math
 import re
 from fractions import Fraction
-from typing import Any, Sequence
+from json.encoder import encode_basestring_ascii as _escape
+from typing import Sequence
 
 from .errors import InputError
 from .geometry import ExactPolytope, GeometryError, Vec
@@ -117,13 +121,17 @@ def polytope_to_json(p: ExactPolytope) -> dict:
     return {"vertices": [format_vec(v) for v in p.vertices]}
 
 
-def polytope_from_json(data) -> ExactPolytope:
-    """A polytope fragment, parsed straight into one integer table."""
+def _fragment(data) -> tuple:
+    """A polytope fragment, parsed straight into one integer table, as the
+    hull that builds it: the constructor (``_from_points`` or
+    ``_from_rows``) followed by its arguments, that table as written.  The
+    tuple is hashable, and equal tuples give equal polytopes."""
     if not isinstance(data, dict):
         raise ParseError(f"polytope fragment must be an object, got {data!r}")
     if "vertices" in data:
-        return ExactPolytope._from_points(*_table(
-            [_ratios(v) for v in _capped(data["vertices"], "vertices")]))
+        den, nums = _table(
+            [_ratios(v) for v in _capped(data["vertices"], "vertices")])
+        return ExactPolytope._from_points, den, tuple(nums)
     if "halfspaces" in data:
         normals, offsets = [], []
         for item in _capped(data["halfspaces"], "halfspaces"):
@@ -138,8 +146,8 @@ def polytope_from_json(data) -> ExactPolytope:
             normals.append(tuple(normal))
         den, offsets = _table(offsets)
         rank = len(normals[-1]) if normals else None
-        return ExactPolytope._from_rows(
-            den, [(a, c) for a, (c,) in zip(normals, offsets)], rank)
+        return (ExactPolytope._from_rows, den,
+                tuple([(a, c) for a, (c,) in zip(normals, offsets)]), rank)
     raise ParseError("polytope fragment needs 'vertices' or 'halfspaces'")
 
 
@@ -195,8 +203,16 @@ def model_from_json(data, name: str = "") -> ToricFanoModel:
     model_name = data.get("name", name)
     if not isinstance(model_name, str):
         raise ParseError(f"model name must be a string, got {model_name!r}")
-    summands = [polytope_from_json(p)
-                for p in _list(data["decomposition"], "decomposition")]
+    # one hull per distinct fragment: equal fragments, as in the common
+    # split P = k (P / k), share one (immutable) polytope
+    hulls: dict[tuple, ExactPolytope] = {}
+    summands = []
+    for p in _list(data["decomposition"], "decomposition"):
+        key = _fragment(p)
+        if key not in hulls:
+            build, *table = key
+            hulls[key] = build(*table)
+        summands.append(hulls[key])
     return build_model(rays, summands, name=model_name)
 
 
@@ -236,18 +252,47 @@ def load_model(path: str) -> ToricFanoModel:
 # canonical rendering
 
 
-def _canonicalize(obj) -> Any:
+def _render(obj, pad: str) -> str:
+    """The text of obj at indentation pad, as ``json.dumps`` with sorted
+    keys, an indent of 2 and ``ensure_ascii`` would write it, once each
+    ``Fraction`` is its ``format_rational`` string, each key its ``str()``
+    and each tuple a list.  A float raises ``ValidationError``, and any
+    other type ``TypeError``, as ``json`` does."""
+    if isinstance(obj, str):
+        return _escape(obj)
     if isinstance(obj, Fraction):
-        return format_rational(obj)
+        # digits, "-" and "/" need no escape
+        return f'"{format_rational(obj)}"'
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        # every value is rendered, so a float under a key that a later
+        # equal str() key replaces still raises
+        items = sorted({str(k): _render(v, inner) for k, v in obj.items()}.items())
+        return ("{\n" + ",\n".join([f"{inner}{_escape(k)}: {v}" for k, v in items])
+                + "\n" + pad + "}")
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        return ("[\n" + ",\n".join([inner + _render(v, inner) for v in obj])
+                + "\n" + pad + "]")
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
     if isinstance(obj, float):
         raise ValidationError("floating point value reached the report layer")
-    if isinstance(obj, dict):
-        return {str(k): _canonicalize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canonicalize(v) for v in obj]
-    return obj
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(_canonicalize(obj), sort_keys=True, indent=2,
-                      separators=(",", ": ")) + "\n"
+    """The canonical text of a report, in one walk: sorted keys, an indent
+    of 2, ASCII only, every ``Fraction`` as its "p/q" string; no float is
+    accepted."""
+    return _render(obj, "") + "\n"

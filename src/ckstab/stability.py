@@ -28,7 +28,7 @@ from .geometry import (DimensionMismatch, ExactPolytope, Vec, _cramer_vertices,
 from .toric import (TOTAL, TORIC_SEARCH_ASSUMPTION, MonomialIdealSeq,
                     SummandIndex, ToricFanoModel, _containment_lct,
                     _fraction_sum, _log_discrepancy, _ratio_plus,
-                    _s_invariant, _show, _t_invariant,
+                    _s_invariant, _show, _t_invariant, _total_s_sum,
                     log_discrepancy, monomial_lct, s_invariant, support_min,
                     t_invariant, theta_twist, total_s_sum)
 from .filtration import (Descriptor, Filtration, FiltrationFamily,
@@ -459,11 +459,14 @@ class InnerSup:
 
 
 def _ratio_at(model: ToricFanoModel, z: Sequence) -> Fraction:
-    a = log_discrepancy(model, z)
-    s = total_s_sum(model, z)
+    """A(z) over the summed slopes at z, from the integer cores, as one
+    ``Fraction``."""
+    den, (e,) = _int_directions((z,), model.rank)
+    a, ad = _log_discrepancy(model, den, e)
+    s, sd = _total_s_sum(model, den, e)
     if s <= 0:
         raise StabilityError(f"nonpositive slope sum at {tuple(z)}")
-    return a / s
+    return Fraction(a * sd, ad * s)
 
 
 def inner_twist_sup(model: ToricFanoModel, sub: SubtorusSpec,

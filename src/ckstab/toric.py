@@ -38,6 +38,7 @@ without the fan, is the identity suite's oracle.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -191,7 +192,8 @@ def build_model(rays: Sequence[Sequence[int]],
     certificate and to list the sum's vertices.  The
     probe is the sum of the cone's generators, which are rays, so every
     pairing is an integer sum of each summand's vertex pairings with the
-    rays.
+    rays.  Equal summands are certified once, weighted by their number,
+    and each distinct summand's centroid is taken once.
     """
     ray_list = []
     rank = None
@@ -231,15 +233,17 @@ def build_model(rays: Sequence[Sequence[int]],
         if p.rank != rank:
             raise RankMismatch("summand rank differs from the model rank")
     cones = tuple(c for c, _ in normal_fan(antican))
-    # the summand vertex pairings with each ray, and the factors that bring
-    # the summands to one denominator
-    pairs = [{r: _pairings(p.nums, r) for r in ray_tuple} for p in summands]
-    lcm = math.lcm(*(p.den for p in summands))
-    factors = [lcm // p.den for p in summands]
+    # each distinct summand once, with its multiplicity: its vertex pairings
+    # with each ray, and the factor that brings it to one denominator and
+    # counts its copies
+    distinct = Counter(summands)
+    pairs = [{r: _pairings(p.nums, r) for r in ray_tuple} for p in distinct]
+    lcm = math.lcm(*(p.den for p in distinct))
+    factors = [lcm // p.den * n for p, n in distinct.items()]
     certified = True
     for cone, form in zip(cones, antican.nums):
         summed = [0] * rank
-        for p, by_ray, f in zip(summands, pairs, factors):
+        for p, by_ray, f in zip(distinct, pairs, factors):
             vals = [by_ray[g] for g in cone.generators]
             probe = list(map(sum, zip(*vals)))
             k = probe.index(min(probe))
@@ -263,13 +267,14 @@ def build_model(rays: Sequence[Sequence[int]],
         raise InternalInvariantError(
             "fan certificate rejected an exact Minkowski decomposition")
 
+    centroids = {p: centroid(p) for p in distinct}
     return ToricFanoModel(
         name=name,
         rank=rank,
         rays=ray_tuple,
         anticanonical=antican,
         summands=summands,
-        barycenters=tuple(centroid(p) for p in summands),
+        barycenters=tuple(centroids[p] for p in summands),
         fan=cones,
     )
 
@@ -380,8 +385,20 @@ def _twist_terms(model: ToricFanoModel, i: SummandIndex, den: int, e: IntVec,
 
 
 def total_s_sum(model: ToricFanoModel, eta: Sequence) -> Fraction:
-    return sum((s_invariant(model, i, eta) for i in range(model.num_summands)),
-               Fraction(0))
+    """The sum of :func:`s_invariant` over the summands."""
+    den, (e,) = _int_directions((eta,), model.rank)
+    return Fraction(*_total_s_sum(model, den, e))
+
+
+def _total_s_sum(model: ToricFanoModel, den: int, e: IntVec) -> Ratio:
+    """:func:`total_s_sum` at eta = e / den: the pairing with the summed
+    barycenters less the summed support minima, over one denominator."""
+    pden = math.lcm(*(p.den for p in model.summands))
+    mins = sum([min(_pairings(p.nums, e)) * (pden // p.den)
+                for p in model.summands])
+    bden = model.bary_den
+    return (vdot(model.bary_nums[-1], e) * pden - mins * bden,
+            bden * pden * den)
 
 
 def integrality_step(model: ToricFanoModel, i: SummandIndex) -> int:

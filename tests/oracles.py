@@ -10,13 +10,16 @@ thresholds over the linear forms of their cells, the facet loop that found
 the cone absorbing a twisted ray, the all-vertex loop behind the cells of
 a support minimum, the normal fan's cones with their facets solved from
 their generators, the coupled Ding invariant through sum tables, the
-scan of every level behind the finite-degree lc slope, and the
-closed-form descriptor steps in plain Fractions over the vertices).
+scan of every level behind the finite-degree lc slope, the
+closed-form descriptor steps in plain Fractions over the vertices, and the
+report renderer that canonicalized a record and then dumped it with
+``json``).
 The helpers after them are checks and constants that only the tests use."""
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
 from fractions import Fraction as F
@@ -760,6 +763,26 @@ def ding_of_twist(model: ToricFanoModel, fam: FiltrationFamily,
     if direct != value:
         raise InternalInvariantError("twist formula disagrees with the direct value")
     return value
+
+
+def canonical_json_oracle(obj) -> str:
+    """The canonical report text in two walks: each ``Fraction`` to its
+    "p/q" string, each key to its ``str()``, each tuple to a list and any
+    float rejected, and then ``json.dumps`` with sorted keys."""
+    def plain(x):
+        if isinstance(x, Fraction):
+            n, d = x.numerator, x.denominator
+            return str(n) if d == 1 else f"{n}/{d}"
+        if isinstance(x, float):
+            raise ValidationError("floating point value reached the report layer")
+        if isinstance(x, dict):
+            return {str(k): plain(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [plain(v) for v in x]
+        return x
+
+    return json.dumps(plain(obj), sort_keys=True, indent=2,
+                      separators=(",", ": ")) + "\n"
 
 
 def assert_float_free(obj) -> None:

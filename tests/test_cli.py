@@ -13,11 +13,12 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURE_NAMES
-from oracles import assert_float_free, ding_descriptor_oracle
+from oracles import (assert_float_free, canonical_json_oracle,
+                     ding_descriptor_oracle)
 
 import ckstab
 from ckstab.cli import build_parser, main, render_table, resolve_model_path
@@ -326,6 +327,53 @@ def test_no_float_literals_in_reports(capsys):
         canonical_json({"x": 0.5})
 
 
+_KEYS = st.one_of(st.text(max_size=6), st.integers(-3, 3), st.booleans(),
+                  st.none(), st.fractions(max_denominator=4))
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(2 ** 64, 2 ** 200),
+    st.fractions(), st.fractions(max_value=0),
+    st.text(), st.text(st.characters(max_codepoint=0x7f), max_size=8),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9\u2028\U0001f600"]))
+
+
+def _nested(leaves):
+    return st.recursive(leaves, lambda kids: st.one_of(
+        st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, kids, max_size=4)), max_leaves=16)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_nested(_LEAVES))
+@example({})
+@example([[], {}, ()])
+@example({1: F(-1, 2), "1": "one", 2: {"2": None, 2: True}})
+@example({"1": "one", 1: F(-7, 3)})
+def test_canonical_json_matches_the_two_walk_oracle(obj):
+    assert canonical_json(obj) == canonical_json_oracle(obj)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_nested(_LEAVES), st.floats(allow_nan=True),
+       st.lists(st.sampled_from(["list", "tuple", "dict", "shadowed"]),
+                max_size=6))
+@example({}, 0.5, ["shadowed"])
+def test_canonical_json_rejects_a_float_at_any_depth(obj, x, path):
+    # the float sits under the wrappers of path beside obj; "shadowed" puts
+    # it under a key that a later key of the same str() replaces
+    for kind in path:
+        if kind == "list":
+            x = [obj, x]
+        elif kind == "tuple":
+            x = (x, obj)
+        elif kind == "dict":
+            x = {"k": x, "o": obj}
+        else:
+            x = {1: x, "1": obj}
+    for render in (canonical_json, canonical_json_oracle):
+        with pytest.raises(ValidationError, match="floating point"):
+            render(x)
+
+
 def test_parse_error_with_position(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"rank": 1, "rays": [[1], [-1]], "decompo')
@@ -407,8 +455,33 @@ def test_model_path_candidates_in_order(tmp_path, monkeypatch):
 
 
 def test_render_table_scalars():
-    text = render_table({"a": {"b": None, "c": True}, "d": ["1/2", "x"]})
-    assert "+inf" in text and "true" in text and "[1/2, x]" in text
+    # a null is +inf only as a value (an infinite threshold); any other null
+    # is a missing object
+    text = render_table({"a": {"b": None, "c": True, "value": None},
+                         "d": ["1/2", "x"], "e": [None]})
+    assert text == ("a.b      none\n"
+                    "a.c      true\n"
+                    "a.value  +inf\n"
+                    "d        [1/2, x]\n"
+                    "e        [none]\n")
+
+
+def test_null_tables_pinned(capsys):
+    code, out, _ = run(capsys, "destabilize", "p2_halves", "--format", "table")
+    assert code == 0 and out == ("destabilizer  none\n"
+                                 "model         p2_halves\n")
+    code, out, _ = run(capsys, "reduced-delta", "p2", "--format", "table")
+    assert code == 0 and out == (
+        "assumptions               [search space restricted to "
+        "torus-invariant cocharacter valuations; exactness on toric models "
+        "relies on equivariant reduction]\n"
+        "model                     p2\n"
+        "note                      every invariant valuation is a twist of "
+        "the trivial one; the infimum runs over an empty set\n"
+        "reduced_delta.provenance  closed-form\n"
+        "reduced_delta.value       +inf\n"
+        "subtorus                  [[1, 0], [0, 1]]\n"
+        "witness                   none\n")
 
 
 def test_model_roundtrip_through_json(tmp_path, bl1p2):
@@ -646,12 +719,13 @@ def test_rational_parser_reduces():
 
 
 def test_polytope_halfspace_fragment():
-    from fractions import Fraction as F
-    from ckstab.serialize import polytope_from_json
-    p = polytope_from_json({"halfspaces": [
-        {"normal": [1], "offset": "-1"}, {"normal": [-1], "offset": "-1"}]})
+    (p,) = model_from_json({"rank": 1, "rays": [[1], [-1]], "decomposition": [
+        {"halfspaces": [{"normal": [1], "offset": "-1"},
+                        {"normal": [-1], "offset": "-1"}]}]}).summands
     assert p.vertices == ((F(-1),), (F(1),))
-    q = polytope_from_json({"vertices": [["2/4"], ["1"]]})
+    q, _ = model_from_json({"rank": 1, "rays": [[1], [-1]], "decomposition": [
+        {"vertices": [["2/4"], ["1"]]},
+        {"vertices": [["-3/2"], ["0"]]}]}).summands
     assert q.vertices == ((F(1, 2),), (F(1),))   # non-reduced input reduced
 
 

@@ -14,9 +14,12 @@ J norms and the reduced J norm and threshold must follow.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import random
+from collections import Counter
 from fractions import Fraction as F
 from importlib import resources
 
@@ -24,8 +27,9 @@ import pytest
 
 from oracles import SUBTORI_2, cone_from_generators, min_support_cells
 
+from ckstab import cli, toric
 from ckstab.geometry import ExactPolytope, restrict_min_support, support_value
-from ckstab.serialize import load_model
+from ckstab.serialize import load_model, model_from_json
 from ckstab.stability import (SubtorusSpec, coupled_delta, coupled_futaki,
                               j_twist, reduced_coupled_delta, reduced_coupled_j)
 from ckstab.toric import (TOTAL, MonomialIdealSeq, ZeroIdeal,
@@ -101,6 +105,52 @@ def test_loaded_model_structure_is_pinned(rank3_dir):
     assert sorted(paths) == sorted(PINNED)
     got = {name: digest(load_model(path)) for name, path in paths.items()}
     assert got == PINNED
+
+
+def test_load_hulls_each_distinct_summand_once(rank3_dir, monkeypatch):
+    # counted, not timed: a load makes one summand hull and one centroid per
+    # distinct fragment, equal fragments share one polytope, and a futaki
+    # call never builds a summand's Fraction vertices
+    paths = {name: _fixture_path(name) for name in FIXTURES}
+    paths.update((p.stem, str(p)) for p in rank3_dir.glob("*.json"))
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(ExactPolytope, "_from_points", staticmethod(
+        counting("hull", ExactPolytope._from_points)))
+    monkeypatch.setattr(toric, "centroid", counting("centroid", toric.centroid))
+    loaded = []
+
+    def keeping(*args, **kwargs):
+        loaded.append(model_from_json(*args, **kwargs))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "model_from_json", keeping)
+    shared = 0
+    for name, path in sorted(paths.items()):
+        with open(path, encoding="utf-8") as fh:
+            fragments = json.load(fh)["decomposition"]
+        assert all(list(f) == ["vertices"] for f in fragments), name
+        distinct = [f for i, f in enumerate(fragments) if f not in fragments[:i]]
+        calls.clear()
+        model = load_model(path)
+        assert calls == {"hull": len(distinct), "centroid": len(distinct)}, name
+        for i, p in enumerate(model.summands):
+            for j, q in enumerate(model.summands):
+                assert (p is q) == (fragments[i] == fragments[j]), (name, i, j)
+        shared += len(fragments) - len(distinct)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(["futaki", path]) == 0
+        assert all(p._vertices is None for p in loaded[-1].summands), name
+    # 9 of the 14 models split their polytope into two equal halves: all
+    # but p1_skew, p1_thirds, p2_steps, bl1p2_hsplit and p3_quarters
+    assert shared == 9
 
 
 def _unimodular(rng: random.Random, rank: int) -> list[list[int]]:

@@ -13,11 +13,12 @@ import pytest
 from ckstab import toric
 from ckstab.errors import InternalInvariantError
 from ckstab.geometry import (DimensionMismatch, ExactPolytope, GeometryError,
-                             HalfSpace, minkowski_sum, normal_fan,
-                             support_value, vneg)
+                             HalfSpace, _int_directions, minkowski_sum,
+                             normal_fan, support_value, vneg)
 from ckstab.optimize import minimize_pl_ratio
 from ckstab.serialize import load_model
-from ckstab.stability import SuiteFailure, _check_identities, identity_suite
+from ckstab.stability import (StabilityError, SuiteFailure, _check_identities,
+                              _ratio_at, identity_suite)
 from ckstab.toric import (TOTAL, DecompositionMismatch, LctResult,
                           MonomialIdealSeq, NonIntegralScaling, NotReflexive,
                           RankMismatch, ToricError, ZeroIdeal,
@@ -347,6 +348,49 @@ def test_integer_invariants_against_vertex_scans(models, form):
                 ]
                 for value, expected in results:
                     assert type(value) is F and value == expected, (model.name, i)
+
+
+def test_total_s_sum_core_against_the_fraction_sum():
+    # on every packaged fixture, at seeded directions of every form: the
+    # integer core of the summed slopes, the public sum, and the ratio of
+    # the reduced threshold built from the cores
+    rng = random.Random(59)
+    names = sorted(f.name for f in (resources.files("ckstab") / "fixtures").iterdir()
+                   if f.name.endswith(".json"))
+    models = [load_model(str(resources.files("ckstab") / "fixtures" / name))
+              for name in names]
+    # the fixtures' summands share one denominator; these do not: P^1 as
+    # three segments with denominators 2, 3 and 6, and P^2 as P/2 + P/3 + P/6
+    p2 = [(-1, -1), (2, -1), (-1, 2)]
+    models += [
+        build_model([(1,), (-1,)], [ExactPolytope.from_vertices(v) for v in (
+            [(F(-1, 2),), (0,)], [(F(-1, 3),), (F(1, 3),)],
+            [(F(-1, 6),), (F(2, 3),)])], name="p1_mixed"),
+        build_model([(1, 0), (0, 1), (-1, -1)],
+                    [ExactPolytope.from_vertices(p2).scale(F(1, k))
+                     for k in (2, 3, 6)], name="p2_mixed")]
+    for model in models:
+        name = model.name
+        for form in ("int", "fraction", "mixed", "str"):
+            for _ in range(6):
+                eta = _direction(rng, model.rank, form)
+                want = sum((s_invariant(model, i, eta)
+                            for i in range(model.num_summands)), F(0))
+                den, (e,) = _int_directions((eta,), model.rank)
+                num, d = toric._total_s_sum(model, den, e)
+                assert d > 0 and F(num, d) == want, (name, eta)
+                got = total_s_sum(model, eta)
+                assert type(got) is F and got == want, (name, eta)
+                if want > 0:
+                    assert _ratio_at(model, eta) == log_discrepancy(model, eta) / want
+                else:
+                    with pytest.raises(StabilityError,
+                                       match="nonpositive slope sum at"):
+                        _ratio_at(model, eta)
+        with pytest.raises(StabilityError, match=r"nonpositive slope sum at \(0,"):
+            _ratio_at(model, (0,) * model.rank)
+        with pytest.raises(DimensionMismatch):
+            total_s_sum(model, (1,) * (model.rank + 1))
 
 
 def test_integer_invariants_reject_a_wrong_length(models):
