@@ -11,7 +11,8 @@ from .errors import CkstabError, InputError, InternalInvariantError
 from .geometry import (Cone, DegenerateInput, DimensionMismatch, EmptyRegion,
                        ExactPolytope, GeometryError, HalfSpace,
                        UnboundedRegion, centroid, dual_description,
-                       lattice_points, minkowski_sum, support_value, volume)
+                       lattice_points, minkowski_sum, normal_fan,
+                       support_value, volume)
 from .toric import (TOTAL, DecompositionMismatch, MonomialIdealSeq,
                     NonIntegralScaling, NotReflexive, RankMismatch,
                     ToricFanoModel, build_model, integrality_step,
@@ -45,7 +46,7 @@ __all__ = [
     "Cone", "DegenerateInput", "DimensionMismatch", "EmptyRegion",
     "ExactPolytope", "GeometryError", "HalfSpace", "UnboundedRegion",
     "centroid", "dual_description", "lattice_points", "minkowski_sum",
-    "support_value", "volume",
+    "normal_fan", "support_value", "volume",
     # toric
     "TOTAL", "DecompositionMismatch", "MonomialIdealSeq",
     "NonIntegralScaling", "NotReflexive", "RankMismatch", "ToricFanoModel",

@@ -21,7 +21,6 @@ import re
 import sys
 import time
 from fractions import Fraction
-from importlib import resources
 from typing import Optional
 
 from . import __version__
@@ -39,8 +38,8 @@ from .stability import (CLOSED_FORM, SubtorusSpec, coupled_delta,
 from .toric import TOTAL, MonomialIdealSeq
 
 
-# the packaged fixture corpus
-_FIXTURES_DIR = resources.files("ckstab") / "fixtures"
+# the packaged fixture corpus, beside this module
+_FIXTURES_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def resolve_model_path(path: str) -> str:
@@ -51,7 +50,7 @@ def resolve_model_path(path: str) -> str:
     names = [path] if path.endswith(".json") else [path, path + ".json"]
     for name in names:
         for cand in (name, env_dir and os.path.join(env_dir, name),
-                     str(_FIXTURES_DIR / name)):
+                     os.path.join(_FIXTURES_DIR, name)):
             if cand and os.path.exists(cand):
                 return cand
     raise IoError(f"model file not found: {names[-1]}")

@@ -39,11 +39,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from operator import add, itemgetter
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import InputError
 from .geometry import IntVec, Vec, _exact_entries, _int_directions, _scaled
@@ -88,7 +87,6 @@ class UnsupportedDescriptor(FiltrationError):
 # graded bases
 
 
-@dataclass(frozen=True)
 class GradedBasis:
     """Characters of the stored degrees of one summand (or the total ring).
 
@@ -96,19 +94,35 @@ class GradedBasis:
     row on this basis is a tuple aligned with it.  ``cols[m]`` holds the
     same characters as integer coordinate columns, ``tuple(zip(*chars[m]))``,
     so ``cols[m][j][k]`` is coordinate j of ``chars[m][k]``.  A basis built
-    by hand derives its columns from its own ``chars``."""
+    by hand derives its columns from its own ``chars``.  Two bases are equal
+    when their model, index, degrees and characters are; as ``chars`` is a
+    dict, a basis is not hashable."""
 
-    model: ToricFanoModel
-    index: SummandIndex
-    degrees: tuple[int, ...]
-    chars: dict[int, tuple[Char, ...]]
-    cols: dict[int, tuple[IntVec, ...]] = field(default=None, repr=False,
-                                                 compare=False)
+    def __init__(self, model: ToricFanoModel, index: SummandIndex,
+                 degrees: tuple[int, ...], chars: dict[int, tuple[Char, ...]],
+                 cols: Optional[dict[int, tuple[IntVec, ...]]] = None):
+        if cols is None:
+            cols = {m: tuple(zip(*row)) for m, row in chars.items()}
+        vars(self).update(model=model, index=index, degrees=degrees,
+                          chars=chars, cols=cols)
 
-    def __post_init__(self):
-        if self.cols is None:
-            object.__setattr__(self, "cols", {m: tuple(zip(*row))
-                                              for m, row in self.chars.items()})
+    def __eq__(self, other):
+        if type(other) is not GradedBasis:
+            return NotImplemented
+        return ((self.model, self.index, self.degrees, self.chars)
+                == (other.model, other.index, other.degrees, other.chars))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"GradedBasis(model={self.model!r}, index={self.index!r}, "
+                f"degrees={self.degrees!r}, chars={self.chars!r})")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def characters(self, m: int) -> tuple[Char, ...]:
         if m not in self.chars:
@@ -159,7 +173,6 @@ def graded_basis(model: ToricFanoModel, i: SummandIndex, m_max: int = 12,
 # descriptors: the closed forms behind certified asymptotics
 
 
-@dataclass(frozen=True, init=False, repr=False)
 class ValuationDescriptor:
     """Weights <alpha, eta> - m * min(eta) + shift * m on the carrying basis.
 
@@ -173,10 +186,6 @@ class ValuationDescriptor:
     descriptor steps and the closed forms use only ``den`` and ``nums``.
     """
 
-    den: int
-    nums: IntVec
-    shift: Fraction
-
     def __init__(self, eta: Sequence, shift=Fraction(0)):
         # one lcm of the entries' own denominators is already lowest terms
         den, (nums,) = _scaled((_exact_entries(eta),))
@@ -187,8 +196,23 @@ class ValuationDescriptor:
         den = self.den
         return tuple([Fraction(n, den) for n in self.nums])
 
+    def __eq__(self, other):
+        if type(other) is not ValuationDescriptor:
+            return NotImplemented
+        return ((self.den, self.nums, self.shift)
+                == (other.den, other.nums, other.shift))
+
+    def __hash__(self):
+        return hash((self.den, self.nums, self.shift))
+
     def __repr__(self):
         return f"ValuationDescriptor(eta={self.eta!r}, shift={self.shift!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _valuation(den: int, nums: IntVec, shift: Fraction) -> ValuationDescriptor:
@@ -201,8 +225,7 @@ def _valuation(den: int, nums: IntVec, shift: Fraction) -> ValuationDescriptor:
     return d
 
 
-@dataclass(frozen=True)
-class SumDescriptor:
+class SumDescriptor(NamedTuple):
     parts: tuple[ValuationDescriptor, ...]
 
 
@@ -479,22 +502,36 @@ def base_change(f: Filtration, e: int) -> Filtration:
 # families and the sum filtration
 
 
-@dataclass(frozen=True)
 class FiltrationFamily:
     """One filtration per summand, on aligned degree grids."""
 
-    model: ToricFanoModel
-    members: tuple[Filtration, ...]
-
-    def __post_init__(self):
-        if len(self.members) != self.model.num_summands:
+    def __init__(self, model: ToricFanoModel, members: tuple[Filtration, ...]):
+        if len(members) != model.num_summands:
             raise GridMismatch("family size differs from the number of summands")
-        degrees = {f.basis.degrees for f in self.members}
+        degrees = {f.basis.degrees for f in members}
         if len(degrees) != 1:
             raise GridMismatch("family members on different degree grids")
-        for i, f in enumerate(self.members):
-            if f.basis.index != i or f.basis.model is not self.model:
+        for i, f in enumerate(members):
+            if f.basis.index != i or f.basis.model is not model:
                 raise GridMismatch("family member bound to the wrong summand")
+        vars(self).update(model=model, members=members)
+
+    def __eq__(self, other):
+        if type(other) is not FiltrationFamily:
+            return NotImplemented
+        return (self.model, self.members) == (other.model, other.members)
+
+    def __hash__(self):
+        return hash((self.model, self.members))
+
+    def __repr__(self):
+        return f"FiltrationFamily(model={self.model!r}, members={self.members!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -668,8 +705,7 @@ def approximate(f: Filtration, m0: int) -> Filtration:
 # numerics
 
 
-@dataclass(frozen=True)
-class FiltrationNumerics:
+class FiltrationNumerics(NamedTuple):
     t_by_degree: dict[int, Fraction]
     s_by_degree: dict[int, Fraction]
     lambda_max: Optional[Fraction]

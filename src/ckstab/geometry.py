@@ -11,10 +11,11 @@ with no hull and no rank.  ``_rays`` finds it with the vertices, and
 every face query compares its sets: a face is the set of vertices tight on
 some facets, and the facets common to two vertices cut out the least face
 that holds both.  The edge table (``_edge_table``) takes the vertex pairs
-whose least face holds no third vertex.  ``normal_fan`` reads from it the
-cones on which ``min_{a in p} <a, .>`` is linear, each with its minimizing
-vertex: a cone's generators are the vertex's tight facet normals and its
-facets are the vertex's edge directions, so no ray is solved for.
+whose least face holds no third vertex.  ``normal_cones`` reads from it the
+cones on which ``min_{a in p} <a, .>`` is linear, one per minimizing vertex
+(``normal_fan`` pairs each with its vertex): a cone's generators are the
+vertex's tight facet normals and its facets are the vertex's edge
+directions, so no ray is solved for.
 ``restrict_min_support`` subdivides cones into the cells of such a
 minimum.  It builds the edge table once and walks the cells of each cone
 from the vertices that minimize at its probe, crossing only walls of full
@@ -76,10 +77,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InputError, InternalInvariantError
 
@@ -321,8 +321,7 @@ def _minor_normal(rows: Sequence[Sequence[int]], n: int) -> IntVec:
 # half-spaces
 
 
-@dataclass(frozen=True)
-class HalfSpace:
+class HalfSpace(NamedTuple):
     """The set { alpha : <alpha, normal> >= offset } with a primitive normal."""
 
     normal: IntVec
@@ -798,13 +797,12 @@ def lattice_points(p: ExactPolytope) -> list[IntVec]:
 # cones and fans
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(NamedTuple):
     """A full-dimensional pointed rational cone in N_R.
 
     ``generators`` are the primitive extreme rays; ``facets`` are primitive
     inner normals, so membership is ``<facet, x> >= 0`` for every facet.
-    A normal cone is read off the edge table (``normal_fan``).
+    A normal cone is read off the edge table (``normal_cones``).
     """
 
     generators: tuple[IntVec, ...]
@@ -885,19 +883,25 @@ def restrict_min_support(cones: Sequence[Cone], p: ExactPolytope
     return out
 
 
-def normal_fan(p: ExactPolytope) -> list[tuple[Cone, Vec]]:
+def normal_cones(p: ExactPolytope) -> list[Cone]:
     """Maximal cones of the (inner) normal fan of a full-dimensional polytope,
-    one per vertex, in the order of ``vertices``.
+    one per vertex, in the order of ``nums``.
 
     The cone attached to a vertex v consists of the directions minimized at
-    v, so the pair (cone, v) makes ``min_{a in p} <a, .>`` linear per cone.
-    Both of its descriptions are read off the edge table: its generators are
-    the normals of the facets tight at v, each extreme as p is
+    v.  Both of its descriptions are read off the edge table: its generators
+    are the normals of the facets tight at v, each extreme as p is
     full-dimensional, and its inner facet normals are the primitive edge
-    directions at v.  No ray is solved for, and the fan is complete.
+    directions at v.  No ray is solved for, no ``Fraction`` vertex is
+    built, and the fan is complete.
     """
     if p.dim != p.rank:
         raise DegenerateInput("normal fan needs a full-dimensional polytope")
-    return [(Cone(tuple(sorted(p.facets[k][0] for k in t)),
-                  tuple(sorted(d for d, _ in e))), v)
-            for t, e, v in zip(p.incidence, _edge_table(p), p.vertices)]
+    return [Cone(tuple(sorted(p.facets[k][0] for k in t)),
+                 tuple(sorted(d for d, _ in e)))
+            for t, e in zip(p.incidence, _edge_table(p))]
+
+
+def normal_fan(p: ExactPolytope) -> list[tuple[Cone, Vec]]:
+    """The cones of :func:`normal_cones`, each paired with its vertex v, so
+    the pair (cone, v) makes ``min_{a in p} <a, .>`` linear per cone."""
+    return list(zip(normal_cones(p), p.vertices))

@@ -13,16 +13,14 @@ off the vertices of the cells in which the fan cuts the twist slice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import InternalInvariantError
 from .geometry import IntVec
 
 
-@dataclass
-class RatioResult:
+class RatioResult(NamedTuple):
     value: Optional[Fraction]      # None means +infinity (no constraining ray)
     witness: Optional[tuple[int, ...]]
 

@@ -257,7 +257,9 @@ def _render(obj, pad: str) -> str:
     keys, an indent of 2 and ``ensure_ascii`` would write it, once each
     ``Fraction`` is its ``format_rational`` string, each key its ``str()``
     and each tuple a list.  A float raises ``ValidationError``, and any
-    other type ``TypeError``, as ``json`` does."""
+    other type ``TypeError``, as ``json`` does.  Unlike ``json``, a subclass
+    of list or tuple, such as a ``NamedTuple`` record, is such a type too:
+    a record is not a report value."""
     if isinstance(obj, str):
         return _escape(obj)
     if isinstance(obj, Fraction):
@@ -272,7 +274,7 @@ def _render(obj, pad: str) -> str:
         items = sorted({str(k): _render(v, inner) for k, v in obj.items()}.items())
         return ("{\n" + ",\n".join([f"{inner}{_escape(k)}: {v}" for k, v in items])
                 + "\n" + pad + "}")
-    if isinstance(obj, (list, tuple)):
+    if type(obj) is tuple or type(obj) is list:
         if not obj:
             return "[]"
         inner = pad + "  "

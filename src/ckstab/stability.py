@@ -16,9 +16,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import CkstabError, InputError, InternalInvariantError
 from .geometry import (DimensionMismatch, ExactPolytope, Vec, _cramer_vertices,
@@ -79,8 +78,7 @@ FINITE_DEGREE = "finite-degree-estimate"
 # coupled Futaki data
 
 
-@dataclass(frozen=True)
-class CoupledBarycenter:
+class CoupledBarycenter(NamedTuple):
     per_summand: tuple[Vec, ...]
     total: Vec
 
@@ -106,25 +104,40 @@ def j_twist(model: ToricFanoModel, i: SummandIndex, xi: Sequence) -> Fraction:
     return s_invariant(model, i, vneg(as_vec(xi)))
 
 
-@dataclass(frozen=True)
 class SubtorusSpec:
     """A saturated sublattice of the cocharacter lattice, by a basis."""
 
-    basis: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        for v in self.basis:
+    def __init__(self, basis: tuple[tuple[int, ...], ...]):
+        for v in basis:
             if not all(isinstance(x, int) for x in v):
                 raise DegenerateSubtorus("subtorus basis must be integral")
-        if self.basis:
-            g = math.gcd(*(_int_det([[v[c] for c in cols] for v in self.basis])
+        if basis:
+            g = math.gcd(*(_int_det([[v[c] for c in cols] for v in basis])
                            for cols in itertools.combinations(
-                               range(len(self.basis[0])), len(self.basis))))
+                               range(len(basis[0])), len(basis))))
             if g == 0:
                 raise DegenerateSubtorus("subtorus basis is linearly dependent")
             if g != 1:
                 raise DegenerateSubtorus("subtorus basis does not span a "
                                          "saturated sublattice")
+        vars(self).update(basis=basis)
+
+    def __eq__(self, other):
+        if type(other) is not SubtorusSpec:
+            return NotImplemented
+        return self.basis == other.basis
+
+    def __hash__(self):
+        return hash((self.basis,))
+
+    def __repr__(self):
+        return f"SubtorusSpec(basis={self.basis!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def dim(self) -> int:
@@ -145,8 +158,7 @@ class SubtorusSpec:
         return mat_rank(list(self.basis) + [v]) == self.dim
 
 
-@dataclass(frozen=True)
-class ReducedJResult:
+class ReducedJResult(NamedTuple):
     value: Fraction
     argmin: Vec
     provenance: str = OPTIMIZED
@@ -213,8 +225,7 @@ def reduced_coupled_j(model: ToricFanoModel, xi0: Sequence,
 # lc slopes and coupled Ding invariants
 
 
-@dataclass(frozen=True)
-class MuResult:
+class MuResult(NamedTuple):
     value: Optional[Fraction]
     lo: Fraction
     hi: Fraction
@@ -299,8 +310,7 @@ def mu_slope(f: Filtration, delta) -> MuResult:
     return MuResult(None, lo, hi, FINITE_DEGREE)
 
 
-@dataclass(frozen=True)
-class DingResult:
+class DingResult(NamedTuple):
     value: Fraction
     mu: Fraction
     s_values: tuple[Fraction, ...]
@@ -370,8 +380,7 @@ def ding_of_descriptors(model: ToricFanoModel, parts: Sequence[Descriptor],
 # thresholds
 
 
-@dataclass(frozen=True)
-class DeltaResult:
+class DeltaResult(NamedTuple):
     value: Fraction
     witness: tuple[int, ...]
     provenance: str = OPTIMIZED
@@ -397,8 +406,7 @@ def coupled_delta(model: ToricFanoModel) -> DeltaResult:
     return DeltaResult(Fraction(den, slopes[k]), model.rays[k])
 
 
-@dataclass(frozen=True)
-class VerdictReport:
+class VerdictReport(NamedTuple):
     model_name: str
     semistable: bool
     delta: DeltaResult
@@ -424,8 +432,7 @@ def semistable_verdict(model: ToricFanoModel) -> VerdictReport:
     return VerdictReport(model.name, d.value >= 1, d, fut, d.assumptions)
 
 
-@dataclass(frozen=True)
-class DestabilizerResult:
+class DestabilizerResult(NamedTuple):
     eta: tuple[int, ...]
     ding: DingResult
 
@@ -450,8 +457,7 @@ def find_destabilizer(model: ToricFanoModel) -> Optional[DestabilizerResult]:
 # reduced threshold
 
 
-@dataclass(frozen=True)
-class InnerSup:
+class InnerSup(NamedTuple):
     value: Fraction
     attained: bool
     argument: Optional[Vec]          # eta + xi achieving the value
@@ -516,8 +522,7 @@ def inner_twist_sup(model: ToricFanoModel, sub: SubtorusSpec,
     return best
 
 
-@dataclass(frozen=True)
-class ReducedDeltaResult:
+class ReducedDeltaResult(NamedTuple):
     value: Optional[Fraction]        # None encodes +infinity
     witness: Optional[tuple[int, ...]]
     inner: Optional[InnerSup]
@@ -597,8 +602,7 @@ def inradius_squared(p: ExactPolytope, point: Sequence) -> Fraction:
 # ratio limit along twisted rays
 
 
-@dataclass(frozen=True)
-class TwistRayLimit:
+class TwistRayLimit(NamedTuple):
     ratios: tuple[tuple[int, Fraction], ...]
     limit: Fraction
     kappa: Fraction
@@ -652,14 +656,13 @@ def twisted_ratio_profile(model: ToricFanoModel, eta: Sequence, xi: Sequence,
 # the identity suite
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     model_name: str
     seed: int
     samples: int
     passed: int
     failed: int
-    cases: dict[str, int] = field(default_factory=dict)
+    cases: dict[str, int]
 
     def to_dict(self) -> dict:
         return {

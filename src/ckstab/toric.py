@@ -40,17 +40,16 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import InputError, InternalInvariantError
 from .geometry import (Cone, DimensionMismatch, ExactPolytope, GeometryError,
                        IntVec, Vec, _cramer_vertices, _int_directions,
                        _pairings, _rank, _scaled, as_vec, centroid,
                        is_primitive, lattice_points, minkowski_sum,
-                       normal_fan, restrict_min_support, vdot)
+                       normal_cones, restrict_min_support, vdot)
 from .optimize import minimize_pl_ratio
 
 TOTAL = "total"
@@ -105,7 +104,6 @@ TORIC_SEARCH_ASSUMPTION = (
 )
 
 
-@dataclass(frozen=True)
 class ToricFanoModel:
     """Immutable toric Fano model: fan rays, anticanonical polytope, and a
     Minkowski decomposition into summand polytopes, with cached barycenters.
@@ -115,36 +113,55 @@ class ToricFanoModel:
     ``anticanonical.nums[k]``) is the form of the support function on it.
     ``bary_nums`` holds the barycenters, and their sum last, as integer
     numerators over the positive integer ``bary_den``; both are set from
-    ``barycenters``.
+    ``barycenters``.  Two models are equal, and hash alike, when the seven
+    constructor fields are; the memos and the integer barycenters are not
+    compared.
     """
 
-    name: str
-    rank: int
-    rays: tuple[tuple[int, ...], ...]
-    anticanonical: ExactPolytope
-    summands: tuple[ExactPolytope, ...]
-    barycenters: tuple[Vec, ...]
-    fan: tuple[Cone, ...]
-    # the character tuple of each (summand, degree) and its integer
-    # coordinate columns; see filtration.graded_basis.  Weight rows are
-    # int tuples aligned with them.  No memo refers back to the model.
-    bases: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
-    # max-plus gather plans by their exact (left, right, target) character
-    # tuples; see filtration._plan
-    plans: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
-    # the characters and columns of the total ring on each degree grid a
-    # sum filtration has seen; see filtration.sum_filtration
-    totals: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
-    bary_den: int = field(init=False, repr=False, compare=False)
-    bary_nums: tuple[IntVec, ...] = field(init=False, repr=False, compare=False)
+    def __init__(self, name: str, rank: int, rays: tuple[tuple[int, ...], ...],
+                 anticanonical: ExactPolytope,
+                 summands: tuple[ExactPolytope, ...],
+                 barycenters: tuple[Vec, ...], fan: tuple[Cone, ...]):
+        den, nums = _scaled(barycenters)
+        vars(self).update(
+            name=name, rank=rank, rays=rays, anticanonical=anticanonical,
+            summands=summands, barycenters=barycenters, fan=fan,
+            # the character tuple of each (summand, degree) and its integer
+            # coordinate columns; see filtration.graded_basis.  Weight rows
+            # are int tuples aligned with them.  No memo refers back to the
+            # model.
+            bases={},
+            # max-plus gather plans by their exact (left, right, target)
+            # character tuples; see filtration._plan
+            plans={},
+            # the characters and columns of the total ring on each degree
+            # grid a sum filtration has seen; see filtration.sum_filtration
+            totals={},
+            bary_den=den, bary_nums=nums + (tuple(map(sum, zip(*nums))),))
 
-    def __post_init__(self):
-        den, nums = _scaled(self.barycenters)
-        object.__setattr__(self, "bary_den", den)
-        object.__setattr__(self, "bary_nums", nums + (tuple(map(sum, zip(*nums))),))
+    def _key(self) -> tuple:
+        return (self.name, self.rank, self.rays, self.anticanonical,
+                self.summands, self.barycenters, self.fan)
+
+    def __eq__(self, other):
+        if type(other) is not ToricFanoModel:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"ToricFanoModel(name={self.name!r}, rank={self.rank!r}, "
+                f"rays={self.rays!r}, anticanonical={self.anticanonical!r}, "
+                f"summands={self.summands!r}, "
+                f"barycenters={self.barycenters!r}, fan={self.fan!r})")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def total_forms(self) -> tuple[Vec, ...]:
@@ -177,7 +194,7 @@ def build_model(rays: Sequence[Sequence[int]],
     Checks, in order: rays are primitive and span; the ray half-spaces cut
     out a reflexive (lattice, canonically faceted) polytope; the summands
     have its rank; the decomposition sums to it exactly.  Caches the normal
-    fan, which ``normal_fan`` reads off the polytope's edge table and which
+    fan, which ``normal_cones`` reads off the polytope's edge table and which
     is complete by construction.
 
     The sum is certified on each cone of that fan: each summand's minimizer
@@ -232,7 +249,7 @@ def build_model(rays: Sequence[Sequence[int]],
     for p in summands:
         if p.rank != rank:
             raise RankMismatch("summand rank differs from the model rank")
-    cones = tuple(c for c, _ in normal_fan(antican))
+    cones = tuple(normal_cones(antican))
     # each distinct summand once, with its multiplicity: its vertex pairings
     # with each ray, and the factor that brings it to one denominator and
     # counts its copies
@@ -423,7 +440,6 @@ def section_basis(model: ToricFanoModel, i: SummandIndex, m: int) -> list[tuple[
 # monomial ideal data and log canonical thresholds
 
 
-@dataclass(frozen=True)
 class MonomialIdealSeq:
     """Equivariant monomial ideal data on a model.
 
@@ -433,18 +449,38 @@ class MonomialIdealSeq:
     characters whose order reaches ``level * m``.
     """
 
-    summand: SummandIndex
-    level: Fraction
-    eta: Optional[Vec] = None
-    degrees: Optional[dict[int, tuple[tuple[tuple[int, ...], Fraction], ...]]] = None
-
-    def __post_init__(self):
-        if (self.eta is None) == (self.degrees is None):
+    def __init__(self, summand: SummandIndex, level: Fraction,
+                 eta: Optional[Vec] = None,
+                 degrees: Optional[dict[int, tuple[tuple[tuple[int, ...],
+                                                         Fraction], ...]]] = None):
+        if (eta is None) == (degrees is None):
             raise ToricError("ideal data needs exactly one of eta or degrees")
-        if self.eta is not None and not any(self.eta):
+        if eta is not None and not any(eta):
             raise ToricError("the valuation direction must be nonzero")
-        if self.degrees is not None and any(m < 1 for m in self.degrees):
+        if degrees is not None and any(m < 1 for m in degrees):
             raise ToricError("degree must be positive")
+        vars(self).update(summand=summand, level=level, eta=eta, degrees=degrees)
+
+    def _key(self) -> tuple:
+        return (self.summand, self.level, self.eta, self.degrees)
+
+    def __eq__(self, other):
+        if type(other) is not MonomialIdealSeq:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"MonomialIdealSeq(summand={self.summand!r}, level={self.level!r}, "
+                f"eta={self.eta!r}, degrees={self.degrees!r})")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @staticmethod
     def valuation_levels(eta: Sequence, level, summand: SummandIndex = TOTAL) -> "MonomialIdealSeq":
@@ -462,8 +498,7 @@ class MonomialIdealSeq:
                                 degrees=table)
 
 
-@dataclass(frozen=True)
-class LctResult:
+class LctResult(NamedTuple):
     value: Optional[Fraction]          # None means +infinity (unit ideal)
     witness: Optional[tuple[int, ...]]
     provenance: str

@@ -108,6 +108,24 @@ def test_verbs_back_to_back_match_fresh_processes(capsys):
     assert build_parser() is build_parser()
 
 
+def test_cli_imports_no_code_generating_modules():
+    # a fresh interpreter without site that runs a verb in-process loads
+    # none of the modules that generate or introspect code at import
+    src = os.path.dirname(os.path.dirname(ckstab.__file__))
+    script = (
+        "import contextlib, io, json, sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import ckstab.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = ckstab.cli.main(['delta', 'p2'])\n"
+        "mods = ('dataclasses', 'inspect', 'importlib.resources')\n"
+        "print(json.dumps([code, [m for m in mods if m in sys.modules]]))\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, []]
+
+
 def test_rank4_product_of_two_hexagons(capsys, tmp_path):
     # dP6 x dP6: the hexagon's fan in each factor, 12 rays in all, split as
     # hexagon x 0 plus 0 x hexagon

@@ -3,7 +3,6 @@ the structural identities on sampled inputs."""
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import itertools
 import random
@@ -847,7 +846,7 @@ def test_descriptors_are_normalized(p2, bl1p2):
     assert half == ValuationDescriptor((F(1, 2), 1))
     assert hash(half) == hash(ValuationDescriptor((F(1, 2), 1)))
     assert (half.den, half.nums) == (2, (1, 2))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         half.den = 4
     assert ValuationDescriptor((1, -2), 3) == ValuationDescriptor(
         (F(1), F(-2)), F(3))

@@ -110,7 +110,8 @@ def test_loaded_model_structure_is_pinned(rank3_dir):
 def test_load_hulls_each_distinct_summand_once(rank3_dir, monkeypatch):
     # counted, not timed: a load makes one summand hull and one centroid per
     # distinct fragment, equal fragments share one polytope, and a futaki
-    # call never builds a summand's Fraction vertices
+    # call never builds the Fraction vertices of a summand or of the
+    # anticanonical polytope
     paths = {name: _fixture_path(name) for name in FIXTURES}
     paths.update((p.stem, str(p)) for p in rank3_dir.glob("*.json"))
     calls = Counter()
@@ -148,6 +149,7 @@ def test_load_hulls_each_distinct_summand_once(rank3_dir, monkeypatch):
                 contextlib.redirect_stderr(io.StringIO()):
             assert cli.main(["futaki", path]) == 0
         assert all(p._vertices is None for p in loaded[-1].summands), name
+        assert loaded[-1].anticanonical._vertices is None, name
     # 9 of the 14 models split their polytope into two equal halves: all
     # but p1_skew, p1_thirds, p2_steps, bl1p2_hsplit and p3_quarters
     assert shared == 9

@@ -4,7 +4,6 @@ destabilizer search, the reduced threshold, and the identity suite."""
 from __future__ import annotations
 
 import collections
-import dataclasses
 import itertools
 import math
 import random
@@ -29,15 +28,16 @@ from ckstab.filtration import (FiltrationFamily, GridMismatch,
                                valuation_filtration)
 from ckstab.geometry import DimensionMismatch, ExactPolytope, HalfSpace
 from ckstab.serialize import load_model
-from ckstab.stability import (DegenerateSubtorus, RankTooHigh, StabilityError,
-                              SubtorusSpec, SuiteFailure, _slice_cells,
-                              coupled_delta, coupled_ding, coupled_futaki,
-                              find_destabilizer, identity_suite,
-                              inner_twist_sup, inradius_squared, j_twist,
-                              mu_slope, reduced_coupled_delta,
-                              reduced_coupled_j, semistable_verdict,
-                              twisted_ratio_profile)
-from ckstab.toric import TOTAL, build_model, log_discrepancy, total_s_sum
+from ckstab.stability import (DegenerateSubtorus, DingResult, RankTooHigh,
+                              StabilityError, SubtorusSpec, SuiteFailure,
+                              _slice_cells, coupled_delta, coupled_ding,
+                              coupled_futaki, find_destabilizer,
+                              identity_suite, inner_twist_sup,
+                              inradius_squared, j_twist, mu_slope,
+                              reduced_coupled_delta, reduced_coupled_j,
+                              semistable_verdict, twisted_ratio_profile)
+from ckstab.toric import (TOTAL, ToricFanoModel, build_model, log_discrepancy,
+                          total_s_sum)
 
 
 # --- coupled Futaki -----------------------------------------------------------
@@ -312,7 +312,7 @@ def test_coupled_ding_matches_the_sum_route(models):
         for delta in deltas:
             got = _outcome(coupled_ding, fam, delta)
             assert got == _outcome(ding_via_sums, fam, delta), (fam, delta)
-            seen[got[1] if isinstance(got, tuple) else got.provenance] += 1
+            seen[got.provenance if isinstance(got, DingResult) else got[1]] += 1
 
     seen = collections.Counter()
     for model in [*models.values(), _split("p3_halves", _P3_RAYS, F(1, 2), F(1, 2))]:
@@ -666,8 +666,10 @@ def test_identity_suite_pinned_report(models, name, passed, own_cases):
 def test_identity_suite_detects_corruption(p2):
     # hand-edit the barycenter cache; the suite runs on and counts every
     # failure: the cache check on summand 0, and each balanced translation
-    bad = dataclasses.replace(
-        p2, barycenters=((F(1, 7), F(0)), p2.barycenters[1]))
+    bad = ToricFanoModel(
+        name=p2.name, rank=p2.rank, rays=p2.rays, anticanonical=p2.anticanonical,
+        summands=p2.summands, barycenters=((F(1, 7), F(0)), p2.barycenters[1]),
+        fan=p2.fan)
     with pytest.raises(SuiteFailure) as info:
         identity_suite(bad, samples=5, seed=1)
     assert info.value.identity == "barycenter-cache-consistency"

@@ -14,7 +14,7 @@ from ckstab import toric
 from ckstab.errors import InternalInvariantError
 from ckstab.geometry import (DimensionMismatch, ExactPolytope, GeometryError,
                              HalfSpace, _int_directions, minkowski_sum,
-                             normal_fan, support_value, vneg)
+                             normal_cones, support_value, vneg)
 from ckstab.optimize import minimize_pl_ratio
 from ckstab.serialize import load_model
 from ckstab.stability import (StabilityError, SuiteFailure, _check_identities,
@@ -232,8 +232,8 @@ def test_failed_certificate_on_exact_sum_is_internal(p2, monkeypatch):
     # a certificate that rejects a decomposition the hull confirms is a bug;
     # the fan's cones in reverse order pair each cone with another cone's
     # vertex, while the ray supports, which read no cone, still add up
-    monkeypatch.setattr("ckstab.toric.normal_fan",
-                        lambda p: normal_fan(p)[::-1])
+    monkeypatch.setattr("ckstab.toric.normal_cones",
+                        lambda p: normal_cones(p)[::-1])
     with pytest.raises(InternalInvariantError):
         build_model(p2.rays, p2.summands)
 
