@@ -46,21 +46,27 @@ hull (``_hull``), the half-space constructor (``_from_rows``), the
 triangulation, the normal fan, ``contains`` and the cones all read and
 write such tables, and each ray candidate is one vector of signed integer
 minors (``_minor_normal``, with the determinant ``_int_det``).  Only
-``_from_points`` (behind ``from_vertices`` and ``minkowski_sum``) and
-``_from_rows`` (behind ``from_halfspaces``) hull.  The public constructors
-scale their input to integers once at entry; the loader hands its parsed
-tables straight to ``_from_points`` and ``_from_rows``.  ``ExactPolytope``
-reduces ``den`` to the least common denominator and builds the public
-``Fraction`` ``vertices`` from the table on first read; ``halfspaces``,
-the facets as ``HalfSpace``s, is a view built on access.  A direction is
-scaled to integers once (``_int_directions``) and paired with ``nums``
-(``_pairings``), which is all ``support_value`` and the toric invariants
-do; ``vdot`` of int vectors stays an ``int``.  Values leave the module as
-``Fraction``.
+``_from_points`` (behind ``from_vertices`` and ``minkowski_sum``),
+``_from_rows`` (behind ``from_halfspaces``) and, for a polytope of lower
+dimension, ``_from_tight`` hull.  The public constructors scale their
+input to integers once at entry.  The loader checks each parsed point
+table with ``_point_table``, the check ``_from_points`` makes first, and
+hands each half-space table to ``_from_rows``.  A certified model's
+summands are read off the anticanonical fan, not hulled:
+``toric.build_model`` hands the points its certificate picked, with the
+rays and the picked points on which each is least, to ``_from_tight``.
+``ExactPolytope`` reduces ``den`` to the least common denominator and
+builds the public ``Fraction`` ``vertices`` from the table on first read;
+``halfspaces``, the facets as ``HalfSpace``s, is a view built on access.
+A direction is scaled to integers once (``_int_directions``) and paired
+with ``nums`` (``_pairings``), which is all ``support_value`` and the
+toric invariants do; ``vdot`` of int vectors stays an ``int``.  Values
+leave the module as ``Fraction``.
 
 The tight rows of each vertex give a full-dimensional hull (from the
 cross-check that solves its vertices back from its facets) and
-``_from_rows`` their incidence, and ``_from_rows`` its facets: the rows
+``_from_rows`` their incidence.  ``_from_tight`` takes the facets of
+``_from_rows`` and of a summand read off the fan by one rule: the rows
 whose sets of tight vertices no other row's set strictly contains.  Only
 a hull of lower dimension scans its vertices against its facets
 (``_incidence``).  ``stability`` and ``toric`` solve the row systems of
@@ -403,14 +409,9 @@ class ExactPolytope:
     @staticmethod
     def _from_points(den: int, nums: Sequence[IntVec]) -> "ExactPolytope":
         """The hull of the points nums / den."""
-        pts = sorted(set(nums))
-        if not pts:
-            raise EmptyRegion("no points given")
-        ranks = {len(p) for p in pts}
-        if len(ranks) != 1:
-            raise DimensionMismatch("points of mixed rank")
-        rank = ranks.pop()
-        return ExactPolytope(den, *_hull(pts, rank), rank)
+        den, pts = _point_table(den, nums)
+        rank = len(pts[0])
+        return ExactPolytope(den, *_hull(list(pts), rank), rank)
 
     @staticmethod
     def from_halfspaces(halfspaces: Sequence[HalfSpace], rank: int) -> "ExactPolytope":
@@ -444,26 +445,9 @@ class ExactPolytope:
             raise EmptyRegion("contradictory constraints")
         if not nums:
             raise EmptyRegion("half-space intersection is empty")
-        if frozenset.intersection(*tight):
-            # a row tight at every vertex: the polytope lies in its hyperplane
-            return ExactPolytope(vden, *_hull(nums, rank), rank)
-        # full-dimensional: every facet is cut out by a row, and every other
-        # row's face lies in a facet, so the facets are the rows whose tight
-        # vertex sets are nonempty and maximal; the rest are redundant
-        on = [frozenset([i for i, t in enumerate(tight) if r in t])
-              for r in range(len(rows))]
-        top = set(_maximal(on))
-        faces = {}
-        for (a, _), face in zip(rows, on):
-            if face in top:
-                prim = _primitive(a)
-                faces[prim, sum(map(mul, nums[min(face)], prim))] = face
-        facets = sorted(faces)
-        incidence = [frozenset([k for k, f in enumerate(facets) if i in faces[f]])
-                     for i in range(len(nums))]
-        if min(map(len, incidence)) < rank:
-            raise InternalInvariantError("a vertex lies on fewer facets than the rank")
-        return ExactPolytope(vden, nums, facets, incidence, rank, rank)
+        return _from_tight(vden, nums, normals,
+                           [frozenset([i for i, t in enumerate(tight) if r in t])
+                            for r in range(len(rows))], rank)
 
     # -- queries ------------------------------------------------------------
 
@@ -503,6 +487,46 @@ class ExactPolytope:
 
     def __repr__(self):
         return f"ExactPolytope(dim={self.dim}, rank={self.rank}, vertices={len(self.nums)})"
+
+
+def _point_table(den: int, nums: Iterable[IntVec]
+                 ) -> tuple[int, tuple[IntVec, ...]]:
+    """The points nums / den as a table: den and the distinct points in
+    increasing order, all of one rank."""
+    pts = sorted(set(nums))
+    if not pts:
+        raise EmptyRegion("no points given")
+    if len({len(p) for p in pts}) != 1:
+        raise DimensionMismatch("points of mixed rank")
+    return den, tuple(pts)
+
+
+def _from_tight(den: int, nums: list[IntVec], normals: Sequence[IntVec],
+                on: Sequence[frozenset[int]], rank: int) -> ExactPolytope:
+    """The polytope whose vertices are nums / den, distinct and in increasing
+    order, and nonzero integer normals among which are all its facet
+    normals, each with the indices of the vertices tight on it (``on``):
+    those on which it is least, or none where it cuts out no face.  A normal
+    tight at every vertex puts the polytope in its hyperplane, and ``_hull``
+    hulls it.  Otherwise it is full-dimensional: every facet is cut out by a
+    normal, and every other normal's face lies in a facet, so the facets are
+    the normals whose vertex sets are nonempty and maximal, each at its
+    pairing with a vertex on it; the rest are redundant, and the incidence
+    is read off the same sets."""
+    if any(len(face) == len(nums) for face in on):
+        return ExactPolytope(den, *_hull(nums, rank), rank)
+    top = set(_maximal(on))
+    faces = {}
+    for a, face in zip(normals, on):
+        if face in top:
+            prim = _primitive(a)
+            faces[prim, sum(map(mul, nums[min(face)], prim))] = face
+    facets = sorted(faces)
+    incidence = [frozenset([k for k, f in enumerate(facets) if i in faces[f]])
+                 for i in range(len(nums))]
+    if min(map(len, incidence)) < rank:
+        raise InternalInvariantError("a vertex lies on fewer facets than the rank")
+    return ExactPolytope(den, nums, facets, incidence, rank, rank)
 
 
 def _hull(pts: list[IntVec], rank: int

@@ -5,8 +5,11 @@ Nothing in this module ever produces or accepts floating point.  Canonical
 output has sorted keys and a fixed rational rendering, so byte equality is
 meaningful for regression and determinism checks.  ``canonical_json``
 renders a report in one recursive walk, with the bytes ``json.dumps``
-would give for its plain form.  ``model_from_json`` hulls each distinct
-decomposition fragment once, and equal fragments share that polytope.
+would give for its plain form.  ``model_from_json`` hulls no vertex
+fragment: it parses each into a point table, which ``toric`` certifies and
+reads its polytope off; a half-space fragment is solved once by
+``_from_rows``, and its vertices are its table.  Equal tables share one
+polytope.
 """
 
 from __future__ import annotations
@@ -16,11 +19,11 @@ import math
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import InputError
-from .geometry import ExactPolytope, GeometryError, Vec
-from .toric import ToricFanoModel, build_model
+from .geometry import ExactPolytope, GeometryError, IntVec, Vec, _point_table
+from .toric import ToricFanoModel, _build_model
 
 
 class ParseError(InputError):
@@ -123,15 +126,15 @@ def polytope_to_json(p: ExactPolytope) -> dict:
 
 def _fragment(data) -> tuple:
     """A polytope fragment, parsed straight into one integer table, as the
-    hull that builds it: the constructor (``_from_points`` or
-    ``_from_rows``) followed by its arguments, that table as written.  The
-    tuple is hashable, and equal tuples give equal polytopes."""
+    call that turns it into a point table: ``_point_table`` or
+    ``_rows_table`` followed by its arguments, that table as written.  The
+    tuple is hashable, and equal tuples give equal point tables."""
     if not isinstance(data, dict):
         raise ParseError(f"polytope fragment must be an object, got {data!r}")
     if "vertices" in data:
         den, nums = _table(
             [_ratios(v) for v in _capped(data["vertices"], "vertices")])
-        return ExactPolytope._from_points, den, tuple(nums)
+        return _point_table, den, tuple(nums)
     if "halfspaces" in data:
         normals, offsets = [], []
         for item in _capped(data["halfspaces"], "halfspaces"):
@@ -146,9 +149,16 @@ def _fragment(data) -> tuple:
             normals.append(tuple(normal))
         den, offsets = _table(offsets)
         rank = len(normals[-1]) if normals else None
-        return (ExactPolytope._from_rows, den,
+        return (_rows_table, den,
                 tuple([(a, c) for a, (c,) in zip(normals, offsets)]), rank)
     raise ParseError("polytope fragment needs 'vertices' or 'halfspaces'")
+
+
+def _rows_table(den: int, rows: Sequence[tuple[IntVec, int]], rank: Optional[int]
+                ) -> tuple[int, tuple[IntVec, ...]]:
+    """The point table of the vertices of a half-space fragment."""
+    p = ExactPolytope._from_rows(den, rows, rank)
+    return p.den, p.nums
 
 
 def _list(value, key: str) -> list:
@@ -158,9 +168,11 @@ def _list(value, key: str) -> list:
 
 
 # The most rays, and the most vertices or half-spaces per summand, a model may
-# list.  Hulls enumerate C(n, rank) subsets of each list, and in rank 4 the
-# polytope cut out by n half-spaces can have n(n - 3)/2 vertices, which are
-# hulled again, so load time climbs steeply past this.
+# list.  The anticanonical polytope and each half-space fragment enumerate
+# C(n, rank) subsets of their lists, a summand that fails the fan
+# certificate is hulled the same way over its points, and in rank 4 the
+# polytope cut out by n half-spaces can have n(n - 3)/2 vertices, so load
+# time climbs steeply past this.
 MAX_ENTRIES = 12
 
 
@@ -203,17 +215,17 @@ def model_from_json(data, name: str = "") -> ToricFanoModel:
     model_name = data.get("name", name)
     if not isinstance(model_name, str):
         raise ParseError(f"model name must be a string, got {model_name!r}")
-    # one hull per distinct fragment: equal fragments, as in the common
-    # split P = k (P / k), share one (immutable) polytope
-    hulls: dict[tuple, ExactPolytope] = {}
+    # one point table per distinct fragment, as in the common split
+    # P = k (P / k): a half-space fragment is solved once
+    tables: dict[tuple, tuple[int, tuple[IntVec, ...]]] = {}
     summands = []
     for p in _list(data["decomposition"], "decomposition"):
         key = _fragment(p)
-        if key not in hulls:
-            build, *table = key
-            hulls[key] = build(*table)
-        summands.append(hulls[key])
-    return build_model(rays, summands, name=model_name)
+        if key not in tables:
+            read, *table = key
+            tables[key] = read(*table)
+        summands.append(tables[key])
+    return _build_model(rays, summands, model_name)
 
 
 def read_bytes(path: str) -> bytes:

@@ -46,9 +46,9 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import InputError, InternalInvariantError
 from .geometry import (Cone, DimensionMismatch, ExactPolytope, GeometryError,
-                       IntVec, Vec, _cramer_vertices, _int_directions,
-                       _pairings, _rank, _scaled, as_vec, centroid,
-                       is_primitive, lattice_points, minkowski_sum,
+                       IntVec, Vec, _cramer_vertices, _from_tight,
+                       _int_directions, _pairings, _rank, _scaled, as_vec,
+                       centroid, is_primitive, lattice_points, minkowski_sum,
                        normal_cones, restrict_min_support, vdot)
 from .optimize import minimize_pl_ratio
 
@@ -195,23 +195,48 @@ def build_model(rays: Sequence[Sequence[int]],
     out a reflexive (lattice, canonically faceted) polytope; the summands
     have its rank; the decomposition sums to it exactly.  Caches the normal
     fan, which ``normal_cones`` reads off the polytope's edge table and which
-    is complete by construction.
+    is complete by construction.  Each summand is taken as its point table,
+    its vertex numerators over its denominator, as the loader takes the
+    points it parses (``_build_model``).
 
-    The sum is certified on each cone of that fan: each summand's minimizer
-    at an interior probe must attain the summand's support value at every
-    generator (so that support function is linear on the cone), and the
-    minimizers must add up to the polytope's own.  As h(P + Q) = h(P) + h(Q)
-    and the fan is complete, this holds exactly when the sum is the
-    polytope.  On a failure the summands' support values along each ray
+    The sum is certified on each cone of that fan: each summand's minimizing
+    point at an interior probe must attain the summand's support value at
+    every generator (so that support function is linear on the cone), and
+    the minimizers must add up to the polytope's own.  As h(P + Q) =
+    h(P) + h(Q) and the fan is complete, this holds exactly when the sum is
+    the polytope.  On a failure the summands' support values along each ray
     must still add up to -1, the polytope's, or the mismatch is reported
-    at the first ray where they do not; only then is the sum hulled with
-    ``minkowski_sum``, to tell a wrong decomposition from a failed
-    certificate and to list the sum's vertices.  The
-    probe is the sum of the cone's generators, which are rays, so every
-    pairing is an integer sum of each summand's vertex pairings with the
-    rays.  Equal summands are certified once, weighted by their number,
-    and each distinct summand's centroid is taken once.
+    at the first ray where they do not; only then is each table hulled and
+    the sum taken with ``minkowski_sum``, to tell a wrong decomposition from
+    a failed certificate and to list the sum's vertices.  The probe is the
+    sum of the cone's generators, which are rays, so every pairing is an
+    integer sum of each summand's point pairings with the rays.  Equal
+    tables are certified once, weighted by their number, and share one
+    polytope, whose centroid is taken once.
+
+    A certified summand Q is read off the certificate, not hulled (Cox,
+    Little and Schenck, *Toric Varieties*, 2011, ch. 6).  Its support
+    function is linear on every cone of the fan of P, so that fan refines
+    the normal fan of Q: each cone lies in the normal cone of the point it
+    picked, which is therefore a vertex, and each vertex's full-dimensional
+    normal cone holds a cone that picks it.  Every ray of the fan of Q is a
+    ray of the fan of P, so Q is { x : <x, rho> >= h_Q(rho) } over the rays
+    rho.  Its vertices are the picked points, and each ray's face is the
+    picked points on which it is least; ``_from_tight`` takes the facets and
+    the incidence from those sets, or, for a Q of lower dimension, on which
+    some ray is constant, hulls the picked points.  Each cone's generators,
+    tight at the picked point, solve back to it: the cross-check of
+    ``_hull``, made by the fan in place of a subset loop.
     """
+    return _build_model(rays, [(p.den, p.nums) for p in decomposition], name)
+
+
+def _build_model(rays: Sequence[Sequence[int]],
+                 tables: Sequence[tuple[int, tuple[IntVec, ...]]],
+                 name: str) -> ToricFanoModel:
+    """:func:`build_model` on point tables: each summand as a denominator
+    and its distinct points, in increasing order, of one rank, which hold
+    its vertices and may hold other points of it."""
     ray_list = []
     rank = None
     for r in rays:
@@ -243,29 +268,30 @@ def build_model(rays: Sequence[Sequence[int]],
     if any(c != -1 for _, c in antican.facets):
         raise NotReflexive("anticanonical facets not at level -1")
 
-    summands = tuple(decomposition)
-    if not summands:
+    if not tables:
         raise DecompositionMismatch("empty decomposition")
-    for p in summands:
-        if p.rank != rank:
+    for _, pts in tables:
+        if len(pts[0]) != rank:
             raise RankMismatch("summand rank differs from the model rank")
     cones = tuple(normal_cones(antican))
-    # each distinct summand once, with its multiplicity: its vertex pairings
-    # with each ray, and the factor that brings it to one denominator and
-    # counts its copies
-    distinct = Counter(summands)
-    pairs = [{r: _pairings(p.nums, r) for r in ray_tuple} for p in distinct]
-    lcm = math.lcm(*(p.den for p in distinct))
-    factors = [lcm // p.den * n for p, n in distinct.items()]
+    # each distinct table once, with its multiplicity: its point pairings
+    # with each ray, the factor that brings it to one denominator and counts
+    # its copies, and the points the certificate picks
+    distinct = Counter(tables)
+    pairs = [{r: _pairings(pts, r) for r in ray_tuple} for _, pts in distinct]
+    lcm = math.lcm(*(d for d, _ in distinct))
+    factors = [lcm // d * n for (d, _), n in distinct.items()]
+    picked: list[set[int]] = [set() for _ in distinct]
     certified = True
     for cone, form in zip(cones, antican.nums):
         summed = [0] * rank
-        for p, by_ray, f in zip(distinct, pairs, factors):
+        for (_, pts), by_ray, f, ks in zip(distinct, pairs, factors, picked):
             vals = [by_ray[g] for g in cone.generators]
             probe = list(map(sum, zip(*vals)))
             k = probe.index(min(probe))
             certified = certified and all(v[k] == min(v) for v in vals)
-            summed = [t + x * f for t, x in zip(summed, p.nums[k])]
+            summed = [t + x * f for t, x in zip(summed, pts[k])]
+            ks.add(k)
         certified = certified and summed == [x * lcm for x in form]
     if not certified:
         for r in ray_tuple:
@@ -275,7 +301,8 @@ def build_model(rays: Sequence[Sequence[int]],
                 raise DecompositionMismatch(
                     f"support of the decomposition along ray {_show(r)} "
                     f"is {h}, expected -1")
-        total = minkowski_sum(list(summands))
+        hulls = {t: ExactPolytope._from_points(*t) for t in distinct}
+        total = minkowski_sum([hulls[t] for t in tables])
         if total != antican:
             raise DecompositionMismatch(
                 "Minkowski sum of the decomposition is "
@@ -284,7 +311,18 @@ def build_model(rays: Sequence[Sequence[int]],
         raise InternalInvariantError(
             "fan certificate rejected an exact Minkowski decomposition")
 
-    centroids = {p: centroid(p) for p in distinct}
+    # each table's polytope: its vertices are the points picked, and each
+    # ray's face is the picked points on which the ray is least
+    polys = {}
+    for (d, pts), by_ray, ks in zip(distinct, pairs, picked):
+        ks = sorted(ks)
+        on = []
+        for vals in by_ray.values():
+            low = min(vals)
+            on.append(frozenset([j for j, k in enumerate(ks) if vals[k] == low]))
+        polys[d, pts] = _from_tight(d, [pts[k] for k in ks], ray_tuple, on, rank)
+    summands = tuple(polys[t] for t in tables)
+    centroids = {p: centroid(p) for p in set(polys.values())}
     return ToricFanoModel(
         name=name,
         rank=rank,

@@ -14,7 +14,9 @@ scan of every level behind the finite-degree lc slope, the
 closed-form descriptor steps in plain Fractions over the vertices, and the
 report renderer that canonicalized a record and then dumped it with
 ``json``).
-The helpers after them are checks and constants that only the tests use."""
+The helpers after them are checks and constants that only the tests use;
+the last two hold each summand a model reads off its fan certificate to
+the subset-loop hull of its point table."""
 
 from __future__ import annotations
 
@@ -32,8 +34,9 @@ from ckstab.filtration import (EmptyDecomposition, Filtration,
                                SumDescriptor, UnsupportedDescriptor,
                                ValuationDescriptor, numerics, sum_filtration,
                                twist_family)
-from ckstab.geometry import (Cone, as_vec, lattice_points, mat_rank,
-                             primitive_vector, vdot, vneg, vsub)
+from ckstab.geometry import (Cone, ExactPolytope, HalfSpace, as_vec,
+                             lattice_points, mat_rank, primitive_vector, vdot,
+                             vneg, vsub)
 from ckstab.optimize import minimize_pl_ratio
 from ckstab.serialize import ValidationError
 from ckstab.stability import (CLOSED_FORM, DingResult, StabilityError,
@@ -796,3 +799,29 @@ def assert_float_free(obj) -> None:
     elif isinstance(obj, (list, tuple)):
         for v in obj:
             assert_float_free(v)
+
+
+def fragment_hull(fragment: dict):
+    """The hull, by the subset loop of ``_from_points``, of the point table
+    of a model file's decomposition fragment: its points as listed, or the
+    vertices its half-spaces cut out."""
+    if "vertices" in fragment:
+        points = [[F(x) for x in v] for v in fragment["vertices"]]
+    else:
+        rows = fragment["halfspaces"]
+        points = ExactPolytope.from_halfspaces(
+            [HalfSpace.make(h["normal"], F(h["offset"])) for h in rows],
+            len(rows[0]["normal"])).vertices
+    return ExactPolytope.from_vertices(points)
+
+
+def assert_summands_are_hulls(model: ToricFanoModel, decomposition) -> None:
+    """Each summand of a loaded model, read off its fan certificate, equals
+    the hull of its fragment's point table structurally: the same ``den``,
+    ``nums``, ``facets``, ``incidence``, ``dim`` and ``rank``."""
+    assert len(model.summands) == len(decomposition)
+    for i, (p, fragment) in enumerate(zip(model.summands, decomposition)):
+        q = fragment_hull(fragment)
+        assert ((p.den, p.nums, p.facets, p.incidence, p.dim, p.rank)
+                == (q.den, q.nums, q.facets, q.incidence, q.dim, q.rank)), (
+            model.name, i)

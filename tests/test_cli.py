@@ -17,8 +17,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURE_NAMES
-from oracles import (assert_float_free, canonical_json_oracle,
-                     ding_descriptor_oracle)
+from oracles import (assert_float_free, assert_summands_are_hulls,
+                     canonical_json_oracle, ding_descriptor_oracle)
 
 import ckstab
 from ckstab.cli import build_parser, main, render_table, resolve_model_path
@@ -615,15 +615,19 @@ def test_ding_under_summand_reversal_and_split(capsys, tmp_path, models):
 def _draw_rearrangement(data, model):
     """A split (i, t) of the model's summand i into t Q_i and (1 - t) Q_i,
     and an order of the k + 1 pieces, drawn; returns them with the split
-    model and the split model taken in that order."""
+    model and the split model taken in that order, each of whose summands
+    is checked against the hull of its point table."""
     k = model.num_summands
     i = data.draw(st.integers(0, k - 1))
     den = data.draw(st.integers(2, 7))
     t = F(data.draw(st.integers(1, den - 1)), den)
     order = data.draw(st.permutations(range(k + 1)))
-    split = model_from_json(_rearranged(model, split=(i, t)))
-    moved = model_from_json(_rearranged(model, order, (i, t)))
-    return i, t, order, split, moved
+    models = []
+    for written in (_rearranged(model, split=(i, t)),
+                    _rearranged(model, order, (i, t))):
+        models.append(model_from_json(written))
+        assert_summands_are_hulls(models[-1], written["decomposition"])
+    return (i, t, order, *models)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES + ["p1cubed", "p3_halves",

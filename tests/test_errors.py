@@ -196,6 +196,61 @@ def test_wrong_decomposition_exits_before_any_hull(tmp_path, monkeypatch):
     assert hulls == []
 
 
+P2_HALF_POINTS = [["-1/2", "-1/2"], ["1", "-1/2"], ["-1/2", "1"]]
+
+
+@pytest.mark.parametrize("rays, decomposition, line", [
+    (P2_RAYS, [{"vertices": []}, {"vertices": P2_HALF_POINTS}],
+     "no points given"),
+    (P2_RAYS, [{"vertices": [["0", "0"], ["1"]]}, {"vertices": P2_HALF_POINTS}],
+     "points of mixed rank"),
+    (P2_RAYS, [{"vertices": [["0", "0", "0"]]}, {"vertices": P2_HALF_POINTS}],
+     "summand rank differs from the model rank"),
+    # a fragment's error comes before the checks of the rays
+    ([[2, 0], [0, 1], [-1, -1]], [{"vertices": []}], "no points given"),
+])
+def test_point_table_errors_are_one_line(tmp_path, rays, decomposition, line):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"name": "m", "rank": 2, "rays": rays,
+                                "decomposition": decomposition}))
+    code, out, err = run("futaki", str(path))
+    assert (code, out, err.splitlines()) == (1, "", ["error: " + line])
+
+
+def test_points_that_are_not_vertices_change_no_report(tmp_path):
+    # an interior point, a repeated vertex and an edge midpoint listed with
+    # the vertices of a summand leave every report as it is, but for the
+    # digest of the input
+    path = tmp_path / "model.json"
+    extra = P2_HALF_POINTS + [["0", "0"], ["1", "-1/2"], ["1/4", "-1/2"]]
+    for argv in (("futaki",), ("delta",), ("jnorm", "--xi=1,-2", "--summand=0"),
+                 ("lct", "--eta=1,1", "--level=1/2")):
+        outs = []
+        for points in (P2_HALF_POINTS, extra):
+            path.write_text(json.dumps({
+                "name": "m", "rank": 2, "rays": P2_RAYS,
+                "decomposition": [{"vertices": points},
+                                  {"vertices": P2_HALF_POINTS}]}))
+            code, out, err = run(argv[0], str(path), *argv[1:])
+            assert code == 0, err
+            outs.append([x for x in out.splitlines() if "input_sha256" not in x])
+        assert outs[0] == outs[1], argv
+
+
+def test_point_summand_report(tmp_path):
+    # P^2 as a half moved by (1/3, 0), the point (-1/3, 0) and a half
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "name": "m", "rank": 2, "rays": P2_RAYS, "decomposition": [
+            {"vertices": [["-1/6", "-1/2"], ["4/3", "-1/2"], ["-1/6", "1"]]},
+            {"vertices": [["-1/3", "0"]]}, {"vertices": P2_HALF_POINTS}]}))
+    code, out, err = run("futaki", str(path))
+    assert code == 0, err
+    assert json.loads(out)["report"] == {
+        "model": "m", "per_summand": [["1/3", "0"], ["-1/3", "0"], ["0", "0"]],
+        "total": ["0", "0"], "vanishes": True}
+
+
 @pytest.mark.parametrize("key", ["rays", "vertices", "halfspaces"])
 def test_lists_longer_than_the_cap_exit_1(tmp_path, key):
     # P^2 as two halves, one list padded with repeats to the cap and past it

@@ -5,6 +5,11 @@ loaded structure per model: the 11 packaged fixtures and the three rank-3
 models of the benchmark's ``rank3`` workload, whose JSON is written here
 from the benchmark's own data into a temporary directory.
 
+``test_load_reads_summands_off_the_fan`` counts the work of each of those
+loads, and ``test_summands_read_off_the_fan_are_their_hulls`` holds each
+summand a load reads off its fan certificate to the subset-loop hull of
+its point table.
+
 ``test_model_in_another_lattice_frame`` writes each fixture in the frame of
 a seeded unimodular U: rays and half-space normals go by U, vertices by
 U^-T.  The model must load as the same model seen in that frame, and the
@@ -25,9 +30,10 @@ from importlib import resources
 
 import pytest
 
-from oracles import SUBTORI_2, cone_from_generators, min_support_cells
+from oracles import (SUBTORI_2, assert_summands_are_hulls,
+                     cone_from_generators, min_support_cells)
 
-from ckstab import cli, toric
+from ckstab import cli, geometry, toric
 from ckstab.geometry import ExactPolytope, restrict_min_support, support_value
 from ckstab.serialize import load_model, model_from_json
 from ckstab.stability import (SubtorusSpec, coupled_delta, coupled_futaki,
@@ -42,6 +48,13 @@ FIXTURES = sorted(p.stem for p in (resources.files("ckstab") / "fixtures").iterd
 
 def _fixture_path(name: str) -> str:
     return str(resources.files("ckstab") / "fixtures" / f"{name}.json")
+
+
+def _paths(rank3_dir) -> dict[str, str]:
+    """The 11 packaged fixtures and the 3 rank-3 models, by name."""
+    paths = {name: _fixture_path(name) for name in FIXTURES}
+    paths.update((p.stem, str(p)) for p in rank3_dir.glob("*.json"))
+    return paths
 
 
 def _q(x) -> str:
@@ -100,20 +113,18 @@ PINNED = {
 
 
 def test_loaded_model_structure_is_pinned(rank3_dir):
-    paths = {name: _fixture_path(name) for name in FIXTURES}
-    paths.update((p.stem, str(p)) for p in rank3_dir.glob("*.json"))
+    paths = _paths(rank3_dir)
     assert sorted(paths) == sorted(PINNED)
     got = {name: digest(load_model(path)) for name, path in paths.items()}
     assert got == PINNED
 
 
-def test_load_hulls_each_distinct_summand_once(rank3_dir, monkeypatch):
-    # counted, not timed: a load makes one summand hull and one centroid per
-    # distinct fragment, equal fragments share one polytope, and a futaki
-    # call never builds the Fraction vertices of a summand or of the
+def test_load_reads_summands_off_the_fan(rank3_dir, monkeypatch):
+    # counted, not timed: a load runs one subset loop, the anticanonical
+    # polytope's, and no summand hull; it takes one centroid per distinct
+    # summand, equal point tables share one polytope, and a futaki call
+    # never builds the Fraction vertices of a summand or of the
     # anticanonical polytope
-    paths = {name: _fixture_path(name) for name in FIXTURES}
-    paths.update((p.stem, str(p)) for p in rank3_dir.glob("*.json"))
     calls = Counter()
 
     def counting(name, fn):
@@ -124,6 +135,7 @@ def test_load_hulls_each_distinct_summand_once(rank3_dir, monkeypatch):
 
     monkeypatch.setattr(ExactPolytope, "_from_points", staticmethod(
         counting("hull", ExactPolytope._from_points)))
+    monkeypatch.setattr(geometry, "_rays", counting("rays", geometry._rays))
     monkeypatch.setattr(toric, "centroid", counting("centroid", toric.centroid))
     loaded = []
 
@@ -133,17 +145,19 @@ def test_load_hulls_each_distinct_summand_once(rank3_dir, monkeypatch):
 
     monkeypatch.setattr(cli, "model_from_json", keeping)
     shared = 0
-    for name, path in sorted(paths.items()):
+    for name, path in sorted(_paths(rank3_dir).items()):
         with open(path, encoding="utf-8") as fh:
             fragments = json.load(fh)["decomposition"]
         assert all(list(f) == ["vertices"] for f in fragments), name
-        distinct = [f for i, f in enumerate(fragments) if f not in fragments[:i]]
+        tables = [frozenset(tuple(map(F, v)) for v in f["vertices"])
+                  for f in fragments]
+        distinct = set(tables)
         calls.clear()
         model = load_model(path)
-        assert calls == {"hull": len(distinct), "centroid": len(distinct)}, name
+        assert calls == {"rays": 1, "centroid": len(distinct)}, name
         for i, p in enumerate(model.summands):
             for j, q in enumerate(model.summands):
-                assert (p is q) == (fragments[i] == fragments[j]), (name, i, j)
+                assert (p is q) == (tables[i] == tables[j]), (name, i, j)
         shared += len(fragments) - len(distinct)
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
@@ -153,6 +167,62 @@ def test_load_hulls_each_distinct_summand_once(rank3_dir, monkeypatch):
     # 9 of the 14 models split their polytope into two equal halves: all
     # but p1_skew, p1_thirds, p2_steps, bl1p2_hsplit and p3_quarters
     assert shared == 9
+
+
+def _vertices(*points) -> dict:
+    return {"vertices": [[str(x) for x in p] for p in points]}
+
+
+HEXAGON = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)]
+HEXAGON_FAN = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+P2 = [[1, 0], [0, 1], [-1, -1]]
+P2_HALF = [(F(-1, 2), F(-1, 2)), (1, F(-1, 2)), (F(-1, 2), 1)]
+BOX3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]]
+
+# models whose summands are lower-dimensional, list points that are not
+# vertices, or are given by half-spaces
+DERIVED = {
+    "hexagons": (4, [[a, b, 0, 0] for a, b in HEXAGON_FAN]
+                 + [[0, 0, a, b] for a, b in HEXAGON_FAN],
+                 [_vertices(*[(a, b, 0, 0) for a, b in HEXAGON]),
+                  _vertices(*[(0, 0, a, b) for a, b in HEXAGON])]),
+    "p1xp1_segments": (2, [[1, 0], [0, 1], [-1, 0], [0, -1]],
+                       [_vertices((-1, 0), (1, 0)), _vertices((0, -1), (0, 1))]),
+    "p1cubed_segments": (3, BOX3, [_vertices(tuple(-x for x in r), r)
+                                   for r in BOX3[:3]]),
+    "p2_extra_points": (2, P2, [
+        # an interior point, a repeated vertex and an edge midpoint
+        _vertices(*P2_HALF, (0, 0), P2_HALF[1], (F(1, 4), F(-1, 2))),
+        _vertices(*P2_HALF)]),
+    "p2_point_summand": (2, P2, [
+        _vertices(*[(x + F(1, 3), y) for x, y in P2_HALF]),
+        _vertices((F(-1, 3), 0)), _vertices(*P2_HALF)]),
+    "p2_halfspaces": (2, P2, [
+        {"halfspaces": [{"normal": r, "offset": "-1/2"} for r in P2]},
+        _vertices(*P2_HALF)]),
+    "p1_point": (1, [[1], [-1]], [_vertices((-1,), (1,)), _vertices((0,))]),
+}
+
+
+def test_summands_read_off_the_fan_are_their_hulls(rank3_dir):
+    # each summand a load builds from its certificate is the subset-loop
+    # hull of its fragment's point table, on the 14 benchmark models and on
+    # models with lower-dimensional summands, points that are not vertices,
+    # a point summand and a half-space fragment
+    for path in _paths(rank3_dir).values():
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        assert_summands_are_hulls(load_model(path), data["decomposition"])
+    dims = {}
+    for name, (rank, rays, decomposition) in DERIVED.items():
+        model = model_from_json({"name": name, "rank": rank, "rays": rays,
+                                 "decomposition": decomposition})
+        assert_summands_are_hulls(model, decomposition)
+        dims[name] = [p.dim for p in model.summands]
+    assert dims == {"hexagons": [2, 2], "p1xp1_segments": [1, 1],
+                    "p1cubed_segments": [1, 1, 1], "p2_extra_points": [2, 2],
+                    "p2_point_summand": [2, 0, 2], "p2_halfspaces": [2, 2],
+                    "p1_point": [1, 0]}
 
 
 def _unimodular(rng: random.Random, rank: int) -> list[list[int]]:
