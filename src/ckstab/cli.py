@@ -250,9 +250,14 @@ VERBS = {
 }
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process; parse_args leaves it unchanged."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser of the process and the subparser of each verb."""
     parser = argparse.ArgumentParser(
         prog="ckstab",
         description="Exact coupled K-stability invariants of toric Fano models")
@@ -295,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p = sub.add_parser("show", help="render a stored report as a table")
     p.add_argument("report", help="report JSON file")
-    return parser
+    return parser, sub.choices
 
 
 # argparse takes a value that starts with "-" for a flag unless it looks like a
@@ -305,15 +310,28 @@ _VALUE_FLAGS = ("--xi", "--eta", "--subtorus", "--level", "--slope", "--scale")
 _KEEP_APART = re.compile(r"-\d+|-\d*\.\d+|--.*")
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The arguments of a command line.  A known verb's own parser reads
+    the rest of it, which skips the whole parser's pass; anything it leaves
+    over goes back to the whole parser, so every error is reported as that
+    parser reports it."""
+    verbs = _parsers()[1]
+    if argv and argv[0] in verbs:
+        args, rest = verbs[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            args.verb = argv[0]
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in range(len(argv) - 1, 0, -1):
         if (argv[i - 1] in _VALUE_FLAGS and argv[i].startswith("-")
                 and not _KEEP_APART.fullmatch(argv[i])):
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
 

@@ -36,7 +36,9 @@ a hull are the rays (a, c) over the rows (p, -1) of its points p; the
 vertices y / t of a system <x, a> >= c are the rays (y, t) with t > 0 over
 the rows (a, -c) (``_cramer_vertices``), and with the row t >= 0 added
 the rays with t = 0 are its recession directions; the cells of
-``restrict_min_support`` and ``extreme_rays`` are the rays of cones.
+``restrict_min_support`` are the rays of cones.  A polytope cut by one
+half-space is clipped (``_clip``): its vertices are read off the old ones
+and the edges that cross the cut, with no subset loop.
 
 There is one path, and it runs on integers.  A polytope is an integer
 table: its vertices as ``int`` numerators ``nums`` over one positive
@@ -48,8 +50,8 @@ write such tables, and each ray candidate is one vector of signed integer
 minors (``_minor_normal``, with the determinant ``_int_det``).  Only
 ``_from_points`` (behind ``from_vertices`` and ``minkowski_sum``),
 ``_from_rows`` (behind ``from_halfspaces``) and, for a polytope of lower
-dimension, ``_from_tight`` hull.  The public constructors scale their
-input to integers once at entry.  The loader checks each parsed point
+dimension, ``_from_tight`` (behind ``_clip`` too) hull.  The public
+constructors scale their input to integers once at entry.  The loader checks each parsed point
 table with ``_point_table``, the check ``_from_points`` makes first, and
 hands each half-space table to ``_from_rows``.  A certified model's
 summands are read off the anticanonical fan, not hulled:
@@ -131,10 +133,6 @@ def _exact_entries(coords: Iterable) -> tuple:
     other entry is read by ``Fraction``, as ``as_vec`` reads it."""
     return tuple(x if isinstance(x, (int, Fraction)) else Fraction(x)
                  for x in coords)
-
-
-def vadd(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def vsub(a: Vec, b: Vec) -> Vec:
@@ -529,6 +527,45 @@ def _from_tight(den: int, nums: list[IntVec], normals: Sequence[IntVec],
     return ExactPolytope(den, nums, facets, incidence, rank, rank)
 
 
+def _clip(p: ExactPolytope, a: IntVec, c: int, d: int) -> ExactPolytope:
+    """The polytope p cut by { x : <x, a> >= c / d }, for a nonzero integer
+    vector a and d > 0, clipped with no subset loop (Ziegler, *Lectures on
+    Polytopes*, section 3.1).  Its vertices are the vertices of p on the
+    cut's side and, on each edge of p whose ends lie strictly on opposite
+    sides, the point where it crosses the cut.  A kept vertex is tight on
+    the facets of p it lies on (``p.incidence``), a crossing point on those
+    common to its edge's ends, and each on the cut where they meet it.  The
+    sets go to ``_from_tight`` with the facet normals of p and a, as those
+    of ``_from_rows`` do, so the result is the one ``_from_rows`` gives on
+    the same rows."""
+    # the signed distance to the cut of each vertex, in units of 1/(d den)
+    slack = [x * d - c * p.den for x in _pairings(p.nums, a)]
+    cut = frozenset([len(p.facets)])
+    points = [(n, 1, p.incidence[i] | cut if s == 0 else p.incidence[i])
+              for i, (n, s) in enumerate(zip(p.nums, slack)) if s >= 0]
+    if not points:
+        raise EmptyRegion("half-space intersection is empty")
+    edges = _edge_table(p)
+    for i, si in enumerate(slack):
+        if si > 0:
+            ni = p.nums[i]
+            for _, j in edges[i]:
+                sj = slack[j]
+                if sj < 0:
+                    # (si nj - sj ni) / (si - sj), over the den of p
+                    q = [si * y - sj * x for x, y in zip(ni, p.nums[j])]
+                    g = math.gcd(si - sj, *q)
+                    points.append((tuple([y // g for y in q]), (si - sj) // g,
+                                   p.incidence[i] & p.incidence[j] | cut))
+    lcm = math.lcm(*[t for _, t, _ in points])
+    table = sorted((tuple([y * (lcm // t) for y in n]), tight)
+                   for n, t, tight in points)
+    normals = [f for f, _ in p.facets] + [a]
+    on = [frozenset([i for i, (_, tight) in enumerate(table) if k in tight])
+          for k in range(len(normals))]
+    return _from_tight(p.den * lcm, [n for n, _ in table], normals, on, p.rank)
+
+
 def _hull(pts: list[IntVec], rank: int
           ) -> tuple[list[IntVec], list[Facet], list[frozenset[int]], int]:
     """The vertices, facets, incidence and dimension of the hull of sorted
@@ -611,36 +648,38 @@ def _rays(rows: Sequence[IntVec], rank: int) -> dict[IntVec, frozenset[int]]:
     of the indices of the rows tight at it.  Each (rank-1)-subset of the
     rows orthogonal to exactly a line spans g, its minor vector; g and then
     -g are rays when every row pairs nonnegatively with them, and only then
-    is a candidate made primitive.  Every ray is found when the rows span
-    (the cone is pointed).  In rank 1 the empty subset spans the whole
-    line, so +1 and -1 are checked."""
+    is a candidate made primitive.  One pass pairs the rows with g, stops
+    at the first row of the sign opposite to an earlier one, and collects
+    the tight rows on the way.  Every ray is found when the rows span (the
+    cone is pointed).  In rank 1 the empty subset spans the whole line, so
+    +1 and -1 are checked."""
     found: dict[IntVec, frozenset[int]] = {}
     for subset in itertools.combinations(rows, rank - 1):
         g = _minor_normal(subset, rank)
         if not any(g):
             continue
-        vals = [sum(map(mul, n, g)) for n in rows]
-        lo, hi = (min(vals), max(vals)) if vals else (0, 0)
-        if lo < 0 < hi:
-            continue
-        # lo == hi == 0 when every row is tight on the line of g (there are
-        # no rows, or a lineality): then g and -g are both rays
-        for h in (g, vneg(g)) if lo == hi == 0 else (g,) if lo >= 0 else (vneg(g),):
-            h = _primitive(h)
-            if h not in found:
-                found[h] = frozenset([k for k, v in enumerate(vals) if v == 0])
+        pos = neg = False
+        tight = []
+        for k, n in enumerate(rows):
+            v = sum(map(mul, n, g))
+            if v > 0:
+                if neg:
+                    break
+                pos = True
+            elif v:
+                if pos:
+                    break
+                neg = True
+            else:
+                tight.append(k)
+        else:
+            # neither sign when every row is tight on the line of g (there
+            # are no rows, or a lineality): then g and -g are both rays
+            for h in (vneg(g),) if neg else (g,) if pos else (g, vneg(g)):
+                h = _primitive(h)
+                if h not in found:
+                    found[h] = frozenset(tight)
     return found
-
-
-def extreme_rays(normals: Sequence[Sequence], rank: int) -> list[Vec]:
-    """Extreme rays of the cone { y : <n, y> >= 0 for every normal }, each
-    once, in the order of ``_rays``, scaled so that its last nonzero entry
-    is 1 or -1."""
-    rays = []
-    for g in _rays([_int_row(n) for n in normals], rank):
-        last = abs(next(x for x in reversed(g) if x))
-        rays.append(tuple(Fraction(x, last) for x in g))
-    return rays
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ renders a report in one recursive walk, with the bytes ``json.dumps``
 would give for its plain form.  ``model_from_json`` hulls no vertex
 fragment: it parses each into a point table, which ``toric`` certifies and
 reads its polytope off; a half-space fragment is solved once by
-``_from_rows``, and its vertices are its table.  Equal tables share one
-polytope.
+``_from_rows``, and its vertices are its table.  A vertex fragment written
+alike is parsed once, and a table is reduced to its least denominator, so
+equal tables, however written, share one polytope.
 """
 
 from __future__ import annotations
@@ -51,10 +52,11 @@ def format_rational(x: Fraction) -> str:
 
 # One integer grammar, [sign]digits in ASCII with surrounding whitespace:
 # int() and Fraction alone would also take underscores, non-ASCII digits,
-# decimals and exponents.
+# decimals and exponents.  A rational's groups are its numerator and its
+# denominator, if written.
 _SIGNED = r"[-+]?[0-9]+"
 _INTEGER = re.compile(rf"\s*{_SIGNED}\s*")
-_RATIONAL = re.compile(rf"\s*{_SIGNED}(/[0-9]+)?\s*")
+_RATIONAL = re.compile(rf"\s*({_SIGNED})(?:/([0-9]+))?\s*")
 
 
 def parse_integer(text: str) -> int:
@@ -79,11 +81,12 @@ def _ratio(text) -> tuple[int, int]:
         raise ParseError(f"expected a rational, got {text!r}")
     # Fraction builds the whole integer of "1e10000000" before anything
     # can reject it
-    if not _RATIONAL.fullmatch(text):
+    m = _RATIONAL.fullmatch(text)
+    if not m:
         raise ParseError(f"bad rational {text!r}: expected an integer or p/q")
-    num, _, den = text.strip().partition("/")
+    num, den = m.groups()
     try:
-        p, q = int(num), int(den or "1")
+        p, q = int(num), int(den) if den else 1
     except ValueError as exc:   # more digits than int() converts
         raise ParseError(f"bad rational {text!r}: {exc}") from exc
     if q == 0:
@@ -111,9 +114,12 @@ def parse_vec(data) -> Vec:
 
 def _table(rows: list[list[tuple[int, int]]]) -> tuple[int, list[tuple[int, ...]]]:
     """Rows of (numerator, denominator) pairs as integer numerators over
-    one positive denominator."""
+    one positive denominator, the least one: a table is the same however
+    its rationals are written."""
     den = math.lcm(*(q for row in rows for _, q in row))
-    return den, [tuple([p * (den // q) for p, q in row]) for row in rows]
+    nums = [[p * (den // q) for p, q in row] for row in rows]
+    g = math.gcd(den, *(x for row in nums for x in row))
+    return den // g, [tuple([x // g for x in row]) for row in nums]
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +133,9 @@ def polytope_to_json(p: ExactPolytope) -> dict:
 def _fragment(data) -> tuple:
     """A polytope fragment, parsed straight into one integer table, as the
     call that turns it into a point table: ``_point_table`` or
-    ``_rows_table`` followed by its arguments, that table as written.  The
-    tuple is hashable, and equal tuples give equal point tables."""
+    ``_rows_table`` followed by its arguments, that table over its least
+    denominator.  The tuple is hashable, and equal tuples give equal point
+    tables."""
     if not isinstance(data, dict):
         raise ParseError(f"polytope fragment must be an object, got {data!r}")
     if "vertices" in data:
@@ -152,6 +159,20 @@ def _fragment(data) -> tuple:
         return (_rows_table, den,
                 tuple([(a, c) for a, (c,) in zip(normals, offsets)]), rank)
     raise ParseError("polytope fragment needs 'vertices' or 'halfspaces'")
+
+
+def _spelling(data) -> Optional[tuple]:
+    """A vertex fragment as written, as a hashable tuple of its coordinates,
+    when it lists at most ``MAX_ENTRIES`` vertices and each coordinate is a
+    ``str`` or an ``int``; None for any other fragment.  Two equal tuples
+    are written alike, which plain equality of the parsed JSON would not
+    say, as ``1 == 1.0 == True``."""
+    verts = data.get("vertices") if type(data) is dict else None
+    if (type(verts) is list and len(verts) <= MAX_ENTRIES
+            and all(type(v) is list and all(type(x) is str or type(x) is int
+                                            for x in v) for v in verts)):
+        return tuple(map(tuple, verts))
+    return None
 
 
 def _rows_table(den: int, rows: Sequence[tuple[IntVec, int]], rank: Optional[int]
@@ -216,15 +237,23 @@ def model_from_json(data, name: str = "") -> ToricFanoModel:
     if not isinstance(model_name, str):
         raise ParseError(f"model name must be a string, got {model_name!r}")
     # one point table per distinct fragment, as in the common split
-    # P = k (P / k): a half-space fragment is solved once
+    # P = k (P / k): a vertex fragment written alike is parsed once, and a
+    # half-space fragment is solved once
     tables: dict[tuple, tuple[int, tuple[IntVec, ...]]] = {}
+    parsed: dict[tuple, tuple[int, tuple[IntVec, ...]]] = {}
     summands = []
     for p in _list(data["decomposition"], "decomposition"):
-        key = _fragment(p)
-        if key not in tables:
-            read, *table = key
-            tables[key] = read(*table)
-        summands.append(tables[key])
+        spelling = _spelling(p)
+        table = parsed.get(spelling)
+        if table is None:
+            key = _fragment(p)
+            if key not in tables:
+                read, *args = key
+                tables[key] = read(*args)
+            table = tables[key]
+            if spelling is not None:
+                parsed[spelling] = table
+        summands.append(table)
     return _build_model(rays, summands, model_name)
 
 

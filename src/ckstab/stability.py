@@ -20,11 +20,11 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import CkstabError, InputError, InternalInvariantError
-from .geometry import (DimensionMismatch, ExactPolytope, Vec, _cramer_vertices,
-                       _int_det, _int_directions, _pairings, as_vec, centroid,
-                       extreme_rays, mat_rank, primitive_vector, vadd, vdot,
-                       vneg, vsub)
-from .toric import (TOTAL, TORIC_SEARCH_ASSUMPTION, MonomialIdealSeq,
+from .geometry import (DimensionMismatch, ExactPolytope, IntVec, Vec,
+                       _cramer_vertices, _int_det, _int_directions, _pairings,
+                       _rays, as_vec, centroid, mat_rank, primitive_vector,
+                       vdot, vneg, vsub)
+from .toric import (TOTAL, TORIC_SEARCH_ASSUMPTION, MonomialIdealSeq, Ratio,
                     SummandIndex, ToricFanoModel, _containment_lct,
                     _fraction_sum, _log_discrepancy, _ratio_plus,
                     _s_invariant, _show, _t_invariant, _total_s_sum,
@@ -164,33 +164,33 @@ class ReducedJResult(NamedTuple):
     provenance: str = OPTIMIZED
 
 
-def _slice_cells(model: ToricFanoModel, base: Vec, W: Sequence[Vec]):
-    """The cells in which the fan cuts the slice base + span(W), cone by cone
-    in fan order, in the twist coordinates t of base + sum t_j w_j.
+def _slice_cells(model: ToricFanoModel, base: IntVec, W: Sequence[IntVec]):
+    """The cells in which the fan cuts the slice of the points
+    (base + sum t_j w_j) / c, c > 0, cone by cone in fan order, in the
+    twist coordinates t; base and the w_j are integer vectors, so any
+    rational slice is scaled to one denominator c first.
 
     A cell is its cone's facet system in those coordinates, so every point
-    of it lies in the cone: the facet n holds at base + sum t_j w_j when
-    sum t_j <n, w_j> >= -<n, base>, an integer row once base and W are
-    scaled to one denominator.  Each cell is given as the index of its cone
-    in ``model.fan``, its vertices, in increasing lexicographic order, and
-    the integer inner normals of its facets, whose ``extreme_rays`` are its
-    recession directions.  Cones the slice misses are skipped.
+    of it lies in the cone: the facet n holds at the point when
+    sum t_j <n, w_j> >= -<n, base>, an integer row.  Each cell is given as
+    the index of its cone in ``model.fan``, its vertices as integer
+    numerators over one positive denominator, in increasing lexicographic
+    order, and the integer inner normals of its facets, whose ``_rays`` are
+    its recession directions.  Cones the slice misses are skipped.
     """
-    _, (b, *ws) = _int_directions([base, *W], model.rank)
     for k, cone in enumerate(model.fan):
-        rows = [(tuple(_pairings(ws, n)), -vdot(n, b)) for n in cone.facets]
+        rows = [(tuple(_pairings(W, n)), -vdot(n, base)) for n in cone.facets]
         if any(c > 0 and not any(a) for a, c in rows):
             continue
         rows = [(a, c) for a, c in rows if any(a)]
         den, nums, _ = _cramer_vertices(1, rows, len(W))
-        yield (k, [tuple([Fraction(x, den) for x in n]) for n in nums],
-               [a for a, _ in rows])
+        yield k, den, nums, [a for a, _ in rows]
 
 
-def _combine(t: Sequence, W: Sequence[Vec], rank: int) -> Vec:
-    """sum t_j w_j."""
-    return tuple(sum((tj * w[c] for tj, w in zip(t, W)), Fraction(0))
-                 for c in range(rank))
+def _point(c: int, base: IntVec, t: IntVec, W: Sequence[IntVec]) -> IntVec:
+    """c base + sum t_j w_j, for integer vectors."""
+    return tuple([c * x + sum([tj * w[i] for tj, w in zip(t, W)])
+                  for i, x in enumerate(base)])
 
 
 def reduced_coupled_j(model: ToricFanoModel, xi0: Sequence,
@@ -207,18 +207,27 @@ def reduced_coupled_j(model: ToricFanoModel, xi0: Sequence,
     a tied minimum goes to the lexicographically least s, that is to the
     greatest twist coordinates t = -s in xi = sum t_j w_j.  Over the full
     torus the infimum is zero, attained at minus the base twist.
+
+    The slice is scaled to integers once, and the vertices of all its cells
+    are brought to one denominator L: then every slope sum is an integer
+    numerator over one denominator, and the least (numerator, s) pair wins
+    on ints.  ``Fraction``s are built for the value and the argmin only.
     """
     xi0 = as_vec(xi0)
     if sub is None:
         sub = SubtorusSpec.full(model.rank)
-    W = [as_vec(w) for w in sub.basis]
-    base = vneg(xi0)
-    verts = {s for _, cell, _ in _slice_cells(model, base, W) for s in cell}
-    if not verts:
+    den, (base, *W) = _int_directions([vneg(xi0), *sub.basis], model.rank)
+    cells = [(d, nums) for _, d, nums, _ in _slice_cells(model, base, W) if nums]
+    if not cells:
         raise InternalInvariantError("J slice met no fan cone; fan incomplete")
-    value, s = min((total_s_sum(model, vadd(base, _combine(s, W, model.rank))), s)
-                   for s in verts)
-    return ReducedJResult(value, vneg(_combine(s, W, model.rank)))
+    lcm = math.lcm(*[d for d, _ in cells])
+    verts = {tuple([x * (lcm // d) for x in n]) for d, nums in cells for n in nums}
+    # -x = (L base + sum s_j w_j) / (L den): a slope-sum numerator over one
+    # denominator for every s
+    (num, sden), s = min((_total_s_sum(model, lcm * den, _point(lcm, base, s, W)), s)
+                         for s in verts)
+    argmin = tuple([Fraction(-x, lcm * den) for x in _point(0, base, s, W)])
+    return ReducedJResult(Fraction(num, sden), argmin)
 
 
 # ---------------------------------------------------------------------------
@@ -467,12 +476,20 @@ class InnerSup(NamedTuple):
 def _ratio_at(model: ToricFanoModel, z: Sequence) -> Fraction:
     """A(z) over the summed slopes at z, from the integer cores, as one
     ``Fraction``."""
-    den, (e,) = _int_directions((z,), model.rank)
-    a, ad = _log_discrepancy(model, den, e)
-    s, sd = _total_s_sum(model, den, e)
+    _, (e,) = _int_directions((z,), model.rank)
+    return Fraction(*_int_ratio(model, e, lambda: z))
+
+
+def _int_ratio(model: ToricFanoModel, e: IntVec, point) -> Ratio:
+    """A over the summed slopes at the integer vector e, or at any positive
+    multiple of it, the ratio being of degree zero: an int numerator over a
+    positive int denominator.  ``point()`` gives the point to name when the
+    slope sum is not positive."""
+    a, ad = _log_discrepancy(model, 1, e)
+    s, sd = _total_s_sum(model, 1, e)
     if s <= 0:
-        raise StabilityError(f"nonpositive slope sum at {tuple(z)}")
-    return Fraction(a * sd, ad * s)
+        raise StabilityError(f"nonpositive slope sum at {tuple(point())}")
+    return a * sd, ad * s
 
 
 def inner_twist_sup(model: ToricFanoModel, sub: SubtorusSpec,
@@ -489,37 +506,53 @@ def inner_twist_sup(model: ToricFanoModel, sub: SubtorusSpec,
     recession directions.  A candidate replaces the best so far only with a
     larger value, or with an equal attained value against an unattained
     one, so on a tie inside a cone ``argument`` is at the least twist.
+
+    The slice is scaled to integers once and each candidate is scored on
+    its integer point, the ratio being of degree zero, as a pair of ints
+    compared by cross-multiplication; ``Fraction``s are built for the
+    winner only.
     """
     eta = as_vec(eta)
     if len(eta) != model.rank:
         raise DimensionMismatch(f"rank {model.rank} vs {len(eta)}")
     if sub.contains_direction(eta):
         raise StabilityError("slice direction lies in the subtorus")
-    W = [as_vec(w) for w in sub.basis]
-    s = len(W)
+    s = sub.dim
     if s == 0:
         return InnerSup(_ratio_at(model, eta), True, eta, None)
-    best: Optional[InnerSup] = None
-
-    def consider(cand: InnerSup):
-        nonlocal best
-        if best is None or cand.value > best.value or (
-                cand.value == best.value and not best.attained and cand.attained):
-            best = cand
-
-    for _, verts, normals in _slice_cells(model, eta, W):
-        for t in verts:
-            z = vadd(eta, _combine(t, W, model.rank))
-            consider(InnerSup(_ratio_at(model, z), True, z, None))
+    basis = sub.basis
+    den, (base, *W) = _int_directions([eta, *basis], model.rank)
+    # the best (numerator, denominator), whether attained, and the
+    # candidate's point as integer numerators over a positive denominator
+    best = None
+    for _, vden, nums, normals in _slice_cells(model, base, W):
+        # eta + sum t_j w_j at t = n / vden is this point over vden den
+        for n in nums:
+            z = _point(vden, base, n, W)
+            num, nd = _int_ratio(model, z,
+                                 lambda: [Fraction(x, vden * den) for x in z])
+            if best is not None:
+                lhs, rhs = num * best[1], best[0] * nd
+                if lhs < rhs or (lhs == rhs and best[2]):
+                    continue
+            best = (num, nd, True, z, vden * den)
         # the cell has no lineality, because the facet normals span and the
         # subtorus basis is independent, so each recession direction maps
-        # to a nonzero vector of the cone
-        for d in extreme_rays(normals, s):
-            zd = _combine(d, W, model.rank)
-            consider(InnerSup(_ratio_at(model, zd), False, None, zd))
+        # to a nonzero vector of the cone; it is named scaled so that the
+        # last nonzero entry of its twist coordinates is 1 or -1
+        for g in _rays(normals, s):
+            z = _point(0, base, g, basis)
+            last = abs(next(x for x in reversed(g) if x))
+            num, nd = _int_ratio(model, z, lambda: [Fraction(x, last) for x in z])
+            if best is not None and num * best[1] <= best[0] * nd:
+                continue
+            best = (num, nd, False, z, last)
     if best is None:
         raise InternalInvariantError("twist slice met no fan cone; fan incomplete")
-    return best
+    num, nd, attained, z, zden = best
+    point = tuple([Fraction(x, zden) for x in z])
+    return InnerSup(Fraction(num, nd), attained, point if attained else None,
+                    None if attained else point)
 
 
 class ReducedDeltaResult(NamedTuple):
@@ -624,8 +657,9 @@ def twisted_ratio_profile(model: ToricFanoModel, eta: Sequence, xi: Sequence,
     ratios = tuple((e, _ratio_at(model, tuple(h + e * x for h, x in zip(eta, xi))))
                    for e in sorted(exponents))
     # on the line eta + t xi, a cell whose facet rows all grow with t holds
-    # the ray from its one vertex t on
-    for idx, verts, normals in _slice_cells(model, eta, [xi]):
+    # the ray from its one vertex t = n / den on
+    _, (h, x) = _int_directions((eta, xi), model.rank)
+    for idx, den, nums, normals in _slice_cells(model, h, [x]):
         if all(a >= 0 for (a,) in normals):
             break
     else:
@@ -640,7 +674,7 @@ def twisted_ratio_profile(model: ToricFanoModel, eta: Sequence, xi: Sequence,
         raise InternalInvariantError("slope sum does not grow along the twist")
     limit = a2 / s2
     cross = abs(a1 * s2 - a2 * s1)
-    entry_int = max(1, math.ceil(verts[0][0]))
+    entry_int = max(1, -(-nums[0][0] // den))
     if s1 >= 0:
         kappa = cross / (s2 * s2)
     else:

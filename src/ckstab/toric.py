@@ -46,7 +46,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import InputError, InternalInvariantError
 from .geometry import (Cone, DimensionMismatch, ExactPolytope, GeometryError,
-                       IntVec, Vec, _cramer_vertices, _from_tight,
+                       IntVec, Vec, _clip, _cramer_vertices, _from_tight,
                        _int_directions, _pairings, _rank, _scaled, as_vec,
                        centroid, is_primitive, lattice_points, minkowski_sum,
                        normal_cones, restrict_min_support, vdot)
@@ -275,28 +275,30 @@ def _build_model(rays: Sequence[Sequence[int]],
             raise RankMismatch("summand rank differs from the model rank")
     cones = tuple(normal_cones(antican))
     # each distinct table once, with its multiplicity: its point pairings
-    # with each ray, the factor that brings it to one denominator and counts
-    # its copies, and the points the certificate picks
+    # with each ray and the least of them, the factor that brings it to one
+    # denominator and counts its copies, and the points the certificate picks
     distinct = Counter(tables)
     pairs = [{r: _pairings(pts, r) for r in ray_tuple} for _, pts in distinct]
+    lows = [{r: min(vals) for r, vals in by_ray.items()} for by_ray in pairs]
     lcm = math.lcm(*(d for d, _ in distinct))
     factors = [lcm // d * n for (d, _), n in distinct.items()]
     picked: list[set[int]] = [set() for _ in distinct]
     certified = True
     for cone, form in zip(cones, antican.nums):
         summed = [0] * rank
-        for (_, pts), by_ray, f, ks in zip(distinct, pairs, factors, picked):
+        for (_, pts), by_ray, low, f, ks in zip(distinct, pairs, lows, factors,
+                                               picked):
             vals = [by_ray[g] for g in cone.generators]
             probe = list(map(sum, zip(*vals)))
             k = probe.index(min(probe))
-            certified = certified and all(v[k] == min(v) for v in vals)
+            certified = certified and all(v[k] == low[g]
+                                          for g, v in zip(cone.generators, vals))
             summed = [t + x * f for t, x in zip(summed, pts[k])]
             ks.add(k)
         certified = certified and summed == [x * lcm for x in form]
     if not certified:
         for r in ray_tuple:
-            h = Fraction(sum(min(by_ray[r]) * f
-                             for by_ray, f in zip(pairs, factors)), lcm)
+            h = Fraction(sum(low[r] * f for low, f in zip(lows, factors)), lcm)
             if h != -1:
                 raise DecompositionMismatch(
                     f"support of the decomposition along ray {_show(r)} "
@@ -314,12 +316,10 @@ def _build_model(rays: Sequence[Sequence[int]],
     # each table's polytope: its vertices are the points picked, and each
     # ray's face is the picked points on which the ray is least
     polys = {}
-    for (d, pts), by_ray, ks in zip(distinct, pairs, picked):
+    for (d, pts), by_ray, low, ks in zip(distinct, pairs, lows, picked):
         ks = sorted(ks)
-        on = []
-        for vals in by_ray.values():
-            low = min(vals)
-            on.append(frozenset([j for j, k in enumerate(ks) if vals[k] == low]))
+        on = [frozenset([j for j, k in enumerate(ks) if vals[k] == low[r]])
+              for r, vals in by_ray.items()]
         polys[d, pts] = _from_tight(d, [pts[k] for k in ks], ray_tuple, on, rank)
     summands = tuple(polys[t] for t in tables)
     centroids = {p: centroid(p) for p in set(polys.values())}
@@ -545,18 +545,22 @@ class LctResult(NamedTuple):
 
 def _region_of_ideal(model: ToricFanoModel, ideal: MonomialIdealSeq,
                      degree: Optional[int] = None) -> ExactPolytope:
-    """Normalized Newton region of the ideal data inside the summand polytope."""
+    """Normalized Newton region of the ideal data inside the summand polytope.
+
+    For a valuation family the region is the summand P_i cut by
+    ``<x, eta> >= level + min over P_i of <., eta>``, clipped from the
+    vertices, edges and incidence P_i already holds (``geometry._clip``);
+    an empty cut is a zero ideal.  For explicit generators it is the hull
+    of the usable characters over the degree."""
     p = model.summand(ideal.summand)
     if ideal.eta is not None:
-        # with eta = e / eden, the cut <x, eta> >= level + min_p <., eta> is
-        # <x, e> >= level eden + min_p <., e>
+        # with eta = e / eden and level = lp / lq, the cut is
+        # <x, e> >= (lp eden p.den + lq min_p <., e>) / (lq p.den)
         eden, (e,) = _int_directions((ideal.eta,), p.rank)
-        cut = ideal.level * eden + Fraction(min(_pairings(p.nums, e)), p.den)
-        den = math.lcm(p.den, cut.denominator)
-        rows = [(a, c * (den // p.den)) for a, c in p.facets]
-        rows.append((e, cut.numerator * (den // cut.denominator)))
+        lp, lq = ideal.level.numerator, ideal.level.denominator
         try:
-            return ExactPolytope._from_rows(den, rows, p.rank)
+            return _clip(p, e, lp * eden * p.den + lq * min(_pairings(p.nums, e)),
+                         lq * p.den)
         except GeometryError as exc:
             raise ZeroIdeal(
                 f"no sections reach slope {ideal.level} along {_show(ideal.eta)}"
@@ -586,10 +590,13 @@ def monomial_lct(model: ToricFanoModel, ideal: MonomialIdealSeq,
     cone, and ``restrict_min_support`` cuts every cone into the cells on
     which the region's is too, which covers degenerate (point or segment)
     regions; A is linear on every cone.  So the infimum is taken at a ray
-    of those cells, where both are evaluated directly.  The region's edge
-    table is built once per call, and each cone's cells are found by a
-    walk that solves only the cells that exist.  Returns +infinity (value
-    None) when no direction constrains, which is the unit-ideal case.
+    of those cells, where both are evaluated directly, on integers: each
+    ray goes to ``minimize_pl_ratio`` as one (numerator, denominator) pair
+    of ints, and only the value is built as a ``Fraction``.  The region's
+    edge table is built once per call, and each cone's cells are found by
+    a walk that solves only the cells that exist.  Returns +infinity
+    (value None) when no direction constrains, which is the unit-ideal
+    case.
     """
     scale = Fraction(scale)
     if scale <= 0:
@@ -598,12 +605,18 @@ def monomial_lct(model: ToricFanoModel, ideal: MonomialIdealSeq,
     p = model.summand(ideal.summand)
     rays = sorted({g for cells in restrict_min_support(model.fan, region)
                    for cell in cells for g in cell})
-    unit = scale / (region.den * p.den)
-    res = minimize_pl_ratio(
-        (g, log_discrepancy(model, g),
-         unit * (min(_pairings(region.nums, g)) * p.den
-                 - min(_pairings(p.nums, g)) * region.den))
-        for g in rays)
+    # at a ray g, A = a / ad and scale ord = sp (mr p.den - mp r.den)
+    # / (sq r.den p.den), with mr and mp the least pairings of the region's
+    # and the summand's numerators with g: the ratio is one pair of ints
+    sp, sq = scale.numerator, scale.denominator
+    k = sq * region.den * p.den
+    values = []
+    for g in rays:
+        a, ad = _log_discrepancy(model, 1, g)
+        order = (min(_pairings(region.nums, g)) * p.den
+                 - min(_pairings(p.nums, g)) * region.den)
+        values.append((g, a * k, ad * sp * order))
+    res = minimize_pl_ratio(values)
     return LctResult(res.value, res.witness, "optimized-with-certificate")
 
 

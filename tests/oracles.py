@@ -4,9 +4,11 @@ library (monotone-chain hull, shoelace formulas, interval arithmetic, the
 rays of a cone from the cofactor vectors of its row subsets, weight
 tables of plain Fractions with every decomposition enumerated at once,
 Cramer's rule with cofactor determinants on vertex-pair hyperplanes in
-place of the fan and on the facet rows of each twist-slice cell, and the
-routes the library replaced: the ratio programs of the coupled and the lc
-thresholds over the linear forms of their cells, the facet loop that found
+place of the fan and on the facet rows of each twist-slice cell, the
+reduced J norm and the inner twist supremum scored in plain Fractions over
+those cells, and the routes the library replaced: the ratio programs of
+the coupled and the lc thresholds over the linear forms of their cells,
+the facet loop that found
 the cone absorbing a twisted ray, the all-vertex loop behind the cells of
 a support minimum, the normal fan's cones with their facets solved from
 their generators, the coupled Ding invariant through sum tables, the
@@ -178,7 +180,7 @@ def minor_normal_oracle(rows):
     """The cofactor vector of n - 1 rows of length n: its j-th entry is
     (-1)^j times the determinant of the rows without column j."""
     n = len(rows) + 1
-    return tuple((-1) ** j * cofactor_det([list(r[:j]) + list(r[j + 1:]) for r in rows])
+    return tuple((-1) ** j * cofactor_det([r[:j] + r[j + 1:] for r in map(tuple, rows)])
                  for j in range(n))
 
 
@@ -193,15 +195,21 @@ def cone_rays_oracle(rows, rank) -> dict[tuple[int, ...], frozenset[int]]:
     for r in rows:
         den = math.lcm(*(x.denominator for x in r))
         ints.append(tuple(x.numerator * (den // x.denominator) for x in r))
+    return _int_cone_rays(ints, rank)
+
+
+def _int_cone_rays(ints, rank) -> dict[tuple[int, ...], frozenset[int]]:
+    """``cone_rays_oracle`` on integer rows."""
     found = {}
     for sub in itertools.combinations(ints, rank - 1):
         g = minor_normal_oracle(sub)
         if not any(g):
             continue
-        g = tuple(x // math.gcd(*g) for x in g)
+        d = math.gcd(*g)
+        g = tuple(x // d for x in g)
         vals = [sum(map(mul, r, g)) for r in ints]
-        for h, sign in ((g, 1), (tuple(-x for x in g), -1)):
-            if h not in found and all(sign * v >= 0 for v in vals):
+        for h, ok in ((g, min(vals) >= 0), (tuple(-x for x in g), max(vals) <= 0)):
+            if ok and h not in found:
                 found[h] = frozenset(k for k, v in enumerate(vals) if v == 0)
     return found
 
@@ -299,6 +307,70 @@ def reduced_j_oracle(model: ToricFanoModel, xi0, basis) -> Fraction:
     return min(max(_pair(v, x) for v in verts) - _pair(b, x) for x in points)
 
 
+def _slope_sum(model: ToricFanoModel, z) -> Fraction:
+    """The summed expectation slopes at z over the vertices: each summand's
+    barycenter pairing less its least vertex pairing."""
+    return sum((_pair(b, z) - min(_pair(v, z) for v in model.summand(i).vertices)
+                for i, b in enumerate(model.barycenters)), F(0))
+
+
+def _on_slice(base, t, W) -> tuple:
+    """base + sum t_j w_j."""
+    return tuple(x + sum((tj * w[k] for tj, w in zip(t, W)), F(0))
+                 for k, x in enumerate(base))
+
+
+def reduced_j_slice_oracle(model: ToricFanoModel, xi0, basis
+                           ) -> tuple[Fraction, tuple, int]:
+    """(value, argmin, minimizers) of ``reduced_coupled_j`` in plain
+    Fractions: the summed slope at -x = -xi0 + sum s_j w_j at every vertex s
+    of the cells of ``slice_cells_oracle``, the least (value, s) winning,
+    with argmin -sum s_j w_j; minimizers counts the distinct vertices that
+    attain the value."""
+    base = [-F(x) for x in xi0]
+    W = [[F(x) for x in w] for w in basis]
+    values = {s: _slope_sum(model, _on_slice(base, s, W))
+              for _, verts, _ in slice_cells_oracle(model, base, W) for s in verts}
+    value, s = min((v, s) for s, v in values.items())
+    argmin = tuple(-x for x in _on_slice([F(0)] * len(base), s, W))
+    return value, argmin, sum(v == value for v in values.values())
+
+
+def inner_sup_oracle(model: ToricFanoModel, basis, eta) -> tuple:
+    """(value, attained, argument, recession) of ``inner_twist_sup`` over a
+    nonempty basis, in plain Fractions.  The ratio at z is minus the least
+    pairing of the anticanonical vertices with z over ``_slope_sum``.  The
+    cells of ``slice_cells_oracle`` are scanned in fan order: each vertex t
+    scores eta + sum t_j w_j, and then each ray of its recession cone, from
+    ``cone_rays_oracle`` on its normals and scaled so that its last nonzero
+    entry is 1 or -1, scores sum d_j w_j.  A vertex replaces the best so far
+    with a larger value, or an equal one against a recession direction; a
+    recession direction only with a larger value."""
+    eta = [F(x) for x in eta]
+    W = [[F(x) for x in w] for w in basis]
+    antican = model.anticanonical.vertices
+
+    def ratio(z):
+        s = _slope_sum(model, z)
+        assert s > 0, z
+        return -min(_pair(v, z) for v in antican) / s
+
+    best = None
+    for _, verts, normals in slice_cells_oracle(model, eta, W):
+        for t in verts:
+            z = _on_slice(eta, t, W)
+            r = ratio(z)
+            if best is None or r > best[0] or (r == best[0] and not best[1]):
+                best = (r, True, z, None)
+        for g in cone_rays_oracle(normals, len(W)):
+            last = abs(next(x for x in reversed(g) if x))
+            z = _on_slice([F(0)] * len(eta), [F(x, last) for x in g], W)
+            r = ratio(z)
+            if best is None or r > best[0]:
+                best = (r, False, None, z)
+    return best
+
+
 # the one-dimensional subtori of the benchmark's rank-2 argument pool
 SUBTORI_2 = [((1, 0),), ((0, 1),), ((1, 1),), ((1, -1),), ((1, 2),), ((2, 1),)]
 
@@ -364,14 +436,19 @@ def min_support_cells(cone, p) -> list[tuple[tuple, list[tuple[int, ...]]]]:
     """The cells of ``eta -> min over p of <a, eta>`` in the cone, by the loop
     that ``geometry.restrict_min_support`` replaced with a walk over p's
     edges: for every vertex v of p, in order, the extreme rays of the cone
-    cut by ``<w - v, .> >= 0`` for every other vertex w, kept when they
-    span.  Returns (v, its sorted primitive rays) for each kept cell."""
+    cut by ``<w - v, .> >= 0`` for every other vertex w, kept when some
+    rank of them have a nonzero cofactor determinant.  The vertices are
+    scaled to integers once, and the differences taken on those.  Returns
+    (v, its sorted primitive rays) for each kept cell."""
     rank = len(cone.facets[0])
+    den = math.lcm(*(x.denominator for v in p.vertices for x in v))
+    ints = [tuple(x.numerator * (den // x.denominator) for x in v)
+            for v in p.vertices]
     cells = []
-    for v in p.vertices:
-        normals = [vsub(w, v) for w in p.vertices if w != v]
-        rays = sorted(cone_rays_oracle(list(cone.facets) + normals, rank))
-        if mat_rank(rays) == rank:
+    for v, n in zip(p.vertices, ints):
+        normals = [tuple(a - b for a, b in zip(w, n)) for w in ints if w != n]
+        rays = sorted(_int_cone_rays(list(cone.facets) + normals, rank))
+        if any(cofactor_det(list(sub)) for sub in itertools.combinations(rays, rank)):
             cells.append((v, rays))
     return cells
 

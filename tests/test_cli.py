@@ -108,6 +108,38 @@ def test_verbs_back_to_back_match_fresh_processes(capsys):
     assert build_parser() is build_parser()
 
 
+@pytest.mark.parametrize("argv", [
+    ["futaki", "p2", "--bogus"],                 # an unrecognized flag
+    ["futaki", "p2", "extra"],                   # an extra positional
+    ["jnorm", "p2"],                             # a missing --xi
+    ["delta", "p2", "--format", "xml"],          # a bad --format
+    ["verify", "p2", "--samples", "x"],          # a bad --samples
+    ["delta"],                                   # a missing model
+    ["lct", "-h"],                               # a verb's help
+    ["-h"],                                      # the whole help
+    ["nope", "p2"],                              # an unknown verb
+    [],                                          # no verb
+], ids=lambda argv: " ".join(argv) or "empty")
+def test_usage_errors_match_the_whole_parser(capsys, argv):
+    # a known verb is parsed by its own parser, but every usage error, and
+    # help, prints what the whole parser prints, with its exit code
+    code, out, err = run(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    want = capsys.readouterr()
+    assert (code, out, err) == (1 if exc.value.code else 0, want.out, want.err)
+    assert err or out
+
+
+def test_a_known_verb_skips_the_whole_parser(capsys, monkeypatch):
+    def whole():
+        raise AssertionError("the whole parser was used")
+
+    monkeypatch.setattr("ckstab.cli.build_parser", whole)
+    code, out, _ = run(capsys, "jnorm", "p2", "--xi", "-1,2", "--format", "table")
+    assert code == 0 and out.startswith("jnorm.provenance")
+
+
 def test_cli_imports_no_code_generating_modules():
     # a fresh interpreter without site that runs a verb in-process loads
     # none of the modules that generate or introspect code at import

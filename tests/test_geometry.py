@@ -7,11 +7,13 @@ so agreement is a real cross-check.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
 from fractions import Fraction as F
 from importlib import resources
+from operator import mul as operator_mul
 
 import pytest
 
@@ -20,8 +22,8 @@ from ckstab.cli import resolve_model_path
 from ckstab.geometry import (DimensionMismatch, EmptyRegion, ExactPolytope,
                              HalfSpace, UnboundedRegion, _edge_table, _int_det,
                              _minor_normal, centroid,
-                             dual_description, extreme_rays, lattice_points,
-                             minkowski_sum, normal_fan, primitive_vector,
+                             dual_description, lattice_points,
+                             minkowski_sum, normal_fan,
                              restrict_min_support, support_value, vdot, volume)
 from ckstab.serialize import load_model
 
@@ -347,8 +349,9 @@ def test_normal_fan_solves_no_rays(models, monkeypatch):
     for name, model in fixtures.items():
         normal_fan(model.anticanonical)
         assert calls == [], name
-    extreme_rays([(1, 0), (0, 1)], 2)
-    assert calls == [2]
+    # a hull and its cross-check
+    ExactPolytope.from_vertices([(0, 0), (1, 0), (0, 1)])
+    assert calls == [3, 3]
 
 
 def test_loading_and_face_queries_rescan_nothing(models, rank3_dir, monkeypatch):
@@ -423,8 +426,7 @@ def test_cone_roundtrip_and_rays_contract():
     # the rays of a cone's facets, with sums of two facets and a doubled
     # facet among them, are the cone's generators; _rays gives each ray
     # once, primitive, in the order in which the oracle's subset scan first
-    # finds it, with the rows the oracle scans tight at it, and
-    # extreme_rays in the same order
+    # finds it, with the rows the oracle scans tight at it
     rng = random.Random(31)
     repeated = 0
     for rank in (1, 2, 3, 4):
@@ -437,7 +439,6 @@ def test_cone_roundtrip_and_rays_contract():
             got = ckstab.geometry._rays(rows, rank)
             assert list(got.items()) == list(cone_rays_oracle(rows, rank).items())
             assert sorted(got) == list(cone.generators)
-            assert [primitive_vector(r) for r in extreme_rays(rows, rank)] == list(got)
             # a ray tight at rank rows or more is found by several subsets
             repeated += any(len(t) >= rank for t in got.values())
     assert repeated > 30
@@ -895,3 +896,72 @@ def test_from_rows_facets_match_the_rank_criterion():
         assert list(q.incidence) == inc
         tested += 1
     assert tested == 6
+
+
+def _clip_cuts(p, rng):
+    """(kind, a, c, d) cuts { x : <x, a> >= c / d } of p: through a vertex,
+    along an edge (a orthogonal to it), on a facet (either side), below the
+    minimum, above the maximum and between two vertex levels."""
+    rank = p.rank
+
+    def direction():
+        while True:
+            a = tuple(rng.randint(-3, 3) for _ in range(rank))
+            if any(a):
+                return a
+
+    def level(a, n):
+        return sum(map(operator_mul, a, n)), p.den
+
+    a = direction()
+    vals = sorted({sum(map(operator_mul, a, n)) for n in p.nums})
+    cuts = [("vertex", a, *level(a, rng.choice(p.nums))),
+            ("below", a, vals[0] * 3 - 1, p.den * 3),
+            ("above", a, vals[-1] * 2 + 1, p.den * 2)]
+    if len(vals) > 1:
+        cuts.append(("between", a, vals[0] + vals[1], 2 * p.den))
+    for i, row in enumerate(_edge_table(p)):
+        for e, j in row[:1]:
+            # a normal orthogonal to the edge direction e
+            b = direction()
+            b = tuple(x * sum(y * y for y in e) - sum(map(operator_mul, b, e)) * y
+                      for x, y in zip(b, e))
+            if any(b):
+                cuts.append(("edge", b, *level(b, p.nums[i])))
+    f, c = rng.choice(p.facets)
+    cuts += [("facet", f, c, p.den), ("facet", tuple(-x for x in f), -c, p.den)]
+    return cuts
+
+
+def test_clipped_region_matches_from_rows():
+    # the clip of a polytope by one half-space is the polytope that
+    # _from_rows solves from its facet rows and the cut, structurally, in
+    # ranks 1 to 4 and on points and segments; an empty cut raises as there
+    rng = random.Random(97)
+    polys = [p for _, p in _random_polytopes(97, per_shape=2, span=6)]
+    polys += [ExactPolytope.from_vertices(rand_rational_points(rng, r, 1))
+              for r in (2, 3, 4)]
+    polys.append(ExactPolytope.from_vertices(rand_rational_points(rng, 4, 2, 1)))
+    kinds, shapes = collections.Counter(), set()
+    for p in polys:
+        for kind, a, c, d in _clip_cuts(p, rng):
+            den = math.lcm(p.den, d)
+            rows = [(f, k * (den // p.den)) for f, k in p.facets]
+            rows.append((a, c * (den // d)))
+            try:
+                want = ExactPolytope._from_rows(den, rows, p.rank)
+            except EmptyRegion:
+                with pytest.raises(EmptyRegion):
+                    ckstab.geometry._clip(p, a, c, d)
+                kinds["empty"] += 1
+                continue
+            got = ckstab.geometry._clip(p, a, c, d)
+            assert ((got.den, got.nums, got.facets, got.incidence, got.dim, got.rank)
+                    == (want.den, want.nums, want.facets, want.incidence, want.dim,
+                        want.rank)), (p.vertices, kind, a, c, d)
+            kinds[kind] += 1
+            shapes.add((p.rank, p.dim))
+    assert kinds == {"empty": 24, "vertex": 24, "below": 24, "between": 18,
+                     "edge": 71, "facet": 48}
+    # every rank, with its points and segments
+    assert {(r, d) for r in (1, 2, 3, 4) for d in (0, 1) if d < r} <= shapes

@@ -33,7 +33,7 @@ import pytest
 from oracles import (SUBTORI_2, assert_summands_are_hulls,
                      cone_from_generators, min_support_cells)
 
-from ckstab import cli, geometry, toric
+from ckstab import cli, geometry, serialize, toric
 from ckstab.geometry import ExactPolytope, restrict_min_support, support_value
 from ckstab.serialize import load_model, model_from_json
 from ckstab.stability import (SubtorusSpec, coupled_delta, coupled_futaki,
@@ -167,6 +167,30 @@ def test_load_reads_summands_off_the_fan(rank3_dir, monkeypatch):
     # 9 of the 14 models split their polytope into two equal halves: all
     # but p1_skew, p1_thirds, p2_steps, bl1p2_hsplit and p3_quarters
     assert shared == 9
+
+
+def test_equal_tables_however_written_share_one_polytope(monkeypatch):
+    # a vertex fragment written alike is parsed once, and a table is
+    # reduced to its least denominator, so halves of P^2 written "-1/2" and
+    # "-2/4" are one certified polytope
+    parsed = Counter()
+
+    def counted(data, _fragment=serialize._fragment):
+        parsed[json.dumps(data)] += 1
+        return _fragment(data)
+
+    monkeypatch.setattr(serialize, "_fragment", counted)
+    third = {"vertices": [["-1/3", "-1/3"], ["2/3", "-1/3"], ["-1/3", "2/3"]]}
+    model = model_from_json({"rank": 2, "rays": P2, "decomposition": [third] * 3})
+    a, b, c = model.summands
+    assert a is b is c and list(parsed.values()) == [1]
+    halves = [{"vertices": [["-1/2", "-1/2"], ["1", "-1/2"], ["-1/2", "1"]]},
+              {"vertices": [["-2/4", "-2/4"], ["2/2", "-2/4"], [" -2/4", "4/4"]]}]
+    parsed.clear()
+    a, b = model_from_json({"rank": 2, "rays": P2, "decomposition": halves}).summands
+    assert a is b and len(parsed) == 2
+    assert a.den == 2 and a.vertices == tuple(sorted(tuple(map(F, v))
+                                                     for v in P2_HALF))
 
 
 def _vertices(*points) -> dict:

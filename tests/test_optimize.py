@@ -95,3 +95,27 @@ def test_zero_denominator_rays_are_left_out_and_negative_ones_raise():
     with pytest.raises(InternalInvariantError,
                        match=r"^denominator negative along ray \(0, -1\)$"):
         minimize_pl_ratio(values + [((0, -1), F(1), F(-1))])
+
+
+def test_integer_pairs_give_the_fraction_result():
+    # the same rays as int (numerator, denominator) pairs, scaled by
+    # different positive factors, and mixed with Fractions: the same value,
+    # ties and errors, and one Fraction built for the value
+    rng = random.Random(13)
+    for values in (_bl1p2_values(), _fan_values(
+            _QUAD, lambda g: F(0), lambda g: -support_value(_QUAD, g, "min")[0])):
+        want = minimize_pl_ratio(values)
+        for _ in range(20):
+            pairs = []
+            for g, num, den in values:
+                k = rng.randint(1, 9) * num.denominator * den.denominator
+                pairs.append((g, int(num * k), int(den * k)) if rng.random() < 0.7
+                             else (g, num, den))
+            got = minimize_pl_ratio(pairs)
+            assert got == want and type(got.value) is F
+    ties = [((0, 1), 2, 4), ((1, 0), 1, 2), ((-1, 0), F(3), 6)]
+    for order in (ties, ties[::-1], ties[1:] + ties[:1]):
+        assert minimize_pl_ratio(order) == (F(1, 2), (-1, 0))
+    with pytest.raises(InternalInvariantError,
+                       match=r"^denominator negative along ray \(0, -1\)$"):
+        minimize_pl_ratio(ties + [((0, -1), 1, -1)])

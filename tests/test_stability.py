@@ -14,7 +14,8 @@ import pytest
 
 from oracles import (SUBTORI_2, ding_of_twist, ding_via_sums,
                      dist2_to_affine, fan_cell_delta, mu_slope_scan,
-                     reduced_j_oracle, slice_cells_oracle,
+                     inner_sup_oracle, reduced_j_oracle,
+                     reduced_j_slice_oracle, slice_cells_oracle,
                      twisted_profile_oracle)
 
 import ckstab
@@ -155,7 +156,9 @@ def _positive_multiple(a, b) -> bool:
 
 def test_slice_cells_match_the_cramer_oracle(models, rank3_models):
     # the same cones, the same vertex lists in the same order, and the same
-    # facet normals up to a positive factor
+    # facet normals up to a positive factor; the library takes the slice
+    # over one denominator and gives each cell's vertices as integer
+    # numerators over one denominator
     rng = random.Random(59)
     cases = 0
     rank2_bases = [(), *SUBTORI_2, SubtorusSpec.full(2).basis]
@@ -167,14 +170,49 @@ def test_slice_cells_match_the_cramer_oracle(models, rank3_models):
             for _ in range(3):
                 base = tuple(F(rng.randint(-6, 6), rng.randint(1, 4))
                              for _ in range(model.rank))
-                got = list(_slice_cells(model, base, W))
+                c = math.lcm(*(x.denominator for v in (base, *W) for x in v))
+                b, *ws = [tuple(int(x * c) for x in v) for v in (base, *W)]
+                got = list(_slice_cells(model, b, ws))
                 want = slice_cells_oracle(model, base, W)
-                assert [(k, v) for k, v, _ in got] == [(k, v) for k, v, _ in want]
-                for (_, _, normals), (_, _, rows) in zip(got, want):
+                assert ([(k, [tuple(F(x, den) for x in n) for n in nums])
+                         for k, den, nums, _ in got]
+                        == [(k, v) for k, v, _ in want])
+                for (_, _, _, normals), (_, _, rows) in zip(got, want):
                     assert len(normals) == len(rows)
                     assert all(map(_positive_multiple, normals, rows))
                 cases += 1
     assert cases == 5 * 8 * 3 + 3 * 6 * 3
+
+
+def test_reduced_j_and_inner_sup_match_the_fraction_oracles(models, rank3_models):
+    # every field, on seeded bases and on integer ones, which tie more
+    # often: the least (value, s) of the reduced J norm, and the inner
+    # supremum with the cone-order tie rule, attained or along a recession
+    # direction
+    rng = random.Random(61)
+    ties = recession = cases = 0
+    pairs = [(m, [*SUBTORI_2, SubtorusSpec.full(2).basis])
+             for m in models.values() if m.rank == 2]
+    pairs += [(m, SUBTORI_3) for m in rank3_models.values()]
+    for model, bases in pairs:
+        for basis in bases:
+            for k in range(4):
+                den = (1, 1, 2, 3)[k]
+                xi0, eta = (tuple(F(rng.randint(-4, 4), den)
+                                  for _ in range(model.rank)) for _ in range(2))
+                sub = SubtorusSpec(basis)
+                res = reduced_coupled_j(model, xi0, sub=sub)
+                value, argmin, minimizers = reduced_j_slice_oracle(model, xi0, basis)
+                assert (res.value, res.argmin) == (value, argmin), (model.name, xi0)
+                ties += minimizers > 1
+                if sub.dim < model.rank and not sub.contains_direction(eta):
+                    got = inner_twist_sup(model, sub, eta)
+                    assert tuple(got) == inner_sup_oracle(model, basis, eta), (
+                        model.name, basis, eta)
+                    recession += not got.attained
+                cases += 1
+    assert cases == 4 * (5 * 7 + 3 * 6)
+    assert (ties, recession) == (23, 17)
 
 
 def test_reduced_j_tie_goes_to_the_greatest_twist(p2):
