@@ -9,8 +9,9 @@ would give for its plain form.  ``model_from_json`` hulls no vertex
 fragment: it parses each into a point table, which ``toric`` certifies and
 reads its polytope off; a half-space fragment is solved once by
 ``_from_rows``, and its vertices are its table.  A vertex fragment written
-alike is parsed once, and a table is reduced to its least denominator, so
-equal tables, however written, share one polytope.
+alike is parsed once, and so is each distinct coordinate string within a
+fragment; a table is reduced to its least denominator, so equal tables,
+however written, share one polytope.
 """
 
 from __future__ import annotations
@@ -102,10 +103,10 @@ def format_vec(v: Sequence) -> list[str]:
     return [format_rational(Fraction(x)) for x in v]
 
 
-def _ratios(data) -> list[tuple[int, int]]:
+def _ratios(data, ratio=_ratio) -> list[tuple[int, int]]:
     if not isinstance(data, (list, tuple)):
         raise ParseError(f"expected a vector, got {data!r}")
-    return [_ratio(x) for x in data]
+    return [ratio(x) for x in data]
 
 
 def parse_vec(data) -> Vec:
@@ -139,8 +140,19 @@ def _fragment(data) -> tuple:
     if not isinstance(data, dict):
         raise ParseError(f"polytope fragment must be an object, got {data!r}")
     if "vertices" in data:
-        den, nums = _table(
-            [_ratios(v) for v in _capped(data["vertices"], "vertices")])
+        seen: dict[str, tuple[int, int]] = {}
+
+        def ratio(x):
+            # vertices often spell a coordinate alike: each distinct string
+            # is parsed once
+            if type(x) is not str:
+                return _ratio(x)
+            if x not in seen:
+                seen[x] = _ratio(x)
+            return seen[x]
+
+        den, nums = _table([_ratios(v, ratio)
+                            for v in _capped(data["vertices"], "vertices")])
         return _point_table, den, tuple(nums)
     if "halfspaces" in data:
         normals, offsets = [], []

@@ -21,9 +21,9 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import CkstabError, InputError, InternalInvariantError
 from .geometry import (DimensionMismatch, ExactPolytope, IntVec, Vec,
-                       _cramer_vertices, _int_det, _int_directions, _pairings,
-                       _rays, as_vec, centroid, mat_rank, primitive_vector,
-                       vdot, vneg, vsub)
+                       _cramer_vertices, _int_det, _int_directions,
+                       _minor_normal, _pairings, _rank, _rays, as_vec,
+                       centroid, mat_rank, primitive_vector, vdot, vneg, vsub)
 from .toric import (TOTAL, TORIC_SEARCH_ASSUMPTION, MonomialIdealSeq, Ratio,
                     SummandIndex, ToricFanoModel, _containment_lct,
                     _fraction_sum, _log_discrepancy, _ratio_plus,
@@ -200,23 +200,85 @@ def reduced_coupled_j(model: ToricFanoModel, xi0: Sequence,
 
     The summed J norm at x = xi0 + xi is max_P <., x> - <b, x>, the summed
     expectation slope at -x (P is the certified sum of the summands and b
-    the coupled barycenter).  That function is linear on each fan cone and
-    grows at least like a multiple of |x|, because b lies inside P, so its
-    minimum over the slice -xi0 + span(W) is attained at a vertex of a
-    cell in which the fan cuts the slice.  Writing -x = -xi0 + sum s_j w_j,
-    a tied minimum goes to the lexicographically least s, that is to the
-    greatest twist coordinates t = -s in xi = sum t_j w_j.  Over the full
-    torus the infimum is zero, attained at minus the base twist.
+    the coupled barycenter).  That function is linear on each fan cone,
+    positively homogeneous of degree one, and grows at least like a
+    multiple of |x|, because b lies inside P; so it vanishes only at x = 0,
+    and its minimum over the slice -xi0 + span(W) is attained at a vertex
+    of a cell in which the fan cuts the slice.  Writing
+    -x = -xi0 + sum s_j w_j, a tied minimum goes to the lexicographically
+    least s, that is to the greatest twist coordinates t = -s in
+    xi = sum t_j w_j.  Four cases, after the slice is scaled to integers:
 
-    The slice is scaled to integers once, and the vertices of all its cells
-    are brought to one denominator L: then every slope sum is an integer
-    numerator over one denominator, and the least (numerator, s) pair wins
-    on ints.  ``Fraction``s are built for the value and the argmin only.
+    - the slice holds the origin (the full torus, or xi0 in the subtorus):
+      the infimum is zero, at the one point where the norm vanishes, the
+      twist -xi0;
+    - the trivial subtorus: the slice is the point -xi0, so the value is
+      the summed slope there and the twist is zero;
+    - a subtorus of corank one whose slice misses the origin: the slice is
+      a hyperplane <n, .> = c != 0, and a cell, a pointed cone cut by it,
+      has a vertex exactly where one of its rays meets it, so the vertices
+      of all cells are the points (c / <n, rho>) rho over the fan's rays
+      rho with <n, rho> of the sign of c (``_reduced_j_hyperplane``);
+    - any other subtorus: the cells themselves (``_reduced_j_cells``).
     """
     xi0 = as_vec(xi0)
     if sub is None:
         sub = SubtorusSpec.full(model.rank)
     den, (base, *W) = _int_directions([vneg(xi0), *sub.basis], model.rank)
+    if len(W) == model.rank or _rank([*W, base]) == len(W):
+        return ReducedJResult(Fraction(0), tuple([Fraction(x, den) for x in base]))
+    if not W:
+        return ReducedJResult(Fraction(*_total_s_sum(model, den, base)),
+                              (Fraction(0),) * model.rank)
+    if len(W) == model.rank - 1:
+        return _reduced_j_hyperplane(model, den, base, W)
+    return _reduced_j_cells(model, den, base, W)
+
+
+def _reduced_j_hyperplane(model: ToricFanoModel, den: int, base: IntVec,
+                          W: Sequence[IntVec]) -> ReducedJResult:
+    """:func:`reduced_coupled_j` on a slice (base + sum t_j w_j) / den of
+    corank one that misses the origin: the hyperplane <n, y> = c / den, n
+    the minor normal of W and c = <n, base> != 0.  A fan ray rho with
+    <n, rho> = q of the sign of c meets it at (c / q) rho / den; over the
+    lcm L of those q that is f rho / (L den), f = c L / q > 0, so its
+    summed slope is f times the slope at rho / (L den), over one
+    denominator for every ray.  Its twist coordinates solve
+    sum t_j w_j = (f rho - L base) / L, by Cramer's rule on the columns of
+    a maximal minor of W that is not zero; with the sign of that minor
+    taken into the numerators, the least (value, t) is the least pair of
+    integer numerators."""
+    rank = model.rank
+    n = _minor_normal(W, rank)
+    c = vdot(n, base)
+    qs = [(q, r) for q, r in zip(_pairings(model.rays, n), model.rays) if q * c > 0]
+    lcm = math.lcm(*[q for q, _ in qs])
+    j = next(i for i, x in enumerate(n) if x)
+    cols = [i for i in range(rank) if i != j]
+    M = [[w[i] for i in cols] for w in W]
+    sign = 1 if _int_det(M) > 0 else -1
+
+    def candidate(q, r):
+        f = c * (lcm // q)
+        rhs = [f * r[i] - lcm * base[i] for i in cols]
+        t = [sign * _int_det(M[:k] + [rhs] + M[k + 1:]) for k in range(len(M))]
+        num, sden = _total_s_sum(model, lcm * den, r)
+        return f * num, t, sden, f, r
+
+    num, _, sden, f, r = min([candidate(q, r) for q, r in qs])
+    return ReducedJResult(Fraction(num, sden),
+                          tuple([Fraction(lcm * b - f * x, lcm * den)
+                                 for b, x in zip(base, r)]))
+
+
+def _reduced_j_cells(model: ToricFanoModel, den: int, base: IntVec,
+                     W: Sequence[IntVec]) -> ReducedJResult:
+    """:func:`reduced_coupled_j` on the slice (base + sum t_j w_j) / den,
+    from the cells in which the fan cuts it.  The vertices of all cells
+    are brought to one denominator L: then every slope sum is an integer
+    numerator over one denominator, and the least (numerator, s) pair wins
+    on ints.  ``Fraction``s are built for the value and the argmin only.
+    """
     cells = [(d, nums) for _, d, nums, _ in _slice_cells(model, base, W) if nums]
     if not cells:
         raise InternalInvariantError("J slice met no fan cone; fan incomplete")
@@ -1003,10 +1065,13 @@ def _check_identities(model: ToricFanoModel, rng: random.Random, samples: int,
         check("twisted-ratio-ray-value", (xi2,),
               prof.limit, _ratio_at(model, xi2))
 
-    # reduced J of a twisted-trivial family vanishes at the cancelling twist
+    # reduced J of a twisted-trivial family vanishes at the cancelling twist:
+    # found on the cells, where reduced_coupled_j reads it off in closed form
+    full = SubtorusSpec.full(rank).basis
     for _ in range(max(1, samples // 20)):
         xi0 = _rand_vec(rng, rank, span=3)
-        res = reduced_coupled_j(model, xi0)
+        den, (base, *W) = _int_directions([vneg(xi0), *full], rank)
+        res = _reduced_j_cells(model, den, base, W)
         check("reduced-j-twist-cancellation", (xi0,), res.value, Fraction(0))
 
     # rounding stability of the mean slopes under twisting

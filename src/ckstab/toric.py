@@ -249,12 +249,16 @@ def _build_model(rays: Sequence[Sequence[int]],
             raise NotReflexive(f"ray {t} is not primitive")
         ray_list.append(t)
     ray_tuple = tuple(sorted(set(ray_list)))
-    if rank is None or _rank(ray_tuple) < rank:
+    if rank is None:
         raise RankMismatch("rays do not span the cocharacter space")
 
+    # _from_rows takes the rank of the normals first, so rays that do not
+    # span fail there, and only then is it taken again, to say so
     try:
         antican = ExactPolytope._from_rows(1, [(r, -1) for r in ray_tuple], rank)
     except GeometryError as exc:
+        if _rank(ray_tuple) < rank:
+            raise RankMismatch("rays do not span the cocharacter space") from None
         raise NotReflexive(f"ray half-spaces do not bound a polytope: {exc}") from exc
     if antican.dim != rank:
         raise NotReflexive("anticanonical polytope is not full-dimensional")

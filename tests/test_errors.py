@@ -364,7 +364,7 @@ def test_input_error_after_failed_identity_exits_2(monkeypatch):
 
     monkeypatch.setattr("ckstab.stability.centroid",
                         lambda p: (F(1, 7),) * p.rank)
-    monkeypatch.setattr("ckstab.stability.reduced_coupled_j", broken)
+    monkeypatch.setattr("ckstab.stability._reduced_j_cells", broken)
     code, out, err = run("verify", "p2_halves", "--samples", "2")
     assert code == 2 and out == ""
     (line,) = err.strip().splitlines()

@@ -27,12 +27,13 @@ from ckstab.filtration import (FiltrationFamily, GridMismatch,
                                round_weights, shift, trivial_family,
                                twist_family, valuation_family,
                                valuation_filtration)
-from ckstab.geometry import DimensionMismatch, ExactPolytope, HalfSpace
+from ckstab.geometry import (DimensionMismatch, ExactPolytope, HalfSpace,
+                             _int_directions)
 from ckstab.serialize import load_model
 from ckstab.stability import (DegenerateSubtorus, DingResult, RankTooHigh,
                               StabilityError, SubtorusSpec, SuiteFailure,
-                              _slice_cells, coupled_delta, coupled_ding,
-                              coupled_futaki, find_destabilizer,
+                              _reduced_j_cells, _slice_cells, coupled_delta,
+                              coupled_ding, coupled_futaki, find_destabilizer,
                               identity_suite, inner_twist_sup,
                               inradius_squared, j_twist, mu_slope,
                               reduced_coupled_delta, reduced_coupled_j,
@@ -213,6 +214,66 @@ def test_reduced_j_and_inner_sup_match_the_fraction_oracles(models, rank3_models
                 cases += 1
     assert cases == 4 * (5 * 7 + 3 * 6)
     assert (ties, recession) == (23, 17)
+
+
+# five rank-3 planes, two of them not coordinate planes, and a line
+PLANES_3 = [((1, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1)),
+            ((1, 1, 0), (0, 0, 1)), ((1, -1, 2), (0, 1, 1))]
+LINE_3 = ((1, -1, 2),)
+
+
+def test_reduced_j_fast_branches_match_the_cells(rank3_models, monkeypatch):
+    # each closed form against the cell routine, on value and argmin: the
+    # slice through the origin, the point of the trivial subtorus and the
+    # hyperplane of a corank-one subtorus solve no cell, and a rank-3 line
+    # stays on the cells
+    solved = []
+
+    def counted(*args):
+        solved.append(args)
+        return _slice_cells(*args)
+
+    monkeypatch.setattr("ckstab.stability._slice_cells", counted)
+    fixtures = resources.files("ckstab") / "fixtures"
+    every = [load_model(str(p)) for p in sorted(fixtures.iterdir(), key=str)
+             if p.name.endswith(".json")]
+    assert len(every) == 11
+    primitive = [(a, b) for a, b in itertools.product(range(-2, 3), repeat=2)
+                 if math.gcd(a, b) == 1]
+    rng = random.Random(89)
+    branches = collections.Counter()
+    for model in every + list(rank3_models.values()):
+        rank = model.rank
+        bases = [SubtorusSpec.full(rank).basis, ()]
+        bases += {2: [(v,) for v in primitive], 3: [*PLANES_3, LINE_3]}.get(rank, [])
+        for basis in bases:
+            sub = SubtorusSpec(basis)
+            for k in range(5):
+                den = rng.randint(1, 5)
+                if k == 0:   # a fifth of the draws inside the subtorus
+                    r = [F(rng.randint(-4, 4), den) for _ in basis]
+                    xi0 = tuple(sum([x * w[i] for x, w in zip(r, basis)], F(0))
+                                for i in range(rank))
+                else:
+                    xi0 = tuple(F(rng.randint(-4, 4), den) for _ in range(rank))
+                del solved[:]
+                res = reduced_coupled_j(model, xi0, sub=sub)
+                fast = not solved
+                d, (base, *W) = _int_directions(
+                    [tuple(-x for x in xi0), *basis], rank)
+                want = _reduced_j_cells(model, d, base, W)
+                assert (res.value, res.argmin) == (want.value, want.argmin), (
+                    model.name, basis, xi0)
+                if sub.contains_direction(xi0):
+                    branch = "origin"
+                    assert (res.value, res.argmin) == (0, tuple(-x for x in xi0))
+                elif not basis:
+                    branch = "point"
+                else:
+                    branch = {rank - 1: "hyperplane"}.get(len(basis), "cells")
+                assert fast == (branch != "cells"), (model.name, basis, xi0)
+                branches[branch] += 1
+    assert branches == {"origin": 253, "point": 53, "hyperplane": 472, "cells": 12}
 
 
 def test_reduced_j_tie_goes_to_the_greatest_twist(p2):
@@ -730,7 +791,7 @@ def test_identity_suite_error_after_failed_check(p2, monkeypatch):
     # a library error after a failed check still reports the counterexample
     monkeypatch.setattr("ckstab.stability.centroid",
                         lambda p: (F(1, 7),) * p.rank)
-    monkeypatch.setattr("ckstab.stability.reduced_coupled_j", _injected)
+    monkeypatch.setattr("ckstab.stability._reduced_j_cells", _injected)
     with pytest.raises(SuiteFailure) as info:
         identity_suite(p2, samples=2, seed=0)
     assert info.value.identity == "barycenter-cache-consistency"
@@ -740,7 +801,7 @@ def test_identity_suite_error_after_failed_check(p2, monkeypatch):
 
 def test_identity_suite_error_without_failed_check(p2, monkeypatch):
     # with every check passed so far, the library error is raised as is
-    monkeypatch.setattr("ckstab.stability.reduced_coupled_j", _injected)
+    monkeypatch.setattr("ckstab.stability._reduced_j_cells", _injected)
     with pytest.raises(StabilityError, match="injected") as info:
         identity_suite(p2, samples=2, seed=0)
     assert not isinstance(info.value, SuiteFailure)

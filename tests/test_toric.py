@@ -76,7 +76,7 @@ def test_nonprimitive_ray_rejected():
 
 def test_rays_must_span():
     p = ExactPolytope.from_vertices([(0, 0), (1, 0)])
-    with pytest.raises(RankMismatch):
+    with pytest.raises(RankMismatch, match="^rays do not span the cocharacter space$"):
         build_model([[1, 0], [-1, 0]], [p, p])
 
 
