@@ -11,20 +11,25 @@ with no hull and no rank.  ``_rays`` finds it with the vertices, and
 every face query compares its sets: a face is the set of vertices tight on
 some facets, and the facets common to two vertices cut out the least face
 that holds both.  The edge table (``_edge_table``) takes the vertex pairs
-whose least face holds no third vertex.  ``normal_cones`` reads from it the
-cones on which ``min_{a in p} <a, .>`` is linear, one per minimizing vertex
-(``normal_fan`` pairs each with its vertex): a cone's generators are the
-vertex's tight facet normals and its facets are the vertex's edge
-directions, so no ray is solved for.
+whose least face holds no third vertex; a polytope builds it on first use
+and keeps it (``ExactPolytope.edges``), so the normal fan of the
+anticanonical polytope and every clip of it share one.  ``normal_cones``
+reads from it the cones on which ``min_{a in p} <a, .>`` is linear, one
+per minimizing vertex (``normal_fan`` pairs each with its vertex): a
+cone's generators are the vertex's tight facet normals and its facets are
+the vertex's edge directions, so no ray is solved for.
 ``restrict_min_support`` subdivides cones into the cells of such a
-minimum.  It builds the edge table once and walks the cells of each cone
-from the vertices that minimize at its probe, crossing only walls of full
-dimension inside the cone, so it solves each full-dimensional cell once,
-by one ``_rays`` call over the cone's facets and that vertex's edge
-directions.  The lc threshold scans the union of those rays.  The
-triangulation behind ``centroid`` and ``volume`` (``_triangulation``)
-pulls each face's least vertex over the greatest of the faces cut from it
-by the facets of the polytope, as sets of vertex indices.
+minimum.  A cone that lies in the normal cone of the one vertex that
+minimizes at its probe is its own cell, its generators, with no solve.
+Any other cone is walked from the vertices that minimize at its probe,
+crossing only walls of full dimension inside the cone, so each
+full-dimensional cell is solved once, by one ``_rays`` call over the
+cone's facets and that vertex's edge directions.  The lc threshold scans
+the union of those rays.  The triangulation behind ``centroid`` and
+``volume`` (``_triangulation``) pulls each face's least vertex over the
+greatest of the faces cut from it by the facets of the polytope, as sets
+of vertex indices.  An incidence is read the other way, facets to
+vertices or back, in one pass (``_transpose``).
 
 Intended for small ambient ranks (p <= 4).  One loop, ``_rays``,
 enumerates subsets of rows by brute force, which is entirely adequate at
@@ -86,7 +91,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import mul
+from operator import mul, neg, sub
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InputError, InternalInvariantError
@@ -136,11 +141,11 @@ def _exact_entries(coords: Iterable) -> tuple:
 
 
 def vsub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def vneg(a: Vec) -> Vec:
-    return tuple(-x for x in a)
+    return tuple(map(neg, a))
 
 
 def vdot(a: Sequence, b: Sequence):
@@ -363,17 +368,20 @@ class ExactPolytope:
     ``den`` (which keeps both orders).  The ``Fraction`` ``vertices`` are
     built from the table on first read and kept; most polytopes, such as
     the summands of a model behind most verbs, are never asked for them.
-    ``halfspaces`` is a read-only view of ``facets`` as ``HalfSpace``s,
-    built on each access.  A polytope is never changed after construction,
-    so equal summands of a model may share one.
+    So is the edge table ``edges`` (``_edge_table``), which the normal fan
+    and every clip of the polytope read.  ``halfspaces`` is a read-only
+    view of ``facets`` as ``HalfSpace``s, built on each access.  A polytope
+    is never changed after construction, so equal summands of a model may
+    share one.
     """
 
-    __slots__ = ("_vertices", "facets", "dim", "rank", "den", "nums", "incidence")
+    __slots__ = ("_vertices", "_edges", "facets", "dim", "rank", "den", "nums",
+                 "incidence")
 
     def __init__(self, den: int, nums: Sequence[IntVec], facets: Sequence[Facet],
                  incidence: Sequence[frozenset[int]], dim: int, rank: int):
         # every facet offset is a pairing with a vertex, so it divides too
-        g = math.gcd(den, *(x for n in nums for x in n))
+        g = math.gcd(den, *itertools.chain.from_iterable(nums))
         if g > 1:
             den //= g
             nums = [tuple([x // g for x in n]) for n in nums]
@@ -383,6 +391,7 @@ class ExactPolytope:
         self.facets: tuple[Facet, ...] = tuple(facets)
         self.incidence: tuple[frozenset[int], ...] = tuple(incidence)
         self._vertices: Optional[tuple[Vec, ...]] = None
+        self._edges: Optional[list[list[tuple[IntVec, int]]]] = None
         self.dim = dim
         self.rank = rank
 
@@ -393,6 +402,12 @@ class ExactPolytope:
             self._vertices = tuple(tuple([Fraction(x, den) for x in n])
                                    for n in self.nums)
         return self._vertices
+
+    @property
+    def edges(self) -> list[list[tuple[IntVec, int]]]:
+        if self._edges is None:
+            self._edges = _edge_table(self)
+        return self._edges
 
     @property
     def halfspaces(self) -> tuple[HalfSpace, ...]:
@@ -443,9 +458,7 @@ class ExactPolytope:
             raise EmptyRegion("contradictory constraints")
         if not nums:
             raise EmptyRegion("half-space intersection is empty")
-        return _from_tight(vden, nums, normals,
-                           [frozenset([i for i, t in enumerate(tight) if r in t])
-                            for r in range(len(rows))], rank)
+        return _from_tight(vden, nums, normals, _transpose(tight, len(rows)), rank)
 
     # -- queries ------------------------------------------------------------
 
@@ -517,11 +530,11 @@ def _from_tight(den: int, nums: list[IntVec], normals: Sequence[IntVec],
     faces = {}
     for a, face in zip(normals, on):
         if face in top:
-            prim = _primitive(a)
-            faces[prim, sum(map(mul, nums[min(face)], prim))] = face
+            if math.gcd(*a) != 1:
+                a = _primitive(a)
+            faces[a, sum(map(mul, nums[min(face)], a))] = face
     facets = sorted(faces)
-    incidence = [frozenset([k for k, f in enumerate(facets) if i in faces[f]])
-                 for i in range(len(nums))]
+    incidence = _transpose([faces[f] for f in facets], len(nums))
     if min(map(len, incidence)) < rank:
         raise InternalInvariantError("a vertex lies on fewer facets than the rank")
     return ExactPolytope(den, nums, facets, incidence, rank, rank)
@@ -545,7 +558,7 @@ def _clip(p: ExactPolytope, a: IntVec, c: int, d: int) -> ExactPolytope:
               for i, (n, s) in enumerate(zip(p.nums, slack)) if s >= 0]
     if not points:
         raise EmptyRegion("half-space intersection is empty")
-    edges = _edge_table(p)
+    edges = p.edges
     for i, si in enumerate(slack):
         if si > 0:
             ni = p.nums[i]
@@ -561,8 +574,7 @@ def _clip(p: ExactPolytope, a: IntVec, c: int, d: int) -> ExactPolytope:
     table = sorted((tuple([y * (lcm // t) for y in n]), tight)
                    for n, t, tight in points)
     normals = [f for f, _ in p.facets] + [a]
-    on = [frozenset([i for i, (_, tight) in enumerate(table) if k in tight])
-          for k in range(len(normals))]
+    on = _transpose([tight for _, tight in table], len(normals))
     return _from_tight(p.den * lcm, [n for n, _ in table], normals, on, p.rank)
 
 
@@ -732,9 +744,24 @@ def _incidence(nums: Sequence[IntVec], facets: Sequence[Facet]
 
 
 def _maximal(sets: Iterable[frozenset[int]]) -> list[frozenset[int]]:
-    """The nonempty sets that no other set strictly contains, each once."""
-    sets = set(sets)
-    return [s for s in sets if s and not any(s < t for t in sets)]
+    """The nonempty sets that no other set strictly contains, each once.
+    The sets are taken largest first, and each is compared only with the
+    maximal ones already taken: a larger set that holds it lies in one."""
+    out: list[frozenset[int]] = []
+    for s in sorted(set(sets), key=len, reverse=True):
+        if s and not any(s < t for t in out):
+            out.append(s)
+    return out
+
+
+def _transpose(sets: Sequence[Iterable[int]], n: int) -> list[frozenset[int]]:
+    """An incidence read the other way, in one pass: for each k < n, the
+    frozenset of the indices i with k in ``sets[i]``."""
+    out: list[list[int]] = [[] for _ in range(n)]
+    for i, s in enumerate(sets):
+        for k in s:
+            out[k].append(i)
+    return [frozenset(x) for x in out]
 
 
 def _triangulation(p: ExactPolytope) -> Iterator[tuple[int, list[IntVec]]]:
@@ -756,8 +783,7 @@ def _triangulation(p: ExactPolytope) -> Iterator[tuple[int, list[IntVec]]]:
     """
     nums = p.nums
     # the vertices on each facet
-    on = [frozenset([i for i, ks in enumerate(p.incidence) if k in ks])
-          for k in range(len(p.facets))]
+    on = _transpose(p.incidence, len(p.facets))
 
     def pull(v0: int, d: int, ridges: Iterable[tuple[int, ...]]
              ) -> list[tuple[int, ...]]:
@@ -894,7 +920,8 @@ def _edge_table(p: ExactPolytope) -> list[list[tuple[IntVec, int]]]:
     edges: list[list[tuple[IntVec, int]]] = [[] for _ in p.nums]
     for i, j in itertools.combinations(range(len(p.nums)), 2):
         common = tight[i] & tight[j]
-        if sum([common <= t for t in tight]) == 2:
+        # the search stops at the first third vertex tight on all of them
+        if not any(common <= t for k, t in enumerate(tight) if k != i and k != j):
             d = _primitive(vsub(p.nums[j], p.nums[i]))
             edges[i].append((d, j))
             edges[j].append((vneg(d), i))
@@ -911,22 +938,30 @@ def restrict_min_support(cones: Sequence[Cone], p: ExactPolytope
     Works for degenerate polytopes as well.  The vertex v wins on the cone
     intersected with its normal cone, which the edge directions at v cut
     out, so a cell is one ``_rays`` solve over the cone's facets and v's
-    edges; the edge table is built once for all the cones.  Only the
-    full-dimensional cells are solved, by a walk: the vertices that
-    minimize at the cone's probe (the sum of its generators, an interior
-    point) have one, and from the cell of v the walk crosses the edge to w
-    where the cell's rays on ``<w - v, .> = 0`` span a wall of rank
-    ``rank - 1`` that is not on a facet of the cone.  Such a wall meets the
-    cone's interior, so w has a full-dimensional cell there too; and as the
-    cells subdivide the convex cone, the walk reaches each of them.
+    edges; the edge table is read once for all the cones (``p.edges``).
+    A cone that lies in one normal cone is not split: when one vertex v
+    alone minimizes at the cone's probe (the sum of its generators, an
+    interior point) and every edge direction at v pairs nonnegatively with
+    every generator, the cone is its own one cell, its sorted generators,
+    with no solve.  Otherwise only the full-dimensional cells are solved,
+    by a walk: the vertices that minimize at the probe have one, and from
+    the cell of v the walk crosses the edge to w where the cell's rays on
+    ``<w - v, .> = 0`` span a wall of rank ``rank - 1`` that is not on a
+    facet of the cone.  Such a wall meets the cone's interior, so w has a
+    full-dimensional cell there too; and as the cells subdivide the convex
+    cone, the walk reaches each of them.
     """
-    edges = _edge_table(p)
+    edges = p.edges
     out = []
     for cone in cones:
         rank, facets = cone.rank, set(cone.facets)
         vals = _pairings(p.nums, list(map(sum, zip(*cone.generators))))
         low = min(vals)
         todo = [i for i, x in enumerate(vals) if x == low]
+        if len(todo) == 1 and all(sum(map(mul, d, g)) >= 0 for d, _ in edges[todo[0]]
+                                  for g in cone.generators):
+            out.append([sorted(cone.generators)])
+            continue
         cells: dict[int, list[IntVec]] = {}
         while todo:
             i = todo.pop()
@@ -961,7 +996,7 @@ def normal_cones(p: ExactPolytope) -> list[Cone]:
         raise DegenerateInput("normal fan needs a full-dimensional polytope")
     return [Cone(tuple(sorted(p.facets[k][0] for k in t)),
                  tuple(sorted(d for d, _ in e)))
-            for t, e in zip(p.incidence, _edge_table(p))]
+            for t, e in zip(p.incidence, p.edges)]
 
 
 def normal_fan(p: ExactPolytope) -> list[tuple[Cone, Vec]]:

@@ -468,13 +468,19 @@ def coupled_delta(model: ToricFanoModel) -> DeltaResult:
     anticanonical polytope at level -1, and the summed slope is
     ``1 + <b, rho>`` for the coupled barycenter b.  So the threshold is the
     least ``1 / (1 + <b, rho>)``, at the least ray on a tie."""
-    den = model.bary_den
-    # bary_den times the summed slope along each ray, in sorted ray order
-    slopes = [den + vdot(model.bary_nums[-1], rho) for rho in model.rays]
+    slopes = _ray_slopes(model)
     if min(slopes) <= 0:
         raise InternalInvariantError("summed slope not positive on a fan ray")
     k = slopes.index(max(slopes))
-    return DeltaResult(Fraction(den, slopes[k]), model.rays[k])
+    return DeltaResult(Fraction(model.bary_den, slopes[k]), model.rays[k])
+
+
+def _ray_slopes(model: ToricFanoModel) -> list[int]:
+    """``bary_den`` times the summed slope ``1 + <b, rho>`` at each fan ray
+    rho, in sorted ray order; the log discrepancy is one there, so the
+    ratio at rho is ``bary_den`` over it."""
+    den, b = model.bary_den, model.bary_nums[-1]
+    return [den + vdot(b, rho) for rho in model.rays]
 
 
 class VerdictReport(NamedTuple):
@@ -559,31 +565,109 @@ def inner_twist_sup(model: ToricFanoModel, sub: SubtorusSpec,
     """Exact sup over subtorus twists xi of the ratio at eta + xi.
 
     Per fan cone the ratio is linear-fractional in the twist parameters
-    with positive denominator, so the supremum over each cell is attained
-    at a vertex or approached along an extreme recession direction, whose
-    limit value is the ratio at the direction itself.
+    with positive denominator, so the supremum over each cell in which the
+    fan cuts the slice is attained at a vertex or approached along an
+    extreme recession direction, whose limit value is the ratio at the
+    direction itself.
 
     Candidates come cone by cone in fan order: first the cell's vertices,
     in increasing lexicographic order of their twist coordinates, then its
     recession directions.  A candidate replaces the best so far only with a
     larger value, or with an equal attained value against an unattained
-    one, so on a tie inside a cone ``argument`` is at the least twist.
+    one.  So the value is the greatest, and an attained one is preferred
+    to an equal limit wherever it comes; the order still names the point:
+    on a tie the first attained vertex in that order is ``argument`` (in
+    a cone, the least twist), and with no attained one the first recession
+    direction is ``recession``.
 
-    The slice is scaled to integers once and each candidate is scored on
-    its integer point, the ratio being of degree zero, as a pair of ints
-    compared by cross-multiplication; ``Fraction``s are built for the
-    winner only.
+    The slice is scaled to integers once, and each candidate is scored as
+    a pair of ints compared by cross-multiplication; ``Fraction``s are
+    built for the winner only.  In rank 2 the slice is a line and its
+    candidates are read off the fan (``_inner_sup_line``); above, off the
+    cells (``_inner_sup_cells``).
     """
     eta = as_vec(eta)
     if len(eta) != model.rank:
         raise DimensionMismatch(f"rank {model.rank} vs {len(eta)}")
     if sub.contains_direction(eta):
         raise StabilityError("slice direction lies in the subtorus")
-    s = sub.dim
-    if s == 0:
+    if sub.dim == 0:
         return InnerSup(_ratio_at(model, eta), True, eta, None)
-    basis = sub.basis
-    den, (base, *W) = _int_directions([eta, *basis], model.rank)
+    den, (base, *W) = _int_directions([eta, *sub.basis], model.rank)
+    if model.rank == 2:
+        return _inner_sup_line(model, den, base, W[0], sub.basis[0])
+    return _inner_sup_cells(model, den, base, W, sub.basis)
+
+
+def _inner_sup(best: Optional[tuple]) -> InnerSup:
+    """The ``InnerSup`` of the best candidate (numerator, denominator,
+    attained, point numerators, point denominator)."""
+    if best is None:
+        raise InternalInvariantError("twist slice met no fan cone; fan incomplete")
+    num, nd, attained, z, zden = best
+    point = tuple([Fraction(x, zden) for x in z])
+    return InnerSup(Fraction(num, nd), attained, point if attained else None,
+                    None if attained else point)
+
+
+def _inner_sup_line(model: ToricFanoModel, den: int, base: IntVec, w: IntVec,
+                    v: IntVec) -> InnerSup:
+    """:func:`inner_twist_sup` in rank 2 on the line (base + t w) / den,
+    which misses the origin, w = c v for the subtorus generator v and
+    c > 0: the candidates of ``_inner_sup_cells``, in the same order, with
+    no cell solved.
+
+    With D = det(base, w), the line meets the ray rho exactly where
+    base + t w = (D / det(rho, w)) rho, when det(rho, w) has the sign of D;
+    in rank 2 the boundary of a cone is its two generators, so the
+    vertices of a cone's cell are the generators the line meets.  On the
+    line t grows from the generator rho to rho' when det(rho, rho') has the
+    sign of D as well.  A vertex is a positive multiple of its ray, and the
+    ratio is of degree zero, so it scores as the ray: ``bary_den`` over
+    ``_ray_slopes``.  The cell recedes along w when every facet n of the
+    cone has <n, w> > 0, or <n, w> = 0 and <n, base> >= 0 (the facet rows
+    of ``_slice_cells``), and along -w likewise; each of v and -v is
+    scored once.
+    """
+    D = base[0] * w[1] - base[1] * w[0]
+    sign = 1 if D > 0 else -1
+    # det(rho, w) with the sign of D taken in: positive where the line
+    # meets rho, at the point (|D| rho) / (meets[rho] den)
+    meets = {r: (r[0] * w[1] - r[1] * w[0]) * sign for r in model.rays}
+    slopes = dict(zip(model.rays, _ray_slopes(model)))
+    bden = model.bary_den
+    ends = [(s, d, _int_ratio(model, d, lambda: as_vec(d)))
+            for s, d in ((1, v), (-1, vneg(v)))]
+    best = None
+    for cone in model.fan:
+        verts = [r for r in cone.generators if meets[r] > 0]
+        if len(verts) == 2 and (verts[0][0] * verts[1][1]
+                                - verts[0][1] * verts[1][0]) * sign < 0:
+            verts.reverse()
+        for r in verts:
+            nd = slopes[r]
+            if best is not None:
+                lhs, rhs = bden * best[1], best[0] * nd
+                if lhs < rhs or (lhs == rhs and best[2]):
+                    continue
+            best = (bden, nd, True, tuple([abs(D) * x for x in r]), meets[r] * den)
+        pairs = [(n[0] * w[0] + n[1] * w[1], n[0] * base[0] + n[1] * base[1])
+                 for n in cone.facets]
+        for s, d, (num, nd) in ends:
+            if all((s * a, b) >= (0, 0) for a, b in pairs):
+                if best is None or num * best[1] > best[0] * nd:
+                    best = (num, nd, False, d, 1)
+    return _inner_sup(best)
+
+
+def _inner_sup_cells(model: ToricFanoModel, den: int, base: IntVec,
+                     W: Sequence[IntVec], basis: Sequence[IntVec]) -> InnerSup:
+    """:func:`inner_twist_sup` on the slice (base + sum t_j w_j) / den, w_j
+    the subtorus basis scaled by den, from the cells in which the fan cuts
+    it: each vertex is scored on its integer point, the ratio being of
+    degree zero, and each recession direction on its point in the
+    subtorus basis."""
+    s = len(W)
     # the best (numerator, denominator), whether attained, and the
     # candidate's point as integer numerators over a positive denominator
     best = None
@@ -609,12 +693,7 @@ def inner_twist_sup(model: ToricFanoModel, sub: SubtorusSpec,
             if best is not None and num * best[1] <= best[0] * nd:
                 continue
             best = (num, nd, False, z, last)
-    if best is None:
-        raise InternalInvariantError("twist slice met no fan cone; fan incomplete")
-    num, nd, attained, z, zden = best
-    point = tuple([Fraction(x, zden) for x in z])
-    return InnerSup(Fraction(num, nd), attained, point if attained else None,
-                    None if attained else point)
+    return _inner_sup(best)
 
 
 class ReducedDeltaResult(NamedTuple):
@@ -634,7 +713,10 @@ def reduced_coupled_delta(model: ToricFanoModel, sub: SubtorusSpec) -> ReducedDe
     infinity.  For the trivial subtorus no twisting is allowed and the
     value equals the plain threshold.  In rank two with a one-dimensional
     subtorus the quotient of slice directions is one-dimensional, so the
-    two primitive coset representatives give the exact infimum.
+    two primitive coset representatives give the exact infimum.  Each of
+    their inner suprema runs along a line, and is read off the fan's rays
+    where the line crosses them and the two ends of the line
+    (``_inner_sup_line``), so no cell is solved.
     """
     rank = model.rank
     for v in sub.basis:
@@ -664,7 +746,9 @@ def reduced_coupled_delta(model: ToricFanoModel, sub: SubtorusSpec) -> ReducedDe
     best_dir = None
     best_inner = None
     for cand in (eta0, tuple(-c for c in eta0)):
-        inner = inner_twist_sup(model, sub, cand)
+        # what inner_twist_sup(model, sub, cand) returns: cand is integral
+        # and off the line of w, so it is its own integer slice base
+        inner = _inner_sup_line(model, 1, cand, w, w)
         if best_val is None or inner.value < best_val or (
                 inner.value == best_val and cand < best_dir):
             best_val, best_dir, best_inner = inner.value, cand, inner

@@ -336,16 +336,15 @@ def reduced_j_slice_oracle(model: ToricFanoModel, xi0, basis
     return value, argmin, sum(v == value for v in values.values())
 
 
-def inner_sup_oracle(model: ToricFanoModel, basis, eta) -> tuple:
-    """(value, attained, argument, recession) of ``inner_twist_sup`` over a
-    nonempty basis, in plain Fractions.  The ratio at z is minus the least
-    pairing of the anticanonical vertices with z over ``_slope_sum``.  The
-    cells of ``slice_cells_oracle`` are scanned in fan order: each vertex t
-    scores eta + sum t_j w_j, and then each ray of its recession cone, from
-    ``cone_rays_oracle`` on its normals and scaled so that its last nonzero
-    entry is 1 or -1, scores sum d_j w_j.  A vertex replaces the best so far
-    with a larger value, or an equal one against a recession direction; a
-    recession direction only with a larger value."""
+def inner_sup_candidates(model: ToricFanoModel, basis, eta) -> list[tuple]:
+    """(value, attained, point) of every candidate of ``inner_twist_sup``
+    over a nonempty basis, in its scan order and in plain Fractions.  The
+    ratio at z is minus the least pairing of the anticanonical vertices
+    with z over ``_slope_sum``.  The cells of ``slice_cells_oracle`` are
+    scanned in fan order: each vertex t scores eta + sum t_j w_j, and then
+    each ray of its recession cone, from ``cone_rays_oracle`` on its
+    normals and scaled so that its last nonzero entry is 1 or -1, scores
+    sum d_j w_j."""
     eta = [F(x) for x in eta]
     W = [[F(x) for x in w] for w in basis]
     antican = model.anticanonical.vertices
@@ -355,19 +354,28 @@ def inner_sup_oracle(model: ToricFanoModel, basis, eta) -> tuple:
         assert s > 0, z
         return -min(_pair(v, z) for v in antican) / s
 
-    best = None
+    out = []
     for _, verts, normals in slice_cells_oracle(model, eta, W):
         for t in verts:
             z = _on_slice(eta, t, W)
-            r = ratio(z)
-            if best is None or r > best[0] or (r == best[0] and not best[1]):
-                best = (r, True, z, None)
+            out.append((ratio(z), True, z))
         for g in cone_rays_oracle(normals, len(W)):
             last = abs(next(x for x in reversed(g) if x))
             z = _on_slice([F(0)] * len(eta), [F(x, last) for x in g], W)
-            r = ratio(z)
-            if best is None or r > best[0]:
-                best = (r, False, None, z)
+            out.append((ratio(z), False, z))
+    return out
+
+
+def inner_sup_oracle(model: ToricFanoModel, basis, eta) -> tuple:
+    """(value, attained, argument, recession) of ``inner_twist_sup`` over a
+    nonempty basis, from ``inner_sup_candidates``: a vertex replaces the
+    best so far with a larger value, or an equal one against a recession
+    direction; a recession direction only with a larger value."""
+    best = None
+    for r, attained, z in inner_sup_candidates(model, basis, eta):
+        if best is None or r > best[0] or (attained and r == best[0]
+                                            and not best[1]):
+            best = (r, True, z, None) if attained else (r, False, None, z)
     return best
 
 

@@ -549,6 +549,58 @@ def test_min_support_walk_solves_only_its_cells(monkeypatch, rank3_models, lct_p
             sum(found[len(seeded):])) == (672, 168)
 
 
+def test_whole_cones_solve_no_cell(monkeypatch, models, rank3_models, lct_pool):
+    # a cone inside the normal cone of the one vertex that minimizes at its
+    # probe is returned whole, with no _rays solve; a split cone solves each
+    # of its cells once: on the lct regions of the benchmark's (eta, level)
+    # pairs, on every fixture and rank-3 model of their rank
+    from ckstab import geometry
+    from ckstab.toric import MonomialIdealSeq, _region_of_ideal
+    rays = geometry._rays
+    solves = []
+
+    def counted(rows, rank):
+        solves.append(rows)
+        return rays(rows, rank)
+
+    regions = [(model, _region_of_ideal(
+                   model, MonomialIdealSeq.valuation_levels(eta, level)))
+               for model in [*models.values(), *rank3_models.values()]
+               for eta, level in lct_pool[model.rank]]
+    monkeypatch.setattr(geometry, "_rays", counted)
+    whole = split = 0
+    for model, region in regions:
+        for cone in model.fan:
+            solves.clear()
+            (got,) = restrict_min_support([cone], region)
+            if len(got) == 1:
+                assert got == [sorted(cone.generators)] and not solves
+                whole += 1
+            else:
+                assert len(solves) == len(got), (model.name, cone, region)
+                split += 1
+    assert (whole, split) == (1338, 286)
+
+
+def test_edge_table_is_built_once_per_polytope(monkeypatch):
+    # a load builds the anticanonical edge table for the fan, and an lct
+    # call clips the polytope with the same table: one more is built, for
+    # the clipped region
+    from ckstab.toric import MonomialIdealSeq, monomial_lct
+    built = []
+    edge_table = ckstab.geometry._edge_table
+
+    def counted(p):
+        built.append(p)
+        return edge_table(p)
+
+    monkeypatch.setattr(ckstab.geometry, "_edge_table", counted)
+    model = load_model(resolve_model_path("bl1p2_hsplit.json"))
+    monomial_lct(model, MonomialIdealSeq.valuation_levels((1, 1), 1))
+    assert [p is model.anticanonical for p in built] == [True, False]
+    assert model.anticanonical.edges is model.anticanonical.edges
+
+
 # --- integer kernels against plain-Fraction oracles, ranks 1 to 4 -----------
 
 # (rank, affine dimension, point count) of the seeded random polytopes;

@@ -14,7 +14,7 @@ import pytest
 
 from oracles import (SUBTORI_2, ding_of_twist, ding_via_sums,
                      dist2_to_affine, fan_cell_delta, mu_slope_scan,
-                     inner_sup_oracle, reduced_j_oracle,
+                     inner_sup_candidates, inner_sup_oracle, reduced_j_oracle,
                      reduced_j_slice_oracle, slice_cells_oracle,
                      twisted_profile_oracle)
 
@@ -32,7 +32,8 @@ from ckstab.geometry import (DimensionMismatch, ExactPolytope, HalfSpace,
 from ckstab.serialize import load_model
 from ckstab.stability import (DegenerateSubtorus, DingResult, RankTooHigh,
                               StabilityError, SubtorusSpec, SuiteFailure,
-                              _reduced_j_cells, _slice_cells, coupled_delta,
+                              _inner_sup_cells, _reduced_j_cells,
+                              _slice_cells, coupled_delta,
                               coupled_ding, coupled_futaki, find_destabilizer,
                               identity_suite, inner_twist_sup,
                               inradius_squared, j_twist, mu_slope,
@@ -234,9 +235,7 @@ def test_reduced_j_fast_branches_match_the_cells(rank3_models, monkeypatch):
         return _slice_cells(*args)
 
     monkeypatch.setattr("ckstab.stability._slice_cells", counted)
-    fixtures = resources.files("ckstab") / "fixtures"
-    every = [load_model(str(p)) for p in sorted(fixtures.iterdir(), key=str)
-             if p.name.endswith(".json")]
+    every = _packaged_models()
     assert len(every) == 11
     primitive = [(a, b) for a, b in itertools.product(range(-2, 3), repeat=2)
                  if math.gcd(a, b) == 1]
@@ -619,6 +618,118 @@ def test_inner_twist_sup_tie_goes_to_least_twist(p2):
     # the ratio is 1 on the whole segment from (0, 1) to (1, 0)
     got = inner_twist_sup(p2, SubtorusSpec(((1, -1),)), (0, 1))
     assert (got.value, got.attained, got.argument) == (1, True, (0, 1))
+
+
+def _packaged_models():
+    fixtures = resources.files("ckstab") / "fixtures"
+    return [load_model(str(p)) for p in sorted(fixtures.iterdir(), key=str)
+            if p.name.endswith(".json")]
+
+
+def _fan_splits():
+    """The 1/3 + 2/3 and 1/4 + 3/4 splits of the anticanonical polytopes of
+    the hexagon fan (rays +-e1, +-e2, +-(e1 + e2)) and the pentagon fan."""
+    hexagon = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1)]
+    out = []
+    for rays in (hexagon, hexagon[:5]):
+        p = ExactPolytope.from_halfspaces([HalfSpace(r, F(-1)) for r in rays], 2)
+        for a in (F(1, 3), F(1, 4)):
+            out.append(build_model(rays, [p.scale(a), p.scale(1 - a)],
+                                   name=f"{len(rays)}-gon {a}"))
+    return out
+
+
+def test_inner_sup_line_matches_the_cells():
+    # the rank-2 line, read off the fan's rays, against the cell loop on the
+    # whole InnerSup: the seven rank-2 packaged models and four splits of
+    # the hexagon and pentagon fans, every primitive w with entries in -3..3
+    # and eta with entries in -3..3 over denominators 1 and 2, taken once
+    # per line, as eta and eta + k w give one line and one result
+    every = [m for m in _packaged_models() if m.rank == 2] + _fan_splits()
+    assert len(every) == 11
+    primitive = [w for w in itertools.product(range(-3, 4), repeat=2)
+                 if math.gcd(*w) == 1]
+    etas = sorted({(F(a, d), F(b, d)) for d in (1, 2)
+                   for a, b in itertools.product(range(-3, 4), repeat=2)})
+    cases = recession = 0
+    for model in every:
+        for w in primitive:
+            sub = SubtorusSpec((w,))
+            lines = {}
+            for eta in etas:
+                lines.setdefault(eta[0] * w[1] - eta[1] * w[0], eta)
+            del lines[0]
+            for eta in lines.values():
+                got = inner_twist_sup(model, sub, eta)
+                d, (base, W) = _int_directions([eta, w], 2)
+                assert got == _inner_sup_cells(model, d, base, [W], (w,)), (
+                    model.name, w, eta)
+                recession += not got.attained
+                cases += 1
+    assert (len(primitive), len(etas)) == (32, 89)
+    assert (cases, recession) == (11 * 976, 1520)
+
+
+def test_inner_sup_attained_vertex_replaces_an_equal_limit(bl1p2):
+    # along w = (-1, 0) from eta = (-3, 1) the limit 12/13 along (1, 0)
+    # leads after the first cell, the vertex (0, 1) of the next cell ties
+    # it and replaces it, and the limit 24/23 along (-1, 0) wins at the end
+    w, eta = (-1, 0), (-3, 1)
+    best, replaced = None, []
+    for value, attained, z in inner_sup_candidates(bl1p2, (w,), eta):
+        if best is not None and attained and not best[1] and value == best[0]:
+            replaced.append((value, z))
+        if best is None or value > best[0] or (attained and value == best[0]
+                                               and not best[1]):
+            best = (value, attained)
+    assert replaced == [(F(12, 13), (0, 1))]
+    got = inner_twist_sup(bl1p2, SubtorusSpec((w,)), eta)
+    assert tuple(got) == (F(24, 23), False, None, (-1, 0))
+    d, (base, W) = _int_directions([eta, w], 2)
+    assert got == _inner_sup_cells(bl1p2, d, base, [W], (w,))
+
+
+def test_inner_sup_tied_ends_follow_the_cone_order():
+    # a reflexive triangle whose barycenter b = (-2/3, 1/3) is orthogonal
+    # to its ray (1, 2): along w = (1, 2) from eta = (-3, -3) both ends of
+    # the line score 1, above every ray it crosses.  w lies on the ray the
+    # first and last cones share, and only the last cone's cell, on the
+    # side of eta, recedes along it; -w recedes in the middle cone, so it
+    # comes first and names the recession
+    rays = [(-2, -1), (0, -1), (1, 2)]
+    p = ExactPolytope.from_halfspaces([HalfSpace(r, F(-1)) for r in rays], 2)
+    model = build_model(rays, [p.scale(F(1, 2)), p.scale(F(1, 2))])
+    w, eta = (1, 2), (-3, -3)
+    got = inner_twist_sup(model, SubtorusSpec((w,)), eta)
+    assert tuple(got) == (1, False, None, (-1, -2))
+    assert tuple(got) == inner_sup_oracle(model, (w,), eta)
+    d, (base, W) = _int_directions([eta, w], 2)
+    assert got == _inner_sup_cells(model, d, base, [W], (w,))
+
+
+def test_rank2_reduced_delta_solves_no_cell(models, monkeypatch):
+    # the rank-2 threshold reads its candidates off the fan's rays: no slice
+    # cell, vertex system or ray enumeration is solved, while the cell loop
+    # on the same line does solve them
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for module in (ckstab.stability, ckstab.geometry):
+        for name in ("_slice_cells", "_cramer_vertices", "_rays"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    rank2 = [m for m in models.values() if m.rank == 2]
+    for model in rank2:
+        for basis in SUBTORI_2:
+            reduced_coupled_delta(model, SubtorusSpec(basis))
+    assert len(rank2) == 5 and calls == {}
+    _inner_sup_cells(rank2[0], 1, (0, 1), [(1, 1)], ((1, 1),))
+    assert set(calls) == {"_slice_cells", "_cramer_vertices", "_rays"}
 
 
 def test_subtorus_validation():
