@@ -6,20 +6,19 @@ no floating point anywhere, so every printed value is exact.
 
 from fractions import Fraction as F
 
-from ckstab import (ExactPolytope, HalfSpace, centroid, dual_description,
-                    lattice_points, minkowski_sum, support_value, volume)
+from ckstab import (ExactPolytope, HalfSpace, centroid, lattice_points,
+                    minkowski_sum, support_value, volume)
 
 # A polytope can be built from either description; the other is derived and
 # the two are cross-validated on construction.
-simplex = dual_description(vertices=[(0, 0), (1, 0), (0, 1)])
+simplex = ExactPolytope.from_vertices([(0, 0), (1, 0), (0, 1)])
 print("standard simplex facets:")
 for h in simplex.halfspaces:
     print("   <a,", h.normal, "> >=", h.offset)
 
-quad = dual_description(
-    halfspaces=[HalfSpace.make((1, 0), -1), HalfSpace.make((0, 1), -1),
-                HalfSpace.make((-1, -1), -1), HalfSpace.make((1, 1), -1)],
-    rank=2)
+quad = ExactPolytope.from_halfspaces(
+    [HalfSpace.make((1, 0), -1), HalfSpace.make((0, 1), -1),
+     HalfSpace.make((-1, -1), -1), HalfSpace.make((1, 1), -1)], 2)
 print("\nquadrilateral vertices:", [tuple(map(str, v)) for v in quad.vertices])
 print("volume:", volume(quad))
 print("centroid:", tuple(map(str, centroid(quad))))

@@ -10,9 +10,8 @@ the filtration-algebra identities tying those invariants together.
 from .errors import CkstabError, InputError, InternalInvariantError
 from .geometry import (Cone, DegenerateInput, DimensionMismatch, EmptyRegion,
                        ExactPolytope, GeometryError, HalfSpace,
-                       UnboundedRegion, centroid, dual_description,
-                       lattice_points, minkowski_sum, normal_fan,
-                       support_value, volume)
+                       UnboundedRegion, centroid, lattice_points,
+                       minkowski_sum, normal_fan, support_value, volume)
 from .toric import (TOTAL, DecompositionMismatch, MonomialIdealSeq,
                     NonIntegralScaling, NotReflexive, RankMismatch,
                     ToricFanoModel, build_model, integrality_step,
@@ -45,8 +44,8 @@ __all__ = [
     # geometry
     "Cone", "DegenerateInput", "DimensionMismatch", "EmptyRegion",
     "ExactPolytope", "GeometryError", "HalfSpace", "UnboundedRegion",
-    "centroid", "dual_description", "lattice_points", "minkowski_sum",
-    "normal_fan", "support_value", "volume",
+    "centroid", "lattice_points", "minkowski_sum", "normal_fan",
+    "support_value", "volume",
     # toric
     "TOTAL", "DecompositionMismatch", "MonomialIdealSeq",
     "NonIntegralScaling", "NotReflexive", "RankMismatch", "ToricFanoModel",

@@ -44,6 +44,7 @@ from itertools import product
 from operator import add, itemgetter
 from typing import NamedTuple, Optional, Sequence, Union
 
+from ._record import Record
 from .errors import InputError
 from .geometry import IntVec, Vec, _exact_entries, _int_directions, _scaled
 from .toric import (TOTAL, RankMismatch, SummandIndex, ToricFanoModel,
@@ -87,7 +88,7 @@ class UnsupportedDescriptor(FiltrationError):
 # graded bases
 
 
-class GradedBasis:
+class GradedBasis(Record):
     """Characters of the stored degrees of one summand (or the total ring).
 
     ``chars[m]`` fixes the order of the degree-m characters: every weight
@@ -98,6 +99,8 @@ class GradedBasis:
     when their model, index, degrees and characters are; as ``chars`` is a
     dict, a basis is not hashable."""
 
+    _fields = ("model", "index", "degrees", "chars")
+
     def __init__(self, model: ToricFanoModel, index: SummandIndex,
                  degrees: tuple[int, ...], chars: dict[int, tuple[Char, ...]],
                  cols: Optional[dict[int, tuple[IntVec, ...]]] = None):
@@ -106,23 +109,7 @@ class GradedBasis:
         vars(self).update(model=model, index=index, degrees=degrees,
                           chars=chars, cols=cols)
 
-    def __eq__(self, other):
-        if type(other) is not GradedBasis:
-            return NotImplemented
-        return ((self.model, self.index, self.degrees, self.chars)
-                == (other.model, other.index, other.degrees, other.chars))
-
     __hash__ = None
-
-    def __repr__(self):
-        return (f"GradedBasis(model={self.model!r}, index={self.index!r}, "
-                f"degrees={self.degrees!r}, chars={self.chars!r})")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def characters(self, m: int) -> tuple[Char, ...]:
         if m not in self.chars:
@@ -173,7 +160,7 @@ def graded_basis(model: ToricFanoModel, i: SummandIndex, m_max: int = 12,
 # descriptors: the closed forms behind certified asymptotics
 
 
-class ValuationDescriptor:
+class ValuationDescriptor(Record):
     """Weights <alpha, eta> - m * min(eta) + shift * m on the carrying basis.
 
     eta = 0 with zero shift is the trivial filtration; shifts and twists of
@@ -186,6 +173,8 @@ class ValuationDescriptor:
     descriptor steps and the closed forms use only ``den`` and ``nums``.
     """
 
+    _fields = ("eta", "shift")
+
     def __init__(self, eta: Sequence, shift=Fraction(0)):
         # one lcm of the entries' own denominators is already lowest terms
         den, (nums,) = _scaled((_exact_entries(eta),))
@@ -196,23 +185,8 @@ class ValuationDescriptor:
         den = self.den
         return tuple([Fraction(n, den) for n in self.nums])
 
-    def __eq__(self, other):
-        if type(other) is not ValuationDescriptor:
-            return NotImplemented
-        return ((self.den, self.nums, self.shift)
-                == (other.den, other.nums, other.shift))
-
-    def __hash__(self):
-        return hash((self.den, self.nums, self.shift))
-
-    def __repr__(self):
-        return f"ValuationDescriptor(eta={self.eta!r}, shift={self.shift!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+    def _key(self) -> tuple:
+        return (self.den, self.nums, self.shift)
 
 
 def _valuation(den: int, nums: IntVec, shift: Fraction) -> ValuationDescriptor:
@@ -502,8 +476,10 @@ def base_change(f: Filtration, e: int) -> Filtration:
 # families and the sum filtration
 
 
-class FiltrationFamily:
+class FiltrationFamily(Record):
     """One filtration per summand, on aligned degree grids."""
+
+    _fields = ("model", "members")
 
     def __init__(self, model: ToricFanoModel, members: tuple[Filtration, ...]):
         if len(members) != model.num_summands:
@@ -515,23 +491,6 @@ class FiltrationFamily:
             if f.basis.index != i or f.basis.model is not model:
                 raise GridMismatch("family member bound to the wrong summand")
         vars(self).update(model=model, members=members)
-
-    def __eq__(self, other):
-        if type(other) is not FiltrationFamily:
-            return NotImplemented
-        return (self.model, self.members) == (other.model, other.members)
-
-    def __hash__(self):
-        return hash((self.model, self.members))
-
-    def __repr__(self):
-        return f"FiltrationFamily(model={self.model!r}, members={self.members!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def degrees(self) -> tuple[int, ...]:

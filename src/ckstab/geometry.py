@@ -698,25 +698,6 @@ def _rays(rows: Sequence[IntVec], rank: int) -> dict[IntVec, frozenset[int]]:
 # the operations of the public contract
 
 
-def dual_description(vertices: Optional[Sequence[Sequence]] = None,
-                     halfspaces: Optional[Sequence[HalfSpace]] = None,
-                     rank: Optional[int] = None) -> ExactPolytope:
-    """Build a polytope from either description, populating the other.
-
-    Exactly one of ``vertices``/``halfspaces`` must be given.  Vertices are
-    deduplicated and returned in canonical lexicographic order.
-    """
-    if (vertices is None) == (halfspaces is None):
-        raise GeometryError("give exactly one of vertices or halfspaces")
-    if vertices is not None:
-        return ExactPolytope.from_vertices(vertices)
-    if rank is None:
-        if not halfspaces:
-            raise GeometryError("empty half-space list")
-        rank = len(halfspaces[0].normal)
-    return ExactPolytope.from_halfspaces(halfspaces, rank)
-
-
 def minkowski_sum(polys: Sequence[ExactPolytope]) -> ExactPolytope:
     """Minkowski sum; the result's vertices are among sums of vertex tuples."""
     if not polys:

@@ -19,6 +19,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
+from ._record import Record
 from .errors import CkstabError, InputError, InternalInvariantError
 from .geometry import (DimensionMismatch, ExactPolytope, IntVec, Vec,
                        _cramer_vertices, _int_det, _int_directions,
@@ -104,8 +105,10 @@ def j_twist(model: ToricFanoModel, i: SummandIndex, xi: Sequence) -> Fraction:
     return s_invariant(model, i, vneg(as_vec(xi)))
 
 
-class SubtorusSpec:
+class SubtorusSpec(Record):
     """A saturated sublattice of the cocharacter lattice, by a basis."""
+
+    _fields = ("basis",)
 
     def __init__(self, basis: tuple[tuple[int, ...], ...]):
         for v in basis:
@@ -121,23 +124,6 @@ class SubtorusSpec:
                 raise DegenerateSubtorus("subtorus basis does not span a "
                                          "saturated sublattice")
         vars(self).update(basis=basis)
-
-    def __eq__(self, other):
-        if type(other) is not SubtorusSpec:
-            return NotImplemented
-        return self.basis == other.basis
-
-    def __hash__(self):
-        return hash((self.basis,))
-
-    def __repr__(self):
-        return f"SubtorusSpec(basis={self.basis!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def dim(self) -> int:
@@ -589,11 +575,11 @@ def inner_twist_sup(model: ToricFanoModel, sub: SubtorusSpec,
     eta = as_vec(eta)
     if len(eta) != model.rank:
         raise DimensionMismatch(f"rank {model.rank} vs {len(eta)}")
-    if sub.contains_direction(eta):
-        raise StabilityError("slice direction lies in the subtorus")
-    if sub.dim == 0:
-        return InnerSup(_ratio_at(model, eta), True, eta, None)
     den, (base, *W) = _int_directions([eta, *sub.basis], model.rank)
+    if _rank([*W, base]) == len(W):
+        raise StabilityError("slice direction lies in the subtorus")
+    if not W:
+        return InnerSup(_ratio_at(model, eta), True, eta, None)
     if model.rank == 2:
         return _inner_sup_line(model, den, base, W[0], sub.basis[0])
     return _inner_sup_cells(model, den, base, W, sub.basis)

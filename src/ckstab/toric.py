@@ -44,6 +44,7 @@ from fractions import Fraction
 from operator import add
 from typing import NamedTuple, Optional, Sequence, Union
 
+from ._record import Record
 from .errors import InputError, InternalInvariantError
 from .geometry import (Cone, DimensionMismatch, ExactPolytope, GeometryError,
                        IntVec, Vec, _clip, _cramer_vertices, _from_tight,
@@ -104,7 +105,7 @@ TORIC_SEARCH_ASSUMPTION = (
 )
 
 
-class ToricFanoModel:
+class ToricFanoModel(Record):
     """Immutable toric Fano model: fan rays, anticanonical polytope, and a
     Minkowski decomposition into summand polytopes, with cached barycenters.
 
@@ -114,9 +115,12 @@ class ToricFanoModel:
     ``bary_nums`` holds the barycenters, and their sum last, as integer
     numerators over the positive integer ``bary_den``; both are set from
     ``barycenters``.  Two models are equal, and hash alike, when the seven
-    constructor fields are; the memos and the integer barycenters are not
-    compared.
+    constructor fields in ``_fields`` are; the memos and the integer
+    barycenters are not compared.
     """
+
+    _fields = ("name", "rank", "rays", "anticanonical", "summands",
+               "barycenters", "fan")
 
     def __init__(self, name: str, rank: int, rays: tuple[tuple[int, ...], ...],
                  anticanonical: ExactPolytope,
@@ -138,30 +142,6 @@ class ToricFanoModel:
             # grid a sum filtration has seen; see filtration.sum_filtration
             totals={},
             bary_den=den, bary_nums=nums + (tuple(map(sum, zip(*nums))),))
-
-    def _key(self) -> tuple:
-        return (self.name, self.rank, self.rays, self.anticanonical,
-                self.summands, self.barycenters, self.fan)
-
-    def __eq__(self, other):
-        if type(other) is not ToricFanoModel:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (f"ToricFanoModel(name={self.name!r}, rank={self.rank!r}, "
-                f"rays={self.rays!r}, anticanonical={self.anticanonical!r}, "
-                f"summands={self.summands!r}, "
-                f"barycenters={self.barycenters!r}, fan={self.fan!r})")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def total_forms(self) -> tuple[Vec, ...]:
@@ -482,7 +462,7 @@ def section_basis(model: ToricFanoModel, i: SummandIndex, m: int) -> list[tuple[
 # monomial ideal data and log canonical thresholds
 
 
-class MonomialIdealSeq:
+class MonomialIdealSeq(Record):
     """Equivariant monomial ideal data on a model.
 
     Either a closed-form family (sections whose vanishing slope along
@@ -490,6 +470,8 @@ class MonomialIdealSeq:
     ``(character, order)``; the usable ideal at degree m is generated by the
     characters whose order reaches ``level * m``.
     """
+
+    _fields = ("summand", "level", "eta", "degrees")
 
     def __init__(self, summand: SummandIndex, level: Fraction,
                  eta: Optional[Vec] = None,
@@ -502,27 +484,6 @@ class MonomialIdealSeq:
         if degrees is not None and any(m < 1 for m in degrees):
             raise ToricError("degree must be positive")
         vars(self).update(summand=summand, level=level, eta=eta, degrees=degrees)
-
-    def _key(self) -> tuple:
-        return (self.summand, self.level, self.eta, self.degrees)
-
-    def __eq__(self, other):
-        if type(other) is not MonomialIdealSeq:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (f"MonomialIdealSeq(summand={self.summand!r}, level={self.level!r}, "
-                f"eta={self.eta!r}, degrees={self.degrees!r})")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     @staticmethod
     def valuation_levels(eta: Sequence, level, summand: SummandIndex = TOTAL) -> "MonomialIdealSeq":

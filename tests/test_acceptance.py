@@ -18,7 +18,7 @@ from oracles import (hull_oracle, interval_oracle, mean_slope_decay_constant,
 from ckstab.filtration import (construct, family_degree_grid, graded_basis,
                                numerics, round_weights, trivial_filtration,
                                twist, valuation_family)
-from ckstab.geometry import ExactPolytope, centroid, dual_description, volume
+from ckstab.geometry import ExactPolytope, centroid, volume
 from ckstab.serialize import canonical_json
 from ckstab.stability import (SubtorusSpec, coupled_delta, coupled_ding,
                               coupled_futaki, find_destabilizer,
@@ -53,7 +53,7 @@ def test_acceptance_01_polytope_oracles(models):
                 assert set(p.vertices) == set(ccw)
                 assert volume(p) == shoelace_area(ccw)
                 assert centroid(p) == shoelace_centroid(ccw)
-            back = dual_description(halfspaces=list(p.halfspaces), rank=p.rank)
+            back = ExactPolytope.from_halfspaces(list(p.halfspaces), p.rank)
             assert back.vertices == p.vertices
             checked += 1
     rng = random.Random(SEED)
@@ -68,7 +68,7 @@ def test_acceptance_01_polytope_oracles(models):
         assert set(poly.vertices) == set(ccw)
         assert volume(poly) == shoelace_area(ccw)
         assert centroid(poly) == shoelace_centroid(ccw)
-        back = dual_description(halfspaces=list(poly.halfspaces), rank=2)
+        back = ExactPolytope.from_halfspaces(list(poly.halfspaces), 2)
         assert back.vertices == poly.vertices
     elapsed = time.monotonic() - started
     assert elapsed < 5.0

@@ -21,8 +21,7 @@ import ckstab.geometry
 from ckstab.cli import resolve_model_path
 from ckstab.geometry import (DimensionMismatch, EmptyRegion, ExactPolytope,
                              HalfSpace, UnboundedRegion, _edge_table, _int_det,
-                             _minor_normal, centroid,
-                             dual_description, lattice_points,
+                             _minor_normal, centroid, lattice_points,
                              minkowski_sum, normal_fan,
                              restrict_min_support, support_value, vdot, volume)
 from ckstab.serialize import load_model
@@ -40,7 +39,7 @@ from oracles import (affine_rank, cofactor_det, cone_from_generators,
 # --- dual description -------------------------------------------------------
 
 def test_simplex_facets():
-    p = dual_description(vertices=[(0, 0), (1, 0), (0, 1)])
+    p = ExactPolytope.from_vertices([(0, 0), (1, 0), (0, 1)])
     got = {(h.normal, h.offset) for h in p.halfspaces}
     assert got == {((1, 0), F(0)), ((0, 1), F(0)), ((-1, -1), F(-1))}
 
@@ -48,7 +47,7 @@ def test_simplex_facets():
 def test_halfspaces_to_vertices():
     hs = [HalfSpace.make((1, 0), -1), HalfSpace.make((0, 1), -1),
           HalfSpace.make((-1, -1), -1), HalfSpace.make((1, 1), -1)]
-    p = dual_description(halfspaces=hs, rank=2)
+    p = ExactPolytope.from_halfspaces(hs, 2)
     assert set(p.vertices) == {(F(-1), F(2)), (F(2), F(-1)),
                                (F(-1), F(0)), (F(0), F(-1))}
 
@@ -62,8 +61,8 @@ def test_empty_region():
         # x >= 0 and -sum x >= 1: no recession direction and no point
         hs = [HalfSpace.make(_unit(rank, i), 0) for i in range(rank)]
         with pytest.raises(EmptyRegion, match="half-space intersection is empty"):
-            dual_description(halfspaces=hs + [HalfSpace.make((-1,) * rank, 1)],
-                             rank=rank)
+            ExactPolytope.from_halfspaces(
+                hs + [HalfSpace.make((-1,) * rank, 1)], rank)
         if rank == 1:
             # normals that span in rank 1 leave no recession direction
             continue
@@ -71,21 +70,21 @@ def test_empty_region():
         hs = [HalfSpace.make(_unit(rank, 0), 1), HalfSpace.make(_unit(rank, 0, -1), 0)]
         hs += [HalfSpace.make(_unit(rank, i), 0) for i in range(1, rank)]
         with pytest.raises(EmptyRegion, match="contradictory constraints"):
-            dual_description(halfspaces=hs, rank=rank)
+            ExactPolytope.from_halfspaces(hs, rank)
 
 
 def test_unbounded_region():
     for rank in (1, 2, 3, 4):
         hs = [HalfSpace.make(_unit(rank, i), 0) for i in range(rank)]
         with pytest.raises(UnboundedRegion, match="feasible region is unbounded"):
-            dual_description(halfspaces=hs, rank=rank)
+            ExactPolytope.from_halfspaces(hs, rank)
         if rank == 1:
             # a nonzero normal spans in rank 1
             continue
         # x_i >= 0 for i < rank - 1: the last axis is a line
         with pytest.raises(UnboundedRegion, match="half-space normals do not span; "
                            "lineality present"):
-            dual_description(halfspaces=hs[:-1], rank=rank)
+            ExactPolytope.from_halfspaces(hs[:-1], rank)
 
 
 def test_roundtrip_exact():
@@ -95,7 +94,7 @@ def test_roundtrip_exact():
         p = ExactPolytope.from_vertices(pts)
         if p.dim < 2:
             continue
-        back = dual_description(halfspaces=list(p.halfspaces), rank=2)
+        back = ExactPolytope.from_halfspaces(list(p.halfspaces), 2)
         assert back.vertices == p.vertices
         assert set(p.vertices) == set(hull_oracle(pts))
 
@@ -418,7 +417,7 @@ def test_rank3_roundtrip():
         p = ExactPolytope.from_vertices(pts)
         if p.dim < 3:
             continue
-        back = dual_description(halfspaces=list(p.halfspaces), rank=3)
+        back = ExactPolytope.from_halfspaces(list(p.halfspaces), 3)
         assert back.vertices == p.vertices
 
 
@@ -692,7 +691,7 @@ def test_from_halfspaces_matches_from_vertices():
         rng.shuffle(extra)
         q = ExactPolytope.from_halfspaces(hs + extra + hs[:1], p.rank)
         assert _structure(q) == _structure(p)
-        assert _structure(dual_description(halfspaces=hs, rank=p.rank)) == _structure(p)
+        assert _structure(ExactPolytope.from_halfspaces(hs, p.rank)) == _structure(p)
 
 
 def test_support_value_against_point_scan():
@@ -895,8 +894,8 @@ def test_every_polytope_carries_its_int_vertex_table():
         _assert_int_table(p.translate(rand_rational_points(rng, p.rank, 1)[0]))
         _assert_int_table(p.scale(F(rng.randint(1, 9), rng.randint(1, 9))))
         _assert_int_table(ExactPolytope.from_vertices(pts[:1]))
-        _assert_int_table(dual_description(halfspaces=list(p.halfspaces),
-                                           rank=p.rank))
+        _assert_int_table(ExactPolytope.from_halfspaces(list(p.halfspaces),
+                                                        p.rank))
         if p.rank <= 3:
             q = ExactPolytope.from_vertices(rand_rational_points(rng, p.rank, 3))
             _assert_int_table(minkowski_sum([p, q]))
@@ -940,8 +939,8 @@ def test_from_rows_facets_match_the_rank_criterion():
         a, c = rng.choice(hs)
         rows += [(tuple(2 * x for x in a), 2 * c), (a, c - F(1, rng.randint(1, 9)))]
         rng.shuffle(rows)
-        q = dual_description(halfspaces=[HalfSpace(a, c) for a, c in rows],
-                             rank=p.rank)
+        q = ExactPolytope.from_halfspaces([HalfSpace(a, c) for a, c in rows],
+                                          p.rank)
         assert q.vertices == p.vertices
         got = [(h.normal, h.offset) for h in q.halfspaces]
         assert got == _rank_criterion_facets(q.vertices, rows, p.rank) == hs

@@ -11,7 +11,7 @@ import pytest
 from ckstab.cli import resolve_model_path
 from ckstab.filtration import (FiltrationFamily, FiltrationNumerics,
                                GradedBasis, SumDescriptor, ValuationDescriptor,
-                               graded_basis, valuation_family)
+                               graded_basis, sum_filtration, valuation_family)
 from ckstab.geometry import Cone, HalfSpace
 from ckstab.optimize import RatioResult
 from ckstab.serialize import canonical_json, load_model
@@ -156,6 +156,11 @@ def test_record_contract(name, make, attr, text, hashable, frozen):
     a, b = make(), make()
     assert a is not b
     assert a == b and not a != b
+    # a value of another type is left to its own comparison
+    other = (ValuationDescriptor((1,)) if name == "SubtorusSpec"
+             else SubtorusSpec.trivial())
+    for x in (object(), other):
+        assert a.__eq__(x) is NotImplemented and a != x
     if hashable:
         assert hash(a) == hash(b)
     elif hashable is False:
@@ -165,9 +170,19 @@ def test_record_contract(name, make, attr, text, hashable, frozen):
         before = getattr(a, attr)
         with pytest.raises(AttributeError):
             setattr(a, attr, before)
+        with pytest.raises(AttributeError):
+            delattr(a, attr)
         assert getattr(a, attr) is before and a == b
     assert repr(a) == text
     # a record is no report value: its fields are rendered one by one
     with pytest.raises(TypeError):
         canonical_json({"x": a})
 
+
+def test_model_memos_are_not_compared():
+    used = load_model(resolve_model_path("p2_halves.json"))
+    sum_filtration(valuation_family(used, (1, 0), m_max=4))
+    assert used.bases and used.plans
+    fresh = load_model(resolve_model_path("p2_halves.json"))
+    assert not fresh.bases and not fresh.plans
+    assert used == fresh and hash(used) == hash(fresh)

@@ -573,6 +573,18 @@ def test_wrong_length_direction_is_a_dimension_mismatch(bl1p2):
     for s in (sub, SubtorusSpec.trivial()):
         with pytest.raises(DimensionMismatch, match=r"^rank 2 vs 1$"):
             inner_twist_sup(bl1p2, s, (1,))
+    # a basis of the wrong rank is caught where the slice is scaled
+    with pytest.raises(DimensionMismatch,
+                       match=r"^direction rank 3 vs polytope rank 2$"):
+        inner_twist_sup(bl1p2, SubtorusSpec(((1, 1, 0),)), (1, 0))
+
+
+def test_slice_direction_in_the_subtorus_is_refused(bl1p2):
+    for basis, eta in ((((1, 1),), (2, 2)), (((1, 1),), (F(-1, 2), F(-1, 2))),
+                       (((1, 0), (0, 1)), (1, 3)), ((), (0, 0))):
+        with pytest.raises(StabilityError,
+                           match=r"^slice direction lies in the subtorus$"):
+            inner_twist_sup(bl1p2, SubtorusSpec(basis), eta)
 
 
 def _ray_crossing_sup(model, w, eta):

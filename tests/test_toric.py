@@ -665,11 +665,3 @@ def test_support_min_linear_on_cones(bl1p2):
         assert total_s_sum(bl1p2, eta) == (
             log_discrepancy(bl1p2, eta)
             + sum(b * x for b, x in zip(bl1p2.barycenter(TOTAL), eta)))
-
-
-def test_dual_description_needs_exactly_one_side():
-    from ckstab.geometry import GeometryError, dual_description
-    with pytest.raises(GeometryError):
-        dual_description()
-    with pytest.raises(GeometryError):
-        dual_description(vertices=[(0, 0)], halfspaces=[])
