@@ -18,12 +18,14 @@ add and compare Python ints; the ``Fraction`` weights are a read-only view
 A basis also holds each degree's characters as integer coordinate columns,
 built once per (summand, degree) beside the character tuple.  A valuation
 table and a twist add ``<alpha, v>`` to a whole row through one pairing
-kernel, one pass over a column for each nonzero coordinate of ``v``.
+kernel, one pass over two columns for each two nonzero coordinates of
+``v``.
 
 A max-plus sum runs on a gather plan: for a pair of character lists, the
 index pairs whose characters add up to each output character.  Plans are
-memoized on the model, keyed by the exact character tuples they were built
-from, so every later table on the same bases only adds and compares ints.
+memoized on the model by a fingerprint of the character tuples and
+confirmed on the tuples themselves, so every later table on the same bases
+only adds and compares ints.
 
 All tables live on degrees up to a cap; operations never extrapolate beyond
 stored degrees except through closed-form descriptors (trivial, cocharacter
@@ -33,6 +35,16 @@ invariants.  A valuation descriptor is integer too: its direction eta is
 beside one ``Fraction`` shift.  Its shifts, twists, base changes and sums
 add ints, its closed forms call the integer cores of :mod:`ckstab.toric`
 on those numerators, and each value reported is built as one ``Fraction``.
+
+A table's descriptor is derived on first read.  A shift, twist, base
+change, rounding, approximation or sum builds its table at once and stores
+only the pending descriptor step: the parent's descriptor slot (a
+descriptor or another pending step) and the step's own arguments, never a
+table.  Reading ``Filtration.descriptor`` runs the pending steps once and
+keeps the result, so a table whose closed forms nobody reads never pays
+for them.  A step on a table whose slot already chains ``_MAX_PENDING``
+unread steps reads it first, so an unread chain stays bounded.  Every
+input check still raises at the step itself.
 """
 
 from __future__ import annotations
@@ -206,6 +218,52 @@ class SumDescriptor(NamedTuple):
 Descriptor = Union[ValuationDescriptor, SumDescriptor, None]
 
 
+class _Pending:
+    """A descriptor step not yet taken: ``step(model, i, d, *args)`` gives
+    the descriptor of a table on summand i from its parent's descriptor d.
+    ``parent`` is the parent's descriptor slot, a descriptor or another
+    pending step (for a sum, a tuple of the members' slots), and ``args``
+    the step's own arguments; no table is held."""
+
+    __slots__ = ("step", "parent", "args")
+
+    def __init__(self, step, parent, args: tuple = ()):
+        self.step = step
+        self.parent = parent
+        self.args = args
+
+
+# the most steps a descriptor slot chains unread: a step on a table whose
+# slot chains this many reads it first, so an unread chain of steps holds
+# a bounded number of them
+_MAX_PENDING = 8
+
+
+def _then(step, f: "Filtration", *args):
+    """The descriptor slot of a step on f: None when f has no descriptor,
+    as no step makes one, else the step, pending on f's slot."""
+    slot = f._descriptor
+    depth, p = 0, slot
+    while p.__class__ is _Pending:
+        depth += 1
+        p = p.parent
+    if depth >= _MAX_PENDING:
+        slot = f.descriptor
+    return None if slot is None else _Pending(step, slot, args)
+
+
+def _resolve(slot, model: ToricFanoModel, i: SummandIndex) -> Descriptor:
+    """The descriptor in a slot of a table on summand i: the pending steps
+    run innermost first, without recursion however long the chain."""
+    steps = []
+    while slot.__class__ is _Pending:
+        steps.append(slot)
+        slot = slot.parent
+    for p in reversed(steps):
+        slot = p.step(model, i, slot, *p.args)
+    return slot
+
+
 # ---------------------------------------------------------------------------
 # filtrations
 
@@ -244,16 +302,28 @@ class Filtration:
     not necessarily in lowest terms.  ``weights[m][alpha]`` reads the same
     weight as a ``Fraction``, built on demand.  Every constructor builds its
     table from the basis, so the table covers exactly the basis characters.
+
+    ``descriptor`` is read-only and derived on first read: the operations
+    store a pending step in its place, which the first read runs and
+    replaces by its result, so later reads return the same object.
     """
 
-    __slots__ = ("basis", "nums", "den", "descriptor")
+    __slots__ = ("basis", "nums", "den", "_descriptor")
 
     def __init__(self, basis: GradedBasis, nums: IntTable, den: int,
                  descriptor: Descriptor = None):
         self.basis = basis
         self.nums = nums
         self.den = den
-        self.descriptor = descriptor
+        self._descriptor = descriptor
+
+    @property
+    def descriptor(self) -> Descriptor:
+        d = self._descriptor
+        if d.__class__ is _Pending:
+            d = self._descriptor = _resolve(d, self.basis.model,
+                                            self.basis.index)
+        return d
 
     @property
     def weights(self) -> Mapping[int, dict[Char, Fraction]]:
@@ -374,11 +444,17 @@ def _pairing(cols: tuple[IntVec, ...], v: IntVec, row: Sequence[int],
              k: int = 1) -> tuple[int, ...]:
     """``n * k + <alpha, v>`` for each entry n of a row and its character
     alpha, read off the characters' coordinate columns: one pass for each
-    nonzero coordinate of v, the first also scaling the row by k."""
-    for x, col in zip(v, cols):
-        if x:
-            row = [n * k + x * p for n, p in zip(row, col)]
-            k = 1
+    two nonzero coordinates of v, and one for a last odd one, the first
+    also scaling the row by k."""
+    terms = [(x, col) for x, col in zip(v, cols) if x]
+    for j in range(1, len(terms), 2):
+        (x, p), (y, q) = terms[j - 1], terms[j]
+        row = [n * k + x * a + y * b for n, a, b in zip(row, p, q)]
+        k = 1
+    if len(terms) % 2:
+        x, p = terms[-1]
+        row = [n * k + x * a for n, a in zip(row, p)]
+        k = 1
     return tuple(row) if k == 1 else tuple([n * k for n in row])
 
 
@@ -393,10 +469,14 @@ def shift(f: Filtration, c) -> Filtration:
     (c_n,) = _numerators((c,), den)
     nums = {m: tuple([n * k + c_n * m for n in row])
             for m, row in f.nums.items()}
-    return Filtration(f.basis, nums, den, _shift_descriptor(f.descriptor, c))
+    return Filtration(f.basis, nums, den,
+                      _then(_shift_descriptor, f, c))
 
 
-def _shift_descriptor(d: Descriptor, c: Fraction) -> Descriptor:
+def _shift_descriptor(model: ToricFanoModel, i: SummandIndex, d: Descriptor,
+                      c: Fraction) -> Descriptor:
+    """The descriptor of the shift by c of a table carrying d; the first
+    part of a sum carries the shift."""
     if isinstance(d, ValuationDescriptor):
         return _valuation(d.den, d.nums, d.shift + c)
     if isinstance(d, SumDescriptor):
@@ -418,8 +498,7 @@ def twist(f: Filtration, xi: Sequence) -> Filtration:
     cols = f.basis.cols
     nums = {m: _pairing(cols[m], xi_n, row, k) for m, row in f.nums.items()}
     return Filtration(f.basis, nums, den,
-                      _twist_descriptor(f.basis.model, f.basis.index,
-                                        f.descriptor, den, xi_n))
+                      _then(_twist_descriptor, f, den, xi_n))
 
 
 def _twist_descriptor(model: ToricFanoModel, i: SummandIndex, d: Descriptor,
@@ -450,9 +529,16 @@ def round_weights(f: Filtration) -> Filtration:
     which each section persists.  Idempotent."""
     den = f.den
     nums = {m: tuple([n // den for n in row]) for m, row in f.nums.items()}
-    d = f.descriptor
-    keep = d if isinstance(d, ValuationDescriptor) and _integer_valued(f) else None
-    return Filtration(f.basis, nums, 1, keep)
+    keep = f._descriptor is not None and _integer_valued(f)
+    return Filtration(f.basis, nums, 1,
+                      _then(_valuation_only, f) if keep else None)
+
+
+def _valuation_only(model: ToricFanoModel, i: SummandIndex,
+                    d: Descriptor) -> Descriptor:
+    """d when it is a valuation descriptor, else None: the closed form an
+    unchanged table keeps."""
+    return d if isinstance(d, ValuationDescriptor) else None
 
 
 def base_change(f: Filtration, e: int) -> Filtration:
@@ -463,13 +549,16 @@ def base_change(f: Filtration, e: int) -> Filtration:
     if not _integer_valued(f):
         raise NotIntegerValued("round the filtration before base change")
     nums = {m: tuple([n * e for n in row]) for m, row in f.nums.items()}
-    d = f.descriptor
+    return Filtration(f.basis, nums, f.den,
+                      _then(_base_change_descriptor, f, e))
+
+
+def _base_change_descriptor(model: ToricFanoModel, i: SummandIndex,
+                            d: Descriptor, e: int) -> Descriptor:
+    """The descriptor of the e-fold base change of a table carrying d."""
     if isinstance(d, ValuationDescriptor):
-        keep: Descriptor = _valuation(d.den, tuple([n * e for n in d.nums]),
-                                      d.shift * e)
-    else:
-        keep = None
-    return Filtration(f.basis, nums, f.den, keep)
+        return _valuation(d.den, tuple([n * e for n in d.nums]), d.shift * e)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -532,28 +621,40 @@ def twist_family(fam: FiltrationFamily, xi: Sequence) -> FiltrationFamily:
 def _plan(model: ToricFanoModel, left: tuple[Char, ...],
           right: tuple[Char, ...], target: tuple[Char, ...], m: int,
           what: str) -> tuple[tuple, tuple[Char, ...]]:
-    """The gather plan of one max-plus stage, memoized on the model by the
-    exact character tuples: (gathers, output characters).
+    """The gather plan of one max-plus stage, memoized on the model:
+    (gathers, output characters).
 
     The outputs are the target characters in order, then every other sum
     in first-seen order.  A gather is the flat index ``i * len(right) + j``
     of the one pair (left[i], right[j]) adding up to its output, or an
     ``itemgetter`` of all such indices.  A target character that is no sum
-    raises EmptyDecomposition, naming ``what`` it lacks."""
-    key = (left, right, target)
-    plan = model.plans.get(key)
-    if plan is None:
-        groups: dict[Char, list[int]] = {alpha: [] for alpha in target}
-        for k, (a, b) in enumerate(product(left, right)):
-            groups.setdefault(tuple(map(add, a, b)), []).append(k)
-        for alpha in target:
-            if not groups[alpha]:
-                raise EmptyDecomposition(
-                    f"character {alpha} at degree {m} admits no {what}")
-        gathers = tuple(ks[0] if len(ks) == 1 else itemgetter(*ks)
-                        for ks in groups.values())
-        out = target if len(groups) == len(target) else tuple(groups)
-        plan = model.plans[key] = (gathers, out)
+    raises EmptyDecomposition, naming ``what`` it lacks.
+
+    The memo is keyed by a fingerprint, the lengths and first characters of
+    the three tuples, so a lookup hashes no whole tuple; each entry under a
+    fingerprint keeps its tuples, and a hit is confirmed on them, by
+    identity first (the bases and earlier plans hand out the same tuples)
+    and by equality otherwise.  So the memo holds one entry per distinct
+    plan."""
+    key = (len(left), len(right), len(target), left[:1], right[:1],
+           target[:1])
+    entries = model.plans.get(key, ())
+    for l, r, t, plan in entries:
+        if ((l is left or l == left) and (r is right or r == right)
+                and (t is target or t == target)):
+            return plan
+    groups: dict[Char, list[int]] = {alpha: [] for alpha in target}
+    for k, (a, b) in enumerate(product(left, right)):
+        groups.setdefault(tuple(map(add, a, b)), []).append(k)
+    for alpha in target:
+        if not groups[alpha]:
+            raise EmptyDecomposition(
+                f"character {alpha} at degree {m} admits no {what}")
+    gathers = tuple(ks[0] if len(ks) == 1 else itemgetter(*ks)
+                    for ks in groups.values())
+    out = target if len(groups) == len(target) else tuple(groups)
+    plan = (gathers, out)
+    model.plans.setdefault(key, []).append((left, right, target, plan))
     return plan
 
 
@@ -594,8 +695,9 @@ def sum_filtration(fam: FiltrationFamily) -> Filtration:
                                  target if k == last else (), m, "decomposition")
             row = _maxplus(gathers, row, rows[k][m])
         nums[m] = row[:len(target)]
+    slots = tuple([f._descriptor for f in fam.members])
     return Filtration(total_basis, nums, den,
-                      _sum_descriptor([f.descriptor for f in fam.members]))
+                      None if None in slots else _Pending(_sum_step, slots))
 
 
 def _total_basis(model: ToricFanoModel, grid: tuple[int, ...]) -> GradedBasis:
@@ -612,6 +714,13 @@ def _total_basis(model: ToricFanoModel, grid: tuple[int, ...]) -> GradedBasis:
         degrees = tuple(sorted(grid))
         entry = model.totals[grid] = (degrees, *_stored(model, TOTAL, degrees))
     return GradedBasis(model, TOTAL, *entry)
+
+
+def _sum_step(model: ToricFanoModel, i: SummandIndex,
+              slots: tuple) -> Descriptor:
+    """The descriptor of a sum, from the descriptor slots of its members,
+    member k on summand k."""
+    return _sum_descriptor([_resolve(d, model, k) for k, d in enumerate(slots)])
 
 
 def _sum_descriptor(parts: Sequence[Descriptor]) -> Descriptor:
@@ -653,11 +762,10 @@ def approximate(f: Filtration, m0: int) -> Filtration:
     # keep the closed form only when degree-m0 products really regenerate
     # the original table (true for valuation filtrations on these bases,
     # but checked rather than assumed)
-    descriptor = None
-    if isinstance(f.descriptor, ValuationDescriptor):
-        if all(nums[m] == f.nums[m] for m in target):
-            descriptor = f.descriptor
-    return Filtration(basis, nums, f.den, descriptor)
+    keep = f._descriptor is not None and all(nums[m] == f.nums[m]
+                                             for m in target)
+    return Filtration(basis, nums, f.den,
+                      _then(_valuation_only, f) if keep else None)
 
 
 # ---------------------------------------------------------------------------

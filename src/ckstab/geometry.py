@@ -238,10 +238,6 @@ def _rank(rows: Sequence[Sequence[int]]) -> int:
     return len(_int_echelon(rows)[0])
 
 
-def mat_rank(rows: Sequence[Sequence]) -> int:
-    return _rank([_int_row(row) for row in rows])
-
-
 def _int_det(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix: written out up to 3 x 3, by
     fraction-free elimination (Bareiss 1968) above, where every division

@@ -24,16 +24,16 @@ from .errors import CkstabError, InputError, InternalInvariantError
 from .geometry import (DimensionMismatch, ExactPolytope, IntVec, Vec,
                        _cramer_vertices, _int_det, _int_directions,
                        _minor_normal, _pairings, _rank, _rays, as_vec,
-                       centroid, mat_rank, primitive_vector, vdot, vneg, vsub)
+                       centroid, primitive_vector, vdot, vneg, vsub)
 from .toric import (TOTAL, TORIC_SEARCH_ASSUMPTION, MonomialIdealSeq, Ratio,
                     SummandIndex, ToricFanoModel, _containment_lct,
-                    _fraction_sum, _log_discrepancy, _ratio_plus,
+                    _log_discrepancy, _ratio_plus,
                     _s_invariant, _show, _t_invariant, _total_s_sum,
                     log_discrepancy, monomial_lct, s_invariant, support_min,
                     t_invariant, theta_twist, total_s_sum)
 from .filtration import (Descriptor, Filtration, FiltrationFamily,
                          SumDescriptor, UnsupportedDescriptor,
-                         ValuationDescriptor, _sum_descriptor,
+                         ValuationDescriptor,
                          _twist_descriptor, approximate,
                          base_change, construct, family_degree_grid,
                          family_step, graded_basis, round_weights, shift,
@@ -137,11 +137,6 @@ class SubtorusSpec(Record):
     @staticmethod
     def trivial() -> "SubtorusSpec":
         return SubtorusSpec(())
-
-    def contains_direction(self, v: Sequence) -> bool:
-        if self.basis and len(v) != len(self.basis[0]):
-            raise DimensionMismatch(f"rank {len(self.basis[0])} vs {len(v)}")
-        return mat_rank(list(self.basis) + [v]) == self.dim
 
 
 class ReducedJResult(NamedTuple):
@@ -296,21 +291,39 @@ def _slope_parameter(delta) -> Fraction:
     return delta
 
 
-def _closed_form_mu(model: ToricFanoModel, d: Descriptor,
-                    delta: Fraction) -> tuple[Fraction, bool]:
-    """The delta-lc slope of a filtration with a valuation descriptor, and
-    whether it is exact: ``A(eta)/delta + shift`` for delta >= 1, and for
-    delta < 1 the certified lower bound ``A(eta) + shift`` (see
-    :func:`mu_slope`).  A sum of distinct directions has no certified
-    slope."""
-    if isinstance(d, SumDescriptor):
-        raise UnsupportedDescriptor(
-            "no certified lc slope for sums of distinct valuation directions")
-    a, a_den = _log_discrepancy(model, d.den, d.nums)
-    if delta >= 1:
-        return _ratio_plus((a * delta.denominator, a_den * delta.numerator),
-                           d.shift), True
-    return _ratio_plus((a, a_den), d.shift), False
+def _plus(r: Ratio, c: Fraction) -> Ratio:
+    """The ratio n / d plus c, as an int ratio over ``d`` times c's
+    denominator."""
+    n, d = r
+    q = c.denominator
+    return n * q + c.numerator * d, d * q
+
+
+def _less_sum(r: Ratio, terms: Sequence[Ratio]) -> Ratio:
+    """The ratio r less the sum of the terms, as an int ratio over the lcm
+    of their denominators."""
+    den = math.lcm(r[1], *[d for _, d in terms])
+    return (r[0] * (den // r[1]) - sum([n * (den // d) for n, d in terms]),
+            den)
+
+
+# a sum of distinct directions has no certified lc slope
+_NO_SUM_SLOPE = "no certified lc slope for sums of distinct valuation directions"
+
+
+def _closed_form_mu(model: ToricFanoModel, den: int, e: IntVec,
+                    shifts: Sequence[Fraction],
+                    delta: Fraction) -> tuple[Ratio, bool]:
+    """The delta-lc slope of a valuation table at eta = e / den shifted by
+    the sum of the shifts, as an int ratio, and whether it is exact:
+    ``A(eta)/delta + shift`` for delta >= 1, and for delta < 1 the
+    certified lower bound ``A(eta) + shift`` (see :func:`mu_slope`)."""
+    a, a_den = _log_discrepancy(model, den, e)
+    exact = delta >= 1
+    mu = (a * delta.denominator, a_den * delta.numerator) if exact else (a, a_den)
+    for c in shifts:
+        mu = _plus(mu, c)
+    return mu, exact
 
 
 def mu_slope(f: Filtration, delta) -> MuResult:
@@ -332,7 +345,10 @@ def mu_slope(f: Filtration, delta) -> MuResult:
     d = f.descriptor
     model = f.basis.model
     if d is not None:
-        mu, exact = _closed_form_mu(model, d, delta)
+        if isinstance(d, SumDescriptor):
+            raise UnsupportedDescriptor(_NO_SUM_SLOPE)
+        mu, exact = _closed_form_mu(model, d.den, d.nums, (d.shift,), delta)
+        mu = Fraction(*mu)
         if exact:
             return MuResult(mu, mu, mu, CLOSED_FORM)
         lam = _ratio_plus(_t_invariant(model, f.basis.index, d.den, d.nums),
@@ -402,34 +418,48 @@ def ding_of_descriptors(model: ToricFanoModel, parts: Sequence[Descriptor],
     probe value ``value - <b, probe>``, so every exact value has passed one
     internal cross-validation.  A summand with b_i = 0, as in the halves
     models, moves neither side, so a wrong twist of it goes unseen.
+
+    Every slope is an int ratio until the result is built: only the fields
+    of the returned value become ``Fraction``s, and the cross-validation
+    compares cross-multiplied ints.
     """
     delta = _slope_parameter(delta)
 
     def terms(parts):
-        # the lc slope of the sum, whether it is exact, and the member slopes
-        d = _sum_descriptor(parts)
-        if d is None:
+        # the lc slope of the sum, whether it is exact, and the member
+        # slopes; the sum of valuation tables on one direction is the
+        # valuation table with the summed shift
+        if not all(isinstance(p, ValuationDescriptor) for p in parts):
             raise UnsupportedDescriptor("coupled Ding needs a certified lc slope")
-        mu, exact = _closed_form_mu(model, d, delta)
-        return mu, exact, tuple([_ratio_plus(_s_invariant(model, i, p.den,
-                                                          p.nums), p.shift)
-                                 for i, p in enumerate(parts)])
+        # in lowest terms, two directions agree exactly when their den and
+        # nums do
+        if len({(p.den, p.nums) for p in parts}) != 1:
+            raise UnsupportedDescriptor(_NO_SUM_SLOPE)
+        d = parts[0]
+        mu, exact = _closed_form_mu(model, d.den, d.nums,
+                                    [p.shift for p in parts], delta)
+        return mu, exact, [_plus(_s_invariant(model, i, p.den, p.nums), p.shift)
+                           for i, p in enumerate(parts)]
 
     mu, exact, s_vals = terms(parts)
-    value = mu - _fraction_sum(s_vals)
     ones = (1,) * model.rank
     t_mu, _, t_s = terms([_twist_descriptor(model, i, d, 1, ones)
                           for i, d in enumerate(parts)])
-    probe = tuple(map(Fraction, ones))
-    probe_value = t_mu - _fraction_sum(t_s)
     if delta == 1:
         # the barycenter twist rules are slope-one identities; <b_i, probe>
-        # is the sum of the coordinates of summand i's barycenter
+        # is the sum of the coordinates of summand i's barycenter, so
+        # t = s + sum(b) / den reads t_n * s_d * den = (s_n * den +
+        # sum(b) * s_d) * t_d
         den = model.bary_den
-        if t_mu != mu or any(t != s + Fraction(sum(b), den)
-                             for t, s, b in zip(t_s, s_vals, model.bary_nums)):
+        if (t_mu[0] * mu[1] != mu[0] * t_mu[1]
+                or any(tn * sd * den != (sn * den + sum(b) * sd) * td
+                       for (tn, td), (sn, sd), b
+                       in zip(t_s, s_vals, model.bary_nums))):
             raise InternalInvariantError("twist identity cross-validation failed")
-    return DingResult(value, mu, s_vals, delta, probe, probe_value,
+    return DingResult(Fraction(*_less_sum(mu, s_vals)), Fraction(*mu),
+                      tuple([Fraction(*r) for r in s_vals]), delta,
+                      (Fraction(1),) * model.rank,
+                      Fraction(*_less_sum(t_mu, t_s)),
                       provenance=CLOSED_FORM if exact else "lower-bound")
 
 

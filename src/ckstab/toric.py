@@ -135,8 +135,9 @@ class ToricFanoModel(Record):
             # are int tuples aligned with them.  No memo refers back to the
             # model.
             bases={},
-            # max-plus gather plans by their exact (left, right, target)
-            # character tuples; see filtration._plan
+            # max-plus gather plans, each kept with the (left, right,
+            # target) character tuples it was built from, under a
+            # fingerprint of them; see filtration._plan
             plans={},
             # the characters and columns of the total ring on each degree
             # grid a sum filtration has seen; see filtration.sum_filtration

@@ -11,7 +11,8 @@ the coupled and the lc thresholds over the linear forms of their cells,
 the facet loop that found
 the cone absorbing a twisted ray, the all-vertex loop behind the cells of
 a support minimum, the normal fan's cones with their facets solved from
-their generators, the coupled Ding invariant through sum tables, the
+their generators, the coupled Ding invariant through sum tables and from the public
+invariants, a rank by Gaussian elimination in Fractions, the
 scan of every level behind the finite-degree lc slope, the
 closed-form descriptor steps in plain Fractions over the vertices, and the
 report renderer that canonicalized a record and then dumped it with
@@ -37,14 +38,15 @@ from ckstab.filtration import (EmptyDecomposition, Filtration,
                                ValuationDescriptor, numerics, sum_filtration,
                                twist_family)
 from ckstab.geometry import (Cone, ExactPolytope, HalfSpace, as_vec,
-                             lattice_points, mat_rank, primitive_vector, vdot,
-                             vneg, vsub)
+                             lattice_points, primitive_vector, vdot, vneg,
+                             vsub)
 from ckstab.optimize import minimize_pl_ratio
 from ckstab.serialize import ValidationError
 from ckstab.stability import (CLOSED_FORM, DingResult, StabilityError,
                               coupled_ding, mu_slope)
 from ckstab.toric import (TOTAL, MonomialIdealSeq, ToricFanoModel,
-                          _region_of_ideal, log_discrepancy, monomial_lct)
+                          _region_of_ideal, log_discrepancy, monomial_lct,
+                          s_invariant, theta_twist)
 
 
 def hull_oracle(points):
@@ -112,6 +114,24 @@ def cofactor_det(rows):
         return a * d - b * c
     return sum((-1) ** j * a * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
                for j, a in enumerate(rows[0]) if a)
+
+
+def matrix_rank(rows) -> int:
+    """The rank of rational rows, by Gaussian elimination in Fractions."""
+    mat = [[F(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(mat[0]) if mat else 0):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][c]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        top = mat[rank]
+        for r in range(rank + 1, len(mat)):
+            f = mat[r][c] / top[c]
+            if f:
+                mat[r] = [x - f * y for x, y in zip(mat[r], top)]
+        rank += 1
+    return rank
 
 
 def affine_rank(points):
@@ -467,14 +487,14 @@ def cone_from_generators(gens: Sequence[Sequence]) -> Cone:
     extreme rays of the dual cone by ``cone_rays_oracle``."""
     prims = sorted({primitive_vector(g) for g in gens})
     rank = len(prims[0])
-    if mat_rank(prims) < rank:
+    if matrix_rank(prims) < rank:
         raise ValueError("cone generators do not span")
     if rank == 1:
         return Cone(tuple(prims), tuple(prims))
     facets = sorted(cone_rays_oracle(prims, rank))
     # drop generators that are not extreme (conic combinations of others)
     extreme = [g for g in prims
-               if mat_rank([f for f in facets if vdot(g, f) == 0]) >= rank - 1]
+               if matrix_rank([f for f in facets if vdot(g, f) == 0]) >= rank - 1]
     return Cone(tuple(extreme), tuple(facets))
 
 
@@ -633,6 +653,32 @@ def ding_descriptor_oracle(model: ToricFanoModel, parts, delta
     ones = (F(1),) * model.rank
     t_mu, t_slopes = terms([descriptor_twist_oracle(model, i, p, ones)
                             for i, p in enumerate(parts)])
+    return (mu - sum(slopes, F(0)), mu, slopes,
+            CLOSED_FORM if delta >= 1 else "lower-bound",
+            t_mu - sum(t_slopes, F(0)))
+
+
+def ding_public_oracle(model: ToricFanoModel, parts, delta
+                       ) -> tuple[Fraction, Fraction, tuple, str, Fraction]:
+    """The same five fields as ``ding_descriptor_oracle``, from the public
+    invariants alone, in Fractions: the lc slope is ``log_discrepancy``
+    over delta (or alone, below slope one) plus the summed shifts, member
+    i's slope is ``s_invariant`` plus its shift, and the probe twists
+    every member by the all-ones direction, moving its shift by minus
+    ``theta_twist``.  ``parts`` are (eta, shift) pairs on one eta."""
+    delta = F(delta)
+    ones = (F(1),) * model.rank
+
+    def terms(parts):
+        a = log_discrepancy(model, parts[0][0])
+        mu = (a / delta if delta >= 1 else a) + sum((s for _, s in parts), F(0))
+        return mu, tuple(s_invariant(model, i, e) + s
+                         for i, (e, s) in enumerate(parts))
+
+    mu, slopes = terms(parts)
+    t_mu, t_slopes = terms([(tuple(x + 1 for x in e),
+                             s - theta_twist(model, i, e, ones))
+                            for i, (e, s) in enumerate(parts)])
     return (mu - sum(slopes, F(0)), mu, slopes,
             CLOSED_FORM if delta >= 1 else "lower-bound",
             t_mu - sum(t_slopes, F(0)))

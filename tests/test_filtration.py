@@ -3,11 +3,14 @@ the structural identities on sampled inputs."""
 
 from __future__ import annotations
 
+import collections
 import gc
 import itertools
+import math
 import random
 import weakref
 from fractions import Fraction as F
+from importlib import resources
 
 import pytest
 
@@ -24,10 +27,12 @@ import ckstab
 
 from ckstab.cli import resolve_model_path
 from ckstab.filtration import (EmptyDecomposition, Filtration,
-                               FiltrationFamily, GradedBasis,
+                               FiltrationError, FiltrationFamily, GradedBasis,
                                GridMismatch, MissingCharacter,
                                NotIntegerValued, UnboundedWeights,
-                               ValuationDescriptor,
+                               ValuationDescriptor, _base_change_descriptor,
+                               _integer_valued, _shift_descriptor,
+                               _sum_descriptor, _twist_descriptor,
                                approximate, base_change, construct,
                                family_degree_grid, graded_basis, numerics,
                                round_weights, shift, sum_filtration,
@@ -37,7 +42,8 @@ from ckstab.filtration import (EmptyDecomposition, Filtration,
 from ckstab.geometry import ExactPolytope
 from ckstab.serialize import load_model
 from ckstab.stability import coupled_ding, ding_of_descriptors, identity_suite
-from ckstab.toric import TOTAL, build_model, s_invariant, theta_twist
+from ckstab.toric import (TOTAL, RankMismatch, build_model, s_invariant,
+                          theta_twist)
 
 
 def rand_frac(rng, span=3):
@@ -898,3 +904,239 @@ def test_descriptor_steps_rescale_no_direction(models, rank3_models, name,
     assert calls == [], name
     s_invariant(model, 0, parts[0].eta)
     assert calls
+
+
+# --- descriptors derived on first read ---------------------------------------
+
+ALL_FIXTURES = sorted(
+    f.name[:-len(".json")] for f in (resources.files("ckstab") / "fixtures").iterdir()
+    if f.name.endswith(".json"))
+
+
+def eager_step(kind, f, d, arg):
+    """The descriptor a step on f, whose descriptor is d, gives when it is
+    computed at once: the rules each step applied before descriptors were
+    deferred."""
+    model, i = f.basis.model, f.basis.index
+    if kind == "shift":
+        return _shift_descriptor(model, i, d, F(arg))
+    if kind == "twist":
+        den = math.lcm(f.den, *(x.denominator for x in arg))
+        return _twist_descriptor(model, i, d, den,
+                                 tuple(x.numerator * (den // x.denominator)
+                                       for x in arg))
+    if kind == "base_change":
+        return _base_change_descriptor(model, i, d, arg)
+    valuation = isinstance(d, ValuationDescriptor)
+    if kind == "round":
+        integer = all(n % f.den == 0 for row in f.nums.values() for n in row)
+        return d if valuation and integer else None
+    # approximate: kept only where the degree-arg powers regenerate f
+    ap = approximate(f, arg)
+    return d if valuation and all(ap.nums[m] == f.nums[m]
+                                  for m in ap.basis.degrees) else None
+
+
+def apply_step(kind, f, arg):
+    return {"shift": shift, "twist": twist, "base_change": base_change,
+            "round": lambda g, _: round_weights(g),
+            "approximate": approximate}[kind](f, arg)
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_deferred_descriptors_equal_the_eager_ones(models, name):
+    # seeded chains of every step on each member, then a sum and steps on
+    # the sum, with the descriptors read at random points along the way, so
+    # a step finds its parent's descriptor read or still pending; every
+    # read equals the descriptor computed step by step at once, and a
+    # second read is the same object.  Half the chains stay on integer
+    # tables, where rounding and base change keep the closed form, and a
+    # third start from distinct directions, whose sum has parts
+    model = models.get(name) or load_model(resolve_model_path(name + ".json"))
+    assert len(ALL_FIXTURES) == 11
+    rng = random.Random(sum(map(ord, name)) + 5)
+    rank, k = model.rank, model.num_summands
+    grid = family_degree_grid(model, 4)
+    kinds = ["shift", "twist", "twist", "base_change", "round", "approximate"]
+    reads, checks = collections.Counter(), 0
+
+    def vec(integral):
+        if integral:
+            return tuple(F(rng.randint(-2, 2)) for _ in range(rank))
+        return tuple(twelfths(rng) for _ in range(rank))
+
+    def arg(kind, integral):
+        if kind == "shift":
+            return F(rng.randint(-3, 3)) if integral else twelfths(rng, 3)
+        if kind == "twist":
+            return vec(integral)
+        if kind == "base_change":
+            return rng.choice([2, 3])
+        return grid[0]
+
+    def check(f, want, always=False):
+        nonlocal checks
+        checks += 1
+        if always or rng.random() < 0.5:
+            got = f.descriptor
+            assert got == want, (name, got, want)
+            assert f.descriptor is got
+            reads[type(got).__name__] += 1
+
+    for chain in range(6):
+        integral, mixed = chain % 2 == 0, chain % 3 == 0 and k > 1
+        etas = [vec(integral) for _ in range(k)] if mixed else [vec(integral)] * k
+        members = [valuation_filtration(graded_basis(model, i, m_max=grid[-1],
+                                                     step=grid[0]), etas[i])
+                   for i in range(k)]
+        wants = [f.descriptor for f in members]
+        for _ in range(5):
+            kind = rng.choice(kinds)
+            shared = arg(kind, integral)
+            args = [arg(kind, integral) if kind == "shift" else shared
+                    for _ in range(k)]
+            rough = [f for f in members if not _integer_valued(f)]
+            if kind == "base_change" and rough:
+                with pytest.raises(NotIntegerValued):
+                    base_change(rough[0], shared)
+                continue
+            nxt = [apply_step(kind, f, a) for f, a in zip(members, args)]
+            wants = [eager_step(kind, f, d, a)
+                     for f, d, a in zip(members, wants, args)]
+            members = nxt
+            for f, want in zip(members, wants):
+                check(f, want)
+        total = sum_filtration(FiltrationFamily(model, tuple(members)))
+        want = _sum_descriptor(wants)
+        check(total, want, always=True)
+        for kind in ("shift", "twist", "round"):
+            a = arg(kind, integral)
+            total, want = apply_step(kind, total, a), eager_step(kind, total, want, a)
+            check(total, want)
+        assert total.descriptor == want
+    assert checks >= 70 and sum(reads.values()) >= 30, (checks, reads)
+    assert reads["ValuationDescriptor"] and reads["NoneType"], reads
+    assert reads["SumDescriptor"] or k == 1, reads
+
+
+def test_deferred_sum_of_distinct_directions(p2_steps):
+    # a sum of members on distinct directions reads as their parts, and a
+    # shift of it moves the first part only
+    a, b = ((F(1, 2), F(1, 3)), (F(-1, 2), F(1)))
+    fam = FiltrationFamily(p2_steps, (
+        valuation_filtration(graded_basis(p2_steps, 0, m_max=2), a),
+        twist(valuation_filtration(graded_basis(p2_steps, 1, m_max=2), b),
+              (F(1, 4), 0))))
+    total = shift(sum_filtration(fam), F(2, 3))
+    parts = total.descriptor.parts
+    assert total.descriptor is total.descriptor
+    assert parts == (ValuationDescriptor(a, F(2, 3)), fam.members[1].descriptor)
+
+
+def test_an_unread_chain_holds_a_bounded_number_of_steps(models):
+    # a long unread chain of steps keeps at most _MAX_PENDING of them
+    # pending, reading the rest as it goes, and reads the descriptor the
+    # steps give one at a time
+    from ckstab.filtration import _MAX_PENDING, _Pending
+
+    def pending(f):
+        n, slot = 0, f._descriptor
+        while isinstance(slot, _Pending):
+            n, slot = n + 1, slot.parent
+        return n
+
+    rng = random.Random(7)
+    for model in models.values():
+        grid = family_degree_grid(model, 4)
+        f = valuation_filtration(graded_basis(model, 0, m_max=grid[-1],
+                                              step=grid[0]), (F(1, 2),) * model.rank)
+        want, depths = f.descriptor, set()
+        for n in range(5 * _MAX_PENDING):
+            if n % 3:
+                xi = tuple(twelfths(rng) for _ in range(model.rank))
+                want = eager_step("twist", f, want, xi)
+                f = twist(f, xi)
+            else:
+                c = twelfths(rng)
+                want = eager_step("shift", f, want, c)
+                f = shift(f, c)
+            depths.add(pending(f))
+        assert depths == set(range(1, _MAX_PENDING + 1)), model.name
+        assert f.descriptor == want and pending(f) == 0
+
+
+class WeakTable(dict):
+    """A weight table that a weakref can watch."""
+
+
+def test_a_pending_descriptor_keeps_no_table_alive(models):
+    # a step's result holds only its parent's descriptor slot and the step's
+    # own arguments: once the parent goes, its table is freed though the
+    # child's descriptor is still pending, and the child reads the same
+    # descriptor as a chain whose parent stayed alive
+    gc.disable()
+    try:
+        cases = 0
+        for model in models.values():
+            grid = family_degree_grid(model, 4)
+            eta, xi = (F(1, 2),) * model.rank, (F(1, 3),) * model.rank
+
+            def watched(i):
+                f = valuation_filtration(graded_basis(
+                    model, i, m_max=grid[-1], step=grid[0]), eta)
+                return Filtration(f.basis, WeakTable(f.nums), f.den,
+                                  f.descriptor)
+
+            steps = [lambda f: shift(f, F(1, 5)), lambda f: twist(f, xi),
+                     round_weights, lambda f: approximate(f, grid[0]),
+                     lambda f: base_change(round_weights(f), 2)]
+            for step in steps:
+                want = step(twist(watched(0), xi)).descriptor
+                parent = watched(0)
+                ref = weakref.ref(parent.nums)
+                child = step(twist(parent, xi))
+                del parent
+                assert ref() is None, model.name
+                assert child.descriptor == want
+                cases += 1
+            want = sum_filtration(twist_family(FiltrationFamily(model, tuple(
+                watched(i) for i in range(model.num_summands))), xi)).descriptor
+            members = [watched(i) for i in range(model.num_summands)]
+            refs = [weakref.ref(f.nums) for f in members]
+            total = sum_filtration(twist_family(FiltrationFamily(
+                model, tuple(members)), xi))
+            del members
+            assert all(r() is None for r in refs), model.name
+            assert isinstance(want, ValuationDescriptor)
+            assert total.descriptor == want
+            cases += 1
+        assert cases == 6 * len(models)
+    finally:
+        gc.enable()
+
+
+def test_step_checks_raise_at_the_step(models):
+    # deferring a descriptor defers no input check: each still raises at the
+    # step, with its message, on a table whose descriptor is still pending
+    for model in models.values():
+        grid = family_degree_grid(model, 4)
+        f = valuation_filtration(graded_basis(model, 0, m_max=grid[-1],
+                                              step=grid[0]), (F(1, 2),) * model.rank)
+        pending = shift(twist(f, (F(1, 3),) * model.rank), F(1, 7))
+        with pytest.raises(RankMismatch,
+                           match="^twist rank differs from the torus rank$"):
+            twist(pending, (1,) * (model.rank + 1))
+        with pytest.raises(NotIntegerValued,
+                           match="^round the filtration before base change$"):
+            base_change(pending, 2)
+        with pytest.raises(FiltrationError, match="^base change exponent must "
+                                                  "be a positive integer$"):
+            base_change(round_weights(pending), 0)
+        with pytest.raises(GridMismatch, match=f"^degree {grid[-1] + 1} not stored$"):
+            approximate(pending, grid[-1] + 1)
+        with pytest.raises(ValueError):
+            shift(pending, "one")
+        if model.num_summands > 1:
+            with pytest.raises(GridMismatch,
+                               match="^family member bound to the wrong summand$"):
+                FiltrationFamily(model, (pending,) * model.num_summands)

@@ -386,7 +386,9 @@ def test_loading_and_face_queries_rescan_nothing(models, rank3_dir, monkeypatch)
             centroid(p)
             assert scanned == [] and ranked == [], (model.name, p)
     ExactPolytope.from_vertices([(0, 0), (1, 1)])
-    ckstab.geometry.mat_rank([(1, 0)])
+    ExactPolytope.from_halfspaces([HalfSpace.make((1, 0), -1),
+                                   HalfSpace.make((0, 1), -1),
+                                   HalfSpace.make((-1, -1), -1)], 2)
     assert scanned and ranked
 
 

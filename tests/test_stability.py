@@ -12,17 +12,19 @@ from importlib import resources
 
 import pytest
 
-from oracles import (SUBTORI_2, ding_of_twist, ding_via_sums,
-                     dist2_to_affine, fan_cell_delta, mu_slope_scan,
-                     inner_sup_candidates, inner_sup_oracle, reduced_j_oracle,
+from oracles import (SUBTORI_2, ding_of_twist, ding_public_oracle,
+                     ding_via_sums, dist2_to_affine, fan_cell_delta, mu_slope_scan,
+                     inner_sup_candidates, inner_sup_oracle, matrix_rank,
+                     reduced_j_oracle,
                      reduced_j_slice_oracle, slice_cells_oracle,
                      twisted_profile_oracle)
 
 import ckstab
 
-from ckstab.errors import CkstabError
+from ckstab.errors import CkstabError, InternalInvariantError
 from ckstab.filtration import (FiltrationFamily, GridMismatch,
-                               UnsupportedDescriptor, construct,
+                               SumDescriptor, UnsupportedDescriptor,
+                               ValuationDescriptor, construct,
                                family_degree_grid, graded_basis,
                                round_weights, shift, trivial_family,
                                twist_family, valuation_family,
@@ -34,13 +36,14 @@ from ckstab.stability import (DegenerateSubtorus, DingResult, RankTooHigh,
                               StabilityError, SubtorusSpec, SuiteFailure,
                               _inner_sup_cells, _reduced_j_cells,
                               _slice_cells, coupled_delta,
-                              coupled_ding, coupled_futaki, find_destabilizer,
+                              coupled_ding, coupled_futaki,
+                              ding_of_descriptors, find_destabilizer,
                               identity_suite, inner_twist_sup,
                               inradius_squared, j_twist, mu_slope,
                               reduced_coupled_delta, reduced_coupled_j,
                               semistable_verdict, twisted_ratio_profile)
 from ckstab.toric import (TOTAL, ToricFanoModel, build_model, log_discrepancy,
-                          total_s_sum)
+                          theta_twist, total_s_sum)
 
 
 # --- coupled Futaki -----------------------------------------------------------
@@ -137,7 +140,7 @@ def test_reduced_j_agrees_with_the_vertex_pair_oracle(models):
                                 for _ in range(model.rank))
                     res = reduced_coupled_j(model, xi0, sub=sub)
                     assert res.value == reduced_j_oracle(model, xi0, sub.basis)
-                    assert sub.contains_direction(res.argmin)
+                    assert matrix_rank([*sub.basis, res.argmin]) == sub.dim
                     at = tuple(x + y for x, y in zip(xi0, res.argmin))
                     assert sum(j_twist(model, i, at)
                                for i in range(model.num_summands)) == res.value
@@ -207,7 +210,8 @@ def test_reduced_j_and_inner_sup_match_the_fraction_oracles(models, rank3_models
                 value, argmin, minimizers = reduced_j_slice_oracle(model, xi0, basis)
                 assert (res.value, res.argmin) == (value, argmin), (model.name, xi0)
                 ties += minimizers > 1
-                if sub.dim < model.rank and not sub.contains_direction(eta):
+                if (sub.dim < model.rank
+                        and matrix_rank([*basis, eta]) != sub.dim):
                     got = inner_twist_sup(model, sub, eta)
                     assert tuple(got) == inner_sup_oracle(model, basis, eta), (
                         model.name, basis, eta)
@@ -263,7 +267,7 @@ def test_reduced_j_fast_branches_match_the_cells(rank3_models, monkeypatch):
                 want = _reduced_j_cells(model, d, base, W)
                 assert (res.value, res.argmin) == (want.value, want.argmin), (
                     model.name, basis, xi0)
-                if sub.contains_direction(xi0):
+                if matrix_rank([*basis, xi0]) == len(basis):
                     branch = "origin"
                     assert (res.value, res.argmin) == (0, tuple(-x for x in xi0))
                 elif not basis:
@@ -445,6 +449,91 @@ def test_coupled_ding_matches_the_sum_route(models):
                     "slope parameter must be positive": 18}
 
 
+def test_ding_of_descriptors_matches_the_public_invariants():
+    # every field against the Fraction oracle built from log_discrepancy,
+    # s_invariant and theta_twist: seeded directions and per-member shifts
+    # on the eleven packaged fixtures, at slopes below one (a lower bound),
+    # one and above, and the same families read through twisted members,
+    # whose descriptors are derived on first read
+    rng = random.Random(137)
+
+    def frac(span):
+        return F(rng.randint(-span * 6, span * 6), rng.choice([1, 2, 3, 6]))
+
+    seen = collections.Counter()
+    for model in _packaged_models():
+        rank, k = model.rank, model.num_summands
+        ones = (F(1),) * rank
+        m_max = family_degree_grid(model, 12)[0]
+        for _ in range(4):
+            eta = tuple(frac(2) for _ in range(rank))
+            shifts = [frac(1) if rng.random() < 0.7 else F(0) for _ in range(k)]
+            parts = [ValuationDescriptor(eta, c) for c in shifts]
+            pairs = [(eta, c) for c in shifts]
+            fam = FiltrationFamily(model, tuple(
+                shift(f, c) for f, c in
+                zip(valuation_family(model, eta, m_max=m_max).members, shifts)))
+            xi = tuple(frac(1) for _ in range(rank))
+            moved = [(tuple(a + b for a, b in zip(eta, xi)),
+                      c - theta_twist(model, i, eta, xi))
+                     for i, c in enumerate(shifts)]
+            for delta in (F(1, 3), F(2, 3), F(1), F(3, 2), F(2)):
+                for got, want in (
+                        (ding_of_descriptors(model, parts, delta), pairs),
+                        (coupled_ding(fam, delta), pairs),
+                        (coupled_ding(twist_family(fam, xi), delta), moved)):
+                    assert (got.value, got.mu, got.s_values, got.provenance,
+                            got.probe_value) == ding_public_oracle(
+                                model, want, delta), (model.name, eta, delta)
+                    assert (got.delta, got.probe_xi) == (delta, ones)
+                    fields = (got.value, got.mu, *got.s_values, got.delta,
+                              *got.probe_xi, got.probe_value)
+                    assert all(type(x) is F for x in fields)
+                    seen[got.provenance] += 1
+    assert seen == {"closed-form": 396, "lower-bound": 264}
+
+
+def test_ding_of_descriptors_refuses_in_the_same_order(models):
+    # a member without a descriptor is named before distinct directions,
+    # and distinct directions before the slope is read
+    one, two = ValuationDescriptor((1, 0)), ValuationDescriptor((0, 1))
+    model = models["p2_steps"]
+    cases = [([one, two], "no certified lc slope for sums of distinct "
+                          "valuation directions"),
+             ([None, two], "coupled Ding needs a certified lc slope"),
+             ([one, None], "coupled Ding needs a certified lc slope"),
+             ([two, SumDescriptor((one, two))],
+              "coupled Ding needs a certified lc slope"),
+             ([], "no certified lc slope for sums of distinct valuation "
+                  "directions")]
+    for parts, message in cases:
+        for delta in (F(1, 2), F(1)):
+            with pytest.raises(UnsupportedDescriptor, match=f"^{message}$"):
+                ding_of_descriptors(model, parts, delta)
+    with pytest.raises(StabilityError, match="^slope parameter must be positive$"):
+        ding_of_descriptors(model, [None, two], F(0))
+
+
+def test_ding_cross_check_catches_a_shifted_twist(models, monkeypatch):
+    # a probe twist that moves one member's shift by 1/1000 breaks the
+    # member slope rule on every model at slope one, compared on the
+    # cross-multiplied ints, and goes unchecked at other slopes
+    import ckstab.stability
+    from ckstab.filtration import _twist_descriptor
+
+    def off(model, i, d, den, xi_n):
+        t = _twist_descriptor(model, i, d, den, xi_n)
+        return ValuationDescriptor(t.eta, t.shift + F(1, 1000) * (i == 0))
+
+    monkeypatch.setattr(ckstab.stability, "_twist_descriptor", off)
+    for model in models.values():
+        parts = [ValuationDescriptor((F(1, 2),) * model.rank)] * model.num_summands
+        with pytest.raises(InternalInvariantError,
+                           match="^twist identity cross-validation failed$"):
+            ding_of_descriptors(model, parts, 1)
+        assert ding_of_descriptors(model, parts, 2).provenance == "closed-form"
+
+
 # --- thresholds -------------------------------------------------------------------
 
 def test_delta_fixture_values(models):
@@ -568,11 +657,11 @@ def test_reduced_delta_bl1p2_subtorus(bl1p2):
 
 def test_wrong_length_direction_is_a_dimension_mismatch(bl1p2):
     sub = SubtorusSpec(((1, 1),))
-    with pytest.raises(DimensionMismatch, match=r"^rank 2 vs 3$"):
-        sub.contains_direction((1, 1, 0))
     for s in (sub, SubtorusSpec.trivial()):
         with pytest.raises(DimensionMismatch, match=r"^rank 2 vs 1$"):
             inner_twist_sup(bl1p2, s, (1,))
+        with pytest.raises(DimensionMismatch, match=r"^rank 2 vs 3$"):
+            inner_twist_sup(bl1p2, s, (1, 1, 0))
     # a basis of the wrong rank is caught where the slice is scaled
     with pytest.raises(DimensionMismatch,
                        match=r"^direction rank 3 vs polytope rank 2$"):
