@@ -22,9 +22,9 @@ from .filtration import (EmptyDecomposition, Filtration, FiltrationFamily,
                          NotIntegerValued, UnboundedWeights,
                          UnsupportedDescriptor, approximate, base_change,
                          construct, graded_basis, numerics, round_weights,
-                         shift, sum_filtration, trivial_family,
-                         trivial_filtration, twist, twist_family,
-                         valuation_family, valuation_filtration)
+                         shift, sum_filtration, trivial_family, twist,
+                         twist_family, valuation_family,
+                         valuation_filtration)
 from .optimize import minimize_pl_ratio
 from .stability import (CoupledBarycenter, DegenerateSubtorus, RankTooHigh,
                         StabilityError, SubtorusSpec, SuiteFailure,
@@ -35,7 +35,7 @@ from .stability import (CoupledBarycenter, DegenerateSubtorus, RankTooHigh,
                         twisted_ratio_profile)
 from .serialize import (ParseError, ValidationError, canonical_json,
                         format_rational, load_model, model_from_json,
-                        model_to_json, parse_rational)
+                        parse_rational)
 
 __version__ = "0.1.0"
 
@@ -56,8 +56,8 @@ __all__ = [
     "GridMismatch", "MissingCharacter", "NotIntegerValued",
     "UnboundedWeights", "UnsupportedDescriptor", "approximate",
     "base_change", "construct", "graded_basis", "numerics", "round_weights",
-    "shift", "sum_filtration", "trivial_family", "trivial_filtration",
-    "twist", "twist_family", "valuation_family", "valuation_filtration",
+    "shift", "sum_filtration", "trivial_family", "twist", "twist_family",
+    "valuation_family", "valuation_filtration",
     # optimize
     "minimize_pl_ratio",
     # stability
@@ -68,5 +68,5 @@ __all__ = [
     "reduced_coupled_j", "semistable_verdict", "twisted_ratio_profile",
     # serialize
     "ParseError", "ValidationError", "canonical_json", "format_rational",
-    "load_model", "model_from_json", "model_to_json", "parse_rational",
+    "load_model", "model_from_json", "parse_rational",
 ]

@@ -59,10 +59,9 @@ from typing import NamedTuple, Optional, Sequence, Union
 from ._record import Record
 from .errors import InputError
 from .geometry import IntVec, Vec, _exact_entries, _int_directions, _scaled
-from .toric import (TOTAL, RankMismatch, SummandIndex, ToricFanoModel,
-                    _fraction_sum, _ratio_plus, _s_invariant, _support_min,
-                    _t_invariant, _twist_terms, integrality_step,
-                    section_basis)
+from .toric import (TOTAL, RankMismatch, SummandIndex, ToricFanoModel, _plus,
+                    _s_invariant, _support_min, _t_invariant, _twist_terms,
+                    integrality_step, section_basis)
 
 Char = tuple[int, ...]
 IntTable = dict[int, tuple[int, ...]]
@@ -409,12 +408,6 @@ def construct(basis: GradedBasis, spec) -> Filtration:
     raise FiltrationError(f"unrecognized filtration spec {spec!r}")
 
 
-def trivial_filtration(basis: GradedBasis) -> Filtration:
-    nums = {m: (0,) * len(basis.characters(m)) for m in basis.degrees}
-    zero = (0,) * basis.model.rank
-    return Filtration(basis, nums, 1, _valuation(1, zero, Fraction(0)))
-
-
 def valuation_filtration(basis: GradedBasis, eta: Sequence) -> Filtration:
     """Weights <alpha, eta> - m * min over the summand of <., eta>.
 
@@ -513,7 +506,7 @@ def _twist_descriptor(model: ToricFanoModel, i: SummandIndex, d: Descriptor,
         x = xi_n if kx == 1 else tuple([n * kx for n in xi_n])
         (theta, theta_den), shifted = _twist_terms(model, i, common, e, x)
         return _valuation(common, shifted,
-                          _ratio_plus((-theta, theta_den), d.shift))
+                          Fraction(*_plus((-theta, theta_den), d.shift)))
     return None
 
 
@@ -734,7 +727,7 @@ def _sum_descriptor(parts: Sequence[Descriptor]) -> Descriptor:
     if len({(p.den, p.nums) for p in parts}) == 1:
         first = parts[0]
         return _valuation(first.den, first.nums,
-                          _fraction_sum([p.shift for p in parts]))
+                          sum([p.shift for p in parts], Fraction(0)))
     return SumDescriptor(tuple(parts))
 
 
@@ -797,14 +790,14 @@ def numerics(f: Filtration) -> FiltrationNumerics:
     i = f.basis.index
     d = f.descriptor
     if isinstance(d, ValuationDescriptor):
-        lam = _ratio_plus(_t_invariant(model, i, d.den, d.nums), d.shift)
-        s_val = _ratio_plus(_s_invariant(model, i, d.den, d.nums), d.shift)
+        lam = Fraction(*_plus(_t_invariant(model, i, d.den, d.nums), d.shift))
+        s_val = Fraction(*_plus(_s_invariant(model, i, d.den, d.nums), d.shift))
         prov = "closed-form"
         j_val = lam - s_val
     elif isinstance(d, SumDescriptor):
-        lam = _fraction_sum([_ratio_plus(_t_invariant(model, k, p.den, p.nums),
-                                         p.shift)
-                             for k, p in enumerate(d.parts)])
+        lam = sum([Fraction(*_plus(_t_invariant(model, k, p.den, p.nums),
+                                   p.shift)) for k, p in enumerate(d.parts)],
+                  Fraction(0))
         s_val = None
         j_val = None
         prov = "closed-form-lambda-only"

@@ -830,7 +830,8 @@ def centroid(p: ExactPolytope) -> Vec:
         for i, x in enumerate(map(sum, zip(*s))):
             acc[i] += w * x
     if total == 0:
-        raise DegenerateInput("zero-volume polytope in centroid")
+        # a polytope of dimension >= 1 has a simplex of positive weight
+        raise InternalInvariantError("zero-volume polytope in centroid")
     den = total * (p.dim + 1) * p.den
     return tuple(Fraction(x, den) for x in acc)
 

@@ -1,5 +1,5 @@
-"""JSON interchange: rationals as "p/q" strings, models, polytopes, and
-canonical report rendering.
+"""JSON interchange: rationals as "p/q" strings, models, and canonical
+report rendering.
 
 Nothing in this module ever produces or accepts floating point.  Canonical
 output has sorted keys and a fixed rational rendering, so byte equality is
@@ -7,11 +7,11 @@ meaningful for regression and determinism checks.  ``canonical_json``
 renders a report in one recursive walk, with the bytes ``json.dumps``
 would give for its plain form.  ``model_from_json`` hulls no vertex
 fragment: it parses each into a point table, which ``toric`` certifies and
-reads its polytope off; a half-space fragment is solved once by
-``_from_rows``, and its vertices are its table.  A vertex fragment written
-alike is parsed once, and so is each distinct coordinate string within a
-fragment; a table is reduced to its least denominator, so equal tables,
-however written, share one polytope.
+reads its polytope off; a half-space fragment is solved by ``_from_rows``,
+and its vertices are its table.  A vertex fragment written alike is parsed
+once, and so is each distinct coordinate string within a fragment; a table
+is reduced to its least denominator, so equal tables, however written, are
+certified once and share one polytope.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import InputError
 from .geometry import ExactPolytope, GeometryError, IntVec, Vec, _point_table
@@ -99,10 +99,6 @@ def parse_rational(text) -> Fraction:
     return Fraction(*_ratio(text))
 
 
-def format_vec(v: Sequence) -> list[str]:
-    return [format_rational(Fraction(x)) for x in v]
-
-
 def _ratios(data, ratio=_ratio) -> list[tuple[int, int]]:
     if not isinstance(data, (list, tuple)):
         raise ParseError(f"expected a vector, got {data!r}")
@@ -127,16 +123,10 @@ def _table(rows: list[list[tuple[int, int]]]) -> tuple[int, list[tuple[int, ...]
 # polytopes
 
 
-def polytope_to_json(p: ExactPolytope) -> dict:
-    return {"vertices": [format_vec(v) for v in p.vertices]}
-
-
-def _fragment(data) -> tuple:
-    """A polytope fragment, parsed straight into one integer table, as the
-    call that turns it into a point table: ``_point_table`` or
-    ``_rows_table`` followed by its arguments, that table over its least
-    denominator.  The tuple is hashable, and equal tuples give equal point
-    tables."""
+def _fragment(data) -> tuple[int, tuple[IntVec, ...]]:
+    """The point table of a polytope fragment: the points of a vertex
+    fragment over their least denominator, or the vertices of a half-space
+    fragment, solved with its offsets over their least denominator."""
     if not isinstance(data, dict):
         raise ParseError(f"polytope fragment must be an object, got {data!r}")
     if "vertices" in data:
@@ -153,7 +143,7 @@ def _fragment(data) -> tuple:
 
         den, nums = _table([_ratios(v, ratio)
                             for v in _capped(data["vertices"], "vertices")])
-        return _point_table, den, tuple(nums)
+        return _point_table(den, nums)
     if "halfspaces" in data:
         normals, offsets = [], []
         for item in _capped(data["halfspaces"], "halfspaces"):
@@ -168,8 +158,9 @@ def _fragment(data) -> tuple:
             normals.append(tuple(normal))
         den, offsets = _table(offsets)
         rank = len(normals[-1]) if normals else None
-        return (_rows_table, den,
-                tuple([(a, c) for a, (c,) in zip(normals, offsets)]), rank)
+        p = ExactPolytope._from_rows(
+            den, [(a, c) for a, (c,) in zip(normals, offsets)], rank)
+        return p.den, p.nums
     raise ParseError("polytope fragment needs 'vertices' or 'halfspaces'")
 
 
@@ -185,13 +176,6 @@ def _spelling(data) -> Optional[tuple]:
                                             for x in v) for v in verts)):
         return tuple(map(tuple, verts))
     return None
-
-
-def _rows_table(den: int, rows: Sequence[tuple[IntVec, int]], rank: Optional[int]
-                ) -> tuple[int, tuple[IntVec, ...]]:
-    """The point table of the vertices of a half-space fragment."""
-    p = ExactPolytope._from_rows(den, rows, rank)
-    return p.den, p.nums
 
 
 def _list(value, key: str) -> list:
@@ -221,15 +205,6 @@ def _capped(value, key: str) -> list:
 # models
 
 
-def model_to_json(model: ToricFanoModel) -> dict:
-    return {
-        "name": model.name,
-        "rank": model.rank,
-        "rays": [list(r) for r in model.rays],
-        "decomposition": [polytope_to_json(p) for p in model.summands],
-    }
-
-
 def model_from_json(data, name: str = "") -> ToricFanoModel:
     if not isinstance(data, dict):
         raise ParseError("model file must contain a JSON object")
@@ -248,21 +223,15 @@ def model_from_json(data, name: str = "") -> ToricFanoModel:
     model_name = data.get("name", name)
     if not isinstance(model_name, str):
         raise ParseError(f"model name must be a string, got {model_name!r}")
-    # one point table per distinct fragment, as in the common split
-    # P = k (P / k): a vertex fragment written alike is parsed once, and a
-    # half-space fragment is solved once
-    tables: dict[tuple, tuple[int, tuple[IntVec, ...]]] = {}
+    # a vertex fragment written alike is parsed once, as in the common
+    # split P = k (P / k)
     parsed: dict[tuple, tuple[int, tuple[IntVec, ...]]] = {}
     summands = []
     for p in _list(data["decomposition"], "decomposition"):
         spelling = _spelling(p)
         table = parsed.get(spelling)
         if table is None:
-            key = _fragment(p)
-            if key not in tables:
-                read, *args = key
-                tables[key] = read(*args)
-            table = tables[key]
+            table = _fragment(p)
             if spelling is not None:
                 parsed[spelling] = table
         summands.append(table)

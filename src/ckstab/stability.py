@@ -27,12 +27,12 @@ from .geometry import (DimensionMismatch, ExactPolytope, IntVec, Vec,
                        centroid, primitive_vector, vdot, vneg, vsub)
 from .toric import (TOTAL, TORIC_SEARCH_ASSUMPTION, MonomialIdealSeq, Ratio,
                     SummandIndex, ToricFanoModel, _containment_lct,
-                    _log_discrepancy, _ratio_plus,
-                    _s_invariant, _show, _t_invariant, _total_s_sum,
-                    log_discrepancy, monomial_lct, s_invariant, support_min,
-                    t_invariant, theta_twist, total_s_sum)
+                    _log_discrepancy, _plus, _s_invariant, _show,
+                    _t_invariant, _total_s_sum, log_discrepancy,
+                    monomial_lct, s_invariant, support_min, t_invariant,
+                    theta_twist, total_s_sum)
 from .filtration import (Descriptor, Filtration, FiltrationFamily,
-                         SumDescriptor, UnsupportedDescriptor,
+                         GridMismatch, SumDescriptor, UnsupportedDescriptor,
                          ValuationDescriptor,
                          _twist_descriptor, approximate,
                          base_change, construct, family_degree_grid,
@@ -291,14 +291,6 @@ def _slope_parameter(delta) -> Fraction:
     return delta
 
 
-def _plus(r: Ratio, c: Fraction) -> Ratio:
-    """The ratio n / d plus c, as an int ratio over ``d`` times c's
-    denominator."""
-    n, d = r
-    q = c.denominator
-    return n * q + c.numerator * d, d * q
-
-
 def _less_sum(r: Ratio, terms: Sequence[Ratio]) -> Ratio:
     """The ratio r less the sum of the terms, as an int ratio over the lcm
     of their denominators."""
@@ -351,9 +343,11 @@ def mu_slope(f: Filtration, delta) -> MuResult:
         mu = Fraction(*mu)
         if exact:
             return MuResult(mu, mu, mu, CLOSED_FORM)
-        lam = _ratio_plus(_t_invariant(model, f.basis.index, d.den, d.nums),
-                          d.shift)
+        lam = Fraction(*_plus(_t_invariant(model, f.basis.index, d.den,
+                                           d.nums), d.shift))
         return MuResult(None, mu, lam, "certified-bounds")
+    if not f.basis.degrees:
+        raise GridMismatch("the table stores no degree")
     lo = None
     hi = None
     for m in f.basis.degrees:
@@ -1151,15 +1145,14 @@ def _check_identities(model: ToricFanoModel, rng: random.Random, samples: int,
 
     for _ in range(max(1, samples // 20)):
         xi = _futaki_orthogonal_direction(model, rng)
-        if xi is not None:
-            eta = safe_base(xi)
-            prof = twisted_ratio_profile(model, eta, xi, exps)
-            vals = [r for e, r in prof.ratios if e >= prof.entry]
-            diffs = [abs(r - 1) for r in vals]
-            check("twisted-ratio-limit", (eta, xi),
-                  (prof.limit, diffs), (Fraction(1), "monotone"),
-                  ok=prof.limit == 1
-                  and all(a >= b for a, b in zip(diffs, diffs[1:])))
+        eta = safe_base(xi)
+        prof = twisted_ratio_profile(model, eta, xi, exps)
+        vals = [r for e, r in prof.ratios if e >= prof.entry]
+        diffs = [abs(r - 1) for r in vals]
+        check("twisted-ratio-limit", (eta, xi),
+              (prof.limit, diffs), (Fraction(1), "monotone"),
+              ok=prof.limit == 1
+              and all(a >= b for a, b in zip(diffs, diffs[1:])))
         xi2 = _rand_int_vec(rng, rank, span=2, nonzero=True)
         prof = twisted_ratio_profile(model, safe_base(xi2), xi2, exps)
         check("twisted-ratio-ray-value", (xi2,),
@@ -1216,15 +1209,15 @@ def _check_identities(model: ToricFanoModel, rng: random.Random, samples: int,
 
 
 def _futaki_orthogonal_direction(model: ToricFanoModel,
-                                 rng: random.Random) -> Optional[tuple[int, ...]]:
+                                 rng: random.Random) -> tuple[int, ...]:
     """A nonzero integer direction pairing to zero with the coupled
-    barycenter, when one exists."""
+    barycenter.  In rank 1 the barycenter is 0: each summand is a segment
+    or a point, with its midpoint as barycenter, and the midpoints add up
+    to that of [-1, 1]."""
     b = model.barycenter(TOTAL)
     rank = model.rank
     if all(x == 0 for x in b):
         return _rand_int_vec(rng, rank, span=2, nonzero=True)
-    if rank == 1:
-        return None
     # the reduced-echelon basis of the plane orthogonal to b: one vector per
     # column fc other than the pivot p, with v[fc] = 1 and v[p] = -b[fc]/b[p]
     p = next(i for i, x in enumerate(b) if x != 0)

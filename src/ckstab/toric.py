@@ -23,7 +23,7 @@ denominator.  The public function scales its direction to integers once
 builds one ``Fraction``.  The valuation descriptors of
 :mod:`ckstab.filtration` already hold their direction as integers: they
 call the cores directly and build one ``Fraction`` per value they report,
-with ``_ratio_plus``.
+adding each shift to a core's ratio with ``_plus``.
 
 Log canonical thresholds of equivariant monomial ideal data are a scan over
 candidate rays: the log discrepancy and the ideal's vanishing order are
@@ -58,6 +58,14 @@ SummandIndex = Union[int, str]
 # a rational as an int numerator over a positive int denominator, not
 # necessarily in lowest terms: the value of an integer core
 Ratio = tuple[int, int]
+
+
+def _plus(r: Ratio, c: Fraction) -> Ratio:
+    """The ratio n / d plus c, as an int ratio over ``d`` times c's
+    denominator."""
+    n, d = r
+    q = c.denominator
+    return n * q + c.numerator * d, d * q
 
 
 class ToricError(InputError):
@@ -241,8 +249,9 @@ def _build_model(rays: Sequence[Sequence[int]],
         if _rank(ray_tuple) < rank:
             raise RankMismatch("rays do not span the cocharacter space") from None
         raise NotReflexive(f"ray half-spaces do not bound a polytope: {exc}") from exc
-    if antican.dim != rank:
-        raise NotReflexive("anticanonical polytope is not full-dimensional")
+    # the origin lies strictly inside every row, so the polytope is
+    # full-dimensional; once its vertices are integral and its facets are
+    # the rays, each facet's offset is a pairing with a vertex on it, -1
     den = antican.den
     if den != 1:
         v = next(v for n, v in zip(antican.nums, antican.vertices)
@@ -250,8 +259,6 @@ def _build_model(rays: Sequence[Sequence[int]],
         raise NotReflexive(f"anticanonical polytope has non-lattice vertex {_show(v)}")
     if {a for a, _ in antican.facets} != set(ray_tuple):
         raise NotReflexive("rays do not match the facets of the anticanonical polytope")
-    if any(c != -1 for _, c in antican.facets):
-        raise NotReflexive("anticanonical facets not at level -1")
 
     if not tables:
         raise DecompositionMismatch("empty decomposition")
@@ -321,21 +328,6 @@ def _build_model(rays: Sequence[Sequence[int]],
 
 # ---------------------------------------------------------------------------
 # support minima and the basic invariants
-
-
-def _ratio_plus(r: Ratio, c: Fraction) -> Fraction:
-    """The ratio n / d plus c, built as one ``Fraction``."""
-    n, d = r
-    q = c.denominator
-    return Fraction(n * q + c.numerator * d, d * q)
-
-
-def _fraction_sum(values: Sequence[Fraction]) -> Fraction:
-    """The sum of the values, built as one ``Fraction`` over the lcm of their
-    denominators."""
-    den = math.lcm(*[x.denominator for x in values])
-    return Fraction(sum([x.numerator * (den // x.denominator) for x in values]),
-                    den)
 
 
 def support_min(model: ToricFanoModel, i: SummandIndex, eta: Sequence) -> Fraction:

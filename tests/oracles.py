@@ -17,9 +17,9 @@ scan of every level behind the finite-degree lc slope, the
 closed-form descriptor steps in plain Fractions over the vertices, and the
 report renderer that canonicalized a record and then dumped it with
 ``json``).
-The helpers after them are checks and constants that only the tests use;
-the last two hold each summand a model reads off its fan certificate to
-the subset-loop hull of its point table."""
+The helpers after them are checks, constants and model writers that only
+the tests use; the last two hold each summand a model reads off its fan
+certificate to the subset-loop hull of its point table."""
 
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ from ckstab.geometry import (Cone, ExactPolytope, HalfSpace, as_vec,
                              lattice_points, primitive_vector, vdot, vneg,
                              vsub)
 from ckstab.optimize import minimize_pl_ratio
-from ckstab.serialize import ValidationError
+from ckstab.serialize import ValidationError, format_rational
 from ckstab.stability import (CLOSED_FORM, DingResult, StabilityError,
                               coupled_ding, mu_slope)
 from ckstab.toric import (TOTAL, MonomialIdealSeq, ToricFanoModel,
@@ -334,6 +334,14 @@ def _slope_sum(model: ToricFanoModel, z) -> Fraction:
                 for i, b in enumerate(model.barycenters)), F(0))
 
 
+def ratio_oracle(model: ToricFanoModel, z) -> Fraction:
+    """The ratio ``inner_twist_sup`` scores at z: minus the least pairing of
+    the anticanonical vertices with z over ``_slope_sum``."""
+    s = _slope_sum(model, z)
+    assert s > 0, z
+    return -min(_pair(v, z) for v in model.anticanonical.vertices) / s
+
+
 def _on_slice(base, t, W) -> tuple:
     """base + sum t_j w_j."""
     return tuple(x + sum((tj * w[k] for tj, w in zip(t, W)), F(0))
@@ -358,31 +366,23 @@ def reduced_j_slice_oracle(model: ToricFanoModel, xi0, basis
 
 def inner_sup_candidates(model: ToricFanoModel, basis, eta) -> list[tuple]:
     """(value, attained, point) of every candidate of ``inner_twist_sup``
-    over a nonempty basis, in its scan order and in plain Fractions.  The
-    ratio at z is minus the least pairing of the anticanonical vertices
-    with z over ``_slope_sum``.  The cells of ``slice_cells_oracle`` are
+    over a nonempty basis, in its scan order and in plain Fractions, each
+    scored by ``ratio_oracle``.  The cells of ``slice_cells_oracle`` are
     scanned in fan order: each vertex t scores eta + sum t_j w_j, and then
     each ray of its recession cone, from ``cone_rays_oracle`` on its
     normals and scaled so that its last nonzero entry is 1 or -1, scores
     sum d_j w_j."""
     eta = [F(x) for x in eta]
     W = [[F(x) for x in w] for w in basis]
-    antican = model.anticanonical.vertices
-
-    def ratio(z):
-        s = _slope_sum(model, z)
-        assert s > 0, z
-        return -min(_pair(v, z) for v in antican) / s
-
     out = []
     for _, verts, normals in slice_cells_oracle(model, eta, W):
         for t in verts:
             z = _on_slice(eta, t, W)
-            out.append((ratio(z), True, z))
+            out.append((ratio_oracle(model, z), True, z))
         for g in cone_rays_oracle(normals, len(W)):
             last = abs(next(x for x in reversed(g) if x))
             z = _on_slice([F(0)] * len(eta), [F(x, last) for x in g], W)
-            out.append((ratio(z), False, z))
+            out.append((ratio_oracle(model, z), False, z))
     return out
 
 
@@ -930,6 +930,25 @@ def assert_float_free(obj) -> None:
     elif isinstance(obj, (list, tuple)):
         for v in obj:
             assert_float_free(v)
+
+
+def format_vec(v: Sequence) -> list[str]:
+    return [format_rational(Fraction(x)) for x in v]
+
+
+def polytope_to_json(p: ExactPolytope) -> dict:
+    return {"vertices": [format_vec(v) for v in p.vertices]}
+
+
+def model_to_json(model: ToricFanoModel) -> dict:
+    """A model as a model file's JSON object, each summand by its
+    vertices."""
+    return {
+        "name": model.name,
+        "rank": model.rank,
+        "rays": [list(r) for r in model.rays],
+        "decomposition": [polytope_to_json(p) for p in model.summands],
+    }
 
 
 def fragment_hull(fragment: dict):

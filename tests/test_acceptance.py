@@ -16,8 +16,8 @@ from oracles import (hull_oracle, interval_oracle, mean_slope_decay_constant,
                      rand_point, shoelace_area, shoelace_centroid)
 
 from ckstab.filtration import (construct, family_degree_grid, graded_basis,
-                               numerics, round_weights, trivial_filtration,
-                               twist, valuation_family)
+                               numerics, round_weights, twist,
+                               valuation_family, valuation_filtration)
 from ckstab.geometry import ExactPolytope, centroid, volume
 from ckstab.serialize import canonical_json
 from ckstab.stability import (SubtorusSpec, coupled_delta, coupled_ding,
@@ -94,7 +94,7 @@ def test_acceptance_02_twist_norm_reconciliation(models):
         for d in dirs:
             for scalar in (1, -1, 2, -2, 3, -3):
                 xi = tuple(scalar * x for x in d)
-                f = twist(trivial_filtration(basis), xi)
+                f = twist(valuation_filtration(basis, (0,) * model.rank), xi)
                 n = numerics(f)
                 lam = support_value(model.anticanonical, xi, "max")[0]
                 s_lim = sum(b * x for b, x in zip(bary, xi))

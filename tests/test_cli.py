@@ -18,15 +18,15 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURE_NAMES
 from oracles import (assert_float_free, assert_summands_are_hulls,
-                     canonical_json_oracle, ding_descriptor_oracle)
+                     canonical_json_oracle, ding_descriptor_oracle,
+                     model_to_json, polytope_to_json)
 
 import ckstab
 from ckstab.cli import build_parser, main, render_table, resolve_model_path
 from ckstab.filtration import ValuationDescriptor
 from ckstab.geometry import as_vec
 from ckstab.serialize import (canonical_json, format_rational, load_model,
-                              model_from_json, model_to_json,
-                              polytope_to_json)
+                              model_from_json)
 from ckstab.serialize import IoError, ParseError, ValidationError
 from ckstab.stability import (SubtorusSpec, coupled_delta, coupled_futaki,
                               ding_of_descriptors, find_destabilizer, j_twist,
@@ -535,7 +535,6 @@ def test_null_tables_pinned(capsys):
 
 
 def test_model_roundtrip_through_json(tmp_path, bl1p2):
-    from ckstab.serialize import model_from_json, model_to_json
     data = model_to_json(bl1p2)
     again = model_from_json(data)
     assert again.anticanonical == bl1p2.anticanonical

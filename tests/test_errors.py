@@ -14,6 +14,7 @@ import math
 import pathlib
 import pkgutil
 import re
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -338,6 +339,174 @@ def test_rank_outside_scope_exits_1(tmp_path, rank):
     assert "from 1 to 4" in run("delta", str(path))[2]
 
 
+# --- input errors, each reached once ----------------------------------------------
+
+def _one_error_line(tmp_path, model):
+    """The one stderr line of ``futaki`` on the model, given as JSON text or
+    as its object, less its "error: ", where ``futaki`` must exit 1 and
+    print nothing."""
+    path = tmp_path / "model.json"
+    path.write_text(model if isinstance(model, str) else json.dumps(model))
+    code, out, err = run("futaki", str(path))
+    assert (code, out) == (1, ""), err
+    (line,) = err.splitlines()
+    assert line.startswith("error: "), line
+    return line[len("error: "):]
+
+
+@pytest.mark.parametrize("rays, decomposition, message", [
+    ([], [{"vertices": P2_HALF_POINTS}], "rays do not span the cocharacter space"),
+    ([[1, 0], [0, 1], [-1, 0]], [{"vertices": P2_HALF_POINTS}],
+     "ray half-spaces do not bound a polytope: feasible region is unbounded"),
+    # the ray (-1, 0) cuts out only the vertex (1, 0) of the triangle
+    ([[1, 0], [-1, 2], [-1, -2], [-1, 0]],
+     [{"vertices": [["-1", "-1"], ["-1", "1"], ["1", "0"]]}],
+     "rays do not match the facets of the anticanonical polytope"),
+    (P2_RAYS, [], "empty decomposition"),
+    (P2_RAYS, [{"vertices": [5]}], "expected a vector, got 5"),
+    (P2_RAYS, [{"vertices": [[True, "0"]]}], "expected a rational, got True"),
+    (P2_RAYS, [{"halfspaces": [{"normal": [1], "offset": "-1"}] + P2_HALF}],
+     "half-space rank mismatch"),
+])
+def test_model_errors_exit_1(tmp_path, rays, decomposition, message):
+    assert _one_error_line(tmp_path, {"name": "m", "rank": 2, "rays": rays,
+                                      "decomposition": decomposition}) == message
+
+
+def test_overlong_digit_strings_exit_1(tmp_path):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python converts integer strings of any length")
+    digits = "1" * (limit + 1)
+    excess = f"value has {len(digits)} digits"
+    model = {"name": "m", "rank": 2, "rays": P2_RAYS,
+             "decomposition": [{"vertices": [[digits, "0"]]}]}
+    line = _one_error_line(tmp_path, model)
+    assert line.startswith(f"bad rational '{digits}': Exceeds the limit")
+    assert excess in line
+    # a bare JSON integer fails in the JSON parser, which names the file
+    path = tmp_path / "model.json"
+    line = _one_error_line(tmp_path, json.dumps(model).replace(
+        f'"{digits}"', digits))
+    assert line.startswith(f"{path}: Exceeds the limit") and excess in line
+    code, out, err = run("reduced-jnorm", "p2", "--xi=1,0",
+                         f"--subtorus={digits},0")
+    assert (code, out, err.splitlines()) == (
+        1, "", [f"error: subtorus vector '{digits},0' is not integral"])
+    code, out, err = run("jnorm", "p2", f"--xi={digits},0")
+    assert (code, out) == (1, "")
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: bad rational '{digits}': Exceeds the limit")
+
+
+def test_deeply_nested_model_file_exits_1(tmp_path):
+    depth = 100_000
+    path = tmp_path / "model.json"
+    assert _one_error_line(tmp_path, "[" * depth + "]" * depth).startswith(
+        f"{path}: maximum recursion depth exceeded")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("reduced-delta", "p2", "--subtorus=1,0,0"),
+     "subtorus vector '1,0,0' has the wrong rank"),
+    (("jnorm", "p2", "--xi=1,0", "--summand=2"), "summand index 2"),
+    (("lct", "p2", "--eta=1,0", "--level=1", "--scale=0"),
+     "ideal scale must be positive"),
+])
+def test_argument_errors_exit_1(argv, message):
+    code, out, err = run(*argv)
+    assert (code, out, err.splitlines()) == (1, "", ["error: " + message])
+
+
+def test_library_input_errors(models):
+    # the errors no command line reaches: each is an input error of its
+    # own class, with its message
+    from ckstab.filtration import (FiltrationError, FiltrationFamily,
+                                   GridMismatch, MissingCharacter,
+                                   UnsupportedDescriptor, construct,
+                                   family_degree_grid, graded_basis,
+                                   sum_filtration, valuation_filtration)
+    from ckstab.geometry import (DegenerateInput, DimensionMismatch,
+                                 ExactPolytope, GeometryError, HalfSpace,
+                                 minkowski_sum, normal_cones,
+                                 primitive_vector, support_value, volume)
+    from ckstab.stability import (DegenerateSubtorus, SubtorusSpec,
+                                  mu_slope, reduced_coupled_delta)
+    from ckstab.toric import (IndexOutOfRange, MonomialIdealSeq, RankMismatch,
+                              ToricError, ZeroIdeal, build_model,
+                              monomial_lct, section_basis)
+
+    p2 = models["p2_halves"]
+    basis = graded_basis(p2, 0, m_max=4)
+    segment = ExactPolytope.from_vertices([(0, 0), (1, 1)])
+    square = ExactPolytope.from_vertices([(0, 0, 0), (1, 0, 0), (0, 1, 0),
+                                          (1, 1, 0)])
+    cases = [
+        # geometry
+        (GeometryError, "half-space normal must be nonzero",
+         HalfSpace.make, (0, 0), 1),
+        (DimensionMismatch, "half-space rank mismatch",
+         ExactPolytope.from_halfspaces, [HalfSpace.make((1, 0), -1)], 3),
+        (GeometryError, "scale factor must be positive", segment.scale, 0),
+        (GeometryError, "scale factor must be positive", segment.scale, F(-1, 2)),
+        (GeometryError, "empty Minkowski sum", minkowski_sum, []),
+        (GeometryError, "unknown mode 'mid'", support_value, segment, (1, 0),
+         "mid"),
+        (DegenerateInput, "normal fan needs a full-dimensional polytope",
+         normal_cones, segment),
+        (DegenerateInput, "affine-hull volume implemented only for dim <= 1",
+         volume, square),
+        (GeometryError, "cannot primitivize the zero vector",
+         primitive_vector, (0, F(0))),
+        # toric
+        (RankMismatch, "rays of mixed rank", build_model,
+         [(1, 0), (1,)], p2.summands),
+        (IndexOutOfRange, "summand index 2", p2.summand, 2),
+        (IndexOutOfRange, "summand index -1", p2.barycenter, -1),
+        (IndexOutOfRange, "summand index 'x'", p2.barycenter, "x"),
+        (ToricError, "degree must be positive", section_basis, p2, 0, 0),
+        (ZeroIdeal, "no generators at degree 2 reach the level", monomial_lct,
+         p2, MonomialIdealSeq.from_generators({2: [((0, 0), 1)]}, level=1,
+                                              summand=0)),
+        (ToricError, "ideal scale must be positive", monomial_lct, p2,
+         MonomialIdealSeq.valuation_levels((1, 0), 1), F(-1)),
+        # filtration
+        (GridMismatch, "degree 3 not stored", basis.characters, 3),
+        (GridMismatch, "restriction outside the stored grid", basis.restrict,
+         [2, 3]),
+        (GridMismatch, "degree cap 1 below the integrality step 2",
+         graded_basis, p2, 0, 1),
+        (GridMismatch, "degree cap 1 below the family step 2",
+         family_degree_grid, p2, 1),
+        (GridMismatch, "family size differs from the number of summands",
+         FiltrationFamily, p2, (valuation_filtration(basis, (1, 0)),)),
+        (MissingCharacter, "table lacks degree 4", construct,
+         basis.restrict([2, 4]), {2: dict.fromkeys(basis.characters(2), 0)}),
+        (FiltrationError, "floating point weight at (-1, -1); weights must be "
+         "rational", construct, basis.restrict([2]),
+         {2: dict.fromkeys(basis.characters(2), 0.5)}),
+        (FiltrationError, "unrecognized filtration spec [0]", construct, basis,
+         [0]),
+        (GridMismatch, "the table stores no degree", mu_slope,
+         construct(basis.restrict([]), {}), 1),
+        # stability
+        (DegenerateSubtorus, "subtorus basis must be integral", SubtorusSpec,
+         ((F(1, 2), 0),)),
+        (DegenerateSubtorus, "subtorus basis rank mismatch",
+         reduced_coupled_delta, p2, SubtorusSpec(((1, 0, 0),))),
+        (UnsupportedDescriptor,
+         "no certified lc slope for sums of distinct valuation directions",
+         mu_slope, sum_filtration(FiltrationFamily(p2, (
+             valuation_filtration(basis, (1, 0)),
+             valuation_filtration(graded_basis(p2, 1, m_max=4), (0, 1))))), 1),
+    ]
+    for cls, message, call, *args in cases:
+        with pytest.raises(cls) as info:
+            call(*args)
+        assert type(info.value) is cls and isinstance(info.value, InputError)
+        assert str(info.value) == message
+
+
 # --- a failed internal check ------------------------------------------------------
 
 def test_failed_identity_exits_2(monkeypatch):
@@ -352,6 +521,20 @@ def test_failed_identity_exits_2(monkeypatch):
         "internal error: identity 'barycenter-cache-consistency'")
     assert line.endswith("(4 of 70 cases failed)")
     assert "(1/7, 1/7)" in err and "Fraction(" not in err
+
+
+def test_a_zero_volume_centroid_is_internal(monkeypatch):
+    # every simplex of a pulling triangulation of a polytope of dimension
+    # >= 1 has positive weight; zero weights are a library fault, not bad
+    # input
+    from ckstab import geometry
+    p = geometry.ExactPolytope.from_vertices([(0, 0), (1, 0), (0, 1)])
+    monkeypatch.setattr(geometry, "_triangulation",
+                        lambda p: iter([(0, list(p.nums))]))
+    with pytest.raises(InternalInvariantError,
+                       match="^zero-volume polytope in centroid$") as info:
+        geometry.centroid(p)
+    assert not isinstance(info.value, InputError)
 
 
 def test_input_error_after_failed_identity_exits_2(monkeypatch):
@@ -378,13 +561,14 @@ def test_ding_cross_check_catches_an_unscaled_twist(monkeypatch):
     # goes unseen by the probe value alone where the coupled barycenter
     # vanishes; the member slope rule catches it on these models
     from ckstab.filtration import _valuation
-    from ckstab.toric import _ratio_plus, _twist_terms
+    from ckstab.toric import _plus, _twist_terms
 
     def unscaled(model, i, d, den, xi_n):
         common = math.lcm(d.den, den)
         e = tuple([n * (common // d.den) for n in d.nums])
         (theta, theta_den), shifted = _twist_terms(model, i, common, e, xi_n)
-        return _valuation(common, shifted, _ratio_plus((-theta, theta_den), d.shift))
+        return _valuation(common, shifted,
+                          F(*_plus((-theta, theta_den), d.shift)))
 
     monkeypatch.setattr("ckstab.stability._twist_descriptor", unscaled)
     for args in (("p2_steps", "--eta=1/2,1/3"), ("p1_skew", "--eta=1/2"),

@@ -36,14 +36,18 @@ from ckstab.filtration import (EmptyDecomposition, Filtration,
                                approximate, base_change, construct,
                                family_degree_grid, graded_basis, numerics,
                                round_weights, shift, sum_filtration,
-                               trivial_family, trivial_filtration, twist,
-                               twist_family, valuation_family,
-                               valuation_filtration)
+                               trivial_family, twist, twist_family,
+                               valuation_family, valuation_filtration)
 from ckstab.geometry import ExactPolytope
 from ckstab.serialize import load_model
 from ckstab.stability import coupled_ding, ding_of_descriptors, identity_suite
 from ckstab.toric import (TOTAL, RankMismatch, build_model, s_invariant,
                           theta_twist)
+
+
+def _trivial(basis):
+    """The trivial filtration: the valuation table at eta = 0."""
+    return valuation_filtration(basis, (0,) * basis.model.rank)
 
 
 def rand_frac(rng, span=3):
@@ -53,9 +57,33 @@ def rand_frac(rng, span=3):
 
 # --- construction ---------------------------------------------------------
 
+@pytest.mark.parametrize("name", ["p2_steps", "bl1p2_hsplit", "p1_skew"])
+def test_zero_direction_is_the_trivial_table(models, name):
+    # every weight 0 over den 1, with the zero direction and shift as its
+    # descriptor, on each summand and the total basis
+    model = models[name]
+    for i in [*range(model.num_summands), TOTAL]:
+        f = _trivial(graded_basis(model, i, m_max=4))
+        assert f.den == 1
+        assert f.nums == {m: (0,) * len(f.basis.characters(m))
+                          for m in f.basis.degrees}
+        d = f.descriptor
+        assert (type(d), d.den, d.nums, d.shift) == (
+            ValuationDescriptor, 1, (0,) * model.rank, 0)
+
+
 def test_trivial_weights(p1_skew):
-    f = trivial_filtration(graded_basis(p1_skew, 0, m_max=3))
+    f = _trivial(graded_basis(p1_skew, 0, m_max=3))
     assert all(w == 0 for row in f.weights.values() for w in row.values())
+
+
+def test_weight_view_is_a_mapping_of_the_stored_degrees(p2_steps):
+    f = valuation_filtration(graded_basis(p2_steps, 0, m_max=4), (1, -2))
+    view = f.weights
+    assert len(view) == len(f.basis.degrees) == len(list(view))
+    assert dict(view) == {m: dict(zip(f.basis.characters(m),
+                                      (F(n, f.den) for n in f.nums[m])))
+                          for m in f.basis.degrees}
 
 
 def test_valuation_weights_unit_interval(p1_skew):
@@ -79,7 +107,7 @@ def test_infinite_weight_rejected(p1_skew):
 # --- shift / twist / round / base change -----------------------------------
 
 def test_shift_trivial(p1_skew):
-    f = shift(trivial_filtration(graded_basis(p1_skew, 0, m_max=3)), 1)
+    f = shift(_trivial(graded_basis(p1_skew, 0, m_max=3)), 1)
     assert all(w == m for m, row in f.weights.items() for w in row.values())
 
 
@@ -96,7 +124,7 @@ def test_shift_of_valuation(p1_skew):
 
 
 def test_twist_trivial(p1_skew):
-    f = twist(trivial_filtration(graded_basis(p1_skew, 0, m_max=1)), (2,))
+    f = twist(_trivial(graded_basis(p1_skew, 0, m_max=1)), (2,))
     assert f.weights[1] == {(0,): F(0), (1,): F(2)}
 
 
@@ -249,14 +277,14 @@ def test_approximation_of_valuation_is_itself(p2_steps):
 
 
 def test_approximation_of_trivial(p1):
-    f = trivial_filtration(graded_basis(p1, TOTAL, m_max=4))
+    f = _trivial(graded_basis(p1, TOTAL, m_max=4))
     ap = approximate(f, 2)
     flag, c = is_shifted_trivial(ap)
     assert flag and c == 0
 
 
 def test_approximation_grid_error(p1):
-    f = trivial_filtration(graded_basis(p1, TOTAL, m_max=4))
+    f = _trivial(graded_basis(p1, TOTAL, m_max=4))
     with pytest.raises(GridMismatch):
         approximate(f, 5)
 
@@ -271,7 +299,7 @@ def test_numerics_valuation_p1_skew(p1_skew):
 
 
 def test_numerics_trivial(p2):
-    n = numerics(trivial_filtration(graded_basis(p2, TOTAL, m_max=4)))
+    n = numerics(_trivial(graded_basis(p2, TOTAL, m_max=4)))
     assert n.s_value == 0 and n.lambda_max == 0 and n.j_value == 0
     assert all(v == 0 for v in n.t_by_degree.values())
 
@@ -279,7 +307,7 @@ def test_numerics_trivial(p2):
 def test_numerics_twisted_trivial_matches_polytope(bl1p2):
     from ckstab.geometry import support_value
     xi = (2, -1)
-    f = twist(trivial_filtration(graded_basis(bl1p2, TOTAL, m_max=6)), xi)
+    f = twist(_trivial(graded_basis(bl1p2, TOTAL, m_max=6)), xi)
     n = numerics(f)
     top = support_value(bl1p2.anticanonical, xi, "max")[0]
     bary = sum(b * x for b, x in zip(bl1p2.barycenter(TOTAL), xi))
@@ -345,7 +373,7 @@ def test_multiplicativity_check_flags_bad_tables(p1_skew):
 
 def test_twist_rank_error(p1_skew):
     from ckstab.toric import RankMismatch
-    f = trivial_filtration(graded_basis(p1_skew, 0, m_max=2))
+    f = _trivial(graded_basis(p1_skew, 0, m_max=2))
     with pytest.raises(RankMismatch):
         twist(f, (1, 0))
 
@@ -525,7 +553,7 @@ def test_tables_store_only_ints(models, name):
     basis = graded_basis(model, 0, m_max=4, step=grid[0])
     eta = (F(1, 2), F(-2, 3))
     val = valuation_filtration(basis, eta)
-    made = [trivial_filtration(basis), val,
+    made = [_trivial(basis), val,
             construct(basis, random_table(rng, basis)),
             shift(val, F(5, 7)), twist(val, (F(1, 3), 2)),
             round_weights(val), base_change(round_weights(val), 3),
@@ -695,7 +723,7 @@ def test_sums_build_no_basis_once_a_grid_is_seen(p2_steps, monkeypatch):
     with pytest.raises(GridMismatch,
                        match="^restriction outside the stored grid$"):
         sum_filtration(FiltrationFamily(p2_steps, (
-            trivial_filtration(odd), trivial_filtration(other))))
+            _trivial(odd), _trivial(other))))
 
 
 # --- valuation tables and twists against per-character Fraction tables ------
@@ -1031,6 +1059,24 @@ def test_deferred_sum_of_distinct_directions(p2_steps):
     parts = total.descriptor.parts
     assert total.descriptor is total.descriptor
     assert parts == (ValuationDescriptor(a, F(2, 3)), fam.members[1].descriptor)
+
+
+def test_numerics_of_a_sum_of_distinct_directions(p2_steps):
+    # a sum on distinct directions certifies only its largest slope: the
+    # sum of the members' largest slopes, each the spread of its summand's
+    # vertex pairings with its direction plus its shift
+    parts = [((F(1, 2), F(1, 3)), F(3, 4)), ((F(-1, 2), F(1)), F(-1, 5))]
+    fam = FiltrationFamily(p2_steps, tuple(
+        shift(valuation_filtration(graded_basis(p2_steps, i, m_max=2), eta), c)
+        for i, (eta, c) in enumerate(parts)))
+    n = numerics(sum_filtration(fam))
+    lam = F(0)
+    for i, (eta, c) in enumerate(parts):
+        pairs = [sum(x * e for x, e in zip(v, eta))
+                 for v in p2_steps.summand(i).vertices]
+        lam += max(pairs) - min(pairs) + c
+    assert (n.lambda_max, n.s_value, n.j_value, n.provenance) == (
+        lam, None, None, "closed-form-lambda-only")
 
 
 def test_an_unread_chain_holds_a_bounded_number_of_steps(models):

@@ -183,6 +183,18 @@ def test_segment_centroid_and_volume():
     assert volume(diag) == 2            # lattice length along (1, 1)
 
 
+def test_point_centroid_and_volume():
+    # a point has volume 1 in its own affine hull, the counting measure
+    pt = ExactPolytope.from_vertices([(F(1, 2), -3)])
+    assert (pt.dim, volume(pt), centroid(pt)) == (0, 1, (F(1, 2), F(-3)))
+
+
+def test_only_nonzero_vectors_are_primitive():
+    from ckstab.geometry import is_primitive
+    assert [is_primitive(v) for v in [(0, 0), (0,), (2, 0), (0, -1), (2, 3)]] == [
+        False, False, False, True, True]
+
+
 def test_translation_equivariance():
     rng = random.Random(17)
     for _ in range(15):
@@ -660,6 +672,14 @@ def test_int_det_against_cofactor_expansion():
                 assert _int_det(rows) == 0
             det = _int_det(rows)
             assert type(det) is int and det == cofactor_det(rows)
+    # a zero column stays zero under the row operations, so no pivot is
+    # found in it and the elimination stops there
+    for n in range(4, 7):
+        for k in range(n):
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            for r in rows:
+                r[k] = 0
+            assert _int_det(rows) == cofactor_det(rows) == 0, rows
 
 
 def test_hull_against_subset_scan_oracle():

@@ -15,6 +15,7 @@ import pytest
 from oracles import (SUBTORI_2, ding_of_twist, ding_public_oracle,
                      ding_via_sums, dist2_to_affine, fan_cell_delta, mu_slope_scan,
                      inner_sup_candidates, inner_sup_oracle, matrix_rank,
+                     ratio_oracle,
                      reduced_j_oracle,
                      reduced_j_slice_oracle, slice_cells_oracle,
                      twisted_profile_oracle)
@@ -360,6 +361,19 @@ def test_mu_slope_bisection_matches_level_scan(models, name, monkeypatch):
                 for m in basis.degrees:
                     levels = len(set(table[m].values()))
                     assert 1 <= calls[m] <= math.ceil(math.log2(levels)) + 1
+
+
+def test_mu_slope_lower_end_when_no_level_passes(p1):
+    # a hand-built basis whose characters do not hull the summand: at the
+    # lowest level the ideal's region is [0, 1/2] in [-1/2, 1/2], whose lc
+    # threshold is 2, so at slope 3 no level passes and the lower end is
+    # the least weight slope
+    from ckstab.filtration import GradedBasis
+    basis = GradedBasis(p1, 0, (2,), {2: ((0,), (1,))})
+    f = construct(basis, {2: {(0,): 1, (1,): 3}})
+    res = mu_slope(f, 3)
+    assert res == (None, F(1, 2), F(3, 2), "finite-degree-estimate")
+    assert (res.lo, res.hi) == mu_slope_scan(f, (3,))[3]
 
 
 def test_coupled_ding_values(p1, bl1p2):
@@ -713,6 +727,29 @@ def test_inner_twist_sup_against_ray_crossing_scan(models):
                 checked += 1
     # 20 slices each off (1, 0), (0, 1), (1, 1), (1, -1); 22 off (1, 2), (2, 1)
     assert checked == 5 * (4 * 20 + 2 * 22)
+
+
+def test_inner_twist_sup_on_the_trivial_subtorus(models):
+    # no twist is allowed, so the slice is eta itself: its ratio, attained
+    # there
+    rng = random.Random(5)
+    for model in models.values():
+        for _ in range(3):
+            eta = tuple(F(rng.randint(-4, 4), rng.randint(1, 3))
+                        for _ in range(model.rank))
+            if not any(eta):
+                continue
+            res = inner_twist_sup(model, SubtorusSpec.trivial(), eta)
+            assert res == (ratio_oracle(model, eta), True, eta, None)
+
+
+def test_rank_one_coupled_barycenter_vanishes(models):
+    # each rank-1 summand is a segment or a point, whose barycenter is its
+    # midpoint, and the midpoints add up to that of [-1, 1]: the suite's
+    # Futaki-orthogonal direction is then any direction
+    for model in models.values():
+        if model.rank == 1:
+            assert model.barycenter(TOTAL) == (0,), model.name
 
 
 def test_inner_twist_sup_tie_goes_to_least_twist(p2):

@@ -48,6 +48,15 @@ def test_build_bl1p2_halves(bl1p2):
     assert bl1p2.barycenters == (((F(1, 24), F(1, 24))), (F(1, 24), F(1, 24)))
 
 
+def test_summand_barycenters_by_index(models):
+    # summand i's barycenter is its centroid; the total's is their sum
+    from ckstab.geometry import centroid
+    for model in models.values():
+        bs = [model.barycenter(i) for i in range(model.num_summands)]
+        assert bs == [centroid(p) for p in model.summands], model.name
+        assert model.barycenter(TOTAL) == tuple(map(sum, zip(*bs)))
+
+
 def test_decomposition_mismatch():
     u = ExactPolytope.from_vertices([(0,), (1,)])
     with pytest.raises(DecompositionMismatch):
