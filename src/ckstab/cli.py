@@ -1,6 +1,8 @@
 """Command-line surface.
 
-One verb per invocation.  Each verb handler returns library values
+One verb per invocation, each declared once in ``_VERB_TABLE`` with its
+handler, help line and own flags; the parsers, ``VERBS`` and the value
+flags are built from it.  Each handler returns library values
 (``Fraction``s, tuples, ints, ``None``), and ``serialize.canonical_json``
 renders the whole run record once, each rational as its exact "p/q"
 string.  ``--out`` and standard output are written from that one text;
@@ -237,17 +239,32 @@ def _cmd_verify(model, args) -> dict:
     }
 
 
-VERBS = {
-    "futaki": _cmd_futaki,
-    "jnorm": _cmd_jnorm,
-    "reduced-jnorm": _cmd_reduced_jnorm,
-    "delta": _cmd_delta,
-    "reduced-delta": _cmd_reduced_delta,
-    "ding": _cmd_ding,
-    "lct": _cmd_lct,
-    "destabilize": _cmd_destabilize,
-    "verify": _cmd_verify,
+# verb: (handler, help line, {own flag: add_argument keywords}); every verb
+# also takes the model, --format and --out.  ``show`` reads a stored report,
+# not a model, and is added on its own
+_VERB_TABLE = {
+    "futaki": (_cmd_futaki, "coupled Futaki vector and verdict", {}),
+    "jnorm": (_cmd_jnorm, "J norm of a twisted trivial configuration", {
+        "--xi": dict(required=True, help='twist, e.g. "1/2,-3"'),
+        "--summand": dict(type=int, help="summand index (default total)")}),
+    "reduced-jnorm": (_cmd_reduced_jnorm, "infimum of summed J norms over twists", {
+        "--xi": dict(required=True, help="base twist"),
+        "--subtorus": dict(help='"v1;v2", "full" or "trivial"')}),
+    "delta": (_cmd_delta, "coupled stability threshold", {}),
+    "reduced-delta": (_cmd_reduced_delta, "reduced coupled stability threshold", {
+        "--subtorus": dict(help='"v1;v2", "full" or "trivial"')}),
+    "ding": (_cmd_ding, "coupled Ding invariant of a valuation family", {
+        "--eta": dict(required=True, help="valuation direction"),
+        "--slope": dict(help="slope parameter (default 1)")}),
+    "lct": (_cmd_lct, "log canonical threshold of valuation ideals", {
+        "--eta": dict(required=True), "--level": dict(required=True),
+        "--scale": dict(help="ideal scale (default 1)")}),
+    "destabilize": (_cmd_destabilize, "search for a destabilizing family", {}),
+    "verify": (_cmd_verify, "run the exact identity suite", {
+        "--samples": dict(type=int, default=100),
+        "--seed": dict(type=int, default=0)}),
 }
+VERBS = {verb: handler for verb, (handler, _, _) in _VERB_TABLE.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,51 +279,24 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         prog="ckstab",
         description="Exact coupled K-stability invariants of toric Fano models")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def common(p):
+    for verb, (_, text, flags) in _VERB_TABLE.items():
+        p = sub.add_parser(verb, help=text)
         p.add_argument("model", help="model JSON file (or fixture name)")
         p.add_argument("--format", choices=["json", "table"], default="json")
         p.add_argument("--out", help="also write the report to this path")
-
-    p = sub.add_parser("futaki", help="coupled Futaki vector and verdict")
-    common(p)
-    p = sub.add_parser("jnorm", help="J norm of a twisted trivial configuration")
-    common(p)
-    p.add_argument("--xi", required=True, help='twist, e.g. "1/2,-3"')
-    p.add_argument("--summand", type=int, help="summand index (default total)")
-    p = sub.add_parser("reduced-jnorm", help="infimum of summed J norms over twists")
-    common(p)
-    p.add_argument("--xi", required=True, help="base twist")
-    p.add_argument("--subtorus", help='"v1;v2", "full" or "trivial"')
-    p = sub.add_parser("delta", help="coupled stability threshold")
-    common(p)
-    p = sub.add_parser("reduced-delta", help="reduced coupled stability threshold")
-    common(p)
-    p.add_argument("--subtorus", help='"v1;v2", "full" or "trivial"')
-    p = sub.add_parser("ding", help="coupled Ding invariant of a valuation family")
-    common(p)
-    p.add_argument("--eta", required=True, help="valuation direction")
-    p.add_argument("--slope", help="slope parameter (default 1)")
-    p = sub.add_parser("lct", help="log canonical threshold of valuation ideals")
-    common(p)
-    p.add_argument("--eta", required=True)
-    p.add_argument("--level", required=True)
-    p.add_argument("--scale", help="ideal scale (default 1)")
-    p = sub.add_parser("destabilize", help="search for a destabilizing family")
-    common(p)
-    p = sub.add_parser("verify", help="run the exact identity suite")
-    common(p)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+        for flag, kwargs in flags.items():
+            p.add_argument(flag, **kwargs)
     p = sub.add_parser("show", help="render a stored report as a table")
     p.add_argument("report", help="report JSON file")
     return parser, sub.choices
 
 
 # argparse takes a value that starts with "-" for a flag unless it looks like a
-# plain negative number, so main() rewrites "--xi -1,2" as "--xi=-1,2".  Tokens
-# argparse already reads as values stay apart, and so does the next flag.
-_VALUE_FLAGS = ("--xi", "--eta", "--subtorus", "--level", "--slope", "--scale")
+# plain negative number, so main() rewrites "--xi -1,2" as "--xi=-1,2" for
+# each flag with a str value, one with no type.  Tokens argparse already
+# reads as values stay apart, and so does the next flag.
+_VALUE_FLAGS = {flag for _, _, flags in _VERB_TABLE.values()
+                for flag, kwargs in flags.items() if "type" not in kwargs}
 _KEEP_APART = re.compile(r"-\d+|-\d*\.\d+|--.*")
 
 

@@ -8,10 +8,9 @@ renders a report in one recursive walk, with the bytes ``json.dumps``
 would give for its plain form.  ``model_from_json`` hulls no vertex
 fragment: it parses each into a point table, which ``toric`` certifies and
 reads its polytope off; a half-space fragment is solved by ``_from_rows``,
-and its vertices are its table.  A vertex fragment written alike is parsed
-once, and so is each distinct coordinate string within a fragment; a table
-is reduced to its least denominator, so equal tables, however written, are
-certified once and share one polytope.
+and its vertices are its table.  Each distinct coordinate string of a file
+is parsed once; a table is reduced to its least denominator, so equal
+tables, however written, are certified once and share one polytope.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import math
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
-from typing import Optional
 
 from .errors import InputError
 from .geometry import ExactPolytope, GeometryError, IntVec, Vec, _point_table
@@ -123,24 +121,14 @@ def _table(rows: list[list[tuple[int, int]]]) -> tuple[int, list[tuple[int, ...]
 # polytopes
 
 
-def _fragment(data) -> tuple[int, tuple[IntVec, ...]]:
+def _fragment(data, ratio) -> tuple[int, tuple[IntVec, ...]]:
     """The point table of a polytope fragment: the points of a vertex
     fragment over their least denominator, or the vertices of a half-space
-    fragment, solved with its offsets over their least denominator."""
+    fragment, solved with its offsets over their least denominator; ratio
+    parses each coordinate and offset."""
     if not isinstance(data, dict):
         raise ParseError(f"polytope fragment must be an object, got {data!r}")
     if "vertices" in data:
-        seen: dict[str, tuple[int, int]] = {}
-
-        def ratio(x):
-            # vertices often spell a coordinate alike: each distinct string
-            # is parsed once
-            if type(x) is not str:
-                return _ratio(x)
-            if x not in seen:
-                seen[x] = _ratio(x)
-            return seen[x]
-
         den, nums = _table([_ratios(v, ratio)
                             for v in _capped(data["vertices"], "vertices")])
         return _point_table(den, nums)
@@ -152,7 +140,7 @@ def _fragment(data) -> tuple[int, tuple[IntVec, ...]]:
                     type(c) is int for c in normal) or "offset" not in item:
                 raise ParseError("a half-space needs an integral 'normal' list "
                                  f"and an 'offset': {item!r}")
-            offsets.append([_ratio(item["offset"])])
+            offsets.append([ratio(item["offset"])])
             if not any(normal):
                 raise GeometryError("half-space normal must be nonzero")
             normals.append(tuple(normal))
@@ -162,20 +150,6 @@ def _fragment(data) -> tuple[int, tuple[IntVec, ...]]:
             den, [(a, c) for a, (c,) in zip(normals, offsets)], rank)
         return p.den, p.nums
     raise ParseError("polytope fragment needs 'vertices' or 'halfspaces'")
-
-
-def _spelling(data) -> Optional[tuple]:
-    """A vertex fragment as written, as a hashable tuple of its coordinates,
-    when it lists at most ``MAX_ENTRIES`` vertices and each coordinate is a
-    ``str`` or an ``int``; None for any other fragment.  Two equal tuples
-    are written alike, which plain equality of the parsed JSON would not
-    say, as ``1 == 1.0 == True``."""
-    verts = data.get("vertices") if type(data) is dict else None
-    if (type(verts) is list and len(verts) <= MAX_ENTRIES
-            and all(type(v) is list and all(type(x) is str or type(x) is int
-                                            for x in v) for v in verts)):
-        return tuple(map(tuple, verts))
-    return None
 
 
 def _list(value, key: str) -> list:
@@ -223,18 +197,19 @@ def model_from_json(data, name: str = "") -> ToricFanoModel:
     model_name = data.get("name", name)
     if not isinstance(model_name, str):
         raise ParseError(f"model name must be a string, got {model_name!r}")
-    # a vertex fragment written alike is parsed once, as in the common
-    # split P = k (P / k)
-    parsed: dict[tuple, tuple[int, tuple[IntVec, ...]]] = {}
-    summands = []
-    for p in _list(data["decomposition"], "decomposition"):
-        spelling = _spelling(p)
-        table = parsed.get(spelling)
-        if table is None:
-            table = _fragment(p)
-            if spelling is not None:
-                parsed[spelling] = table
-        summands.append(table)
+    # a coordinate is often written alike across a file, as in the common
+    # split P = k (P / k): each distinct string is parsed once
+    seen: dict[str, tuple[int, int]] = {}
+
+    def ratio(x):
+        if type(x) is not str:
+            return _ratio(x)
+        if x not in seen:
+            seen[x] = _ratio(x)
+        return seen[x]
+
+    summands = [_fragment(p, ratio)
+                for p in _list(data["decomposition"], "decomposition")]
     return _build_model(rays, summands, model_name)
 
 

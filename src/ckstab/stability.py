@@ -609,6 +609,16 @@ def inner_twist_sup(model: ToricFanoModel, sub: SubtorusSpec,
     return _inner_sup_cells(model, den, base, W, sub.basis)
 
 
+def _beats(best: Optional[tuple], num: int, nd: int, attained: bool) -> bool:
+    """Whether a candidate of value num / nd replaces the best so far: with
+    a larger value, or as an attained vertex with a value equal to that of
+    an unattained best."""
+    if best is None:
+        return True
+    lhs, rhs = num * best[1], best[0] * nd
+    return lhs > rhs or (lhs == rhs and attained and not best[2])
+
+
 def _inner_sup(best: Optional[tuple]) -> InnerSup:
     """The ``InnerSup`` of the best candidate (numerator, denominator,
     attained, point numerators, point denominator)."""
@@ -655,18 +665,15 @@ def _inner_sup_line(model: ToricFanoModel, den: int, base: IntVec, w: IntVec,
                                 - verts[0][1] * verts[1][0]) * sign < 0:
             verts.reverse()
         for r in verts:
-            nd = slopes[r]
-            if best is not None:
-                lhs, rhs = bden * best[1], best[0] * nd
-                if lhs < rhs or (lhs == rhs and best[2]):
-                    continue
-            best = (bden, nd, True, tuple([abs(D) * x for x in r]), meets[r] * den)
+            if _beats(best, bden, slopes[r], True):
+                best = (bden, slopes[r], True, tuple([abs(D) * x for x in r]),
+                        meets[r] * den)
         pairs = [(n[0] * w[0] + n[1] * w[1], n[0] * base[0] + n[1] * base[1])
                  for n in cone.facets]
         for s, d, (num, nd) in ends:
-            if all((s * a, b) >= (0, 0) for a, b in pairs):
-                if best is None or num * best[1] > best[0] * nd:
-                    best = (num, nd, False, d, 1)
+            if all((s * a, b) >= (0, 0) for a, b in pairs) and _beats(
+                    best, num, nd, False):
+                best = (num, nd, False, d, 1)
     return _inner_sup(best)
 
 
@@ -687,11 +694,8 @@ def _inner_sup_cells(model: ToricFanoModel, den: int, base: IntVec,
             z = _point(vden, base, n, W)
             num, nd = _int_ratio(model, z,
                                  lambda: [Fraction(x, vden * den) for x in z])
-            if best is not None:
-                lhs, rhs = num * best[1], best[0] * nd
-                if lhs < rhs or (lhs == rhs and best[2]):
-                    continue
-            best = (num, nd, True, z, vden * den)
+            if _beats(best, num, nd, True):
+                best = (num, nd, True, z, vden * den)
         # the cell has no lineality, because the facet normals span and the
         # subtorus basis is independent, so each recession direction maps
         # to a nonzero vector of the cone; it is named scaled so that the
@@ -700,9 +704,8 @@ def _inner_sup_cells(model: ToricFanoModel, den: int, base: IntVec,
             z = _point(0, base, g, basis)
             last = abs(next(x for x in reversed(g) if x))
             num, nd = _int_ratio(model, z, lambda: [Fraction(x, last) for x in z])
-            if best is not None and num * best[1] <= best[0] * nd:
-                continue
-            best = (num, nd, False, z, last)
+            if _beats(best, num, nd, False):
+                best = (num, nd, False, z, last)
     return _inner_sup(best)
 
 

@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -82,6 +83,25 @@ def test_negative_values_after_flags(capsys):
     # a flag after a value flag is still reported as a missing value
     code, _, err = run(capsys, "jnorm", "p2", "--xi", "--format", "json")
     assert code == 1 and "expected one argument" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["jnorm", "p2", "--xi", "-1,2"],
+    ["ding", "p2", "--eta", "-1,1"],
+    ["reduced-delta", "p2", "--subtorus", "-1,1"],
+    ["lct", "p2", "--eta=1,0", "--level", "-1/2"],
+    ["ding", "p2", "--eta=1,0", "--slope", "-1/2"],
+    ["lct", "p2", "--eta=1,0", "--level=1", "--scale", "-1/2"],
+], ids=lambda argv: argv[-2])
+def test_each_value_flag_takes_a_negative_value_as_its_next_token(capsys, argv):
+    # every flag with a str value reads "--flag -v" as "--flag=-v": the
+    # same exit code, report and messages, up to the timing on stderr
+    def call(args):
+        code, out, err = run(capsys, *args)
+        return code, out, re.sub(r"\d+\.\d+s$", "", err, flags=re.M)
+
+    joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+    assert call(argv) == call(joined)
 
 
 def test_verbs_back_to_back_match_fresh_processes(capsys):

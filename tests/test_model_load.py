@@ -170,25 +170,25 @@ def test_load_reads_summands_off_the_fan(rank3_dir, monkeypatch):
 
 
 def test_equal_tables_however_written_share_one_polytope(monkeypatch):
-    # a vertex fragment written alike is parsed once, and a table is
-    # reduced to its least denominator, so halves of P^2 written "-1/2" and
-    # "-2/4" are one certified polytope
+    # each distinct coordinate string of a file is parsed once, and a table
+    # is reduced to its least denominator, so halves of P^2 written "-1/2"
+    # and "-2/4" are one certified polytope
     parsed = Counter()
 
-    def counted(data, _fragment=serialize._fragment):
-        parsed[json.dumps(data)] += 1
-        return _fragment(data)
+    def counted(text, _ratio=serialize._ratio):
+        parsed[text] += 1
+        return _ratio(text)
 
-    monkeypatch.setattr(serialize, "_fragment", counted)
+    monkeypatch.setattr(serialize, "_ratio", counted)
     third = {"vertices": [["-1/3", "-1/3"], ["2/3", "-1/3"], ["-1/3", "2/3"]]}
     model = model_from_json({"rank": 2, "rays": P2, "decomposition": [third] * 3})
     a, b, c = model.summands
-    assert a is b is c and list(parsed.values()) == [1]
+    assert a is b is c and parsed == {"-1/3": 1, "2/3": 1}
     halves = [{"vertices": [["-1/2", "-1/2"], ["1", "-1/2"], ["-1/2", "1"]]},
               {"vertices": [["-2/4", "-2/4"], ["2/2", "-2/4"], [" -2/4", "4/4"]]}]
     parsed.clear()
     a, b = model_from_json({"rank": 2, "rays": P2, "decomposition": halves}).summands
-    assert a is b and len(parsed) == 2
+    assert a is b and parsed == Counter(["-1/2", "1", "-2/4", "2/2", " -2/4", "4/4"])
     assert a.den == 2 and a.vertices == tuple(sorted(tuple(map(F, v))
                                                      for v in P2_HALF))
 

@@ -30,9 +30,10 @@ from ckstab.filtration import (FiltrationFamily, GridMismatch,
                                round_weights, shift, trivial_family,
                                twist_family, valuation_family,
                                valuation_filtration)
+from ckstab.cli import resolve_model_path
 from ckstab.geometry import (DimensionMismatch, ExactPolytope, HalfSpace,
-                             _int_directions)
-from ckstab.serialize import load_model
+                             _int_directions, support_value)
+from ckstab.serialize import load_model, model_from_json
 from ckstab.stability import (DegenerateSubtorus, DingResult, RankTooHigh,
                               StabilityError, SubtorusSpec, SuiteFailure,
                               _inner_sup_cells, _reduced_j_cells,
@@ -43,8 +44,9 @@ from ckstab.stability import (DegenerateSubtorus, DingResult, RankTooHigh,
                               inradius_squared, j_twist, mu_slope,
                               reduced_coupled_delta, reduced_coupled_j,
                               semistable_verdict, twisted_ratio_profile)
-from ckstab.toric import (TOTAL, ToricFanoModel, build_model, log_discrepancy,
-                          theta_twist, total_s_sum)
+from ckstab.toric import (TOTAL, MonomialIdealSeq, ToricFanoModel,
+                          _region_of_ideal, build_model, log_discrepancy,
+                          monomial_lct, support_min, theta_twist, total_s_sum)
 
 
 # --- coupled Futaki -----------------------------------------------------------
@@ -827,6 +829,22 @@ def test_inner_sup_attained_vertex_replaces_an_equal_limit(bl1p2):
     assert got == _inner_sup_cells(bl1p2, d, base, [W], (w,))
 
 
+def test_inner_sup_attained_vertex_wins_a_tie_it_meets_late(rank3_models):
+    # every ratio on P^3 halves is 1.  The plane of twists through the ray
+    # eta = (-1, -1, -1) misses the first cone of the fan, whose recession
+    # direction (1, 0, 0) still scores first; the vertex eta of the next
+    # cell ties it, and only the rule that an equal attained vertex
+    # replaces an unattained best makes the answer attained.  In rank 2 a
+    # seeded scan of splits of the reflexive polygons met no such slice
+    model = rank3_models["p3_halves"]
+    basis, eta = ((-1, -1, 1), (-1, 0, 0)), (-1, -1, -1)
+    first, *rest = inner_sup_candidates(model, basis, eta)
+    assert first == (1, False, (1, 0, 0)) and (1, True, eta) in rest
+    got = inner_twist_sup(model, SubtorusSpec(basis), eta)
+    assert tuple(got) == (1, True, eta, None)
+    assert tuple(got) == inner_sup_oracle(model, basis, eta)
+
+
 def test_inner_sup_tied_ends_follow_the_cone_order():
     # a reflexive triangle whose barycenter b = (-2/3, 1/3) is orthogonal
     # to its ray (1, 2): along w = (1, 2) from eta = (-3, -3) both ends of
@@ -1142,3 +1160,86 @@ def test_weighted_projective_thresholds():
         assert (res.value, res.witness) == (delta, witness)
         rep = identity_suite(model, samples=10, seed=3)
         assert rep.failed == 0
+
+
+# --- frame covariance ---------------------------------------------------------
+
+def _unimodular(rng, n):
+    """A seeded matrix in GL(n, Z) and its inverse: a sign change times six
+    elementary shears, each adding up to three times one row to another."""
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    s = rng.randrange(n)
+    a[s][s] = rng.choice((1, -1))
+    inv = [row[:] for row in a]
+    for _ in range(6 if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        k = rng.choice((-3, -2, -1, 1, 2, 3))
+        for row in a:                  # a (I + k e_i e_j^T)
+            row[j] += k * row[i]
+        inv[i] = [x - k * y for x, y in zip(inv[i], inv[j])]
+    return a, inv
+
+
+def test_invariants_are_frame_covariant(models, rank3_models):
+    # a change of lattice basis A in GL(n, Z) sends each ray rho to A rho
+    # and each point m of a summand to A^-T m.  Every value stays, Futaki
+    # vectors move by A^-T, and each witness found in the new frame is a
+    # minimizer there, though not always A times the old one: ties are
+    # broken by an order that depends on the frame
+    every = {**models, **{n: load_model(resolve_model_path(n))
+                          for n in ("p1", "p1xp1", "p2")}, **rank3_models}
+    rng = random.Random(5)
+    cases = 0
+    for name, model in every.items():
+        n = model.rank
+        eta = tuple(rng.choice((-2, -1, 1, 2)) for _ in range(n))
+        xi = tuple(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n))
+        w = rng.choice([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, -2)])
+        low = support_min(model, TOTAL, eta)
+        width = -support_min(model, TOTAL, [-x for x in eta]) - low
+        levels = (width / 3, 2 * width / 3)
+        fut = coupled_futaki(model)
+        delta = coupled_delta(model).value
+        jnorm = j_twist(model, TOTAL, xi)
+        parts = [ValuationDescriptor(eta)] * model.num_summands
+        ding = ding_of_descriptors(model, parts, 1).value
+        lcts = [monomial_lct(model, MonomialIdealSeq.valuation_levels(eta, t)).value
+                for t in levels]
+        reduced = reduced_coupled_delta(model, SubtorusSpec((w,))).value if n == 2 else None
+        for _ in range(2):
+            a, inv = _unimodular(rng, n)
+
+            def up(v):
+                return tuple(sum(a[i][j] * v[j] for j in range(n)) for i in range(n))
+
+            def dual(m):
+                return tuple(sum(inv[j][i] * m[j] for j in range(n)) for i in range(n))
+
+            moved = model_from_json({
+                "rank": n, "rays": [list(up(r)) for r in model.rays],
+                "decomposition": [{"vertices": [[str(x) for x in dual(v)]
+                                                for v in p.vertices]}
+                                  for p in model.summands]})
+            got = coupled_futaki(moved)
+            assert got.total == dual(fut.total), name
+            assert got.per_summand == tuple(map(dual, fut.per_summand)), name
+            res = coupled_delta(moved)
+            assert res.value == delta, name
+            assert log_discrepancy(moved, res.witness) == delta * total_s_sum(
+                moved, res.witness), name
+            assert j_twist(moved, TOTAL, up(xi)) == jnorm, name
+            parts = [ValuationDescriptor(up(eta))] * model.num_summands
+            assert ding_of_descriptors(moved, parts, 1).value == ding, name
+            for level, lct in zip(levels, lcts):
+                ideal = MonomialIdealSeq.valuation_levels(up(eta), level)
+                res = monomial_lct(moved, ideal)
+                assert res.value == lct, (name, level)
+                g = res.witness
+                order = (support_value(_region_of_ideal(moved, ideal), g)[0]
+                         - support_min(moved, TOTAL, g))
+                assert log_discrepancy(moved, g) == lct * order, (name, level)
+            if n == 2:
+                sub = SubtorusSpec((up(w),))
+                assert reduced_coupled_delta(moved, sub).value == reduced, name
+            cases += 1
+    assert cases == 2 * 14
