@@ -334,16 +334,16 @@ def main(argv: Optional[list[str]] = None) -> int:
             sys.stdout.write(render_table(data.get("report", data)))
             return 0
         path = resolve_model_path(args.model)
-        # the digest reported is of the very bytes parsed
+        # the digest reported is of the very bytes parsed, and the file
+        # must still hold exactly those bytes once the verb has run
         raw = read_bytes(path)
-        digest_before = hashlib.sha256(raw).hexdigest()
         model = model_from_json(parse_json(raw, path), name=path)
         report = VERBS[args.verb](model, args)
-        if hashlib.sha256(read_bytes(path)).hexdigest() != digest_before:
+        if read_bytes(path) != raw:
             raise IoError(f"input file {path} changed during the run")
         text = canonical_json({
             "command": ["ckstab", args.verb] + argv[1:],
-            "input_sha256": digest_before,
+            "input_sha256": hashlib.sha256(raw).hexdigest(),
             "version": __version__,
             "assumptions": report.get("assumptions", []),
             "report": {"model": model.name, **report},

@@ -16,8 +16,9 @@ and keeps it (``ExactPolytope.edges``), so the normal fan of the
 anticanonical polytope and every clip of it share one.  ``normal_cones``
 reads from it the cones on which ``min_{a in p} <a, .>`` is linear, one
 per minimizing vertex (``normal_fan`` pairs each with its vertex): a
-cone's generators are the vertex's tight facet normals and its facets are
-the vertex's edge directions, so no ray is solved for.
+cone's generators are the vertex's tight facet normals, read off the
+incidence alone (``_tight_normals``), and its facets are the vertex's
+edge directions, so no ray is solved for.
 ``restrict_min_support`` subdivides cones into the cells of such a
 minimum.  A cone that lies in the normal cone of the one vertex that
 minimizes at its probe is its own cell, its generators, with no solve.
@@ -869,7 +870,8 @@ class Cone(NamedTuple):
 
     ``generators`` are the primitive extreme rays; ``facets`` are primitive
     inner normals, so membership is ``<facet, x> >= 0`` for every facet.
-    A normal cone is read off the edge table (``normal_cones``).
+    A normal cone is read off the incidence and the edge table
+    (``normal_cones``).
     """
 
     generators: tuple[IntVec, ...]
@@ -959,22 +961,28 @@ def restrict_min_support(cones: Sequence[Cone], p: ExactPolytope
     return out
 
 
+def _tight_normals(p: ExactPolytope) -> list[tuple[IntVec, ...]]:
+    """For each vertex of p, in the order of ``nums``, the sorted normals of
+    the facets tight at it (``p.incidence``): when p is full-dimensional,
+    the generators of its normal cone, each extreme."""
+    return [tuple(sorted([p.facets[k][0] for k in t])) for t in p.incidence]
+
+
 def normal_cones(p: ExactPolytope) -> list[Cone]:
     """Maximal cones of the (inner) normal fan of a full-dimensional polytope,
     one per vertex, in the order of ``nums``.
 
     The cone attached to a vertex v consists of the directions minimized at
-    v.  Both of its descriptions are read off the edge table: its generators
-    are the normals of the facets tight at v, each extreme as p is
-    full-dimensional, and its inner facet normals are the primitive edge
-    directions at v.  No ray is solved for, no ``Fraction`` vertex is
+    v.  Its generators are the normals of the facets tight at v
+    (``_tight_normals``), each extreme as p is full-dimensional, and its
+    inner facet normals are the primitive edge directions at v, read off
+    the edge table.  No ray is solved for, no ``Fraction`` vertex is
     built, and the fan is complete.
     """
     if p.dim != p.rank:
         raise DegenerateInput("normal fan needs a full-dimensional polytope")
-    return [Cone(tuple(sorted(p.facets[k][0] for k in t)),
-                 tuple(sorted(d for d, _ in e)))
-            for t, e in zip(p.incidence, p.edges)]
+    return [Cone(g, tuple(sorted(d for d, _ in e)))
+            for g, e in zip(_tight_normals(p), p.edges)]
 
 
 def normal_fan(p: ExactPolytope) -> list[tuple[Cone, Vec]]:

@@ -157,7 +157,10 @@ def _slice_cells(model: ToricFanoModel, base: IntVec, W: Sequence[IntVec]):
     the index of its cone in ``model.fan``, its vertices as integer
     numerators over one positive denominator, in increasing lexicographic
     order, and the integer inner normals of its facets, whose ``_rays`` are
-    its recession directions.  Cones the slice misses are skipped.
+    its recession directions.  Only a cone with a violated constant row is
+    skipped: a facet n with <n, w_j> = 0 for every j and <n, base> < 0.  A
+    cone whose facet system has no solution is still yielded, with no
+    vertex.
     """
     for k, cone in enumerate(model.fan):
         rows = [(tuple(_pairings(W, n)), -vdot(n, base)) for n in cone.facets]

@@ -41,6 +41,7 @@ import math
 from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import cached_property
 from operator import add
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -48,9 +49,10 @@ from ._record import Record
 from .errors import InputError, InternalInvariantError
 from .geometry import (Cone, DimensionMismatch, ExactPolytope, GeometryError,
                        IntVec, Vec, _clip, _cramer_vertices, _from_tight,
-                       _int_directions, _pairings, _rank, _scaled, as_vec,
-                       centroid, is_primitive, lattice_points, minkowski_sum,
-                       normal_cones, restrict_min_support, vdot)
+                       _int_directions, _pairings, _rank, _scaled,
+                       _tight_normals, as_vec, centroid, is_primitive,
+                       lattice_points, minkowski_sum, normal_cones,
+                       restrict_min_support, vdot)
 from .optimize import minimize_pl_ratio
 
 TOTAL = "total"
@@ -117,14 +119,18 @@ class ToricFanoModel(Record):
     """Immutable toric Fano model: fan rays, anticanonical polytope, and a
     Minkowski decomposition into summand polytopes, with cached barycenters.
 
-    ``fan[k]`` is the inner normal cone of ``anticanonical.vertices[k]``,
-    so that vertex (``total_forms[k]``, with numerators
-    ``anticanonical.nums[k]``) is the form of the support function on it.
-    ``bary_nums`` holds the barycenters, and their sum last, as integer
-    numerators over the positive integer ``bary_den``; both are set from
-    ``barycenters``.  Two models are equal, and hash alike, when the seven
-    constructor fields in ``_fields`` are; the memos and the integer
-    barycenters are not compared.
+    ``fan`` is the normal fan of ``anticanonical`` (``normal_cones``),
+    built on first read and kept; a load does not build it, and most verbs
+    never read it.  ``fan[k]`` is the inner normal cone of
+    ``anticanonical.vertices[k]``, so that vertex (``total_forms[k]``, with
+    numerators ``anticanonical.nums[k]``) is the form of the support
+    function on it.  ``bary_nums`` holds the barycenters, and their sum
+    last, as integer numerators over the positive integer ``bary_den``;
+    both are set from ``barycenters``.  The repr shows the fields in
+    ``_fields``, the fan last.  Two models are equal, and hash alike, when
+    the six constructor fields are; the fan, a function of
+    ``anticanonical``, is not compared, so comparing builds no fan, and
+    neither are the memos and the integer barycenters.
     """
 
     _fields = ("name", "rank", "rays", "anticanonical", "summands",
@@ -133,11 +139,11 @@ class ToricFanoModel(Record):
     def __init__(self, name: str, rank: int, rays: tuple[tuple[int, ...], ...],
                  anticanonical: ExactPolytope,
                  summands: tuple[ExactPolytope, ...],
-                 barycenters: tuple[Vec, ...], fan: tuple[Cone, ...]):
+                 barycenters: tuple[Vec, ...]):
         den, nums = _scaled(barycenters)
         vars(self).update(
             name=name, rank=rank, rays=rays, anticanonical=anticanonical,
-            summands=summands, barycenters=barycenters, fan=fan,
+            summands=summands, barycenters=barycenters,
             # the character tuple of each (summand, degree) and its integer
             # coordinate columns; see filtration.graded_basis.  Weight rows
             # are int tuples aligned with them.  No memo refers back to the
@@ -151,6 +157,14 @@ class ToricFanoModel(Record):
             # grid a sum filtration has seen; see filtration.sum_filtration
             totals={},
             bary_den=den, bary_nums=nums + (tuple(map(sum, zip(*nums))),))
+
+    def _key(self) -> tuple:
+        return (self.name, self.rank, self.rays, self.anticanonical,
+                self.summands, self.barycenters)
+
+    @cached_property
+    def fan(self) -> tuple[Cone, ...]:
+        return tuple(normal_cones(self.anticanonical))
 
     @property
     def total_forms(self) -> tuple[Vec, ...]:
@@ -182,16 +196,18 @@ def build_model(rays: Sequence[Sequence[int]],
 
     Checks, in order: rays are primitive and span; the ray half-spaces cut
     out a reflexive (lattice, canonically faceted) polytope; the summands
-    have its rank; the decomposition sums to it exactly.  Caches the normal
-    fan, which ``normal_cones`` reads off the polytope's edge table and which
-    is complete by construction.  Each summand is taken as its point table,
-    its vertex numerators over its denominator, as the loader takes the
-    points it parses (``_build_model``).
+    have its rank; the decomposition sums to it exactly.  Each summand is
+    taken as its point table, its vertex numerators over its denominator, as
+    the loader takes the points it parses (``_build_model``).
 
-    The sum is certified on each cone of that fan: each summand's minimizing
-    point at an interior probe must attain the summand's support value at
-    every generator (so that support function is linear on the cone), and
-    the minimizers must add up to the polytope's own.  As h(P + Q) =
+    The sum is certified on each cone of the polytope's normal fan, read as
+    its generators alone: the normals of the facets tight at its vertex, off
+    the polytope's incidence (``_tight_normals``), so no edge table and no
+    cone facet is built.  The model builds the fan itself on its first read
+    (``ToricFanoModel.fan``).  Each summand's minimizing point at an
+    interior probe must attain the summand's support value at every
+    generator (so that support function is linear on the cone), and the
+    minimizers must add up to the polytope's own.  As h(P + Q) =
     h(P) + h(Q) and the fan is complete, this holds exactly when the sum is
     the polytope.  On a failure the summands' support values along each ray
     must still add up to -1, the polytope's, or the mismatch is reported
@@ -265,7 +281,6 @@ def _build_model(rays: Sequence[Sequence[int]],
     for _, pts in tables:
         if len(pts[0]) != rank:
             raise RankMismatch("summand rank differs from the model rank")
-    cones = tuple(normal_cones(antican))
     # each distinct table once, with its multiplicity: its point pairings
     # with each ray and the least of them, the factor that brings it to one
     # denominator and counts its copies, and the points the certificate picks
@@ -276,15 +291,15 @@ def _build_model(rays: Sequence[Sequence[int]],
     factors = [lcm // d * n for (d, _), n in distinct.items()]
     picked: list[set[int]] = [set() for _ in distinct]
     certified = True
-    for cone, form in zip(cones, antican.nums):
+    for gens, form in zip(_tight_normals(antican), antican.nums):
         summed = [0] * rank
         for (_, pts), by_ray, low, f, ks in zip(distinct, pairs, lows, factors,
                                                picked):
-            vals = [by_ray[g] for g in cone.generators]
+            vals = [by_ray[g] for g in gens]
             probe = list(map(sum, zip(*vals)))
             k = probe.index(min(probe))
             certified = certified and all(v[k] == low[g]
-                                          for g, v in zip(cone.generators, vals))
+                                          for g, v in zip(gens, vals))
             summed = [t + x * f for t, x in zip(summed, pts[k])]
             ks.add(k)
         certified = certified and summed == [x * lcm for x in form]
@@ -322,7 +337,6 @@ def _build_model(rays: Sequence[Sequence[int]],
         anticanonical=antican,
         summands=summands,
         barycenters=tuple(centroids[p] for p in summands),
-        fan=cones,
     )
 
 

@@ -350,22 +350,31 @@ def test_input_not_mutated(capsys, tmp_path):
 
 def test_model_file_read_once_and_hashed_as_parsed(capsys, tmp_path,
                                                   monkeypatch):
-    # one read serves both the digest and the parse, and one more re-hashes
-    # the file after the run
+    # one read serves both the digest and the parse, and one more reads
+    # the file back after the run to compare its bytes; one digest is taken
     dst = tmp_path / "model.json"
     dst.write_bytes(open(resolve_model_path("bl1p2_halves.json"), "rb").read())
     opened = []
+    hashed = []
     real_open = open
+    real_sha256 = hashlib.sha256
 
     def counting_open(file, *args, **kwargs):
         if os.fspath(file) == str(dst):
             opened.append(args[:1])
         return real_open(file, *args, **kwargs)
 
+    def counting_sha256(data):
+        hashed.append(data)
+        return real_sha256(data)
+
     monkeypatch.setattr("builtins.open", counting_open)
+    monkeypatch.setattr(ckstab.cli.hashlib, "sha256", counting_sha256)
     code, out, _ = run(capsys, "ding", str(dst), "--eta", "1,1")
+    monkeypatch.undo()
     assert code == 0
     assert opened == [("rb",), ("rb",)]
+    assert hashed == [dst.read_bytes()]
     assert json.loads(out)["input_sha256"] == hashlib.sha256(
         dst.read_bytes()).hexdigest()
 

@@ -22,7 +22,7 @@ from ckstab.cli import resolve_model_path
 from ckstab.geometry import (DimensionMismatch, EmptyRegion, ExactPolytope,
                              HalfSpace, UnboundedRegion, _edge_table, _int_det,
                              _minor_normal, centroid, lattice_points,
-                             minkowski_sum, normal_fan,
+                             minkowski_sum, normal_cones, normal_fan,
                              restrict_min_support, support_value, vdot, volume)
 from ckstab.serialize import load_model
 
@@ -595,10 +595,12 @@ def test_whole_cones_solve_no_cell(monkeypatch, models, rank3_models, lct_pool):
     assert (whole, split) == (1338, 286)
 
 
-def test_edge_table_is_built_once_per_polytope(monkeypatch):
-    # a load builds the anticanonical edge table for the fan, and an lct
-    # call clips the polytope with the same table: one more is built, for
-    # the clipped region
+def test_edge_table_is_built_once_per_polytope(monkeypatch, rank3_dir):
+    # a load certifies on the incidence alone and builds no edge table; the
+    # first read of the fan builds the anticanonical one, and a second read
+    # returns the same fan.  Comparing models builds no fan.  An lct call
+    # clips the polytope with the anticanonical table and reads the fan: one
+    # more is built, for the clipped region
     from ckstab.toric import MonomialIdealSeq, monomial_lct
     built = []
     edge_table = ckstab.geometry._edge_table
@@ -608,6 +610,25 @@ def test_edge_table_is_built_once_per_polytope(monkeypatch):
         return edge_table(p)
 
     monkeypatch.setattr(ckstab.geometry, "_edge_table", counted)
+    names = sorted(f.name for f in (resources.files("ckstab") / "fixtures").iterdir()
+                   if f.name.endswith(".json"))
+    paths = ([resolve_model_path(n) for n in names]
+             + sorted(map(str, rank3_dir.glob("*.json"))))
+    assert (len(names), len(paths)) == (11, 14)
+    for path in paths:
+        model, again, other = load_model(path), load_model(path), load_model(path)
+        assert built == [], path
+        assert model == again and hash(model) == hash(again), path
+        assert built == [], path
+        fan = model.fan
+        assert built == [model.anticanonical], path
+        assert fan == tuple(normal_cones(model.anticanonical)), path
+        assert model.fan is fan, path
+        assert model == again, path
+        assert other.fan == fan and model == other, path
+        assert len(built) == 2, path
+        built.clear()
+
     model = load_model(resolve_model_path("bl1p2_hsplit.json"))
     monomial_lct(model, MonomialIdealSeq.valuation_levels((1, 1), 1))
     assert [p is model.anticanonical for p in built] == [True, False]

@@ -1034,8 +1034,7 @@ def test_identity_suite_detects_corruption(p2):
     # failure: the cache check on summand 0, and each balanced translation
     bad = ToricFanoModel(
         name=p2.name, rank=p2.rank, rays=p2.rays, anticanonical=p2.anticanonical,
-        summands=p2.summands, barycenters=((F(1, 7), F(0)), p2.barycenters[1]),
-        fan=p2.fan)
+        summands=p2.summands, barycenters=((F(1, 7), F(0)), p2.barycenters[1]))
     with pytest.raises(SuiteFailure) as info:
         identity_suite(bad, samples=5, seed=1)
     assert info.value.identity == "barycenter-cache-consistency"
@@ -1185,11 +1184,15 @@ def test_invariants_are_frame_covariant(models, rank3_models):
     # and each point m of a summand to A^-T m.  Every value stays, Futaki
     # vectors move by A^-T, and each witness found in the new frame is a
     # minimizer there, though not always A times the old one: ties are
-    # broken by an order that depends on the frame
+    # broken by an order that depends on the frame.  The reduced J norm
+    # takes its base xi0 to A xi0 and its subtorus basis W to A W, on the
+    # full torus, the trivial subtorus, a seeded corank-1 subtorus (the
+    # first n - 1 rows of a unimodular matrix, so saturated) and, in rank
+    # 3, a corank-2 one (its first row)
     every = {**models, **{n: load_model(resolve_model_path(n))
                           for n in ("p1", "p1xp1", "p2")}, **rank3_models}
     rng = random.Random(5)
-    cases = 0
+    cases = j_cases = 0
     for name, model in every.items():
         n = model.rank
         eta = tuple(rng.choice((-2, -1, 1, 2)) for _ in range(n))
@@ -1206,6 +1209,15 @@ def test_invariants_are_frame_covariant(models, rank3_models):
         lcts = [monomial_lct(model, MonomialIdealSeq.valuation_levels(eta, t)).value
                 for t in levels]
         reduced = reduced_coupled_delta(model, SubtorusSpec((w,))).value if n == 2 else None
+        jrng = random.Random(f"reduced-j-{name}")
+        xi0 = tuple(F(jrng.choice((-3, -2, -1, 1, 2, 3)), jrng.randint(1, 2))
+                    for _ in range(n))
+        rows = _unimodular(jrng, n)[0]
+        bases = [SubtorusSpec.full(n).basis, ()]
+        bases += [tuple(map(tuple, rows[:k])) for k in (n - 1, n - 2) if k > 0]
+        js = [reduced_coupled_j(model, xi0, SubtorusSpec(W)).value for W in bases]
+        # only the full torus holds the origin in its slice
+        assert js[0] == 0 and all(js[1:]), name
         for _ in range(2):
             a, inv = _unimodular(rng, n)
 
@@ -1241,5 +1253,17 @@ def test_invariants_are_frame_covariant(models, rank3_models):
             if n == 2:
                 sub = SubtorusSpec((up(w),))
                 assert reduced_coupled_delta(moved, sub).value == reduced, name
+            for W, value in zip(bases, js):
+                res = reduced_coupled_j(moved, up(xi0),
+                                        SubtorusSpec(tuple(map(up, W))))
+                assert res.value == value, (name, W)
+                # the twist found attains the value: with the trivial
+                # subtorus the slice is the one point xi0 + twist
+                at = tuple(x + t for x, t in zip(up(xi0), res.argmin))
+                assert reduced_coupled_j(moved, at, SubtorusSpec.trivial()
+                                         ).value == value, (name, W)
+                j_cases += 1
             cases += 1
     assert cases == 2 * 14
+    # 2 subtori in rank 1 (4 models), 3 in rank 2 (7) and 4 in rank 3 (3)
+    assert j_cases == 2 * (4 * 2 + 7 * 3 + 3 * 4)

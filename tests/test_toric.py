@@ -13,8 +13,8 @@ import pytest
 from ckstab import toric
 from ckstab.errors import InternalInvariantError
 from ckstab.geometry import (DimensionMismatch, ExactPolytope, GeometryError,
-                             HalfSpace, _int_directions, minkowski_sum,
-                             normal_cones, support_value, vneg)
+                             HalfSpace, _int_directions, _tight_normals,
+                             minkowski_sum, support_value, vneg)
 from ckstab.optimize import minimize_pl_ratio
 from ckstab.serialize import load_model
 from ckstab.stability import (StabilityError, SuiteFailure, _check_identities,
@@ -239,11 +239,12 @@ def test_certificate_checks_linearity_not_only_minimizer_sums():
 
 def test_failed_certificate_on_exact_sum_is_internal(p2, monkeypatch):
     # a certificate that rejects a decomposition the hull confirms is a bug;
-    # the fan's cones in reverse order pair each cone with another cone's
-    # vertex, while the ray supports, which read no cone, still add up
-    monkeypatch.setattr("ckstab.toric.normal_cones",
-                        lambda p: normal_cones(p)[::-1])
-    with pytest.raises(InternalInvariantError):
+    # the vertices' cone generators in reverse order pair each vertex with
+    # another vertex's cone, while the ray supports, which read no cone,
+    # still add up
+    monkeypatch.setattr("ckstab.toric._tight_normals",
+                        lambda p: _tight_normals(p)[::-1])
+    with pytest.raises(InternalInvariantError, match="fan certificate rejected"):
         build_model(p2.rays, p2.summands)
 
 
